@@ -89,7 +89,9 @@ let initiate config rng ~fresh_serial ~clock node =
      view size: the two coincide at creation, but adaptive retuning
      (lib/resilience) can lower a node's effective s below its allocated
      capacity, and entries parked in high slots must stay reachable. *)
-  let i, j = Sf_prng.Rng.distinct_pair rng (View.size node.view) in
+  let size = View.size node.view in
+  let i = Sf_prng.Rng.int rng size in
+  let j = Sf_prng.Rng.other rng size i in
   match (View.get node.view i, View.get node.view j) with
   | None, _ | _, None ->
     node.self_loop_actions <- node.self_loop_actions + 1;

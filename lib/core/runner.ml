@@ -1402,10 +1402,13 @@ module Sharded = struct
       t.active_crashes <- List.rev !crashes;
       t.active_parts <- List.rev !parts
 
-  let is_crashed t id =
-    match t.active_crashes with
+  (* Checked on every initiation and send during a window: a plain
+     recursion, since a [List.exists] closure would allocate each time. *)
+  let rec in_ranges id = function
     | [] -> false
-    | ranges -> List.exists (fun (first, last) -> id >= first && id <= last) ranges
+    | (first, last) :: rest -> (id >= first && id <= last) || in_ranges id rest
+
+  let is_crashed t id = in_ranges id t.active_crashes
 
   (* Same block rule as Sf_faults.Injector: contiguous blocks of the
      initial id space; joiner ids beyond it wrap by [id mod n]. *)
@@ -1413,11 +1416,12 @@ module Sharded = struct
     let id = id mod t.n in
     min (parts - 1) (id * parts / t.n)
 
-  let partitioned t ~src ~dst =
-    match t.active_parts with
+  let rec split_by t ~src ~dst = function
     | [] -> false
-    | splits ->
-      List.exists (fun parts -> block t ~parts src <> block t ~parts dst) splits
+    | parts :: rest ->
+      block t ~parts src <> block t ~parts dst || split_by t ~src ~dst rest
+
+  let partitioned t ~src ~dst = split_by t ~src ~dst t.active_parts
 
   (* --- Per-shard free list of node slots (ring buffer) --- *)
 
@@ -1522,7 +1526,8 @@ module Sharded = struct
           sh.sh_actions <- sh.sh_actions + 1;
           (* Slot selection ranges over the full allocation even when a
              retune shrank cfg_s — same semantics as Protocol.initiate. *)
-          let i, j = Sf_prng.Rng.distinct_pair sh.rng view_size in
+          let i = Sf_prng.Rng.int sh.rng view_size in
+          let j = Sf_prng.Rng.other sh.rng view_size i in
           let target = Flat.id_at store u i in
           let forwarded = Flat.id_at store u j in
           if target < 0 || forwarded < 0 then
@@ -1977,9 +1982,11 @@ module Sharded = struct
 
   (* Bit-for-bit world equality: the domain-count determinism oracle.
      Covers the full store (ids, serials, anchors, born stamps, cached
-     degrees), the round clock, the alive map, the window state, and every
-     per-shard counter, threshold, free-list position, loss-chain state
-     and mint position. *)
+     degrees), the round clock, the alive map, the window state, every
+     per-shard counter, threshold, free-list position, loss-chain state,
+     mint position and RNG stream position, and the resilience stream
+     when both worlds run one (an observe-only policy draws nothing, so its
+     world still equals its policy-free twin). *)
   let equal a b =
     let free_equal x y =
       x.free_len = y.free_len
@@ -2000,9 +2007,13 @@ module Sharded = struct
     && a.window_active = b.window_active
     && a.alive = b.alive
     && Flat.equal a.store b.store
+    && (match (a.resil, b.resil) with
+       | Some ra, Some rb -> Sf_prng.Rng.equal ra.r_rng rb.r_rng
+       | None, _ | _, None -> true)
     && Array.for_all2
          (fun (x : shard) (y : shard) ->
-           x.minted = y.minted && x.sh_actions = y.sh_actions
+           Sf_prng.Rng.equal x.rng y.rng
+           && x.minted = y.minted && x.sh_actions = y.sh_actions
            && x.sh_self_loops = y.sh_self_loops
            && x.sh_sends = y.sh_sends
            && x.sh_duplications = y.sh_duplications

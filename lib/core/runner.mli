@@ -441,6 +441,8 @@ module Sharded : sig
   val equal : t -> t -> bool
   (** Bit-for-bit world equality — store contents, round clock, alive
       map, window state, free-list positions, loss-chain states, live
-      thresholds, every per-shard counter and mint position.  The
-      determinism oracle for domain-count invariance. *)
+      thresholds, every per-shard counter and mint position, and the
+      position of every shard's RNG stream and, when both worlds run a
+      resilience layer, of its stream.  The determinism oracle for
+      domain-count invariance. *)
 end

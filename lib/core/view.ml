@@ -194,13 +194,14 @@ module Flat = struct
     if free = 0 then -1
     else begin
       let base = u * t.view_size in
-      let target = Sf_prng.Rng.int rng free in
-      let rec scan slot remaining =
-        if t.f_ids.(base + slot) < 0 then
-          if remaining = 0 then slot else scan (slot + 1) (remaining - 1)
-        else scan (slot + 1) remaining
-      in
-      scan 0 target
+      (* A loop, not a local recursive function: its closure would be
+         allocated on every receive. *)
+      let slot = ref 0 and remaining = ref (Sf_prng.Rng.int rng free) in
+      while t.f_ids.(base + !slot) >= 0 || !remaining > 0 do
+        if t.f_ids.(base + !slot) < 0 then decr remaining;
+        incr slot
+      done;
+      !slot
     end
 
   (* Recount of the occupied slots — the audit cross-check for the cached

@@ -554,7 +554,8 @@ let reached t = t.target_at <> None
 (* Bit-for-bit engine equality: the membership worlds (the sharded
    runner's own oracle) plus every piece of spread state — infection
    bitmaps and counts, per-shard counters, Direct rings, loss-chain
-   positions, coverage history and milestone rounds. *)
+   positions, RNG stream positions, coverage history and milestone
+   rounds. *)
 let equal a b =
   Sharded.equal a.world b.world
   && a.strategy = b.strategy && a.fanout = b.fanout
@@ -570,6 +571,7 @@ let equal a b =
       if
         not
           (Bytes.equal x.sp_inf y.sp_inf
+          && Rng.equal x.sp_rng y.sp_rng
           && x.sp_infected = y.sp_infected
           && x.sp_live = y.sp_live && x.sp_frozen = y.sp_frozen
           && x.sp_messages = y.sp_messages

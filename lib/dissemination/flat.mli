@@ -68,5 +68,6 @@ val coverage_now : t -> float
 val equal : t -> t -> bool
 (** Bit-for-bit engine equality: {!Sf_core.Runner.Sharded.equal} on the
     worlds plus every piece of spread state (infection bitmaps, counters,
-    Direct rings, loss-chain positions, coverage history).  The
+    Direct rings, loss-chain positions, RNG stream positions, coverage
+    history).  The
     domain-count determinism oracle for spreading runs. *)

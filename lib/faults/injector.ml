@@ -75,22 +75,24 @@ let set_clock t clock = t.clock <- clock
 
 let scenario t = t.scenario
 
+(* The helpers on the verdict path are plain loops: a closure over the
+   windows would cost an allocation per verdict. *)
 let refresh t =
   if Array.length t.windows > 0 then begin
     let now = t.clock () in
-    Array.iter
-      (fun ws ->
-        let active = ws.window.Scenario.start <= now && now < ws.window.Scenario.stop in
-        if active <> ws.active then begin
-          ws.active <- active;
-          Sf_obs.Metrics.incr t.c.fault_transitions;
-          t.pending <-
-            Fmt.str "%s:%s"
-              (if active then "fault-start" else "fault-end")
-              (Scenario.fault_kind ws.window.Scenario.fault)
-            :: t.pending
-        end)
-      t.windows
+    for k = 0 to Array.length t.windows - 1 do
+      let ws = t.windows.(k) in
+      let active = ws.window.Scenario.start <= now && now < ws.window.Scenario.stop in
+      if active <> ws.active then begin
+        ws.active <- active;
+        Sf_obs.Metrics.incr t.c.fault_transitions;
+        t.pending <-
+          Fmt.str "%s:%s"
+            (if active then "fault-start" else "fault-end")
+            (Scenario.fault_kind ws.window.Scenario.fault)
+          :: t.pending
+      end
+    done
   end
 
 let transitions t =
@@ -106,14 +108,15 @@ let block t ~parts id =
 
 let is_crashed t id =
   refresh t;
-  Array.exists
-    (fun ws ->
-      ws.active
-      &&
+  let crashed = ref false in
+  for k = 0 to Array.length t.windows - 1 do
+    let ws = t.windows.(k) in
+    if ws.active then
       match ws.window.Scenario.fault with
-      | Scenario.Crash { first; last } -> first <= id && id <= last
-      | Scenario.Partition _ | Scenario.Delay _ | Scenario.Corrupt _ -> false)
-    t.windows
+      | Scenario.Crash { first; last } -> if first <= id && id <= last then crashed := true
+      | Scenario.Partition _ | Scenario.Delay _ | Scenario.Corrupt _ -> ()
+  done;
+  !crashed
 
 let crash_active t =
   refresh t;
@@ -130,25 +133,30 @@ let has_crash_windows t =
     t.windows
 
 let partitioned t ~src ~dst =
-  Array.exists
-    (fun ws ->
-      ws.active
-      &&
+  let split = ref false in
+  for k = 0 to Array.length t.windows - 1 do
+    let ws = t.windows.(k) in
+    if ws.active then
       match ws.window.Scenario.fault with
       | Scenario.Partition { parts } ->
-        src >= 0 && block t ~parts src <> block t ~parts dst
-      | Scenario.Crash _ | Scenario.Delay _ | Scenario.Corrupt _ -> false)
-    t.windows
+        if src >= 0 && block t ~parts src <> block t ~parts dst then split := true
+      | Scenario.Crash _ | Scenario.Delay _ | Scenario.Corrupt _ -> ()
+  done;
+  !split
 
-let corruption_rate t =
-  Array.fold_left
-    (fun acc ws ->
-      if ws.active then
-        match ws.window.Scenario.fault with
-        | Scenario.Corrupt { rate } -> Float.max acc rate
-        | _ -> acc
-      else acc)
-    0. t.windows
+(* One trial at the highest active corruption rate; no draw when no
+   corruption window is active.  Returns a bool, not the rate: a float
+   result would be boxed on every delivered verdict. *)
+let corrupts t rng =
+  let rate = ref 0. in
+  for k = 0 to Array.length t.windows - 1 do
+    let ws = t.windows.(k) in
+    if ws.active then
+      match ws.window.Scenario.fault with
+      | Scenario.Corrupt { rate = r } -> rate := Float.max !rate r
+      | Scenario.Crash _ | Scenario.Partition _ | Scenario.Delay _ -> ()
+  done;
+  !rate > 0. && Sf_prng.Rng.bernoulli rng !rate
 
 let delay_factor t =
   refresh t;
@@ -177,13 +185,11 @@ let judge t rng ~chance ~src ~dst =
     if Loss.in_burst t.loss then Sf_obs.Metrics.incr t.c.burst_drops;
     Drop Chance
   end
-  else
-    let rate = corruption_rate t in
-    if rate > 0. && Sf_prng.Rng.bernoulli rng rate then begin
-      Sf_obs.Metrics.incr t.c.corruptions;
-      Corrupt_payload
-    end
-    else Deliver
+  else if corrupts t rng then begin
+    Sf_obs.Metrics.incr t.c.corruptions;
+    Corrupt_payload
+  end
+  else Deliver
 
 let statistics t : stats =
   let count = Sf_obs.Metrics.count in

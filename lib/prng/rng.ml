@@ -4,80 +4,87 @@
    explicit seeds, so every simulation and statistical experiment is
    reproducible bit-for-bit.  [split] derives an independent child stream,
    which lets concurrent components (nodes, network, churn driver) draw
-   without perturbing each other's sequences. *)
+   without perturbing each other's sequences.
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+   The state words s0..s3 sit at byte offsets 0, 8, 16, 24 of a 32-byte
+   buffer, so no int64 is ever boxed into a record field.  A draw reads
+   s1, advances the state with [step] and scrambles the s1 it read; the
+   draws inline [next_int64], so its result stays unboxed and the draws
+   returning a native int or bool allocate nothing. *)
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+type t = Bytes.t
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* The ** scrambler: the output for a pre-step s1. *)
+let[@inline] scramble s1 = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
 let of_seed64 seed =
-  match Splitmix64.expand seed 4 with
-  | [| s0; s1; s2; s3 |] -> { s0; s1; s2; s3 }
-  | _ -> assert false
+  let t = Bytes.create 32 in
+  Array.iteri (fun k s -> Bytes.set_int64_ne t (8 * k) s) (Splitmix64.expand seed 4);
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+let step t =
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Int64.logxor (Bytes.get_int64_ne t 16) s0 in
+  let s3 = Int64.logxor (Bytes.get_int64_ne t 24) s1 in
+  Bytes.set_int64_ne t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_ne t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_ne t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3 45)
+
+let[@inline] next_int64 t =
+  let s1 = Bytes.get_int64_ne t 8 in
+  step t;
+  scramble s1
 
 (* Derive an independent stream: reseed a SplitMix64 from the parent's next
    output.  The parent advances, so successive splits differ. *)
 let split t = of_seed64 (next_int64 t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
+
+(* Byte equality of the state: same position in the same stream. *)
+let equal = Bytes.equal
 
 (* Uniform float in [0,1): top 53 bits. *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1p-53
 
-(* Uniform int in [0, bound) without modulo bias (rejection on the top
-   range). [bound] must be positive and fit in 62 bits. *)
+(* Uniform int in [0, bound) without modulo bias: mask the output to the
+   smallest all-ones mask covering bound-1 (at most 62 bits, so the native
+   int's low 63 bits suffice) and reject values >= bound. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let bound64 = Int64.of_int bound in
-  let mask =
-    (* Smallest all-ones mask covering bound-1. *)
-    let rec go m = if Int64.unsigned_compare m (Int64.sub bound64 1L) >= 0 then m else go (Int64.logor (Int64.shift_left m 1) 1L) in
-    go 1L
-  in
-  let rec draw () =
-    let v = Int64.logand (next_int64 t) mask in
-    if Int64.unsigned_compare v bound64 < 0 then Int64.to_int v else draw ()
-  in
-  draw ()
+  let mask = ref 1 in
+  while !mask < bound - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  let v = ref (Int64.to_int (next_int64 t) land !mask) in
+  while !v >= bound do
+    v := Int64.to_int (next_int64 t) land !mask
+  done;
+  !v
 
 (* Uniform int in [lo, hi] inclusive. *)
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0
+let bool t = Int64.to_int (next_int64 t) land 1 <> 0
 
 (* Bernoulli trial with success probability [p]. *)
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t < p
 
-(* Two distinct indices drawn uniformly from [0, n). Requires n >= 2. *)
-let distinct_pair t n =
-  if n < 2 then invalid_arg "Rng.distinct_pair: need n >= 2";
-  let i = int t n in
-  let j0 = int t (n - 1) in
-  let j = if j0 >= i then j0 + 1 else j0 in
-  (i, j)
+(* Uniform over [0, n) minus [i], from one [int] draw over n - 1 values.
+   Requires n >= 2. *)
+let other t n i =
+  if n < 2 then invalid_arg "Rng.other: need n >= 2";
+  let j = int t (n - 1) in
+  if j >= i then j + 1 else j
 
 (* In-place Fisher-Yates shuffle. *)
 let shuffle t a =

@@ -21,6 +21,10 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] snapshots the generator state. *)
 
+val equal : t -> t -> bool
+(** [equal a b] holds when both generators sit at the same position of the
+    same stream: every future draw agrees. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -40,9 +44,11 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] succeeds with probability [p]. *)
 
-val distinct_pair : t -> int -> int * int
-(** [distinct_pair t n] draws an ordered pair of distinct indices uniformly
-    from [0, n); this is exactly the entry selection of S&F-InitiateAction. *)
+val other : t -> int -> int -> int
+(** [other t n i] is uniform over [0, n) without [i], from one draw; [i]
+    must lie in [0, n) and [n >= 2].  Drawing [i = int t n] and then
+    [other t n i] picks an ordered pair of distinct indices uniformly: this
+    is exactly the entry selection of S&F-InitiateAction. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -71,7 +71,19 @@ let test_effect_signatures () =
     Alcotest.(check (list string)) "mutation only" [ "mut" ]
       (A.effect_letters s.A.e_effects)
   | ss -> Alcotest.fail (Fmt.str "expected one signature, got %d" (List.length ss)));
-  Alcotest.(check int) "pure fn counted" 1 a.pure_functions
+  Alcotest.(check int) "pure fn counted" 1 a.pure_functions;
+  (* Binary writes into a byte buffer are mutation too: the PRNG keeps its
+     state that way. *)
+  let b =
+    A.analyze_file ~path:"lib/prng/f.ml"
+      "let put st x = Bytes.set_int64_ne st 8 x\n\
+       let put8 st = Bytes.set_uint8 st 0 1\n\
+       let get st = Bytes.get_int64_ne st 8"
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "binary setters mutate, getters do not"
+    [ ("put", [ "mut" ]); ("put8", [ "mut" ]) ]
+    (List.map (fun s -> (s.A.e_name, A.effect_letters s.A.e_effects)) b.effect_sigs)
 
 let test_effect_discipline () =
   (* I/O from the pure layers is a finding... *)

@@ -379,6 +379,67 @@ let test_sample_many_contract () =
     (Sampling.sample_many r rng ~node_id:lonely ~k:5);
   Alcotest.(check (list int)) "k = 0" [] (Sampling.sample_many r rng ~node_id:0 ~k:0)
 
+(* --- Allocation: the step kernel and the verdict path --- *)
+
+(* Minor words allocated while [f] runs.  Int64 and float values box
+   under bytecode, so the allocation tests run on the native backend
+   only. *)
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A warmed sharded round at n = 10^4 under uniform loss: slot draws, loss
+   trials and receive-side slot draws allocate nothing, so the per-round
+   arena and bookkeeping stay under one word per action. *)
+let test_sharded_round_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let w =
+      Sharded.create ~shards:16 ~loss_rate:0.05 ~init:Sharded.Scatter ~init_degree:8
+        ~seed:42 ~n:10_000 ~config:(Protocol.make_config ~view_size:16 ~lower_threshold:4)
+        ()
+    in
+    Sharded.run_rounds w ~domains:1 3;
+    let before = (Sharded.world_counters w).Runner.actions in
+    let words =
+      minor_words_during (fun () ->
+          for _ = 1 to 5 do
+            Sharded.run_round w ~domains:1
+          done)
+    in
+    let actions = (Sharded.world_counters w).Runner.actions - before in
+    let per_action = words /. float_of_int actions in
+    if per_action > 1. then
+      Alcotest.failf "%.3f minor words per action (limit 1)" per_action
+  end
+
+(* Injector.judge inside a partition window with a bursty loss chain, the
+   chaos benchmark's verdict mix.  The window scans allocate nothing; the
+   Gilbert-Elliott chain boxes the probabilities it passes to
+   [Rng.bernoulli] on the verdicts that reach it. *)
+let test_judge_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let inj =
+      Sf_faults.Injector.create ~scenario:(scenario "ge:0.2:8;partition@0-100:2") ~n:1000 ()
+    in
+    let now = 5. in
+    Sf_faults.Injector.set_clock inj (fun () -> now);
+    let rng = Rng.create 3 in
+    let calls = 100_000 in
+    let words =
+      minor_words_during (fun () ->
+          for k = 1 to calls do
+            let src = k mod 1000 in
+            ignore
+              (Sys.opaque_identity
+                 (Sf_faults.Injector.judge inj rng ~chance:0. ~src ~dst:(src * 31 mod 1000)))
+          done)
+    in
+    let per_verdict = words /. float_of_int calls in
+    if per_verdict > 3. then
+      Alcotest.failf "%.3f minor words per verdict (limit 3)" per_verdict
+  end
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_degrees_match_recount;
@@ -399,4 +460,6 @@ let suite =
     Alcotest.test_case "sample preserves RNG stream" `Quick
       test_sample_matches_reference;
     Alcotest.test_case "sample_many contract" `Quick test_sample_many_contract;
+    Alcotest.test_case "sharded round allocation" `Quick test_sharded_round_allocation;
+    Alcotest.test_case "judge allocation" `Quick test_judge_allocation;
   ]

@@ -180,6 +180,14 @@ let allocator_kind name =
 
 (* --- Effect classification of a qualified name --- *)
 
+(* Bytes' binary-integer writers: set_int8/set_uint8, and every
+   set_{int16,uint16,int32,int64}_{ne,le,be}. *)
+let bytes_setters =
+  [ "set_int8"; "set_uint8" ]
+  @ List.concat_map
+      (fun width -> List.map (fun e -> "set_" ^ width ^ "_" ^ e) [ "ne"; "le"; "be" ])
+      [ "int16"; "uint16"; "int32"; "int64" ]
+
 let is_mutator name =
   match name with
   | ":=" | "incr" | "decr" -> true
@@ -187,6 +195,7 @@ let is_mutator name =
     let in_module m fns = List.exists (fun fn -> name = m ^ "." ^ fn) fns in
     in_module "Array" [ "set"; "unsafe_set"; "fill"; "blit"; "sort"; "fast_sort" ]
     || in_module "Bytes" [ "set"; "unsafe_set"; "fill"; "blit"; "blit_string" ]
+    || in_module "Bytes" bytes_setters
     || in_module "Hashtbl"
          [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
     || in_module "Queue" [ "push"; "add"; "pop"; "take"; "clear"; "transfer" ]
