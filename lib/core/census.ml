@@ -15,6 +15,20 @@ type t = {
   alpha : float;  (* measured fraction of independent entries *)
 }
 
+let summarize ~total ~self_edges ~anchored ~parallel ~dependent =
+  let alpha =
+    if total = 0 then 1.
+    else 1. -. (float_of_int dependent /. float_of_int total)
+  in
+  {
+    total_entries = total;
+    self_edges;
+    anchored;
+    parallel_surplus = parallel;
+    dependent_entries = dependent;
+    alpha;
+  }
+
 let of_views views =
   let total = ref 0 in
   let self_edges = ref 0 in
@@ -38,22 +52,13 @@ let of_views views =
           if is_self || is_anchored || is_parallel then incr dependent)
         view)
     views;
-  let alpha =
-    if !total = 0 then 1.
-    else 1. -. (float_of_int !dependent /. float_of_int !total)
-  in
-  {
-    total_entries = !total;
-    self_edges = !self_edges;
-    anchored = !anchored;
-    parallel_surplus = !parallel;
-    dependent_entries = !dependent;
-    alpha;
-  }
+  summarize ~total:!total ~self_edges:!self_edges ~anchored:!anchored
+    ~parallel:!parallel ~dependent:!dependent
 
 (* Same labelling over a packed world: one pass per node over the flat
-   slots, no entry materialization.  [seen] is reused across nodes, so the
-   census allocates O(view size) regardless of n. *)
+   slots, no entry materialization and no allocation.  An entry is a
+   parallel copy when an earlier slot of the same row holds its id — a
+   scan of at most s - 1 slots, cheaper than hashing at view sizes. *)
 let of_flat store =
   let n = View.Flat.node_count store in
   let s = View.Flat.view_size store in
@@ -62,17 +67,18 @@ let of_flat store =
   let anchored = ref 0 in
   let parallel = ref 0 in
   let dependent = ref 0 in
-  let seen = Hashtbl.create 64 in
   for u = 0 to n - 1 do
-    Hashtbl.reset seen;
     for slot = 0 to s - 1 do
       let id = View.Flat.id_at store u slot in
       if id >= 0 then begin
         incr total;
         let is_self = id = u in
         let is_anchored = View.Flat.anchor_at store u slot >= 0 in
-        let is_parallel = Hashtbl.mem seen id in
-        Hashtbl.replace seen id ();
+        let earlier = ref 0 in
+        while !earlier < slot && View.Flat.id_at store u !earlier <> id do
+          incr earlier
+        done;
+        let is_parallel = !earlier < slot in
         if is_self then incr self_edges;
         if is_anchored then incr anchored;
         if is_parallel then incr parallel;
@@ -80,18 +86,8 @@ let of_flat store =
       end
     done
   done;
-  let alpha =
-    if !total = 0 then 1.
-    else 1. -. (float_of_int !dependent /. float_of_int !total)
-  in
-  {
-    total_entries = !total;
-    self_edges = !self_edges;
-    anchored = !anchored;
-    parallel_surplus = !parallel;
-    dependent_entries = !dependent;
-    alpha;
-  }
+  summarize ~total:!total ~self_edges:!self_edges ~anchored:!anchored
+    ~parallel:!parallel ~dependent:!dependent
 
 let pp ppf t =
   Fmt.pf ppf "entries=%d self=%d anchored=%d parallel=%d dependent=%d alpha=%.4f"

@@ -16,7 +16,7 @@ val of_views : (int * View.t) Seq.t -> t
 
 val of_flat : View.Flat.t -> t
 (** Same labelling over a packed {!View.Flat} world (owner of row [u] is
-    node [u]) without materializing entries — O(view size) allocation at
-    any [n]. *)
+    node [u]) without materializing entries or hashing — no allocation
+    beyond the result at any [n]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -935,8 +935,9 @@ let resilience_statistics t =
    The orchestrator above tops out around 1k-10k nodes: one heap object
    per node, boxed audit/trace plumbing on every action, and a strictly
    serial action loop.  [Sharded] is the million-node path: the whole
-   world lives in one [View.Flat] store (four contiguous int arrays plus
-   cached degrees — nothing per-node for the GC to walk), and the action
+   world lives in one [View.Flat] store (contiguous id, anchor and born
+   columns in 32-bit lanes, serials and cached degrees in int arrays —
+   nothing per-node for the GC to walk), and the action
    loop is a bulk-synchronous variant of the paper's sequential model,
    partitioned into [shard_count] fixed *logical* shards that OCaml 5
    domains execute in parallel between deterministic barriers.

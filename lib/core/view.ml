@@ -18,7 +18,7 @@
    born stamps) instead of the former [entry option array].  A slot is
    empty when its id is -1; an anchor of -1 encodes [None].  Nothing is
    boxed per entry, so a view of s slots is exactly four s-word arrays —
-   the same layout {!Flat} packs contiguously for whole worlds. *)
+   the same encoding {!Flat} packs contiguously for whole worlds. *)
 
 type entry = {
   id : int;
@@ -131,19 +131,42 @@ let pp ppf t =
 
    The million-node simulation path (ROADMAP item 1) cannot afford one
    heap object per node, let alone per entry.  [Flat] packs every view of
-   an n-node world into four contiguous unboxed int arrays of length
-   [n * view_size], indexed by [node * view_size + slot], plus a per-node
-   cached degree array.  The encoding matches the single-view layout
-   above: id -1 = empty slot, anchor -1 = no anchor. *)
+   an n-node world into contiguous columns of length [n * view_size],
+   indexed by [node * view_size + slot], plus a per-node cached degree
+   array.  The encoding matches the single-view layout above: id -1 =
+   empty slot, anchor -1 = no anchor.
+
+   Ids, anchors and born stamps are 32-bit lanes (int32 Bigarrays, 4 bytes
+   a slot): ids and anchors are node slots below the store's capacity,
+   born stamps are round numbers.  Serials stay a 63-bit [int array]: they
+   are shard-strided mint counters that would overflow 32 bits within a
+   few thousand rounds at 10^6 nodes.  Every accessor takes and returns
+   [int]; [set] range-checks before it writes, so nothing is truncated. *)
 
 module Flat = struct
+  (* A fully known lane type is what lets ocamlopt compile the accesses
+     to inline, unboxed int32 loads and stores rather than calls into the
+     generic Bigarray primitives. *)
+  type lane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  let lane len fill : lane =
+    let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len in
+    Bigarray.Array1.fill a (Int32.of_int fill);
+    a
+
+  let lane_get (a : lane) i = Int32.to_int (Bigarray.Array1.get a i)
+  let lane_set (a : lane) i v = Bigarray.Array1.set a i (Int32.of_int v)
+
+  (* Largest value a lane holds: 2^31 - 1. *)
+  let lane_max = 0x7fffffff
+
   type store = {
     nodes : int;
     view_size : int;
-    f_ids : int array;      (* nodes * view_size; -1 = empty *)
+    f_ids : lane;           (* nodes * view_size; -1 = empty *)
     f_serials : int array;
-    f_anchors : int array;  (* -1 = no anchor *)
-    f_born : int array;
+    f_anchors : lane;       (* -1 = no anchor *)
+    f_born : lane;
     degrees : int array;    (* per-node cached occupied-slot counts *)
   }
 
@@ -151,14 +174,16 @@ module Flat = struct
 
   let create ~nodes ~view_size =
     if nodes < 1 then invalid_arg "View.Flat.create: need at least one node";
+    if nodes > lane_max then
+      invalid_arg "View.Flat.create: node ids must fit a 32-bit lane";
     if view_size < 2 then invalid_arg "View.Flat.create: view_size must be at least 2";
     {
       nodes;
       view_size;
-      f_ids = Array.make (nodes * view_size) (-1);
+      f_ids = lane (nodes * view_size) (-1);
       f_serials = Array.make (nodes * view_size) 0;
-      f_anchors = Array.make (nodes * view_size) (-1);
-      f_born = Array.make (nodes * view_size) 0;
+      f_anchors = lane (nodes * view_size) (-1);
+      f_born = lane (nodes * view_size) 0;
       degrees = Array.make nodes 0;
     }
 
@@ -166,24 +191,29 @@ module Flat = struct
   let view_size t = t.view_size
   let degree t u = t.degrees.(u)
 
-  let id_at t u slot = t.f_ids.((u * t.view_size) + slot)
+  let id_at t u slot = lane_get t.f_ids ((u * t.view_size) + slot)
   let serial_at t u slot = t.f_serials.((u * t.view_size) + slot)
-  let anchor_at t u slot = t.f_anchors.((u * t.view_size) + slot)
-  let born_at t u slot = t.f_born.((u * t.view_size) + slot)
+  let anchor_at t u slot = lane_get t.f_anchors ((u * t.view_size) + slot)
+  let born_at t u slot = lane_get t.f_born ((u * t.view_size) + slot)
 
   let set t u slot ~id ~serial ~anchor ~born =
-    if id < 0 then invalid_arg "View.Flat.set: negative id";
+    if id < 0 || id > lane_max then
+      invalid_arg "View.Flat.set: id outside [0, 2^31)";
+    if anchor < -1 || anchor > lane_max then
+      invalid_arg "View.Flat.set: anchor outside [-1, 2^31)";
+    if born < 0 || born > lane_max then
+      invalid_arg "View.Flat.set: born outside [0, 2^31)";
     let i = (u * t.view_size) + slot in
-    if t.f_ids.(i) < 0 then t.degrees.(u) <- t.degrees.(u) + 1;
-    t.f_ids.(i) <- id;
+    if lane_get t.f_ids i < 0 then t.degrees.(u) <- t.degrees.(u) + 1;
+    lane_set t.f_ids i id;
     t.f_serials.(i) <- serial;
-    t.f_anchors.(i) <- anchor;
-    t.f_born.(i) <- born
+    lane_set t.f_anchors i anchor;
+    lane_set t.f_born i born
 
   let clear t u slot =
     let i = (u * t.view_size) + slot in
-    if t.f_ids.(i) >= 0 then begin
-      t.f_ids.(i) <- -1;
+    if lane_get t.f_ids i >= 0 then begin
+      lane_set t.f_ids i (-1);
       t.degrees.(u) <- t.degrees.(u) - 1
     end
 
@@ -197,8 +227,8 @@ module Flat = struct
       (* A loop, not a local recursive function: its closure would be
          allocated on every receive. *)
       let slot = ref 0 and remaining = ref (Sf_prng.Rng.int rng free) in
-      while t.f_ids.(base + !slot) >= 0 || !remaining > 0 do
-        if t.f_ids.(base + !slot) < 0 then decr remaining;
+      while lane_get t.f_ids (base + !slot) >= 0 || !remaining > 0 do
+        if lane_get t.f_ids (base + !slot) < 0 then decr remaining;
         incr slot
       done;
       !slot
@@ -210,12 +240,13 @@ module Flat = struct
     let base = u * t.view_size in
     let occupied = ref 0 in
     for slot = 0 to t.view_size - 1 do
-      if t.f_ids.(base + slot) >= 0 then incr occupied
+      if lane_get t.f_ids (base + slot) >= 0 then incr occupied
     done;
     !occupied
 
   let total_edges t = Array.fold_left ( + ) 0 t.degrees
 
+  (* Structural equality compares Bigarrays element by element. *)
   let equal a b =
     a.nodes = b.nodes && a.view_size = b.view_size && a.f_ids = b.f_ids
     && a.f_serials = b.f_serials && a.f_anchors = b.f_anchors

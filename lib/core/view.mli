@@ -10,7 +10,7 @@
     [entry option array], so no per-entry heap objects exist.  {!entry}
     values are materialized on demand by {!get}/{!iter}/{!fold}; hot paths
     that only need ids can use the allocation-free {!id_at}.  {!Flat}
-    packs whole worlds of views into single contiguous arrays for the
+    packs whole worlds of views into contiguous columns for the
     million-node simulation path. *)
 
 type entry = {
@@ -62,17 +62,21 @@ val entries : t -> entry list
 val pp : Format.formatter -> t -> unit
 
 (** Packed whole-world views: every view of an [n]-node world in four
-    contiguous unboxed int arrays indexed by [node * view_size + slot],
-    plus a cached per-node degree array.  A slot is empty when its id is
-    [-1]; an anchor of [-1] encodes "none".  This is the state layout of
-    the sharded runner ({!Sf_core.Runner.Sharded}): no per-node or
-    per-entry heap objects, so a million-node world is a handful of flat
-    arrays the GC never walks. *)
+    contiguous columns indexed by [node * view_size + slot], plus a cached
+    per-node degree array.  Ids, anchors and born stamps are 32-bit lanes
+    (int32 Bigarrays); serials and degrees are unboxed [int array]s.  A
+    slot is empty when its id is [-1]; an anchor of [-1] encodes "none".
+    This is the state layout of the sharded runner
+    ({!Sf_core.Runner.Sharded}): no per-node or per-entry heap objects, so
+    a million-node world is a handful of flat arrays the GC never walks.
+    Every accessor takes and returns [int]. *)
 module Flat : sig
   type t
 
   val create : nodes:int -> view_size:int -> t
-  (** All slots empty.  O(nodes * view_size) words, allocated once. *)
+  (** All slots empty.  20 bytes a slot, allocated once.  Raises
+      [Invalid_argument] before allocating unless
+      [1 <= nodes <= 2^31 - 1] and [view_size >= 2]. *)
 
   val node_count : t -> int
   val view_size : t -> int
@@ -92,8 +96,9 @@ module Flat : sig
   val set :
     t -> int -> int -> id:int -> serial:int -> anchor:int -> born:int -> unit
   (** [set t u slot ~id ~serial ~anchor ~born] installs an instance
-      ([anchor] is [-1] for none).  Raises [Invalid_argument] on a
-      negative id. *)
+      ([anchor] is [-1] for none).  Raises [Invalid_argument], leaving the
+      store untouched, unless [id] and [born] lie in [[0, 2^31)] and
+      [anchor] in [[-1, 2^31)]: the three are stored in 32-bit lanes. *)
 
   val clear : t -> int -> int -> unit
 

@@ -47,12 +47,32 @@ let stationary_loss g =
 let mean_burst_length g =
   if g.p_bad_to_good <= 0. then infinity else 1. /. g.p_bad_to_good
 
+(* The chain's four probabilities are copied out of the all-float [ge]
+   record into this mixed record, where each float stays boxed once:
+   reading a field of [ge] unboxes it, and passing it to [Rng.bernoulli]
+   would box it again on every drop.  They are 0 for the other models. *)
 type t = {
   spec : model;
   mutable bad : bool;  (* Gilbert-Elliott chain position; starts Good *)
+  to_bad : float;
+  to_good : float;
+  drop_good : float;
+  drop_bad : float;
 }
 
-let create spec = { spec; bad = false }
+let create spec =
+  match spec with
+  | Gilbert_elliott g ->
+    {
+      spec;
+      bad = false;
+      to_bad = g.p_good_to_bad;
+      to_good = g.p_bad_to_good;
+      drop_good = g.loss_good;
+      drop_bad = g.loss_bad;
+    }
+  | Iid | Per_link _ ->
+    { spec; bad = false; to_bad = 0.; to_good = 0.; drop_good = 0.; drop_bad = 0. }
 
 let model t = t.spec
 
@@ -60,11 +80,9 @@ let drop t rng ~chance ~src ~dst =
   match t.spec with
   | Iid -> Sf_prng.Rng.bernoulli rng chance
   | Per_link f -> Sf_prng.Rng.bernoulli rng (f src dst)
-  | Gilbert_elliott g ->
-    let flip =
-      Sf_prng.Rng.bernoulli rng (if t.bad then g.p_bad_to_good else g.p_good_to_bad)
-    in
+  | Gilbert_elliott _ ->
+    let flip = Sf_prng.Rng.bernoulli rng (if t.bad then t.to_good else t.to_bad) in
     if flip then t.bad <- not t.bad;
-    Sf_prng.Rng.bernoulli rng (if t.bad then g.loss_bad else g.loss_good)
+    Sf_prng.Rng.bernoulli rng (if t.bad then t.drop_bad else t.drop_good)
 
 let in_burst t = t.bad

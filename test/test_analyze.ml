@@ -85,6 +85,26 @@ let test_effect_signatures () =
     [ ("put", [ "mut" ]); ("put8", [ "mut" ]) ]
     (List.map (fun s -> (s.A.e_name, A.effect_letters s.A.e_effects)) b.effect_sigs)
 
+(* Bigarray writes are mutation whether spelled out, aliased or written
+   with the [.{}] syntax; reads are not. *)
+let test_bigarray_mutators () =
+  let a =
+    A.analyze_file ~path:"lib/core/f.ml"
+      "module Lane = Bigarray.Array1\n\
+       let put a i v = Bigarray.Array1.set a i (Int32.of_int v)\n\
+       let put2 a v = Bigarray.Array2.unsafe_set a 0 0 v\n\
+       let wipe a = Bigarray.Genarray.fill a 0l\n\
+       let copy a b = Lane.blit a b\n\
+       let poke a = a.{0} <- 1l\n\
+       let get a i = Int32.to_int (Bigarray.Array1.get a i)"
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "every writer mutates, the reader is pure"
+    [ ("put", [ "mut" ]); ("put2", [ "mut" ]); ("wipe", [ "mut" ]);
+      ("copy", [ "mut" ]); ("poke", [ "mut" ]) ]
+    (List.map (fun s -> (s.A.e_name, A.effect_letters s.A.e_effects)) a.effect_sigs);
+  Alcotest.(check int) "reader counted pure" 1 a.pure_functions
+
 let test_effect_discipline () =
   (* I/O from the pure layers is a finding... *)
   check_fires "io in lib/core" ~rule:"effect-discipline" ~path:"lib/core/f.ml"
@@ -266,6 +286,7 @@ let suite =
     Alcotest.test_case "shared-state fires" `Quick test_shared_state_fires;
     Alcotest.test_case "shared-state quiet" `Quick test_shared_state_quiet;
     Alcotest.test_case "effect signatures" `Quick test_effect_signatures;
+    Alcotest.test_case "Bigarray writes mutate" `Quick test_bigarray_mutators;
     Alcotest.test_case "effect discipline" `Quick test_effect_discipline;
     Alcotest.test_case "raise locality" `Quick test_raise_locality;
     Alcotest.test_case "partiality fires" `Quick test_partiality_fires;

@@ -73,6 +73,87 @@ let prop_degrees_match_recount =
           check_all ())
         ops)
 
+(* The hash-free flat census labels exactly as the boxed one: random
+   views (ids drawn from a small range so self-edges and parallel copies
+   are common, anchors on about half the entries) mirrored into [View.t]s
+   and a [View.Flat] give equal records. *)
+let prop_census_flat_matches_views =
+  let nodes = 6 and s = 8 in
+  QCheck.Test.make ~name:"Census.of_flat equals Census.of_views on mirrored views"
+    ~count:300
+    QCheck.(small_list (quad small_nat small_nat small_nat small_nat))
+    (fun ops ->
+      let views = Array.init nodes (fun _ -> View.create s) in
+      let store = View.Flat.create ~nodes ~view_size:s in
+      List.iter
+        (fun (u, slot, id, a) ->
+          let u = u mod nodes and slot = slot mod s and id = id mod (nodes + 2) in
+          if a mod 5 = 4 then begin
+            View.clear views.(u) slot;
+            View.Flat.clear store u slot
+          end
+          else begin
+            let anchor = if a mod 2 = 0 then Some (a mod nodes) else None in
+            View.set views.(u) slot { View.id; serial = a; anchor; born = 0 };
+            View.Flat.set store u slot ~id ~serial:a
+              ~anchor:(Option.value anchor ~default:(-1))
+              ~born:0
+          end)
+        ops;
+      let boxed = Census.of_views (Seq.init nodes (fun u -> (u, views.(u)))) in
+      let flat = Census.of_flat store in
+      if boxed <> flat then
+        QCheck.Test.fail_reportf "of_views %a <> of_flat %a" Census.pp boxed Census.pp
+          flat;
+      true)
+
+(* --- Flat lanes: ids, anchors and born stamps are 32 bits wide --- *)
+
+let test_lane_ranges () =
+  let store = View.Flat.create ~nodes:2 ~view_size:4 in
+  View.Flat.set store 0 1 ~id:5 ~serial:9 ~anchor:1 ~born:3;
+  let snapshot () =
+    ( View.Flat.degree store 0,
+      List.init 4 (fun slot ->
+          ( View.Flat.id_at store 0 slot,
+            View.Flat.serial_at store 0 slot,
+            View.Flat.anchor_at store 0 slot,
+            View.Flat.born_at store 0 slot )) )
+  in
+  let before = snapshot () in
+  let rejects what slot ~id ~anchor ~born =
+    (match View.Flat.set store 0 slot ~id ~serial:(1 lsl 40) ~anchor ~born with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    if snapshot () <> before then Alcotest.failf "%s: store changed" what
+  in
+  (* Into an occupied slot and into an empty one: neither the lanes, the
+     serial nor the cached degree may move. *)
+  List.iter
+    (fun slot ->
+      rejects "id 2^31" slot ~id:(1 lsl 31) ~anchor:(-1) ~born:0;
+      rejects "negative id" slot ~id:(-1) ~anchor:(-1) ~born:0;
+      rejects "anchor -2" slot ~id:1 ~anchor:(-2) ~born:0;
+      rejects "anchor 2^31" slot ~id:1 ~anchor:(1 lsl 31) ~born:0;
+      rejects "born 2^31" slot ~id:1 ~anchor:(-1) ~born:(1 lsl 31);
+      rejects "negative born" slot ~id:1 ~anchor:(-1) ~born:(-1))
+    [ 1; 2 ];
+  let top = (1 lsl 31) - 1 in
+  View.Flat.set store 1 0 ~id:top ~serial:(1 lsl 40) ~anchor:top ~born:top;
+  View.Flat.set store 1 3 ~id:0 ~serial:(-7) ~anchor:(-1) ~born:0;
+  Alcotest.(check (list int)) "2^31 - 1 round-trips"
+    [ top; 1 lsl 40; top; top ]
+    View.Flat.[ id_at store 1 0; serial_at store 1 0; anchor_at store 1 0; born_at store 1 0 ];
+  Alcotest.(check (list int)) "anchor -1 round-trips"
+    [ 0; -7; -1; 0 ]
+    View.Flat.[ id_at store 1 3; serial_at store 1 3; anchor_at store 1 3; born_at store 1 3 ];
+  Alcotest.(check int) "degree counts both" 2 (View.Flat.degree store 1);
+  (* 2^31 nodes cannot be named by a lane; the check comes before the
+     2^31 * s-slot allocation. *)
+  match View.Flat.create ~nodes:(1 lsl 31) ~view_size:16 with
+  | (_ : View.Flat.t) -> Alcotest.fail "create accepted 2^31 nodes"
+  | exception Invalid_argument _ -> ()
+
 (* --- Par: the fork-join shim --- *)
 
 let test_par_determinism () =
@@ -389,34 +470,66 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. w0
 
-(* A warmed sharded round at n = 10^4 under uniform loss: slot draws, loss
-   trials and receive-side slot draws allocate nothing, so the per-round
-   arena and bookkeeping stay under one word per action. *)
+(* A warmed sharded round at n = 10^4: slot draws, verdicts and
+   receive-side slot draws allocate nothing, so the per-round arena and
+   bookkeeping stay under one word per action. *)
+let check_sharded_round_allocation ?scenario () =
+  let w =
+    Sharded.create ~shards:16 ~loss_rate:0.05 ~init:Sharded.Scatter ~init_degree:8
+      ?scenario ~seed:42 ~n:10_000
+      ~config:(Protocol.make_config ~view_size:16 ~lower_threshold:4)
+      ()
+  in
+  Sharded.run_rounds w ~domains:1 3;
+  let before = (Sharded.world_counters w).Runner.actions in
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to 5 do
+          Sharded.run_round w ~domains:1
+        done)
+  in
+  let actions = (Sharded.world_counters w).Runner.actions - before in
+  let per_action = words /. float_of_int actions in
+  if per_action > 1. then
+    Alcotest.failf "%.3f minor words per action (limit 1)" per_action
+
+(* Uniform loss: the paper's model. *)
 let test_sharded_round_allocation () =
+  if Sys.backend_type = Sys.Native then check_sharded_round_allocation ()
+
+(* Bursty loss inside a partition window: every send is judged by the
+   partition scan, and each one it lets through by the Gilbert-Elliott
+   chain. *)
+let test_chaos_round_allocation () =
+  if Sys.backend_type = Sys.Native then
+    check_sharded_round_allocation ~scenario:(scenario "ge:0.2:8;partition@0-100:2") ()
+
+(* A Gilbert-Elliott drop steps the chain and draws the loss without
+   boxing either probability. *)
+let test_ge_drop_allocation () =
   if Sys.backend_type = Sys.Native then begin
-    let w =
-      Sharded.create ~shards:16 ~loss_rate:0.05 ~init:Sharded.Scatter ~init_degree:8
-        ~seed:42 ~n:10_000 ~config:(Protocol.make_config ~view_size:16 ~lower_threshold:4)
-        ()
+    let loss =
+      Sf_faults.Loss.create
+        (Sf_faults.Loss.Gilbert_elliott
+           (Sf_faults.Loss.gilbert_elliott ~mean_loss:0.2 ~mean_burst:8. ()))
     in
-    Sharded.run_rounds w ~domains:1 3;
-    let before = (Sharded.world_counters w).Runner.actions in
+    let rng = Rng.create 3 in
+    let drops = ref 0 in
+    let calls = 100_000 in
     let words =
       minor_words_during (fun () ->
-          for _ = 1 to 5 do
-            Sharded.run_round w ~domains:1
+          for _ = 1 to calls do
+            if Sf_faults.Loss.drop loss rng ~chance:0. ~src:1 ~dst:2 then incr drops
           done)
     in
-    let actions = (Sharded.world_counters w).Runner.actions - before in
-    let per_action = words /. float_of_int actions in
-    if per_action > 1. then
-      Alcotest.failf "%.3f minor words per action (limit 1)" per_action
+    ignore (Sys.opaque_identity !drops);
+    if words > 0. then
+      Alcotest.failf "%.3f minor words per drop (limit 0)" (words /. float_of_int calls)
   end
 
 (* Injector.judge inside a partition window with a bursty loss chain, the
-   chaos benchmark's verdict mix.  The window scans allocate nothing; the
-   Gilbert-Elliott chain boxes the probabilities it passes to
-   [Rng.bernoulli] on the verdicts that reach it. *)
+   chaos benchmark's verdict mix: the window scans and the chain allocate
+   nothing. *)
 let test_judge_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let inj =
@@ -436,13 +549,15 @@ let test_judge_allocation () =
           done)
     in
     let per_verdict = words /. float_of_int calls in
-    if per_verdict > 3. then
-      Alcotest.failf "%.3f minor words per verdict (limit 3)" per_verdict
+    if per_verdict > 0.1 then
+      Alcotest.failf "%.3f minor words per verdict (limit 0.1)" per_verdict
   end
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_degrees_match_recount;
+    QCheck_alcotest.to_alcotest prop_census_flat_matches_views;
+    Alcotest.test_case "Flat lane ranges" `Quick test_lane_ranges;
     Alcotest.test_case "Par fork-join determinism" `Quick test_par_determinism;
     Alcotest.test_case "domain-count invariance" `Quick
       test_domain_count_invariance;
@@ -461,5 +576,7 @@ let suite =
       test_sample_matches_reference;
     Alcotest.test_case "sample_many contract" `Quick test_sample_many_contract;
     Alcotest.test_case "sharded round allocation" `Quick test_sharded_round_allocation;
+    Alcotest.test_case "chaos round allocation" `Quick test_chaos_round_allocation;
+    Alcotest.test_case "GE drop allocation" `Quick test_ge_drop_allocation;
     Alcotest.test_case "judge allocation" `Quick test_judge_allocation;
   ]

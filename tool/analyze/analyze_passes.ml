@@ -188,6 +188,8 @@ let bytes_setters =
       (fun width -> List.map (fun e -> "set_" ^ width ^ "_" ^ e) [ "ne"; "le"; "be" ])
       [ "int16"; "uint16"; "int32"; "int64" ]
 
+let bigarray_modules = [ "Array1"; "Array2"; "Array3"; "Genarray" ]
+
 let is_mutator name =
   match name with
   | ":=" | "incr" | "decr" -> true
@@ -196,6 +198,9 @@ let is_mutator name =
     in_module "Array" [ "set"; "unsafe_set"; "fill"; "blit"; "sort"; "fast_sort" ]
     || in_module "Bytes" [ "set"; "unsafe_set"; "fill"; "blit"; "blit_string" ]
     || in_module "Bytes" bytes_setters
+    || List.exists
+         (fun m -> in_module ("Bigarray." ^ m) [ "set"; "unsafe_set"; "fill"; "blit" ])
+         bigarray_modules
     || in_module "Hashtbl"
          [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
     || in_module "Queue" [ "push"; "add"; "pop"; "take"; "clear"; "transfer" ]
@@ -283,9 +288,11 @@ let index_functions =
     ("Bytes.set", 3);
   ]
 
-(* Modules whose aliases we chase for the partiality sets. *)
+(* Modules whose aliases we chase for the partiality sets and the mutator
+   names. *)
 let aliasable_modules =
   [ "List"; "Option"; "Array"; "Hashtbl"; "Queue"; "Stack"; "Bytes"; "String" ]
+  @ List.map (fun m -> "Bigarray." ^ m) bigarray_modules
 
 (* --- Pattern refutability (syntactic, conservative) --- *)
 
