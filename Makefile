@@ -99,16 +99,14 @@ spread: build
 
 # Multi-process cluster gate (budget: well under a minute): fork 8 real
 # node-host processes (256 UDP sockets) under bursty loss with a crash
-# window realized as a genuine kill -9 plus controller respawn, once all-v2
-# and once with alternating v1/v2 hosts (per-peer downgrade), gating on
+# window realized as a genuine kill -9 plus controller respawn, gating on
 # M1 bounds, parity and weak connectivity of the merged post-heal views;
-# then the CLUSTER bench section re-runs both legs and writes
-# BENCH_cluster.json (datagrams/s, batch-fill, per-action p50/p99).
+# then the CLUSTER bench section re-runs it and writes BENCH_cluster.json
+# (datagrams/s, batch-fill, per-action p50/p99).
 # Exit codes follow storm/soak: 1 on a failed verdict, 2 when a declared
 # fault class left no process-level evidence.
 cluster: build
 	dune exec bin/sfg.exe -- cluster --quiet --port 47200
-	dune exec bin/sfg.exe -- cluster --quiet --codec mixed --port 47600
 	dune exec bench/main.exe -- CLUSTER
 
 bench:

@@ -1,17 +1,13 @@
 (* CLUSTER: the multi-process UDP gate (ROADMAP item 4), written to
    BENCH_cluster.json.
 
-   Two legs, both forking real node-host processes through
-   Sf_net.Spawner — thousands of real sockets are available but the CI
-   budget keeps this at 8 hosts x 32 nodes = 256 — under bursty
-   Gilbert-Elliott loss with a crash window realized as a genuine
-   kill -9 of one host plus a controller respawn:
+   One run forks real node-host processes through Sf_net.Spawner —
+   thousands of real sockets are available but the CI budget keeps this
+   at 8 hosts x 32 nodes = 256 — exchanging batched, CRC-framed
+   datagrams under bursty Gilbert-Elliott loss with a crash window
+   realized as a genuine kill -9 of one host plus a controller respawn.
 
-   - [v2]: every host at wire version 2 (batched, CRC-framed datagrams);
-   - [mixed]: alternating v1/v2 hosts, so the run only completes if
-     per-peer hello negotiation downgrades every v2->v1 pair.
-
-   Each leg gates on the merged post-heal state: every host completed
+   The run gates on the merged post-heal state: every host completed
    the stop protocol, every node reported a structurally sound view with
    even M1-bounded outdegree, and the merged overlay is weakly
    connected.  The JSON carries the wire economics (datagrams/second,
@@ -91,16 +87,10 @@ let verdict (o : Spawner.outcome) =
   if o.Spawner.respawns = 0 then fail "crash window declared but nothing respawned";
   List.rev !failures
 
-let leg ~codec ~base_port =
-  let version_of_host =
-    match codec with
-    | "v1" -> fun _ -> 1
-    | "v2" -> fun _ -> 2
-    | _ -> fun i -> if i mod 2 = 0 then 2 else 1
-  in
+let leg ~base_port =
   let cfg =
     Spawner.make_config ~view_size ~lower_threshold:4 ~loss_rate:0.01 ~period
-      ~version_of_host ~hosts ~nodes_per_host:per_host ~base_port
+      ~hosts ~nodes_per_host:per_host ~base_port
       ~scenario:(scenario ()) ~seed
       ~duration:(float_of_int rounds *. period)
       ()
@@ -116,16 +106,15 @@ let leg ~codec ~base_port =
   let failures = verdict o in
   let wall = Float.max o.Spawner.wall_seconds 1e-9 in
   Fmt.pr
-    "  %-5s %d hosts x %d nodes: %.0f dgrams (%.0f/s), fill %.3f, p99 %.0fus, \
+    "  %d hosts x %d nodes: %.0f dgrams (%.0f/s), fill %.3f, p99 %.0fus, \
      %d kills / %d respawns -> %s@."
-    codec hosts per_host emitted (emitted /. wall) fill (maxs "p99_us" o)
+    hosts per_host emitted (emitted /. wall) fill (maxs "p99_us" o)
     o.Spawner.kills o.Spawner.respawns
     (if failures = [] then "OK" else "FAIL");
-  List.iter (fun f -> Fmt.epr "  CLUSTER %s: %s@." codec f) failures;
+  List.iter (fun f -> Fmt.epr "  CLUSTER: %s@." f) failures;
   let json =
     Json.Obj
       [
-        ("codec", Json.String codec);
         ("hosts", Json.Int hosts);
         ("nodes", Json.Int (hosts * per_host));
         ("rounds", Json.Int rounds);
@@ -140,7 +129,6 @@ let leg ~codec ~base_port =
         ("batches", Json.Float batches);
         ("frames", Json.Float frames);
         ("batch_fill", Json.Float fill);
-        ("hellos", Json.Float (sum "hellos_sent" o));
         ("crc_rejected", Json.Float (sum "crc_rejected" o));
         ("p50_us", Json.Float (maxs "p50_us" o));
         ("p99_us", Json.Float (maxs "p99_us" o));
@@ -155,8 +143,7 @@ let run () =
     Json.Obj [ ("skipped", Json.Bool true) ]
   end
   else begin
-    let v2, v2_ok = leg ~codec:"v2" ~base_port:45_800 in
-    let mixed, mixed_ok = leg ~codec:"mixed" ~base_port:46_200 in
-    if not (v2_ok && mixed_ok) then exit 1;
-    Json.Obj [ ("legs", Json.List [ v2; mixed ]) ]
+    let json, ok = leg ~base_port:45_800 in
+    if not ok then exit 1;
+    json
   end

@@ -176,15 +176,15 @@ let dissemination () =
   let topology = Topology.regular (Sf_prng.Rng.create 401) ~n ~out_degree:30 in
   let r = Runner.create ~seed:402 ~n ~loss_rate:0.05 ~config ~topology () in
   Runner.run_rounds r 200;
-  let rng = Sf_prng.Rng.create 403 in
-  let sf_trace =
-    Sf_spread.Dissemination.spread r rng ~fanout:2 ~loss_rate:0.05 ~source:0 ()
+  let push runner rng =
+    Sf_spread.Sequential.run ~strategy:Sf_spread.Strategy.Push
+      ~loss_model:Sf_faults.Loss.Iid ~loss_rate:0.05 ~fanout:2 ~source:0 runner rng
   in
+  let sf_trace = push r (Sf_prng.Rng.create 403) in
   (* Ring views: an S&F-shaped system that never runs the protocol, views
      fixed to ring neighbors. *)
   let ring_topology = Topology.ring ~n ~out_degree:30 in
   let ring = Runner.create ~seed:404 ~n ~loss_rate:0.05 ~config ~topology:ring_topology () in
-  let ring_rng = Sf_prng.Rng.create 405 in
   (* Freeze the membership: spread drives rounds, so give the ring a
      dissemination that ignores membership evolution by using fanout over
      static views. Runner.run_rounds inside spread will evolve it — to keep
@@ -193,15 +193,13 @@ let dissemination () =
      protocol running too; the ring then *heals* into an expander, so we
      report both the crawl before healing (early coverage) and the healed
      spread. *)
-  let ring_trace =
-    Sf_spread.Dissemination.spread ring ring_rng ~fanout:2 ~loss_rate:0.05 ~source:0 ()
-  in
-  let show name (t : Sf_spread.Dissemination.trace) =
+  let ring_trace = push ring (Sf_prng.Rng.create 405) in
+  let show name (t : Sf_spread.Report.t) =
     [
       name;
-      (match t.Sf_spread.Dissemination.rounds_to_half with Some r -> Output.i r | None -> ">200");
-      (match t.Sf_spread.Dissemination.rounds_to_all with Some r -> Output.i r | None -> ">200");
-      Output.i t.Sf_spread.Dissemination.pushes;
+      (match t.Sf_spread.Report.rounds_to_half with Some r -> Output.i r | None -> ">200");
+      (match t.Sf_spread.Report.rounds_to_target with Some r -> Output.i r | None -> ">200");
+      Output.i t.Sf_spread.Report.pushes;
     ]
   in
   Output.table
@@ -209,18 +207,18 @@ let dissemination () =
     [ show "S&F steady state" sf_trace; show "ring start (healing)" ring_trace ];
   Output.subsection "coverage curve (S&F views)";
   Sf_stats.Ascii_plot.series Fmt.stdout
-    ("infected fraction", sf_trace.Sf_spread.Dissemination.coverage);
-  (match sf_trace.Sf_spread.Dissemination.rounds_to_all with
+    ("infected fraction", sf_trace.Sf_spread.Report.coverage);
+  (match sf_trace.Sf_spread.Report.rounds_to_target with
   | Some rounds ->
     Output.check
       (Fmt.str "rumor reaches 99%% in %d rounds ~ O(log n) (log2 1000 = 10)" rounds)
       (rounds <= 30)
   | None -> Output.check "rumor reaches 99%" false);
   let sf_half =
-    Option.value ~default:max_int sf_trace.Sf_spread.Dissemination.rounds_to_half
+    Option.value ~default:max_int sf_trace.Sf_spread.Report.rounds_to_half
   in
   let ring_half =
-    Option.value ~default:max_int ring_trace.Sf_spread.Dissemination.rounds_to_half
+    Option.value ~default:max_int ring_trace.Sf_spread.Report.rounds_to_half
   in
   Output.check "S&F views spread at least as fast as the healing ring"
     (sf_half <= ring_half)
@@ -238,30 +236,30 @@ let udp_crosscheck () =
   let n = 96 in
   let topology = Topology.regular (Sf_prng.Rng.create 501) ~n ~out_degree:t.d_hat in
   let cluster =
-    Sf_net.Cluster.create ~period:0.004 ~base_port:46000 ~n ~config:small_config
+    Sf_net.Driver.create ~period:0.004 ~base_port:46000 ~n ~config:small_config
       ~loss_rate:0.05 ~seed:502 ~topology ()
   in
   Fun.protect
-    ~finally:(fun () -> Sf_net.Cluster.shutdown cluster)
+    ~finally:(fun () -> Sf_net.Driver.shutdown cluster)
     (fun () ->
-      Sf_net.Cluster.run cluster ~duration:4.0;
-      let stats = Sf_net.Cluster.statistics cluster in
-      let rounds = stats.Sf_net.Cluster.actions / n in
+      Sf_net.Driver.run cluster ~duration:4.0;
+      let stats = Sf_net.Driver.statistics cluster in
+      let rounds = stats.Sf_net.Driver.actions / n in
       let sim = Runner.create ~seed:503 ~n ~loss_rate:0.05 ~config:small_config ~topology () in
       Runner.run_rounds sim rounds;
-      let udp_out = Sf_net.Cluster.outdegree_summary cluster in
+      let udp_out = Sf_net.Driver.outdegree_summary cluster in
       let sim_out = Properties.outdegree_summary sim in
-      let udp_census = Sf_net.Cluster.independence_census cluster in
+      let udp_census = Sf_net.Driver.independence_census cluster in
       let sim_census = Properties.independence_census sim in
       Output.table
         [ "runtime"; "actions"; "outdegree"; "alpha"; "connected" ]
         [
           [
             "UDP datagrams";
-            Output.i stats.Sf_net.Cluster.actions;
+            Output.i stats.Sf_net.Driver.actions;
             Fmt.str "%.2f±%.2f" (Summary.mean udp_out) (Summary.std udp_out);
             Output.f3 udp_census.Census.alpha;
-            string_of_bool (Sf_net.Cluster.is_weakly_connected cluster);
+            string_of_bool (Sf_net.Driver.is_weakly_connected cluster);
           ];
           [
             "simulator";
@@ -271,11 +269,11 @@ let udp_crosscheck () =
             string_of_bool (Properties.is_weakly_connected sim);
           ];
         ];
-      Fmt.pr "  UDP: %d datagrams sent, %d dropped (injected), %d received, %d codec errors@."
-        stats.Sf_net.Cluster.datagrams_sent stats.Sf_net.Cluster.datagrams_dropped
-        stats.Sf_net.Cluster.datagrams_received stats.Sf_net.Cluster.decode_errors;
+      Fmt.pr "  UDP: %d messages sent, %d dropped (injected), %d received, %d codec errors@."
+        stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
+        stats.Sf_net.Driver.messages_received stats.Sf_net.Driver.decode_errors;
       Output.check "no codec or socket errors over the real transport"
-        (stats.Sf_net.Cluster.decode_errors = 0 && stats.Sf_net.Cluster.send_errors = 0);
+        (stats.Sf_net.Driver.decode_errors = 0 && stats.Sf_net.Driver.send_errors = 0);
       Output.check
         (Fmt.str "degree behaviour matches the simulator (%.1f vs %.1f)"
            (Summary.mean udp_out) (Summary.mean sim_out))

@@ -6,7 +6,7 @@
    binary once per host; humans can too:
 
      sf_nodehost --host 0 --hosts 2 --per-host 16 --base-port 47000 \
-       --control-port 46900 --loss ge:0.15:6 --version 2
+       --control-port 46900 --loss ge:0.15:6
 
    The resilience policy is assembled here because its threshold solver
    (Sf_analysis.Thresholds.select_lossy, the section 6.3 inversion) lives
@@ -27,7 +27,6 @@ let () =
   and loss = ref "iid"
   and loss_rate = ref 0.0
   and period = ref 0.01
-  and version = ref 2
   and seed = ref 1
   and duration = ref 5.0
   and heartbeat = ref 0.25
@@ -46,7 +45,6 @@ let () =
       ("--loss", Arg.Set_string loss, "MODEL  loss model (iid | ge:MEAN:BURST); windows rejected");
       ("--loss-rate", Arg.Set_float loss_rate, "R  iid loss probability");
       ("--period", Arg.Set_float period, "SEC  mean time between initiations");
-      ("--version", Arg.Set_int version, "V  wire ceiling: 1 or 2 (default 2)");
       ("--seed", Arg.Set_int seed, "N  shared cluster seed (fixes the topology)");
       ("--duration", Arg.Set_float duration, "SEC  hard cap on the run");
       ("--heartbeat", Arg.Set_float heartbeat, "SEC  heartbeat interval");
@@ -99,7 +97,6 @@ let () =
       scenario;
       loss_rate = !loss_rate;
       period = !period;
-      version = !version;
       seed = !seed;
       duration = !duration;
       heartbeat = !heartbeat;

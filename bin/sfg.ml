@@ -548,26 +548,26 @@ let udp seed n view_size lower_threshold loss duration base_port =
   in
   let topology = Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree in
   let c =
-    Sf_net.Cluster.create ~base_port ~n ~config ~loss_rate:loss ~seed ~topology ()
+    Sf_net.Driver.create ~base_port ~n ~config ~loss_rate:loss ~seed ~topology ()
   in
   Fun.protect
-    ~finally:(fun () -> Sf_net.Cluster.shutdown c)
+    ~finally:(fun () -> Sf_net.Driver.shutdown c)
     (fun () ->
       Fmt.pr "running %d nodes on UDP 127.0.0.1:%d-%d for %.1fs...@." n base_port
         (base_port + n - 1) duration;
-      Sf_net.Cluster.run c ~duration;
-      let stats = Sf_net.Cluster.statistics c in
-      let outs = Sf_net.Cluster.outdegree_summary c in
-      let census = Sf_net.Cluster.independence_census c in
-      Fmt.pr "actions:     %d@." stats.Sf_net.Cluster.actions;
-      Fmt.pr "datagrams:   %d sent, %d dropped (injected), %d received@."
-        stats.Sf_net.Cluster.datagrams_sent stats.Sf_net.Cluster.datagrams_dropped
-        stats.Sf_net.Cluster.datagrams_received;
-      Fmt.pr "codec errors: %d, send errors: %d@." stats.Sf_net.Cluster.decode_errors
-        stats.Sf_net.Cluster.send_errors;
+      Sf_net.Driver.run c ~duration;
+      let stats = Sf_net.Driver.statistics c in
+      let outs = Sf_net.Driver.outdegree_summary c in
+      let census = Sf_net.Driver.independence_census c in
+      Fmt.pr "actions:     %d@." stats.Sf_net.Driver.actions;
+      Fmt.pr "messages:    %d sent, %d dropped (injected), %d received@."
+        stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
+        stats.Sf_net.Driver.messages_received;
+      Fmt.pr "codec errors: %d, send errors: %d@." stats.Sf_net.Driver.decode_errors
+        stats.Sf_net.Driver.send_errors;
       Fmt.pr "outdegree:   %.2f ± %.2f@." (Summary.mean outs) (Summary.std outs);
       Fmt.pr "alpha:       %.4f@." census.Census.alpha;
-      Fmt.pr "connected:   %b@." (Sf_net.Cluster.is_weakly_connected c))
+      Fmt.pr "connected:   %b@." (Sf_net.Driver.is_weakly_connected c))
 
 let udp_cmd =
   let duration =
@@ -703,24 +703,25 @@ let storm seed n view_size lower_threshold loss rounds scenario udp_nodes base_p
     in
     let period = 0.005 in
     let c =
-      Sf_net.Cluster.create ~period ~scenario ~base_port ~n:udp_nodes ~config
+      Sf_net.Driver.create ~period ~scenario ~base_port ~n:udp_nodes ~config
         ~loss_rate:loss ~seed ~topology ()
     in
     Fun.protect
-      ~finally:(fun () -> Sf_net.Cluster.shutdown c)
+      ~finally:(fun () -> Sf_net.Driver.shutdown c)
       (fun () ->
-        Sf_net.Cluster.run c ~duration:(float_of_int rounds *. period);
-        let stats = Sf_net.Cluster.statistics c in
+        Sf_net.Driver.run c ~duration:(float_of_int rounds *. period);
+        let stats = Sf_net.Driver.statistics c in
         Fmt.pr
-          "datagrams:   %d sent, %d dropped, %d received, %d corrupted, %d delayed, \
-           %d crash-dropped, %d decode errors@."
-          stats.Sf_net.Cluster.datagrams_sent stats.Sf_net.Cluster.datagrams_dropped
-          stats.Sf_net.Cluster.datagrams_received
-          stats.Sf_net.Cluster.datagrams_corrupted
-          stats.Sf_net.Cluster.datagrams_delayed
-          stats.Sf_net.Cluster.datagrams_crash_dropped
-          stats.Sf_net.Cluster.decode_errors;
-        (match Sf_net.Cluster.fault_statistics c with
+          "messages:    %d sent, %d dropped, %d received, %d corrupted, %d delayed \
+           batches, %d crash-dropped datagrams, %d CRC-rejected frames, %d decode errors@."
+          stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
+          stats.Sf_net.Driver.messages_received
+          stats.Sf_net.Driver.datagrams_corrupted
+          stats.Sf_net.Driver.datagrams_delayed
+          stats.Sf_net.Driver.datagrams_crash_dropped
+          stats.Sf_net.Driver.frames_crc_rejected
+          stats.Sf_net.Driver.decode_errors;
+        (match Sf_net.Driver.fault_statistics c with
         | Some fs -> print_fault_statistics fs
         | None -> ());
         (* The cluster has no per-action audit hook, but the stable
@@ -739,7 +740,7 @@ let storm seed n view_size lower_threshold loss rounds scenario udp_nodes base_p
               incr violations;
               Fmt.epr "node %d: outdegree %d violates M1 bounds or parity@." id d
             end)
-          (Sf_net.Cluster.views c);
+          (Sf_net.Driver.views c);
         if !violations > 0 then begin
           Fmt.epr "cluster views: %d violations@." !violations;
           exit 1
@@ -927,20 +928,20 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
     in
     let period = 0.005 in
     let c =
-      Sf_net.Cluster.create ~period ~scenario ~resilience:policy ~base_port
+      Sf_net.Driver.create ~period ~scenario ~resilience:policy ~base_port
         ~n:udp_nodes ~config ~loss_rate:loss ~seed ~topology ()
     in
     Fun.protect
-      ~finally:(fun () -> Sf_net.Cluster.shutdown c)
+      ~finally:(fun () -> Sf_net.Driver.shutdown c)
       (fun () ->
-        Sf_net.Cluster.run c ~duration:(float_of_int rounds *. period);
-        let cs = Sf_net.Cluster.statistics c in
+        Sf_net.Driver.run c ~duration:(float_of_int rounds *. period);
+        let cs = Sf_net.Driver.statistics c in
         Fmt.pr
-          "datagrams:   %d sent, %d dropped, %d received; %d rejoins, %d retunes@."
-          cs.Sf_net.Cluster.datagrams_sent cs.Sf_net.Cluster.datagrams_dropped
-          cs.Sf_net.Cluster.datagrams_received cs.Sf_net.Cluster.rejoins
-          cs.Sf_net.Cluster.retunes;
-        if declares "crash" scenario && cs.Sf_net.Cluster.rejoins = 0 then
+          "messages:    %d sent, %d dropped, %d received; %d rejoins, %d retunes@."
+          cs.Sf_net.Driver.datagrams_sent cs.Sf_net.Driver.datagrams_dropped
+          cs.Sf_net.Driver.messages_received cs.Sf_net.Driver.rejoins
+          cs.Sf_net.Driver.retunes;
+        if declares "crash" scenario && cs.Sf_net.Driver.rejoins = 0 then
           fail "crash windows declared but no cluster rejoins";
         Seq.iter
           (fun (id, view) ->
@@ -952,7 +953,7 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
             let d = Sf_core.View.degree view in
             if d < 0 || d > view_size || d mod 2 <> 0 then
               fail "cluster node %d: outdegree %d violates M1 bounds or parity" id d)
-          (Sf_net.Cluster.views c))
+          (Sf_net.Driver.views c))
   end;
   if multiproc then begin
     Fmt.pr "-- multi-process cluster (forked node-hosts, kill -9 crash windows)@.";
@@ -1028,7 +1029,7 @@ let soak_cmd =
 (* --- cluster: the multi-process UDP deployment --- *)
 
 let cluster seed hosts per_host view_size lower_threshold loss scenario base_port
-    rounds codec no_resilience quiet =
+    rounds no_resilience quiet =
   let n = hosts * per_host in
   let period = 0.01 in
   let scenario =
@@ -1046,19 +1047,12 @@ let cluster seed hosts per_host view_size lower_threshold loss scenario base_por
       | Ok sc -> sc
       | Error e -> Fmt.failwith "default cluster scenario: %s" e)
   in
-  let version_of_host =
-    match codec with
-    | "v1" -> fun _ -> 1
-    | "v2" -> fun _ -> 2
-    | "mixed" -> fun i -> if i mod 2 = 0 then 2 else 1
-    | other -> Fmt.failwith "unknown --codec %s (expected v1, v2 or mixed)" other
-  in
-  Fmt.pr "cluster:     %d node-hosts x %d nodes = %d real sockets, codec %s@."
-    hosts per_host n codec;
+  Fmt.pr "cluster:     %d node-hosts x %d nodes = %d real sockets@."
+    hosts per_host n;
   Fmt.pr "scenario:    %s@." (Sf_faults.Scenario.to_string scenario);
   let cfg =
     Sf_net.Spawner.make_config ~view_size ~lower_threshold ~loss_rate:loss
-      ~period ~version_of_host ~resilience:(not no_resilience)
+      ~period ~resilience:(not no_resilience)
       ~log:(if quiet then fun _ -> () else fun m -> Fmt.pr "  %s@." m)
       ~hosts ~nodes_per_host:per_host ~base_port ~scenario ~seed
       ~duration:(float_of_int rounds *. period) ()
@@ -1078,11 +1072,10 @@ let cluster seed hosts per_host view_size lower_threshold loss scenario base_por
     o.Sf_net.Spawner.unexpected_deaths o.Sf_net.Spawner.heartbeats;
   Fmt.pr
     "wire:        %.0f datagrams (%.0f/s), %.0f batches carrying %.0f frames \
-     (fill %.2f), %.0f hellos@."
+     (fill %.2f)@."
     emitted
     (emitted /. Float.max o.Sf_net.Spawner.wall_seconds 1e-9)
-    batches frames fill
-    (sum_stat "hellos_sent" o);
+    batches frames fill;
   Fmt.pr "latency:     per-action p50 %.1fus, p99 %.1fus (worst host)@."
     (max_stat "p50_us" o) (max_stat "p99_us" o);
   let failures = ref [] in
@@ -1129,14 +1122,6 @@ let cluster_cmd =
             "First node port; node i binds PORT+i, control sockets sit just \
              below PORT.")
   in
-  let codec =
-    Arg.(
-      value & opt string "v2"
-      & info [ "codec" ] ~docv:"V"
-          ~doc:
-            "Wire version per host: v1 (historical), v2 (batching), or mixed \
-             (alternating hosts, exercising per-peer downgrade).")
-  in
   let no_resilience =
     Arg.(
       value & flag
@@ -1169,7 +1154,7 @@ let cluster_cmd =
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
       const cluster $ seed_arg $ hosts $ per_host $ view_size $ lower_threshold
-      $ loss_arg $ scenario_arg $ base_port $ rounds_arg 200 $ codec
+      $ loss_arg $ scenario_arg $ base_port $ rounds_arg 200
       $ no_resilience $ quiet)
 
 (* --- sessions --- *)

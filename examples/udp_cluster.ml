@@ -10,7 +10,7 @@
 
    Run with: dune exec examples/udp_cluster.exe *)
 
-module Cluster = Sf_net.Cluster
+module Driver = Sf_net.Driver
 module Summary = Sf_stats.Summary
 
 let () =
@@ -22,36 +22,36 @@ let () =
     Sf_core.Topology.regular (Sf_prng.Rng.create 3) ~n ~out_degree:thresholds.d_hat
   in
   let cluster =
-    Cluster.create ~period:0.005 ~base_port:47000 ~n ~config ~loss_rate:0.05 ~seed:4
+    Driver.create ~period:0.005 ~base_port:47000 ~n ~config ~loss_rate:0.05 ~seed:4
       ~topology ()
   in
   Fmt.pr "bound %d UDP sockets on 127.0.0.1:47000-%d; running 5 seconds...@." n
     (47000 + n - 1);
   let report phase =
-    let outs = Cluster.outdegree_summary cluster in
-    let census = Cluster.independence_census cluster in
-    let stats = Cluster.statistics cluster in
+    let outs = Driver.outdegree_summary cluster in
+    let census = Driver.independence_census cluster in
+    let stats = Driver.statistics cluster in
     Fmt.pr
-      "%s: %d actions, %d datagrams (%d dropped by injected loss, %d received)@."
-      phase stats.Cluster.actions stats.Cluster.datagrams_sent
-      stats.Cluster.datagrams_dropped stats.Cluster.datagrams_received;
+      "%s: %d actions, %d messages (%d dropped by injected loss, %d received)@."
+      phase stats.Driver.actions stats.Driver.datagrams_sent
+      stats.Driver.datagrams_dropped stats.Driver.messages_received;
     Fmt.pr "  outdegree %.1f±%.1f (dL=%d), alpha %.3f, connected %b, codec errors %d@."
       (Summary.mean outs) (Summary.std outs) thresholds.lower_threshold
       census.Sf_core.Census.alpha
-      (Cluster.is_weakly_connected cluster)
-      stats.Cluster.decode_errors
+      (Driver.is_weakly_connected cluster)
+      stats.Driver.decode_errors
   in
-  Cluster.run cluster ~duration:2.5;
+  Driver.run cluster ~duration:2.5;
   report "t=2.5s";
-  Cluster.run cluster ~duration:2.5;
+  Driver.run cluster ~duration:2.5;
   report "t=5.0s";
-  let stats = Cluster.statistics cluster in
+  let stats = Driver.statistics cluster in
   let observed_loss =
-    float_of_int stats.Cluster.datagrams_dropped
-    /. float_of_int (max 1 stats.Cluster.datagrams_sent)
+    float_of_int stats.Driver.datagrams_dropped
+    /. float_of_int (max 1 stats.Driver.datagrams_sent)
   in
   Fmt.pr "observed loss %.3f (injected 0.050); every datagram decoded cleanly: %b@."
     observed_loss
-    (stats.Cluster.decode_errors = 0);
-  Cluster.shutdown cluster;
+    (stats.Driver.decode_errors = 0);
+  Driver.shutdown cluster;
   Fmt.pr "the same protocol, the same properties — on real sockets.@."

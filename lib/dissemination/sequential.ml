@@ -12,11 +12,11 @@
    shared injector (pure window queries, no randomness), so a rumor and
    the membership see the same faults.
 
-   Determinism contract: the Push path reproduces the draw order of the
-   historical [Dissemination.spread] exactly (same infected-table
-   construction, one [sample_many] per informed node, one loss draw per
-   push), so the compat shim replays it byte-for-byte on scenario-free
-   runners. *)
+   Determinism contract: the Push path under [Iid] loss reproduces the
+   draw order of the historical push epidemic exactly (same
+   infected-table construction, one [sample_many] per informed node, one
+   loss draw per push), so it replays that epidemic byte-for-byte on
+   scenario-free runners; test_spread.ml holds it to a verbatim copy. *)
 
 module Runner = Sf_core.Runner
 module Sampling = Sf_core.Sampling

@@ -4,7 +4,7 @@
     latency is in force.
 
     One injector instance is shared by a driver's send path
-    ({!Sf_engine.Network} or {!Sf_net.Cluster}) and its scheduler
+    ({!Sf_engine.Network} or {!Sf_net.Driver}) and its scheduler
     ({!Sf_core.Runner} or the cluster timer loop), so every component sees
     the same fault state.
 

@@ -2,7 +2,7 @@
 
     A scenario is a loss process plus a list of timed fault windows.  The
     same value drives both the discrete-event simulator
-    ({!Sf_core.Runner}) and the real UDP cluster ({!Sf_net.Cluster}), so a
+    ({!Sf_core.Runner}) and the real UDP cluster ({!Sf_net.Driver}), so a
     fault experiment validated in simulation replays unchanged on real
     sockets.
 

@@ -4,64 +4,36 @@
    the forwarded mixing id); fire-and-forget datagrams match the protocol's
    semantics exactly — no retransmission, no acknowledgement, loss allowed.
 
-   Two wire versions share the magic byte and diverge at the version byte:
-
-   v1 — one message per datagram (little-endian, 66 bytes):
-     offset 0   magic        0xF5
-     offset 1   version      1
-     offset 2   reinforcement.id      int64
-     offset 10  reinforcement.serial  int64
-     offset 18  reinforcement.anchor  int64 (-1 encodes None)
-     offset 26  reinforcement.born    int64
-     offset 34  mixing.id             int64
-     offset 42  mixing.serial         int64
-     offset 50  mixing.anchor         int64 (-1 encodes None)
-     offset 58  mixing.born           int64
-
-   v2 — batched datagrams behind the same magic, with a kind byte:
+   Every datagram is a batch (little-endian):
      offset 0   magic        0xF5
      offset 1   version      2
-     offset 2   kind         0 = hello, 1 = batch
-
-   hello (7 bytes): a version advertisement used for per-peer negotiation.
-   The sender declares that every UDP port in [lo, hi] on this machine
-   speaks v2, so one datagram upgrades a whole node-host at the receiver:
-     offset 3   lo           u16
-     offset 5   hi           u16
-
-   batch (4 + 68·count bytes): up to [max_batch] messages per datagram,
-   each in its own CRC-guarded frame so one corrupted frame rejects that
-   frame alone, not the datagram:
+     offset 2   kind         1 = batch
      offset 3   count        u8, in [1, max_batch]
      offset 4   frames[count], each 68 bytes:
-       +0   the 64-byte v1 message payload (two entries of 32 bytes)
+       +0   the 64-byte message payload, two entries of four int64 fields
+            (id, serial, anchor with -1 encoding None, born)
        +64  CRC-32 (IEEE, reflected) of the 64 payload bytes, u32
 
-   The v1 encoder is bit-for-bit the historical one — a v2 host falling
-   back to v1 for an old peer emits datagrams indistinguishable from a
-   real v1 host's. *)
+   Each frame carries its own CRC, so one corrupted frame rejects that
+   frame alone, not the datagram.  The version and kind bytes are still
+   checked: the retired one-message-per-datagram layout (version 1) is
+   [Unsupported_version '\x01'] and the retired hello (kind 0) is
+   [Bad_kind '\x00']. *)
 
 let magic = '\xf5'
-let version = '\x01'
-let message_size = 66
-let payload_size = 64
-
-(* v2 framing. *)
-let kind_hello = '\x00'
+let version = '\x02'
 let kind_batch = '\x01'
-let hello_size = 7
+let payload_size = 64
 let batch_header_size = 4
 let frame_size = payload_size + 4
 let max_batch = 16
 let max_datagram_size = batch_header_size + (max_batch * frame_size)
 
-(* One byte of headroom past the largest datagram either version can
-   produce: POSIX recvfrom silently truncates a UDP payload to the buffer,
-   so a buffer of exactly the maximum size cannot distinguish a valid
-   maximal datagram from the prefix of an oversized one.  With the extra
-   byte, [length > max_datagram_size] identifies foreign traffic, and a
-   full-batch v2 datagram (which the historical one-message-plus-one-byte
-   buffer would have truncated and dropped as oversized) fits whole. *)
+(* One byte of headroom past the largest datagram: POSIX recvfrom
+   silently truncates a UDP payload to the buffer, so a buffer of exactly
+   the maximum size cannot distinguish a valid maximal datagram from the
+   prefix of an oversized one.  With the extra byte,
+   [length > max_datagram_size] identifies foreign traffic. *)
 let recv_buffer_size = max_datagram_size + 1
 
 type error =
@@ -76,8 +48,8 @@ let pp_error ppf = function
   | Too_short n -> Fmt.pf ppf "datagram too short (%d bytes)" n
   | Bad_magic c -> Fmt.pf ppf "bad magic byte 0x%02x" (Char.code c)
   | Unsupported_version c -> Fmt.pf ppf "unsupported version %d" (Char.code c)
-  | Oversized n -> Fmt.pf ppf "datagram longer than its version allows (%d bytes)" n
-  | Bad_kind c -> Fmt.pf ppf "unknown v2 datagram kind %d" (Char.code c)
+  | Oversized n -> Fmt.pf ppf "datagram longer than its count allows (%d bytes)" n
+  | Bad_kind c -> Fmt.pf ppf "unknown datagram kind %d" (Char.code c)
   | Bad_count n -> Fmt.pf ppf "batch count %d outside [1, %d]" n max_batch
 
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), computed bitwise: 64
@@ -126,28 +98,14 @@ let read_payload buffer ~offset =
     mixing = read_entry buffer ~offset:(offset + 32);
   }
 
-let encode (message : Sf_core.Protocol.message) =
-  let buffer = Bytes.create message_size in
-  Bytes.set buffer 0 magic;
-  Bytes.set buffer 1 version;
-  write_payload buffer ~offset:2 message;
-  buffer
-
-let decode buffer ~length =
-  if length < message_size then Error (Too_short length)
-  else if Bytes.get buffer 0 <> magic then Error (Bad_magic (Bytes.get buffer 0))
-  else if Bytes.get buffer 1 <> version then
-    Error (Unsupported_version (Bytes.get buffer 1))
-  else Ok (read_payload buffer ~offset:2)
-
-(* --- v2 encoding --- *)
+(* --- Encoding --- *)
 
 let frame_offset i = batch_header_size + (i * frame_size)
 
 let encode_batch_exact messages count =
   let buffer = Bytes.create (batch_header_size + (count * frame_size)) in
   Bytes.set buffer 0 magic;
-  Bytes.set buffer 1 '\x02';
+  Bytes.set buffer 1 version;
   Bytes.set buffer 2 kind_batch;
   Bytes.set buffer 3 (Char.chr count);
   List.iteri
@@ -178,17 +136,7 @@ let corrupt_frame buffer index =
     Bytes.set buffer offset
       (Char.chr (Char.code (Bytes.get buffer offset) lxor 0xff))
 
-let encode_hello ~lo ~hi =
-  if lo < 0 || hi < lo || hi > 0xFFFF then invalid_arg "Codec.encode_hello: bad range";
-  let buffer = Bytes.create hello_size in
-  Bytes.set buffer 0 magic;
-  Bytes.set buffer 1 '\x02';
-  Bytes.set buffer 2 kind_hello;
-  Bytes.set_uint16_le buffer 3 lo;
-  Bytes.set_uint16_le buffer 5 hi;
-  buffer
-
-(* --- Version-dispatching decoder --- *)
+(* --- Decoding --- *)
 
 type batch = {
   messages : Sf_core.Protocol.message list;  (* CRC-clean frames, in order *)
@@ -196,10 +144,8 @@ type batch = {
   truncated : bool;
 }
 
-type datagram =
-  | Msg_v1 of Sf_core.Protocol.message
-  | Batch of batch
-  | Hello of { lo : int; hi : int }
+(* One constructor per kind byte; batches are the only kind left. *)
+type datagram = Batch of batch
 
 let decode_batch buffer ~length =
   let count = Char.code (Bytes.get buffer 3) in
@@ -225,31 +171,11 @@ let decode_batch buffer ~length =
     end
   end
 
-let decode_datagram ?(max_version = 2) buffer ~length =
+let decode_datagram buffer ~length =
   if length < 2 then Error (Too_short length)
   else if Bytes.get buffer 0 <> magic then Error (Bad_magic (Bytes.get buffer 0))
-  else
-    match Char.code (Bytes.get buffer 1) with
-    | 1 ->
-      if length < message_size then Error (Too_short length)
-      else if length > message_size then Error (Oversized length)
-      else Ok (Msg_v1 (read_payload buffer ~offset:2))
-    | 2 when max_version >= 2 -> (
-      if length < 3 then Error (Too_short length)
-      else
-        match Bytes.get buffer 2 with
-        | c when c = kind_hello ->
-          if length < hello_size then Error (Too_short length)
-          else if length > hello_size then Error (Oversized length)
-          else
-            Ok
-              (Hello
-                 {
-                   lo = Bytes.get_uint16_le buffer 3;
-                   hi = Bytes.get_uint16_le buffer 5;
-                 })
-        | c when c = kind_batch ->
-          if length < batch_header_size then Error (Too_short length)
-          else decode_batch buffer ~length
-        | c -> Error (Bad_kind c))
-    | _ -> Error (Unsupported_version (Bytes.get buffer 1))
+  else if Bytes.get buffer 1 <> version then
+    Error (Unsupported_version (Bytes.get buffer 1))
+  else if length < batch_header_size then Error (Too_short length)
+  else if Bytes.get buffer 2 <> kind_batch then Error (Bad_kind (Bytes.get buffer 2))
+  else decode_batch buffer ~length

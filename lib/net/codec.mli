@@ -1,33 +1,23 @@
 (** Binary wire codec for S&F messages carried as UDP datagrams.
 
-    Two versions behind one magic byte.  v1 is the historical
-    one-message-per-datagram layout, preserved bit-for-bit ({!encode} is
-    the v1 encoder).  v2 batches up to {!max_batch} messages per datagram
-    in CRC-guarded frames — a corrupted frame rejects that frame alone —
-    and adds a tiny hello datagram advertising a port range as v2-capable,
-    the unit of per-peer version negotiation. *)
-
-val message_size : int
-(** v1 encoded size in bytes (66). *)
+    Every datagram is a batch: a 4-byte header (magic [0xF5], version
+    [2], kind [1], count) followed by up to {!max_batch} CRC-guarded
+    frames, so a corrupted frame rejects that frame alone. *)
 
 val payload_size : int
-(** The version-independent message payload (64 bytes: two 32-byte
-    entries). *)
-
-val hello_size : int
-(** v2 hello datagram size (7). *)
+(** One encoded message (64 bytes: two 32-byte entries). *)
 
 val batch_header_size : int
-(** v2 batch header: magic, version, kind, count (4). *)
+(** Batch header: magic, version, kind, count (4). *)
 
 val frame_size : int
-(** One v2 batch frame: payload + CRC-32 (68). *)
+(** One batch frame: payload + CRC-32 (68). *)
 
 val max_batch : int
-(** Most messages per v2 datagram (16). *)
+(** Most messages per datagram (16). *)
 
 val max_datagram_size : int
-(** The largest datagram either version produces: a full v2 batch
+(** The largest datagram: a full batch
     ([batch_header_size + max_batch * frame_size]). *)
 
 val recv_buffer_size : int
@@ -37,39 +27,24 @@ val recv_buffer_size : int
     one-byte headroom makes [length > max_datagram_size] observable. *)
 
 val frame_offset : int -> int
-(** Byte offset of batch frame [i] inside a v2 batch datagram. *)
+(** Byte offset of frame [i] inside a batch datagram. *)
 
 type error =
   | Too_short of int             (** shorter than its layout requires *)
   | Bad_magic of char
-  | Unsupported_version of char  (** version byte above the decoder's ceiling *)
-  | Oversized of int             (** longer than its version's layout allows *)
-  | Bad_kind of char             (** v2 kind byte neither hello nor batch *)
+  | Unsupported_version of char  (** version byte other than 2 *)
+  | Oversized of int             (** longer than its declared count allows *)
+  | Bad_kind of char             (** kind byte other than batch *)
   | Bad_count of int             (** batch count outside [1, max_batch] *)
 
 val pp_error : Format.formatter -> error -> unit
 
 val crc32 : bytes -> pos:int -> len:int -> int
-(** CRC-32 (IEEE, reflected) of a byte range, as used by v2 frames. *)
-
-(** {2 v1 (historical layout, byte-identical)} *)
-
-val encode : Sf_core.Protocol.message -> bytes
-
-val decode : bytes -> length:int -> (Sf_core.Protocol.message, error) result
-(** Decode the first [length] bytes of a received v1 datagram (the
-    historical decoder: under-length datagrams are [Too_short]; trailing
-    bytes are ignored, as before the v2 layer existed). *)
-
-(** {2 v2} *)
+(** CRC-32 (IEEE, reflected) of a byte range, as used by batch frames. *)
 
 val encode_batch : Sf_core.Protocol.message list -> bytes list
-(** Encode messages as v2 batch datagrams, splitting greedily so every
+(** Encode messages as batch datagrams, splitting greedily so every
     datagram carries at most {!max_batch} frames; [[]] maps to [[]]. *)
-
-val encode_hello : lo:int -> hi:int -> bytes
-(** Advertise UDP ports [lo..hi] as v2 speakers.  Raises
-    [Invalid_argument] outside [0, 65535] or when [hi < lo]. *)
 
 val corrupt_frame : bytes -> int -> unit
 (** Flip one payload byte of frame [i] in an encoded batch — the fault
@@ -82,15 +57,11 @@ type batch = {
   truncated : bool;   (** datagram shorter than its declared count *)
 }
 
-type datagram =
-  | Msg_v1 of Sf_core.Protocol.message
-  | Batch of batch
-  | Hello of { lo : int; hi : int }
+type datagram = Batch of batch  (** one constructor per kind byte *)
 
-val decode_datagram :
-  ?max_version:int -> bytes -> length:int -> (datagram, error) result
-(** Version-dispatching decoder.  [max_version] (default 2) is the
-    receiving host's ceiling: a v1-configured host passes 1 and sees v2
-    traffic as [Unsupported_version], exactly as a historical binary
-    would.  A truncated batch still yields its complete frames with
-    [truncated = true]; CRC-rejected frames are counted, not fatal. *)
+val decode_datagram : bytes -> length:int -> (datagram, error) result
+(** Decode the first [length] bytes of a received datagram.  A truncated
+    batch still yields its complete frames with [truncated = true];
+    CRC-rejected frames are counted, not fatal.  The retired
+    one-message-per-datagram layout is [Unsupported_version '\x01'] and
+    the retired hello is [Bad_kind '\x00']. *)

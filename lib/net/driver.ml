@@ -5,12 +5,12 @@
    a real network stack instead of the discrete-event simulator.
 
    One driver owns a contiguous *slice* [first, first + count) of a global
-   id space of [n] nodes.  The historical single-process deployment
-   ({!Cluster}) is the whole-space slice; a node-host process
-   ({!Nodehost}) owns one slice while sibling processes own the others,
-   all sharing the same port map — the address of node [i] is
-   [base_port + i] no matter which process computes it, so datagrams cross
-   process boundaries with no routing layer.
+   id space of [n] nodes.  A single-process deployment is the whole-space
+   slice (the default); a node-host process ({!Nodehost}) owns one slice
+   while sibling processes own the others, all sharing the same port map
+   — the address of node [i] is [base_port + i] no matter which process
+   computes it, so datagrams cross process boundaries with no routing
+   layer.
 
    The loop multiplexes all owned sockets (plus any registered control
    channels) with [Unix.select]: wait for readable fds or the next timer,
@@ -19,15 +19,10 @@
    injection keeps loss experiments controlled even though loopback UDP
    rarely drops on its own.
 
-   Wire versions: at [version = 1] (default) the driver is byte-identical
-   to the historical one-message-per-datagram deployment.  At [version =
-   2] it speaks {!Codec} v2 — outbound messages queue per destination and
-   flush as batched datagrams once the peer is known to speak v2,
-   negotiated per-peer by hello datagrams: a v2 driver sends v1 frames to
-   unknown peers (a real v1 process understands them) plus a capped number
-   of hellos advertising its own port range; a v2 peer replies with its
-   range and both sides upgrade, while a v1 peer stays silent and the
-   sender permanently downgrades after the cap.
+   Outbound messages queue per destination and leave as {!Codec} batch
+   datagrams at the end of each loop iteration (or as soon as a queue
+   holds [Codec.max_batch] messages).  Batching draws no randomness, so
+   the protocol RNG stream does not depend on it.
 
    An optional fault scenario (lib/faults) generalizes the send-side loss
    draw exactly as in the simulator; [set_partition_filter] adds the
@@ -36,11 +31,6 @@
    datagrams.  Fire-and-forget UDP matches S&F's assumptions exactly: no
    connection state, no retransmission, the sender never learns whether
    the message arrived. *)
-
-(* Hellos sent to one destination before concluding it speaks v1 only.
-   The probe is per-datagram-destination, so the cost of a wrong guess is
-   eight 7-byte datagrams per silent peer over the run. *)
-let hello_cap = 8
 
 (* Per-node resilience state (lib/resilience): each node runs its own loss
    estimator over its own protocol counters — a deployed node has nobody
@@ -77,7 +67,7 @@ type delayed_datagram = {
   target : Unix.sockaddr;
 }
 
-(* An outbound v2 batch under construction: messages for one destination
+(* An outbound batch under construction: messages for one destination
    accumulated within a loop iteration, flushed as one datagram.  The
    sender is remembered as a node index (not a socket) so a crash-rebind
    between enqueue and flush cannot leak a closed fd. *)
@@ -98,7 +88,6 @@ type t = {
   base_port : int;
   n_global : int;  (* the full id space; owned slice is [first, first+count) *)
   first : int;
-  version : int;   (* wire ceiling: 1 = historical, 2 = batching + hellos *)
   period : float;
   loss_rate : float;
   (* Global serials are minted as [k * stride + offset]: sibling processes
@@ -127,11 +116,7 @@ type t = {
      to rebuild its select set. *)
   mutable socket_generation : int;
   read_buffer : bytes;
-  (* Which global ids are known to speak v2 ('\001' = yes), and how many
-     hellos each destination has been sent (saturating at [hello_cap]). *)
-  peer_v2 : Bytes.t;
-  hello_tries : Bytes.t;
-  (* v2 outbound batches: per-destination queues plus first-enqueue order
+  (* Outbound batches: per-destination queues plus first-enqueue order
      so flushes are deterministic. *)
   pending : (int, pending_batch) Hashtbl.t;
   mutable pending_order : int list;  (* rev *)
@@ -163,8 +148,6 @@ type t = {
   c_messages_received : Sf_obs.Metrics.counter;  (* decoded protocol messages *)
   c_batches : Sf_obs.Metrics.counter;
   c_frames : Sf_obs.Metrics.counter;
-  c_hellos_sent : Sf_obs.Metrics.counter;
-  c_hellos_received : Sf_obs.Metrics.counter;
   c_crc_rejected : Sf_obs.Metrics.counter;
   c_filtered : Sf_obs.Metrics.counter;
   c_repairs : Sf_obs.Metrics.counter;  (* supervised rebootstrap attempts *)
@@ -187,18 +170,16 @@ let fresh_serial t =
   (s * t.serial_stride) + t.serial_offset
 
 let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilience
-    ?(version = 1) ?(first = 0) ?count ?(serial_stride = 1) ?(serial_offset = 0)
+    ?(first = 0) ?count ?(serial_stride = 1) ?(serial_offset = 0)
     ~base_port ~n ~config ~loss_rate ~seed ~topology () =
   let count = match count with Some c -> c | None -> n - first in
-  if n <= 0 then invalid_arg "Cluster.create: need at least one node";
-  if base_port < 1024 || base_port + n > 65_535 then
-    invalid_arg "Cluster.create: port range out of bounds";
+  if n <= 0 then invalid_arg "Driver.create: need at least one node";
+  if base_port < 1024 || base_port + n - 1 > 65_535 then
+    invalid_arg "Driver.create: port range out of bounds";
   if first < 0 || count < 1 || first + count > n then
-    invalid_arg "Cluster.create: owned slice outside the id space";
-  if version < 1 || version > 2 then
-    invalid_arg "Cluster.create: unknown wire version";
+    invalid_arg "Driver.create: owned slice outside the id space";
   if serial_stride < 1 || serial_offset < 0 || serial_offset >= serial_stride
-  then invalid_arg "Cluster.create: bad serial striding";
+  then invalid_arg "Driver.create: bad serial striding";
   let rng = Sf_prng.Rng.create seed in
   let obs = match obs with Some o -> o | None -> Sf_obs.Obs.create () in
   let metrics = Sf_obs.Obs.metrics obs in
@@ -224,7 +205,6 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       base_port;
       n_global = n;
       first;
-      version;
       period;
       loss_rate;
       serial_stride;
@@ -240,8 +220,6 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       nodes = [||];
       socket_generation = 0;
       read_buffer = Bytes.create Codec.recv_buffer_size;
-      peer_v2 = Bytes.make n '\000';
-      hello_tries = Bytes.make n '\000';
       pending = Hashtbl.create 64;
       pending_order = [];
       channels = [];
@@ -267,9 +245,6 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
         Sf_obs.Metrics.counter metrics "cluster_messages_received";
       c_batches = Sf_obs.Metrics.counter metrics "cluster_batches_sent";
       c_frames = Sf_obs.Metrics.counter metrics "cluster_frames_sent";
-      c_hellos_sent = Sf_obs.Metrics.counter metrics "cluster_hellos_sent";
-      c_hellos_received =
-        Sf_obs.Metrics.counter metrics "cluster_hellos_received";
       c_crc_rejected =
         Sf_obs.Metrics.counter metrics "cluster_frames_crc_rejected";
       c_filtered = Sf_obs.Metrics.counter metrics "cluster_datagrams_filtered";
@@ -301,7 +276,7 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
     List.iter
       (fun v ->
         match Sf_core.View.random_empty_slot node.Sf_core.Protocol.view rng with
-        | None -> invalid_arg "Cluster.create: topology exceeds view size"
+        | None -> invalid_arg "Driver.create: topology exceeds view size"
         | Some slot ->
           Sf_core.View.set node.Sf_core.Protocol.view slot
             { Sf_core.View.id = v; serial = fresh_serial t; anchor = None; born = 0 })
@@ -351,7 +326,7 @@ let add_periodic t ~every callback =
 
 let set_partition_filter t ~parts =
   (match parts with
-  | Some p when p < 2 -> invalid_arg "Cluster.set_partition_filter: parts < 2"
+  | Some p when p < 2 -> invalid_arg "Driver.set_partition_filter: parts < 2"
   | _ -> ());
   t.filter_parts <- parts
 
@@ -395,52 +370,7 @@ let rec transmit t ~via ~packet ~target =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> transmit t ~via ~packet ~target
   | exception Unix.Unix_error _ -> Sf_obs.Metrics.incr t.c_send_errors
 
-(* --- v2 per-peer negotiation ---
-
-   Conservative default: an unknown peer gets plain v1 datagrams (which
-   any peer understands) plus up to [hello_cap] hellos advertising this
-   driver's whole port slice as v2.  A v2 peer replies with its own range
-   the first time the hello teaches it anything, upgrading both directions;
-   a v1 peer never replies and the probing stops at the cap — a permanent
-   per-peer downgrade with zero lost traffic either way. *)
-
-let peer_speaks_v2 t id = Bytes.get t.peer_v2 id = '\001'
-
-let maybe_hello t (ns : node_state) destination =
-  let tries = Char.code (Bytes.get t.hello_tries destination) in
-  if tries < hello_cap then begin
-    Bytes.set t.hello_tries destination (Char.chr (tries + 1));
-    let lo = t.base_port + t.first in
-    let hi = t.base_port + t.first + Array.length t.nodes - 1 in
-    Sf_obs.Metrics.incr t.c_hellos_sent;
-    transmit t ~via:ns.socket ~packet:(Codec.encode_hello ~lo ~hi)
-      ~target:(address_of t destination)
-  end
-
-let handle_hello t (ns : node_state) ~from ~lo ~hi =
-  Sf_obs.Metrics.incr t.c_hellos_received;
-  if t.version >= 2 then begin
-    let lo_id = max 0 (lo - t.base_port) in
-    let hi_id = min (t.n_global - 1) (hi - t.base_port) in
-    let newly = ref false in
-    for id = lo_id to hi_id do
-      if not (peer_speaks_v2 t id) then begin
-        newly := true;
-        Bytes.set t.peer_v2 id '\001'
-      end
-    done;
-    (* Reply once per newly learned range, to the advertiser's source
-       address: the exchange terminates because a reply that teaches the
-       peer nothing new draws no further reply. *)
-    if !newly then begin
-      let lo = t.base_port + t.first in
-      let hi = t.base_port + t.first + Array.length t.nodes - 1 in
-      Sf_obs.Metrics.incr t.c_hellos_sent;
-      transmit t ~via:ns.socket ~packet:(Codec.encode_hello ~lo ~hi) ~target:from
-    end
-  end
-
-(* --- v2 outbound batching --- *)
+(* --- Outbound batching --- *)
 
 let delay_factor t =
   match t.injector with
@@ -481,6 +411,8 @@ let flush_destination t destination (q : pending_batch) =
     | Some via ->
       let factor = delay_factor t in
       if factor > 1.0 then begin
+        (* Loopback latency is negligible, so a delay window holds the
+           datagram for [factor] firing periods instead. *)
         Sf_obs.Metrics.incr t.c_delayed;
         t.delayed <-
           {
@@ -614,45 +546,8 @@ let fire_inner t ns =
         Sf_obs.Metrics.incr t.c_dropped;
         trace t (Sf_obs.Trace.Drop { src; dst = destination; cause = "injected" })
       | (`Deliver | `Corrupt) as fate ->
-        if destination >= 0 && destination < t.n_global then begin
-          if t.version >= 2 && peer_speaks_v2 t destination then
-            enqueue_frame t ns ~destination ~message
-              ~corrupt:(fate = `Corrupt)
-          else begin
-            (* Unknown or v1 peer: historical v1 datagram (plus, in v2
-               mode, a capped hello probe riding alongside). *)
-            if t.version >= 2 then maybe_hello t ns destination;
-            let packet =
-              Sf_obs.Span.time t.encode_span (fun () -> Codec.encode message)
-            in
-            (match fate with
-            | `Corrupt ->
-              (* Flip the magic byte: real corrupted bytes on the wire,
-                 which the receiving codec rejects — the datagram is spent
-                 but the error path is exercised. *)
-              Sf_obs.Metrics.incr t.c_corrupted;
-              Bytes.set packet 0
-                (Char.chr (Char.code (Bytes.get packet 0) lxor 0xff))
-            | `Deliver -> ());
-            let factor = delay_factor t in
-            if factor > 1.0 then begin
-              (* Loopback latency is negligible, so a delay window holds
-                 the datagram for [factor] firing periods instead. *)
-              Sf_obs.Metrics.incr t.c_delayed;
-              t.delayed <-
-                {
-                  release_at = t.now () +. (factor *. t.period);
-                  via = ns.socket;
-                  packet;
-                  target = address_of t destination;
-                }
-                :: t.delayed
-            end
-            else
-              transmit t ~via:ns.socket ~packet
-                ~target:(address_of t destination)
-          end
-        end)
+        if destination >= 0 && destination < t.n_global then
+          enqueue_frame t ns ~destination ~message ~corrupt:(fate = `Corrupt))
 
 let fire t ns = Sf_obs.Span.time t.action_span (fun () -> fire_inner t ns)
 
@@ -682,7 +577,7 @@ let drain t ns =
          datagram to a crashed node's closed port) can surface here; it
          carries no datagram, so keep draining. *)
       ()
-    | length, from ->
+    | length, _ ->
       let dst = ns.node.Sf_core.Protocol.node_id in
       if is_crashed t dst then begin
         Sf_obs.Metrics.incr t.c_crash_dropped;
@@ -693,7 +588,7 @@ let drain t ns =
         if length >= Bytes.length t.read_buffer then
           (* recvfrom filled the whole buffer, so the datagram may have
              been truncated to it: foreign traffic, larger than anything
-             either codec version produces. *)
+             the codec produces. *)
           Sf_obs.Metrics.incr t.c_oversized
         else
           let deliver message =
@@ -703,10 +598,8 @@ let drain t ns =
           in
           match
             Sf_obs.Span.time t.decode_span (fun () ->
-                Codec.decode_datagram ~max_version:t.version t.read_buffer
-                  ~length)
+                Codec.decode_datagram t.read_buffer ~length)
           with
-          | Ok (Codec.Msg_v1 message) -> deliver message
           | Ok (Codec.Batch batch) ->
             if batch.Codec.truncated then begin
               Sf_obs.Metrics.incr t.c_truncated;
@@ -717,7 +610,6 @@ let drain t ns =
               trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
             end;
             List.iter deliver batch.Codec.messages
-          | Ok (Codec.Hello { lo; hi }) -> handle_hello t ns ~from ~lo ~hi
           | Error (Codec.Too_short _) ->
             Sf_obs.Metrics.incr t.c_truncated;
             trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
@@ -1010,8 +902,6 @@ type statistics = {
   messages_received : int;
   batches_sent : int;
   frames_sent : int;
-  hellos_sent : int;
-  hellos_received : int;
   frames_crc_rejected : int;
   datagrams_filtered : int;
   repair_attempts : int;
@@ -1038,8 +928,6 @@ let statistics (t : t) =
     messages_received = count t.c_messages_received;
     batches_sent = count t.c_batches;
     frames_sent = count t.c_frames;
-    hellos_sent = count t.c_hellos_sent;
-    hellos_received = count t.c_hellos_received;
     frames_crc_rejected = count t.c_crc_rejected;
     datagrams_filtered = count t.c_filtered;
     repair_attempts = count t.c_repairs;

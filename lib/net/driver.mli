@@ -4,9 +4,9 @@
 
     A driver owns a contiguous slice [first, first + count) of a global id
     space of [n] nodes, all sharing one port map (node [i] lives at
-    [base_port + i] in whichever process owns it).  {!Cluster} is the
-    whole-space slice in one process — the historical deployment —
-    and {!Nodehost} wraps a slice in a controllable process of its own.
+    [base_port + i] in whichever process owns it).  The default slice is
+    the whole space in one process; {!Nodehost} wraps a slice in a
+    controllable process of its own.
 
     Intended for moderate slice sizes (select(2) limits a driver to a few
     hundred sockets per process); a multi-process cluster composes slices
@@ -20,7 +20,6 @@ val create :
   ?scenario:Sf_faults.Scenario.t ->
   ?obs:Sf_obs.Obs.t ->
   ?resilience:Sf_resil.Policy.t ->
-  ?version:int ->
   ?first:int ->
   ?count:int ->
   ?serial_stride:int ->
@@ -44,14 +43,13 @@ val create :
     default; inject a virtual clock to make runs time-deterministic in
     tests.
 
-    [version] selects the wire ceiling: [1] (default) replays the
-    historical one-message-per-datagram deployment byte-for-byte; [2]
-    batches messages per destination into {!Codec} v2 datagrams once the
-    peer is known to speak v2, negotiated per-peer by hello datagrams —
-    unknown peers get v1 frames (safe for real v1 processes) plus a capped
-    number of hellos advertising this driver's port slice; v2 peers reply
-    and upgrade, silent peers downgrade permanently at the cap, so mixed
-    v1/v2 clusters interoperate with zero lost traffic.
+    Messages leave as {!Codec} batch datagrams: they queue per
+    destination and flush at the end of each loop iteration, or as soon
+    as a queue holds {!Codec.max_batch} messages.  A corrupt verdict
+    flips one byte of the message's own frame, so the receiver counts it
+    in [frames_crc_rejected].  Raises [Invalid_argument] when [n < 1],
+    when a port falls outside [1024, 65535], when the slice leaves the id
+    space or when the serial striding is inconsistent.
 
     [serial_stride]/[serial_offset] stride the minted serials
     ([k * stride + offset]): sibling processes use stride = process count
@@ -132,16 +130,14 @@ type statistics = {
   datagrams_crash_dropped : int;  (** discarded on arrival at a crashed node *)
   datagrams_oversized : int;      (** longer than the wire format allows *)
   datagrams_truncated : int;      (** shorter than their layout declares *)
-  decode_errors : int;            (** undecodable (magic/version/kind) *)
+  decode_errors : int;            (** undecodable (magic/version/kind/count) *)
   send_errors : int;
   rejoins : int;                  (** crash-restart recoveries (resilience mode) *)
   retunes : int;                  (** per-node threshold retunes (resilience mode) *)
   datagrams_emitted : int;        (** datagrams actually sent (batches coalesce) *)
   messages_received : int;        (** decoded protocol messages (frames add up) *)
-  batches_sent : int;             (** v2 batch datagrams *)
+  batches_sent : int;             (** batch datagrams *)
   frames_sent : int;              (** messages carried inside those batches *)
-  hellos_sent : int;
-  hellos_received : int;
   frames_crc_rejected : int;      (** single frames rejected by their CRC *)
   datagrams_filtered : int;       (** dropped by the cross-process partition filter *)
   repair_attempts : int;          (** supervised rebootstrap attempts *)

@@ -49,7 +49,6 @@ type config = {
   scenario : Sf_faults.Scenario.t;  (* loss model only; no windows *)
   loss_rate : float;
   period : float;
-  version : int;
   seed : int;
   duration : float;        (* hard cap on the run, seconds *)
   heartbeat : float;
@@ -80,13 +79,13 @@ let emit_stats driver =
   in
   Fmt.pr
     "stats actions=%d sent=%d dropped=%d received=%d messages=%d emitted=%d \
-     batches=%d frames=%d hellos_sent=%d hellos_received=%d crc_rejected=%d \
+     batches=%d frames=%d crc_rejected=%d \
      truncated=%d oversized=%d decode_errors=%d send_errors=%d filtered=%d \
      corrupted=%d repairs=%d recoveries=%d retunes=%d p50_us=%.1f p99_us=%.1f@."
     s.Driver.actions s.Driver.datagrams_sent s.Driver.datagrams_dropped
     s.Driver.datagrams_received s.Driver.messages_received
     s.Driver.datagrams_emitted s.Driver.batches_sent s.Driver.frames_sent
-    s.Driver.hellos_sent s.Driver.hellos_received s.Driver.frames_crc_rejected
+    s.Driver.frames_crc_rejected
     s.Driver.datagrams_truncated s.Driver.datagrams_oversized
     s.Driver.decode_errors s.Driver.send_errors s.Driver.datagrams_filtered
     s.Driver.datagrams_corrupted s.Driver.repair_attempts s.Driver.recoveries
@@ -168,7 +167,7 @@ let main config =
   in
   let driver =
     Driver.create ~period:config.period ~scenario:config.scenario
-      ?resilience:config.resilience ~version:config.version ~first
+      ?resilience:config.resilience ~first
       ~count:config.nodes_per_host ~serial_stride:config.hosts
       ~serial_offset:config.host_index ~base_port:config.base_port ~n
       ~config:config.protocol ~loss_rate:config.loss_rate

@@ -32,7 +32,6 @@ type config = {
           realizes them as kills and filter commands *)
   loss_rate : float;
   period : float;
-  version : int;           (** wire ceiling per {!Driver.create} (1 or 2) *)
   seed : int;              (** shared across hosts: fixes the global topology;
                                each host derives a distinct protocol stream *)
   duration : float;        (** hard cap on the run, in seconds *)

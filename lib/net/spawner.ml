@@ -145,7 +145,6 @@ type config = {
   scenario : Sf_faults.Scenario.t;
   loss_rate : float;
   period : float;
-  version_of_host : int -> int;  (* wire ceiling per host (mixed clusters) *)
   resilience : bool;
   seed : int;
   duration : float;      (* seconds of chaos before shutdown *)
@@ -169,7 +168,7 @@ let default_binary () =
 
 let make_config ?binary ?(view_size = 12) ?(lower_threshold = 4)
     ?(out_degree = 0) ?(loss_rate = 0.0) ?(period = 0.01)
-    ?(version_of_host = fun _ -> 2) ?(resilience = true) ?(heartbeat = 0.1)
+    ?(resilience = true) ?(heartbeat = 0.1)
     ?(hb_timeout = 1.0) ?(log = fun _ -> ()) ~hosts ~nodes_per_host ~base_port
     ~scenario ~seed ~duration () =
   if hosts < 1 then invalid_arg "Spawner: hosts < 1";
@@ -177,7 +176,7 @@ let make_config ?binary ?(view_size = 12) ?(lower_threshold = 4)
   let n = hosts * nodes_per_host in
   (* Ports: nodes at base_port + id; heartbeat sink at base_port - 1; host
      i's control socket at base_port - 2 - i. *)
-  if base_port - 2 - hosts < 1024 || base_port + n > 65_535 then
+  if base_port - 2 - hosts < 1024 || base_port + n - 1 > 65_535 then
     invalid_arg "Spawner: port range out of bounds";
   let out_degree =
     if out_degree > 0 then out_degree
@@ -205,7 +204,6 @@ let make_config ?binary ?(view_size = 12) ?(lower_threshold = 4)
     scenario;
     loss_rate;
     period;
-    version_of_host;
     resilience;
     seed;
     duration;
@@ -261,7 +259,6 @@ let host_argv cfg idx =
       { cfg.scenario with Sf_faults.Scenario.windows = [] };
     "--loss-rate"; Fmt.str "%.6f" cfg.loss_rate;
     "--period"; Fmt.str "%.6f" cfg.period;
-    "--version"; string_of_int (cfg.version_of_host idx);
     "--seed"; string_of_int cfg.seed;
     "--duration"; Fmt.str "%.3f" host_duration;
     "--heartbeat"; Fmt.str "%.3f" cfg.heartbeat;

@@ -52,9 +52,6 @@ val make_config :
   ?out_degree:int ->         (* 0 (default) derives the even sfg-gate degree *)
   ?loss_rate:float ->
   ?period:float ->
-  ?version_of_host:(int -> int) ->  (* wire ceiling per host index
-                                       (default: all v2); mixed clusters
-                                       exercise per-peer downgrade *)
   ?resilience:bool ->        (* default true *)
   ?heartbeat:float ->
   ?hb_timeout:float ->

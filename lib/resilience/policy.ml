@@ -1,7 +1,7 @@
 (* The resilience policy: everything a driver needs to self-heal.
 
    A single value threaded as [?resilience] through [Sf_core.Runner] and
-   [Sf_net.Cluster] (and, as a window flag, [Sf_engine.Network]).  It
+   [Sf_net.Driver] (and, as a window flag, [Sf_engine.Network]).  It
    bundles the estimator/controller/supervisor knobs with the injected
    section 6.3 solver — injected because the solver implementation lives
    in lib/analysis, *above* this library in the dependency order

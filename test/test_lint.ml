@@ -182,11 +182,11 @@ let test_line_numbers () =
 
 let test_allowlist_parse () =
   let content =
-    "# comment\n\nlib/net/cluster.ml determinism # trailing comment\nbench/main.ml *\n"
+    "# comment\n\nlib/net/driver.ml determinism # trailing comment\nbench/main.ml *\n"
   in
   match Lint.parse_allowlist content with
   | Ok [ a; b ] ->
-    Alcotest.(check string) "path" "lib/net/cluster.ml" a.Lint.allow_path;
+    Alcotest.(check string) "path" "lib/net/driver.ml" a.Lint.allow_path;
     Alcotest.(check string) "rule" "determinism" a.Lint.allow_rule;
     Alcotest.(check string) "wildcard" "*" b.Lint.allow_rule
   | Ok entries -> Alcotest.fail (Fmt.str "expected 2 entries, got %d" (List.length entries))
@@ -232,8 +232,8 @@ let test_real_sources () =
   check_quiet "lib/core/view.ml" ~path:"lib/core/view.ml" view;
   (* Since the ?now default moved to Sf_obs.Clock.wall, the cluster driver
      is clock-clean without any allowlist entry. *)
-  let cluster = read "../lib/net/cluster.ml" in
-  check_quiet "lib/net/cluster.ml" ~path:"lib/net/cluster.ml" cluster;
+  let driver = read "../lib/net/driver.ml" in
+  check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" driver;
   (* The one sanctioned wall-clock site really holds a wall clock (the same
      source fires under any other path) — and really is exempt. *)
   let clock = read "../lib/obs/clock.ml" in

@@ -5,7 +5,7 @@ module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
 module Topology = Sf_core.Topology
 module Sessions = Sf_core.Sessions
-module Dissemination = Sf_spread.Dissemination
+module Report = Sf_spread.Report
 module Summary = Sf_stats.Summary
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
@@ -123,14 +123,18 @@ let test_session_zero_arrivals_drains () =
 
 (* --- Dissemination --- *)
 
+(* The historical push epidemic: fanout 2 from node 0 under i.i.d. loss. *)
+let push_spread ?coverage_target ?max_rounds r rng ~loss_rate =
+  Sf_spread.Sequential.run ?coverage_target ?max_rounds
+    ~strategy:Sf_spread.Strategy.Push ~loss_model:Sf_faults.Loss.Iid ~loss_rate
+    ~fanout:2 ~source:0 r rng
+
 let test_rumor_reaches_everyone () =
   let r = make_system ~n:200 () in
   Runner.run_rounds r 80;
   let rng = Sf_prng.Rng.create 9 in
-  let trace =
-    Dissemination.spread r rng ~coverage_target:1.0 ~fanout:2 ~loss_rate:0. ~source:0 ()
-  in
-  (match trace.Dissemination.rounds_to_all with
+  let trace = push_spread r rng ~coverage_target:1.0 ~loss_rate:0. in
+  (match trace.Report.rounds_to_target with
   | Some rounds ->
     Alcotest.(check bool)
       (Printf.sprintf "full coverage in %d rounds" rounds)
@@ -141,8 +145,8 @@ let test_rumor_reaches_everyone () =
   let ok = ref true in
   Array.iteri
     (fun i f ->
-      if i > 0 && f < trace.Dissemination.coverage.(i - 1) -. 1e-9 then ok := false)
-    trace.Dissemination.coverage;
+      if i > 0 && f < trace.Report.coverage.(i - 1) -. 1e-9 then ok := false)
+    trace.Report.coverage;
   Alcotest.(check bool) "coverage monotone" true !ok
 
 let test_rumor_loss_slows_spread () =
@@ -150,8 +154,8 @@ let test_rumor_loss_slows_spread () =
     let r = make_system ~seed ~n:200 () in
     Runner.run_rounds r 80;
     let rng = Sf_prng.Rng.create (seed + 1) in
-    let trace = Dissemination.spread r rng ~fanout:2 ~loss_rate:loss ~source:0 () in
-    Option.value ~default:999 trace.Dissemination.rounds_to_half
+    let trace = push_spread r rng ~loss_rate:loss in
+    Option.value ~default:999 trace.Report.rounds_to_half
   in
   let fast = run 0. 61 in
   let slow = run 0.6 62 in
@@ -164,11 +168,9 @@ let test_rumor_max_rounds_cap () =
   Runner.run_rounds r 50;
   let rng = Sf_prng.Rng.create 11 in
   (* 100% loss: the rumor never leaves the source. *)
-  let trace =
-    Dissemination.spread r rng ~max_rounds:10 ~fanout:2 ~loss_rate:1. ~source:0 ()
-  in
-  Alcotest.(check bool) "never reaches half" true (trace.Dissemination.rounds_to_half = None);
-  Alcotest.(check int) "stopped at the cap" 10 (Array.length trace.Dissemination.coverage)
+  let trace = push_spread r rng ~max_rounds:10 ~loss_rate:1. in
+  Alcotest.(check bool) "never reaches half" true (trace.Report.rounds_to_half = None);
+  Alcotest.(check int) "stopped at the cap" 10 (Array.length trace.Report.coverage)
 
 let suite =
   [

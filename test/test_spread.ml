@@ -1,5 +1,5 @@
 (* Tests for lib/dissemination: the strategy engines (sequential and
-   flat-state sharded), their determinism contracts, the compat shim's
+   flat-state sharded), their determinism contracts, the Push path's
    byte-identity with the historical push spread, and the coverage
    semantics under crash faults. *)
 
@@ -12,7 +12,6 @@ module Strategy = Sf_spread.Strategy
 module Sequential = Sf_spread.Sequential
 module Report = Sf_spread.Report
 module Flat = Sf_spread.Flat
-module Dissemination = Sf_spread.Dissemination
 module Rng = Sf_prng.Rng
 
 let config = Protocol.make_config ~view_size:16 ~lower_threshold:4
@@ -27,12 +26,14 @@ let make_runner ?scenario ?(seed = 77) ?(n = 400) ?(loss = 0.) () =
   let topology = Topology.regular rng ~n ~out_degree:8 in
   Runner.create ?scenario ~seed ~n ~loss_rate:loss ~config ~topology ()
 
-(* --- Compat shim: byte-identity with the historical push spread --- *)
+(* --- Push under i.i.d. loss: byte-identity with the historical spread --- *)
 
-(* The pre-refactor [Sf_core.Dissemination.spread], inlined verbatim (its
+(* The historical push epidemic (the pre-refactor [spread] of
+   [Sf_core.Dissemination]), inlined verbatim (its
    whole body fits on a page): one Hashtbl of infected ids, fanout view
    samples per infected node per round, one unconditional bernoulli per
-   push.  The shim must replay it draw-for-draw. *)
+   push.  [Sequential.run] with [Push] and [Iid] loss must replay it
+   draw-for-draw. *)
 let reference_spread ?(coverage_target = 0.99) ?(max_rounds = 200) runner rng
     ~fanout ~loss_rate ~source () =
   let infected = Hashtbl.create 1024 in
@@ -89,13 +90,14 @@ let test_shim_byte_identity () =
         reference_spread r_ref rng_ref ~fanout:2 ~loss_rate ~source:0 ()
       in
       let t =
-        Dissemination.spread r_new rng_new ~fanout:2 ~loss_rate ~source:0 ()
+        Sequential.run ~strategy:Strategy.Push ~loss_model:Sf_faults.Loss.Iid
+          ~loss_rate ~fanout:2 ~source:0 r_new rng_new
       in
-      Alcotest.(check (option int)) "rounds_to_half" half t.Dissemination.rounds_to_half;
-      Alcotest.(check (option int)) "rounds_to_all" all t.Dissemination.rounds_to_all;
-      Alcotest.(check int) "pushes" pushes t.Dissemination.pushes;
+      Alcotest.(check (option int)) "rounds_to_half" half t.Report.rounds_to_half;
+      Alcotest.(check (option int)) "rounds_to_all" all t.Report.rounds_to_target;
+      Alcotest.(check int) "pushes" pushes t.Report.pushes;
       Alcotest.(check (array (float 0.))) "coverage trajectory" coverage
-        t.Dissemination.coverage;
+        t.Report.coverage;
       (* Same randomness consumed: the two streams are still aligned, and
          so are the two runners' membership streams. *)
       Alcotest.(check int) "rumor RNG streams aligned"
