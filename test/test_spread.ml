@@ -226,6 +226,73 @@ let test_direct_beats_push_messages () =
     true
     (direct.Report.messages < push.Report.messages)
 
+(* --- Known answers: each engine's spread under partition and crash
+   windows, pinned so a refactor of the verdict path cannot move them --- *)
+
+let report_ints (r : Report.t) =
+  let opt = Option.value ~default:(-1) in
+  [ r.Report.rounds; opt r.Report.rounds_to_half; opt r.Report.rounds_to_target;
+    r.Report.messages; r.Report.pushes; r.Report.requests;
+    r.Report.duplicates; r.Report.lost; r.Report.to_dead ]
+
+(* Bursty loss, a partition and a crash wave on a churning world, plus a
+   uniform-loss twin so the i.i.d. verdict is pinned as well. *)
+let flat_known_world ~scenario:s ~loss_rate =
+  Sharded.create ~shards:8 ~loss_rate ~init:Sharded.Scatter ~scenario:(scenario s)
+    ~churn:{ Sharded.churn_rate = 0.01; headroom = 64 }
+    ~seed:5 ~n:800 ~config ()
+
+let test_flat_known_answer () =
+  List.iter
+    (fun (s, loss_rate, expected) ->
+      List.iter2
+        (fun strategy want ->
+          let w = flat_known_world ~scenario:s ~loss_rate in
+          Sharded.run_rounds w ~domains:1 8;
+          let sp = Flat.create ~strategy ~source:0 ~seed:11 w in
+          let r = Flat.run ~max_rounds:40 ~domains:1 sp in
+          Alcotest.(check (list int))
+            (Fmt.str "%s %s: report, infected" s (Strategy.to_string strategy))
+            want
+            (report_ints r @ [ Flat.infected_count sp ]))
+        Strategy.all expected)
+    [
+      ( "ge:0.2:8;partition@9-13:2;crash@10-15:0-39", 0.,
+        [ [ 40; 12; -1; 42778; 42778; 0; 30770; 8503; 2515; 770 ];
+          [ 9; 6; 9; 15036; 5442; 9594; 3092; 5805; 604; 795 ];
+          [ 40; 13; -1; 23933; 23933; 0; 17038; 4525; 1394; 759 ] ] );
+      ( "partition@9-13:3;crash@10-15:100-139", 0.05,
+        [ [ 40; 10; -1; 45236; 45236; 0; 38781; 2360; 3097; 782 ];
+          [ 8; 6; 8; 13408; 4224; 9184; 2838; 4609; 486; 800 ];
+          [ 40; 11; -1; 34008; 34008; 0; 28974; 1694; 2340; 783 ] ] );
+    ]
+
+(* Report, then the runner's counters (actions, sends, lost), then its
+   injector's (judged, chance, partition and crash drops, transitions). *)
+let test_sequential_known_answer () =
+  List.iter2
+    (fun strategy want ->
+      let r =
+        make_runner ~scenario:(scenario "partition@1-4:2;crash@2-6:0-49") ~loss:0.05 ()
+      in
+      let rep = Sequential.run ~strategy ~fanout:2 ~source:60 r (Rng.create 9) in
+      let c = Runner.world_counters r in
+      let f =
+        match Runner.fault_statistics r with
+        | Some f -> f
+        | None -> Alcotest.fail "runner lost its fault statistics"
+      in
+      Alcotest.(check (list int)) (Strategy.to_string strategy) want
+        (report_ints rep
+        @ [ c.Runner.actions; c.Runner.sends; c.Runner.messages_lost;
+            f.Sf_faults.Injector.judged; f.Sf_faults.Injector.chance_drops;
+            f.Sf_faults.Injector.partition_drops; f.Sf_faults.Injector.crash_drops;
+            f.Sf_faults.Injector.fault_transitions ]))
+    Strategy.all
+    [ [ 11; 8; 11; 2260; 2260; 0; 1731; 133; 0; 4400; 968; 203; 968; 41; 122; 40; 4 ];
+      [ 8; 6; 8; 6358; 1816; 4542; 1328; 1581; 0; 3200; 719; 193; 719; 31; 122; 40; 4 ];
+      [ 14; 10; 14; 2834; 2834; 0; 2293; 146; 0; 5600; 1216; 211; 1216; 49; 122; 40; 4 ] ]
+
 let suite =
   [
     Alcotest.test_case "shim byte-identity with historical spread" `Quick
@@ -240,4 +307,7 @@ let suite =
       test_push_pull_log_completion;
     Alcotest.test_case "direct beats push on messages at 10k" `Slow
       test_direct_beats_push_messages;
+    Alcotest.test_case "flat spread known answer" `Quick test_flat_known_answer;
+    Alcotest.test_case "sequential spread known answer" `Quick
+      test_sequential_known_answer;
   ]
