@@ -27,6 +27,13 @@ let make_config ~view_size ~lower_threshold =
     invalid_arg "Protocol.make_config: dL must be even";
   { view_size; lower_threshold }
 
+let clamped_config ~capacity ~degree (dl, s) =
+  let even_up x = if x land 1 = 0 then x else x + 1 in
+  let s = min capacity (max s (max 6 (even_up degree))) in
+  let dl = max 0 (min dl (s - 6)) in
+  let dl = if dl land 1 = 0 then dl else dl - 1 in
+  make_config ~view_size:s ~lower_threshold:dl
+
 type message = {
   reinforcement : View.entry;  (* the sender's own id, [u] in [u, w] *)
   mixing : View.entry;         (* the forwarded id, [w] in [u, w] *)

@@ -10,6 +10,13 @@ val make_config : view_size:int -> lower_threshold:int -> config
 (** Validates the paper's constraints: s even, s >= 6, dL even,
     0 <= dL <= s - 6. *)
 
+val clamped_config : capacity:int -> degree:int -> int * int -> config
+(** Clamp a controller target [(dL, s)] to one node: [s] never drops
+    below the node's current outdegree [degree] (retuning evicts nothing;
+    the receive rule stops accepting until decay catches up) nor rises
+    above the allocated view [capacity], and [dL] stays a valid even
+    value in [[0, s - 6]]. *)
+
 type message = {
   reinforcement : View.entry;  (** the sender's own id ([u] in [u,w]) *)
   mixing : View.entry;         (** the forwarded id ([w] in [u,w]) *)

@@ -13,7 +13,10 @@
 
    The runner also provides churn (joins and leaves), snapshots of the
    global membership graph, and the world-level counters used to verify
-   Lemmas 6.6/6.7 (duplication = loss + deletion). *)
+   Lemmas 6.6/6.7 (duplication = loss + deletion).  Both modes and the
+   sharded engine below judge every send through one fault verdict,
+   [Sf_faults.Windows.judge]: the sequential modes via the injector,
+   the sharded engine directly on per-shard loss chains. *)
 
 type scheduling = Poisson of float | Periodic of float
 
@@ -558,12 +561,7 @@ let remove_node t id =
 let bootstrap_from t ~count =
   let donor = random_live_node t in
   let live ids = List.filter (fun id -> Hashtbl.mem t.nodes id) ids in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
-  let ids = take count (live (View.ids donor.Protocol.view)) in
+  let ids = List.filteri (fun k _ -> k < count) (live (View.ids donor.Protocol.view)) in
   let shortfall = count - List.length ids in
   if shortfall <= 0 then ids
   else ids @ List.init shortfall (fun _ -> donor.Protocol.node_id)
@@ -579,6 +577,34 @@ let bootstrap_from t ~count =
    ids from its view, which replace the stale view.  Donated entries are
    copies the donor keeps, so they are anchored at the donor — the same
    dependence accounting as duplication. *)
+
+(* The first dL ids of [donor]'s view, in slot order: what a repair
+   copies. *)
+let donated_prefix t donor =
+  List.filteri
+    (fun k _ -> k < t.config.Protocol.lower_threshold)
+    (View.ids donor.Protocol.view)
+
+(* Replace [node]'s view by the donor's id followed by the [donated] ids,
+   every entry anchored at the donor, then pad with a second donor entry
+   when needed to keep the outdegree even (Observation 5.1).  Slots are
+   drawn from the protocol stream in that order.  Returns the number of
+   entries installed. *)
+let install_donated t node ~donor donated =
+  View.clear_all node.Protocol.view;
+  let installed = ref 0 in
+  let install id =
+    match View.random_empty_slot node.Protocol.view t.protocol_rng with
+    | None -> ()
+    | Some slot ->
+      View.set node.Protocol.view slot
+        { View.id; serial = fresh_serial t (); anchor = Some donor; born = t.actions };
+      incr installed
+  in
+  install donor;
+  List.iter install donated;
+  if View.degree node.Protocol.view mod 2 = 1 then install donor;
+  !installed
 
 type reconnect_result =
   | Reconnected of { donor : int; probes : int; installed : int }
@@ -611,40 +637,14 @@ let reconnect t ~node_id =
         | true, Some donor ->
           let response_arrives = not (Sf_prng.Rng.bernoulli t.protocol_rng loss) in
           if response_arrives then begin
-            let donated =
-              let rec take k = function
-                | [] -> []
-                | _ when k = 0 -> []
-                | e :: tl -> e :: take (k - 1) tl
-              in
-              take t.config.Protocol.lower_threshold (View.entries donor.Protocol.view)
+            let installed =
+              install_donated t node ~donor:donor.Protocol.node_id
+                (donated_prefix t donor)
             in
-            (* Always at least the donor itself. *)
-            View.clear_all node.Protocol.view;
-            let installed = ref 0 in
-            let install id =
-              match View.random_empty_slot node.Protocol.view t.protocol_rng with
-              | None -> ()
-              | Some slot ->
-                View.set node.Protocol.view slot
-                  {
-                    View.id;
-                    serial = fresh_serial t ();
-                    anchor = Some donor.Protocol.node_id;
-                    born = t.actions;
-                  };
-                incr installed
-            in
-            install donor.Protocol.node_id;
-            List.iter (fun (e : View.entry) -> install e.View.id) donated;
-            (* Keep the outdegree even (Observation 5.1). *)
-            if View.degree node.Protocol.view mod 2 = 1 then
-              install donor.Protocol.node_id;
             Sf_obs.Metrics.incr t.total_reconnections;
             trace t (Sf_obs.Trace.Mark { label = "reconnect" });
             emit t (Structural "reconnect");
-            Reconnected
-              { donor = donor.Protocol.node_id; probes = !probes; installed = !installed }
+            Reconnected { donor = donor.Protocol.node_id; probes = !probes; installed }
           end
           else try_candidates rest
         | _ -> try_candidates rest)
@@ -667,38 +667,16 @@ let rebootstrap t ~node_id =
       else pick_donor ()
     in
     let donor = pick_donor () in
-    View.clear_all node.Protocol.view;
-    let installed = ref 0 in
-    let install id =
-      match View.random_empty_slot node.Protocol.view t.protocol_rng with
-      | None -> ()
-      | Some slot ->
-        View.set node.Protocol.view slot
-          {
-            View.id;
-            serial = fresh_serial t ();
-            anchor = Some donor.Protocol.node_id;
-            born = t.actions;
-          };
-        incr installed
+    let installed =
+      install_donated t node ~donor:donor.Protocol.node_id
+        (List.filter
+           (fun id -> id <> node_id && Hashtbl.mem t.nodes id)
+           (donated_prefix t donor))
     in
-    let donated =
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | e :: tl -> e :: take (k - 1) tl
-      in
-      take t.config.Protocol.lower_threshold (View.entries donor.Protocol.view)
-      |> List.filter (fun (e : View.entry) ->
-             e.View.id <> node_id && Hashtbl.mem t.nodes e.View.id)
-    in
-    install donor.Protocol.node_id;
-    List.iter (fun (e : View.entry) -> install e.View.id) donated;
-    if View.degree node.Protocol.view mod 2 = 1 then install donor.Protocol.node_id;
     Sf_obs.Metrics.incr t.total_rebootstraps;
     trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
     emit t (Structural "rebootstrap");
-    !installed
+    installed
 
 (* A node is starved when its view holds no live id: every send is wasted.
    Starvation is transient while other live nodes still hold the node's id
@@ -783,23 +761,11 @@ let rates_since t (baseline : world_counters) =
    repairs under backoff.  Everything here is skipped in one [None] match
    when the layer is disabled. *)
 
-(* Clamp a controller target (dL, s) to one node's situation: s cannot
-   drop below the node's current outdegree (entries are never evicted by
-   retuning — the receive rule stops accepting until decay catches up)
-   nor rise above the allocated view, and dL must stay a valid even value
-   in [0, s - 6]. *)
-let clamped_config ~capacity ~degree (dl, s) =
-  let even_up x = if x land 1 = 0 then x else x + 1 in
-  let s = min capacity (max s (max 6 (even_up degree))) in
-  let dl = max 0 (min dl (s - 6)) in
-  let dl = if dl land 1 = 0 then dl else dl - 1 in
-  Protocol.make_config ~view_size:s ~lower_threshold:dl
-
 let apply_retune t r pair =
   Array.iter
     (fun node ->
       let cfg =
-        clamped_config
+        Protocol.clamped_config
           ~capacity:(View.size node.Protocol.view)
           ~degree:(Protocol.degree node) pair
       in
@@ -978,10 +944,11 @@ let resilience_statistics t =
      Stateful loss processes (the Gilbert–Elliott chain position) are
      per-shard values created from the shared model, so every chain step
      draws from the owning shard's stream; crash and partition windows
-     are pure functions of the round clock, recomputed once per round by
-     the coordinator at the barrier and only read inside the phases.
-     Verdict order per send mirrors [Sf_faults.Injector.judge]: crash
-     drop (no randomness), partition drop (no randomness), chance loss
+     ([Sf_faults.Windows]) are pure functions of the round clock,
+     refreshed once per round by the coordinator at the barrier and only
+     read inside the phases.  Every send is judged by
+     [Sf_faults.Windows.judge], the injector's own verdict: crash drop
+     (no randomness), partition drop (no randomness), chance loss
      (shard-stream draw).  Delay and corruption windows are rejected —
      this engine has no latency model and no wire bytes.
    - [?churn] adds join/leave turnover.  The store is allocated with
@@ -1073,10 +1040,9 @@ module Sharded = struct
     owned : int array;  (* every owned slot, ascending: lo..hi-1, extras *)
     rng : Sf_prng.Rng.t;
     out : arena array;  (* row of the arena matrix: one per destination shard *)
-    loss : Sf_faults.Loss.t option;
+    loss : Sf_faults.Loss.t;
         (* this shard's stateful loss process (Gilbert–Elliott chain
-           position); [None] on the scenario-free path, which must replay
-           the historical stream bit-for-bit *)
+           position); [Iid] without a scenario *)
     mutable cfg_dl : int;  (* live thresholds — rewritten only by the *)
     mutable cfg_s : int;   (* coordinator at barriers (resilience retunes) *)
     mutable live : int;  (* live owned nodes *)
@@ -1140,13 +1106,10 @@ module Sharded = struct
                            shard (churn phase) or the coordinator (barriers) *)
     shards : shard array;
     mutable rounds : int;
-    (* Active-window state: pure functions of (scenario, round), recomputed
+    (* Window activity: a pure function of (scenario, round), refreshed
        once per round by the coordinator before phase I; read-only inside
        the phases. *)
-    mutable active_crashes : (int * int) list;
-    mutable active_parts : int list;
-    window_active : bool array;
-    mutable fault_transitions : int;
+    windows : Sf_faults.Windows.t;
     resil : resil option;
   }
 
@@ -1185,6 +1148,10 @@ module Sharded = struct
       invalid_arg "Runner.Sharded.create: loss rate outside [0, 1)";
     if probe_every < 1 then
       invalid_arg "Runner.Sharded.create: probe_every must be >= 1";
+    let windows =
+      Sf_faults.Windows.create ~n
+        (match scenario with None -> [] | Some sc -> sc.Sf_faults.Scenario.windows)
+    in
     (match scenario with
     | None -> ()
     | Some sc ->
@@ -1259,9 +1226,10 @@ module Sharded = struct
           rng = Sf_prng.Rng.split root;
           out = Array.init shards (fun _ -> arena_create ());
           loss =
-            (match scenario with
-            | None -> None
-            | Some sc -> Some (Sf_faults.Loss.create sc.Sf_faults.Scenario.loss));
+            Sf_faults.Loss.create
+              (match scenario with
+              | None -> Sf_faults.Loss.Iid
+              | Some sc -> sc.Sf_faults.Scenario.loss);
           cfg_dl = config.Protocol.lower_threshold;
           cfg_s = view_size;
           live = hi - lo;
@@ -1333,14 +1301,7 @@ module Sharded = struct
         alive;
         shards = Array.of_list (List.rev !shard_list);
         rounds = 0;
-        active_crashes = [];
-        active_parts = [];
-        window_active =
-          (match scenario with
-          | None -> [||]
-          | Some sc ->
-            Array.make (List.length sc.Sf_faults.Scenario.windows) false);
-        fault_transitions = 0;
+        windows;
         resil;
       }
     in
@@ -1373,56 +1334,8 @@ module Sharded = struct
 
   let shard_of t id = if id < t.n then id / t.chunk else (id - t.n) mod t.shard_count
 
-  (* --- Barrier-time window state (coordinator only) --- *)
-
-  (* Recompute the active crash ranges and partition splits for the round
-     about to run.  Activity is a pure function of the round clock, so the
-     phases can consult it from any shard without synchronization. *)
-  let refresh_windows t =
-    match t.scenario with
-    | None -> ()
-    | Some sc ->
-      let now = float_of_int t.rounds in
-      let crashes = ref [] and parts = ref [] in
-      List.iteri
-        (fun k w ->
-          let active =
-            w.Sf_faults.Scenario.start <= now && now < w.Sf_faults.Scenario.stop
-          in
-          if active <> t.window_active.(k) then begin
-            t.window_active.(k) <- active;
-            t.fault_transitions <- t.fault_transitions + 1
-          end;
-          if active then
-            match w.Sf_faults.Scenario.fault with
-            | Sf_faults.Scenario.Crash { first; last } ->
-              crashes := (first, last) :: !crashes
-            | Sf_faults.Scenario.Partition { parts = p } -> parts := p :: !parts
-            | Sf_faults.Scenario.Delay _ | Sf_faults.Scenario.Corrupt _ -> ())
-        sc.Sf_faults.Scenario.windows;
-      t.active_crashes <- List.rev !crashes;
-      t.active_parts <- List.rev !parts
-
-  (* Checked on every initiation and send during a window: a plain
-     recursion, since a [List.exists] closure would allocate each time. *)
-  let rec in_ranges id = function
-    | [] -> false
-    | (first, last) :: rest -> (id >= first && id <= last) || in_ranges id rest
-
-  let is_crashed t id = in_ranges id t.active_crashes
-
-  (* Same block rule as Sf_faults.Injector: contiguous blocks of the
-     initial id space; joiner ids beyond it wrap by [id mod n]. *)
-  let block t ~parts id =
-    let id = id mod t.n in
-    min (parts - 1) (id * parts / t.n)
-
-  let rec split_by t ~src ~dst = function
-    | [] -> false
-    | parts :: rest ->
-      block t ~parts src <> block t ~parts dst || split_by t ~src ~dst rest
-
-  let partitioned t ~src ~dst = split_by t ~src ~dst t.active_parts
+  let windows t = t.windows
+  let is_crashed t id = Sf_faults.Windows.crashed t.windows id
 
   (* --- Per-shard free list of node slots (ring buffer) --- *)
 
@@ -1547,44 +1460,27 @@ module Sharded = struct
             let m_serial = if duplicated then mint t sh else old_serial in
             let m_born = if duplicated then born else old_born in
             sh.sh_sends <- sh.sh_sends + 1;
-            (* Verdict order mirrors Sf_faults.Injector.judge: crash drop
-               (no randomness), partition drop (no randomness), then the
-               chance-loss draw from this shard's stream. *)
-            if is_crashed t target then begin
-              sh.sh_crash_drops <- sh.sh_crash_drops + 1;
-              if not duplicated then
-                sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-            end
-            else if partitioned t ~src:u ~dst:target then begin
-              sh.sh_partition_drops <- sh.sh_partition_drops + 1;
-              if not duplicated then
-                sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-            end
-            else begin
-              let lost =
-                match sh.loss with
-                | None ->
-                  t.loss_rate > 0. && Sf_prng.Rng.bernoulli sh.rng t.loss_rate
-                | Some l ->
-                  Sf_faults.Loss.drop l sh.rng ~chance:t.loss_rate ~src:u
-                    ~dst:target
-              in
-              if lost then begin
-                sh.sh_lost <- sh.sh_lost + 1;
-                (match sh.loss with
-                | Some l when Sf_faults.Loss.in_burst l ->
-                  sh.sh_burst_drops <- sh.sh_burst_drops + 1
-                | Some _ | None -> ());
-                if not duplicated then
-                  sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
-              end
-              else
-                arena_push
-                  sh.out.(shard_of t target)
-                  ~dst:target ~src:u
-                  ~dup:(if duplicated then 1 else 0)
-                  ~m_id:forwarded ~m_serial ~m_born ~r_serial
-            end
+            let fate =
+              Sf_faults.Windows.judge t.windows sh.loss sh.rng
+                ~chance:t.loss_rate ~src:u ~dst:target
+            in
+            (match fate with
+            | Sf_faults.Windows.Pass ->
+              arena_push
+                sh.out.(shard_of t target)
+                ~dst:target ~src:u
+                ~dup:(if duplicated then 1 else 0)
+                ~m_id:forwarded ~m_serial ~m_born ~r_serial
+            | Sf_faults.Windows.Crashed ->
+              sh.sh_crash_drops <- sh.sh_crash_drops + 1
+            | Sf_faults.Windows.Partitioned ->
+              sh.sh_partition_drops <- sh.sh_partition_drops + 1
+            | Sf_faults.Windows.Lost ->
+              sh.sh_lost <- sh.sh_lost + 1;
+              if Sf_faults.Loss.in_burst sh.loss then
+                sh.sh_burst_drops <- sh.sh_burst_drops + 1);
+            if fate <> Sf_faults.Windows.Pass && not duplicated then
+              sh.sh_dropped_nondup <- sh.sh_dropped_nondup + 1
           end
         end)
       sh.owned
@@ -1699,7 +1595,7 @@ module Sharded = struct
           partition_drops = sum (fun sh -> sh.sh_partition_drops);
           crash_drops = sum (fun sh -> sh.sh_crash_drops);
           corruptions = 0;
-          fault_transitions = t.fault_transitions;
+          fault_transitions = Sf_faults.Windows.transitions t.windows;
         }
 
   let world_counters t =
@@ -1963,7 +1859,7 @@ module Sharded = struct
     (sh.cfg_dl, sh.cfg_s)
 
   let run_round t ~domains =
-    refresh_windows t;
+    Sf_faults.Windows.refresh t.windows ~now:(float_of_int t.rounds);
     (match t.churn_spec with
     | Some spec when spec.churn_rate > 0. ->
       Sf_engine.Par.run ~domains ~tasks:t.shard_count (fun i ->
@@ -1983,11 +1879,13 @@ module Sharded = struct
 
   (* Bit-for-bit world equality: the domain-count determinism oracle.
      Covers the full store (ids, serials, anchors, born stamps, cached
-     degrees), the round clock, the alive map, the window state, every
-     per-shard counter, threshold, free-list position, loss-chain state,
-     mint position and RNG stream position, and the resilience stream
-     when both worlds run one (an observe-only policy draws nothing, so its
-     world still equals its policy-free twin). *)
+     degrees), the round clock, the alive map, whether a scenario is
+     installed, the window state (every window's activity flag and the
+     transition count), every per-shard counter, threshold, free-list
+     position, loss-chain state, mint position and RNG stream position,
+     and the resilience stream when both worlds run one (an observe-only
+     policy draws nothing, so its world still equals its policy-free
+     twin). *)
   let equal a b =
     let free_equal x y =
       x.free_len = y.free_len
@@ -2004,8 +1902,8 @@ module Sharded = struct
     a.n = b.n && a.capacity = b.capacity
     && a.shard_count = b.shard_count
     && a.rounds = b.rounds
-    && a.fault_transitions = b.fault_transitions
-    && a.window_active = b.window_active
+    && Option.is_some a.scenario = Option.is_some b.scenario
+    && Sf_faults.Windows.equal a.windows b.windows
     && a.alive = b.alive
     && Flat.equal a.store b.store
     && (match (a.resil, b.resil) with
@@ -2033,10 +1931,6 @@ module Sharded = struct
            && x.sh_edges_removed = y.sh_edges_removed
            && x.cfg_dl = y.cfg_dl && x.cfg_s = y.cfg_s
            && x.live = y.live && free_equal x y
-           && (match (x.loss, y.loss) with
-              | None, None -> true
-              | Some lx, Some ly ->
-                Sf_faults.Loss.in_burst lx = Sf_faults.Loss.in_burst ly
-              | None, Some _ | Some _, None -> false))
+           && Sf_faults.Loss.in_burst x.loss = Sf_faults.Loss.in_burst y.loss)
          a.shards b.shards
 end

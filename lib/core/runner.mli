@@ -130,9 +130,10 @@ val loss_rate : t -> float
 val injector : t -> Sf_faults.Injector.t option
 (** The shared fault injector, when a scenario is installed.  Read-only
     consumers (e.g. the dissemination layer judging its own messages
-    against the same crash/partition windows) may query it; they must not
-    draw loss verdicts through {!Sf_faults.Injector.judge} with the
-    runner's RNG, which would perturb the membership stream. *)
+    through {!Sf_faults.Windows.judge} on {!Sf_faults.Injector.windows})
+    may query it; they must not draw loss verdicts through
+    {!Sf_faults.Injector.judge} with the runner's RNG, which would perturb
+    the membership stream. *)
 
 val step : t -> unit
 (** Sequential mode: one global action (random initiator, synchronous
@@ -253,11 +254,13 @@ val resilience_statistics : t -> resilience_stats option
     ({!Sharded.equal} is the oracle).
 
     The full robustness stack runs under the same contract: crash and
-    partition windows are recomputed from the round clock at the barrier,
-    stateful loss chains live per shard, churn turns the population over
-    on per-shard free lists (an extra churn phase precedes phase I), and
-    the resilience layer estimates/retunes/repairs at the barrier after
-    phase II — see {!Sharded.create}. *)
+    partition windows ({!Sf_faults.Windows}) are refreshed from the round
+    clock at the barrier, every send is judged by the injector's verdict
+    {!Sf_faults.Windows.judge} on a per-shard stateful loss chain, churn
+    turns the population over on per-shard free lists (an extra churn
+    phase precedes phase I), and the resilience layer
+    estimates/retunes/repairs at the barrier after phase II — see
+    {!Sharded.create}. *)
 
 module Sharded : sig
   type t
@@ -343,7 +346,8 @@ module Sharded : sig
       scenario-free engine bit-for-bit.
 
       Raises [Invalid_argument] on out-of-range arguments, unsupported
-      windows, or [n < 3]. *)
+      windows, or [n < 3], and on any window {!Sf_faults.Injector.create}
+      rejects, with the same message (see {!Sf_faults.Windows.create}). *)
 
   val run_round : t -> domains:int -> unit
   (** One bulk-synchronous round: all initiates, barrier, all
@@ -397,10 +401,11 @@ module Sharded : sig
       (a pure function of the round clock), so the answer is stable —
       and safe to read from any domain — for the whole round. *)
 
-  val partitioned : t -> src:int -> dst:int -> bool
-  (** [true] when an active partition window separates the two ids
-      (same contiguous-block rule as {!Sf_faults.Injector}; joiner ids
-      wrap by [id mod n]).  Stable per round, like {!is_crashed}. *)
+  val windows : t -> Sf_faults.Windows.t
+  (** The world's window state, refreshed at the barrier before each
+      round; a layered engine judges its own messages through
+      {!Sf_faults.Windows.judge} on it.  Stable per round, like
+      {!is_crashed}.  Read it, never {!Sf_faults.Windows.refresh} it. *)
 
   val total_edges : t -> int
   (** Global outdegree sum, from the store's cached degrees. *)

@@ -66,7 +66,7 @@ let arena_push a ~dst ~src ~carried =
 type sshard = {
   sp_owned : int array;  (* owned slots, ascending (the world's order) *)
   sp_rng : Rng.t;
-  sp_loss : Loss.t option;  (* private chain; None on the Iid fast path *)
+  sp_loss : Loss.t;  (* private chain, stepped by this shard's stream *)
   sp_inf : Bytes.t;  (* infection bit per owned slot *)
   sp_out : arena array;  (* rumor rows, one per destination shard *)
   sp_req : arena array;  (* pull-request rows (push-pull) *)
@@ -139,9 +139,8 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   done;
   let loss_model =
     match Sharded.scenario world with
-    | Some sc -> (
-      match sc.Sf_faults.Scenario.loss with Loss.Iid -> None | m -> Some m)
-    | None -> None
+    | Some sc -> sc.Sf_faults.Scenario.loss
+    | None -> Loss.Iid
   in
   (* The engine's streams split from its own root in shard order — same
      discipline as the world's, fully independent of it. *)
@@ -153,7 +152,7 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
         {
           sp_owned = owned.(i);
           sp_rng = Rng.split root;
-          sp_loss = Option.map Loss.create loss_model;
+          sp_loss = Loss.create loss_model;
           sp_inf = Bytes.make olen '\000';
           sp_out = Array.init shards (fun _ -> arena_create ());
           sp_req = Array.init shards (fun _ -> arena_create ());
@@ -229,30 +228,18 @@ let sample_view t rng u =
   end
 
 (* The per-message verdict, judged at send time with the sending shard's
-   RNG: destination crash window, partition window (both round-stable
-   world queries, safe from any domain), then the loss process. *)
+   RNG against the world's round-stable windows (safe from any domain). *)
 let judge t sh ~src ~dst =
   sh.sp_messages <- sh.sp_messages + 1;
-  if Sharded.is_crashed t.world dst then begin
+  match
+    Sf_faults.Windows.judge (Sharded.windows t.world) sh.sp_loss sh.sp_rng
+      ~chance:t.chance ~src ~dst
+  with
+  | Sf_faults.Windows.Pass -> true
+  | Sf_faults.Windows.Crashed | Sf_faults.Windows.Partitioned
+  | Sf_faults.Windows.Lost ->
     sh.sp_lost <- sh.sp_lost + 1;
     false
-  end
-  else if Sharded.partitioned t.world ~src ~dst then begin
-    sh.sp_lost <- sh.sp_lost + 1;
-    false
-  end
-  else begin
-    let dropped =
-      match sh.sp_loss with
-      | Some chain -> Loss.drop chain sh.sp_rng ~chance:t.chance ~src ~dst
-      | None -> t.chance > 0. && Rng.bernoulli sh.sp_rng t.chance
-    in
-    if dropped then begin
-      sh.sp_lost <- sh.sp_lost + 1;
-      false
-    end
-    else true
-  end
 
 let dst_shard t dst = Sharded.shard_of t.world dst
 
@@ -557,6 +544,11 @@ let reached t = t.target_at <> None
    positions, RNG stream positions, coverage history and milestone
    rounds. *)
 let equal a b =
+  let iid l =
+    match Loss.model l with
+    | Loss.Iid -> true
+    | Loss.Gilbert_elliott _ | Loss.Per_link _ -> false
+  in
   Sharded.equal a.world b.world
   && a.strategy = b.strategy && a.fanout = b.fanout
   && a.rounds = b.rounds
@@ -585,10 +577,8 @@ let equal a b =
           && x.sp_recent = y.sp_recent
           && x.sp_recent_head = y.sp_recent_head
           && x.sp_recent_len = y.sp_recent_len
-          && (match (x.sp_loss, y.sp_loss) with
-             | None, None -> true
-             | Some lx, Some ly -> Loss.in_burst lx = Loss.in_burst ly
-             | _ -> false))
+          && iid x.sp_loss = iid y.sp_loss
+          && Loss.in_burst x.sp_loss = Loss.in_burst y.sp_loss)
       then ok := false)
     a.sshards;
   !ok

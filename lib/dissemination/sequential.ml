@@ -121,32 +121,27 @@ let run ?(coverage_target = 0.99) ?(max_rounds = 200) ?loss_rate ?loss_model
       to_dead = 0 }
   in
   let crashed id = Runner.is_crashed runner id in
-  let partitioned ~src ~dst =
-    match Runner.injector runner with
-    | None -> false
-    | Some inj -> Injector.partitioned inj ~src ~dst
+  let injector = Runner.injector runner in
+  let windows =
+    match injector with
+    | Some inj -> Injector.windows inj
+    | None -> Sf_faults.Windows.create ~n:1 []
   in
-  (* The per-message verdict: crash window on the destination, partition,
-     then the loss process — the injector's order, minus corruption (the
-     rumor never leaves memory).  Crashed {e sources} are excluded at the
+  (* The shared verdict: crash window on the destination, partition, then
+     the loss process — the injector's order, minus corruption (the rumor
+     never leaves memory).  Crashed {e sources} are excluded at the
      initiation sites.  Only the loss step draws randomness, and under
      [Iid] it is exactly one Bernoulli draw per message — the contract
      the compat shim's byte-identity rests on. *)
   let judge ~src ~dst =
     cnt.messages <- cnt.messages + 1;
-    if crashed dst then begin
+    Option.iter Injector.refresh injector;
+    match Sf_faults.Windows.judge windows loss rng ~chance ~src ~dst with
+    | Sf_faults.Windows.Pass -> true
+    | Sf_faults.Windows.Crashed | Sf_faults.Windows.Partitioned
+    | Sf_faults.Windows.Lost ->
       cnt.lost <- cnt.lost + 1;
       false
-    end
-    else if partitioned ~src ~dst then begin
-      cnt.lost <- cnt.lost + 1;
-      false
-    end
-    else if Loss.drop loss rng ~chance ~src ~dst then begin
-      cnt.lost <- cnt.lost + 1;
-      false
-    end
-    else true
   in
   (* Same initial table shape and insertion sequence as the historical
      spread, so the fold order — hence the whole replay — matches. *)

@@ -1,7 +1,9 @@
 (** Runtime fault engine: evaluates a {!Scenario} against a driver clock
     and answers, per message, whether it is delivered, dropped (and why) or
     corrupted — plus whether a node is currently crashed and how much extra
-    latency is in force.
+    latency is in force.  Window state and the drop verdict live in
+    {!Windows}; the injector adds the clock, the source-crash check,
+    corruption and the [faults_*] counters.
 
     One injector instance is shared by a driver's send path
     ({!Sf_engine.Network} or {!Sf_net.Driver}) and its scheduler
@@ -44,7 +46,8 @@ val create : ?metrics:Sf_obs.Metrics.t -> scenario:Scenario.t -> n:int -> unit -
     blocks.  The clock defaults to a constant [0.]; drivers must call
     {!set_clock} before running.  [metrics] is the registry receiving the
     [faults_*] counters ({!statistics} reads them back); a private registry
-    is used when omitted. *)
+    is used when omitted.  Raises [Invalid_argument] as {!Windows.create}
+    does. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Install the driver's round clock (see {!Scenario} for the unit). *)
@@ -63,21 +66,18 @@ val transitions : t -> string list
     at fault boundaries. *)
 
 val judge : t -> Sf_prng.Rng.t -> chance:float -> src:int -> dst:int -> verdict
-(** Decide the fate of one message.  Checks, in order: crash windows
-    (source or destination frozen), partitions, the loss process, then
-    corruption.  [chance] is the driver's configured drop probability for
-    this destination (used by the i.i.d. process only). *)
+(** Decide the fate of one message: {!refresh}, a crashed source, then
+    {!Windows.judge} (crashed destination, partition, the loss process),
+    then corruption.  [chance] is the driver's configured drop probability
+    for this destination (used by the i.i.d. process only). *)
 
 val is_crashed : t -> int -> bool
 (** [true] while some active crash window covers the id.  Drivers must not
     let crashed nodes initiate; {!Sf_check.Invariant} flags violations. *)
 
-val partitioned : t -> src:int -> dst:int -> bool
-(** [true] when an active partition window puts [src] and [dst] in
-    different blocks (contiguous blocks of the initial id space; joiner
-    ids wrap by [id mod n]).  A pure read of the window state — no
-    randomness, no counters; call {!refresh} first if the clock may have
-    advanced since the last query. *)
+val windows : t -> Windows.t
+(** The window state {!judge} reads.  A layered engine that judges its own
+    messages through {!Windows.judge} calls {!refresh} first. *)
 
 val crash_active : t -> bool
 (** [true] iff some crash window is currently active. *)

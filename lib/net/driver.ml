@@ -330,18 +330,15 @@ let set_partition_filter t ~parts =
   | _ -> ());
   t.filter_parts <- parts
 
-(* The injector's partition arithmetic, applied locally: every process
+(* The injector's partition block rule, applied locally: every process
    computes the same block for the same id, so the drop decision is
    consistent cluster-wide without coordination. *)
 let filtered t ~src ~dst =
   match t.filter_parts with
   | None -> false
   | Some parts ->
-    let block id =
-      let id = ((id mod t.n_global) + t.n_global) mod t.n_global in
-      min (parts - 1) (id * parts / t.n_global)
-    in
-    block src <> block dst
+    Sf_faults.Windows.block ~n:t.n_global ~parts src
+    <> Sf_faults.Windows.block ~n:t.n_global ~parts dst
 
 let shutdown t =
   Array.iter
@@ -460,17 +457,6 @@ let enqueue_frame t (ns : node_state) ~destination ~message ~corrupt =
   q.batched <- q.batched + 1;
   if q.batched >= Codec.max_batch then flush_destination t destination q
 
-(* Clamp a controller target (dL, s) to this node: s never drops below the
-   current outdegree (nothing is evicted; the receive rule stops accepting
-   until decay catches up) nor rises above the allocated view, and dL must
-   stay a valid even value in [0, s - 6]. *)
-let clamped_config ~capacity ~degree (dl, s) =
-  let even_up x = if x land 1 = 0 then x else x + 1 in
-  let s = min capacity (max s (max 6 (even_up degree))) in
-  let dl = max 0 (min dl (s - 6)) in
-  let dl = if dl land 1 = 0 then dl else dl - 1 in
-  Sf_core.Protocol.make_config ~view_size:s ~lower_threshold:dl
-
 (* Per-node resilience tick, run after each initiation: feed the node's
    estimator from its own counters, and let its controller walk (dL, s)
    toward the section 6.3 solution for the estimated loss.  The
@@ -500,7 +486,7 @@ let resil_tick t (ns : node_state) =
       | None -> ()
       | Some pair ->
         ns.config <-
-          clamped_config
+          Sf_core.Protocol.clamped_config
             ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
             ~degree:(Sf_core.Protocol.degree node) pair;
         Sf_obs.Metrics.incr t.c_retunes;
