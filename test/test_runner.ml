@@ -201,6 +201,69 @@ let prop_edge_ledger =
       in
       Digraph.edge_count (Runner.membership_graph r) = expected)
 
+(* --- Known answer: a lossy, churning, self-tuning sequential world,
+   pinned so a refactor of the step rule cannot move it --- *)
+
+(* A wrapping polynomial hash of every live view, in node-id order: each
+   slot's id, serial, anchor (-1 for none) and born stamp, -1 for an
+   empty slot. *)
+let views_hash r =
+  let h = ref 0 in
+  let mix v = h := (!h * 1_000_003) + v in
+  Array.iter
+    (fun node ->
+      mix node.Protocol.node_id;
+      let view = node.Protocol.view in
+      for slot = 0 to Sf_core.View.size view - 1 do
+        match Sf_core.View.get view slot with
+        | None -> mix (-1)
+        | Some e ->
+          mix e.Sf_core.View.id;
+          mix e.Sf_core.View.serial;
+          mix (Option.value ~default:(-1) e.Sf_core.View.anchor);
+          mix e.Sf_core.View.born
+      done)
+    (Runner.live_nodes r);
+  !h
+
+(* n = 300, loss 0.1, s = 10, dL = 4, one leave and one join (a 4-id
+   bootstrap) every round.  The two-level solver asks for dL = 2 while
+   the loss estimate is below 0.1 and dL = 4 above, so the controller
+   retunes as the estimate settles; sends duplicate and full views
+   delete throughout. *)
+let test_known_answer () =
+  let solve ~loss = ((if loss < 0.1 then 2 else 4), 10) in
+  let resilience =
+    Sf_resil.Policy.make ~hysteresis:0.01 ~estimator_window:300 ~cooldown:3 ~solve ()
+  in
+  let config = Protocol.make_config ~view_size:10 ~lower_threshold:4 in
+  let n = 300 in
+  let topology = Topology.regular (Sf_prng.Rng.create 1300) ~n ~out_degree:6 in
+  let r = Runner.create ~resilience ~seed:13 ~n ~loss_rate:0.1 ~config ~topology () in
+  let churn = Sf_prng.Rng.create 31 in
+  for _ = 1 to 30 do
+    Runner.run_rounds r 1;
+    let live = Runner.live_nodes r in
+    let leaver = live.(Sf_prng.Rng.int churn (Array.length live)) in
+    ignore (Runner.remove_node r leaver.Protocol.node_id);
+    ignore (Runner.add_node r ~bootstrap:(Runner.bootstrap_from r ~count:4))
+  done;
+  let c = Runner.world_counters r in
+  let retunes =
+    match Runner.resilience_statistics r with
+    | Some rs -> rs.Runner.retunes
+    | None -> Alcotest.fail "resilience statistics missing"
+  in
+  Alcotest.(check bool) "the controller retuned" true (retunes >= 1);
+  Alcotest.(check bool) "a send duplicated" true (c.Runner.duplications >= 1);
+  Alcotest.(check bool) "a receive deleted" true (c.Runner.deletions >= 1);
+  Alcotest.(check (list int)) "world counters"
+    [ 9000; 6207; 2793; 191; 2488; 70; 247; 1; 4904 ]
+    [ c.Runner.actions; c.Runner.self_loops; c.Runner.sends;
+      c.Runner.duplications; c.Runner.receipts; c.Runner.deletions;
+      c.Runner.messages_lost; retunes; Runner.minted_serials r ];
+  Alcotest.(check int) "live views hash" (-2532282327167131190) (views_hash r)
+
 let suite =
   [
     Alcotest.test_case "topology applied" `Quick test_create_applies_topology;
@@ -217,4 +280,5 @@ let suite =
     Alcotest.test_case "timed mode (periodic)" `Quick test_timed_mode_periodic;
     Alcotest.test_case "timed join" `Quick test_timed_join_participates;
     Alcotest.test_case "no-loss edge conservation" `Quick test_no_loss_conserves_edges;
+    Alcotest.test_case "known answer" `Quick test_known_answer;
   ]
