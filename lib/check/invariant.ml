@@ -44,14 +44,11 @@ let violation invariant fmt = Fmt.kstr (fun detail -> { invariant; detail }) fmt
 (* The View API maintains the cached degree itself, so this can only fail
    if the cache logic regresses — which is exactly what it guards. *)
 let check_view view =
-  let occupied = ref 0 in
-  for i = 0 to View.size view - 1 do
-    match View.get view i with Some _ -> incr occupied | None -> ()
-  done;
-  if !occupied <> View.degree view then
+  let occupied = View.Flat.recount_degree view 0 in
+  if occupied <> View.degree view then
     Some
       (violation "view-soundness" "cached degree %d but %d occupied slots"
-         (View.degree view) !occupied)
+         (View.degree view) occupied)
   else None
 
 let check_degree ?(require_even = true) ~config node =

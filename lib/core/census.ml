@@ -15,79 +15,65 @@ type t = {
   alpha : float;  (* measured fraction of independent entries *)
 }
 
-let summarize ~total ~self_edges ~anchored ~parallel ~dependent =
-  let alpha =
-    if total = 0 then 1.
-    else 1. -. (float_of_int dependent /. float_of_int total)
-  in
+(* Label counts, accumulated row by row. *)
+type tally = {
+  mutable total : int;
+  mutable self : int;
+  mutable anchor : int;
+  mutable parallel : int;
+  mutable dependent : int;
+}
+
+(* The labelling of row [u] of a packed store, owned by node [owner]: one
+   pass over the slots, no entry materialization and no allocation.  An
+   entry is a parallel copy when an earlier slot of the same row holds its
+   id — a scan of at most s - 1 slots, cheaper than hashing at view
+   sizes. *)
+let label_row tally store u ~owner =
+  for slot = 0 to View.Flat.view_size store - 1 do
+    let id = View.Flat.id_at store u slot in
+    if id >= 0 then begin
+      tally.total <- tally.total + 1;
+      let is_self = id = owner in
+      let is_anchored = View.Flat.anchor_at store u slot >= 0 in
+      let earlier = ref 0 in
+      while !earlier < slot && View.Flat.id_at store u !earlier <> id do
+        incr earlier
+      done;
+      let is_parallel = !earlier < slot in
+      if is_self then tally.self <- tally.self + 1;
+      if is_anchored then tally.anchor <- tally.anchor + 1;
+      if is_parallel then tally.parallel <- tally.parallel + 1;
+      if is_self || is_anchored || is_parallel then
+        tally.dependent <- tally.dependent + 1
+    end
+  done
+
+let census label =
+  let tally = { total = 0; self = 0; anchor = 0; parallel = 0; dependent = 0 } in
+  label tally;
   {
-    total_entries = total;
-    self_edges;
-    anchored;
-    parallel_surplus = parallel;
-    dependent_entries = dependent;
-    alpha;
+    total_entries = tally.total;
+    self_edges = tally.self;
+    anchored = tally.anchor;
+    parallel_surplus = tally.parallel;
+    dependent_entries = tally.dependent;
+    alpha =
+      (if tally.total = 0 then 1.
+       else 1. -. (float_of_int tally.dependent /. float_of_int tally.total));
   }
 
+(* A view is row 0 of a one-node store. *)
 let of_views views =
-  let total = ref 0 in
-  let self_edges = ref 0 in
-  let anchored = ref 0 in
-  let parallel = ref 0 in
-  let dependent = ref 0 in
-  let seen = Hashtbl.create 64 in
-  Seq.iter
-    (fun (owner, view) ->
-      Hashtbl.reset seen;
-      View.iter
-        (fun _ e ->
-          incr total;
-          let is_self = e.View.id = owner in
-          let is_anchored = e.View.anchor <> None in
-          let is_parallel = Hashtbl.mem seen e.View.id in
-          Hashtbl.replace seen e.View.id ();
-          if is_self then incr self_edges;
-          if is_anchored then incr anchored;
-          if is_parallel then incr parallel;
-          if is_self || is_anchored || is_parallel then incr dependent)
-        view)
-    views;
-  summarize ~total:!total ~self_edges:!self_edges ~anchored:!anchored
-    ~parallel:!parallel ~dependent:!dependent
+  census (fun tally ->
+      Seq.iter (fun (owner, view) -> label_row tally view 0 ~owner) views)
 
-(* Same labelling over a packed world: one pass per node over the flat
-   slots, no entry materialization and no allocation.  An entry is a
-   parallel copy when an earlier slot of the same row holds its id — a
-   scan of at most s - 1 slots, cheaper than hashing at view sizes. *)
+(* Row [u] of a world store is owned by node [u]. *)
 let of_flat store =
-  let n = View.Flat.node_count store in
-  let s = View.Flat.view_size store in
-  let total = ref 0 in
-  let self_edges = ref 0 in
-  let anchored = ref 0 in
-  let parallel = ref 0 in
-  let dependent = ref 0 in
-  for u = 0 to n - 1 do
-    for slot = 0 to s - 1 do
-      let id = View.Flat.id_at store u slot in
-      if id >= 0 then begin
-        incr total;
-        let is_self = id = u in
-        let is_anchored = View.Flat.anchor_at store u slot >= 0 in
-        let earlier = ref 0 in
-        while !earlier < slot && View.Flat.id_at store u !earlier <> id do
-          incr earlier
-        done;
-        let is_parallel = !earlier < slot in
-        if is_self then incr self_edges;
-        if is_anchored then incr anchored;
-        if is_parallel then incr parallel;
-        if is_self || is_anchored || is_parallel then incr dependent
-      end
-    done
-  done;
-  summarize ~total:!total ~self_edges:!self_edges ~anchored:!anchored
-    ~parallel:!parallel ~dependent:!dependent
+  census (fun tally ->
+      for u = 0 to View.Flat.node_count store - 1 do
+        label_row tally store u ~owner:u
+      done)
 
 let pp ppf t =
   Fmt.pf ppf "entries=%d self=%d anchored=%d parallel=%d dependent=%d alpha=%.4f"

@@ -16,7 +16,8 @@ val of_views : (int * View.t) Seq.t -> t
 
 val of_flat : View.Flat.t -> t
 (** Same labelling over a packed {!View.Flat} world (owner of row [u] is
-    node [u]) without materializing entries or hashing — no allocation
-    beyond the result at any [n]. *)
+    node [u]).  Both functions run one row labeller, which neither
+    materializes entries nor hashes: beyond the result, a census allocates
+    a constant few words at any [n]. *)
 
 val pp : Format.formatter -> t -> unit

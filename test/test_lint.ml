@@ -241,6 +241,29 @@ let test_real_sources () =
     ~path:"lib/core/clock.ml" clock;
   check_quiet "lib/obs/clock.ml" ~path:"lib/obs/clock.ml" clock
 
+(* --- one-step-rule --- *)
+
+let test_one_step_rule_fires () =
+  check_fires "qualified draw" ~rule:"one-step-rule" ~path:"lib/core/runner.ml"
+    "let j = Sf_prng.Rng.other rng 16 i";
+  check_fires "draw under open Sf_prng" ~rule:"one-step-rule"
+    ~path:"lib/net/driver.ml" "let j = Rng.other rng 16 i";
+  check_fires "bench too" ~rule:"one-step-rule" ~path:"bench/bad.ml"
+    "let j = Sf_prng.Rng.other rng 8 0";
+  check_fires "examples too" ~rule:"one-step-rule" ~path:"examples/bad.ml"
+    "let j = Sf_prng.Rng.other rng 8 0"
+
+let test_one_step_rule_exempts_protocol () =
+  (* The row kernel really draws the slot pair (the same source fires
+     under any other path) — and really is exempt. *)
+  let protocol = read "../lib/core/protocol.ml" in
+  check_fires "protocol.ml draws the slot pair" ~rule:"one-step-rule"
+    ~path:"lib/core/runner.ml" protocol;
+  check_quiet "lib/core/protocol.ml" ~path:"lib/core/protocol.ml" protocol;
+  (* Tests exercise the draw directly. *)
+  check_quiet "test/ is out of scope" ~path:"test/test_prng.ml"
+    "let j = Rng.other rng 16 i"
+
 let suite =
   [
     Alcotest.test_case "determinism fires" `Quick test_determinism_fires;
@@ -267,4 +290,7 @@ let suite =
     Alcotest.test_case "allowlist is rule-specific" `Quick test_allowlist_is_rule_specific;
     Alcotest.test_case "allowlist reports stale entries" `Quick test_allowlist_reports_stale_entries;
     Alcotest.test_case "real sources" `Quick test_real_sources;
+    Alcotest.test_case "one-step-rule fires" `Quick test_one_step_rule_fires;
+    Alcotest.test_case "one-step-rule exempts lib/core/protocol.ml" `Quick
+      test_one_step_rule_exempts_protocol;
   ]

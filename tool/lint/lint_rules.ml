@@ -215,6 +215,28 @@ let rules =
         ];
     };
     {
+      id = "one-step-rule";
+      doc =
+        "the S&F slot-pair draw Rng.other may appear only in \
+         lib/core/protocol.ml, whose row kernel is every engine's step \
+         rule; lib/, bin/, bench/ and examples/ call Protocol instead of \
+         re-deriving the draw";
+      applies =
+        (fun path ->
+          is_source path
+          && path <> "lib/core/protocol.ml"
+          && List.exists
+               (fun dir -> String.starts_with ~prefix:dir path)
+               [ "lib/"; "bin/"; "bench/"; "examples/" ]);
+      tokens =
+        [
+          ( "Rng.other",
+            "a second copy of the step rule — run Protocol.initiate_row" );
+          ( "Sf_prng.Rng.other",
+            "a second copy of the step rule — run Protocol.initiate_row" );
+        ];
+    };
+    {
       id = "no-obj-magic";
       doc = "Obj.magic is forbidden everywhere";
       applies = is_source;
