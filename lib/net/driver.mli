@@ -130,7 +130,9 @@ type statistics = {
   datagrams_crash_dropped : int;  (** discarded on arrival at a crashed node *)
   datagrams_oversized : int;      (** longer than the wire format allows *)
   datagrams_truncated : int;      (** shorter than their layout declares *)
-  decode_errors : int;            (** undecodable (magic/version/kind/count) *)
+  decode_errors : int;
+      (** undecodable datagrams (magic/version/kind/count), plus CRC-clean
+          frames with an id or anchor that {!Sf_core.View.fits} refuses *)
   send_errors : int;
   rejoins : int;                  (** crash-restart recoveries (resilience mode) *)
   retunes : int;                  (** per-node threshold retunes (resilience mode) *)

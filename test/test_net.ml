@@ -495,6 +495,56 @@ let test_driver_v1_v2_interop () =
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
         | _ -> false))
 
+(* A forged peer sends CRC-clean frames whose ids or anchors no view can
+   hold (the wire carries int64s; views hold 32-bit ids).  The driver
+   counts each as a decode error instead of crashing in the receive
+   step.  A frame born past 2^31 actions is legitimate — a long-lived
+   peer's — and is delivered. *)
+let test_driver_refuses_out_of_lane_frames () =
+  let base_port = 49400 in
+  let d = make_slice ~n:8 ~count:8 ~first:0 ~base_port () in
+  let foreign = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Driver.shutdown d;
+      Unix.close foreign)
+    (fun () ->
+      Unix.bind foreign (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      let entry ?anchor ?(born = 0) id = { Sf_core.View.id; serial = 1; anchor; born } in
+      let frame r m = { Sf_core.Protocol.reinforcement = r; mixing = m } in
+      let forged =
+        [
+          frame (entry 1) (entry (1 lsl 40));
+          frame (entry (-5)) (entry 2);
+          frame (entry 1) (entry ~anchor:(1 lsl 33) 2);
+        ]
+      in
+      let long_lived = frame (entry ~born:(1 lsl 40) 1) (entry ~born:(1 lsl 40) 2) in
+      let sent = ref 0 in
+      let send_forged () =
+        incr sent;
+        List.iter
+          (fun packet ->
+            ignore
+              (Unix.sendto foreign packet 0 (Bytes.length packet) []
+                 (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + (!sent mod 8)))))
+          (Codec.encode_batch (long_lived :: forged))
+      in
+      send_forged ();
+      Driver.add_periodic d ~every:0.1 send_forged;
+      Driver.run d ~duration:0.6;
+      let s = Driver.statistics d in
+      let forged_sent = List.length forged * !sent in
+      Alcotest.(check bool)
+        (Printf.sprintf "forged frames counted as decode errors (%d of %d)"
+           s.Driver.decode_errors forged_sent)
+        true
+        (s.Driver.decode_errors >= List.length forged
+        && s.Driver.decode_errors <= forged_sent
+        && s.Driver.decode_errors mod List.length forged = 0);
+      Alcotest.(check bool) "the run kept gossiping" true
+        (s.Driver.actions > 100 && s.Driver.messages_received > 0))
+
 (* --- Node-host and spawner --- *)
 
 module Nodehost = Sf_net.Nodehost
@@ -719,4 +769,6 @@ let suite =
       test_spawner_smoke;
     Alcotest.test_case "codec v2 golden bytes" `Quick test_v2_golden_bytes;
     QCheck_alcotest.to_alcotest prop_decoder_fuzz;
+    Alcotest.test_case "driver refuses out-of-lane frames" `Quick
+      test_driver_refuses_out_of_lane_frames;
   ]
