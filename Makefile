@@ -45,9 +45,9 @@ storm: build
 # partition, a crash wave — under the full self-healing policy, first on
 # the audited simulator (estimator accuracy checked against the
 # injector's ground truth) and then on a UDP loopback cluster with
-# crash/rebind.  The RSOAK bench section re-runs the simulator leg and
-# writes BENCH_resil.json, the artifact CI uploads.  Nonzero exit on any
-# failed verdict.
+# crash/rebind; nonzero exit on any failed verdict.  Then the RSOAK bench
+# section soaks a second world (s=16, dL=6, d_hat=10, no recovery
+# fallback) and prints its checks.
 soak: build
 	dune exec bin/sfg.exe -- soak --port 48400
 	dune exec bench/main.exe -- RSOAK
@@ -64,34 +64,31 @@ obs: build
 
 # Scale smoke (budget: well under a minute): the sharded flat-state
 # engine at n = 10^4 under the strict round-granular audit and the
-# domain-count determinism cross-check, then the SCALE10 bench section
-# which writes BENCH_scale.json.  The full million-node ladder is
-# `dune exec bench/main.exe -- SCALE`.
+# domain-count determinism cross-check on 1, 2 and 4 domains.  The full
+# million-node ladder is `dune exec bench/main.exe -- SCALE`.
 scale: build
 	dune exec bin/sfg.exe -- scale --n 10000 --rounds 30 --loss 0.05 \
-	  --audit --verify-domains 2
-	dune exec bench/main.exe -- SCALE10
+	  --audit --verify-domains
 
 # Chaos-at-scale gate (budget: well under a minute): the sharded engine
 # at n = 10^4 under a mixed GE + partition + crash scenario with churn
-# and the adaptive resilience stack, audited strictly and cross-checked
-# for domain-count determinism, then the SSTORM bench section which
-# writes BENCH_sstorm.json.  Exit codes follow storm/soak: 1 on an audit
-# or determinism failure or a failed verdict, 2 when a declared fault
-# class never engaged.
+# and the adaptive resilience stack re-solving for d_hat = 8, audited
+# strictly and cross-checked for domain-count determinism on 1, 2 and 4
+# domains.  Exit codes follow storm/soak: 1 on an audit or determinism
+# failure or an unconfident loss estimator, 2 when nothing failed but a
+# declared fault class never engaged or churn turned no node over.
 storm-scale: build
 	dune exec bin/sfg.exe -- scale --n 10000 --rounds 30 \
 	  --scenario "ge:0.2:8;partition@5-12:2;crash@15-20:0-999" \
-	  --churn 0.01 --headroom 1024 --resilience --audit --verify-domains 2
-	dune exec bench/main.exe -- SSTORM
+	  --churn 0.01 --headroom 1024 --resilience --d-hat 8 --audit \
+	  --verify-domains
 
 # Dissemination gate (budget: well under a minute): a push-pull rumor
 # spread over live views at n = 10^4 under bursty loss with the
 # domain-count determinism cross-check, then the SPREAD10 bench section
 # — the strategy x loss grid at n = 10^3, 10^4 with the coverage,
-# log2-envelope and direct-beats-push checks — which writes
-# BENCH_spread.json.  The full ladder to n = 10^6 is
-# `dune exec bench/main.exe -- SPREAD`.
+# log2-envelope and direct-beats-push checks.  The full ladder to
+# n = 10^6 is `dune exec bench/main.exe -- SPREAD`.
 spread: build
 	dune exec bin/sfg.exe -- spread --strategy push-pull --n 10000 \
 	  --scenario "ge:0.2:8" --verify-domains
@@ -100,14 +97,12 @@ spread: build
 # Multi-process cluster gate (budget: well under a minute): fork 8 real
 # node-host processes (256 UDP sockets) under bursty loss with a crash
 # window realized as a genuine kill -9 plus controller respawn, gating on
-# M1 bounds, parity and weak connectivity of the merged post-heal views;
-# then the CLUSTER bench section re-runs it and writes BENCH_cluster.json
-# (datagrams/s, batch-fill, per-action p50/p99).
-# Exit codes follow storm/soak: 1 on a failed verdict, 2 when a declared
-# fault class left no process-level evidence.
+# M1 bounds, parity and weak connectivity of the merged post-heal views,
+# and printing datagrams/s, batch fill and per-action p50/p99.
+# Exit codes follow storm/soak: 1 on a failed verdict, 2 when nothing
+# failed but a declared fault class left no process-level evidence.
 cluster: build
 	dune exec bin/sfg.exe -- cluster --quiet --port 47200
-	dune exec bench/main.exe -- CLUSTER
 
 bench:
 	dune exec bench/main.exe

@@ -8,10 +8,8 @@
      from the registry, checking the registry migration is a pure rename;
    - degree-marginal TVD of the instrumented run against the degree MC.
 
-   The numbers are also returned as a Json value; the harness main merges
-   it with per-section wall times into the BENCH_obs.json artifact.  (The
-   payload used to be stashed in a module-level ref — a shared-state
-   hazard under sf_analyze; now it flows through the return value.) *)
+   The numbers are also written to BENCH_obs.json, the artifact CI
+   uploads. *)
 
 module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
@@ -27,6 +25,13 @@ let lower_threshold = 18
 let loss = 0.05
 let population = 1000
 let rounds = 120
+let artifact_path = "BENCH_obs.json"
+
+let write_artifact json =
+  Out_channel.with_open_text artifact_path (fun oc ->
+      output_string oc (Json.to_string json);
+      output_string oc "\n");
+  Fmt.pr "  (wrote %s)@." artifact_path
 
 let make_system ?obs ~seed () =
   let config = Protocol.make_config ~view_size ~lower_threshold in
@@ -177,3 +182,4 @@ let run () =
       ("degree_tvd", Json.Float tvd);
       ("metrics", Metrics.to_json m);
     ]
+  |> write_artifact

@@ -9,10 +9,7 @@
      recovery path vs the manual Churn.recover_connectivity call;
    - RSOAK: a compact chaos soak (bursty loss, partition, crash wave)
      under the full policy and the Warn audit — the CI gate behind
-     `make soak`.
-
-   Every section folds its numbers into BENCH_resil.json (rewritten after
-   each section, so partial invocations still leave a valid artifact). *)
+     `make soak`. *)
 
 module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
@@ -25,13 +22,6 @@ module Loss = Sf_faults.Loss
 module Injector = Sf_faults.Injector
 module Invariant = Sf_check.Invariant
 module Policy = Sf_resil.Policy
-module Json = Sf_obs.Json
-
-(* Each section returns its (id, payload) pair; the harness main
-   accumulates them and rewrites BENCH_resil.json after every section.
-   (The accumulator used to be a module-level ref — a shared-state hazard
-   under sf_analyze; now the state lives in the driver.) *)
-let record id json = (id, json)
 
 (* The production solver wiring: section 6.3 re-solved for the estimated
    loss, clamped below the select_lossy domain bound. *)
@@ -110,25 +100,7 @@ let fig_res1 () =
     (adaptive_err <= 0.10);
   Output.check
     (Fmt.str "static thresholds drift further (off by %.1f%%)" (100. *. static_err))
-    (static_err > adaptive_err);
-  record "res1"
-    (Json.Obj
-       [
-         ("d_hat", Json.Float target);
-         ( "ramp",
-           Json.List
-             (List.map2
-                (fun (loss, ms) (_, ma) ->
-                  Json.Obj
-                    [
-                      ("loss", Json.Float loss);
-                      ("static_mean_degree", Json.Float ms);
-                      ("adaptive_mean_degree", Json.Float ma);
-                    ])
-                static adaptive) );
-         ("adaptive_final_error", Json.Float adaptive_err);
-         ("static_final_error", Json.Float static_err);
-       ])
+    (static_err > adaptive_err)
 
 (* --- RES2: supervised vs manual time-to-reconnect --- *)
 
@@ -201,15 +173,7 @@ let fig_res2 () =
   Output.check "both arms reconnected"
     (manual_rounds < max_int && supervised_rounds < max_int);
   Output.check "supervised reconnects at least as fast as manual"
-    (supervised_rounds <= manual_rounds);
-  record "res2"
-    (Json.Obj
-       [
-         ("manual_rounds", Json.Int manual_rounds);
-         ("supervised_rounds", Json.Int supervised_rounds);
-         ("repair_attempts", Json.Int attempts);
-         ("recoveries", Json.Int recoveries);
-       ])
+    (supervised_rounds <= manual_rounds)
 
 (* --- RSOAK: the CI soak gate --- *)
 
@@ -266,16 +230,4 @@ let rsoak () =
   Output.check "overlay connected after the chaos" connected;
   Output.check
     (Fmt.str "estimate within 0.08 of injector truth (err %.4f)" err)
-    (err <= 0.08);
-  record "rsoak"
-    (Json.Obj
-       [
-         ("violations", Json.Int stats.Invariant.violation_count);
-         ("connected", Json.Bool connected);
-         ("loss_estimate", Json.Float estimate);
-         ("injector_truth", Json.Float truth);
-         ("estimator_error", Json.Float err);
-         ("retunes", Json.Int retunes);
-         ("repair_attempts", Json.Int repairs);
-         ("recoveries", Json.Int recoveries);
-       ])
+    (err <= 0.08)

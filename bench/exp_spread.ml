@@ -1,5 +1,5 @@
 (* SPREAD: rumor dissemination over live S&F views at scale (ROADMAP
-   item 3), written to BENCH_spread.json.
+   item 3).
 
    The grid crosses the three spreading strategies (push, push-pull,
    direct-addressed) with two loss regimes — none, and Gilbert-Elliott
@@ -19,15 +19,13 @@
      1 vs 2 domains (Flat.equal), the layered determinism contract.
 
    [run ~smoke:true] is the CI gate (n = 10^3, 10^4; well under a
-   minute).  The full ladder adds n = 10^5 and 10^6 — the artifact
-   behind the committed BENCH_spread.json. *)
+   minute).  The full ladder adds n = 10^5 and 10^6. *)
 
 module Sharded = Sf_core.Runner.Sharded
 module Protocol = Sf_core.Protocol
 module Strategy = Sf_spread.Strategy
 module Flat = Sf_spread.Flat
 module Report = Sf_spread.Report
-module Json = Sf_obs.Json
 
 let seed = 42
 let shards = 16
@@ -56,7 +54,6 @@ type leg = {
   strategy : Strategy.t;
   regime : string;
   n : int;
-  seconds : float;
   report : Report.t;
   envelope : float;
 }
@@ -75,7 +72,7 @@ let spread_leg ~strategy ~regime ~n ~domains () =
   let report = Flat.run ~max_rounds ~domains sp in
   let seconds = elapsed () in
   let envelope = Strategy.envelope ~c:envelope_c ~n in
-  let leg = { strategy; regime = regime.r_label; n; seconds; report; envelope } in
+  let leg = { strategy; regime = regime.r_label; n; report; envelope } in
   Output.row
     "  %-9s %-5s n=%7d  rounds99=%-3s  env=%5.1f  msgs=%9d  msgs/node=%5.1f  \
      dup=%8d  lost=%7d  %6.2fs@."
@@ -88,18 +85,6 @@ let spread_leg ~strategy ~regime ~n ~domains () =
     (float_of_int report.Report.messages /. float_of_int n)
     report.Report.duplicates report.Report.lost seconds;
   leg
-
-let json_of_leg leg =
-  Json.Obj
-    [
-      ("strategy", Json.String (Strategy.to_string leg.strategy));
-      ("regime", Json.String leg.regime);
-      ("n", Json.Int leg.n);
-      ("fanout", Json.Int fanout);
-      ("seconds", Json.Float leg.seconds);
-      ("envelope_rounds", Json.Float leg.envelope);
-      ("report", Report.to_json leg.report);
-    ]
 
 (* The layered determinism contract, checked in anger: a chaos spread
    (bursty loss + churn) on 1 vs 2 domains, bit-for-bit. *)
@@ -202,25 +187,4 @@ let run ~smoke () =
       (fun (what, _) -> Fmt.epr "SPREAD: failed check: %s@." what)
       failed;
     failwith "SPREAD: a dissemination check failed"
-  end;
-  Json.Obj
-    [
-      ( "config",
-        Json.Obj
-          [
-            ("view_size", Json.Int config.Protocol.view_size);
-            ("lower_threshold", Json.Int config.Protocol.lower_threshold);
-            ("shards", Json.Int shards);
-            ("fanout", Json.Int fanout);
-            ("target", Json.Float target);
-            ("warmup", Json.Int warmup);
-            ("max_rounds", Json.Int max_rounds);
-            ("envelope_c", Json.Float envelope_c);
-            ("seed", Json.Int seed);
-            ("domains", Json.Int domains);
-          ] );
-      ("legs", Json.List (List.map json_of_leg legs));
-      ( "checks",
-        Json.Obj
-          (List.rev_map (fun (what, ok) -> (what, Json.Bool ok)) !checks) );
-    ]
+  end

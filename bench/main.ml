@@ -1,154 +1,63 @@
 (* Reproduction harness: regenerates every figure and table of the paper's
-   evaluation (see DESIGN.md for the experiment index), then times the
-   machinery with Bechamel micro-benchmarks.
-
-   Every run also writes BENCH_obs.json: per-section wall times plus — when
-   the OBS section ran — the observability payload (Lemma 6.6 balance,
-   degree-marginal TVD, instrumentation overhead, metrics snapshot).  The
-   resilience sections contribute to BENCH_resil.json, rewritten after each
-   section so a partial run still leaves a valid artifact.
-
-   Artifact payloads flow through section return values into driver-local
-   state — no module-level refs (sf_analyze's shared-state inventory gates
-   on that).
+   evaluation (see DESIGN.md for the experiment index), plus the
+   observability, resilience, scale and dissemination sections.  Each
+   section prints its tables and checks to stdout; only OBS writes a file,
+   BENCH_obs.json.
 
    Run everything:          dune exec bench/main.exe
    Run selected sections:   dune exec bench/main.exe -- F6.1 F6.3
    List sections:           dune exec bench/main.exe -- --list *)
 
-module Json = Sf_obs.Json
-
-(* What a section hands back to the driver, beyond stdout. *)
-type payload =
-  | Quiet
-  | Obs of Json.t  (* the OBS observability payload for BENCH_obs.json *)
-  | Resil of string * Json.t  (* one BENCH_resil.json section *)
-  | Scale of Json.t  (* the scale ladder, written to BENCH_scale.json *)
-  | Sstorm of Json.t  (* the chaos-at-scale gate, written to BENCH_sstorm.json *)
-  | Spread of Json.t  (* the dissemination grid, written to BENCH_spread.json *)
-  | Cluster of Json.t  (* the multi-process gate, written to BENCH_cluster.json *)
-
-let quiet f () =
-  f ();
-  Quiet
-
-let resil f () =
-  let id, json = f () in
-  Resil (id, json)
-
 let experiments =
   [
-    ("F5.2", quiet Exp_degrees.fig_5_2);
-    ("F6.1", quiet Exp_degrees.fig_6_1);
-    ("T6.3", quiet Exp_degrees.table_6_3);
-    ("F6.3", quiet Exp_degrees.fig_6_3);
-    ("L6.6", quiet Exp_degrees.table_6_7);
-    ("F6.4", quiet Exp_churn.fig_6_4);
-    ("C6.14", quiet Exp_churn.table_6_14);
-    ("L7.6", quiet Exp_independence.table_7_6);
-    ("F7.1", quiet Exp_independence.fig_7_1);
-    ("T7.4", quiet Exp_independence.table_7_4);
-    ("L7.15", quiet Exp_independence.table_7_15);
-    ("L7.5", quiet Exp_independence.table_7_5);
-    ("B1", quiet Exp_baselines.table_baselines);
-    ("B2", quiet Exp_baselines.table_random_walk);
-    ("A1", quiet Exp_ablations.ablation_scheduler);
-    ("A2", quiet Exp_ablations.ablation_sender_weighting);
-    ("A3", quiet Exp_ablations.ablation_duplication);
-    ("A4", quiet Exp_ablations.ablation_variants);
-    ("A5", quiet Exp_ablations.ablation_reconnection);
-    ("G1", quiet Exp_extensions.graph_quality);
-    ("M1", quiet Exp_extensions.degree_mc_mixing);
-    ("B3", quiet Exp_extensions.minwise_vs_views);
-    ("B4", quiet Exp_extensions.cyclon_age_rule);
-    ("P1", quiet Exp_extensions.partition_healing);
-    ("FA1", quiet Exp_faults.bursty_vs_iid);
-    ("FA2", quiet Exp_faults.fault_recovery);
-    ("N1", quiet Exp_robustness.nonuniform_loss);
-    ("CH1", quiet Exp_robustness.session_churn);
-    ("R1", quiet Exp_robustness.dissemination);
-    ("U1", quiet Exp_robustness.udp_crosscheck);
-    ("OBS", fun () -> Obs (Exp_obs.run ()));
-    ("RES1", resil Exp_resilience.fig_res1);
-    ("RES2", resil Exp_resilience.fig_res2);
-    ("RSOAK", resil Exp_resilience.rsoak);
-    ("SCALE", fun () -> Scale (Exp_scale.run ~smoke:false ()));
-    ("SCALE10", fun () -> Scale (Exp_scale.run ~smoke:true ()));
-    ("SSTORM", fun () -> Sstorm (Exp_scale.sstorm ()));
-    ("SPREAD", fun () -> Spread (Exp_spread.run ~smoke:false ()));
-    ("SPREAD10", fun () -> Spread (Exp_spread.run ~smoke:true ()));
-    ("CLUSTER", fun () -> Cluster (Exp_cluster.run ()));
-    ("SPEED", quiet Speed.run);
+    ("F5.2", Exp_degrees.fig_5_2);
+    ("F6.1", Exp_degrees.fig_6_1);
+    ("T6.3", Exp_degrees.table_6_3);
+    ("F6.3", Exp_degrees.fig_6_3);
+    ("L6.6", Exp_degrees.table_6_7);
+    ("F6.4", Exp_churn.fig_6_4);
+    ("C6.14", Exp_churn.table_6_14);
+    ("L7.6", Exp_independence.table_7_6);
+    ("F7.1", Exp_independence.fig_7_1);
+    ("T7.4", Exp_independence.table_7_4);
+    ("L7.15", Exp_independence.table_7_15);
+    ("L7.5", Exp_independence.table_7_5);
+    ("B1", Exp_baselines.table_baselines);
+    ("B2", Exp_baselines.table_random_walk);
+    ("A1", Exp_ablations.ablation_scheduler);
+    ("A2", Exp_ablations.ablation_sender_weighting);
+    ("A3", Exp_ablations.ablation_duplication);
+    ("A4", Exp_ablations.ablation_variants);
+    ("A5", Exp_ablations.ablation_reconnection);
+    ("G1", Exp_extensions.graph_quality);
+    ("M1", Exp_extensions.degree_mc_mixing);
+    ("B3", Exp_extensions.minwise_vs_views);
+    ("B4", Exp_extensions.cyclon_age_rule);
+    ("P1", Exp_extensions.partition_healing);
+    ("FA1", Exp_faults.bursty_vs_iid);
+    ("FA2", Exp_faults.fault_recovery);
+    ("N1", Exp_robustness.nonuniform_loss);
+    ("CH1", Exp_robustness.session_churn);
+    ("R1", Exp_robustness.dissemination);
+    ("U1", Exp_robustness.udp_crosscheck);
+    ("OBS", Exp_obs.run);
+    ("RES1", Exp_resilience.fig_res1);
+    ("RES2", Exp_resilience.fig_res2);
+    ("RSOAK", Exp_resilience.rsoak);
+    ("SCALE", Exp_scale.run);
+    ("SPREAD", Exp_spread.run ~smoke:false);
+    ("SPREAD10", Exp_spread.run ~smoke:true);
   ]
 
-let artifact_path = "BENCH_obs.json"
-let resil_artifact_path = "BENCH_resil.json"
-let scale_artifact_path = "BENCH_scale.json"
-let sstorm_artifact_path = "BENCH_sstorm.json"
-let spread_artifact_path = "BENCH_spread.json"
-let cluster_artifact_path = "BENCH_cluster.json"
-
-let write_json path json =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string json);
-      output_string oc "\n")
-
-let write_artifact timings obs =
-  let json =
-    Json.Obj
-      [
-        ( "sections",
-          Json.List
-            (List.map
-               (fun (id, seconds) ->
-                 Json.Obj
-                   [
-                     ("id", Json.String id);
-                     ("seconds", Json.Float seconds);
-                   ])
-               timings) );
-        ("obs", obs);
-      ]
-  in
-  write_json artifact_path json;
-  Fmt.pr "@.Wrote %s (%d sections).@." artifact_path (List.length timings)
-
-(* Run the sections in order, collecting wall times and payloads.  The
-   tree's single wall clock lives in Sf_obs.Clock. *)
+(* Run the sections in order, reporting each one's wall time.  The tree's
+   single wall clock lives in Sf_obs.Clock. *)
 let run_sections sections =
-  let obs_payload = ref Json.Null in
-  let resil_sections = ref [] in
-  let timings =
-    List.map
-      (fun (id, f) ->
-        let elapsed = Sf_obs.Clock.stopwatch ~clock:Sf_obs.Clock.wall in
-        let payload = f () in
-        let seconds = elapsed () in
-        (match payload with
-        | Quiet -> ()
-        | Obs json -> obs_payload := json
-        | Resil (key, json) ->
-          resil_sections :=
-            (key, json) :: List.filter (fun (k, _) -> k <> key) !resil_sections;
-          write_json resil_artifact_path (Json.Obj (List.rev !resil_sections));
-          Fmt.pr "  (updated %s)@." resil_artifact_path
-        | Scale json ->
-          write_json scale_artifact_path json;
-          Fmt.pr "  (wrote %s)@." scale_artifact_path
-        | Sstorm json ->
-          write_json sstorm_artifact_path json;
-          Fmt.pr "  (wrote %s)@." sstorm_artifact_path
-        | Spread json ->
-          write_json spread_artifact_path json;
-          Fmt.pr "  (wrote %s)@." spread_artifact_path
-        | Cluster json ->
-          write_json cluster_artifact_path json;
-          Fmt.pr "  (wrote %s)@." cluster_artifact_path);
-        Fmt.pr "  (%s finished in %.1fs)@." id seconds;
-        (id, seconds))
-      sections
-  in
-  write_artifact timings !obs_payload
+  List.iter
+    (fun (id, f) ->
+      let elapsed = Sf_obs.Clock.stopwatch ~clock:Sf_obs.Clock.wall in
+      f ();
+      Fmt.pr "  (%s finished in %.1fs)@." id (elapsed ()))
+    sections
 
 let () =
   let args =

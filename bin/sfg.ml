@@ -19,16 +19,19 @@ module Pmf = Sf_stats.Pmf
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let n_arg =
-  Arg.(value & opt int 1000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+let n_arg default =
+  Arg.(
+    value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
-let view_size_arg =
-  Arg.(value & opt int 40 & info [ "s"; "view-size" ] ~docv:"S" ~doc:"View size s (even).")
+let view_size_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "s"; "view-size" ] ~docv:"S" ~doc:"View size s (even).")
 
-let lower_threshold_arg =
+let lower_threshold_arg default =
   Arg.(
     value
-    & opt int 18
+    & opt int default
     & info [ "dl"; "lower-threshold" ] ~docv:"DL"
         ~doc:"Lower outdegree threshold dL (even).")
 
@@ -50,6 +53,60 @@ let delta_arg =
     & opt float 0.01
     & info [ "delta" ] ~docv:"D" ~doc:"Duplication/deletion probability budget.")
 
+let port_arg default =
+  Arg.(value & opt int default & info [ "port" ] ~docv:"PORT" ~doc:"First UDP port.")
+
+(* --- Sharded-engine arguments (shared by scale and spread) --- *)
+
+let shards_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "shards" ] ~docv:"S"
+        ~doc:
+          "Logical shard count of the sharded engine — part of the run's \
+           identity (changing it changes the run; changing --domains does not).")
+
+let domains_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"K"
+        ~doc:
+          "Domains to run on (default: the recommended domain count, capped at \
+           the shard count).  Any value produces the same run.")
+
+let resolve_domains ~shards = function
+  | Some d -> d
+  | None -> max 1 (min shards (Domain.recommended_domain_count ()))
+
+let churn_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "churn" ] ~docv:"RATE"
+        ~doc:
+          "Per-round leave probability of each live node on the sharded engine; \
+           every leave is matched by a join, keeping the population stationary \
+           under RATE turnover.")
+
+let headroom_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "headroom" ] ~docv:"SLOTS"
+        ~doc:
+          "Extra node slots for churn beyond n (depth of the id-reuse delay), \
+           rounded up to a multiple of the shard count.")
+
+let sharded_churn ~churn_rate ~headroom =
+  if churn_rate > 0. then Some { Runner.Sharded.churn_rate; headroom } else None
+
+let verify_domains_arg =
+  Arg.(
+    value & flag
+    & info [ "verify-domains" ]
+        ~doc:
+          "Replay the run on 1, 2 and 4 domains and require bit-for-bit equal \
+           end states; exit 1 on divergence.")
+
 let make_runner ?scenario ?obs ?resilience ~seed ~n ~view_size ~lower_threshold ~loss
     () =
   let config = Protocol.make_config ~view_size ~lower_threshold in
@@ -67,6 +124,14 @@ let d_hat_arg =
     & opt int 30
     & info [ "d-hat" ] ~docv:"D"
         ~doc:"Target mean outdegree the adaptive controller re-solves for.")
+
+let resilience_arg =
+  Arg.(
+    value & flag
+    & info [ "resilience" ]
+        ~doc:
+          "Install the self-healing layer: online loss estimation, adaptive \
+           (dL, s) retuning toward --d-hat, supervised recovery.")
 
 (* The section 6.3 solver, re-solved online for the estimated loss.  The
    estimate is clamped below [select_lossy]'s 0.5 domain bound: past that
@@ -95,7 +160,7 @@ let print_resilience_statistics r =
   | None -> ()
   | Some rs -> print_resilience_stats rs
 
-(* --- Fault scenarios (shared by check and storm) --- *)
+(* --- Fault scenarios --- *)
 
 let scenario_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Sf_faults.Scenario.of_string s) in
@@ -114,37 +179,103 @@ let scenario_arg =
            delay@A-B:F (latency multiplier), corrupt@A-B:R (per-message corruption \
            probability).  Window times A-B are in rounds.")
 
+(* A gate's built-in scenario, written in the --scenario syntax. *)
+let default_scenario spec =
+  match Sf_faults.Scenario.of_string spec with
+  | Ok sc -> sc
+  | Error e -> Fmt.failwith "default scenario %S: %s" spec e
+
+let declares kind (scenario : Sf_faults.Scenario.t) =
+  List.exists
+    (fun w -> Sf_faults.Scenario.fault_kind w.Sf_faults.Scenario.fault = kind)
+    scenario.Sf_faults.Scenario.windows
+
+(* --- Gate verdicts (check, storm, soak, cluster, spread, scale) --- *)
+
+(* Every gate collects its findings here and ends in [finish].  A failure
+   (a broken invariant, a diverging replay, a missed target) exits 1.  A
+   dead fault class — a declared fault that left no evidence, so the plan
+   never engaged — exits 2, but only when nothing failed: a dead class
+   never hides a real failure.  Every finding is printed either way. *)
+module Verdict = struct
+  type t = { mutable failures : string list; mutable dead : string list }
+
+  let create () = { failures = []; dead = [] }
+  let fail v fmt = Fmt.kstr (fun m -> v.failures <- m :: v.failures) fmt
+  let dead v fmt = Fmt.kstr (fun m -> v.dead <- m :: v.dead) fmt
+
+  let finish v cmd =
+    List.iter (Fmt.epr "%s: %s@." cmd) (List.rev v.failures);
+    List.iter (Fmt.epr "%s: %s@." cmd) (List.rev v.dead);
+    if v.failures <> [] then exit 1
+    else if v.dead <> [] then exit 2
+    else Fmt.pr "%s: OK@." cmd
+end
+
 (* Every fault class a scenario declares must leave evidence in the
-   injector counters.  A silent zero means the fault plan never actually
-   engaged — a misconfigured window or a regressed injector — which is a
-   different failure from an invariant violation, so storm and scale give
-   it its own exit code (2).  Returns the dead classes, empty when the
-   verdict holds. *)
-let dead_fault_classes ~scenario fs =
-  let missing = ref [] in
-  let expect what count = if count = 0 then missing := what :: !missing in
-  (match scenario.Sf_faults.Scenario.loss with
-  | Sf_faults.Loss.Gilbert_elliott _ ->
-    expect "bursty loss declared but zero burst drops"
-      fs.Sf_faults.Injector.burst_drops
-  | Sf_faults.Loss.Iid | Sf_faults.Loss.Per_link _ -> ());
-  let declares kind =
-    List.exists
-      (fun w -> Sf_faults.Scenario.fault_kind w.Sf_faults.Scenario.fault = kind)
-      scenario.Sf_faults.Scenario.windows
-  in
-  if declares "partition" then
-    expect "partition declared but zero partition drops"
-      fs.Sf_faults.Injector.partition_drops;
-  if declares "crash" then
-    expect "crash declared but zero crash drops" fs.Sf_faults.Injector.crash_drops;
-  if declares "corrupt" then
-    expect "corruption declared but zero corruptions"
-      fs.Sf_faults.Injector.corruptions;
-  if scenario.Sf_faults.Scenario.windows <> [] then
-    expect "fault windows declared but zero window transitions"
-      fs.Sf_faults.Injector.fault_transitions;
-  List.rev !missing
+   injector counters.  A silent zero means a misconfigured window or a
+   regressed injector, not an invariant violation. *)
+let injector_verdict v scenario = function
+  | None -> Verdict.dead v "scenario declared but no injector statistics"
+  | Some fs ->
+    let expect what count =
+      if count = 0 then Verdict.dead v "injector verdict: %s" what
+    in
+    (match scenario.Sf_faults.Scenario.loss with
+    | Sf_faults.Loss.Gilbert_elliott _ ->
+      expect "bursty loss declared but zero burst drops"
+        fs.Sf_faults.Injector.burst_drops
+    | Sf_faults.Loss.Iid | Sf_faults.Loss.Per_link _ -> ());
+    if declares "partition" scenario then
+      expect "partition declared but zero partition drops"
+        fs.Sf_faults.Injector.partition_drops;
+    if declares "crash" scenario then
+      expect "crash declared but zero crash drops" fs.Sf_faults.Injector.crash_drops;
+    if declares "corrupt" scenario then
+      expect "corruption declared but zero corruptions"
+        fs.Sf_faults.Injector.corruptions;
+    if scenario.Sf_faults.Scenario.windows <> [] then
+      expect "fault windows declared but zero window transitions"
+        fs.Sf_faults.Injector.fault_transitions
+
+(* The stable invariants of a cluster view — soundness, the M1 bounds and
+   parity (every protocol transition moves ids in pairs).  The UDP
+   clusters have no per-action audit hook, so their final views are
+   checked with this. *)
+let check_cluster_view v ~view_size id view =
+  (match Sf_check.Invariant.check_view view with
+  | Some viol ->
+    Verdict.fail v "cluster node %d: %a" id Sf_check.Invariant.pp_violation viol
+  | None -> ());
+  let d = Sf_core.View.degree view in
+  if d < 0 || d > view_size || d mod 2 <> 0 then
+    Verdict.fail v "cluster node %d: outdegree %d violates M1 bounds or parity" id d
+
+(* The domain-count determinism contract: [run k] builds a fresh world and
+   runs it on k domains; the runs on 2 and 4 domains must end bit-for-bit
+   equal to the 1-domain run, which is built once. *)
+let domain_oracle v ~what ~equal run =
+  let reference = run 1 in
+  List.iter
+    (fun k ->
+      let ok = equal reference (run k) in
+      Fmt.pr "determinism: %s: %d-domain run %s the 1-domain run@." what k
+        (if ok then "bit-identical to" else "DIVERGES from");
+      if not ok then
+        Verdict.fail v "%s: %d-domain run diverges from the 1-domain run" what k)
+    [ 2; 4 ]
+
+(* A split overlay gets one more chance, the rendezvous recovery rule; a
+   split it cannot heal fails the gate. *)
+let heal_split v r =
+  if not (Properties.is_weakly_connected r) then begin
+    Fmt.pr "overlay split by the fault plan; invoking rendezvous recovery...@.";
+    match Sf_core.Churn.recover_connectivity r with
+    | Some (recovery_rounds, rebootstraps) ->
+      Fmt.pr "reconnected after %d recovery rounds (%d rebootstraps)@."
+        recovery_rounds rebootstraps
+    | None -> Verdict.fail v "overlay split and unhealable"
+  end
 
 let print_fault_statistics fs =
   Fmt.pr
@@ -202,19 +333,11 @@ let simulate_cmd =
   let timed =
     Arg.(value & flag & info [ "timed" ] ~doc:"Run the timed (event-driven) model.")
   in
-  let resilience =
-    Arg.(
-      value & flag
-      & info [ "resilience" ]
-          ~doc:
-            "Install the self-healing layer: online loss estimation, adaptive \
-             (dL, s) retuning toward --d-hat, supervised recovery.")
-  in
   let doc = "Run an S&F system and report degree, independence and rate statistics." in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const simulate $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 400 $ timed $ resilience $ d_hat_arg $ delta_arg)
+      const simulate $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 400 $ timed $ resilience_arg $ d_hat_arg $ delta_arg)
 
 (* --- degree-mc --- *)
 
@@ -248,7 +371,7 @@ let degree_mc_cmd =
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Print the full distributions.") in
   let doc = "Solve the section 6.2 degree Markov chain to its fixed point." in
   Cmd.v (Cmd.info "degree-mc" ~doc)
-    Term.(const degree_mc $ view_size_arg $ lower_threshold_arg $ loss_arg $ full)
+    Term.(const degree_mc $ view_size_arg 40 $ lower_threshold_arg 18 $ loss_arg $ full)
 
 (* --- thresholds --- *)
 
@@ -295,7 +418,7 @@ let decay_cmd =
   let doc = "Print the Lemma 6.10 decay bound for a departed node's id." in
   Cmd.v (Cmd.info "decay" ~doc)
     Term.(
-      const decay $ loss_arg $ delta_arg $ lower_threshold_arg $ view_size_arg
+      const decay $ loss_arg $ delta_arg $ lower_threshold_arg 18 $ view_size_arg 40
       $ rounds_arg 500)
 
 (* --- alpha --- *)
@@ -342,7 +465,7 @@ let temporal_cmd =
   in
   let doc = "Temporal-independence bound tau_eps (section 7.5)." in
   Cmd.v (Cmd.info "temporal" ~doc)
-    Term.(const temporal $ n_arg $ view_size_arg $ de $ alpha_v $ eps)
+    Term.(const temporal $ n_arg 1000 $ view_size_arg 40 $ de $ alpha_v $ eps)
 
 (* --- connectivity --- *)
 
@@ -390,8 +513,8 @@ let churn_cmd =
   let doc = "Leave-decay and join-integration experiments (section 6.5)." in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      const churn $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 200)
+      const churn $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 200)
 
 (* --- baselines --- *)
 
@@ -425,7 +548,9 @@ let baselines seed n view_size loss rounds =
 let baselines_cmd =
   let doc = "Compare S&F against the section 3.1 baseline protocols." in
   Cmd.v (Cmd.info "baselines" ~doc)
-    Term.(const baselines $ seed_arg $ n_arg $ view_size_arg $ loss_arg $ rounds_arg 300)
+    Term.(
+      const baselines $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ loss_arg
+      $ rounds_arg 300)
 
 (* --- global-mc --- *)
 
@@ -473,8 +598,8 @@ let walk_cmd =
   let doc = "Random-walk sampling under loss (section 3.1 comparison)." in
   Cmd.v (Cmd.info "walk" ~doc)
     Term.(
-      const walk $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ length $ attempts)
+      const walk $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ length $ attempts)
 
 (* --- quality --- *)
 
@@ -498,8 +623,8 @@ let quality_cmd =
   let doc = "Expander quality of the steady-state membership graph (section 2)." in
   Cmd.v (Cmd.info "quality" ~doc)
     Term.(
-      const quality $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 300)
+      const quality $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 300)
 
 (* --- mixing --- *)
 
@@ -536,17 +661,22 @@ let mixing view_size lower_threshold loss =
 let mixing_cmd =
   let doc = "Mixing diagnostics of the degree Markov chain." in
   Cmd.v (Cmd.info "mixing" ~doc)
-    Term.(const mixing $ view_size_arg $ lower_threshold_arg $ loss_arg)
+    Term.(const mixing $ view_size_arg 40 $ lower_threshold_arg 18 $ loss_arg)
 
 (* --- udp --- *)
 
-let udp seed n view_size lower_threshold loss duration base_port =
-  let config = Protocol.make_config ~view_size ~lower_threshold in
+(* The start overlay of the UDP commands: a regular digraph of even
+   outdegree midway between dL and s. *)
+let udp_topology ~seed ~n ~view_size ~lower_threshold =
   let out_degree =
     let d = min (n - 1) ((view_size + lower_threshold) / 2) in
     if d mod 2 = 0 then d else d - 1
   in
-  let topology = Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree in
+  Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree
+
+let udp seed n view_size lower_threshold loss duration base_port =
+  let config = Protocol.make_config ~view_size ~lower_threshold in
+  let topology = udp_topology ~seed ~n ~view_size ~lower_threshold in
   let c =
     Sf_net.Driver.create ~base_port ~n ~config ~loss_rate:loss ~seed ~topology ()
   in
@@ -573,44 +703,42 @@ let udp_cmd =
   let duration =
     Arg.(value & opt float 3. & info [ "duration" ] ~docv:"SEC" ~doc:"Wall-clock seconds.")
   in
-  let base_port =
-    Arg.(value & opt int 47000 & info [ "port" ] ~docv:"PORT" ~doc:"First UDP port.")
-  in
   let n_small =
     Arg.(value & opt int 64 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Nodes (<= ~500).")
   in
   let doc = "Run S&F over real UDP sockets on the loopback interface." in
   Cmd.v (Cmd.info "udp" ~doc)
     Term.(
-      const udp $ seed_arg $ n_small $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ duration $ base_port)
+      const udp $ seed_arg $ n_small $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ duration $ port_arg 47000)
 
 (* --- check --- *)
 
 let check seed n view_size lower_threshold loss rounds warn scan_every scenario =
+  let v = Verdict.create () in
   let r = make_runner ?scenario ~seed ~n ~view_size ~lower_threshold ~loss () in
   (match scenario with
   | Some sc -> Fmt.pr "scenario:          %s@." (Sf_faults.Scenario.to_string sc)
   | None -> ());
   let mode = if warn then Sf_check.Invariant.Warn else Sf_check.Invariant.Strict in
-  match Sf_check.Invariant.audited_run ~mode ~scan_every r ~rounds with
-  | exception Sf_check.Invariant.Violation v ->
-    Fmt.epr "invariant violation after %d actions: %a@." (Runner.action_count r)
-      Sf_check.Invariant.pp_violation v;
-    exit 1
+  (match Sf_check.Invariant.audited_run ~mode ~scan_every r ~rounds with
+  | exception Sf_check.Invariant.Violation viol ->
+    Verdict.fail v "invariant violation after %d actions: %a" (Runner.action_count r)
+      Sf_check.Invariant.pp_violation viol
   | stats ->
     Fmt.pr "actions audited:   %d@." stats.Sf_check.Invariant.actions_checked;
     Fmt.pr "full scans:        %d@." stats.Sf_check.Invariant.full_scans;
     Fmt.pr "baseline resyncs:  %d@." stats.Sf_check.Invariant.resyncs;
     Fmt.pr "violations:        %d@." stats.Sf_check.Invariant.violation_count;
     List.iter
-      (fun v -> Fmt.pr "  %a@." Sf_check.Invariant.pp_violation v)
+      (fun viol -> Fmt.pr "  %a@." Sf_check.Invariant.pp_violation viol)
       (List.rev stats.Sf_check.Invariant.violations);
-    (match Runner.fault_statistics r with
-    | Some fs -> print_fault_statistics fs
-    | None -> ());
-    print_system_state r;
-    if stats.Sf_check.Invariant.violation_count > 0 then exit 1
+    if stats.Sf_check.Invariant.violation_count > 0 then
+      Verdict.fail v "%d invariant violations under the audit"
+        stats.Sf_check.Invariant.violation_count);
+  Option.iter print_fault_statistics (Runner.fault_statistics r);
+  print_system_state r;
+  Verdict.finish v "check"
 
 let check_cmd =
   let warn =
@@ -633,8 +761,51 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const check $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 100 $ warn $ scan_every $ scenario_arg)
+      const check $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 100 $ warn $ scan_every $ scenario_arg)
+
+(* --- The UDP loopback leg of storm and soak --- *)
+
+let udp_nodes_arg =
+  Arg.(
+    value & opt int 48
+    & info [ "udp-nodes" ] ~docv:"N" ~doc:"Cluster size for the UDP leg.")
+
+let no_udp_arg = Arg.(value & flag & info [ "no-udp" ] ~doc:"Skip the UDP cluster leg.")
+
+(* The simulator's scenario replayed on a real socket cluster of
+   [udp_nodes], one round per 5 ms; every final view is checked.  Returns
+   the driver's statistics for the caller's own verdicts. *)
+let udp_leg v ?resilience ~seed ~view_size ~lower_threshold ~loss ~scenario
+    ~udp_nodes ~base_port ~rounds () =
+  let period = 0.005 in
+  let c =
+    Sf_net.Driver.create ~period ~scenario ?resilience ~base_port ~n:udp_nodes
+      ~config:(Protocol.make_config ~view_size ~lower_threshold)
+      ~loss_rate:loss ~seed
+      ~topology:(udp_topology ~seed ~n:udp_nodes ~view_size ~lower_threshold)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Sf_net.Driver.shutdown c)
+    (fun () ->
+      Sf_net.Driver.run c ~duration:(float_of_int rounds *. period);
+      let stats = Sf_net.Driver.statistics c in
+      Fmt.pr
+        "messages:    %d sent, %d dropped, %d received, %d corrupted, %d delayed \
+         batches, %d crash-dropped datagrams, %d CRC-rejected frames, %d decode \
+         errors; %d rejoins, %d retunes@."
+        stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
+        stats.Sf_net.Driver.messages_received stats.Sf_net.Driver.datagrams_corrupted
+        stats.Sf_net.Driver.datagrams_delayed
+        stats.Sf_net.Driver.datagrams_crash_dropped
+        stats.Sf_net.Driver.frames_crc_rejected stats.Sf_net.Driver.decode_errors
+        stats.Sf_net.Driver.rejoins stats.Sf_net.Driver.retunes;
+      Option.iter print_fault_statistics (Sf_net.Driver.fault_statistics c);
+      Seq.iter
+        (fun (id, view) -> check_cluster_view v ~view_size id view)
+        (Sf_net.Driver.views c);
+      stats)
 
 (* --- storm --- *)
 
@@ -646,180 +817,52 @@ let default_storm_scenario =
 
 let storm seed n view_size lower_threshold loss rounds scenario udp_nodes base_port
     no_udp =
+  let v = Verdict.create () in
   let scenario =
     match scenario with
     | Some sc -> sc
-    | None -> (
-      match Sf_faults.Scenario.of_string default_storm_scenario with
-      | Ok sc -> sc
-      | Error e -> Fmt.failwith "default storm scenario: %s" e)
+    | None -> default_scenario default_storm_scenario
   in
   Fmt.pr "scenario:    %s@." (Sf_faults.Scenario.to_string scenario);
   Fmt.pr "-- simulator (sequential actions, strict audit)@.";
   let r = make_runner ~scenario ~seed ~n ~view_size ~lower_threshold ~loss () in
   (match Sf_check.Invariant.audited_run ~mode:Sf_check.Invariant.Strict r ~rounds with
-  | exception Sf_check.Invariant.Violation v ->
-    Fmt.epr "invariant violation after %d actions: %a@." (Runner.action_count r)
-      Sf_check.Invariant.pp_violation v;
-    exit 1
+  | exception Sf_check.Invariant.Violation viol ->
+    Verdict.fail v "invariant violation after %d actions: %a" (Runner.action_count r)
+      Sf_check.Invariant.pp_violation viol
   | stats ->
     Fmt.pr "audited:     %d actions, %d full scans, %d baseline resyncs@."
       stats.Sf_check.Invariant.actions_checked stats.Sf_check.Invariant.full_scans
       stats.Sf_check.Invariant.resyncs);
-  (match Runner.fault_statistics r with
-  | Some fs -> print_fault_statistics fs
-  | None -> ());
-  (* Injector verdict: see [dead_fault_classes]. *)
-  (match Runner.fault_statistics r with
-  | None ->
-    Fmt.epr "storm: scenario declared but no injector statistics@.";
-    exit 2
-  | Some fs ->
-    match dead_fault_classes ~scenario fs with
-    | [] -> ()
-    | failures ->
-      List.iter (fun f -> Fmt.epr "storm: injector verdict: %s@." f) failures;
-      exit 2);
-  if Properties.is_weakly_connected r then Fmt.pr "connected:   true@."
-  else begin
-    Fmt.pr "overlay split by the fault plan; invoking rendezvous recovery...@.";
-    match Sf_core.Churn.recover_connectivity r with
-    | Some (recovery_rounds, rebootstraps) ->
-      Fmt.pr "reconnected after %d recovery rounds (%d rebootstraps)@."
-        recovery_rounds rebootstraps
-    | None ->
-      Fmt.epr "recovery failed to reconnect the overlay@.";
-      exit 1
-  end;
+  let fs = Runner.fault_statistics r in
+  Option.iter print_fault_statistics fs;
+  injector_verdict v scenario fs;
+  heal_split v r;
   if not no_udp then begin
     Fmt.pr "-- UDP cluster (loopback, same scenario)@.";
-    let config = Protocol.make_config ~view_size ~lower_threshold in
-    let out_degree =
-      let d = min (udp_nodes - 1) ((view_size + lower_threshold) / 2) in
-      if d mod 2 = 0 then d else d - 1
-    in
-    let topology =
-      Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n:udp_nodes ~out_degree
-    in
-    let period = 0.005 in
-    let c =
-      Sf_net.Driver.create ~period ~scenario ~base_port ~n:udp_nodes ~config
-        ~loss_rate:loss ~seed ~topology ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Sf_net.Driver.shutdown c)
-      (fun () ->
-        Sf_net.Driver.run c ~duration:(float_of_int rounds *. period);
-        let stats = Sf_net.Driver.statistics c in
-        Fmt.pr
-          "messages:    %d sent, %d dropped, %d received, %d corrupted, %d delayed \
-           batches, %d crash-dropped datagrams, %d CRC-rejected frames, %d decode errors@."
-          stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
-          stats.Sf_net.Driver.messages_received
-          stats.Sf_net.Driver.datagrams_corrupted
-          stats.Sf_net.Driver.datagrams_delayed
-          stats.Sf_net.Driver.datagrams_crash_dropped
-          stats.Sf_net.Driver.frames_crc_rejected
-          stats.Sf_net.Driver.decode_errors;
-        (match Sf_net.Driver.fault_statistics c with
-        | Some fs -> print_fault_statistics fs
-        | None -> ());
-        (* The cluster has no per-action audit hook, but the stable
-           invariants — view soundness, M1 bounds, parity (every protocol
-           transition moves ids in pairs) — are checkable on its views. *)
-        let violations = ref 0 in
-        Seq.iter
-          (fun (id, view) ->
-            (match Sf_check.Invariant.check_view view with
-            | Some v ->
-              incr violations;
-              Fmt.epr "node %d: %a@." id Sf_check.Invariant.pp_violation v
-            | None -> ());
-            let d = Sf_core.View.degree view in
-            if d < 0 || d > view_size || d mod 2 <> 0 then begin
-              incr violations;
-              Fmt.epr "node %d: outdegree %d violates M1 bounds or parity@." id d
-            end)
-          (Sf_net.Driver.views c);
-        if !violations > 0 then begin
-          Fmt.epr "cluster views: %d violations@." !violations;
-          exit 1
-        end;
-        Fmt.pr "cluster:     view soundness, M1 bounds and parity all hold@.")
+    ignore
+      (udp_leg v ~seed ~view_size ~lower_threshold ~loss ~scenario ~udp_nodes
+         ~base_port ~rounds ())
   end;
-  Fmt.pr "storm: OK@."
+  Verdict.finish v "storm"
 
 let storm_cmd =
-  let n_small =
-    Arg.(value & opt int 96 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Simulator nodes.")
-  in
-  let udp_nodes =
-    Arg.(
-      value & opt int 48
-      & info [ "udp-nodes" ] ~docv:"N" ~doc:"Cluster size for the UDP leg.")
-  in
-  let base_port =
-    Arg.(value & opt int 48100 & info [ "port" ] ~docv:"PORT" ~doc:"First UDP port.")
-  in
-  let no_udp =
-    Arg.(value & flag & info [ "no-udp" ] ~doc:"Skip the UDP cluster leg.")
-  in
   let doc =
     "Fault storm: drive a fault scenario (bursty loss, partitions, crash/restart, \
      delay spikes, datagram corruption) through both the discrete-event simulator \
      — under the strict invariant audit — and the real UDP cluster, then verify \
      connectivity (healing a split overlay via the rendezvous recovery rule) and \
      view invariants.  Exit status: 0 when everything holds; 1 on an invariant \
-     violation or an unhealable split; 2 when a declared fault class left no \
-     injector evidence (the plan never engaged)."
+     violation or an unhealable split; 2 when nothing failed but a declared \
+     fault class left no injector evidence (the plan never engaged)."
   in
   Cmd.v (Cmd.info "storm" ~doc)
     Term.(
-      const storm $ seed_arg $ n_small $ view_size_arg $ lower_threshold_arg
-      $ loss_arg $ rounds_arg 70 $ scenario_arg $ udp_nodes $ base_port $ no_udp)
+      const storm $ seed_arg $ n_arg 96 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 70 $ scenario_arg $ udp_nodes_arg $ port_arg 48100
+      $ no_udp_arg)
 
-(* --- soak --- *)
-
-(* Sustained bursty loss well above anything the base thresholds were
-   solved for, plus a partition and a crash wave: the regime the
-   resilience layer exists for.  Rounds are longer than storm's so the
-   estimator folds several full windows before the verdict. *)
-(* Gate checks shared by `sfg cluster` and the soak --multiproc leg:
-   every host completed the shutdown protocol, every node reported a
-   view, each view is sound with M1-bounded even outdegree, and the
-   merged overlay is weakly connected. *)
-let check_cluster_outcome ~(fail : string -> unit) ~hosts ~n ~view_size
-    (o : Sf_net.Spawner.outcome) =
-  let failf fmt = Fmt.kstr fail fmt in
-  let byes =
-    List.length (List.filter (fun h -> h.Sf_net.Spawner.bye) o.Sf_net.Spawner.hosts)
-  in
-  if byes <> hosts then failf "only %d/%d hosts completed the stop protocol" byes hosts;
-  let merged = o.Sf_net.Spawner.merged_views in
-  let reported = List.length merged in
-  if reported <> n then failf "%d/%d nodes reported a final view" reported n;
-  let graph = Sf_graph.Digraph.create () in
-  List.iter
-    (fun (id, entries) ->
-      Sf_graph.Digraph.ensure_vertex graph id;
-      let view = Sf_core.View.create view_size in
-      List.iteri
-        (fun slot e ->
-          if slot < view_size then begin
-            Sf_core.View.set view slot e;
-            Sf_graph.Digraph.add_edge graph id e.Sf_core.View.id
-          end)
-        entries;
-      (match Sf_check.Invariant.check_view view with
-      | Some v ->
-        failf "cluster node %d: %s" id (Fmt.str "%a" Sf_check.Invariant.pp_violation v)
-      | None -> ());
-      let d = Sf_core.View.degree view in
-      if d < 0 || d > view_size || d mod 2 <> 0 then
-        failf "cluster node %d: outdegree %d violates M1 bounds or parity" id d)
-    merged;
-  if reported = n && not (Sf_graph.Digraph.is_weakly_connected graph) then
-    fail "merged post-heal overlay is not weakly connected"
+(* --- Multi-process clusters (cluster, soak --multiproc) --- *)
 
 let sum_stat key (o : Sf_net.Spawner.outcome) =
   List.fold_left
@@ -839,22 +882,60 @@ let max_stat key (o : Sf_net.Spawner.outcome) =
         | None -> 0.))
     0. o.Sf_net.Spawner.hosts
 
-let declares kind (scenario : Sf_faults.Scenario.t) =
-  List.exists
-    (fun w -> Sf_faults.Scenario.fault_kind w.Sf_faults.Scenario.fault = kind)
-    scenario.Sf_faults.Scenario.windows
+(* Every host completed the shutdown protocol, every node reported a
+   sound view with M1-bounded even outdegree, and the merged overlay is
+   weakly connected.  A declared crash or partition that left no
+   process-level evidence (no kill, no respawn, no filtered datagram) is
+   a dead fault class. *)
+let spawner_verdict v ~scenario ~hosts ~n ~view_size (o : Sf_net.Spawner.outcome) =
+  let byes =
+    List.length (List.filter (fun h -> h.Sf_net.Spawner.bye) o.Sf_net.Spawner.hosts)
+  in
+  if byes <> hosts then
+    Verdict.fail v "only %d/%d hosts completed the stop protocol" byes hosts;
+  let merged = o.Sf_net.Spawner.merged_views in
+  let reported = List.length merged in
+  if reported <> n then Verdict.fail v "%d/%d nodes reported a final view" reported n;
+  let graph = Sf_graph.Digraph.create () in
+  List.iter
+    (fun (id, entries) ->
+      Sf_graph.Digraph.ensure_vertex graph id;
+      let view = Sf_core.View.create view_size in
+      List.iteri
+        (fun slot e ->
+          if slot < view_size then begin
+            Sf_core.View.set view slot e;
+            Sf_graph.Digraph.add_edge graph id e.Sf_core.View.id
+          end)
+        entries;
+      check_cluster_view v ~view_size id view)
+    merged;
+  if reported = n && not (Sf_graph.Digraph.is_weakly_connected graph) then
+    Verdict.fail v "merged post-heal overlay is not weakly connected";
+  if declares "crash" scenario then begin
+    if o.Sf_net.Spawner.kills = 0 then
+      Verdict.dead v "crash windows declared but no host was killed";
+    if o.Sf_net.Spawner.respawns = 0 then
+      Verdict.dead v "crash windows declared but no host was respawned"
+  end;
+  if declares "partition" scenario && sum_stat "filtered" o = 0. then
+    Verdict.dead v "partition windows declared but no datagram was filtered"
 
+(* --- soak --- *)
+
+(* Sustained bursty loss well above anything the base thresholds were
+   solved for, plus a partition and a crash wave: the regime the
+   resilience layer exists for.  Rounds are longer than storm's so the
+   estimator folds several full windows before the verdict. *)
 let default_soak_scenario = "ge:0.15:6;partition@60-80:2;crash@110-130:0-5"
 
 let soak seed n view_size lower_threshold d_hat delta loss rounds scenario tolerance
     udp_nodes base_port no_udp multiproc =
+  let v = Verdict.create () in
   let scenario =
     match scenario with
     | Some sc -> sc
-    | None -> (
-      match Sf_faults.Scenario.of_string default_soak_scenario with
-      | Ok sc -> sc
-      | Error e -> Fmt.failwith "default soak scenario: %s" e)
+    | None -> default_scenario default_soak_scenario
   in
   let policy = resilience_policy ~d_hat ~delta () in
   Fmt.pr "scenario:    %s@." (Sf_faults.Scenario.to_string scenario);
@@ -870,35 +951,26 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
     stats.Sf_check.Invariant.actions_checked stats.Sf_check.Invariant.full_scans
     stats.Sf_check.Invariant.violation_count;
   List.iter
-    (fun v -> Fmt.epr "  %a@." Sf_check.Invariant.pp_violation v)
+    (fun viol -> Fmt.epr "  %a@." Sf_check.Invariant.pp_violation viol)
     (List.rev stats.Sf_check.Invariant.violations);
-  (match Runner.fault_statistics r with
-  | Some fs -> print_fault_statistics fs
-  | None -> ());
+  Option.iter print_fault_statistics (Runner.fault_statistics r);
   print_resilience_statistics r;
   print_system_state r;
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> failures := m :: !failures) fmt in
   if stats.Sf_check.Invariant.violation_count > 0 then
-    fail "%d invariant violations under the audit"
+    Verdict.fail v "%d invariant violations under the audit"
       stats.Sf_check.Invariant.violation_count;
-  if not (Properties.is_weakly_connected r) then begin
-    (* The supervisor had its chance during the run; fall back to the
-       manual rendezvous rule and count an unhealable split as failure. *)
-    match Sf_core.Churn.recover_connectivity r with
-    | Some (recovery_rounds, rebootstraps) ->
-      Fmt.pr "reconnected after %d extra recovery rounds (%d rebootstraps)@."
-        recovery_rounds rebootstraps
-    | None -> fail "overlay split and unhealable"
-  end;
+  (* The supervisor had its chance during the run; the manual rendezvous
+     rule is the fallback. *)
+  heal_split v r;
   (match (Runner.resilience_statistics r, Runner.fault_statistics r) with
   | Some rs, Some fs ->
     if not rs.Runner.estimator_confident then
-      fail "loss estimator never folded a full window (%d rounds too short)" rounds
+      Verdict.fail v "loss estimator never folded a full window (%d rounds too short)"
+        rounds
     else begin
       (* Ground truth: the injector's own drop fraction over every cause
-         the estimator can see through the Lemma 6.6 balance. *)
-      (* burst_drops is the bursty subset of chance_drops — don't double
+         the estimator can see through the Lemma 6.6 balance.
+         burst_drops is the bursty subset of chance_drops — don't double
          count it. *)
       let dropped =
         fs.Sf_faults.Injector.chance_drops + fs.Sf_faults.Injector.partition_drops
@@ -912,48 +984,18 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
       Fmt.pr "estimate:    %.4f vs injector ground truth %.4f (err %.4f)@."
         rs.Runner.loss_estimate truth err;
       if err > tolerance then
-        fail "loss estimate %.4f off injector truth %.4f by %.4f > %.2f"
+        Verdict.fail v "loss estimate %.4f off injector truth %.4f by %.4f > %.2f"
           rs.Runner.loss_estimate truth err tolerance
     end
-  | _ -> fail "resilience statistics missing");
+  | _ -> Verdict.fail v "resilience statistics missing");
   if not no_udp then begin
     Fmt.pr "-- UDP cluster (loopback, crash-restart under resilience)@.";
-    let config = Protocol.make_config ~view_size ~lower_threshold in
-    let out_degree =
-      let d = min (udp_nodes - 1) ((view_size + lower_threshold) / 2) in
-      if d mod 2 = 0 then d else d - 1
+    let cs =
+      udp_leg v ~resilience:policy ~seed ~view_size ~lower_threshold ~loss ~scenario
+        ~udp_nodes ~base_port ~rounds ()
     in
-    let topology =
-      Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n:udp_nodes ~out_degree
-    in
-    let period = 0.005 in
-    let c =
-      Sf_net.Driver.create ~period ~scenario ~resilience:policy ~base_port
-        ~n:udp_nodes ~config ~loss_rate:loss ~seed ~topology ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Sf_net.Driver.shutdown c)
-      (fun () ->
-        Sf_net.Driver.run c ~duration:(float_of_int rounds *. period);
-        let cs = Sf_net.Driver.statistics c in
-        Fmt.pr
-          "messages:    %d sent, %d dropped, %d received; %d rejoins, %d retunes@."
-          cs.Sf_net.Driver.datagrams_sent cs.Sf_net.Driver.datagrams_dropped
-          cs.Sf_net.Driver.messages_received cs.Sf_net.Driver.rejoins
-          cs.Sf_net.Driver.retunes;
-        if declares "crash" scenario && cs.Sf_net.Driver.rejoins = 0 then
-          fail "crash windows declared but no cluster rejoins";
-        Seq.iter
-          (fun (id, view) ->
-            (match Sf_check.Invariant.check_view view with
-            | Some v ->
-              fail "cluster node %d: %s" id
-                (Fmt.str "%a" Sf_check.Invariant.pp_violation v)
-            | None -> ());
-            let d = Sf_core.View.degree view in
-            if d < 0 || d > view_size || d mod 2 <> 0 then
-              fail "cluster node %d: outdegree %d violates M1 bounds or parity" id d)
-          (Sf_net.Driver.views c))
+    if declares "crash" scenario && cs.Sf_net.Driver.rejoins = 0 then
+      Verdict.fail v "crash windows declared but no cluster rejoins"
   end;
   if multiproc then begin
     Fmt.pr "-- multi-process cluster (forked node-hosts, kill -9 crash windows)@.";
@@ -968,33 +1010,11 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
     Fmt.pr "processes:   %d kills, %d respawns, %d heartbeats, %.1fs wall@."
       o.Sf_net.Spawner.kills o.Sf_net.Spawner.respawns o.Sf_net.Spawner.heartbeats
       o.Sf_net.Spawner.wall_seconds;
-    check_cluster_outcome ~fail:(fail "%s") ~hosts ~n:(hosts * per_host) ~view_size o;
-    if declares "crash" scenario && o.Sf_net.Spawner.kills = 0 then
-      fail "crash windows declared but no host process was killed";
-    if declares "partition" scenario && sum_stat "filtered" o = 0. then
-      fail "partition windows declared but no datagram was filtered"
+    spawner_verdict v ~scenario ~hosts ~n:(hosts * per_host) ~view_size o
   end;
-  match List.rev !failures with
-  | [] -> Fmt.pr "soak: OK@."
-  | failures ->
-    List.iter (fun f -> Fmt.epr "soak: %s@." f) failures;
-    exit 1
+  Verdict.finish v "soak"
 
 let soak_cmd =
-  let n_small =
-    Arg.(value & opt int 96 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Simulator nodes.")
-  in
-  let udp_nodes =
-    Arg.(
-      value & opt int 48
-      & info [ "udp-nodes" ] ~docv:"N" ~doc:"Cluster size for the UDP leg.")
-  in
-  let base_port =
-    Arg.(value & opt int 48400 & info [ "port" ] ~docv:"PORT" ~doc:"First UDP port.")
-  in
-  let no_udp =
-    Arg.(value & flag & info [ "no-udp" ] ~doc:"Skip the UDP cluster leg.")
-  in
   let multiproc_arg =
     Arg.(
       value & flag
@@ -1018,18 +1038,20 @@ let soak_cmd =
      connected (or healed) overlay, a loss estimate within --tolerance of the \
      injector's ground-truth drop rate, and — when crash windows are declared — \
      at least one cluster rejoin.  Exit status: 0 when the verdict holds, 1 \
-     otherwise."
+     when it fails, 2 when nothing failed but a declared fault class left no \
+     process-level evidence in the --multiproc leg."
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      const soak $ seed_arg $ n_small $ view_size_arg $ lower_threshold_arg
+      const soak $ seed_arg $ n_arg 96 $ view_size_arg 40 $ lower_threshold_arg 18
       $ d_hat_arg $ delta_arg $ loss_arg $ rounds_arg 200 $ scenario_arg $ tolerance
-      $ udp_nodes $ base_port $ no_udp $ multiproc_arg)
+      $ udp_nodes_arg $ port_arg 48400 $ no_udp_arg $ multiproc_arg)
 
 (* --- cluster: the multi-process UDP deployment --- *)
 
 let cluster seed hosts per_host view_size lower_threshold loss scenario base_port
     rounds no_resilience quiet =
+  let v = Verdict.create () in
   let n = hosts * per_host in
   let period = 0.01 in
   let scenario =
@@ -1038,14 +1060,10 @@ let cluster seed hosts per_host view_size lower_threshold loss scenario base_por
     | None ->
       (* Bursty loss throughout, plus a real kill -9 of host 1's slice for
          a fifth of the run. *)
-      let spec =
-        Fmt.str "ge:0.15:6;crash@%d-%d:%d-%d" (rounds * 2 / 10) (rounds * 4 / 10)
-          per_host
-          (min (n - 1) ((2 * per_host) - 1))
-      in
-      (match Sf_faults.Scenario.of_string spec with
-      | Ok sc -> sc
-      | Error e -> Fmt.failwith "default cluster scenario: %s" e)
+      default_scenario
+        (Fmt.str "ge:0.15:6;crash@%d-%d:%d-%d" (rounds * 2 / 10) (rounds * 4 / 10)
+           per_host
+           (min (n - 1) ((2 * per_host) - 1)))
   in
   Fmt.pr "cluster:     %d node-hosts x %d nodes = %d real sockets@."
     hosts per_host n;
@@ -1078,30 +1096,8 @@ let cluster seed hosts per_host view_size lower_threshold loss scenario base_por
     batches frames fill;
   Fmt.pr "latency:     per-action p50 %.1fus, p99 %.1fus (worst host)@."
     (max_stat "p50_us" o) (max_stat "p99_us" o);
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> failures := m :: !failures) fmt in
-  check_cluster_outcome ~fail:(fail "%s") ~hosts ~n ~view_size o;
-  (* A declared fault class that left no process-level evidence is a dead
-     injector, not an invariant violation: distinct exit code, as in
-     storm/scale. *)
-  let dead = ref [] in
-  if declares "crash" scenario then begin
-    if o.Sf_net.Spawner.kills = 0 then
-      dead := "crash windows declared but no host was killed" :: !dead;
-    if o.Sf_net.Spawner.respawns = 0 then
-      dead := "crash windows declared but no host was respawned" :: !dead
-  end;
-  if declares "partition" scenario && sum_stat "filtered" o = 0. then
-    dead := "partition windows declared but no datagram was filtered" :: !dead;
-  match (List.rev !failures, List.rev !dead) with
-  | [], [] -> Fmt.pr "cluster: OK@."
-  | [], dead ->
-    List.iter (fun d -> Fmt.epr "cluster: %s@." d) dead;
-    exit 2
-  | failures, dead ->
-    List.iter (fun f -> Fmt.epr "cluster: %s@." f) failures;
-    List.iter (fun d -> Fmt.epr "cluster: %s@." d) dead;
-    exit 1
+  spawner_verdict v ~scenario ~hosts ~n ~view_size o;
+  Verdict.finish v "cluster"
 
 let cluster_cmd =
   let hosts =
@@ -1130,17 +1126,6 @@ let cluster_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress controller progress lines.")
   in
-  let view_size =
-    Arg.(
-      value & opt int 12
-      & info [ "s"; "view-size" ] ~docv:"S" ~doc:"View size s (even).")
-  in
-  let lower_threshold =
-    Arg.(
-      value & opt int 4
-      & info [ "dl"; "lower-threshold" ] ~docv:"DL"
-          ~doc:"Lower outdegree threshold dL (even).")
-  in
   let doc =
     "Multi-process UDP cluster: fork node-host processes (one select loop and \
      one socket per node each), drive a fault scenario across process \
@@ -1148,13 +1133,13 @@ let cluster_cmd =
      partitions are per-process drop filters — and gate on the merged result: \
      every host completes the stop protocol, every node reports a sound view \
      with even M1-bounded outdegree, and the merged overlay is weakly \
-     connected.  Exit status: 1 when the verdict fails, 2 when a declared \
-     fault class left no process-level evidence."
+     connected.  Exit status: 1 when the verdict fails, 2 when nothing failed \
+     but a declared fault class left no process-level evidence."
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
-      const cluster $ seed_arg $ hosts $ per_host $ view_size $ lower_threshold
-      $ loss_arg $ scenario_arg $ base_port $ rounds_arg 200
+      const cluster $ seed_arg $ hosts $ per_host $ view_size_arg 12
+      $ lower_threshold_arg 4 $ loss_arg $ scenario_arg $ base_port $ rounds_arg 200
       $ no_resilience $ quiet)
 
 (* --- sessions --- *)
@@ -1194,7 +1179,7 @@ let sessions_cmd =
   let doc = "Run S&F under session-based churn (Poisson arrivals)." in
   Cmd.v (Cmd.info "sessions" ~doc)
     Term.(
-      const sessions $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg
+      const sessions $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
       $ loss_arg $ rounds_arg 400 $ mean $ pareto)
 
 (* --- spread --- *)
@@ -1251,15 +1236,9 @@ let spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario ~churn
 let spread seed n view_size lower_threshold loss scenario churn_rate headroom
     shards domains verify_domains seq warmup strategy fanout target max_rounds
     =
-  let churn =
-    if churn_rate > 0. then Some { Runner.Sharded.churn_rate; headroom }
-    else None
-  in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> max 1 (min shards (Domain.recommended_domain_count ()))
-  in
+  let v = Verdict.create () in
+  let churn = sharded_churn ~churn_rate ~headroom in
+  let domains = resolve_domains ~shards domains in
   Fmt.pr "spread: %a fanout=%d n=%d target=%.2f loss=%g seed=%d %s@."
     Sf_spread.Strategy.pp strategy fanout n target loss seed
     (if seq then "(sequential engine)"
@@ -1267,65 +1246,34 @@ let spread seed n view_size lower_threshold loss scenario churn_rate headroom
   (match scenario with
   | Some sc -> Fmt.pr "scenario: %a@." Sf_faults.Scenario.pp sc
   | None -> ());
-  let failed = ref false in
   let report =
     if seq then
       spread_sequential ~seed ~n ~view_size ~lower_threshold ~loss ~scenario
         ~warmup ~strategy ~fanout ~target ~max_rounds
     else begin
-      (* Domain-count invariance of the layered engines: replay the whole
-         run (membership + spread) on 1, 2 and 4 domains and require
-         bit-for-bit equal end states. *)
-      if verify_domains then
-        List.iter
-          (fun k ->
-            let run () =
-              spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario
-                ~churn ~shards ~domains:k ~warmup ~strategy ~fanout ~target
-                ~max_rounds ()
-            in
-            let sp1, r1 =
-              spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario
-                ~churn ~shards ~domains:1 ~warmup ~strategy ~fanout ~target
-                ~max_rounds ()
-            in
-            let spk, rk = run () in
-            let ok =
-              Sf_spread.Flat.equal sp1 spk && Sf_spread.Report.equal r1 rk
-            in
-            Fmt.pr "determinism: %d-domain spread %s the 1-domain spread@." k
-              (if ok then "bit-identical to" else "DIVERGES from");
-            if not ok then failed := true)
-          [ 2; 4 ];
-      let sp, report =
+      let run k =
         spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario ~churn
-          ~shards ~domains ~warmup ~strategy ~fanout ~target ~max_rounds ()
+          ~shards ~domains:k ~warmup ~strategy ~fanout ~target ~max_rounds ()
       in
-      (* Injector verdict over the world's own traffic, matching storm's
-         exit-code convention. *)
-      (match
-         (scenario, Runner.Sharded.fault_statistics (Sf_spread.Flat.world sp))
-       with
-      | None, _ -> ()
-      | Some _, None ->
-        Fmt.epr "spread: scenario declared but no injector statistics@.";
-        exit 2
-      | Some sc, Some fs ->
-        (match dead_fault_classes ~scenario:sc fs with
-        | [] -> ()
-        | failures ->
-          List.iter (fun f -> Fmt.epr "spread: injector verdict: %s@." f) failures;
-          exit 2));
+      (* The layered engines replay the whole run, membership and spread. *)
+      if verify_domains then
+        domain_oracle v ~what:"spread"
+          ~equal:(fun (sp1, r1) (sp2, r2) ->
+            Sf_spread.Flat.equal sp1 sp2 && Sf_spread.Report.equal r1 r2)
+          run;
+      let sp, report = run domains in
+      Option.iter
+        (fun sc ->
+          injector_verdict v sc
+            (Runner.Sharded.fault_statistics (Sf_spread.Flat.world sp)))
+        scenario;
       report
     end
   in
   print_spread_report n report;
-  if not (Sf_spread.Report.reached report) then begin
-    Fmt.epr "spread: coverage target %.2f not reached in %d rounds@." target
-      max_rounds;
-    failed := true
-  end;
-  if !failed then exit 1
+  if not (Sf_spread.Report.reached report) then
+    Verdict.fail v "coverage target %.2f not reached in %d rounds" target max_rounds;
+  Verdict.finish v "spread"
 
 let spread_cmd =
   let strategy =
@@ -1346,47 +1294,6 @@ let spread_cmd =
       & info [ "fanout" ] ~docv:"K"
           ~doc:"Spread messages per node per round.")
   in
-  let n =
-    Arg.(
-      value & opt int 10_000
-      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-  in
-  let view_size =
-    Arg.(
-      value & opt int 16
-      & info [ "s"; "view-size" ] ~docv:"S" ~doc:"View size s (even).")
-  in
-  let lower_threshold =
-    Arg.(
-      value & opt int 4
-      & info [ "dl"; "lower-threshold" ] ~docv:"DL"
-          ~doc:"Lower outdegree threshold dL (even).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 16
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Logical shard count of the flat engine — part of the run's \
-             identity (changing it changes the run; changing --domains does \
-             not).")
-  in
-  let domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"K"
-          ~doc:
-            "Domains to run on (default: the recommended domain count, capped \
-             at the shard count).  Any value produces the same run.")
-  in
-  let verify_domains =
-    Arg.(
-      value & flag
-      & info [ "verify-domains" ]
-          ~doc:
-            "Replay the whole run (membership + spread) on 1, 2 and 4 domains \
-             and require bit-for-bit equal end states; exit 1 on divergence.")
-  in
   let seq =
     Arg.(
       value & flag
@@ -1394,20 +1301,6 @@ let spread_cmd =
           ~doc:
             "Use the sequential engine (orchestrated runner) instead of the \
              sharded flat-state engine.")
-  in
-  let churn_rate =
-    Arg.(
-      value & opt float 0.
-      & info [ "churn" ] ~docv:"RATE"
-          ~doc:
-            "Per-round leave probability of each live node (flat engine); \
-             every leave is matched by a join.")
-  in
-  let headroom =
-    Arg.(
-      value & opt int 1024
-      & info [ "headroom" ] ~docv:"SLOTS"
-          ~doc:"Extra node slots for churn beyond n (flat engine).")
   in
   let warmup =
     Arg.(
@@ -1431,14 +1324,15 @@ let spread_cmd =
      direct-addressed — on the sequential or the sharded million-node \
      engine, under the shared fault pipeline (bursty loss, partitions, \
      crashes) and churn.  Exit status: 1 when the coverage target is not \
-     reached or a determinism cross-check fails, 2 when a declared fault \
-     class left no evidence in the injector counters."
+     reached or a determinism cross-check fails, 2 when nothing failed but \
+     a declared fault class left no evidence in the injector counters."
   in
   Cmd.v (Cmd.info "spread" ~doc)
     Term.(
-      const spread $ seed_arg $ n $ view_size $ lower_threshold $ loss_arg
-      $ scenario_arg $ churn_rate $ headroom $ shards $ domains
-      $ verify_domains $ seq $ warmup $ strategy $ fanout $ target $ max_rounds)
+      const spread $ seed_arg $ n_arg 10_000 $ view_size_arg 16
+      $ lower_threshold_arg 4 $ loss_arg $ scenario_arg $ churn_arg 0.
+      $ headroom_arg 1024 $ shards_arg 16 $ domains_arg $ verify_domains_arg $ seq
+      $ warmup $ strategy $ fanout $ target $ max_rounds)
 
 (* --- top --- *)
 
@@ -1497,8 +1391,8 @@ let top_cmd =
   in
   Cmd.v (Cmd.info "top" ~doc)
     Term.(
-      const top $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 400 $ every $ format $ once $ scenario_arg)
+      const top $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 400 $ every $ format $ once $ scenario_arg)
 
 (* --- trace --- *)
 
@@ -1539,8 +1433,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const trace $ seed_arg $ n_arg $ view_size_arg $ lower_threshold_arg $ loss_arg
-      $ rounds_arg 50 $ capacity $ out $ scenario_arg)
+      const trace $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
+      $ loss_arg $ rounds_arg 50 $ capacity $ out $ scenario_arg)
 
 (* --- analyze: the shared-mutable-state report --- *)
 
@@ -1663,24 +1557,16 @@ let analyze_cmd =
    audit and/or a domain-count determinism cross-check on demand. *)
 let scale seed n view_size lower_threshold loss rounds domains shards audit
     verify_domains scenario churn_rate headroom resilience d_hat delta =
+  let v = Verdict.create () in
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let churn =
-    if churn_rate > 0. then
-      Some { Runner.Sharded.churn_rate; headroom }
-    else None
-  in
-  let policy () =
-    if resilience then Some (resilience_policy ~d_hat ~delta ()) else None
-  in
+  let churn = sharded_churn ~churn_rate ~headroom in
   let make () =
     Runner.Sharded.create ~shards ~loss_rate:loss ?scenario ?churn
-      ?resilience:(policy ()) ~seed ~n ~config ()
+      ?resilience:
+        (if resilience then Some (resilience_policy ~d_hat ~delta ()) else None)
+      ~seed ~n ~config ()
   in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> max 1 (min shards (Domain.recommended_domain_count ()))
-  in
+  let domains = resolve_domains ~shards domains in
   Fmt.pr "sharded run: n=%d s=%d dL=%d shards=%d domains=%d loss=%g seed=%d@." n
     view_size lower_threshold shards domains loss seed;
   (match scenario with
@@ -1691,51 +1577,40 @@ let scale seed n view_size lower_threshold loss rounds domains shards audit
     Fmt.pr "churn:       %.3f per round, headroom %d@." c.Runner.Sharded.churn_rate
       c.Runner.Sharded.headroom
   | None -> ());
-  let failed = ref false in
   if audit then begin
-    let w = make () in
-    match
+    let stats =
       Sf_check.Invariant.audited_sharded_run ~mode:Sf_check.Invariant.Warn
-        ~scan_every:10 ~domains w ~rounds
-    with
-    | stats ->
-      Fmt.pr "audit: %d rounds checked, %d full scans, %d violations@."
-        stats.Sf_check.Invariant.actions_checked
-        stats.Sf_check.Invariant.full_scans
-        stats.Sf_check.Invariant.violation_count;
-      List.iter
-        (fun v -> Fmt.pr "  %a@." Sf_check.Invariant.pp_violation v)
-        (List.rev stats.Sf_check.Invariant.violations);
-      if stats.Sf_check.Invariant.violation_count > 0 then failed := true
-  end;
-  (match verify_domains with
-  | None -> ()
-  | Some k ->
-    let oracle what make =
-      let a = make () and b = make () in
-      Runner.Sharded.run_rounds a ~domains:1 rounds;
-      Runner.Sharded.run_rounds b ~domains:k rounds;
-      let ok = Runner.Sharded.equal a b in
-      Fmt.pr "determinism: %s: %d-domain run %s the 1-domain run@." what k
-        (if ok then "bit-identical to" else "DIVERGES from");
-      if not ok then failed := true
+        ~scan_every:10 ~domains (make ()) ~rounds
     in
-    oracle "active config" make;
+    Fmt.pr "audit: %d rounds checked, %d full scans, %d violations@."
+      stats.Sf_check.Invariant.actions_checked stats.Sf_check.Invariant.full_scans
+      stats.Sf_check.Invariant.violation_count;
+    List.iter
+      (fun viol -> Fmt.pr "  %a@." Sf_check.Invariant.pp_violation viol)
+      (List.rev stats.Sf_check.Invariant.violations);
+    if stats.Sf_check.Invariant.violation_count > 0 then
+      Verdict.fail v "%d invariant violations under the round-granular audit"
+        stats.Sf_check.Invariant.violation_count
+  end;
+  if verify_domains then begin
+    let run make k =
+      let w = make () in
+      Runner.Sharded.run_rounds w ~domains:k rounds;
+      w
+    in
+    domain_oracle v ~what:"active config" ~equal:Runner.Sharded.equal (run make);
     (* The cross-check must also hold where it is hardest: stateful
        per-shard loss chains, a crash wave and churn all at once.  Run a
        canned chaos world even when the active config is fault-free. *)
     let canned =
-      match
-        Sf_faults.Scenario.of_string
-          (Fmt.str "ge:0.2:8;crash@2-6:0-%d" (max 1 (n / 10) - 1))
-      with
-      | Ok sc -> sc
-      | Error e -> invalid_arg ("scale: canned chaos scenario: " ^ e)
+      default_scenario (Fmt.str "ge:0.2:8;crash@2-6:0-%d" (max 1 (n / 10) - 1))
     in
-    oracle "canned chaos" (fun () ->
-        Runner.Sharded.create ~shards ~seed ~n ~config ~scenario:canned
-          ~churn:{ Runner.Sharded.churn_rate = 0.01; headroom = shards * 8 }
-          ()));
+    domain_oracle v ~what:"canned chaos" ~equal:Runner.Sharded.equal
+      (run (fun () ->
+           Runner.Sharded.create ~shards ~seed ~n ~config ~scenario:canned
+             ~churn:{ Runner.Sharded.churn_rate = 0.01; headroom = shards * 8 }
+             ()))
+  end;
   let w = make () in
   let elapsed = Sf_obs.Clock.stopwatch ~clock:Sf_obs.Clock.wall in
   Runner.Sharded.run_rounds w ~domains rounds;
@@ -1756,75 +1631,35 @@ let scale seed n view_size lower_threshold loss rounds domains shards audit
     (float_of_int (Runner.Sharded.total_edges w) /. float_of_int n);
   let census = Census.of_flat (Runner.Sharded.store w) in
   Fmt.pr "census:       %a@." Census.pp census;
-  (match Runner.Sharded.fault_statistics w with
-  | Some fs -> print_fault_statistics fs
-  | None -> ());
-  (match churn with
-  | Some _ ->
+  let fs = Runner.Sharded.fault_statistics w in
+  Option.iter print_fault_statistics fs;
+  Option.iter (fun sc -> injector_verdict v sc fs) scenario;
+  if churn <> None then begin
     let cs = Runner.Sharded.churn_statistics w in
     Fmt.pr
       "churn:       %d joins, %d leaves, %d donor-starved skips, %d deliveries \
        to dead slots; %d live@."
       cs.Runner.Sharded.joins cs.Runner.Sharded.leaves
       cs.Runner.Sharded.join_skips cs.Runner.Sharded.deliveries_to_dead
-      (Runner.Sharded.live_count w)
-  | None -> ());
+      (Runner.Sharded.live_count w);
+    if cs.Runner.Sharded.joins = 0 then
+      Verdict.dead v "churn declared but no node turned over"
+  end;
   (match Runner.Sharded.resilience_statistics w with
   | Some rs ->
     print_resilience_stats rs;
     let dl, s = Runner.Sharded.live_thresholds w in
-    Fmt.pr "thresholds:  dL=%d s=%d@." dl s
+    Fmt.pr "thresholds:  dL=%d s=%d@." dl s;
+    if not rs.Runner.estimator_confident then
+      Verdict.fail v "loss estimator never folded a full window (%d rounds too short)"
+        rounds
   | None -> ());
   (match Sf_obs.Clock.peak_rss_kb () with
   | Some kb -> Fmt.pr "peak RSS:     %d kB@." kb
   | None -> ());
-  (* Injector verdict, matching storm's exit-code convention. *)
-  (match (scenario, Runner.Sharded.fault_statistics w) with
-  | None, _ -> ()
-  | Some _, None ->
-    Fmt.epr "scale: scenario declared but no injector statistics@.";
-    exit 2
-  | Some sc, Some fs ->
-    (match dead_fault_classes ~scenario:sc fs with
-    | [] -> ()
-    | failures ->
-      List.iter (fun f -> Fmt.epr "scale: injector verdict: %s@." f) failures;
-      exit 2));
-  if !failed then exit 1
+  Verdict.finish v "scale"
 
 let scale_cmd =
-  let n =
-    Arg.(
-      value & opt int 100_000
-      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-  in
-  let view_size =
-    Arg.(
-      value & opt int 16
-      & info [ "s"; "view-size" ] ~docv:"S" ~doc:"View size s (even).")
-  in
-  let lower_threshold =
-    Arg.(
-      value & opt int 4
-      & info [ "dl"; "lower-threshold" ] ~docv:"DL"
-          ~doc:"Lower outdegree threshold dL (even).")
-  in
-  let domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"K"
-          ~doc:
-            "Domains to run on (default: the recommended domain count, capped \
-             at the shard count).  Any value produces the same run.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 16
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Logical shard count — part of the world's identity (changing it \
-             changes the run; changing --domains does not).")
-  in
   let audit =
     Arg.(
       value & flag
@@ -1834,56 +1669,24 @@ let scale_cmd =
              (edge-conservation ledger every round, full structural scans); \
              exit 1 on any violation.")
   in
-  let verify_domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "verify-domains" ] ~docv:"K"
-          ~doc:
-            "Run the active world AND a canned chaos world (bursty loss, a \
-             crash wave, churn) on 1 and on K domains and require bit-for-bit \
-             equality; exit 1 on divergence.")
-  in
-  let churn_rate =
-    Arg.(
-      value & opt float 0.
-      & info [ "churn" ] ~docv:"RATE"
-          ~doc:
-            "Per-round leave probability of each live node; every leave is \
-             matched by a join, keeping the population stationary under RATE \
-             turnover.")
-  in
-  let headroom =
-    Arg.(
-      value & opt int 1024
-      & info [ "headroom" ] ~docv:"SLOTS"
-          ~doc:
-            "Extra node slots for churn beyond n (depth of the id-reuse \
-             delay), rounded up to a multiple of the shard count.")
-  in
-  let resilience =
-    Arg.(
-      value & flag
-      & info [ "resilience" ]
-          ~doc:
-            "Run the adaptive resilience stack at round barriers: loss \
-             estimation, threshold retuning and supervised connectivity \
-             repair.")
-  in
   let doc =
     "Run the sharded flat-state engine (packed views, OCaml 5 domains, \
      bulk-synchronous rounds) at large n and report throughput, counters, \
      dependence census and peak RSS.  Options add fault scenarios, churn and \
      the adaptive resilience stack, and cross-check the strict invariant \
-     audit and the domain-count determinism contract.  Exit status: 1 on an \
-     audit or determinism failure, 2 when a declared fault class left no \
-     evidence in the injector counters."
+     audit and the domain-count determinism contract (--verify-domains also \
+     replays a canned chaos world: bursty loss, a crash wave, churn).  Exit \
+     status: 1 on an audit or determinism failure, or when --resilience ends \
+     with an unconfident loss estimator; 2 when nothing failed but a declared \
+     fault class left no evidence in the injector counters or churn turned \
+     no node over."
   in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const scale $ seed_arg $ n $ view_size $ lower_threshold $ loss_arg
-      $ rounds_arg 10 $ domains $ shards $ audit $ verify_domains
-      $ scenario_arg $ churn_rate $ headroom $ resilience $ d_hat_arg
-      $ delta_arg)
+      const scale $ seed_arg $ n_arg 100_000 $ view_size_arg 16
+      $ lower_threshold_arg 4 $ loss_arg $ rounds_arg 10 $ domains_arg
+      $ shards_arg 16 $ audit $ verify_domains_arg $ scenario_arg $ churn_arg 0.
+      $ headroom_arg 1024 $ resilience_arg $ d_hat_arg $ delta_arg)
 
 (* --- main --- *)
 

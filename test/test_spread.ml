@@ -293,6 +293,55 @@ let test_sequential_known_answer () =
       [ 8; 6; 8; 6358; 1816; 4542; 1328; 1581; 0; 3200; 719; 193; 719; 31; 122; 40; 4 ];
       [ 14; 10; 14; 2834; 2834; 0; 2293; 146; 0; 5600; 1216; 211; 1216; 49; 122; 40; 4 ] ]
 
+(* --- The sfg gates' exit-code precedence --- *)
+
+(* Runs the sfg binary built beside this test's directory; returns its
+   exit status and what it wrote to stderr. *)
+let run_sfg args =
+  let sfg =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sfg.exe"
+  in
+  let err = Filename.temp_file "sfg" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let status =
+        Sys.command
+          (Filename.quote_command sfg ~stdout:Filename.null
+             ~stderr:err args)
+      in
+      (status, In_channel.with_open_text err In_channel.input_all))
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A fault class that never engaged (a partition window past the end of
+   the run) exits 2 on its own, but never hides a real failure: with the
+   coverage target missed as well, the gate exits 1 and reports both. *)
+let test_gate_exit_precedence () =
+  let status, err =
+    run_sfg
+      [ "spread"; "--n"; "1000"; "--max-rounds"; "1";
+        "--scenario"; "partition@500-600:2" ]
+  in
+  Alcotest.(check int) "missed target and dead class exit 1" 1 status;
+  Alcotest.(check bool) "the missed target is reported" true
+    (contains err "coverage target 0.99 not reached");
+  Alcotest.(check bool) "the dead class is reported" true
+    (contains err "partition declared but zero partition drops");
+  let status, err =
+    run_sfg
+      [ "scale"; "--n"; "2000"; "--rounds"; "3";
+        "--scenario"; "partition@500-600:2" ]
+  in
+  Alcotest.(check int) "a dead class alone exits 2" 2 status;
+  Alcotest.(check bool) "the dead class is reported" true
+    (contains err "partition declared but zero partition drops")
+
 let suite =
   [
     Alcotest.test_case "shim byte-identity with historical spread" `Quick
@@ -310,4 +359,5 @@ let suite =
     Alcotest.test_case "flat spread known answer" `Quick test_flat_known_answer;
     Alcotest.test_case "sequential spread known answer" `Quick
       test_sequential_known_answer;
+    Alcotest.test_case "sfg gate exit precedence" `Quick test_gate_exit_precedence;
   ]
