@@ -8,7 +8,8 @@
    - CH1: session-based churn (Poisson arrivals, exponential vs heavy-tailed
      Pareto lifetimes at equal mean) with the section 5 recovery rule.
    - R1: rumor dissemination over the evolving views (the Property M1
-     motivation), S&F vs a static ring of the same degree.
+     motivation) on the flat spread engine, S&F vs a ring start of the
+     same degree.
    - U1: the real-UDP deployment cross-checked against the simulator. *)
 
 module Runner = Sf_core.Runner
@@ -168,32 +169,26 @@ let session_churn () =
 let dissemination () =
   Output.section "R1" "Rumor dissemination over evolving views (Property M1 motivation)";
   Fmt.pr
-    "Push epidemic, fanout 2, loss 5%%: rounds for one rumor to reach 99%%@\n\
-     of 1000 nodes, S&F steady-state views vs a static ring of the same@\n\
-     degree (log-n vs linear spreading).@.";
+    "Push epidemic (Sf_spread.Flat), fanout 2, loss 5%%: rounds for one@\n\
+     rumor to reach 99%% of 1000 nodes, S&F steady-state views vs a ring@\n\
+     of the same degree (log-n vs linear spreading).@.";
   let n = 1000 in
-  (* S&F views. *)
-  let topology = Topology.regular (Sf_prng.Rng.create 401) ~n ~out_degree:30 in
-  let r = Runner.create ~seed:402 ~n ~loss_rate:0.05 ~config ~topology () in
-  Runner.run_rounds r 200;
-  let push runner rng =
-    Sf_spread.Sequential.run ~strategy:Sf_spread.Strategy.Push
-      ~loss_model:Sf_faults.Loss.Iid ~loss_rate:0.05 ~fanout:2 ~source:0 runner rng
+  (* Both worlds start as the same degree-30 ring; the S&F one runs 200
+     protocol rounds first.  The ring's rumor starts at once, so it
+     spreads while the protocol heals the ring into an expander: the
+     crawl shows in its early coverage, the healed spread after. *)
+  let push ~seed ~warmup =
+    let w =
+      Runner.Sharded.create ~shards:16 ~init:Runner.Sharded.Ring ~init_degree:30
+        ~loss_rate:0.05 ~seed ~n ~config ()
+    in
+    Runner.Sharded.run_rounds w warmup;
+    Sf_spread.Flat.run ~domains:1
+      (Sf_spread.Flat.create ~strategy:Sf_spread.Strategy.Push ~fanout:2
+         ~source:0 ~seed:(seed + 1) w)
   in
-  let sf_trace = push r (Sf_prng.Rng.create 403) in
-  (* Ring views: an S&F-shaped system that never runs the protocol, views
-     fixed to ring neighbors. *)
-  let ring_topology = Topology.ring ~n ~out_degree:30 in
-  let ring = Runner.create ~seed:404 ~n ~loss_rate:0.05 ~config ~topology:ring_topology () in
-  (* Freeze the membership: spread drives rounds, so give the ring a
-     dissemination that ignores membership evolution by using fanout over
-     static views. Runner.run_rounds inside spread will evolve it — to keep
-     the ring static we disable initiations by using the spread over a
-     zero-loss runner that we reset... simpler: measure the ring with the
-     protocol running too; the ring then *heals* into an expander, so we
-     report both the crawl before healing (early coverage) and the healed
-     spread. *)
-  let ring_trace = push ring (Sf_prng.Rng.create 405) in
+  let sf_trace = push ~seed:402 ~warmup:200 in
+  let ring_trace = push ~seed:404 ~warmup:0 in
   let show name (t : Sf_spread.Report.t) =
     [
       name;

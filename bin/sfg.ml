@@ -196,7 +196,8 @@ let declares kind (scenario : Sf_faults.Scenario.t) =
    (a broken invariant, a diverging replay, a missed target) exits 1.  A
    dead fault class — a declared fault that left no evidence, so the plan
    never engaged — exits 2, but only when nothing failed: a dead class
-   never hides a real failure.  Every finding is printed either way. *)
+   never hides a real failure.  Every finding is printed either way, and
+   [finish] always exits. *)
 module Verdict = struct
   type t = { mutable failures : string list; mutable dead : string list }
 
@@ -209,7 +210,18 @@ module Verdict = struct
     List.iter (Fmt.epr "%s: %s@." cmd) (List.rev v.dead);
     if v.failures <> [] then exit 1
     else if v.dead <> [] then exit 2
-    else Fmt.pr "%s: OK@." cmd
+    else begin
+      Fmt.pr "%s: OK@." cmd;
+      exit 0
+    end
+
+  (* The gate's world, or exit 1 with the engine's own message when the
+     engine refuses it (say, a fault window it cannot run). *)
+  let world v cmd make =
+    try make () with
+    | Invalid_argument m ->
+      fail v "%s" m;
+      finish v cmd
 end
 
 (* Every fault class a scenario declares must leave evidence in the
@@ -1205,71 +1217,45 @@ let print_spread_report n (r : Sf_spread.Report.t) =
   Sf_stats.Ascii_plot.series Fmt.stdout
     ("live coverage per round", r.Sf_spread.Report.coverage)
 
-(* The sequential engine: rumor over an orchestrated runner's views. *)
-let spread_sequential ~seed ~n ~view_size ~lower_threshold ~loss ~scenario
-    ~warmup ~strategy ~fanout ~target ~max_rounds =
-  let r = make_runner ?scenario ~seed ~n ~view_size ~lower_threshold ~loss () in
-  Runner.run_rounds r warmup;
-  let rng = Sf_prng.Rng.create (seed + 6) in
-  Sf_spread.Sequential.run ~coverage_target:target ~max_rounds ~strategy
-    ~fanout ~source:0 r rng
-
-(* The flat engine: rumor layered on the sharded million-node runner. *)
-let spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario ~churn
-    ~shards ~domains ~warmup ~strategy ~fanout ~target ~max_rounds ()
-  =
-  let config = Protocol.make_config ~view_size ~lower_threshold in
-  (* The scattered start mixes in O(log n) rounds; the ring start would
-     keep the rumor crawling a 1-D cycle for thousands of rounds. *)
-  let w =
-    Runner.Sharded.create ~shards ~loss_rate:loss ~init:Runner.Sharded.Scatter
-      ?scenario ?churn ~seed ~n ~config ()
-  in
-  Runner.Sharded.run_rounds w ~domains warmup;
-  let sp =
-    Sf_spread.Flat.create ~coverage_target:target ~fanout ~strategy ~source:0
-      ~seed:(seed + 6) w
-  in
-  let report = Sf_spread.Flat.run ~max_rounds ~domains sp in
-  (sp, report)
-
 let spread seed n view_size lower_threshold loss scenario churn_rate headroom
-    shards domains verify_domains seq warmup strategy fanout target max_rounds
-    =
+    shards domains verify_domains warmup strategy fanout target max_rounds =
   let v = Verdict.create () in
+  let config = Protocol.make_config ~view_size ~lower_threshold in
   let churn = sharded_churn ~churn_rate ~headroom in
   let domains = resolve_domains ~shards domains in
-  Fmt.pr "spread: %a fanout=%d n=%d target=%.2f loss=%g seed=%d %s@."
-    Sf_spread.Strategy.pp strategy fanout n target loss seed
-    (if seq then "(sequential engine)"
-     else Fmt.str "shards=%d domains=%d" shards domains);
+  Fmt.pr "spread: %a fanout=%d n=%d target=%.2f loss=%g seed=%d shards=%d \
+          domains=%d@."
+    Sf_spread.Strategy.pp strategy fanout n target loss seed shards domains;
   (match scenario with
   | Some sc -> Fmt.pr "scenario: %a@." Sf_faults.Scenario.pp sc
   | None -> ());
-  let report =
-    if seq then
-      spread_sequential ~seed ~n ~view_size ~lower_threshold ~loss ~scenario
-        ~warmup ~strategy ~fanout ~target ~max_rounds
-    else begin
-      let run k =
-        spread_flat ~seed ~n ~view_size ~lower_threshold ~loss ~scenario ~churn
-          ~shards ~domains:k ~warmup ~strategy ~fanout ~target ~max_rounds ()
-      in
-      (* The layered engines replay the whole run, membership and spread. *)
-      if verify_domains then
-        domain_oracle v ~what:"spread"
-          ~equal:(fun (sp1, r1) (sp2, r2) ->
-            Sf_spread.Flat.equal sp1 sp2 && Sf_spread.Report.equal r1 r2)
-          run;
-      let sp, report = run domains in
-      Option.iter
-        (fun sc ->
-          injector_verdict v sc
-            (Runner.Sharded.fault_statistics (Sf_spread.Flat.world sp)))
-        scenario;
-      report
-    end
+  (* The scattered start mixes in O(log n) rounds; the ring start would
+     keep the rumor crawling a 1-D cycle for thousands of rounds. *)
+  let run k =
+    let w =
+      Verdict.world v "spread" (fun () ->
+          Runner.Sharded.create ~shards ~loss_rate:loss
+            ~init:Runner.Sharded.Scatter ?scenario ?churn ~seed ~n ~config ())
+    in
+    Runner.Sharded.run_rounds w ~domains:k warmup;
+    let sp =
+      Sf_spread.Flat.create ~coverage_target:target ~fanout ~strategy ~source:0
+        ~seed:(seed + 6) w
+    in
+    (sp, Sf_spread.Flat.run ~max_rounds ~domains:k sp)
   in
+  (* The layered engines replay the whole run, membership and spread. *)
+  if verify_domains then
+    domain_oracle v ~what:"spread"
+      ~equal:(fun (sp1, r1) (sp2, r2) ->
+        Sf_spread.Flat.equal sp1 sp2 && Sf_spread.Report.equal r1 r2)
+      run;
+  let sp, report = run domains in
+  Option.iter
+    (fun sc ->
+      injector_verdict v sc
+        (Runner.Sharded.fault_statistics (Sf_spread.Flat.world sp)))
+    scenario;
   print_spread_report n report;
   if not (Sf_spread.Report.reached report) then
     Verdict.fail v "coverage target %.2f not reached in %d rounds" target max_rounds;
@@ -1294,14 +1280,6 @@ let spread_cmd =
       & info [ "fanout" ] ~docv:"K"
           ~doc:"Spread messages per node per round.")
   in
-  let seq =
-    Arg.(
-      value & flag
-      & info [ "seq" ]
-          ~doc:
-            "Use the sequential engine (orchestrated runner) instead of the \
-             sharded flat-state engine.")
-  in
   let warmup =
     Arg.(
       value & opt int 20
@@ -1321,17 +1299,18 @@ let spread_cmd =
   in
   let doc =
     "Spread a rumor over the live, evolving S&F views — push, push-pull or \
-     direct-addressed — on the sequential or the sharded million-node \
-     engine, under the shared fault pipeline (bursty loss, partitions, \
-     crashes) and churn.  Exit status: 1 when the coverage target is not \
-     reached or a determinism cross-check fails, 2 when nothing failed but \
-     a declared fault class left no evidence in the injector counters."
+     direct-addressed — on the sharded million-node engine, under the \
+     shared fault pipeline (bursty loss, partitions, crashes) and churn.  \
+     Exit status: 1 when the engine refuses the world (say, a delay or \
+     corrupt window), the coverage target is not reached or a determinism \
+     cross-check fails, 2 when nothing failed but a declared fault class \
+     left no evidence in the injector counters."
   in
   Cmd.v (Cmd.info "spread" ~doc)
     Term.(
       const spread $ seed_arg $ n_arg 10_000 $ view_size_arg 16
       $ lower_threshold_arg 4 $ loss_arg $ scenario_arg $ churn_arg 0.
-      $ headroom_arg 1024 $ shards_arg 16 $ domains_arg $ verify_domains_arg $ seq
+      $ headroom_arg 1024 $ shards_arg 16 $ domains_arg $ verify_domains_arg
       $ warmup $ strategy $ fanout $ target $ max_rounds)
 
 (* --- top --- *)
@@ -1561,10 +1540,12 @@ let scale seed n view_size lower_threshold loss rounds domains shards audit
   let config = Protocol.make_config ~view_size ~lower_threshold in
   let churn = sharded_churn ~churn_rate ~headroom in
   let make () =
-    Runner.Sharded.create ~shards ~loss_rate:loss ?scenario ?churn
-      ?resilience:
-        (if resilience then Some (resilience_policy ~d_hat ~delta ()) else None)
-      ~seed ~n ~config ()
+    Verdict.world v "scale" (fun () ->
+        Runner.Sharded.create ~shards ~loss_rate:loss ?scenario ?churn
+          ?resilience:
+            (if resilience then Some (resilience_policy ~d_hat ~delta ())
+             else None)
+          ~seed ~n ~config ())
   in
   let domains = resolve_domains ~shards domains in
   Fmt.pr "sharded run: n=%d s=%d dL=%d shards=%d domains=%d loss=%g seed=%d@." n

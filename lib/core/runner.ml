@@ -70,6 +70,8 @@ type resil = {
   mutable last_sends : int;         (* counter baselines for estimator deltas *)
   mutable last_duplications : int;
   mutable last_deletions : int;
+  mutable last_net_sent : int;      (* transport baselines for the true-loss gauge *)
+  mutable last_net_lost : int;
   mutable ticks : int;              (* resilience decision ticks (rounds) *)
   g_estimate : Sf_obs.Metrics.gauge;
   g_true : Sf_obs.Metrics.gauge;
@@ -264,7 +266,7 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
   in
   let network =
     Sf_engine.Network.create ~latency ?destination_loss ?injector ~obs ~sim
-      ~resilience:(Option.is_some resilience) ~rng:network_rng ~loss_rate ()
+      ~rng:network_rng ~loss_rate ()
   in
   let resilience =
     match (resilience, resil_rng) with
@@ -282,6 +284,8 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
           last_sends = 0;
           last_duplications = 0;
           last_deletions = 0;
+          last_net_sent = 0;
+          last_net_lost = 0;
           ticks = 0;
           (* Registered eagerly so exports show the resilience series from
              round zero, not from the first decision. *)
@@ -359,8 +363,6 @@ let action_count t = t.actions
 let minted_serials t = t.next_serial
 let live_count t = Hashtbl.length t.nodes
 let network_statistics t = Sf_engine.Network.statistics t.network
-let loss_rate t = Sf_engine.Network.loss_rate t.network
-let injector t = t.injector
 let simulator t = t.sim
 
 (* The array layout is sorted by id, never hash-table iteration order, so
@@ -846,13 +848,17 @@ let resil_tick t =
     r.last_duplications <- duplications;
     r.last_deletions <- deletions;
     Sf_obs.Metrics.set r.g_estimate (Sf_resil.Estimator.estimate r.estimator);
-    (* Ground truth from the transport's windowed counters, for dashboards
-       and estimator cross-checks; under non-stationary loss the window
-       tracks the current regime where a cumulative rate would lag. *)
-    (match Sf_engine.Network.loss_window t.network with
-    | Some (sent, lost) when sent > 0 ->
-      Sf_obs.Metrics.set r.g_true (float_of_int lost /. float_of_int sent)
-    | _ -> ());
+    (* Ground truth from the transport's counters over the last round,
+       for dashboards and estimator cross-checks; under non-stationary
+       loss it tracks the current regime where a cumulative rate would
+       lag. *)
+    let net = Sf_engine.Network.statistics t.network in
+    let sent = net.Sf_engine.Network.messages_sent - r.last_net_sent in
+    let lost = net.Sf_engine.Network.messages_lost - r.last_net_lost in
+    r.last_net_sent <- net.Sf_engine.Network.messages_sent;
+    r.last_net_lost <- net.Sf_engine.Network.messages_lost;
+    if sent > 0 then
+      Sf_obs.Metrics.set r.g_true (float_of_int lost /. float_of_int sent);
     if r.policy.Sf_resil.Policy.retune && Sf_resil.Estimator.confident r.estimator
     then begin
       match

@@ -87,7 +87,9 @@ val create :
     estimate (see {!node_config}), and lets the {!Sf_resil.Supervisor}
     drive section 5 repairs (reconnect/rebootstrap) under capped jittered
     backoff.  Decisions surface as [resil_*] metrics, [retune]/[repair]
-    trace marks, and [Structural] audit events.  The resilience RNG is
+    trace marks, and [Structural] audit events; the [resil_loss_true]
+    gauge is the last round's lost over sent, as deltas of
+    {!network_statistics}.  The resilience RNG is
     split from the root seed after every other stream, so omitting the
     option — or passing {!Sf_resil.Policy.observe_only} — replays the
     unadorned runner byte-for-byte. *)
@@ -123,17 +125,6 @@ val is_crashed : t -> int -> bool
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
 (** Fault-injection counters, when a scenario is installed. *)
-
-val loss_rate : t -> float
-(** The configured uniform chance-loss probability of the network. *)
-
-val injector : t -> Sf_faults.Injector.t option
-(** The shared fault injector, when a scenario is installed.  Read-only
-    consumers (e.g. the dissemination layer judging its own messages
-    through {!Sf_faults.Windows.judge} on {!Sf_faults.Injector.windows})
-    may query it; they must not draw loss verdicts through
-    {!Sf_faults.Injector.judge} with the runner's RNG, which would perturb
-    the membership stream. *)
 
 val step : t -> unit
 (** Sequential mode: one global action (random initiator, synchronous

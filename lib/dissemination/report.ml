@@ -38,22 +38,3 @@ let pp ppf t =
     Strategy.pp t.strategy t.fanout t.rounds pp_opt t.rounds_to_half pp_opt
     t.rounds_to_target (final_coverage t) t.messages t.pushes t.requests
     t.duplicates t.lost t.to_dead
-
-let to_json t =
-  let module J = Sf_obs.Json in
-  let opt = function None -> J.Null | Some r -> J.Int r in
-  J.Obj
-    [
-      ("strategy", J.String (Strategy.to_string t.strategy));
-      ("fanout", J.Int t.fanout);
-      ("rounds", J.Int t.rounds);
-      ("rounds_to_half", opt t.rounds_to_half);
-      ("rounds_to_target", opt t.rounds_to_target);
-      ("final_coverage", J.Float (final_coverage t));
-      ("messages", J.Int t.messages);
-      ("pushes", J.Int t.pushes);
-      ("requests", J.Int t.requests);
-      ("duplicates", J.Int t.duplicates);
-      ("lost", J.Int t.lost);
-      ("to_dead", J.Int t.to_dead);
-    ]

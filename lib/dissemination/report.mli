@@ -1,4 +1,4 @@
-(** The outcome of one spreading run, in either engine.
+(** The outcome of one spreading run ({!Flat.run}).
 
     Message accounting: [messages] counts every send attempt (pre-loss);
     [pushes] the rumor-bearing subset (pushes and pull responses),
@@ -36,4 +36,3 @@ val equal : t -> t -> bool
 
 val pp : t Fmt.t
 
-val to_json : t -> Sf_obs.Json.t

@@ -1,10 +1,8 @@
 (* Fixed-capacity id rings for the Direct strategy: a [leads] ring of
    learned, not-yet-contacted addresses and a [recent] ring of recently
-   contacted / known-informed ids (the repeat-contact throttle).  Both
-   engines share this layout; the flat engine stores the same rings as
-   slices of per-shard arrays and goes through the offset-based
-   operations below, so sequential and flat runs of one workload learn
-   identically.
+   contacted / known-informed ids (the repeat-contact throttle).  The
+   flat engine stores every node's rings as slices of per-shard arrays
+   and goes through the offset-based operations below.
 
    Capacities are small constants ({!Strategy.lead_capacity},
    {!Strategy.recent_capacity}); membership scans are linear over the

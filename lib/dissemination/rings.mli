@@ -1,7 +1,7 @@
 (** Fixed-capacity id rings backing the {!Strategy.Direct} per-node
-    lead/recent state, offset-addressed so both engines (per-node records
-    sequentially, per-shard flat arrays at scale) share one layout and one
-    set of operations.  Cells hold ids ([>= 0]) or [-1] when empty. *)
+    lead/recent state, offset-addressed so a node's rings are slices of
+    its shard's flat arrays.  Cells hold ids ([>= 0]) or [-1] when
+    empty. *)
 
 val mem : int array -> off:int -> cap:int -> head:int -> len:int -> int -> bool
 (** Linear membership scan over the [len] occupied cells of the ring

@@ -31,8 +31,7 @@ let of_string s =
 
 let pp ppf t = Fmt.string ppf (to_string t)
 
-(* Direct-strategy ring capacities, shared by both engines so the
-   sequential and flat runs of the same workload learn the same way. *)
+(* Direct-strategy ring capacities. *)
 let lead_capacity = 8
 let recent_capacity = 16
 

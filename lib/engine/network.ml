@@ -34,13 +34,6 @@ type 'msg t = {
   delivered : Sf_obs.Metrics.counter;
   lost : Sf_obs.Metrics.counter;
   dropped_no_handler : Sf_obs.Metrics.counter;
-  (* Windowed ground-truth loss signal for the resilience layer
-     (reset-on-read via [loss_window]); plain ints, maintained only when
-     [resilience] was requested at creation, so the default send path is
-     unchanged. *)
-  resilience : bool;
-  mutable win_sent : int;
-  mutable win_lost : int;
 }
 
 type statistics = {
@@ -54,16 +47,13 @@ let default_latency rng = 0.5 +. Sf_prng.Rng.float rng
 (* Uniform in [0.5, 1.5): asynchronous but loosely synchronized, matching the
    paper's assumption that nodes invoke actions at similar rates. *)
 
-let create ?(latency = default_latency) ?destination_loss ?injector ?obs
-    ?(resilience = false) ~sim ~rng ~loss_rate () =
+let create ?(latency = default_latency) ?destination_loss ?injector ?obs ~sim
+    ~rng ~loss_rate () =
   if loss_rate < 0. || loss_rate > 1. then
     invalid_arg "Network.create: loss_rate must lie in [0,1]";
   let obs = match obs with Some o -> o | None -> Sf_obs.Obs.create () in
   let m = Sf_obs.Obs.metrics obs in
   {
-    resilience;
-    win_sent = 0;
-    win_lost = 0;
     sim;
     rng;
     loss_rate;
@@ -115,19 +105,6 @@ let judge t ~src ~dst =
 
 let set_trace_clock t clock = t.trace_clock <- clock
 
-(* Windowed loss accounting (resilience mode only). *)
-let win_send t = if t.resilience then t.win_sent <- t.win_sent + 1
-let win_loss t = if t.resilience then t.win_lost <- t.win_lost + 1
-
-let loss_window t =
-  if not t.resilience then None
-  else begin
-    let window = (t.win_sent, t.win_lost) in
-    t.win_sent <- 0;
-    t.win_lost <- 0;
-    Some window
-  end
-
 (* Trace stamps come from the injected clock, so traces are deterministic
    and equal-seed runs dump identical bytes. *)
 let trace t event =
@@ -141,12 +118,10 @@ let trace t event =
    duplication decision itself lives in the protocol layer. *)
 let send t ?(src = -1) ?(duplicated = false) ~dst msg =
   Sf_obs.Metrics.incr t.sent;
-  win_send t;
   trace t (Sf_obs.Trace.Send { src; dst; duplicated });
   match judge t ~src ~dst with
   | `Drop cause ->
     Sf_obs.Metrics.incr t.lost;
-    win_loss t;
     trace t (Sf_obs.Trace.Drop { src; dst; cause })
   | `Deliver ->
     let delay =
@@ -164,7 +139,6 @@ let send t ?(src = -1) ?(duplicated = false) ~dst msg =
         in
         if crashed then begin
           Sf_obs.Metrics.incr t.lost;
-          win_loss t;
           trace t (Sf_obs.Trace.Drop { src; dst; cause = "crash" })
         end
         else
@@ -182,12 +156,10 @@ let send t ?(src = -1) ?(duplicated = false) ~dst msg =
    Returns whether the message was delivered to a live handler. *)
 let send_immediate t ?(src = -1) ?(duplicated = false) ~dst msg =
   Sf_obs.Metrics.incr t.sent;
-  win_send t;
   trace t (Sf_obs.Trace.Send { src; dst; duplicated });
   match judge t ~src ~dst with
   | `Drop cause ->
     Sf_obs.Metrics.incr t.lost;
-    win_loss t;
     trace t (Sf_obs.Trace.Drop { src; dst; cause });
     false
   | `Deliver -> (

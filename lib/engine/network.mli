@@ -19,7 +19,6 @@ val create :
   ?destination_loss:(int -> float) ->
   ?injector:Sf_faults.Injector.t ->
   ?obs:Sf_obs.Obs.t ->
-  ?resilience:bool ->
   sim:Sim.t ->
   rng:Sf_prng.Rng.t ->
   loss_rate:float ->
@@ -35,11 +34,6 @@ val create :
     Without one — or with {!Sf_faults.Scenario.default} — the send path
     performs the historical single Bernoulli draw per message, so
     fault-free runs replay byte-identically.
-
-    [resilience] (default [false]) additionally maintains the windowed
-    sent/lost counters behind {!loss_window}, the resilience layer's
-    ground-truth loss signal.  The counters are plain ints touched by no
-    RNG draw, so enabling them cannot perturb replay.
 
     [obs] is the observability bundle receiving the [net_*] counters and
     (when a tracer is attached) Send/Drop/Deliver trace records stamped
@@ -77,9 +71,3 @@ val send_immediate :
 val statistics : 'msg t -> statistics
 
 val observed_loss_rate : 'msg t -> float
-
-val loss_window : 'msg t -> (int * int) option
-(** [(sent, lost)] since the previous call, resetting the window — the
-    recent-regime loss signal the resilience layer compares its estimate
-    against (a cumulative rate lags under non-stationary loss).  [None]
-    unless the network was created with [~resilience:true]. *)

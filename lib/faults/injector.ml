@@ -62,8 +62,6 @@ let create ?metrics ~scenario ~n () =
 
 let set_clock t clock = t.clock <- clock
 
-let scenario t = t.scenario
-
 (* A window-free scenario never reads the clock: a clock call returns a
    boxed float. *)
 let refresh t =
@@ -74,8 +72,6 @@ let refresh t =
   end
 
 let transitions t = Windows.drain t.windows
-
-let windows t = t.windows
 
 let is_crashed t id =
   refresh t;

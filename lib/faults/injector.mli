@@ -52,8 +52,6 @@ val create : ?metrics:Sf_obs.Metrics.t -> scenario:Scenario.t -> n:int -> unit -
 val set_clock : t -> (unit -> float) -> unit
 (** Install the driver's round clock (see {!Scenario} for the unit). *)
 
-val scenario : t -> Scenario.t
-
 val refresh : t -> unit
 (** Re-evaluate window activity at the current clock.  Called implicitly by
     every query below; drivers may also call it between sends so boundary
@@ -74,10 +72,6 @@ val judge : t -> Sf_prng.Rng.t -> chance:float -> src:int -> dst:int -> verdict
 val is_crashed : t -> int -> bool
 (** [true] while some active crash window covers the id.  Drivers must not
     let crashed nodes initiate; {!Sf_check.Invariant} flags violations. *)
-
-val windows : t -> Windows.t
-(** The window state {!judge} reads.  A layered engine that judges its own
-    messages through {!Windows.judge} calls {!refresh} first. *)
 
 val crash_active : t -> bool
 (** [true] iff some crash window is currently active. *)

@@ -6,8 +6,7 @@
     id crashed, are two ids partitioned apart, how much delay is in force.
     {!judge} decides one message in the fixed order destination crash →
     partition → loss process.  {!Injector.judge}, the sharded runner and
-    both rumor engines all judge through it, so the order is written
-    once.
+    the rumor engine all judge through it, so the order is written once.
 
     {!refresh} is the only writer of window state.  The sharded runner
     calls it at the round barrier, so the queries are safe to read from

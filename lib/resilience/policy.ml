@@ -1,9 +1,9 @@
 (* The resilience policy: everything a driver needs to self-heal.
 
-   A single value threaded as [?resilience] through [Sf_core.Runner] and
-   [Sf_net.Driver] (and, as a window flag, [Sf_engine.Network]).  It
-   bundles the estimator/controller/supervisor knobs with the injected
-   section 6.3 solver — injected because the solver implementation lives
+   A single value threaded as [?resilience] through [Sf_core.Runner],
+   [Sf_core.Runner.Sharded] and [Sf_net.Driver].  It bundles the
+   estimator/controller/supervisor knobs with the injected section 6.3
+   solver — injected because the solver implementation lives
    in lib/analysis, *above* this library in the dependency order
    (sf_resil -> sf_core -> ... -> sf_analysis); drivers that can see
    [Sf_analysis.Thresholds.select_lossy] wire it in at the call site.
@@ -24,33 +24,19 @@ type t = {
   smoothing : float;         (* estimator EWMA weight *)
   hysteresis : float;        (* controller dead band on the estimate *)
   cooldown : int;            (* controller ticks between retunes *)
-  max_step : int;            (* controller slots moved per retune *)
-  max_lower : int option;    (* dL ceiling; default s - 6 at the driver *)
-  backoff_base : float;      (* supervisor backoff, in rounds *)
-  backoff_factor : float;
-  backoff_cap : float;
-  backoff_jitter : float;
 }
 
+(* Fixed knobs: controller slots moved per retune, and the supervisor's
+   backoff in rounds (first delay, growth, ceiling, jittered fraction). *)
+let max_step = 4
+let backoff_base = 1.0
+let backoff_factor = 2.0
+let backoff_cap = 32.0
+let backoff_jitter = 0.5
+
 let make ?(retune = true) ?(recover = true) ?(estimator_window = 2000)
-    ?(smoothing = 0.3) ?(hysteresis = 0.02) ?(cooldown = 10) ?(max_step = 4)
-    ?max_lower ?(backoff_base = 1.0) ?(backoff_factor = 2.0)
-    ?(backoff_cap = 32.0) ?(backoff_jitter = 0.5) ~solve () =
-  {
-    solve;
-    retune;
-    recover;
-    estimator_window;
-    smoothing;
-    hysteresis;
-    cooldown;
-    max_step;
-    max_lower;
-    backoff_base;
-    backoff_factor;
-    backoff_cap;
-    backoff_jitter;
-  }
+    ?(smoothing = 0.3) ?(hysteresis = 0.02) ?(cooldown = 10) ~solve () =
+  { solve; retune; recover; estimator_window; smoothing; hysteresis; cooldown }
 
 (* An inert policy: observe (estimate) but never act.  Drivers given this
    must replay byte-identically to drivers given no policy at all. *)
@@ -61,30 +47,27 @@ let observe_only ?estimator_window ?smoothing () =
 
 let estimator t = Estimator.create ~window:t.estimator_window ~smoothing:t.smoothing ()
 
-let backoff t ~rng =
-  Backoff.create ~base:t.backoff_base ~factor:t.backoff_factor ~cap:t.backoff_cap
-    ~jitter:t.backoff_jitter ~rng ()
+let backoff _ ~rng =
+  Backoff.create ~base:backoff_base ~factor:backoff_factor ~cap:backoff_cap
+    ~jitter:backoff_jitter ~rng ()
 
 let supervisor t ~rng = Supervisor.create ~backoff:(backoff t ~rng) ()
 
 (* Build the controller for a driver running at [initial] = (dL, s) with
    an allocated view capacity of [capacity] slots.  The retuning budget:
-   dL ranges over [0, min max_lower (capacity - 6)], s over
+   dL ranges over [0, capacity - 6], s over
    [initial s, capacity] — views are fixed arrays, so s can never exceed
    what was allocated, and shrinking s below its initial value is refused
    here (a per-node degree floor is the driver's concern). *)
 let controller t ~initial ~capacity =
   let _, s0 = initial in
-  let max_lower =
-    match t.max_lower with Some m -> min m (capacity - 6) | None -> capacity - 6
-  in
   let limits =
     {
       Controller.min_lower = 0;
-      max_lower;
+      max_lower = capacity - 6;
       min_view = s0;
       max_view = capacity;
     }
   in
-  Controller.create ~hysteresis:t.hysteresis ~cooldown:t.cooldown
-    ~max_step:t.max_step ~solve:t.solve ~limits ~initial ()
+  Controller.create ~hysteresis:t.hysteresis ~cooldown:t.cooldown ~max_step
+    ~solve:t.solve ~limits ~initial ()

@@ -16,12 +16,6 @@ type t = {
   smoothing : float;
   hysteresis : float;
   cooldown : int;
-  max_step : int;
-  max_lower : int option;
-  backoff_base : float;
-  backoff_factor : float;
-  backoff_cap : float;
-  backoff_jitter : float;
 }
 
 val make :
@@ -31,15 +25,12 @@ val make :
   ?smoothing:float ->       (* estimator EWMA weight (default 0.3) *)
   ?hysteresis:float ->      (* controller dead band (default 0.02) *)
   ?cooldown:int ->          (* controller ticks between retunes (default 10) *)
-  ?max_step:int ->          (* slots moved per retune, even (default 4) *)
-  ?max_lower:int ->         (* dL ceiling (default capacity - 6) *)
-  ?backoff_base:float ->    (* first retry delay in rounds (default 1.0) *)
-  ?backoff_factor:float ->  (* backoff growth (default 2.0) *)
-  ?backoff_cap:float ->     (* backoff ceiling in rounds (default 32.0) *)
-  ?backoff_jitter:float ->  (* jittered delay fraction (default 0.5) *)
   solve:(loss:float -> int * int) ->
   unit ->
   t
+(** The controller moves at most 4 slots per retune; the supervisor's
+    backoff starts at 1 round, doubles per failure, is capped at 32
+    rounds, and jitters the final half of each delay. *)
 
 val observe_only : ?estimator_window:int -> ?smoothing:float -> unit -> t
 (** Estimate the loss rate but never retune or repair.  Drivers given
@@ -60,5 +51,5 @@ val supervisor : t -> rng:Sf_prng.Rng.t -> Supervisor.t
 val controller : t -> initial:(int * int) -> capacity:int -> Controller.t
 (** A fresh controller for a driver running at [initial] = (dL, s) with
     [capacity] allocated view slots.  Budget: dL in
-    [0, min max_lower (capacity - 6)], s in [initial s, capacity] (views
+    [0, capacity - 6], s in [initial s, capacity] (views
     are fixed arrays — s can never exceed the allocation). *)

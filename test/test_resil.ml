@@ -367,6 +367,34 @@ let test_resil_metrics_exported () =
       "resil_backoff_rounds";
     ]
 
+(* [resil_loss_true] is the transport's lost over sent across the last
+   round alone — the deltas of [Runner.network_statistics] between two
+   ticks — so under bursty loss it follows the current regime. *)
+let test_resil_true_loss_gauge () =
+  let obs = Sf_obs.Obs.create () in
+  let scenario =
+    match Sf_faults.Scenario.of_string "ge:0.2:8" with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    make_runner ~obs ~scenario ?resilience:(Some (Policy.observe_only ()))
+      ~seed:261 ()
+  in
+  let gauge = Sf_obs.Metrics.gauge (Sf_obs.Obs.metrics obs) "resil_loss_true" in
+  for round = 1 to 30 do
+    let before = Runner.network_statistics r in
+    Runner.run_rounds r 1;
+    let after = Runner.network_statistics r in
+    let open Sf_engine.Network in
+    let sent = after.messages_sent - before.messages_sent
+    and lost = after.messages_lost - before.messages_lost in
+    Alcotest.(check (float 0.))
+      (Fmt.str "round %d: %d lost of %d sent" round lost sent)
+      (float_of_int lost /. float_of_int sent)
+      (Sf_obs.Metrics.level gauge)
+  done
+
 let suite =
   [
     Alcotest.test_case "backoff is deterministic, capped, jittered" `Quick
@@ -387,4 +415,6 @@ let suite =
     Alcotest.test_case "supervised partition recovery" `Slow
       test_supervised_partition_recovery;
     Alcotest.test_case "resil_* metrics exported" `Quick test_resil_metrics_exported;
+    Alcotest.test_case "resil_loss_true is the last round's loss" `Quick
+      test_resil_true_loss_gauge;
   ]

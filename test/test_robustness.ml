@@ -2,6 +2,7 @@
    and rumor dissemination. *)
 
 module Runner = Sf_core.Runner
+module Sharded = Sf_core.Runner.Sharded
 module Protocol = Sf_core.Protocol
 module Topology = Sf_core.Topology
 module Sessions = Sf_core.Sessions
@@ -123,17 +124,23 @@ let test_session_zero_arrivals_drains () =
 
 (* --- Dissemination --- *)
 
-(* The historical push epidemic: fanout 2 from node 0 under i.i.d. loss. *)
-let push_spread ?coverage_target ?max_rounds r rng ~loss_rate =
-  Sf_spread.Sequential.run ?coverage_target ?max_rounds
-    ~strategy:Sf_spread.Strategy.Push ~loss_model:Sf_faults.Loss.Iid ~loss_rate
-    ~fanout:2 ~source:0 r rng
+(* The push epidemic on the flat spread engine: fanout 2 from node 0 over
+   a sharded world whose i.i.d. loss also eats rumor messages. *)
+let push_spread ?coverage_target ?max_rounds ?(seed = 60) ~n ~warmup ~loss_rate
+    () =
+  let w =
+    Sharded.create ~shards:4 ~loss_rate ~init:Sharded.Scatter ~init_degree:4
+      ~seed ~n ~config ()
+  in
+  Sharded.run_rounds w warmup;
+  Sf_spread.Flat.run ?max_rounds ~domains:1
+    (Sf_spread.Flat.create ?coverage_target ~strategy:Sf_spread.Strategy.Push
+       ~fanout:2 ~source:0 ~seed:(seed + 1) w)
 
 let test_rumor_reaches_everyone () =
-  let r = make_system ~n:200 () in
-  Runner.run_rounds r 80;
-  let rng = Sf_prng.Rng.create 9 in
-  let trace = push_spread r rng ~coverage_target:1.0 ~loss_rate:0. in
+  let trace =
+    push_spread ~n:200 ~warmup:80 ~coverage_target:1.0 ~loss_rate:0. ()
+  in
   (match trace.Report.rounds_to_target with
   | Some rounds ->
     Alcotest.(check bool)
@@ -151,10 +158,7 @@ let test_rumor_reaches_everyone () =
 
 let test_rumor_loss_slows_spread () =
   let run loss seed =
-    let r = make_system ~seed ~n:200 () in
-    Runner.run_rounds r 80;
-    let rng = Sf_prng.Rng.create (seed + 1) in
-    let trace = push_spread r rng ~loss_rate:loss in
+    let trace = push_spread ~seed ~n:200 ~warmup:80 ~loss_rate:loss () in
     Option.value ~default:999 trace.Report.rounds_to_half
   in
   let fast = run 0. 61 in
@@ -164,11 +168,9 @@ let test_rumor_loss_slows_spread () =
     true (fast <= slow)
 
 let test_rumor_max_rounds_cap () =
-  let r = make_system ~n:100 () in
-  Runner.run_rounds r 50;
-  let rng = Sf_prng.Rng.create 11 in
-  (* 100% loss: the rumor never leaves the source. *)
-  let trace = push_spread r rng ~max_rounds:10 ~loss_rate:1. in
+  (* 99% loss (the sharded engine refuses certain loss): the rumor barely
+     leaves the source. *)
+  let trace = push_spread ~n:100 ~warmup:50 ~max_rounds:10 ~loss_rate:0.99 () in
   Alcotest.(check bool) "never reaches half" true (trace.Report.rounds_to_half = None);
   Alcotest.(check int) "stopped at the cap" 10 (Array.length trace.Report.coverage)
 

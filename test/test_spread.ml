@@ -1,7 +1,7 @@
-(* Tests for lib/dissemination: the strategy engines (sequential and
-   flat-state sharded), their determinism contracts, the Push path's
-   byte-identity with the historical push spread, and the coverage
-   semantics under crash faults. *)
+(* Tests for lib/dissemination: the flat-state spread engine over the
+   sharded runner, its determinism contracts, its push epidemic against
+   the historical push spread over the sequential runner, and the
+   coverage semantics under crash faults. *)
 
 module Runner = Sf_core.Runner
 module Sharded = Sf_core.Runner.Sharded
@@ -9,7 +9,6 @@ module Protocol = Sf_core.Protocol
 module Topology = Sf_core.Topology
 module Sampling = Sf_core.Sampling
 module Strategy = Sf_spread.Strategy
-module Sequential = Sf_spread.Sequential
 module Report = Sf_spread.Report
 module Flat = Sf_spread.Flat
 module Rng = Sf_prng.Rng
@@ -21,19 +20,24 @@ let scenario s =
   | Ok sc -> sc
   | Error e -> Alcotest.fail ("scenario parse: " ^ e)
 
-let make_runner ?scenario ?(seed = 77) ?(n = 400) ?(loss = 0.) () =
+let make_runner ?(seed = 77) ?(n = 400) ?(loss = 0.) () =
   let rng = Rng.create (seed + 1000) in
   let topology = Topology.regular rng ~n ~out_degree:8 in
-  Runner.create ?scenario ~seed ~n ~loss_rate:loss ~config ~topology ()
+  Runner.create ~seed ~n ~loss_rate:loss ~config ~topology ()
 
-(* --- Push under i.i.d. loss: byte-identity with the historical spread --- *)
+(* The flat engine's twin of [make_runner]: the same n, config and
+   out-degree, as a scattered start on 8 shards. *)
+let flat_world ?scenario ?(seed = 77) ?(n = 400) ?(loss = 0.) () =
+  Sharded.create ~shards:8 ~loss_rate:loss ~init:Sharded.Scatter ~init_degree:8
+    ?scenario ~seed ~n ~config ()
+
+(* --- Push under i.i.d. loss: against the historical spread --- *)
 
 (* The historical push epidemic (the pre-refactor [spread] of
    [Sf_core.Dissemination]), inlined verbatim (its
    whole body fits on a page): one Hashtbl of infected ids, fanout view
    samples per infected node per round, one unconditional bernoulli per
-   push.  [Sequential.run] with [Push] and [Iid] loss must replay it
-   draw-for-draw. *)
+   push.  It is the independent oracle for the flat engine's push. *)
 let reference_spread ?(coverage_target = 0.99) ?(max_rounds = 200) runner rng
     ~fanout ~loss_rate ~source () =
   let infected = Hashtbl.create 1024 in
@@ -80,45 +84,59 @@ let reference_spread ?(coverage_target = 0.99) ?(max_rounds = 200) runner rng
     Array.of_list (List.rev !coverage),
     !pushes )
 
-let test_shim_byte_identity () =
+(* The flat engine's push over a sharded world against the historical
+   push over a sequential runner of the same n, config and loss, both
+   after 20 membership rounds, seeds 1-10.  Measured spread (flat minus
+   historical): rounds to half -1..+1, rounds to 99% 0..+3.  The
+   tolerances add one round of headroom to each; a flat push that sends
+   fanout - 1 messages lands +3..+6 and +5..+13 rounds off. *)
+let test_push_against_historical () =
   List.iter
     (fun loss_rate ->
-      let r_ref = make_runner ~loss:loss_rate ()
-      and r_new = make_runner ~loss:loss_rate () in
-      let rng_ref = Rng.create 4242 and rng_new = Rng.create 4242 in
-      let half, all, coverage, pushes =
-        reference_spread r_ref rng_ref ~fanout:2 ~loss_rate ~source:0 ()
-      in
-      let t =
-        Sequential.run ~strategy:Strategy.Push ~loss_model:Sf_faults.Loss.Iid
-          ~loss_rate ~fanout:2 ~source:0 r_new rng_new
-      in
-      Alcotest.(check (option int)) "rounds_to_half" half t.Report.rounds_to_half;
-      Alcotest.(check (option int)) "rounds_to_all" all t.Report.rounds_to_target;
-      Alcotest.(check int) "pushes" pushes t.Report.pushes;
-      Alcotest.(check (array (float 0.))) "coverage trajectory" coverage
-        t.Report.coverage;
-      (* Same randomness consumed: the two streams are still aligned, and
-         so are the two runners' membership streams. *)
-      Alcotest.(check int) "rumor RNG streams aligned"
-        (Rng.int rng_ref 1_000_000) (Rng.int rng_new 1_000_000);
-      Alcotest.(check int) "runners advanced identically"
-        (Runner.live_count r_ref) (Runner.live_count r_new))
+      for seed = 1 to 10 do
+        let r = make_runner ~seed ~loss:loss_rate () in
+        Runner.run_rounds r 20;
+        let half, all, _, _ =
+          reference_spread r (Rng.create (seed + 4242)) ~fanout:2 ~loss_rate
+            ~source:0 ()
+        in
+        let w = flat_world ~seed ~loss:loss_rate () in
+        Sharded.run_rounds w 20;
+        let t =
+          Flat.run ~domains:1
+            (Flat.create ~strategy:Strategy.Push ~fanout:2 ~source:0
+               ~seed:(seed + 4242) w)
+        in
+        let within what tolerance want got =
+          match (want, got) with
+          | Some want, Some got ->
+            Alcotest.(check bool)
+              (Fmt.str "loss %g seed %d: %s %d vs historical %d (+-%d)"
+                 loss_rate seed what got want tolerance)
+              true
+              (abs (got - want) <= tolerance)
+          | _ -> Alcotest.failf "loss %g seed %d: %s not reached" loss_rate seed what
+        in
+        within "rounds to half" 2 half t.Report.rounds_to_half;
+        within "rounds to 99%" 4 all t.Report.rounds_to_target
+      done)
     [ 0.; 0.2 ]
 
-(* --- Sequential engine: per-strategy determinism --- *)
+(* --- Per-strategy determinism --- *)
 
-let test_sequential_determinism () =
+let test_strategy_determinism () =
   List.iter
     (fun strategy ->
       let run () =
-        let r = make_runner ~scenario:(scenario "ge:0.2:8") ~loss:0.01 () in
-        Sequential.run ~strategy ~fanout:2 ~source:0 r (Rng.create 9)
+        let w = flat_world ~scenario:(scenario "ge:0.2:8") ~loss:0.01 () in
+        let sp = Flat.create ~strategy ~fanout:2 ~source:0 ~seed:9 w in
+        (sp, Flat.run ~domains:1 sp)
       in
-      let a = run () and b = run () in
+      let sp_a, a = run () and sp_b, b = run () in
       Alcotest.(check bool)
         (Strategy.to_string strategy ^ " replays bit-for-bit")
-        true (Report.equal a b);
+        true
+        (Report.equal a b && Flat.equal sp_a sp_b);
       Alcotest.(check bool)
         (Strategy.to_string strategy ^ " reached target")
         true (Report.reached a);
@@ -135,11 +153,10 @@ let test_sequential_determinism () =
    cap at 7/8 < 0.99 and the spread could never terminate; against the
    reachable (live, un-crashed) population it completes normally. *)
 let test_crash_coverage_denominator () =
-  let n = 400 in
-  let r = make_runner ~scenario:(scenario "crash@1-200:0-49") ~n () in
+  let w = flat_world ~scenario:(scenario "crash@1-200:0-49") () in
   let report =
-    Sequential.run ~strategy:Strategy.Push ~fanout:2 ~source:60 r
-      (Rng.create 9)
+    Flat.run ~domains:1
+      (Flat.create ~strategy:Strategy.Push ~fanout:2 ~source:60 ~seed:9 w)
   in
   Alcotest.(check bool) "reached 0.99 of reachable nodes" true
     (Report.reached report);
@@ -267,20 +284,26 @@ let test_flat_known_answer () =
           [ 40; 11; -1; 34008; 34008; 0; 28974; 1694; 2340; 783 ] ] );
     ]
 
-(* Report, then the runner's counters (actions, sends, lost), then its
-   injector's (judged, chance, partition and crash drops, transitions). *)
-let test_sequential_known_answer () =
+(* The churn-free twin of the flat known answer on a 400-node world:
+   report, then the world's counters (actions, sends, lost), then its
+   fault statistics (judged, chance, partition and crash drops,
+   transitions). *)
+let test_churn_free_known_answer () =
   List.iter2
     (fun strategy want ->
-      let r =
-        make_runner ~scenario:(scenario "partition@1-4:2;crash@2-6:0-49") ~loss:0.05 ()
+      let w =
+        flat_world ~scenario:(scenario "partition@1-4:2;crash@2-6:0-49")
+          ~loss:0.05 ()
       in
-      let rep = Sequential.run ~strategy ~fanout:2 ~source:60 r (Rng.create 9) in
-      let c = Runner.world_counters r in
+      let rep =
+        Flat.run ~domains:1
+          (Flat.create ~strategy ~fanout:2 ~source:60 ~seed:9 w)
+      in
+      let c = Sharded.world_counters w in
       let f =
-        match Runner.fault_statistics r with
+        match Sharded.fault_statistics w with
         | Some f -> f
-        | None -> Alcotest.fail "runner lost its fault statistics"
+        | None -> Alcotest.fail "world lost its fault statistics"
       in
       Alcotest.(check (list int)) (Strategy.to_string strategy) want
         (report_ints rep
@@ -289,9 +312,9 @@ let test_sequential_known_answer () =
             f.Sf_faults.Injector.partition_drops; f.Sf_faults.Injector.crash_drops;
             f.Sf_faults.Injector.fault_transitions ]))
     Strategy.all
-    [ [ 11; 8; 11; 2260; 2260; 0; 1731; 133; 0; 4400; 968; 203; 968; 41; 122; 40; 4 ];
-      [ 8; 6; 8; 6358; 1816; 4542; 1328; 1581; 0; 3200; 719; 193; 719; 31; 122; 40; 4 ];
-      [ 14; 10; 14; 2834; 2834; 0; 2293; 146; 0; 5600; 1216; 211; 1216; 49; 122; 40; 4 ] ]
+    [ [ 14; 8; 14; 4994; 4994; 0; 4326; 271; 0; 5400; 1169; 49; 1169; 49; 120; 31; 4 ];
+      [ 6; 5; 6; 4790; 1580; 3210; 913; 1527; 0; 2200; 482; 12; 482; 12; 120; 31; 3 ];
+      [ 12; 8; 12; 2628; 2628; 0; 2087; 146; 0; 4600; 993; 39; 993; 39; 120; 31; 4 ] ]
 
 (* --- The sfg gates' exit-code precedence --- *)
 
@@ -342,12 +365,26 @@ let test_gate_exit_precedence () =
   Alcotest.(check bool) "the dead class is reported" true
     (contains err "partition declared but zero partition drops")
 
+(* A scenario the sharded engine cannot run (delay and corrupt windows)
+   fails the gate with the engine's own message, never an uncaught
+   exception. *)
+let test_gate_refuses_unsupported_world () =
+  List.iter
+    (fun args ->
+      let status, err = run_sfg args in
+      let cmd = String.concat " " args in
+      Alcotest.(check int) (cmd ^ ": exit 1") 1 status;
+      Alcotest.(check bool) (cmd ^ ": the engine's message is reported") true
+        (contains err "not supported on the sharded engine"))
+    [ [ "spread"; "--n"; "1000"; "--scenario"; "delay@1-5:2" ];
+      [ "scale"; "--n"; "1000"; "--rounds"; "2"; "--scenario"; "corrupt@1-5:0.1" ] ]
+
 let suite =
   [
     Alcotest.test_case "shim byte-identity with historical spread" `Quick
-      test_shim_byte_identity;
+      test_push_against_historical;
     Alcotest.test_case "sequential per-strategy determinism" `Quick
-      test_sequential_determinism;
+      test_strategy_determinism;
     Alcotest.test_case "crash-aware coverage denominator" `Quick
       test_crash_coverage_denominator;
     Alcotest.test_case "flat domain-count invariance (all strategies)" `Quick
@@ -358,6 +395,8 @@ let suite =
       test_direct_beats_push_messages;
     Alcotest.test_case "flat spread known answer" `Quick test_flat_known_answer;
     Alcotest.test_case "sequential spread known answer" `Quick
-      test_sequential_known_answer;
+      test_churn_free_known_answer;
     Alcotest.test_case "sfg gate exit precedence" `Quick test_gate_exit_precedence;
+    Alcotest.test_case "sfg refuses what the sharded engine cannot run" `Quick
+      test_gate_refuses_unsupported_world;
   ]
