@@ -45,12 +45,11 @@ storm: build
 # partition, a crash wave — under the full self-healing policy, first on
 # the audited simulator (estimator accuracy checked against the
 # injector's ground truth) and then on a UDP loopback cluster with
-# crash/rebind; nonzero exit on any failed verdict.  Then the RSOAK bench
-# section soaks a second world (s=16, dL=6, d_hat=10, no recovery
-# fallback) and prints its checks.
+# crash/rebind; nonzero exit on any failed verdict.  The second chaos
+# world (s=16, dL=6, d_hat=10, no recovery fallback) is the test
+# `resilience 12` under `make test`.
 soak: build
 	dune exec bin/sfg.exe -- soak --port 48400
-	dune exec bench/main.exe -- RSOAK
 
 # Observability smoke: a metrics snapshot and a trace dump from the
 # instrumented simulator, plus the determinism property the tracer

@@ -1,4 +1,4 @@
-(* Resilience experiments (RES1, RES2, RSOAK): what the self-healing
+(* Resilience experiments (RES1, RES2): what the self-healing
    layer (lib/resilience) buys under the loss regimes the paper leaves
    open.
 
@@ -6,10 +6,7 @@
      retuning — the retuned system keeps its mean outdegree near the
      d_hat it was asked to hold, the static one drifts;
    - RES2: time-to-reconnect after a long partition — the supervised
-     recovery path vs the manual Churn.recover_connectivity call;
-   - RSOAK: a compact chaos soak (bursty loss, partition, crash wave)
-     under the full policy and the Warn audit — the CI gate behind
-     `make soak`. *)
+     recovery path vs the manual Churn.recover_connectivity call. *)
 
 module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
@@ -19,8 +16,6 @@ module Churn = Sf_core.Churn
 module Summary = Sf_stats.Summary
 module Scenario = Sf_faults.Scenario
 module Loss = Sf_faults.Loss
-module Injector = Sf_faults.Injector
-module Invariant = Sf_check.Invariant
 module Policy = Sf_resil.Policy
 
 (* The production solver wiring: section 6.3 re-solved for the estimated
@@ -174,60 +169,3 @@ let fig_res2 () =
     (manual_rounds < max_int && supervised_rounds < max_int);
   Output.check "supervised reconnects at least as fast as manual"
     (supervised_rounds <= manual_rounds)
-
-(* --- RSOAK: the CI soak gate --- *)
-
-let rsoak () =
-  Output.section "RSOAK" "Chaos soak under the full resilience policy";
-  let scenario = scenario_of_string "ge:0.15:6;partition@60-80:2;crash@110-130:0-5" in
-  Fmt.pr "scenario %s, n=96, s=16, dL=6, 200 rounds, Warn audit.@."
-    (Scenario.to_string scenario);
-  let policy =
-    Policy.make ~estimator_window:1000 ~solve:(solve ~d_hat:10 ~delta:0.01) ()
-  in
-  let config = Protocol.make_config ~view_size:16 ~lower_threshold:6 in
-  let n = 96 in
-  let topology = Topology.regular (Sf_prng.Rng.create 7301) ~n ~out_degree:10 in
-  let r =
-    Runner.create ~scenario ~resilience:policy ~seed:7300 ~n ~loss_rate:0.01
-      ~config ~topology ()
-  in
-  let stats = Invariant.audited_run ~mode:Invariant.Warn r ~rounds:200 in
-  let connected = Properties.is_weakly_connected r in
-  let estimate, windows, retunes, repairs, recoveries =
-    match Runner.resilience_statistics r with
-    | Some rs ->
-      ( rs.Runner.loss_estimate,
-        rs.Runner.estimator_windows,
-        rs.Runner.retunes,
-        rs.Runner.repair_attempts,
-        rs.Runner.recoveries )
-    | None -> (0., 0, 0, 0, 0)
-  in
-  let truth =
-    match Runner.fault_statistics r with
-    | Some fs when fs.Injector.judged > 0 ->
-      float_of_int
-        (fs.Injector.chance_drops + fs.Injector.partition_drops
-       + fs.Injector.crash_drops + fs.Injector.corruptions)
-      /. float_of_int fs.Injector.judged
-    | Some _ | None -> 0.
-  in
-  let err = Float.abs (estimate -. truth) in
-  Output.table
-    [ "measure"; "value" ]
-    [
-      [ "invariant violations"; Output.i stats.Invariant.violation_count ];
-      [ "weakly connected"; string_of_bool connected ];
-      [ "loss estimate"; Output.f4 estimate ];
-      [ "injector ground truth"; Output.f4 truth ];
-      [ "estimator windows"; Output.i windows ];
-      [ "retunes"; Output.i retunes ];
-      [ "repair attempts"; Output.i repairs ];
-      [ "recoveries"; Output.i recoveries ];
-    ];
-  Output.check "no invariant violations" (stats.Invariant.violation_count = 0);
-  Output.check "overlay connected after the chaos" connected;
-  Output.check
-    (Fmt.str "estimate within 0.08 of injector truth (err %.4f)" err)
-    (err <= 0.08)

@@ -43,7 +43,6 @@ let experiments =
     ("OBS", Exp_obs.run);
     ("RES1", Exp_resilience.fig_res1);
     ("RES2", Exp_resilience.fig_res2);
-    ("RSOAK", Exp_resilience.rsoak);
     ("SCALE", Exp_scale.run);
     ("SPREAD", Exp_spread.run ~smoke:false);
     ("SPREAD10", Exp_spread.run ~smoke:true);

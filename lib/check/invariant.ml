@@ -125,6 +125,33 @@ type stats = {
 
 let kept_violations = 100
 
+let fresh_stats () =
+  {
+    actions_checked = 0;
+    receipts_seen = 0;
+    full_scans = 0;
+    resyncs = 0;
+    violation_count = 0;
+    violations = [];
+  }
+
+(* The one reporting rule of every audit path: Strict raises at the first
+   violation; Warn counts every one, keeps the first [kept_violations]
+   and logs each. *)
+let record_violation mode stats v =
+  stats.violation_count <- stats.violation_count + 1;
+  match mode with
+  | Strict -> raise (Violation v)
+  | Warn ->
+    if stats.violation_count <= kept_violations then
+      stats.violations <- v :: stats.violations;
+    Log.warn (fun m -> m "%a" pp_violation v)
+
+(* One full structural scan's findings, counted as a scan. *)
+let record_scan mode stats violations =
+  stats.full_scans <- stats.full_scans + 1;
+  List.iter (record_violation mode stats) violations
+
 type auditor = {
   mode : mode;
   scan_every : int;
@@ -135,18 +162,10 @@ type auditor = {
   mutable events : int;    (* sim events seen by the monitor *)
 }
 
-let report a v =
-  a.stats.violation_count <- a.stats.violation_count + 1;
-  match a.mode with
-  | Strict -> raise (Violation v)
-  | Warn ->
-    if a.stats.violation_count <= kept_violations then
-      a.stats.violations <- v :: a.stats.violations;
-    Log.warn (fun m -> m "%a" pp_violation v)
+let report a v = record_violation a.mode a.stats v
 
 let full_scan a runner =
-  a.stats.full_scans <- a.stats.full_scans + 1;
-  List.iter (report a) (scan ~require_even:a.require_even runner)
+  record_scan a.mode a.stats (scan ~require_even:a.require_even runner)
 
 (* Expected change of the global edge count for a completed action, or
    [None] when the outcome is still in flight (timed mode). *)
@@ -265,16 +284,7 @@ let on_event a runner event =
     a.edges <- total_edges runner
 
 let attach ?(mode = Strict) ?(scan_every = 1000) ?(require_even = true) runner =
-  let stats =
-    {
-      actions_checked = 0;
-      receipts_seen = 0;
-      full_scans = 0;
-      resyncs = 0;
-      violation_count = 0;
-      violations = [];
-    }
-  in
+  let stats = fresh_stats () in
   let a =
     {
       mode;
@@ -395,29 +405,8 @@ let scan_sharded ?(require_even = true) w =
    rounds. *)
 let audited_sharded_run ?(mode = Strict) ?(scan_every = 10)
     ?(require_even = true) ?(domains = 1) w ~rounds =
-  let stats =
-    {
-      actions_checked = 0;
-      receipts_seen = 0;
-      full_scans = 0;
-      resyncs = 0;
-      violation_count = 0;
-      violations = [];
-    }
-  in
-  let report v =
-    stats.violation_count <- stats.violation_count + 1;
-    match mode with
-    | Strict -> raise (Violation v)
-    | Warn ->
-      if stats.violation_count <= kept_violations then
-        stats.violations <- v :: stats.violations;
-      Log.warn (fun m -> m "%a" pp_violation v)
-  in
-  let full_scan () =
-    stats.full_scans <- stats.full_scans + 1;
-    List.iter report (scan_sharded ~require_even w)
-  in
+  let stats = fresh_stats () in
+  let full_scan () = record_scan mode stats (scan_sharded ~require_even w) in
   let edges = ref (Sharded.total_edges w) in
   let prev = ref (Sharded.ledger w) in
   for r = 1 to rounds do
@@ -436,7 +425,7 @@ let audited_sharded_run ?(mode = Strict) ?(scan_every = 10)
       - (l.Sharded.churn_edges_removed - !prev.Sharded.churn_edges_removed)
     in
     if edges' - !edges <> expected then
-      report
+      record_violation mode stats
         (violation "edge-conservation"
            "round %d: edge count moved %d -> %d but the ledger implies %+d"
            (Sharded.rounds_completed w)
@@ -456,15 +445,5 @@ let audited_run ?(mode = Strict) ?scan_every ?(require_even = true) runner ~roun
     ~finally:(fun () -> detach runner)
     (fun () ->
       Runner.run_rounds runner rounds;
-      stats.full_scans <- stats.full_scans + 1;
-      List.iter
-        (fun v ->
-          stats.violation_count <- stats.violation_count + 1;
-          match mode with
-          | Strict -> raise (Violation v)
-          | Warn ->
-            if stats.violation_count <= kept_violations then
-              stats.violations <- v :: stats.violations;
-            Log.warn (fun m -> m "%a" pp_violation v))
-        (scan ~require_even runner));
+      record_scan mode stats (scan ~require_even runner));
   stats

@@ -71,9 +71,10 @@ let join_integration runner ~rounds =
 (* Continuous-churn driver: every round, [leaves] random nodes depart and
    [joins] new nodes arrive (bootstrapped from live views).  Used to check
    that the protocol keeps the graph connected and balanced under sustained
-   membership change.  With [recover] set, starved nodes (whose neighbors
-   have all departed) invoke the section 5 reconnection rule each round;
-   the return value counts the reconnection attempts made. *)
+   membership change.  With [recover] set, isolated nodes (whose neighbors
+   have all departed) run the section 5 reconnection rule each round
+   ([Runner.reconnect_isolated]); the return value counts the reconnection
+   attempts made. *)
 let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
   let attempts =
     Sf_obs.Metrics.counter
@@ -94,18 +95,11 @@ let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
       let bootstrap = Runner.bootstrap_from runner ~count in
       ignore (Runner.add_node runner ~bootstrap)
     done;
-    if recover then
-      List.iter
-        (fun node ->
-          incr reconnections;
-          Sf_obs.Metrics.incr attempts;
-          match Runner.reconnect runner ~node_id:node.Protocol.node_id with
-          | Runner.Reconnected _ -> ()
-          | Runner.Exhausted _ ->
-            (* Every previously seen id is dead: fall back to the
-               out-of-band bootstrap service. *)
-            ignore (Runner.rebootstrap runner ~node_id:node.Protocol.node_id))
-        (Runner.isolated_nodes runner);
+    if recover then begin
+      let repaired = Runner.reconnect_isolated runner in
+      reconnections := !reconnections + repaired;
+      Sf_obs.Metrics.add attempts repaired
+    end;
     Runner.run_rounds runner 1
   done;
   !reconnections
@@ -115,44 +109,18 @@ let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
    reconnection rule cannot bridge it afterwards — the seen-ids cache is
    small and recency-ordered, so by then it only holds same-side ids.  The
    paper's remedy is the other half of the joining rule: an out-of-band
-   rendezvous ("copy another node's view").  Each round this driver
-   rebootstraps one live member of every weak component except the largest
-   — the donor is a random live node, so with a dominant nucleus most
-   donations bridge the cut — then runs one protocol round to spread the
+   rendezvous ("copy another node's view").  Each round this driver runs
+   [Runner.rebootstrap_minorities], then one protocol round to spread the
    new edges. *)
 let recover_connectivity ?(max_rounds = 50) runner =
-  let components () =
-    Sf_graph.Digraph.weakly_connected_components (Runner.membership_graph runner)
+  let rec go rounds rebootstraps =
+    if Sf_graph.Digraph.is_weakly_connected (Runner.membership_graph runner) then
+      Some (rounds, rebootstraps)
+    else if rounds >= max_rounds then None
+    else begin
+      let rebootstrapped = Runner.rebootstrap_minorities runner in
+      Runner.run_rounds runner 1;
+      go (rounds + 1) (rebootstraps + rebootstrapped)
+    end
   in
-  let rebootstraps = ref 0 in
-  let rec go rounds =
-    match components () with
-    | [] | [ _ ] -> Some (rounds, !rebootstraps)
-    | comps ->
-      if rounds >= max_rounds then None
-      else begin
-        let sorted =
-          List.sort (fun a b -> compare (List.length b) (List.length a)) comps
-        in
-        (match sorted with
-        | [] -> ()
-        | _largest :: minorities ->
-          List.iter
-            (fun comp ->
-              (* A component may consist solely of departed ids still held
-                 in views; only live nodes can rebootstrap. *)
-              match
-                List.find_opt
-                  (fun id -> Option.is_some (Runner.find_node runner id))
-                  comp
-              with
-              | None -> ()
-              | Some id ->
-                incr rebootstraps;
-                ignore (Runner.rebootstrap runner ~node_id:id))
-            minorities);
-        Runner.run_rounds runner 1;
-        go (rounds + 1)
-      end
-  in
-  go 0
+  go 0 0

@@ -22,14 +22,16 @@ val join_integration : Runner.t -> rounds:int -> join_trace
 val run_with_churn :
   ?recover:bool -> Runner.t -> rounds:int -> joins:int -> leaves:int -> int
 (** Sustained churn: per round, [leaves] departures and [joins] arrivals.
-    With [recover], starved nodes reconnect via the section 5 rule each
-    round; returns the number of reconnection attempts. *)
+    With [recover], isolated nodes reconnect via the section 5 rule each
+    round ({!Runner.reconnect_isolated}); returns the number of
+    reconnection attempts. *)
 
 val recover_connectivity : ?max_rounds:int -> Runner.t -> (int * int) option
 (** Heal a split overlay (e.g. after a partition window outlived view
     decay) with the out-of-band half of the joining rule: each round, one
     live member of every weak component except the largest rebootstraps
-    from a random live donor, then one protocol round runs.  Returns
+    from a random live donor ({!Runner.rebootstrap_minorities}), then one
+    protocol round runs.  Returns
     [Some (rounds, rebootstraps)] once the membership graph is weakly
     connected again (within [max_rounds], default 50), [None] if it is
     still split. *)

@@ -44,10 +44,6 @@ type message = {
   mixing : View.entry;         (* the forwarded id, [w] in [u, w] *)
 }
 
-(* Bound on the per-node cache of previously seen ids (used only by the
-   reconnection path of section 5, never by regular protocol actions). *)
-let seen_cache_capacity = 32
-
 type node = {
   node_id : int;
   view : View.t;
@@ -59,7 +55,8 @@ type node = {
   mutable deletions : int;
   (* Recently received ids, newest first, deduplicated and bounded.  The
      paper's joining rule lets a reconnecting node probe "previously seen
-     ids"; this cache is that memory. *)
+     ids"; this cache is that memory.  [Runner], the one engine that
+     reconnects, maintains it; the steps here never touch it. *)
   mutable seen_ids : int list;
 }
 
@@ -75,12 +72,6 @@ let create_node ~config ~node_id =
     deletions = 0;
     seen_ids = [];
   }
-
-let remember_seen node id =
-  if id <> node.node_id then begin
-    let rest = List.filter (fun x -> x <> id) node.seen_ids in
-    node.seen_ids <- id :: List.filteri (fun k _ -> k < seen_cache_capacity - 1) rest
-  end
 
 let degree node = View.degree node.view
 
@@ -216,8 +207,6 @@ let receive config rng node message =
     receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
   in
   node.messages_received <- node.messages_received + 1;
-  remember_seen node r.View.id;
-  remember_seen node m.View.id;
   if accepted then Accepted
   else begin
     node.deletions <- node.deletions + 1;

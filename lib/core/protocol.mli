@@ -4,8 +4,8 @@
     The step rule is written once, as the allocation-free row kernel
     {!initiate_row}/{!receive_row} over one row of a {!View.Flat} store.
     {!initiate} and {!receive} run it on a node's view (row 0 of a
-    one-node store) and add the per-node counters, the seen-id cache and
-    the {!message} record; the sharded engine ({!Runner.Sharded}) runs it
+    one-node store) and add the per-node counters and the {!message}
+    record; the sharded engine ({!Runner.Sharded}) runs it
     on its world store.  Every engine therefore applies the same rule. *)
 
 type config = {
@@ -40,7 +40,8 @@ type node = {
   mutable deletions : int;
   mutable seen_ids : int list;
       (** recently received ids (newest first, bounded); the memory the
-          section 5 reconnection rule probes *)
+          section 5 reconnection rule probes.  {!Runner} maintains it as
+          it delivers; {!receive} does not touch it. *)
 }
 
 val create_node : config:config -> node_id:int -> node
@@ -128,9 +129,9 @@ type receive_result = Accepted | Deleted
 val receive : config -> Sf_prng.Rng.t -> node -> message -> receive_result
 (** One receive step: installs both ids into uniformly chosen empty slots
     when both fit within the config's [view_size] ({!receive_row}), or
-    deletes them.  Raises [Invalid_argument], changing neither the view,
-    the counters nor the seen-id cache, unless both instances satisfy
-    {!View.fits}: a caller fed by the network filters first. *)
+    deletes them.  Raises [Invalid_argument], changing neither the view
+    nor the counters, unless both instances satisfy {!View.fits}: a
+    caller fed by the network filters first. *)
 
 val invariant_holds : config -> node -> bool
 (** Observation 5.1: outdegree even and within bounds. *)

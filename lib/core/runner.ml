@@ -56,20 +56,15 @@ type audit_event =
 
    Installed by passing [?resilience] to [create]; absent, every code
    path below matches [None] once and the runner is bit-for-bit the
-   pre-resilience runner.  The estimator feeds on world-counter deltas
-   once per round, the controller retunes per-node (dL, s) against the
-   estimated loss, and the supervisor drives section 5 repairs under
-   backoff — see [resil_tick] at the bottom of this file. *)
+   pre-resilience runner.  Once per round the tuner reads the world
+   counters and may retune per-node (dL, s), and the supervisor drives
+   section 5 repairs under backoff — see [resil_tick] at the bottom of
+   this file. *)
 type resil = {
-  policy : Sf_resil.Policy.t;
-  estimator : Sf_resil.Estimator.t;
-  controller : Sf_resil.Controller.t;
-  supervisor : Sf_resil.Supervisor.t;
+  tuner : Sf_resil.Loop.tuner;
+  supervisor : Sf_resil.Supervisor.t option;  (* under a recovering policy *)
   (* Per-node retuned configs; nodes absent here run the base config. *)
   node_configs : (int, Protocol.config) Hashtbl.t;
-  mutable last_sends : int;         (* counter baselines for estimator deltas *)
-  mutable last_duplications : int;
-  mutable last_deletions : int;
   mutable last_net_sent : int;      (* transport baselines for the true-loss gauge *)
   mutable last_net_lost : int;
   mutable ticks : int;              (* resilience decision ticks (rounds) *)
@@ -181,12 +176,27 @@ let fresh_serial t () =
   t.next_serial <- s + 1;
   s
 
+(* Bound on the per-node cache of previously seen ids, which only
+   [reconnect] reads. *)
+let seen_cache_capacity = 32
+
+(* Recently received ids, newest first, deduplicated and bounded: the
+   "previously seen ids" the section 5 joining rule probes. *)
+let remember_seen node id =
+  if id <> node.Protocol.node_id then begin
+    let rest = List.filter (fun x -> x <> id) node.Protocol.seen_ids in
+    node.Protocol.seen_ids <-
+      id :: List.filteri (fun k _ -> k < seen_cache_capacity - 1) rest
+  end
+
 let handler t node message =
   Sf_obs.Metrics.incr t.total_receipts;
   let result =
     Protocol.receive (node_config t node.Protocol.node_id) t.protocol_rng node
       message
   in
+  remember_seen node message.Protocol.reinforcement.View.id;
+  remember_seen node message.Protocol.mixing.View.id;
   t.last_receive <- Some result;
   (match result with
   | Protocol.Accepted -> ()
@@ -273,17 +283,12 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
     | Some policy, Some rng ->
       Some
         {
-          policy;
-          estimator = Sf_resil.Policy.estimator policy;
-          controller =
-            Sf_resil.Policy.controller policy
+          tuner =
+            Sf_resil.Loop.tuner policy
               ~initial:(config.Protocol.lower_threshold, config.Protocol.view_size)
-              ~capacity:config.Protocol.view_size;
-          supervisor = Sf_resil.Policy.supervisor policy ~rng;
+              ~capacity:config.Protocol.view_size ~edges:0;
+          supervisor = Sf_resil.Loop.supervisor policy ~rng;
           node_configs = Hashtbl.create (2 * n);
-          last_sends = 0;
-          last_duplications = 0;
-          last_deletions = 0;
           last_net_sent = 0;
           last_net_lost = 0;
           ticks = 0;
@@ -756,13 +761,53 @@ let rates_since t (baseline : world_counters) =
       loss = f (now.messages_lost - baseline.messages_lost);
     }
 
+(* --- The section 5 repair pass ---
+
+   Written once: the supervisor below, [Churn.run_with_churn ~recover],
+   [Churn.recover_connectivity] and [Sessions] call these two steps. *)
+
+(* Every isolated node reconnects by probing its previously seen ids,
+   falling back to the out-of-band rebootstrap when every probe fails.
+   Returns the number of isolated nodes repaired. *)
+let reconnect_isolated t =
+  let isolated = isolated_nodes t in
+  List.iter
+    (fun node ->
+      match reconnect t ~node_id:node.Protocol.node_id with
+      | Reconnected _ -> ()
+      | Exhausted _ -> ignore (rebootstrap t ~node_id:node.Protocol.node_id))
+    isolated;
+  List.length isolated
+
+(* One live member of every weak component except the largest
+   rebootstraps from a random live donor — with a dominant nucleus most
+   donations bridge the cut.  Returns the number of rebootstraps: 0
+   exactly when the membership graph is weakly connected. *)
+let rebootstrap_minorities t =
+  let components =
+    Sf_graph.Digraph.weakly_connected_components (membership_graph t)
+    |> List.sort (fun a b -> compare (List.length b) (List.length a))
+  in
+  match components with
+  | [] | [ _ ] -> 0
+  | _largest :: minorities ->
+    List.fold_left
+      (fun count component ->
+        (* A component may consist solely of departed ids still held in
+           views; only live nodes can rebootstrap. *)
+        match List.find_opt (fun id -> Hashtbl.mem t.nodes id) component with
+        | None -> count
+        | Some id ->
+          ignore (rebootstrap t ~node_id:id);
+          count + 1)
+      0 minorities
+
 (* --- Resilience decision loop (lib/resilience) ---
 
-   One tick per round, after the round's actions: feed the estimator from
-   world-counter deltas, let the controller retune per-node thresholds
-   against the estimated loss, and let the supervisor drive section 5
-   repairs under backoff.  Everything here is skipped in one [None] match
-   when the layer is disabled. *)
+   One tick per round, after the round's actions: the tuner reads the
+   world counters and may retune per-node thresholds, and the supervisor
+   runs the repair pass under backoff.  Everything here is skipped in one
+   [None] match when the layer is disabled. *)
 
 let apply_retune t r pair =
   Array.iter
@@ -779,75 +824,38 @@ let apply_retune t r pair =
   (* Structural: the auditor must resync its per-node thresholds. *)
   emit t (Structural "retune")
 
-(* One supervised repair pass.  The health probe is the simulator's
-   privileged view (isolation and weak connectivity are directly visible);
-   a repair attempt applies the section 5 joining rule to every isolated
-   node and re-bootstraps one member of each minority component, then
-   probes again — success resets the backoff, failure widens it. *)
-let supervise t r =
-  let now = float_of_int r.ticks in
-  if Sf_resil.Supervisor.due r.supervisor ~now then begin
-    let split () =
-      live_count t > 1
-      && not (Sf_graph.Digraph.is_weakly_connected (membership_graph t))
-    in
-    let isolated = isolated_nodes t in
-    if isolated = [] && not (split ()) then
-      Sf_resil.Supervisor.record_healthy r.supervisor
-    else begin
-      List.iter
-        (fun node ->
-          match reconnect t ~node_id:node.Protocol.node_id with
-          | Reconnected _ -> ()
-          | Exhausted _ ->
-            ignore (rebootstrap t ~node_id:node.Protocol.node_id))
-        isolated;
-      if split () then begin
-        let components =
-          Sf_graph.Digraph.weakly_connected_components (membership_graph t)
-          |> List.sort (fun a b ->
-                 compare (List.length b) (List.length a))
-        in
-        match components with
-        | [] | [ _ ] -> ()
-        | _largest :: minorities ->
-          List.iter
-            (fun component ->
-              match
-                List.find_opt (fun id -> Hashtbl.mem t.nodes id) component
-              with
-              | None -> ()
-              | Some id -> ignore (rebootstrap t ~node_id:id))
-            minorities
-      end;
-      Sf_obs.Metrics.incr r.c_repair_attempts;
-      let delay = Sf_resil.Supervisor.record_attempt r.supervisor ~now in
-      Sf_obs.Metrics.observe r.h_backoff delay;
-      trace t (Sf_obs.Trace.Mark { label = "repair" });
-      (* Reconnect/rebootstrap act synchronously, so re-probing now tells
-         whether the attempt healed the graph. *)
-      if isolated_nodes t = [] && not (split ()) then begin
-        Sf_resil.Supervisor.record_success r.supervisor;
-        Sf_obs.Metrics.incr r.c_recoveries
-      end
-    end
-  end
+(* The health probe is the simulator's privileged view (isolation and
+   weak connectivity are directly visible); a sick probe has already run
+   the repair pass by the time it reports. *)
+let supervise t r supervisor =
+  let probe_and_repair () =
+    let reconnected = reconnect_isolated t in
+    reconnected + rebootstrap_minorities t = 0
+  in
+  match
+    Sf_resil.Supervisor.step supervisor ~now:(float_of_int r.ticks)
+      probe_and_repair
+  with
+  | Sf_resil.Supervisor.Attempted ->
+    Sf_obs.Metrics.incr r.c_repair_attempts;
+    Sf_obs.Metrics.observe r.h_backoff (Sf_resil.Supervisor.last_delay supervisor);
+    trace t (Sf_obs.Trace.Mark { label = "repair" })
+  | Sf_resil.Supervisor.Recovered -> Sf_obs.Metrics.incr r.c_recoveries
+  | Sf_resil.Supervisor.Not_due | Sf_resil.Supervisor.Healthy -> ()
 
 let resil_tick t =
   match t.resilience with
   | None -> ()
   | Some r ->
     r.ticks <- r.ticks + 1;
-    let sends = Sf_obs.Metrics.count t.total_sends in
-    let duplications = Sf_obs.Metrics.count t.total_duplications in
-    let deletions = Sf_obs.Metrics.count t.total_deletions in
-    Sf_resil.Estimator.observe r.estimator ~sends:(sends - r.last_sends)
-      ~duplications:(duplications - r.last_duplications)
-      ~deletions:(deletions - r.last_deletions) ();
-    r.last_sends <- sends;
-    r.last_duplications <- duplications;
-    r.last_deletions <- deletions;
-    Sf_obs.Metrics.set r.g_estimate (Sf_resil.Estimator.estimate r.estimator);
+    let count = Sf_obs.Metrics.count in
+    let retune =
+      Sf_resil.Loop.tick r.tuner ~sends:(count t.total_sends)
+        ~duplications:(count t.total_duplications)
+        ~deletions:(count t.total_deletions) ~to_dead:0 ~edges_added:0
+        ~edges_removed:0 ~edges:0
+    in
+    Sf_obs.Metrics.set r.g_estimate (Sf_resil.Loop.estimate r.tuner);
     (* Ground truth from the transport's counters over the last round,
        for dashboards and estimator cross-checks; under non-stationary
        loss it tracks the current regime where a cumulative rate would
@@ -859,16 +867,8 @@ let resil_tick t =
     r.last_net_lost <- net.Sf_engine.Network.messages_lost;
     if sent > 0 then
       Sf_obs.Metrics.set r.g_true (float_of_int lost /. float_of_int sent);
-    if r.policy.Sf_resil.Policy.retune && Sf_resil.Estimator.confident r.estimator
-    then begin
-      match
-        Sf_resil.Controller.decide r.controller
-          ~loss:(Sf_resil.Estimator.estimate r.estimator)
-      with
-      | None -> ()
-      | Some pair -> apply_retune t r pair
-    end;
-    if r.policy.Sf_resil.Policy.recover then supervise t r
+    Option.iter (apply_retune t r) retune;
+    Option.iter (supervise t r) r.supervisor
 
 (* A round = as many actions as live nodes (each node initiates once in
    expectation), the paper's round definition in section 6.5.  The
@@ -881,7 +881,7 @@ let run_rounds t rounds =
     resil_tick t
   done
 
-type resilience_stats = {
+type resilience_stats = Sf_resil.Loop.stats = {
   loss_estimate : float;
   estimator_confident : bool;
   estimator_windows : int;
@@ -891,17 +891,7 @@ type resilience_stats = {
 }
 
 let resilience_statistics t =
-  Option.map
-    (fun r ->
-      {
-        loss_estimate = Sf_resil.Estimator.estimate r.estimator;
-        estimator_confident = Sf_resil.Estimator.confident r.estimator;
-        estimator_windows = Sf_resil.Estimator.windows r.estimator;
-        retunes = Sf_obs.Metrics.count r.c_retunes;
-        repair_attempts = Sf_resil.Supervisor.attempts r.supervisor;
-        recoveries = Sf_resil.Supervisor.recoveries r.supervisor;
-      })
-    t.resilience
+  Option.map (fun r -> Sf_resil.Loop.stats r.tuner r.supervisor) t.resilience
 
 (* --- The sharded flat-state runner (ROADMAP item 1) ---
 
@@ -1111,20 +1101,10 @@ module Sharded = struct
 
   (* Barrier-time resilience state, touched only by the coordinator. *)
   type resil = {
-    r_policy : Sf_resil.Policy.t;
     r_rng : Sf_prng.Rng.t;  (* split from the root after the shard streams *)
-    r_estimator : Sf_resil.Estimator.t;
-    r_controller : Sf_resil.Controller.t;
-    r_supervisor : Sf_resil.Supervisor.t;
+    r_tuner : Sf_resil.Loop.tuner;
+    r_supervisor : Sf_resil.Supervisor.t option;  (* under a recovering policy *)
     r_probe_every : int;
-    mutable r_sends : int;  (* counter positions at the last estimator feed *)
-    mutable r_dups : int;
-    mutable r_dels : int;
-    mutable r_dead : int;  (* churn-correction positions: deliveries to dead *)
-    mutable r_eadd : int;  (* slots and the ledger's out-of-band edge flux *)
-    mutable r_erem : int;
-    mutable r_edges : int;  (* total edge count at the last feed *)
-    mutable r_pending : bool;  (* a repair attempt awaits its follow-up probe *)
   }
 
   type t = {
@@ -1293,50 +1273,7 @@ module Sharded = struct
     done;
     let alive = Array.make capacity 0 in
     Array.fill alive 0 n 1;
-    let resil =
-      match resilience with
-      | None -> None
-      | Some policy ->
-        let r_rng = Sf_prng.Rng.split root in
-        Some
-          {
-            r_policy = policy;
-            r_rng;
-            r_estimator = Sf_resil.Policy.estimator policy;
-            r_controller =
-              Sf_resil.Policy.controller policy
-                ~initial:(config.Protocol.lower_threshold, view_size)
-                ~capacity:view_size;
-            r_supervisor = Sf_resil.Policy.supervisor policy ~rng:r_rng;
-            r_probe_every = probe_every;
-            r_sends = 0;
-            r_dups = 0;
-            r_dels = 0;
-            r_dead = 0;
-            r_eadd = 0;
-            r_erem = 0;
-            r_edges = 0;  (* re-synced below once the ring is installed *)
-            r_pending = false;
-          }
-    in
-    let t =
-      {
-        sh_config = config;
-        n;
-        capacity;
-        shard_count = shards;
-        chunk;
-        loss_rate;
-        scenario;
-        churn_spec = churn;
-        store;
-        alive;
-        shards = Array.of_list (List.rev !shard_list);
-        rounds = 0;
-        windows;
-        resil;
-      }
-    in
+    let shards_arr = Array.of_list (List.rev !shard_list) in
     (* Uniform even outdegree d0 — the section 4 requirement — installed
        shard by shard so initial serials are shard-strided like every
        later mint.  Ring: u points at u+1 .. u+d0 mod n (the historical
@@ -1357,13 +1294,40 @@ module Sharded = struct
               ~born:0
           done
         done)
-      t.shards;
-    (* The estimator's edge-count baseline must include the ring just
-       installed, or its first window sees a spurious +n*d0 drift. *)
-    (match t.resil with
-    | None -> ()
-    | Some r -> r.r_edges <- Flat.total_edges store);
-    t
+      shards_arr;
+    let resil =
+      Option.map
+        (fun policy ->
+          let r_rng = Sf_prng.Rng.split root in
+          {
+            r_rng;
+            (* The edge baseline includes the start just installed, or the
+               first window would see a spurious +n*d0 drift. *)
+            r_tuner =
+              Sf_resil.Loop.tuner policy
+                ~initial:(config.Protocol.lower_threshold, view_size)
+                ~capacity:view_size ~edges:(Flat.total_edges store);
+            r_supervisor = Sf_resil.Loop.supervisor policy ~rng:r_rng;
+            r_probe_every = probe_every;
+          })
+        resilience
+    in
+    {
+      sh_config = config;
+      n;
+      capacity;
+      shard_count = shards;
+      chunk;
+      loss_rate;
+      scenario;
+      churn_spec = churn;
+      store;
+      alive;
+      shards = shards_arr;
+      rounds = 0;
+      windows;
+      resil;
+    }
 
   let shard_of t id = if id < t.n then id / t.chunk else (id - t.n) mod t.shard_count
 
@@ -1632,14 +1596,6 @@ module Sharded = struct
 
   (* --- Barrier-time resilience (coordinator only) --- *)
 
-  (* Rebootstrap node [v] from [donor] at a barrier: clear the stale view
-     and install a live-only bootstrap from the resilience stream,
-     charging both sides of the churn edge ledger to [v]'s owning shard. *)
-  let rebootstrap_flat t r ~v ~donor =
-    let sh = t.shards.(shard_of t v) in
-    sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t v;
-    install_bootstrap t sh r.r_rng ~v ~donor ~live_only:true
-
   (* A random live node satisfying [accept]: bounded rejection sampling,
      then a deterministic wrap-around scan from the last draw so a thin
      target set cannot stall the barrier. *)
@@ -1673,18 +1629,16 @@ module Sharded = struct
     let cap = t.capacity in
     let parent = Array.init cap (fun i -> i) in
     let comp_size = Array.make cap 1 in
-    let find i =
-      let root = ref i in
-      while parent.(!root) <> !root do
-        root := parent.(!root)
-      done;
-      let c = ref i in
-      while parent.(!c) <> !root do
-        let next = parent.(!c) in
-        parent.(!c) <- !root;
-        c := next
-      done;
-      !root
+    (* Union by size bounds the depth by log2 n, so the recursion is
+       shallow. *)
+    let rec find i =
+      let p = parent.(i) in
+      if p = i then i
+      else begin
+        let root = find p in
+        parent.(i) <- root;
+        root
+      end
     in
     let union a b =
       let ra = find a and rb = find b in
@@ -1731,33 +1685,28 @@ module Sharded = struct
       (* Cap the repair batch: a catastrophically sick world heals over
          several supervised attempts rather than one unbounded barrier. *)
       let budget = ref 128 in
-      List.iter
-        (fun v ->
-          if !budget > 0 then begin
-            let donor =
-              draw_live t r ~accept:(fun u ->
-                  u <> v && Flat.degree store u >= 2)
-            in
-            if donor >= 0 then begin
-              rebootstrap_flat t r ~v ~donor;
-              decr budget
-            end
-          end)
-        !isolated;
-      List.iter
-        (fun v ->
-          if !budget > 0 then begin
-            let lr = !largest_root in
-            let donor =
-              draw_live t r ~accept:(fun u ->
-                  u <> v && find u = lr && Flat.degree store u >= 2)
-            in
-            if donor >= 0 then begin
-              rebootstrap_flat t r ~v ~donor;
-              decr budget
-            end
-          end)
-        !minority_roots
+      (* Rebootstrap [v] from a live donor — for a minority root, one in
+         the largest component: clear the stale view and install a
+         live-only bootstrap from the resilience stream, charging both
+         sides of the churn edge ledger to [v]'s owning shard. *)
+      let repair ~minority v =
+        if !budget > 0 then begin
+          let donor =
+            draw_live t r ~accept:(fun u ->
+                u <> v
+                && ((not minority) || find u = !largest_root)
+                && Flat.degree store u >= 2)
+          in
+          if donor >= 0 then begin
+            let sh = t.shards.(shard_of t v) in
+            sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t v;
+            install_bootstrap t sh r.r_rng ~v ~donor ~live_only:true;
+            decr budget
+          end
+        end
+      in
+      List.iter (repair ~minority:false) !isolated;
+      List.iter (repair ~minority:true) !minority_roots
     end;
     healthy
 
@@ -1766,81 +1715,40 @@ module Sharded = struct
     | None -> ()
     | Some r ->
       let wc = world_counters t in
-      (* Churn-aware Lemma 6.6 inversion: the ledger's out-of-band edge
-         flux (bootstraps, leaves, rebootstraps), the sends swallowed by
-         departed slots and the overlay's edge-count drift are exactly
-         the terms that biased the bare estimate under churn and fault
-         transients — feed their deltas alongside the counters. *)
-      let dead = Array.fold_left (fun acc sh -> acc + sh.sh_to_dead) 0 t.shards in
-      let eadd =
-        Array.fold_left (fun acc sh -> acc + sh.sh_edges_added) 0 t.shards
-      in
-      let erem =
-        Array.fold_left (fun acc sh -> acc + sh.sh_edges_removed) 0 t.shards
-      in
-      let edges = Flat.total_edges t.store in
-      Sf_resil.Estimator.observe r.r_estimator
-        ~to_dead:(dead - r.r_dead)
-        ~churn_edges_added:(eadd - r.r_eadd)
-        ~churn_edges_removed:(erem - r.r_erem)
-        ~edge_delta:(edges - r.r_edges)
-        ~sends:(wc.sends - r.r_sends)
-        ~duplications:(wc.duplications - r.r_dups)
-        ~deletions:(wc.deletions - r.r_dels) ();
-      r.r_sends <- wc.sends;
-      r.r_dups <- wc.duplications;
-      r.r_dels <- wc.deletions;
-      r.r_dead <- dead;
-      r.r_eadd <- eadd;
-      r.r_erem <- erem;
-      r.r_edges <- edges;
-      if r.r_policy.Sf_resil.Policy.retune
-         && Sf_resil.Estimator.confident r.r_estimator
-      then begin
-        match
-          Sf_resil.Controller.decide r.r_controller
-            ~loss:(Sf_resil.Estimator.estimate r.r_estimator)
-        with
-        | None -> ()
-        | Some (dl, s) ->
-          (* Applied to every shard at the barrier: phases only read. *)
-          Array.iter
-            (fun sh ->
-              sh.cfg_dl <- dl;
-              sh.cfg_s <- s)
-            t.shards
-      end;
-      if r.r_policy.Sf_resil.Policy.recover && t.rounds mod r.r_probe_every = 0
-      then begin
-        let now = float_of_int t.rounds in
-        if Sf_resil.Supervisor.due r.r_supervisor ~now then begin
-          if probe_and_repair t r then begin
-            if r.r_pending then begin
-              Sf_resil.Supervisor.record_success r.r_supervisor;
-              r.r_pending <- false
-            end
-            else Sf_resil.Supervisor.record_healthy r.r_supervisor
-          end
-          else begin
-            ignore (Sf_resil.Supervisor.record_attempt r.r_supervisor ~now);
-            r.r_pending <- true
-          end
-        end
-      end
+      (* Churn-aware Lemma 6.6 inversion: the sends swallowed by departed
+         slots, the ledger's out-of-band edge flux (bootstraps, leaves,
+         rebootstraps) and the overlay's edge-count drift are exactly the
+         terms that biased the bare estimate under churn and fault
+         transients. *)
+      (match
+         Sf_resil.Loop.tick r.r_tuner ~sends:wc.sends
+           ~duplications:wc.duplications ~deletions:wc.deletions
+           ~to_dead:(Array.fold_left (fun acc sh -> acc + sh.sh_to_dead) 0 t.shards)
+           ~edges_added:
+             (Array.fold_left (fun acc sh -> acc + sh.sh_edges_added) 0 t.shards)
+           ~edges_removed:
+             (Array.fold_left (fun acc sh -> acc + sh.sh_edges_removed) 0 t.shards)
+           ~edges:(Flat.total_edges t.store)
+       with
+      | None -> ()
+      | Some (dl, s) ->
+        (* Applied to every shard at the barrier: phases only read. *)
+        Array.iter
+          (fun sh ->
+            sh.cfg_dl <- dl;
+            sh.cfg_s <- s)
+          t.shards);
+      match r.r_supervisor with
+      | Some supervisor when t.rounds mod r.r_probe_every = 0 ->
+        ignore
+          (Sf_resil.Supervisor.step supervisor ~now:(float_of_int t.rounds)
+             (fun () -> probe_and_repair t r))
+      | Some _ | None -> ()
 
   let resilience_statistics t =
-    match t.resil with
-    | None -> None
-    | Some r ->
-      Some
-        {
-          loss_estimate = Sf_resil.Estimator.estimate r.r_estimator;
-          estimator_confident = Sf_resil.Estimator.confident r.r_estimator;
-          estimator_windows = Sf_resil.Estimator.windows r.r_estimator;
-          retunes = Sf_resil.Controller.retunes r.r_controller;
-          repair_attempts = Sf_resil.Supervisor.attempts r.r_supervisor;
-          recoveries = Sf_resil.Supervisor.recoveries r.r_supervisor;
-        }
+    Option.map
+      (fun r -> Sf_resil.Loop.stats r.r_tuner r.r_supervisor)
+      t.resil
 
   let live_thresholds t =
     let sh = t.shards.(0) in

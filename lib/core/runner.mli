@@ -82,17 +82,18 @@ val create :
 
     [resilience] installs the self-healing layer (lib/resilience): once
     per round — sequential mode only; timed mode has no rounds — the
-    runner feeds a loss {!Sf_resil.Estimator} from world-counter deltas,
-    lets the {!Sf_resil.Controller} retune per-node (dL, s) against the
-    estimate (see {!node_config}), and lets the {!Sf_resil.Supervisor}
-    drive section 5 repairs (reconnect/rebootstrap) under capped jittered
-    backoff.  Decisions surface as [resil_*] metrics, [retune]/[repair]
-    trace marks, and [Structural] audit events; the [resil_loss_true]
-    gauge is the last round's lost over sent, as deltas of
-    {!network_statistics}.  The resilience RNG is
-    split from the root seed after every other stream, so omitting the
-    option — or passing {!Sf_resil.Policy.observe_only} — replays the
-    unadorned runner byte-for-byte. *)
+    runner ticks a {!Sf_resil.Loop} tuner with its world counters,
+    applies its retunes per node (see {!node_config}), and runs
+    {!Sf_resil.Supervisor.step} over the section 5 repair pass
+    ({!reconnect_isolated}, then {!rebootstrap_minorities}) under capped
+    jittered backoff; an attempt is confirmed by the next due probe.
+    Decisions surface as [resil_*] metrics, [retune]/[repair] trace
+    marks, and [Structural] audit events; the [resil_loss_true] gauge is
+    the last round's lost over sent, as deltas of {!network_statistics}.
+    The resilience RNG is split from the root seed after every other
+    stream, so omitting the option — or passing
+    {!Sf_resil.Policy.observe_only} — replays the unadorned runner
+    byte-for-byte. *)
 
 val obs : t -> Sf_obs.Obs.t
 (** The runner's observability bundle (the one passed to {!create}, or
@@ -184,6 +185,16 @@ val is_isolated : t -> Protocol.node -> bool
 
 val isolated_nodes : t -> Protocol.node list
 
+val reconnect_isolated : t -> int
+(** The first step of the section 5 repair pass: every isolated node
+    {!reconnect}s, falling back to {!rebootstrap} when its probes are
+    exhausted.  Returns the number of isolated nodes repaired. *)
+
+val rebootstrap_minorities : t -> int
+(** The second step: one live member of every weak component except the
+    largest {!rebootstrap}s.  Returns the number of rebootstraps, [0]
+    exactly when the membership graph is weakly connected. *)
+
 val membership_graph : t -> Sf_graph.Digraph.t
 (** Snapshot of the global membership multigraph over live nodes (edges to
     departed ids included — they are real view entries). *)
@@ -214,7 +225,7 @@ val rates_since : t -> world_counters -> rates
 
 (** {2 Resilience} *)
 
-type resilience_stats = {
+type resilience_stats = Sf_resil.Loop.stats = {
   loss_estimate : float;       (** current smoothed Lemma 6.6 inversion *)
   estimator_confident : bool;  (** at least one full window folded *)
   estimator_windows : int;

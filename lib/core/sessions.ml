@@ -116,14 +116,8 @@ let run_round t =
   done;
   (* Recovery of isolated nodes (section 5 reconnection rule). *)
   if t.recover then
-    List.iter
-      (fun node ->
-        t.total_reconnections <- t.total_reconnections + 1;
-        match Runner.reconnect t.runner ~node_id:node.Protocol.node_id with
-        | Runner.Reconnected _ -> ()
-        | Runner.Exhausted _ ->
-          ignore (Runner.rebootstrap t.runner ~node_id:node.Protocol.node_id))
-      (Runner.isolated_nodes t.runner);
+    t.total_reconnections <-
+      t.total_reconnections + Runner.reconnect_isolated t.runner;
   Runner.run_rounds t.runner 1
 
 let run t ~rounds =

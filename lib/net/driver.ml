@@ -32,17 +32,6 @@
    connection state, no retransmission, the sender never learns whether
    the message arrived. *)
 
-(* Per-node resilience state (lib/resilience): each node runs its own loss
-   estimator over its own protocol counters — a deployed node has nobody
-   else's — and its own threshold controller. *)
-type node_resil = {
-  estimator : Sf_resil.Estimator.t;
-  controller : Sf_resil.Controller.t;
-  mutable last_sent : int;  (* counter baselines for estimator deltas *)
-  mutable last_duplications : int;
-  mutable last_deletions : int;
-}
-
 type node_state = {
   node : Sf_core.Protocol.node;
   (* Mutable: a crash-restart closes the socket for the duration of the
@@ -52,7 +41,9 @@ type node_state = {
   (* The node's current thresholds; starts at the cluster config and
      diverges under adaptive retuning. *)
   mutable config : Sf_core.Protocol.config;
-  resil : node_resil option;
+  (* Resilience (lib/resilience): each node tunes from its own protocol
+     counters — a deployed node has nobody else's. *)
+  tuner : Sf_resil.Loop.tuner option;
   (* Crash-restart bookkeeping (resilience mode only). *)
   mutable down : bool;       (* socket closed by an active crash window *)
   mutable snapshot : int list;  (* bounded view snapshot taken at crash *)
@@ -104,12 +95,9 @@ type t = {
   rng : Sf_prng.Rng.t;
   injector : Sf_faults.Injector.t option;
   resilience : Sf_resil.Policy.t option;
-  (* Cross-process repair scheduling (resilience mode with [recover]):
-     probes find isolated owned nodes and the supervisor spaces the
-     rebootstrap attempts under capped backoff.  Its jitter draws from a
-     dedicated stream so the protocol RNG is untouched. *)
+  (* Cross-process repair scheduling under a recovering policy: see
+     [probe_repairs]. *)
   supervisor : Sf_resil.Supervisor.t option;
-  mutable repair_pending : bool;
   mutable next_probe : float;
   nodes : node_state array;  (* index i holds global id [first + i] *)
   (* Bumped whenever a socket is closed or rebound, so the run loop knows
@@ -192,12 +180,9 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
      stream is separate from the protocol RNG: non-recovering runs replay
      byte-identically to drivers that predate the supervisor. *)
   let supervisor =
-    match resilience with
-    | Some policy when policy.Sf_resil.Policy.recover ->
-      Some
-        (Sf_resil.Policy.supervisor policy
-           ~rng:(Sf_prng.Rng.create (seed lxor 0x5f17)))
-    | _ -> None
+    Option.bind resilience (fun policy ->
+        Sf_resil.Loop.supervisor policy
+          ~rng:(Sf_prng.Rng.create (seed lxor 0x5f17)))
   in
   let start = now () in
   let t =
@@ -215,7 +200,6 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       injector;
       resilience;
       supervisor;
-      repair_pending = false;
       next_probe = start +. (2.0 *. period);
       nodes = [||];
       socket_generation = 0;
@@ -287,21 +271,14 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       (* Stagger first firings across one period. *)
       next_fire = start +. (period *. Sf_prng.Rng.float rng);
       config;
-      resil =
+      tuner =
         Option.map
           (fun policy ->
-            {
-              estimator = Sf_resil.Policy.estimator policy;
-              controller =
-                Sf_resil.Policy.controller policy
-                  ~initial:
-                    ( config.Sf_core.Protocol.lower_threshold,
-                      config.Sf_core.Protocol.view_size )
-                  ~capacity:config.Sf_core.Protocol.view_size;
-              last_sent = 0;
-              last_duplications = 0;
-              last_deletions = 0;
-            })
+            Sf_resil.Loop.tuner policy
+              ~initial:
+                ( config.Sf_core.Protocol.lower_threshold,
+                  config.Sf_core.Protocol.view_size )
+              ~capacity:config.Sf_core.Protocol.view_size ~edges:0)
           resilience;
       down = false;
       snapshot = [];
@@ -457,41 +434,28 @@ let enqueue_frame t (ns : node_state) ~destination ~message ~corrupt =
   q.batched <- q.batched + 1;
   if q.batched >= Codec.max_batch then flush_destination t destination q
 
-(* Per-node resilience tick, run after each initiation: feed the node's
-   estimator from its own counters, and let its controller walk (dL, s)
-   toward the section 6.3 solution for the estimated loss.  The
+(* Per-node resilience tick, run after each initiation: the node's tuner
+   reads its own counters, and a retune becomes the node's config.  The
    controller's cooldown is counted in these ticks, i.e. in firings. *)
 let resil_tick t (ns : node_state) =
-  match ns.resil with
+  match ns.tuner with
   | None -> ()
-  | Some nr ->
+  | Some tuner -> (
     let node = ns.node in
-    let sent = node.Sf_core.Protocol.messages_sent in
-    let dups = node.Sf_core.Protocol.duplications in
-    let dels = node.Sf_core.Protocol.deletions in
-    Sf_resil.Estimator.observe nr.estimator ~sends:(sent - nr.last_sent)
-      ~duplications:(dups - nr.last_duplications)
-      ~deletions:(dels - nr.last_deletions) ();
-    nr.last_sent <- sent;
-    nr.last_duplications <- dups;
-    nr.last_deletions <- dels;
-    match t.resilience with
-    | Some policy
-      when policy.Sf_resil.Policy.retune
-           && Sf_resil.Estimator.confident nr.estimator -> (
-      match
-        Sf_resil.Controller.decide nr.controller
-          ~loss:(Sf_resil.Estimator.estimate nr.estimator)
-      with
-      | None -> ()
-      | Some pair ->
-        ns.config <-
-          Sf_core.Protocol.clamped_config
-            ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
-            ~degree:(Sf_core.Protocol.degree node) pair;
-        Sf_obs.Metrics.incr t.c_retunes;
-        trace t (Sf_obs.Trace.Mark { label = "retune" }))
-    | _ -> ()
+    match
+      Sf_resil.Loop.tick tuner ~sends:node.Sf_core.Protocol.messages_sent
+        ~duplications:node.Sf_core.Protocol.duplications
+        ~deletions:node.Sf_core.Protocol.deletions ~to_dead:0 ~edges_added:0
+        ~edges_removed:0 ~edges:0
+    with
+    | None -> ()
+    | Some pair ->
+      ns.config <-
+        Sf_core.Protocol.clamped_config
+          ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
+          ~degree:(Sf_core.Protocol.degree node) pair;
+      Sf_obs.Metrics.incr t.c_retunes;
+      trace t (Sf_obs.Trace.Mark { label = "retune" }))
 
 (* One initiate step at [ns]; the message goes out as a datagram (or joins
    a batch) unless the loss draw — or an active fault window, or the
@@ -703,16 +667,14 @@ let sync_crash_states t =
    crash window announces (its neighbours' processes were kill -9'd and
    their views of it decayed).  The probe finds owned, live, isolated
    (degree-0) nodes and rebootstraps them from a live sibling's view — the
-   same joining rule as a rejoin — with the supervisor spacing attempts
-   under capped backoff and confirming recovery on the next probe. *)
+   same joining rule as a rejoin — with the supervisor spacing probes
+   under capped backoff and confirming recovery on the next due probe. *)
 
 let probe_repairs t ~now =
   match t.supervisor with
-  | None -> ()
-  | Some sup ->
-    if now >= t.next_probe then begin
-      t.next_probe <- now +. (2.0 *. t.period);
-      let round = (now -. t.started) /. t.period in
+  | Some supervisor when now >= t.next_probe -> (
+    t.next_probe <- now +. (2.0 *. t.period);
+    let probe_and_repair () =
       let isolated =
         Array.to_list t.nodes
         |> List.filter (fun ns ->
@@ -720,28 +682,26 @@ let probe_repairs t ~now =
                && (not (is_crashed t ns.node.Sf_core.Protocol.node_id))
                && Sf_core.Protocol.degree ns.node = 0)
       in
-      match isolated with
-      | [] ->
-        if t.repair_pending then begin
-          t.repair_pending <- false;
-          Sf_resil.Supervisor.record_success sup
-        end
-        else Sf_resil.Supervisor.record_healthy sup
-      | isolated ->
-        if Sf_resil.Supervisor.due sup ~now:round then begin
-          ignore (Sf_resil.Supervisor.record_attempt sup ~now:round);
-          t.repair_pending <- true;
-          Sf_obs.Metrics.incr t.c_repairs;
-          List.iter
-            (fun ns ->
-              match donor_ids t ~node_id:ns.node.Sf_core.Protocol.node_id with
-              | [] -> ()
-              | ids ->
-                install_ids t ns ids;
-                trace t (Sf_obs.Trace.Mark { label = "rebootstrap" }))
-            isolated
-        end
-    end
+      List.iter
+        (fun ns ->
+          match donor_ids t ~node_id:ns.node.Sf_core.Protocol.node_id with
+          | [] -> ()
+          | ids ->
+            install_ids t ns ids;
+            trace t (Sf_obs.Trace.Mark { label = "rebootstrap" }))
+        isolated;
+      isolated = []
+    in
+    match
+      Sf_resil.Supervisor.step supervisor
+        ~now:((now -. t.started) /. t.period)
+        probe_and_repair
+    with
+    | Sf_resil.Supervisor.Attempted -> Sf_obs.Metrics.incr t.c_repairs
+    | Sf_resil.Supervisor.Not_due | Sf_resil.Supervisor.Healthy
+    | Sf_resil.Supervisor.Recovered ->
+      ())
+  | Some _ | None -> ()
 
 (* Run the driver for [duration] wall-clock seconds (or until
    [request_stop], typically from a control-channel callback). *)

@@ -17,28 +17,10 @@
    randomness and performs O(1) work per observation, so attaching it to
    a driver cannot perturb an RNG stream.
 
-   Churn correction.  The bare inversion assumes every edge enters or
-   leaves the graph through a send.  Under churn that is false: join and
-   rebootstrap bootstraps install edges out of band, leaves clear whole
-   views, and sends addressed to departed slots vanish without either a
-   duplication or a deletion.  Counting each send as exactly one of
-   {lost, to-dead, deleted, accepted}, the round-granular edge
-   conservation ledger reads, exactly,
-
-     delta_edges = 2*dup - 2*(lost + to_dead + del) + added - removed
-
-   and solving for the loss rate gives the corrected inversion
-
-     loss ~= (dup - del - to_dead + (added - removed - delta_edges)/2)
-             / sends
-
-   where delta_edges — the change in the total edge count over the
-   window, a sum of locally observable view-size changes — absorbs the
-   warm-up and fault transients that break the steady-state
-   delta_edges = 0 assumption (a short chaos window can shrink the
-   overlay enough to drive the steady-state form negative).  Every
-   correction term defaults to zero, collapsing to the bare Lemma 6.6
-   form, so existing callers are unaffected. *)
+   The churn correction — sends to departed slots and the out-of-band
+   edge flux of joins, leaves and rebootstraps — and its derivation from
+   the round-granular edge ledger are in estimator.mli; with every
+   correction term zero the inversion is the bare Lemma 6.6 form. *)
 
 type t = {
   window : int;       (* sends per estimation window *)
@@ -71,8 +53,6 @@ let create ?(window = 2000) ?(smoothing = 0.3) () =
     estimate = 0.;
     windows = 0;
   }
-
-let window t = t.window
 
 (* A raw window inversion can stray outside [0, 1) through sampling noise
    (more deletions than duplications in a quiet window); the clamp keeps
@@ -108,9 +88,10 @@ let fold_window t =
 (* Feed counter *deltas* (not absolute totals) since the previous call.
    Several windows can complete in one large delta; each full window folds
    separately so the EWMA time constant is independent of the feeding
-   cadence. *)
-let observe t ?(to_dead = 0) ?(churn_edges_added = 0) ?(churn_edges_removed = 0)
-    ?(edge_delta = 0) ~sends ~duplications ~deletions () =
+   cadence.  Every argument is required: an optional one would box on
+   each call, and [Loop.tick] runs this once per driver firing. *)
+let observe t ~sends ~duplications ~deletions ~to_dead ~churn_edges_added
+    ~churn_edges_removed ~edge_delta =
   if sends < 0 || duplications < 0 || deletions < 0 || to_dead < 0
      || churn_edges_added < 0 || churn_edges_removed < 0
   then invalid_arg "Estimator.observe: negative delta";

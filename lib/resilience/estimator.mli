@@ -32,9 +32,8 @@
     window, a sum of locally observable view-size changes — absorbs the
     warm-up and fault transients that break the steady-state
     [delta_edges = 0] assumption.  Feed the ledger deltas through
-    {!observe}'s optional arguments to apply the correction; omitting
-    them reproduces the bare inversion exactly, so scenario-free callers
-    are bit-for-bit unchanged. *)
+    {!observe}'s correction arguments to apply it; zeros reproduce the
+    bare inversion exactly. *)
 
 type t
 
@@ -45,14 +44,13 @@ val create : ?window:int -> ?smoothing:float -> unit -> t
 
 val observe :
   t ->
-  ?to_dead:int ->
-  ?churn_edges_added:int ->
-  ?churn_edges_removed:int ->
-  ?edge_delta:int ->
   sends:int ->
   duplications:int ->
   deletions:int ->
-  unit ->
+  to_dead:int ->
+  churn_edges_added:int ->
+  churn_edges_removed:int ->
+  edge_delta:int ->
   unit
 (** Feed counter {e deltas} since the previous call.  Whenever a full
     window of sends completes, its inverted rate — clamped into [0, 0.99]
@@ -63,8 +61,10 @@ val observe :
     [churn_edges_added]/[churn_edges_removed] the out-of-band edge flux of
     joins, leaves and rebootstraps (the sharded engine's ledger terms), and
     [edge_delta] the signed change in the total edge count over the delta —
-    the only argument allowed to be negative.  All four default to [0],
-    reproducing the bare Lemma 6.6 inversion. *)
+    the only argument allowed to be negative.  With all four [0] this is
+    the bare Lemma 6.6 inversion.  No argument is optional, so a call
+    allocates nothing unless it completes a window; {!Loop.tick} is the
+    engines' one caller. *)
 
 val estimate : t -> float
 (** The current smoothed loss estimate in [0, 0.99]; [0.] before the
@@ -75,6 +75,3 @@ val confident : t -> bool
 
 val windows : t -> int
 (** Completed windows so far. *)
-
-val window : t -> int
-(** The configured window length in sends. *)

@@ -1,6 +1,7 @@
 (** The resilience policy threaded as [?resilience] through the drivers.
 
-    Bundles the {!Estimator}/{!Controller}/{!Supervisor} configuration
+    Bundles the {!Estimator}/{!Controller}/{!Supervisor} configuration,
+    which {!Loop} turns into an engine's decision loop,
     with the injected section 6.3 solver (normally
     [Sf_analysis.Thresholds.select_lossy], wired at the call site — the
     solver lives above this library in the dependency order).  Omitting
@@ -30,26 +31,11 @@ val make :
   t
 (** The controller moves at most 4 slots per retune; the supervisor's
     backoff starts at 1 round, doubles per failure, is capped at 32
-    rounds, and jitters the final half of each delay. *)
+    rounds, and jitters the final half of each delay (the
+    {!Controller.create} and {!Backoff.create} defaults). *)
 
 val observe_only : ?estimator_window:int -> ?smoothing:float -> unit -> t
 (** Estimate the loss rate but never retune or repair.  Drivers given
     this policy replay byte-identically to drivers given none (the
     estimator consumes no randomness) — the property the identity tests
     assert. *)
-
-val estimator : t -> Estimator.t
-(** A fresh estimator per this policy's knobs. *)
-
-val backoff : t -> rng:Sf_prng.Rng.t -> Backoff.t
-
-val supervisor : t -> rng:Sf_prng.Rng.t -> Supervisor.t
-(** A fresh supervisor whose backoff jitter draws from [rng] (a dedicated
-    resilience stream — drivers split it last so pre-existing streams are
-    untouched). *)
-
-val controller : t -> initial:(int * int) -> capacity:int -> Controller.t
-(** A fresh controller for a driver running at [initial] = (dL, s) with
-    [capacity] allocated view slots.  Budget: dL in
-    [0, capacity - 6], s in [initial s, capacity] (views
-    are fixed arrays — s can never exceed the allocation). *)

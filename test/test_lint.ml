@@ -264,6 +264,37 @@ let test_one_step_rule_exempts_protocol () =
   check_quiet "test/ is out of scope" ~path:"test/test_prng.ml"
     "let j = Rng.other rng 16 i"
 
+(* --- one-resilience-loop --- *)
+
+let test_one_resilience_loop_fires () =
+  check_fires "qualified estimator feed" ~rule:"one-resilience-loop"
+    ~path:"lib/core/runner.ml"
+    "let () = Sf_resil.Estimator.observe e ~sends ~duplications ~deletions";
+  check_fires "controller under open Sf_resil" ~rule:"one-resilience-loop"
+    ~path:"lib/net/driver.ml" "let pair = Controller.decide c ~loss";
+  check_fires "supervisor transition in bin" ~rule:"one-resilience-loop"
+    ~path:"bin/sfg.ml" "let d = Sf_resil.Supervisor.record_attempt s ~now";
+  check_fires "bench too" ~rule:"one-resilience-loop" ~path:"bench/bad.ml"
+    "let () = Supervisor.record_success s";
+  check_fires "examples too" ~rule:"one-resilience-loop" ~path:"examples/bad.ml"
+    "let () = Supervisor.record_healthy s"
+
+let test_one_resilience_loop_exempts_lib_resilience () =
+  (* The loop really feeds the estimator and asks the controller (the
+     same source fires under any other path) — and really is exempt. *)
+  let loop = read "../lib/resilience/loop.ml" in
+  check_fires "loop.ml drives the loop" ~rule:"one-resilience-loop"
+    ~path:"lib/core/runner.ml" loop;
+  check_quiet "lib/resilience/loop.ml" ~path:"lib/resilience/loop.ml" loop;
+  let supervisor = read "../lib/resilience/supervisor.ml" in
+  check_quiet "lib/resilience/supervisor.ml" ~path:"lib/resilience/supervisor.ml"
+    supervisor;
+  (* Tests exercise the pieces directly; [step] is the engines' entry. *)
+  check_quiet "test/ is out of scope" ~path:"test/test_resil.ml"
+    "let d = Supervisor.record_attempt sup ~now:0.";
+  check_quiet "Supervisor.step is allowed" ~path:"lib/core/runner.ml"
+    "let o = Sf_resil.Supervisor.step s ~now probe"
+
 let suite =
   [
     Alcotest.test_case "determinism fires" `Quick test_determinism_fires;
@@ -293,4 +324,8 @@ let suite =
     Alcotest.test_case "one-step-rule fires" `Quick test_one_step_rule_fires;
     Alcotest.test_case "one-step-rule exempts lib/core/protocol.ml" `Quick
       test_one_step_rule_exempts_protocol;
+    Alcotest.test_case "one-resilience-loop fires" `Quick
+      test_one_resilience_loop_fires;
+    Alcotest.test_case "one-resilience-loop exempts lib/resilience/" `Quick
+      test_one_resilience_loop_exempts_lib_resilience;
   ]

@@ -734,6 +734,50 @@ let prop_decoder_fuzz =
         decoded <= Codec.max_batch
         && batch.Codec.bad_crc + decoded <= Char.code (Bytes.get b 3))
 
+(* Supervised repair in the driver: an owned node whose view is cleared,
+   and whose id no other view holds any more, stays isolated until the
+   supervisor rebootstraps it from a live sibling; the next due probe
+   finds it healthy and confirms the recovery. *)
+let test_driver_supervised_repair () =
+  let policy =
+    Sf_resil.Policy.make ~retune:false ~solve:(fun ~loss:_ -> (4, 12)) ()
+  in
+  let n = 24 in
+  let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
+  let c =
+    Driver.create ~period:0.002 ~resilience:policy ~base_port:49600 ~n ~config
+      ~loss_rate:0. ~seed:6 ~topology ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Driver.shutdown c)
+    (fun () ->
+      Seq.iter
+        (fun (id, view) ->
+          if id = 0 then View.clear_all view
+          else
+            View.iter
+              (fun slot e ->
+                if e.View.id = 0 then
+                  View.set view slot { e with View.id = (if id = 1 then 2 else 1) })
+              view)
+        (Driver.views c);
+      Driver.run c ~duration:0.5;
+      let stats = Driver.statistics c in
+      Alcotest.(check bool)
+        (Printf.sprintf "repairs attempted (%d)" stats.Driver.repair_attempts)
+        true
+        (stats.Driver.repair_attempts >= 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "recoveries confirmed (%d)" stats.Driver.recoveries)
+        true
+        (stats.Driver.recoveries >= 1);
+      Seq.iter
+        (fun (id, view) ->
+          if id = 0 then
+            Alcotest.(check bool) "the cleared node has a view again" true
+              (View.degree view > 0))
+        (Driver.views c))
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -771,4 +815,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decoder_fuzz;
     Alcotest.test_case "driver refuses out-of-lane frames" `Quick
       test_driver_refuses_out_of_lane_frames;
+    Alcotest.test_case "driver supervisor rebootstraps a cleared node" `Quick
+      test_driver_supervised_repair;
   ]

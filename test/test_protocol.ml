@@ -310,9 +310,10 @@ let test_action_clock_past_2_31 () =
 
 (* An instance no lane can hold is refused before anything changes: the
    reinforcement fits, the mixing id does not, and neither is written —
-   the view keeps its even degree, and the counters and seen-id cache do
-   not move.  The kernel refuses the same way on a world store, where
-   born is a 32-bit round lane too. *)
+   the view keeps its even degree and the counters do not move (the
+   seen-id cache is [Runner]'s, so [receive] leaves it empty either way).
+   The kernel refuses the same way on a world store, where born is a
+   32-bit round lane too. *)
 let test_receive_refuses_unfit_atomically () =
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
   let node = Protocol.create_node ~config ~node_id:0 in

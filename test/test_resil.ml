@@ -71,19 +71,24 @@ let test_backoff_deterministic () =
 
 (* --- Estimator unit behaviour --- *)
 
+(* The bare Lemma 6.6 inversion: every churn correction term zero. *)
+let observe_bare e ~sends ~duplications ~deletions =
+  Estimator.observe e ~sends ~duplications ~deletions ~to_dead:0
+    ~churn_edges_added:0 ~churn_edges_removed:0 ~edge_delta:0
+
 let test_estimator_windows () =
   let e = Estimator.create ~window:100 ~smoothing:1.0 () in
   Alcotest.(check bool) "not confident before a window" false (Estimator.confident e);
   Alcotest.(check (float 0.)) "estimate 0 before a window" 0. (Estimator.estimate e);
   (* One full window with dup - del = 20 of 100 sends: estimate 0.2. *)
-  Estimator.observe e ~sends:100 ~duplications:25 ~deletions:5 ();
+  observe_bare e ~sends:100 ~duplications:25 ~deletions:5;
   Alcotest.(check bool) "confident after one window" true (Estimator.confident e);
   Alcotest.(check (float 1e-9)) "inverted rate" 0.2 (Estimator.estimate e);
   (* Deletions above duplications clamp at 0, never negative. *)
   let e = Estimator.create ~window:10 ~smoothing:1.0 () in
-  Estimator.observe e ~sends:10 ~duplications:0 ~deletions:8 ();
+  observe_bare e ~sends:10 ~duplications:0 ~deletions:8;
   Alcotest.(check bool) "clamped below at 0" true (Estimator.estimate e >= 0.);
-  match Estimator.observe e ~sends:(-1) ~duplications:0 ~deletions:0 () with
+  match observe_bare e ~sends:(-1) ~duplications:0 ~deletions:0 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative deltas must be rejected"
 
@@ -248,9 +253,10 @@ let test_estimator_accuracy_churn () =
      (dup - del - to_dead + (added - removed)/2) / sends. *)
   let bare = Estimator.create ~window:100 ~smoothing:1.0 () in
   let corrected = Estimator.create ~window:100 ~smoothing:1.0 () in
-  Estimator.observe bare ~sends:100 ~duplications:20 ~deletions:5 ();
+  observe_bare bare ~sends:100 ~duplications:20 ~deletions:5;
   Estimator.observe corrected ~to_dead:2 ~churn_edges_added:10
-    ~churn_edges_removed:2 ~sends:100 ~duplications:20 ~deletions:5 ();
+    ~churn_edges_removed:2 ~edge_delta:0 ~sends:100 ~duplications:20
+    ~deletions:5;
   Alcotest.(check (float 1e-9)) "bare inversion" 0.15 (Estimator.estimate bare);
   Alcotest.(check (float 1e-9)) "ledger-corrected inversion" 0.17
     (Estimator.estimate corrected);
@@ -395,6 +401,77 @@ let test_resil_true_loss_gauge () =
       (Sf_obs.Metrics.level gauge)
   done
 
+(* --- The chaos soak: bursty loss, a partition, a crash wave --- *)
+
+(* Under the full policy and the Warn audit, the world comes through the
+   chaos with no invariant violation, weakly connected without any manual
+   recovery call, and with its loss estimate within 0.08 of the
+   injector's ground truth. *)
+let test_chaos_soak () =
+  let scenario =
+    scenario_of_string "ge:0.15:6;partition@60-80:2;crash@110-130:0-5"
+  in
+  let policy =
+    Policy.make ~estimator_window:1000 ~solve:(solve_63 ~d_hat:10 ~delta:0.01) ()
+  in
+  let config = Protocol.make_config ~view_size:16 ~lower_threshold:6 in
+  let n = 96 in
+  let topology = Topology.regular (Sf_prng.Rng.create 7301) ~n ~out_degree:10 in
+  let r =
+    Runner.create ~scenario ~resilience:policy ~seed:7300 ~n ~loss_rate:0.01
+      ~config ~topology ()
+  in
+  let stats = Invariant.audited_run ~mode:Invariant.Warn r ~rounds:200 in
+  Alcotest.(check int) "no invariant violations" 0 stats.Invariant.violation_count;
+  Alcotest.(check bool) "overlay connected after the chaos" true
+    (Properties.is_weakly_connected r);
+  let truth =
+    match Runner.fault_statistics r with
+    | Some fs when fs.Sf_faults.Injector.judged > 0 ->
+      let open Sf_faults.Injector in
+      float_of_int
+        (fs.chance_drops + fs.partition_drops + fs.crash_drops + fs.corruptions)
+      /. float_of_int fs.judged
+    | Some _ | None -> Alcotest.fail "the injector judged no send"
+  in
+  match Runner.resilience_statistics r with
+  | None -> Alcotest.fail "resilience statistics missing"
+  | Some rs ->
+    Alcotest.(check bool)
+      (Fmt.str "estimate %.4f within 0.08 of injector truth %.4f"
+         rs.Runner.loss_estimate truth)
+      true
+      (Float.abs (rs.Runner.loss_estimate -. truth) <= 0.08)
+
+(* --- The tuner's tick allocates nothing --- *)
+
+(* [Sf_net.Driver] ticks a tuner on every firing, so a tick that folds no
+   window and directs no retune — here confident, inside the hysteresis
+   band — must not allocate.  Floats box under bytecode, so this runs on
+   the native backend only. *)
+let test_tuner_tick_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let policy =
+      Policy.make ~estimator_window:1000 ~solve:(solve_63 ~d_hat:8 ~delta:0.01) ()
+    in
+    let tuner = Sf_resil.Loop.tuner policy ~initial:(6, 16) ~capacity:16 ~edges:0 in
+    let tick sends =
+      Sf_resil.Loop.tick tuner ~sends ~duplications:0 ~deletions:0 ~to_dead:0
+        ~edges_added:0 ~edges_removed:0 ~edges:0
+    in
+    (* One full window at loss 0: confident, and anchored at the estimate. *)
+    ignore (tick 1000);
+    let retunes = ref 0 in
+    let calls = 900 in
+    let w0 = Gc.minor_words () in
+    for k = 1 to calls do
+      match tick (1000 + k) with None -> () | Some _ -> incr retunes
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "no retune directed" 0 !retunes;
+    Alcotest.(check (float 0.)) "minor words over the ticks" 0. words
+  end
+
 let suite =
   [
     Alcotest.test_case "backoff is deterministic, capped, jittered" `Quick
@@ -417,4 +494,7 @@ let suite =
     Alcotest.test_case "resil_* metrics exported" `Quick test_resil_metrics_exported;
     Alcotest.test_case "resil_loss_true is the last round's loss" `Quick
       test_resil_true_loss_gauge;
+    Alcotest.test_case "chaos soak: audited, connected, estimate near truth"
+      `Quick test_chaos_soak;
+    Alcotest.test_case "tuner tick allocation" `Quick test_tuner_tick_allocation;
   ]

@@ -237,6 +237,34 @@ let rules =
         ];
     };
     {
+      id = "one-resilience-loop";
+      doc =
+        "the resilience decision loop — Estimator.observe, Controller.decide \
+         and the Supervisor.record_* transitions — may appear only under \
+         lib/resilience/, whose Loop.tick and Supervisor.step every engine \
+         calls; lib/, bin/, bench/ and examples/ do not drive the loop by \
+         hand";
+      applies =
+        (fun path ->
+          is_source path
+          && (not (String.starts_with ~prefix:"lib/resilience/" path))
+          && List.exists
+               (fun dir -> String.starts_with ~prefix:dir path)
+               [ "lib/"; "bin/"; "bench/"; "examples/" ]);
+      tokens =
+        List.concat_map
+          (fun (name, instead) ->
+            let message = "a second copy of the resilience loop — " ^ instead in
+            [ (name, message); ("Sf_resil." ^ name, message) ])
+          [
+            ("Estimator.observe", "tick a Sf_resil.Loop tuner");
+            ("Controller.decide", "tick a Sf_resil.Loop tuner");
+            ("Supervisor.record_attempt", "run Sf_resil.Supervisor.step");
+            ("Supervisor.record_success", "run Sf_resil.Supervisor.step");
+            ("Supervisor.record_healthy", "run Sf_resil.Supervisor.step");
+          ];
+    };
+    {
       id = "no-obj-magic";
       doc = "Obj.magic is forbidden everywhere";
       applies = is_source;
