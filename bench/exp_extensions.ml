@@ -316,23 +316,20 @@ let partition_healing () =
     float_of_int !cross /. float_of_int (max 1 !total)
   in
   let before = cross_fraction () in
-  (* Bridge: 10 nodes of each half learn one id of the other half. *)
+  (* Bridge: 10 nodes of the first half each receive one message carrying
+     two ids of the other half — an ordinary S&F receive, so the outdegree
+     stays even and a full view deletes it. *)
   let bridge_rng = Sf_prng.Rng.create 97 in
+  let other_half () =
+    { View.id = half + Sf_prng.Rng.int bridge_rng half; serial = 0; anchor = None; born = 0 }
+  in
   for _ = 1 to 10 do
     let a = Sf_prng.Rng.int bridge_rng half in
-    let b = half + Sf_prng.Rng.int bridge_rng half in
+    let reinforcement = other_half () in
+    let mixing = other_half () in
     match Runner.find_node r a with
     | Some node ->
-      (match View.random_empty_slot node.Protocol.view bridge_rng with
-      | Some slot ->
-        View.set node.Protocol.view slot { View.id = b; serial = 0; anchor = None; born = 0 };
-        (* Keep the outdegree even with a second bridge edge. *)
-        (match View.random_empty_slot node.Protocol.view bridge_rng with
-        | Some slot2 ->
-          View.set node.Protocol.view slot2
-            { View.id = half + Sf_prng.Rng.int bridge_rng half; serial = 0; anchor = None; born = 0 }
-        | None -> ())
-      | None -> ())
+      ignore (Protocol.receive config bridge_rng node { Protocol.reinforcement; mixing })
     | None -> ()
   done;
   let points = ref [ (0, cross_fraction ()) ] in

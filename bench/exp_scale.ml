@@ -1,5 +1,5 @@
 (* SCALE: the million-node ladder over the sharded flat-state runner
-   (ROADMAP item 1).
+   (the million-node scale work).
 
    The baseline ladder — n = 10^4, 10^5, 10^6 — runs bulk-synchronous
    rounds on Runner.Sharded and reports actions/second plus the process's

@@ -1,5 +1,5 @@
-(* SPREAD: rumor dissemination over live S&F views at scale (ROADMAP
-   item 3).
+(* SPREAD: rumor dissemination over live S&F views at scale (the
+   dissemination work).
 
    The grid crosses the three spreading strategies (push, push-pull,
    direct-addressed) with two loss regimes — none, and Gilbert-Elliott

@@ -161,6 +161,51 @@ let receive_row rng store u ~s msg =
   end
   else false
 
+(* --- The install rule: every view filled from ids rather than by a
+   receive (the interface says why slot order loses nothing) --- *)
+
+(* Not a local closure: joins are hot on the sharded engine. *)
+let put store u k ~id ~anchor ~born ~mint =
+  View.Flat.set store u k ~id ~serial:(mint ()) ~anchor ~born
+
+let install_ids store u ids ~born ~mint =
+  if Array.length ids > View.Flat.view_size store then
+    invalid_arg "Protocol.install_ids: more ids than view slots";
+  ignore (View.Flat.clear_row store u);
+  for k = 0 to Array.length ids - 1 do
+    put store u k ~id:ids.(k) ~anchor:(-1) ~born ~mint
+  done
+
+let install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born ~mint =
+  ignore (View.Flat.clear_row store u);
+  let target = min (max 2 dl) (View.Flat.view_size store land lnot 1) in
+  put store u 0 ~id:donor ~anchor:donor ~born ~mint;
+  let installed = ref 1 and k = ref 0 in
+  while !installed < target && !k < View.Flat.view_size from do
+    let id = View.Flat.id_at from from_row !k in
+    if id >= 0 && id <> owner && live id then begin
+      put store u !installed ~id ~anchor:donor ~born ~mint;
+      incr installed
+    end;
+    incr k
+  done;
+  (* Observation 5.1: the outdegree stays even. *)
+  if !installed land 1 = 1 then begin
+    put store u !installed ~id:donor ~anchor:donor ~born ~mint;
+    incr installed
+  end;
+  !installed
+
+let install_scattered rng store u ids ~anchor ~born ~mint =
+  if List.length ids > View.Flat.view_size store then
+    invalid_arg "Protocol.install_scattered: more ids than view slots";
+  ignore (View.Flat.clear_row store u);
+  List.iter
+    (fun id ->
+      let k = View.Flat.random_empty_slot store u rng in
+      put store u k ~id ~anchor ~born ~mint)
+    ids
+
 (* --- The steps of one node --- *)
 
 type initiate_result =

@@ -45,8 +45,8 @@ type node = {
 }
 
 val create_node : config:config -> node_id:int -> node
-(** A node with an empty view (a joiner fills it via {!Topology} or by
-    copying ids). *)
+(** A node with an empty view (filled by {!install_list} or
+    {!install_copy}). *)
 
 val degree : node -> int
 (** d(u): current outdegree. *)
@@ -105,6 +105,64 @@ val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message ->
     [false].  Reads every field of [msg] but [duplicated].  Raises
     [Invalid_argument], changing nothing, unless both instances satisfy
     {!View.Flat.fits}.  Allocation-free. *)
+
+(** {1 The install rule}
+
+    Every view filled from ids rather than by a receive (a start
+    topology, a join, a repair, a crash-restart rejoin) is filled here.
+    Each function clears row [u] first and mints fresh serials with
+    [mint], born [born].  {!install_ids} and {!install_copy} write slots
+    0, 1, 2, … in order.  That draws nothing and loses nothing:
+    {!initiate_row} draws its slot pair uniformly and {!receive_row}
+    fills a uniform empty slot, so an entry's slot does not change the
+    protocol's behaviour. *)
+
+val install_ids :
+  View.Flat.t -> int -> int array -> born:int -> mint:(unit -> int) -> unit
+(** [install_ids store u ids ~born ~mint] writes [ids], unanchored, in
+    array order: the start topology and a crash snapshot's restore.
+    Raises [Invalid_argument], changing nothing, when [ids] has more
+    entries than the row has slots.  Allocation-free. *)
+
+val install_copy :
+  View.Flat.t ->
+  int ->
+  owner:int ->
+  donor:int ->
+  from:View.Flat.t ->
+  from_row:int ->
+  dl:int ->
+  live:(int -> bool) ->
+  born:int ->
+  mint:(unit -> int) ->
+  int
+(** [install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born
+    ~mint] is the joining rule (section 6.5) for node [owner] at row [u]:
+    [donor]'s id, then the ids of the donor's view (row [from_row] of
+    [from]) in slot order, skipping [owner]'s own id and every id [live]
+    rejects, up to max(2, dL) entries; padded with the donor's id to an
+    even count (Observation 5.1).  Every entry is anchored at [donor]: a
+    copy the donor keeps, the dependence duplication creates.  The donor
+    row is read after row [u] is cleared, so a node that copies its own
+    row gets [[donor; donor]].
+    Returns the number of entries installed.  Allocation-free. *)
+
+val install_scattered :
+  Sf_prng.Rng.t ->
+  View.Flat.t ->
+  int ->
+  int list ->
+  anchor:int ->
+  born:int ->
+  mint:(unit -> int) ->
+  unit
+(** [install_scattered rng store u ids ~anchor ~born ~mint] writes each
+    id, in list order, into a uniform empty slot drawn from [rng],
+    anchored at [anchor] ([-1] for none): the placement of the sequential
+    {!Runner}'s start, joins and repairs, whose ids it picks by its own
+    policy (DESIGN §5 says why it is not yet on {!install_copy}).  Raises
+    [Invalid_argument], changing nothing, when [ids] has more entries
+    than the row has slots. *)
 
 (** {1 The steps of one node} *)
 

@@ -339,14 +339,8 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
   in
   for u = 0 to n - 1 do
     let node = Protocol.create_node ~config ~node_id:u in
-    List.iter
-      (fun v ->
-        match View.random_empty_slot node.Protocol.view t.protocol_rng with
-        | None -> invalid_arg "Runner.create: topology exceeds view size"
-        | Some slot ->
-          View.set node.Protocol.view slot
-            { View.id = v; serial = fresh_serial t (); anchor = None; born = 0 })
-      (topology u);
+    Protocol.install_scattered t.protocol_rng node.Protocol.view 0 (topology u)
+      ~anchor:(-1) ~born:0 ~mint:(fresh_serial t);
     install_node t node
   done;
   Option.iter
@@ -535,14 +529,8 @@ let add_node t ~bootstrap =
   let id = t.next_node_id in
   t.next_node_id <- id + 1;
   let node = Protocol.create_node ~config:t.config ~node_id:id in
-  List.iter
-    (fun v ->
-      match View.random_empty_slot node.Protocol.view t.protocol_rng with
-      | None -> invalid_arg "Runner.add_node: bootstrap exceeds view size"
-      | Some slot ->
-        View.set node.Protocol.view slot
-          { View.id = v; serial = fresh_serial t (); anchor = None; born = t.actions })
-    bootstrap;
+  Protocol.install_scattered t.protocol_rng node.Protocol.view 0 bootstrap ~anchor:(-1)
+    ~born:t.actions ~mint:(fresh_serial t);
   install_node t node;
   (match t.timed with Some s -> schedule_node t s node | None -> ());
   trace t (Sf_obs.Trace.Mark { label = "add_node" });
@@ -599,20 +587,11 @@ let donated_prefix t donor =
    drawn from the protocol stream in that order.  Returns the number of
    entries installed. *)
 let install_donated t node ~donor donated =
-  View.clear_all node.Protocol.view;
-  let installed = ref 0 in
-  let install id =
-    match View.random_empty_slot node.Protocol.view t.protocol_rng with
-    | None -> ()
-    | Some slot ->
-      View.set node.Protocol.view slot
-        { View.id; serial = fresh_serial t (); anchor = Some donor; born = t.actions };
-      incr installed
-  in
-  install donor;
-  List.iter install donated;
-  if View.degree node.Protocol.view mod 2 = 1 then install donor;
-  !installed
+  let ids = donor :: donated in
+  let ids = if List.length ids land 1 = 1 then ids @ [ donor ] else ids in
+  Protocol.install_scattered t.protocol_rng node.Protocol.view 0 ids ~anchor:donor
+    ~born:t.actions ~mint:(fresh_serial t);
+  List.length ids
 
 type reconnect_result =
   | Reconnected of { donor : int; probes : int; installed : int }
@@ -893,7 +872,7 @@ type resilience_stats = Sf_resil.Loop.stats = {
 let resilience_statistics t =
   Option.map (fun r -> Sf_resil.Loop.stats r.tuner r.supervisor) t.resilience
 
-(* --- The sharded flat-state runner (ROADMAP item 1) ---
+(* --- The sharded flat-state runner: the million-node path ---
 
    The orchestrator above tops out around 1k-10k nodes: one heap object
    per node, boxed audit/trace plumbing on every action, and a strictly
@@ -1281,18 +1260,17 @@ module Sharded = struct
        mix only at random-walk speed).  Scatter: u points at d0
        hash-scattered non-self ids — an expander-like start whose views
        mix in O(log n) rounds, which rumor-spreading workloads need. *)
+    let ids = Array.make d0 0 in
     Array.iter
       (fun sh ->
         for u = sh.lo to sh.hi - 1 do
           for k = 0 to d0 - 1 do
-            let id =
-              match init with
+            ids.(k) <-
+              (match init with
               | Ring -> (u + k + 1) mod n
-              | Scatter -> scatter_target ~seed ~n u k
-            in
-            Flat.set store u k ~id ~serial:(mint_serial ~stride:shards sh) ~anchor:(-1)
-              ~born:0
-          done
+              | Scatter -> scatter_target ~seed ~n u k)
+          done;
+          Protocol.install_ids store u ids ~born:0 ~mint:sh.mint
         done)
       shards_arr;
     let resil =
@@ -1349,55 +1327,13 @@ module Sharded = struct
   (* --- Churn phase (before phase I; every shard touches only its own
      slots and its own stream) --- *)
 
-  let clear_view t u =
-    let d = Flat.degree t.store u in
-    if d > 0 then
-      for slot = 0 to t.sh_config.Protocol.view_size - 1 do
-        Flat.clear t.store u slot
-      done;
-    d
-
-  (* Install an even bootstrap at node [v] copied from [donor]'s view:
-     the donor's own id first, then the donor's entries in slot order,
-     padded with the donor id to an even count, all as anchored copies
-     with fresh serials minted from [v]'s owning shard [sh] and slots drawn
-     from [rng].  Refs to [v] itself are filtered: a node must not be born
-     pointing at itself (a recycled slot's donor may still hold the
-     previous incarnation's id).  [live_only] also filters ids whose
-     alive bit is clear — only at barriers, where the alive array is
-     quiescent; during the churn phase other shards' bits are changing,
-     and stale ids simply decay like any dead reference.  Charges the
-     added edges to [sh]'s ledger.  No local closure: joins are hot. *)
-  let install_copy t sh rng ~v ~donor id =
-    let sl = Flat.random_empty_slot t.store v rng in
-    Flat.set t.store v sl ~id ~serial:(mint_serial ~stride:t.shard_count sh) ~anchor:donor
-      ~born:t.rounds
-
-  let install_bootstrap t sh rng ~v ~donor ~live_only =
-    let target = max 2 sh.cfg_dl in
-    install_copy t sh rng ~v ~donor donor;
-    let installed = ref 1 and k = ref 0 in
-    while !installed < target && !k < t.sh_config.Protocol.view_size do
-      let id = Flat.id_at t.store donor !k in
-      if id >= 0 && id <> v && ((not live_only) || t.alive.(id) = 1) then begin
-        install_copy t sh rng ~v ~donor id;
-        incr installed
-      end;
-      incr k
-    done;
-    if !installed land 1 = 1 then begin
-      install_copy t sh rng ~v ~donor donor;
-      incr installed
-    end;
-    sh.sh_edges_added <- sh.sh_edges_added + !installed
-
   let churn_shard t spec sh =
     let rate = spec.churn_rate in
     let leavers = ref 0 in
     Array.iter
       (fun u ->
         if t.alive.(u) = 1 && Sf_prng.Rng.bernoulli sh.rng rate then begin
-          sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t u;
+          sh.sh_edges_removed <- sh.sh_edges_removed + Flat.clear_row t.store u;
           t.alive.(u) <- 0;
           sh.live <- sh.live - 1;
           free_push sh u;
@@ -1417,7 +1353,17 @@ module Sharded = struct
         while t.alive.(!donor) = 0 do
           donor := sh.owned.(Sf_prng.Rng.int sh.rng owned_n)
         done;
-        install_bootstrap t sh sh.rng ~v:slot ~donor:!donor ~live_only:false;
+        (* The joining rule, with serials minted by the owning shard.  No
+           liveness filter: other shards are flipping their alive bits
+           now, and stale ids decay like any dead reference.  A recycled
+           slot's donor may still hold the previous incarnation's id,
+           which the rule's self filter drops. *)
+        let installed =
+          Protocol.install_copy t.store slot ~owner:slot ~donor:!donor ~from:t.store
+            ~from_row:!donor ~dl:sh.cfg_dl ~live:(fun _ -> true) ~born:t.rounds
+            ~mint:sh.mint
+        in
+        sh.sh_edges_added <- sh.sh_edges_added + installed;
         t.alive.(slot) <- 1;
         sh.live <- sh.live + 1;
         sh.sh_joins <- sh.sh_joins + 1
@@ -1685,10 +1631,11 @@ module Sharded = struct
       (* Cap the repair batch: a catastrophically sick world heals over
          several supervised attempts rather than one unbounded barrier. *)
       let budget = ref 128 in
-      (* Rebootstrap [v] from a live donor — for a minority root, one in
-         the largest component: clear the stale view and install a
-         live-only bootstrap from the resilience stream, charging both
-         sides of the churn edge ledger to [v]'s owning shard. *)
+      (* Rebootstrap [v] from a live donor drawn from the resilience
+         stream — for a minority root, one in the largest component:
+         replace the stale view by a copy of the donor's live ids (the
+         alive array is quiescent at the barrier), charging both sides of
+         the churn edge ledger to [v]'s owning shard. *)
       let repair ~minority v =
         if !budget > 0 then begin
           let donor =
@@ -1699,8 +1646,13 @@ module Sharded = struct
           in
           if donor >= 0 then begin
             let sh = t.shards.(shard_of t v) in
-            sh.sh_edges_removed <- sh.sh_edges_removed + clear_view t v;
-            install_bootstrap t sh r.r_rng ~v ~donor ~live_only:true;
+            sh.sh_edges_removed <- sh.sh_edges_removed + Flat.degree store v;
+            sh.sh_edges_added <-
+              sh.sh_edges_added
+              + Protocol.install_copy store v ~owner:v ~donor ~from:store
+                  ~from_row:donor ~dl:sh.cfg_dl
+                  ~live:(fun id -> t.alive.(id) = 1)
+                  ~born:t.rounds ~mint:sh.mint;
             decr budget
           end
         end

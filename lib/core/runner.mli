@@ -59,8 +59,10 @@ val create :
   topology:Topology.t ->
   unit ->
   t
-(** Build a system of [n] nodes with the given initial topology. All
-    randomness derives from [seed].
+(** Build a system of [n] nodes with the given initial topology: node
+    [u]'s view is [topology u], each id in a uniform empty slot
+    ({!Protocol.install_scattered}, which raises [Invalid_argument] on
+    more ids than view slots).  All randomness derives from [seed].
 
     [scenario] routes every send through a fault plan (bursty loss,
     partitions, crashes, delay spikes, corruption — see

@@ -10,8 +10,8 @@
 
    Allocation-free two-pass scan over the view slots: count the candidates,
    draw one index, walk to it.  This replaces a list-then-array build per
-   draw — an allocation storm on the facade the traffic harness (ROADMAP
-   item 5) hammers with millions of requests.  The scan walks slots from
+   draw — an allocation storm on the facade a traffic harness hammers with
+   millions of requests.  The scan walks slots from
    the highest down and the single [Rng.int] draw has the same bound as
    the old [Rng.choose] over the fold-reversed candidate list, so the RNG
    stream and the returned ids are bit-for-bit those of the historical

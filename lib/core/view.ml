@@ -130,6 +130,14 @@ module Flat = struct
       t.degrees.(u) <- t.degrees.(u) - 1
     end
 
+  let clear_row t u =
+    let d = t.degrees.(u) in
+    if d > 0 then
+      for slot = 0 to t.view_size - 1 do
+        clear t u slot
+      done;
+    d
+
   (* Uniformly random empty slot of node [u]; -1 when the view is full.
      The receive step of S&F places ids in uniformly chosen empty
      entries. *)
@@ -230,10 +238,7 @@ let count_id t id = fold (fun acc e -> if e.id = id then acc + 1 else acc) 0 t
 
 let entries t = List.rev (fold (fun acc e -> e :: acc) [] t)
 
-let clear_all t =
-  for i = 0 to size t - 1 do
-    clear t i
-  done
+let clear_all t = ignore (Flat.clear_row t 0)
 
 let pp ppf t =
   Fmt.pf ppf "[";

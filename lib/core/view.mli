@@ -69,6 +69,10 @@ module Flat : sig
 
   val clear : t -> int -> int -> unit
 
+  val clear_row : t -> int -> int
+  (** [clear_row t u] empties every slot of node [u] and returns the
+      degree it had.  Allocation-free. *)
+
   val random_empty_slot : t -> int -> Sf_prng.Rng.t -> int
   (** Uniformly random empty slot of node [u], [-1] when full.
       Allocation-free. *)

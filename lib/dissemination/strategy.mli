@@ -3,10 +3,10 @@
     - {!Push} — informed nodes push the rumor to [fanout] view samples per
       round: the classic epidemic baseline (susceptible–infected).
     - {!Push_pull} — additionally, uninformed nodes send pull requests
-      each round and informed receivers answer with the rumor.  Doerr,
-      Doerr & Kohan Marzagao (arXiv:1209.6158) show this completes in
-      O(log n) rounds even when a constant fraction of messages is lost —
-      the regime the loss benchmarks target.
+      each round and informed receivers answer with the rumor.  B. Doerr,
+      C. Doerr, S. Moran and S. Moran (arXiv:1209.6158) show this
+      completes in O(log n) rounds even when a constant fraction of
+      messages is lost — the regime the loss benchmarks target.
     - {!Direct} — rumor messages carry learned node addresses; receivers
       absorb them and informed nodes may contact learned ids {e directly},
       outside their current S&F view, while never re-contacting recently

@@ -257,14 +257,9 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
     Unix.setsockopt socket Unix.SO_REUSEADDR true;
     Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + node_id));
     let node = Sf_core.Protocol.create_node ~config ~node_id in
-    List.iter
-      (fun v ->
-        match Sf_core.View.random_empty_slot node.Sf_core.Protocol.view rng with
-        | None -> invalid_arg "Driver.create: topology exceeds view size"
-        | Some slot ->
-          Sf_core.View.set node.Sf_core.Protocol.view slot
-            { Sf_core.View.id = v; serial = fresh_serial t; anchor = None; born = 0 })
-      (topology node_id);
+    Sf_core.Protocol.install_ids node.Sf_core.Protocol.view 0
+      (Array.of_list (topology node_id))
+      ~born:0 ~mint:(fun () -> fresh_serial t);
     {
       node;
       socket;
@@ -601,40 +596,32 @@ let crash_down t (ns : node_state) =
   t.socket_generation <- t.socket_generation + 1;
   trace t (Sf_obs.Trace.Mark { label = "crash_down" })
 
-(* Ids to rejoin with when no snapshot survives: a live owned neighbour's
-   id and view — the paper's "copy another node's view" joining rule. *)
-let donor_ids t ~node_id =
+(* The donor a view is copied from: a live owned sibling, drawn from the
+   protocol stream (8 tries), or [None]. *)
+let pick_donor t ~node_id =
   let n = Array.length t.nodes in
   let rec pick tries =
-    if tries = 0 then []
+    if tries = 0 then None
     else
       let candidate = t.nodes.(Sf_prng.Rng.int t.rng n) in
       if candidate.node.Sf_core.Protocol.node_id <> node_id && not candidate.down
-      then
-        candidate.node.Sf_core.Protocol.node_id
-        :: List.filter
-             (fun id -> id <> node_id)
-             (Sf_core.View.ids candidate.node.Sf_core.Protocol.view)
+      then Some candidate
       else pick (tries - 1)
   in
   pick 8
 
-(* Reinstall [ids] as the node's whole view: fresh instances, even prefix
-   (Observation 5.1), at most the joining bound dL. *)
-let install_ids t (ns : node_state) ids =
-  let view = ns.node.Sf_core.Protocol.view in
-  Sf_core.View.clear_all view;
-  let keep =
-    min (max 2 ns.config.Sf_core.Protocol.lower_threshold) (Sf_core.View.size view)
-  in
-  let ids = List.filteri (fun i _ -> i < keep) ids in
-  let even = List.length ids land lnot 1 in
-  let ids = List.filteri (fun i _ -> i < even) ids in
-  List.iteri
-    (fun slot id ->
-      Sf_core.View.set view slot
-        { Sf_core.View.id; serial = fresh_serial t; anchor = None; born = t.actions })
-    ids
+(* The one install rule with the driver's choice of donor: the paper's
+   "copy another node's view" joining rule.  A node cannot see which
+   remote ids are alive, so none are filtered. *)
+let copy_view t (ns : node_state) (donor : node_state) =
+  let node = ns.node in
+  ignore
+    (Sf_core.Protocol.install_copy node.Sf_core.Protocol.view 0
+       ~owner:node.Sf_core.Protocol.node_id
+       ~donor:donor.node.Sf_core.Protocol.node_id
+       ~from:donor.node.Sf_core.Protocol.view ~from_row:0
+       ~dl:ns.config.Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
+       ~born:t.actions ~mint:(fun () -> fresh_serial t))
 
 let rejoin t (ns : node_state) =
   let node_id = ns.node.Sf_core.Protocol.node_id in
@@ -643,9 +630,12 @@ let rejoin t (ns : node_state) =
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
   Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, t.base_port + node_id));
   ns.socket <- socket;
-  (* Ids to rejoin with: the crash snapshot, else a live neighbour's view. *)
-  let ids = match ns.snapshot with [] -> donor_ids t ~node_id | ids -> ids in
-  install_ids t ns ids;
+  (* Rejoin with the crash snapshot, else a copy of a live neighbour's view. *)
+  (match ns.snapshot with
+  | [] -> Option.iter (copy_view t ns) (pick_donor t ~node_id)
+  | ids ->
+    Sf_core.Protocol.install_ids ns.node.Sf_core.Protocol.view 0 (Array.of_list ids)
+      ~born:t.actions ~mint:(fun () -> fresh_serial t));
   ns.down <- false;
   ns.snapshot <- [];
   t.socket_generation <- t.socket_generation + 1;
@@ -684,10 +674,10 @@ let probe_repairs t ~now =
       in
       List.iter
         (fun ns ->
-          match donor_ids t ~node_id:ns.node.Sf_core.Protocol.node_id with
-          | [] -> ()
-          | ids ->
-            install_ids t ns ids;
+          match pick_donor t ~node_id:ns.node.Sf_core.Protocol.node_id with
+          | None -> ()
+          | Some donor ->
+            copy_view t ns donor;
             trace t (Sf_obs.Trace.Mark { label = "rebootstrap" }))
         isolated;
       isolated = []

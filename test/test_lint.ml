@@ -295,6 +295,36 @@ let test_one_resilience_loop_exempts_lib_resilience () =
   check_quiet "Supervisor.step is allowed" ~path:"lib/core/runner.ml"
     "let o = Sf_resil.Supervisor.step s ~now probe"
 
+(* --- one-install-rule --- *)
+
+let test_one_install_rule_fires () =
+  check_fires "slot draw in the runner" ~rule:"one-install-rule"
+    ~path:"lib/core/runner.ml"
+    "let slot = View.random_empty_slot node.Protocol.view rng";
+  check_fires "flat write under a module alias" ~rule:"one-install-rule"
+    ~path:"lib/core/runner.ml"
+    "let () = Flat.set store u k ~id ~serial ~anchor:(-1) ~born:0";
+  check_fires "qualified view write in the driver" ~rule:"one-install-rule"
+    ~path:"lib/net/driver.ml" "let () = Sf_core.View.set view slot entry";
+  check_fires "bench too" ~rule:"one-install-rule" ~path:"bench/bad.ml"
+    "let s = Sf_core.View.Flat.random_empty_slot store u rng";
+  check_fires "examples too" ~rule:"one-install-rule" ~path:"examples/bad.ml"
+    "let () = View.set view 0 entry"
+
+let test_one_install_rule_exempts_protocol () =
+  (* The receive step really draws empty slots and the install rule
+     really writes views (the same source fires under any other path) —
+     and protocol.ml is out of scope. *)
+  let protocol = read "../lib/core/protocol.ml" in
+  check_fires "protocol.ml fills views" ~rule:"one-install-rule"
+    ~path:"lib/net/driver.ml" protocol;
+  check_quiet "lib/core/protocol.ml" ~path:"lib/core/protocol.ml" protocol;
+  (* Other protocols fill their own views. *)
+  check_quiet "baselines are out of scope" ~path:"lib/core/baselines.ml"
+    "let () = View.set view slot e";
+  check_quiet "install calls are allowed" ~path:"lib/core/runner.ml"
+    "let n = Protocol.install_copy view 0 ~owner ~donor"
+
 let suite =
   [
     Alcotest.test_case "determinism fires" `Quick test_determinism_fires;
@@ -328,4 +358,7 @@ let suite =
       test_one_resilience_loop_fires;
     Alcotest.test_case "one-resilience-loop exempts lib/resilience/" `Quick
       test_one_resilience_loop_exempts_lib_resilience;
+    Alcotest.test_case "one-install-rule fires" `Quick test_one_install_rule_fires;
+    Alcotest.test_case "one-install-rule exempts lib/core/protocol.ml" `Quick
+      test_one_install_rule_exempts_protocol;
   ]

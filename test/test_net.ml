@@ -778,6 +778,39 @@ let test_driver_supervised_repair () =
               (View.degree view > 0))
         (Driver.views c))
 
+(* A repair whose donor's view holds nothing but the repaired node's own
+   id still installs the donor's id, padded to an even [donor; donor],
+   and never an empty view.  Node 0 starts isolated, node 1 holds only
+   [0; 0], and a two-block filter drops every datagram between them, so
+   only the supervisor's repair can give node 0 a view. *)
+let test_driver_repair_from_self_only_donor () =
+  let policy =
+    Sf_resil.Policy.make ~retune:false ~solve:(fun ~loss:_ -> (4, 12)) ()
+  in
+  let topology u = if u = 0 then [] else [ 0; 0 ] in
+  let c =
+    Driver.create ~period:0.002 ~resilience:policy ~base_port:49630 ~n:2 ~config
+      ~loss_rate:0. ~seed:7 ~topology ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Driver.shutdown c)
+    (fun () ->
+      Driver.set_partition_filter c ~parts:(Some 2);
+      Driver.run c ~duration:0.3;
+      let stats = Driver.statistics c in
+      Alcotest.(check bool)
+        (Printf.sprintf "repairs attempted (%d)" stats.Driver.repair_attempts)
+        true
+        (stats.Driver.repair_attempts >= 1);
+      Seq.iter
+        (fun (id, view) ->
+          if id = 0 then
+            Alcotest.(check (list (pair int (option int))))
+              "the donor's id twice, anchored at the donor"
+              [ (1, Some 1); (1, Some 1) ]
+              (List.map (fun e -> (e.View.id, e.View.anchor)) (View.entries view)))
+        (Driver.views c))
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -817,4 +850,6 @@ let suite =
       test_driver_refuses_out_of_lane_frames;
     Alcotest.test_case "driver supervisor rebootstraps a cleared node" `Quick
       test_driver_supervised_repair;
+    Alcotest.test_case "driver repair from a self-only donor" `Quick
+      test_driver_repair_from_self_only_donor;
   ]

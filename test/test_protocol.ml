@@ -355,6 +355,128 @@ let test_receive_refuses_unfit_atomically () =
   Alcotest.(check int) "world row keeps degree 2" 2 (View.Flat.degree store 1);
   Alcotest.(check int) "and its slots" 2 (View.Flat.recount_degree store 1)
 
+(* --- The install rule --- *)
+
+(* One random case: view size s, threshold dL, the owner's and the donor's
+   ids (distinct, below [ids]), the donor's row (-1 = empty; the owner's
+   own id may appear in it), the ids the engine knows to be dead, the
+   target row's stale content, and whether the rows live in one world
+   store or in two single views. *)
+let install_case =
+  let ids = 40 in
+  QCheck.Gen.(
+    let* half = int_range 3 10 in
+    let s = 2 * half in
+    let* dl = map (fun k -> 2 * k) (int_range 0 (half - 3)) in
+    let* owner = int_range 0 (ids - 1) in
+    let* donor = map (fun d -> (owner + 1 + d) mod ids) (int_range 0 (ids - 2)) in
+    let slot = frequency [ (2, return (-1)); (1, return owner); (5, int_range 0 (ids - 1)) ] in
+    let* row = array_size (return s) slot in
+    let* stale = array_size (return s) slot in
+    let* dead = list_size (int_range 0 8) (int_range 0 (ids - 1)) in
+    let* world = bool in
+    return (s, dl, owner, donor, row, stale, dead, world))
+
+let print_install_case (s, dl, owner, donor, row, stale, dead, world) =
+  let ints a = String.concat ";" (List.map string_of_int a) in
+  Printf.sprintf "s=%d dl=%d owner=%d donor=%d row=[%s] stale=[%s] dead=[%s] world=%b" s
+    dl owner donor (ints (Array.to_list row)) (ints (Array.to_list stale)) (ints dead) world
+
+(* Writes [ids] (-1 = empty) into row [u] with serials below 1000. *)
+let fill store u ids =
+  Array.iteri
+    (fun k id ->
+      if id >= 0 then View.Flat.set store u k ~id ~serial:k ~anchor:(-1) ~born:0)
+    ids
+
+let row_entries store u =
+  List.filter_map
+    (fun k ->
+      let id = View.Flat.id_at store u k in
+      if id < 0 then None
+      else Some (k, id, View.Flat.serial_at store u k, View.Flat.anchor_at store u k))
+    (List.init (View.Flat.view_size store) Fun.id)
+
+let prop_install_rule =
+  QCheck.Test.make ~name:"install rule: even, bounded, anchored, fresh" ~count:500
+    (QCheck.make ~print:print_install_case install_case)
+    (fun (s, dl, owner, donor, row, stale, dead, world) ->
+      let store, u, from, from_row =
+        if world then begin
+          let w = View.Flat.create ~nodes:40 ~view_size:s in
+          fill w donor row;
+          (w, owner, w, donor)
+        end
+        else begin
+          let from = View.create s in
+          fill from 0 row;
+          (View.create s, 0, from, 0)
+        end
+      in
+      fill store u stale;
+      let next = ref 1000 in
+      let mint () = incr next; !next in
+      let live id = not (List.mem id dead) in
+      let installed =
+        Protocol.install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born:7
+          ~mint
+      in
+      let entries = row_entries store u in
+      let eligible =
+        List.filter (fun id -> id >= 0 && id <> owner && live id) (Array.to_list row)
+      in
+      let target = max 2 dl in
+      let copied = List.filteri (fun k _ -> k < target - 1) eligible in
+      let expected =
+        let ids = donor :: copied in
+        if List.length ids land 1 = 1 then ids @ [ donor ] else ids
+      in
+      let serials = List.map (fun (_, _, serial, _) -> serial) entries in
+      installed = List.length entries
+      && installed land 1 = 0
+      && installed <= s
+      && (1 + List.length eligible < target || installed = target)
+      && List.map (fun (_, id, _, _) -> id) entries = expected
+      && List.for_all (fun (_, id, _, anchor) -> id <> owner && anchor = donor) entries
+      (* Slot order: the entries fill slots 0, 1, 2, ... *)
+      && List.map (fun (k, _, _, _) -> k) entries = List.init installed Fun.id
+      && List.sort_uniq compare serials = List.init installed (fun k -> 1001 + k)
+      && List.for_all (fun (k, _, _, _) -> View.Flat.born_at store u k = 7) entries
+      (* The donor's row is only read. *)
+      && List.map (fun (k, id, _, _) -> (k, id)) (row_entries from from_row)
+         = List.filter_map
+             (fun k -> if row.(k) >= 0 then Some (k, row.(k)) else None)
+             (List.init s Fun.id)
+      (* An id install writes its ids unanchored, in slot order, and
+         refuses one id more than the view has slots, changing nothing. *)
+      && (let before = row_entries store u in
+          match Protocol.install_ids store u (Array.init (s + 1) Fun.id) ~born:7 ~mint with
+          | () -> false
+          | exception Invalid_argument _ ->
+            row_entries store u = before
+            && (Protocol.install_ids store u (Array.of_list expected) ~born:7 ~mint;
+                List.map (fun (_, id, _, anchor) -> (id, anchor)) (row_entries store u)
+                = List.map (fun id -> (id, -1)) expected))
+      (* A scattered install writes the same ids, anchored as asked, each
+         in an empty slot drawn from the stream, and refuses an overlong
+         list the same way. *)
+      && (let rng = Sf_prng.Rng.create (s + dl + owner) in
+          let before = row_entries store u in
+          match
+            Protocol.install_scattered rng store u (List.init (s + 1) Fun.id) ~anchor:donor
+              ~born:7 ~mint
+          with
+          | () -> false
+          | exception Invalid_argument _ ->
+            row_entries store u = before
+            && (Protocol.install_scattered rng store u expected ~anchor:donor ~born:7 ~mint;
+                let entries = row_entries store u in
+                List.sort compare (List.map (fun (_, id, _, _) -> id) entries)
+                = List.sort compare expected
+                && List.for_all (fun (_, _, _, anchor) -> anchor = donor) entries
+                && List.length (List.sort_uniq compare (List.map (fun (_, _, serial, _) -> serial) entries))
+                   = List.length expected)))
+
 let suite =
   [
     Alcotest.test_case "view create" `Quick test_view_create;
@@ -375,4 +497,5 @@ let suite =
     Alcotest.test_case "action clock past 2^31" `Quick test_action_clock_past_2_31;
     Alcotest.test_case "receive refuses an unfit message atomically" `Quick
       test_receive_refuses_unfit_atomically;
+    QCheck_alcotest.to_alcotest prop_install_rule;
   ]

@@ -275,13 +275,13 @@ let test_flat_known_answer () =
         Strategy.all expected)
     [
       ( "ge:0.2:8;partition@9-13:2;crash@10-15:0-39", 0.,
-        [ [ 40; 12; -1; 42778; 42778; 0; 30770; 8503; 2515; 770 ];
-          [ 9; 6; 9; 15036; 5442; 9594; 3092; 5805; 604; 795 ];
-          [ 40; 13; -1; 23933; 23933; 0; 17038; 4525; 1394; 759 ] ] );
+        [ [ 40; 11; -1; 44356; 44356; 0; 32242; 8561; 2575; 773 ];
+          [ 9; 6; 9; 15024; 5668; 9356; 3302; 5666; 644; 797 ];
+          [ 40; 11; -1; 25251; 25251; 0; 17804; 5019; 1455; 765 ] ] );
       ( "partition@9-13:3;crash@10-15:100-139", 0.05,
-        [ [ 40; 10; -1; 45236; 45236; 0; 38781; 2360; 3097; 782 ];
-          [ 8; 6; 8; 13408; 4224; 9184; 2838; 4609; 486; 800 ];
-          [ 40; 11; -1; 34008; 34008; 0; 28974; 1694; 2340; 783 ] ] );
+        [ [ 40; 10; -1; 45278; 45278; 0; 39055; 2333; 2871; 778 ];
+          [ 8; 7; 8; 13387; 3347; 10040; 2123; 4739; 541; 797 ];
+          [ 40; 13; -1; 31959; 31959; 0; 27220; 1643; 2103; 772 ] ] );
     ]
 
 (* The churn-free twin of the flat known answer on a 400-node world:

@@ -265,6 +265,35 @@ let rules =
           ];
     };
     {
+      id = "one-install-rule";
+      doc =
+        "views are filled from ids only by lib/core/protocol.ml's install \
+         rule (Protocol.install_ids, install_copy, install_scattered) and by \
+         its receive step: random_empty_slot, View.set and View.Flat.set may \
+         not appear in lib/core/runner.ml, churn.ml, sessions.ml, lib/net/, \
+         bench/ or examples/";
+      applies =
+        (fun path ->
+          is_source path
+          && (List.mem path
+                [ "lib/core/runner.ml"; "lib/core/churn.ml"; "lib/core/sessions.ml" ]
+             || List.exists
+                  (fun dir -> String.starts_with ~prefix:dir path)
+                  [ "lib/net/"; "bench/"; "examples/" ]));
+      tokens =
+        (let message =
+           "a view filled by hand — call Protocol.install_ids, \
+            Protocol.install_copy or Protocol.receive"
+         in
+         List.map
+           (fun token -> (token, message))
+           ([ "random_empty_slot"; "Flat.random_empty_slot"; "Flat.set" ]
+           @ List.concat_map
+               (fun name -> [ name; "Sf_core." ^ name ])
+               [ "View.random_empty_slot"; "View.Flat.random_empty_slot";
+                 "View.set"; "View.Flat.set" ]));
+    };
+    {
       id = "no-obj-magic";
       doc = "Obj.magic is forbidden everywhere";
       applies = is_source;
