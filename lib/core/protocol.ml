@@ -15,8 +15,9 @@
    the two steps, exactly as in the paper's non-atomic action model.
 
    The rule is written once, as a kernel over one row of a [View.Flat]
-   store ([initiate_row], [receive_row]).  [initiate] and [receive] run
-   it on a node's own view; the sharded engine runs it on its world. *)
+   store ([initiate_row], [receive_row]).  [initiate_node] and
+   [receive_node] run it on a node's own view and count; the sharded
+   engine runs it on its world. *)
 
 type config = {
   view_size : int;        (* s: number of view slots, even, >= 6 *)
@@ -144,11 +145,14 @@ let initiate_row rng store u ~owner ~dl ~born ~mint msg =
     target
   end
 
+let row_fits store msg =
+  View.Flat.fits store ~id:msg.r_id ~anchor:msg.r_anchor ~born:msg.r_born
+  && View.Flat.fits store ~id:msg.m_id ~anchor:msg.m_anchor ~born:msg.m_born
+
 let receive_row rng store u ~s msg =
   (* Check both before writing either, or a refusal could leave odd degree. *)
-  if not (View.Flat.fits store ~id:msg.r_id ~anchor:msg.r_anchor ~born:msg.r_born
-          && View.Flat.fits store ~id:msg.m_id ~anchor:msg.m_anchor ~born:msg.m_born)
-  then invalid_arg "Protocol.receive_row: instance outside the store's lanes";
+  if not (row_fits store msg) then
+    invalid_arg "Protocol.receive_row: instance outside the store's lanes";
   (* Both ids must fit within the live s. *)
   if s - View.Flat.degree store u >= 2 then begin
     View.Flat.set store u
@@ -160,6 +164,28 @@ let receive_row rng store u ~s msg =
     true
   end
   else false
+
+(* The boxed form of a row message and back; anchor -1 is [None]. *)
+let message_of_row msg =
+  let entry id serial anchor born =
+    { View.id; serial; anchor = (if anchor = -1 then None else Some anchor); born }
+  in
+  {
+    reinforcement = entry msg.r_id msg.r_serial msg.r_anchor msg.r_born;
+    mixing = entry msg.m_id msg.m_serial msg.m_anchor msg.m_born;
+  }
+
+let load_row msg message =
+  let r = message.reinforcement and m = message.mixing in
+  let anchor = Option.value ~default:(-1) in
+  msg.r_id <- r.View.id;
+  msg.r_serial <- r.View.serial;
+  msg.r_anchor <- anchor r.View.anchor;
+  msg.r_born <- r.View.born;
+  msg.m_id <- m.View.id;
+  msg.m_serial <- m.View.serial;
+  msg.m_anchor <- anchor m.View.anchor;
+  msg.m_born <- m.View.born
 
 (* --- The install rule: every view filled from ids rather than by a
    receive (the interface says why slot order loses nothing) --- *)
@@ -206,7 +232,34 @@ let install_scattered rng store u ids ~anchor ~born ~mint =
       put store u k ~id ~anchor ~born ~mint)
     ids
 
-(* --- The steps of one node --- *)
+(* --- The steps of one node ---
+
+   The kernel on a node's own view plus the node's counters, written
+   once: the UDP driver calls [initiate_node]/[receive_node] on a row
+   message it owns, and the sequential runner's boxed [initiate] and
+   [receive] wrap them. *)
+
+let initiate_node config rng ~mint ~born node msg =
+  node.initiated_actions <- node.initiated_actions + 1;
+  let destination =
+    initiate_row rng node.view 0 ~owner:node.node_id ~dl:config.lower_threshold ~born
+      ~mint msg
+  in
+  if destination < 0 then node.self_loop_actions <- node.self_loop_actions + 1
+  else begin
+    if msg.duplicated then node.duplications <- node.duplications + 1;
+    node.messages_sent <- node.messages_sent + 1
+  end;
+  destination
+
+let receive_node config rng node msg =
+  (* After the kernel, which refuses an unfit message before any change. *)
+  let accepted =
+    receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
+  in
+  node.messages_received <- node.messages_received + 1;
+  if not accepted then node.deletions <- node.deletions + 1;
+  accepted
 
 type initiate_result =
   | Self_loop                      (* an empty slot was selected; no effect *)
@@ -215,48 +268,18 @@ type initiate_result =
 (* The initiate step.  [fresh_serial] mints instance numbers; [clock] stamps
    creation times. *)
 let initiate config rng ~fresh_serial ~clock node =
-  node.initiated_actions <- node.initiated_actions + 1;
   let msg = row_message () in
-  let destination =
-    initiate_row rng node.view 0 ~owner:node.node_id ~dl:config.lower_threshold
-      ~born:clock ~mint:fresh_serial msg
-  in
-  if destination < 0 then begin
-    node.self_loop_actions <- node.self_loop_actions + 1;
-    Self_loop
-  end
-  else begin
-    if msg.duplicated then node.duplications <- node.duplications + 1;
-    node.messages_sent <- node.messages_sent + 1;
-    let entry id serial a born =
-      { View.id; serial; anchor = (if a < 0 then None else Some a); born }
-    in
-    let reinforcement = entry msg.r_id msg.r_serial msg.r_anchor msg.r_born in
-    let mixing = entry msg.m_id msg.m_serial msg.m_anchor msg.m_born in
-    Send { destination; message = { reinforcement; mixing }; duplicated = msg.duplicated }
-  end
+  let destination = initiate_node config rng ~mint:fresh_serial ~born:clock node msg in
+  if destination < 0 then Self_loop
+  else Send { destination; message = message_of_row msg; duplicated = msg.duplicated }
 
 type receive_result = Accepted | Deleted
 
 (* The receive step. *)
 let receive config rng node message =
-  let r = message.reinforcement and m = message.mixing in
-  let anchor = Option.value ~default:(-1) in
-  let msg =
-    { duplicated = false; r_id = r.View.id; r_serial = r.View.serial;
-      r_anchor = anchor r.View.anchor; r_born = r.View.born; m_id = m.View.id;
-      m_serial = m.View.serial; m_anchor = anchor m.View.anchor; m_born = m.View.born }
-  in
-  (* After the kernel, which refuses an unfit message before any change. *)
-  let accepted =
-    receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
-  in
-  node.messages_received <- node.messages_received + 1;
-  if accepted then Accepted
-  else begin
-    node.deletions <- node.deletions + 1;
-    Deleted
-  end
+  let msg = row_message () in
+  load_row msg message;
+  if receive_node config rng node msg then Accepted else Deleted
 
 (* Observation 5.1: outdegree stays within [dL, s] (starting states included)
    and even. *)

@@ -3,10 +3,13 @@
 
     The step rule is written once, as the allocation-free row kernel
     {!initiate_row}/{!receive_row} over one row of a {!View.Flat} store.
-    {!initiate} and {!receive} run it on a node's view (row 0 of a
-    one-node store) and add the per-node counters and the {!message}
-    record; the sharded engine ({!Runner.Sharded}) runs it
-    on its world store.  Every engine therefore applies the same rule. *)
+    {!initiate_node} and {!receive_node} run it on a node's view (row 0
+    of a one-node store) and add the per-node counters: the UDP driver
+    calls them on a {!row_message} it owns, and {!initiate} and
+    {!receive} wrap them in the boxed {!message} record for the
+    sequential {!Runner}.  The sharded engine ({!Runner.Sharded}) runs
+    the kernel on its world store.  Every engine therefore applies the
+    same rule. *)
 
 type config = {
   view_size : int;        (** s: number of view slots, even, >= 6 *)
@@ -96,6 +99,10 @@ val initiate_row :
     then once more for the mixing serial when duplicated.
     Allocation-free. *)
 
+val row_fits : View.Flat.t -> row_message -> bool
+(** Both instances satisfy {!View.Flat.fits}: the precondition of
+    {!receive_row}.  A caller fed by the network tests it first. *)
+
 val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message -> bool
 (** [receive_row rng store u ~s msg] is the receive step at row [u]:
     accepts when both ids fit within the live view size [s]
@@ -103,8 +110,15 @@ val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message ->
     the reinforcement then the mixing instance in uniformly drawn empty
     slots, and returns [true]; otherwise deletes both and returns
     [false].  Reads every field of [msg] but [duplicated].  Raises
-    [Invalid_argument], changing nothing, unless both instances satisfy
-    {!View.Flat.fits}.  Allocation-free. *)
+    [Invalid_argument], changing nothing, unless {!row_fits} holds.
+    Allocation-free. *)
+
+val message_of_row : row_message -> message
+(** The boxed message of a row message (anchor [-1] is [None]). *)
+
+val load_row : row_message -> message -> unit
+(** Write a boxed message into a row message ([None] is anchor [-1]),
+    leaving [duplicated] as it is. *)
 
 (** {1 The install rule}
 
@@ -166,6 +180,20 @@ val install_scattered :
 
 (** {1 The steps of one node} *)
 
+val initiate_node :
+  config -> Sf_prng.Rng.t -> mint:(unit -> int) -> born:int -> node -> row_message -> int
+(** One initiate step at [node]: {!initiate_row} on its view with the
+    config's [dL], counting the action, a self-loop, a send and a
+    duplication in the node's counters.  Returns the target id, or [-1]
+    for a self-loop.  Allocation-free: the counting every engine on
+    single views shares. *)
+
+val receive_node : config -> Sf_prng.Rng.t -> node -> row_message -> bool
+(** One receive step at [node]: {!receive_row} within the config's
+    [view_size] (capped at the allocated view), counting the message
+    and a deletion.  Raises [Invalid_argument], changing neither the
+    view nor the counters, unless {!row_fits} holds.  Allocation-free. *)
+
 type initiate_result =
   | Self_loop
   | Send of { destination : int; message : message; duplicated : bool }
@@ -177,17 +205,17 @@ val initiate :
   clock:int ->
   node ->
   initiate_result
-(** One initiate step: selects two distinct slots uniformly; on two
-    non-empty slots, produces the message to send and either clears the
-    slots or (at the threshold) duplicates. The caller transmits the
-    message; the sender never learns the outcome. *)
+(** {!initiate_node} with the message boxed: selects two distinct slots
+    uniformly; on two non-empty slots, produces the message to send and
+    either clears the slots or (at the threshold) duplicates. The caller
+    transmits the message; the sender never learns the outcome. *)
 
 type receive_result = Accepted | Deleted
 
 val receive : config -> Sf_prng.Rng.t -> node -> message -> receive_result
-(** One receive step: installs both ids into uniformly chosen empty slots
-    when both fit within the config's [view_size] ({!receive_row}), or
-    deletes them.  Raises [Invalid_argument], changing neither the view
+(** {!receive_node} on a boxed message: installs both ids into uniformly
+    chosen empty slots when both fit within the config's [view_size]
+    ({!receive_row}), or deletes them.  Raises [Invalid_argument], changing neither the view
     nor the counters, unless both instances satisfy {!View.fits}: a
     caller fed by the network filters first. *)
 

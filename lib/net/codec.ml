@@ -29,7 +29,7 @@ let frame_size = payload_size + 4
 let max_batch = 16
 let max_datagram_size = batch_header_size + (max_batch * frame_size)
 
-(* One byte of headroom past the largest datagram: POSIX recvfrom
+(* One byte of headroom past the largest datagram: POSIX recv
    silently truncates a UDP payload to the buffer, so a buffer of exactly
    the maximum size cannot distinguish a valid maximal datagram from the
    prefix of an oversized one.  With the extra byte,
@@ -68,67 +68,54 @@ let crc32 buffer ~pos ~len =
   done;
   !crc lxor 0xFFFFFFFF
 
-let write_entry buffer ~offset (e : Sf_core.View.entry) =
-  Bytes.set_int64_le buffer offset (Int64.of_int e.Sf_core.View.id);
-  Bytes.set_int64_le buffer (offset + 8) (Int64.of_int e.Sf_core.View.serial);
-  Bytes.set_int64_le buffer (offset + 16)
-    (match e.Sf_core.View.anchor with
-    | None -> -1L
-    | Some a -> Int64.of_int a);
-  Bytes.set_int64_le buffer (offset + 24) (Int64.of_int e.Sf_core.View.born)
+(* --- Frames ---
 
-let read_entry buffer ~offset =
-  let id = Int64.to_int (Bytes.get_int64_le buffer offset) in
-  let serial = Int64.to_int (Bytes.get_int64_le buffer (offset + 8)) in
-  let anchor =
-    match Bytes.get_int64_le buffer (offset + 16) with
-    | -1L -> None
-    | a -> Some (Int64.to_int a)
-  in
-  let born = Int64.to_int (Bytes.get_int64_le buffer (offset + 24)) in
-  { Sf_core.View.id; serial; anchor; born }
+   A frame is a row message ({!Sf_core.Protocol.row_message}) written
+   field by field: no boxed entry or message in between, so the driver
+   encodes and decodes without allocating.  The boxed [encode_batch] and
+   [decode_datagram] below wrap the same two functions. *)
 
-let write_payload buffer ~offset (message : Sf_core.Protocol.message) =
-  write_entry buffer ~offset message.Sf_core.Protocol.reinforcement;
-  write_entry buffer ~offset:(offset + 32) message.Sf_core.Protocol.mixing
-
-let read_payload buffer ~offset =
-  {
-    Sf_core.Protocol.reinforcement = read_entry buffer ~offset;
-    mixing = read_entry buffer ~offset:(offset + 32);
-  }
-
-(* --- Encoding --- *)
+module P = Sf_core.Protocol
 
 let frame_offset i = batch_header_size + (i * frame_size)
 
-let encode_batch_exact messages count =
-  let buffer = Bytes.create (batch_header_size + (count * frame_size)) in
+let put buffer offset v = Bytes.set_int64_le buffer offset (Int64.of_int v)
+let get buffer offset = Int64.to_int (Bytes.get_int64_le buffer offset)
+
+let write_frame buffer i (msg : P.row_message) =
+  let offset = frame_offset i in
   Bytes.set buffer 0 magic;
   Bytes.set buffer 1 version;
   Bytes.set buffer 2 kind_batch;
-  Bytes.set buffer 3 (Char.chr count);
-  List.iteri
-    (fun i message ->
-      let offset = frame_offset i in
-      write_payload buffer ~offset message;
-      Bytes.set_int32_le buffer (offset + payload_size)
-        (Int32.of_int (crc32 buffer ~pos:offset ~len:payload_size)))
-    messages;
-  buffer
+  Bytes.set buffer 3 (Char.chr (i + 1));
+  put buffer offset msg.P.r_id;
+  put buffer (offset + 8) msg.P.r_serial;
+  put buffer (offset + 16) msg.P.r_anchor;
+  put buffer (offset + 24) msg.P.r_born;
+  put buffer (offset + 32) msg.P.m_id;
+  put buffer (offset + 40) msg.P.m_serial;
+  put buffer (offset + 48) msg.P.m_anchor;
+  put buffer (offset + 56) msg.P.m_born;
+  Bytes.set_int32_le buffer (offset + payload_size)
+    (Int32.of_int (crc32 buffer ~pos:offset ~len:payload_size))
 
-(* Oversized batches split greedily into full datagrams plus a remainder:
-   every emitted datagram carries at most [max_batch] frames. *)
-let encode_batch messages =
-  let rec chunks acc current k = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | m :: rest ->
-      if k = max_batch then chunks (List.rev current :: acc) [ m ] 1 rest
-      else chunks acc (m :: current) (k + 1) rest
+let read_frame buffer i (msg : P.row_message) =
+  let offset = frame_offset i in
+  let stored =
+    Int32.to_int (Bytes.get_int32_le buffer (offset + payload_size)) land 0xFFFFFFFF
   in
-  List.map
-    (fun chunk -> encode_batch_exact chunk (List.length chunk))
-    (chunks [] [] 0 messages)
+  stored = crc32 buffer ~pos:offset ~len:payload_size
+  && begin
+    msg.P.r_id <- get buffer offset;
+    msg.P.r_serial <- get buffer (offset + 8);
+    msg.P.r_anchor <- get buffer (offset + 16);
+    msg.P.r_born <- get buffer (offset + 24);
+    msg.P.m_id <- get buffer (offset + 32);
+    msg.P.m_serial <- get buffer (offset + 40);
+    msg.P.m_anchor <- get buffer (offset + 48);
+    msg.P.m_born <- get buffer (offset + 56);
+    true
+  end
 
 let corrupt_frame buffer index =
   let offset = frame_offset index in
@@ -136,7 +123,50 @@ let corrupt_frame buffer index =
     Bytes.set buffer offset
       (Char.chr (Char.code (Bytes.get buffer offset) lxor 0xff))
 
-(* --- Decoding --- *)
+(* --- Batch headers --- *)
+
+let check_batch buffer ~length =
+  if length < 2 then Some (Too_short length)
+  else if Bytes.get buffer 0 <> magic then Some (Bad_magic (Bytes.get buffer 0))
+  else if Bytes.get buffer 1 <> version then
+    Some (Unsupported_version (Bytes.get buffer 1))
+  else if length < batch_header_size then Some (Too_short length)
+  else if Bytes.get buffer 2 <> kind_batch then Some (Bad_kind (Bytes.get buffer 2))
+  else
+    let count = Char.code (Bytes.get buffer 3) in
+    if count < 1 || count > max_batch then Some (Bad_count count)
+    else if length > frame_offset count then Some (Oversized length)
+    else None
+
+(* A short datagram still yields every complete frame it carries; only
+   the torn tail is rejected.  [check_batch] bounds [length] by the
+   declared count, so the quotient never exceeds it. *)
+let complete_frames ~length = (length - batch_header_size) / frame_size
+
+let truncated buffer ~length = length < frame_offset (Char.code (Bytes.get buffer 3))
+
+(* --- Boxed messages --- *)
+
+(* Oversized batches split greedily into full datagrams plus a remainder:
+   every emitted datagram carries at most [max_batch] frames. *)
+let encode_batch messages =
+  let msg = P.row_message () in
+  let rec fill buffer i count = function
+    | m :: rest when i < count ->
+      P.load_row msg m;
+      write_frame buffer i msg;
+      fill buffer (i + 1) count rest
+    | rest -> rest
+  in
+  let rec datagrams remaining messages =
+    if remaining = 0 then []
+    else
+      let count = min max_batch remaining in
+      let buffer = Bytes.create (frame_offset count) in
+      let rest = fill buffer 0 count messages in
+      buffer :: datagrams (remaining - count) rest
+  in
+  datagrams (List.length messages) messages
 
 type batch = {
   messages : Sf_core.Protocol.message list;  (* CRC-clean frames, in order *)
@@ -147,35 +177,17 @@ type batch = {
 (* One constructor per kind byte; batches are the only kind left. *)
 type datagram = Batch of batch
 
-let decode_batch buffer ~length =
-  let count = Char.code (Bytes.get buffer 3) in
-  if count < 1 || count > max_batch then Error (Bad_count count)
-  else begin
-    let expected = batch_header_size + (count * frame_size) in
-    if length > expected then Error (Oversized length)
-    else begin
-      (* A short datagram still yields every complete frame it carries;
-         only the torn tail is rejected. *)
-      let complete = min count ((length - batch_header_size) / frame_size) in
-      let truncated = length < expected in
-      let bad_crc = ref 0 in
-      let messages = ref [] in
-      for i = complete - 1 downto 0 do
-        let offset = frame_offset i in
-        let stored = Int32.to_int (Bytes.get_int32_le buffer (offset + payload_size)) land 0xFFFFFFFF in
-        if stored = crc32 buffer ~pos:offset ~len:payload_size then
-          messages := read_payload buffer ~offset :: !messages
-        else incr bad_crc
-      done;
-      Ok (Batch { messages = !messages; bad_crc = !bad_crc; truncated })
-    end
-  end
-
 let decode_datagram buffer ~length =
-  if length < 2 then Error (Too_short length)
-  else if Bytes.get buffer 0 <> magic then Error (Bad_magic (Bytes.get buffer 0))
-  else if Bytes.get buffer 1 <> version then
-    Error (Unsupported_version (Bytes.get buffer 1))
-  else if length < batch_header_size then Error (Too_short length)
-  else if Bytes.get buffer 2 <> kind_batch then Error (Bad_kind (Bytes.get buffer 2))
-  else decode_batch buffer ~length
+  match check_batch buffer ~length with
+  | Some e -> Error e
+  | None ->
+    let msg = P.row_message () in
+    let bad_crc = ref 0 in
+    let messages = ref [] in
+    for i = complete_frames ~length - 1 downto 0 do
+      if read_frame buffer i msg then messages := P.message_of_row msg :: !messages
+      else incr bad_crc
+    done;
+    Ok
+      (Batch
+         { messages = !messages; bad_crc = !bad_crc; truncated = truncated buffer ~length })

@@ -19,8 +19,17 @@
    injection keeps loss experiments controlled even though loopback UDP
    rarely drops on its own.
 
+   The steady-state loop allocates nothing per message.  The protocol
+   step writes one driver-owned row message ([Protocol.initiate_node]),
+   the codec writes it straight into the destination's batch buffer
+   ([Codec.write_frame]), and received frames decode into a preallocated
+   inbox ([Codec.read_frame]) that [Protocol.receive_node] reads.  What
+   is left per action is the boxed floats of the span clock reads and
+   the timer jitter, the exception that ends each drain and the select
+   call's lists.
+
    Outbound messages queue per destination and leave as {!Codec} batch
-   datagrams at the end of each loop iteration (or as soon as a queue
+   datagrams at the end of each loop iteration (or as soon as a batch
    holds [Codec.max_batch] messages).  Batching draws no randomness, so
    the protocol RNG stream does not depend on it.
 
@@ -37,7 +46,6 @@ type node_state = {
   (* Mutable: a crash-restart closes the socket for the duration of the
      window and rebinds a fresh one on the same port at resume. *)
   mutable socket : Unix.file_descr;
-  mutable next_fire : float;
   (* The node's current thresholds; starts at the cluster config and
      diverges under adaptive retuning. *)
   mutable config : Sf_core.Protocol.config;
@@ -58,14 +66,17 @@ type delayed_datagram = {
   target : Unix.sockaddr;
 }
 
-(* An outbound batch under construction: messages for one destination
-   accumulated within a loop iteration, flushed as one datagram.  The
-   sender is remembered as a node index (not a socket) so a crash-rebind
-   between enqueue and flush cannot leak a closed fd. *)
-type pending_batch = {
-  mutable items : (Sf_core.Protocol.message * bool) list;  (* rev; flag = corrupt *)
-  mutable batched : int;
-  src_index : int;
+(* An outbound batch under construction: one destination's frames,
+   written into the wire buffer as their messages are made, and flushed
+   as one datagram.  The sender is remembered as a node index (not a
+   socket) so a crash-rebind between enqueue and flush cannot leak a
+   closed fd. *)
+type batch = {
+  packet : bytes;               (* Codec.max_datagram_size *)
+  mutable destination : int;
+  mutable frames : int;
+  mutable corrupt : int;        (* bit i set: a corrupt verdict hit frame i *)
+  mutable src_index : int;
 }
 
 (* A callback run on a schedule by the event loop (heartbeats, probes). *)
@@ -76,16 +87,10 @@ type periodic = {
 }
 
 type t = {
-  base_port : int;
   n_global : int;  (* the full id space; owned slice is [first, first+count) *)
   first : int;
   period : float;
   loss_rate : float;
-  (* Global serials are minted as [k * stride + offset]: sibling processes
-     use stride = process count and distinct offsets, so concurrently
-     minted serials never collide across the cluster. *)
-  serial_stride : int;
-  serial_offset : int;
   (* Injected clock: tests drive virtual time; production uses
      [Sf_obs.Clock.wall] — the tree's single sanctioned wall-clock
      source. *)
@@ -93,6 +98,10 @@ type t = {
   started : float;  (* clock reading at creation; trace stamps are rounds
                        since then, matching the injector's round clock *)
   rng : Sf_prng.Rng.t;
+  (* Mints the next global serial, [k * stride + offset]: sibling
+     processes use stride = process count and distinct offsets, so
+     concurrently minted serials never collide across the cluster. *)
+  mint : unit -> int;
   injector : Sf_faults.Injector.t option;
   resilience : Sf_resil.Policy.t option;
   (* Cross-process repair scheduling under a recovering policy: see
@@ -100,14 +109,24 @@ type t = {
   supervisor : Sf_resil.Supervisor.t option;
   mutable next_probe : float;
   nodes : node_state array;  (* index i holds global id [first + i] *)
-  (* Bumped whenever a socket is closed or rebound, so the run loop knows
-     to rebuild its select set. *)
+  next_fire : float array;   (* node i's next initiation, unboxed *)
+  addresses : Unix.sockaddr array;  (* the port map: global id -> address *)
+  (* Bumped whenever a socket is closed or rebound or a channel added, so
+     the run loop knows to rebuild its select set. *)
   mutable socket_generation : int;
   read_buffer : bytes;
-  (* Outbound batches: per-destination queues plus first-enqueue order
-     so flushes are deterministic. *)
-  pending : (int, pending_batch) Hashtbl.t;
-  mutable pending_order : int list;  (* rev *)
+  (* The outbound row message, written by the initiate step. *)
+  outbox : Sf_core.Protocol.row_message;
+  (* A received batch's CRC-clean frames, in batch order. *)
+  inbox : Sf_core.Protocol.row_message array;
+  (* Outbound batches: [batches.(0 .. pending - 1)] hold this iteration's
+     destinations in first-enqueue order, which is the flush order, and
+     [batch_of] maps a destination to its index there (-1: none).  The
+     pool only grows, the first time an iteration has more destinations
+     than any before it. *)
+  mutable batches : batch array;
+  mutable pending : int;
+  batch_of : int array;
   (* Control channels: extra fds in the select set, each draining itself
      via its callback (a node-host's stdin and control socket). *)
   mutable channels : (Unix.file_descr * (unit -> unit)) list;
@@ -139,23 +158,24 @@ type t = {
   c_crc_rejected : Sf_obs.Metrics.counter;
   c_filtered : Sf_obs.Metrics.counter;
   c_repairs : Sf_obs.Metrics.counter;  (* supervised rebootstrap attempts *)
-  (* Codec profiling, timed with the injected clock. *)
+  (* Codec profiling, timed with the injected clock: one frame written,
+     one datagram checked and read. *)
   encode_span : Sf_obs.Span.t;
   decode_span : Sf_obs.Span.t;
   (* Whole initiate-action latency (protocol step + encode + sendto). *)
   action_span : Sf_obs.Span.t;
   mutable delayed : delayed_datagram list;
-  mutable next_serial : int;
   mutable actions : int;
 }
 
-let address_of t node_id =
-  Unix.ADDR_INET (Unix.inet_addr_loopback, t.base_port + node_id)
-
-let fresh_serial t =
-  let s = t.next_serial in
-  t.next_serial <- s + 1;
-  (s * t.serial_stride) + t.serial_offset
+let new_batch () =
+  {
+    packet = Bytes.create Codec.max_datagram_size;
+    destination = -1;
+    frames = 0;
+    corrupt = 0;
+    src_index = 0;
+  }
 
 let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilience
     ?(first = 0) ?count ?(serial_stride = 1) ?(serial_offset = 0)
@@ -184,87 +204,41 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
         Sf_resil.Loop.supervisor policy
           ~rng:(Sf_prng.Rng.create (seed lxor 0x5f17)))
   in
-  let start = now () in
-  let t =
-    {
-      base_port;
-      n_global = n;
-      first;
-      period;
-      loss_rate;
-      serial_stride;
-      serial_offset;
-      now;
-      started = start;
-      rng;
-      injector;
-      resilience;
-      supervisor;
-      next_probe = start +. (2.0 *. period);
-      nodes = [||];
-      socket_generation = 0;
-      read_buffer = Bytes.create Codec.recv_buffer_size;
-      pending = Hashtbl.create 64;
-      pending_order = [];
-      channels = [];
-      periodics = [];
-      stop_requested = false;
-      filter_parts = None;
-      obs;
-      c_sent = Sf_obs.Metrics.counter metrics "cluster_datagrams_sent";
-      c_dropped = Sf_obs.Metrics.counter metrics "cluster_datagrams_dropped";
-      c_received = Sf_obs.Metrics.counter metrics "cluster_datagrams_received";
-      c_corrupted = Sf_obs.Metrics.counter metrics "cluster_datagrams_corrupted";
-      c_delayed = Sf_obs.Metrics.counter metrics "cluster_datagrams_delayed";
-      c_crash_dropped =
-        Sf_obs.Metrics.counter metrics "cluster_datagrams_crash_dropped";
-      c_oversized = Sf_obs.Metrics.counter metrics "cluster_datagrams_oversized";
-      c_truncated = Sf_obs.Metrics.counter metrics "cluster_datagrams_truncated";
-      c_decode_errors = Sf_obs.Metrics.counter metrics "cluster_decode_errors";
-      c_send_errors = Sf_obs.Metrics.counter metrics "cluster_send_errors";
-      c_rejoins = Sf_obs.Metrics.counter metrics "cluster_rejoins";
-      c_retunes = Sf_obs.Metrics.counter metrics "cluster_retunes";
-      c_emitted = Sf_obs.Metrics.counter metrics "cluster_datagrams_emitted";
-      c_messages_received =
-        Sf_obs.Metrics.counter metrics "cluster_messages_received";
-      c_batches = Sf_obs.Metrics.counter metrics "cluster_batches_sent";
-      c_frames = Sf_obs.Metrics.counter metrics "cluster_frames_sent";
-      c_crc_rejected =
-        Sf_obs.Metrics.counter metrics "cluster_frames_crc_rejected";
-      c_filtered = Sf_obs.Metrics.counter metrics "cluster_datagrams_filtered";
-      c_repairs = Sf_obs.Metrics.counter metrics "cluster_repair_attempts";
-      encode_span = Sf_obs.Span.create ~clock:now metrics "codec_encode_seconds";
-      decode_span = Sf_obs.Span.create ~clock:now metrics "codec_decode_seconds";
-      action_span =
-        Sf_obs.Span.create ~clock:now metrics "cluster_action_seconds";
-      delayed = [];
-      next_serial = 0;
-      actions = 0;
-    }
+  let serials = ref 0 in
+  let mint () =
+    let k = !serials in
+    serials := k + 1;
+    (k * serial_stride) + serial_offset
   in
+  let addresses =
+    Array.init n (fun id -> Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + id))
+  in
+  let start = now () in
   (* One round of the scenario clock = one firing period elapsed. *)
   Option.iter
     (fun inj ->
       Sf_faults.Injector.set_clock inj (fun () -> (now () -. start) /. period))
     injector;
+  let next_fire = Array.make count 0. in
   (* Track every socket opened so far: if node k's bind (or anything after
      it) fails, the k sockets already open must not leak. *)
   let opened = ref [] in
-  let make_node node_id =
+  let make_node i =
+    let node_id = first + i in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     opened := socket :: !opened;
     Unix.set_nonblock socket;
     Unix.setsockopt socket Unix.SO_REUSEADDR true;
-    Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + node_id));
+    Unix.bind socket addresses.(node_id);
     let node = Sf_core.Protocol.create_node ~config ~node_id in
     Sf_core.Protocol.install_ids node.Sf_core.Protocol.view 0
       (Array.of_list (topology node_id))
-      ~born:0 ~mint:(fun () -> fresh_serial t);
+      ~born:0 ~mint;
+    (* Stagger first firings across one period. *)
+    next_fire.(i) <- start +. (period *. Sf_prng.Rng.float rng);
     {
       node;
       socket;
-      (* Stagger first firings across one period. *)
-      next_fire = start +. (period *. Sf_prng.Rng.float rng);
       config;
       tuner =
         Option.map
@@ -279,18 +253,80 @@ let create ?(period = 0.01) ?(now = Sf_obs.Clock.wall) ?scenario ?obs ?resilienc
       snapshot = [];
     }
   in
-  match Array.init count (fun i -> make_node (first + i)) with
-  | nodes -> { t with nodes }
-  | exception e ->
-    List.iter
-      (fun socket -> try Unix.close socket with Unix.Unix_error _ -> ())
-      !opened;
-    raise e
+  let nodes =
+    match Array.init count make_node with
+    | nodes -> nodes
+    | exception e ->
+      List.iter
+        (fun socket -> try Unix.close socket with Unix.Unix_error _ -> ())
+        !opened;
+      raise e
+  in
+  {
+    n_global = n;
+    first;
+    period;
+    loss_rate;
+    now;
+    started = start;
+    rng;
+    mint;
+    injector;
+    resilience;
+    supervisor;
+    next_probe = start +. (2.0 *. period);
+    nodes;
+    next_fire;
+    addresses;
+    socket_generation = 0;
+    read_buffer = Bytes.create Codec.recv_buffer_size;
+    outbox = Sf_core.Protocol.row_message ();
+    inbox = Array.init Codec.max_batch (fun _ -> Sf_core.Protocol.row_message ());
+    batches = Array.init 8 (fun _ -> new_batch ());
+    pending = 0;
+    batch_of = Array.make n (-1);
+    channels = [];
+    periodics = [];
+    stop_requested = false;
+    filter_parts = None;
+    obs;
+    c_sent = Sf_obs.Metrics.counter metrics "cluster_datagrams_sent";
+    c_dropped = Sf_obs.Metrics.counter metrics "cluster_datagrams_dropped";
+    c_received = Sf_obs.Metrics.counter metrics "cluster_datagrams_received";
+    c_corrupted = Sf_obs.Metrics.counter metrics "cluster_datagrams_corrupted";
+    c_delayed = Sf_obs.Metrics.counter metrics "cluster_datagrams_delayed";
+    c_crash_dropped =
+      Sf_obs.Metrics.counter metrics "cluster_datagrams_crash_dropped";
+    c_oversized = Sf_obs.Metrics.counter metrics "cluster_datagrams_oversized";
+    c_truncated = Sf_obs.Metrics.counter metrics "cluster_datagrams_truncated";
+    c_decode_errors = Sf_obs.Metrics.counter metrics "cluster_decode_errors";
+    c_send_errors = Sf_obs.Metrics.counter metrics "cluster_send_errors";
+    c_rejoins = Sf_obs.Metrics.counter metrics "cluster_rejoins";
+    c_retunes = Sf_obs.Metrics.counter metrics "cluster_retunes";
+    c_emitted = Sf_obs.Metrics.counter metrics "cluster_datagrams_emitted";
+    c_messages_received =
+      Sf_obs.Metrics.counter metrics "cluster_messages_received";
+    c_batches = Sf_obs.Metrics.counter metrics "cluster_batches_sent";
+    c_frames = Sf_obs.Metrics.counter metrics "cluster_frames_sent";
+    c_crc_rejected =
+      Sf_obs.Metrics.counter metrics "cluster_frames_crc_rejected";
+    c_filtered = Sf_obs.Metrics.counter metrics "cluster_datagrams_filtered";
+    c_repairs = Sf_obs.Metrics.counter metrics "cluster_repair_attempts";
+    encode_span = Sf_obs.Span.create ~clock:now metrics "codec_encode_seconds";
+    decode_span = Sf_obs.Span.create ~clock:now metrics "codec_decode_seconds";
+    action_span =
+      Sf_obs.Span.create ~clock:now metrics "cluster_action_seconds";
+    delayed = [];
+    actions = 0;
+  }
 
 let node_count t = Array.length t.nodes
 let owned_range t = (t.first, Array.length t.nodes)
 let request_stop t = t.stop_requested <- true
-let add_channel t fd callback = t.channels <- (fd, callback) :: t.channels
+
+let add_channel t fd callback =
+  t.channels <- (fd, callback) :: t.channels;
+  t.socket_generation <- t.socket_generation + 1
 
 let add_periodic t ~every callback =
   t.periodics <-
@@ -324,19 +360,25 @@ let is_crashed t node_id =
 
 (* Trace stamps are rounds since creation — the same unit as the
    injector's round clock, and derived from the injected [now] so
-   virtual-clock tests stay deterministic. *)
+   virtual-clock tests stay deterministic.  Call sites test [tracing]
+   first, so no event is built while tracing is off. *)
+let tracing t = Sf_obs.Obs.tracing t.obs
+
 let trace t event =
-  if Sf_obs.Obs.tracing t.obs then
-    Sf_obs.Obs.trace t.obs ~now:((t.now () -. t.started) /. t.period) event
+  Sf_obs.Obs.trace t.obs ~now:((t.now () -. t.started) /. t.period) event
+
+let reject t ~dst =
+  if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
 
 (* A signal landing mid-sendto must not cost the datagram: retry on EINTR
    (the kernel sent nothing), count everything else as a send error —
    including ECONNREFUSED, which on loopback means a previous datagram
    bounced off a closed (crashed or killed) port. *)
-let rec transmit t ~via ~packet ~target =
-  match Unix.sendto via packet 0 (Bytes.length packet) [] target with
+let rec transmit t ~via ~packet ~length ~target =
+  match Unix.sendto via packet 0 length [] target with
   | _ -> Sf_obs.Metrics.incr t.c_emitted
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> transmit t ~via ~packet ~target
+  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+    transmit t ~via ~packet ~length ~target
   | exception Unix.Unix_error _ -> Sf_obs.Metrics.incr t.c_send_errors
 
 (* --- Outbound batching --- *)
@@ -346,88 +388,92 @@ let delay_factor t =
   | None -> 1.0
   | Some injector -> Sf_faults.Injector.delay_factor injector
 
-(* The socket a queued batch leaves through: the enqueuing node's unless a
-   crash window closed it mid-iteration, then any live sibling's. *)
-let live_socket t src_index =
-  let ns = t.nodes.(src_index) in
-  if not ns.down then Some ns.socket
-  else
-    Array.fold_left
-      (fun acc ns -> match acc with Some _ -> acc | None when not ns.down -> Some ns.socket | None -> None)
-      None t.nodes
+(* The node a queued batch leaves through: the enqueuing node unless a
+   crash window closed its socket mid-iteration, then the first live
+   sibling; -1 when every socket is down. *)
+let live_index t src_index =
+  if not t.nodes.(src_index).down then src_index
+  else begin
+    let found = ref (-1) and k = ref 0 in
+    while !found < 0 && !k < Array.length t.nodes do
+      if not t.nodes.(!k).down then found := !k;
+      incr k
+    done;
+    !found
+  end
 
-let flush_destination t destination (q : pending_batch) =
-  Hashtbl.remove t.pending destination;
-  let items = List.rev q.items in
-  match
-    Sf_obs.Span.time t.encode_span (fun () ->
-        Codec.encode_batch (List.map fst items))
-  with
-  | [ packet ] -> (
-    (* Corrupt verdicts flip one payload byte of their own frame after
-       encoding: the receiver's CRC rejects exactly that frame. *)
-    List.iteri
-      (fun i (_, corrupt) ->
-        if corrupt then begin
-          Sf_obs.Metrics.incr t.c_corrupted;
-          Codec.corrupt_frame packet i
-        end)
-      items;
-    Sf_obs.Metrics.incr t.c_batches;
-    Sf_obs.Metrics.add t.c_frames q.batched;
-    match live_socket t q.src_index with
-    | None -> Sf_obs.Metrics.incr t.c_send_errors
-    | Some via ->
-      let factor = delay_factor t in
-      if factor > 1.0 then begin
-        (* Loopback latency is negligible, so a delay window holds the
-           datagram for [factor] firing periods instead. *)
-        Sf_obs.Metrics.incr t.c_delayed;
-        t.delayed <-
-          {
-            release_at = t.now () +. (factor *. t.period);
-            via;
-            packet;
-            target = address_of t destination;
-          }
-          :: t.delayed
-      end
-      else transmit t ~via ~packet ~target:(address_of t destination))
-  | _ ->
-    (* Queues flush at [max_batch], so the encoder cannot split. *)
-    assert false
+let send_batch t (b : batch) =
+  let frames = b.frames in
+  (* Corrupt verdicts flip one payload byte of their own frame after
+     encoding: the receiver's CRC rejects exactly that frame. *)
+  for i = 0 to frames - 1 do
+    if b.corrupt land (1 lsl i) <> 0 then begin
+      Sf_obs.Metrics.incr t.c_corrupted;
+      Codec.corrupt_frame b.packet i
+    end
+  done;
+  b.frames <- 0;
+  b.corrupt <- 0;
+  Sf_obs.Metrics.incr t.c_batches;
+  Sf_obs.Metrics.add t.c_frames frames;
+  let length = Codec.frame_offset frames in
+  let target = t.addresses.(b.destination) in
+  match live_index t b.src_index with
+  | -1 -> Sf_obs.Metrics.incr t.c_send_errors
+  | k ->
+    let via = t.nodes.(k).socket in
+    let factor = delay_factor t in
+    if factor > 1.0 then begin
+      (* Loopback latency is negligible, so a delay window holds the
+         datagram for [factor] firing periods instead. *)
+      Sf_obs.Metrics.incr t.c_delayed;
+      t.delayed <-
+        {
+          release_at = t.now () +. (factor *. t.period);
+          via;
+          packet = Bytes.sub b.packet 0 length;
+          target;
+        }
+        :: t.delayed
+    end
+    else transmit t ~via ~packet:b.packet ~length ~target
 
 let flush_batches t =
-  match t.pending_order with
-  | [] -> ()
-  | order ->
-    t.pending_order <- [];
-    List.iter
-      (fun destination ->
-        match Hashtbl.find_opt t.pending destination with
-        | Some q -> flush_destination t destination q
-        | None -> ())  (* flushed early at max_batch; entry is stale *)
-      (List.rev order)
+  for k = 0 to t.pending - 1 do
+    let b = t.batches.(k) in
+    (* A batch flushed early at [max_batch] may be empty again. *)
+    if b.frames > 0 then send_batch t b;
+    t.batch_of.(b.destination) <- -1
+  done;
+  t.pending <- 0
 
-let enqueue_frame t (ns : node_state) ~destination ~message ~corrupt =
-  let q =
-    match Hashtbl.find_opt t.pending destination with
-    | Some q -> q
-    | None ->
-      let q =
-        {
-          items = [];
-          batched = 0;
-          src_index = ns.node.Sf_core.Protocol.node_id - t.first;
-        }
-      in
-      Hashtbl.add t.pending destination q;
-      t.pending_order <- destination :: t.pending_order;
-      q
-  in
-  q.items <- (message, corrupt) :: q.items;
-  q.batched <- q.batched + 1;
-  if q.batched >= Codec.max_batch then flush_destination t destination q
+(* The batch collecting frames for [destination] this iteration. *)
+let batch_for t destination =
+  match t.batch_of.(destination) with
+  | -1 ->
+    if t.pending = Array.length t.batches then
+      t.batches <-
+        Array.append t.batches
+          (Array.init (Array.length t.batches) (fun _ -> new_batch ()));
+    let k = t.pending in
+    t.pending <- k + 1;
+    t.batch_of.(destination) <- k;
+    let b = t.batches.(k) in
+    b.destination <- destination;
+    b
+  | k -> t.batches.(k)
+
+(* Append the outbound row message to [destination]'s batch as its next
+   frame. *)
+let enqueue_frame t ~src_index ~destination ~corrupt =
+  let b = batch_for t destination in
+  if b.frames = 0 then b.src_index <- src_index;
+  let t0 = t.now () in
+  Codec.write_frame b.packet b.frames t.outbox;
+  Sf_obs.Span.observe_duration t.encode_span (t.now () -. t0);
+  if corrupt then b.corrupt <- b.corrupt lor (1 lsl b.frames);
+  b.frames <- b.frames + 1;
+  if b.frames >= Codec.max_batch then send_batch t b
 
 (* Per-node resilience tick, run after each initiation: the node's tuner
    reads its own counters, and a retune becomes the node's config.  The
@@ -450,51 +496,53 @@ let resil_tick t (ns : node_state) =
           ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
           ~degree:(Sf_core.Protocol.degree node) pair;
       Sf_obs.Metrics.incr t.c_retunes;
-      trace t (Sf_obs.Trace.Mark { label = "retune" }))
+      if tracing t then trace t (Sf_obs.Trace.Mark { label = "retune" }))
 
-(* One initiate step at [ns]; the message goes out as a datagram (or joins
-   a batch) unless the loss draw — or an active fault window, or the
-   cross-process partition filter — eats it. *)
-let fire_inner t ns =
+let drop t ~src ~dst ~cause =
+  Sf_obs.Metrics.incr t.c_dropped;
+  if tracing t then trace t (Sf_obs.Trace.Drop { src; dst; cause })
+
+(* One initiate step at node index [i]; the message goes out as a frame
+   of its destination's batch unless the loss draw — or an active fault
+   window, or the cross-process partition filter — eats it. *)
+let fire t i =
+  let t0 = t.now () in
+  let node = t.nodes.(i).node in
+  let src = node.Sf_core.Protocol.node_id in
   t.actions <- t.actions + 1;
-  trace t (Sf_obs.Trace.Timer { node = ns.node.Sf_core.Protocol.node_id });
-  match
-    Sf_core.Protocol.initiate ns.config t.rng ~fresh_serial:(fun () -> fresh_serial t)
-      ~clock:t.actions ns.node
-  with
-  | Sf_core.Protocol.Self_loop -> ()
-  | Sf_core.Protocol.Send { destination; message; duplicated } -> (
-    let src = ns.node.Sf_core.Protocol.node_id in
+  if tracing t then trace t (Sf_obs.Trace.Timer { node = src });
+  let dst =
+    Sf_core.Protocol.initiate_node t.nodes.(i).config t.rng ~mint:t.mint
+      ~born:t.actions node t.outbox
+  in
+  if dst >= 0 then begin
     Sf_obs.Metrics.incr t.c_sent;
-    trace t (Sf_obs.Trace.Send { src; dst = destination; duplicated });
-    if filtered t ~src ~dst:destination then begin
+    if tracing t then
+      trace t
+        (Sf_obs.Trace.Send
+           { src; dst; duplicated = t.outbox.Sf_core.Protocol.duplicated });
+    if filtered t ~src ~dst then begin
       Sf_obs.Metrics.incr t.c_filtered;
-      Sf_obs.Metrics.incr t.c_dropped;
-      trace t (Sf_obs.Trace.Drop { src; dst = destination; cause = "filtered" })
+      drop t ~src ~dst ~cause:"filtered"
     end
-    else
+    else begin
       let verdict =
         match t.injector with
-        | None ->
-          if Sf_prng.Rng.bernoulli t.rng t.loss_rate then `Drop else `Deliver
+        | None -> if Sf_prng.Rng.bernoulli t.rng t.loss_rate then `Drop else `Deliver
         | Some injector -> (
-          match
-            Sf_faults.Injector.judge injector t.rng ~chance:t.loss_rate ~src
-              ~dst:destination
-          with
+          match Sf_faults.Injector.judge injector t.rng ~chance:t.loss_rate ~src ~dst with
           | Sf_faults.Injector.Deliver -> `Deliver
           | Sf_faults.Injector.Corrupt_payload -> `Corrupt
           | Sf_faults.Injector.Drop _ -> `Drop)
       in
       match verdict with
-      | `Drop ->
-        Sf_obs.Metrics.incr t.c_dropped;
-        trace t (Sf_obs.Trace.Drop { src; dst = destination; cause = "injected" })
+      | `Drop -> drop t ~src ~dst ~cause:"injected"
       | (`Deliver | `Corrupt) as fate ->
-        if destination >= 0 && destination < t.n_global then
-          enqueue_frame t ns ~destination ~message ~corrupt:(fate = `Corrupt))
-
-let fire t ns = Sf_obs.Span.time t.action_span (fun () -> fire_inner t ns)
+        if dst < t.n_global then
+          enqueue_frame t ~src_index:i ~destination:dst ~corrupt:(fate = `Corrupt)
+    end
+  end;
+  Sf_obs.Span.observe_duration t.action_span (t.now () -. t0)
 
 let flush_delayed t ~now =
   match t.delayed with
@@ -504,16 +552,82 @@ let flush_delayed t ~now =
     t.delayed <- pending;
     (* The list is newest-first; release oldest-first. *)
     List.iter
-      (fun d -> transmit t ~via:d.via ~packet:d.packet ~target:d.target)
+      (fun d ->
+        transmit t ~via:d.via ~packet:d.packet ~length:(Bytes.length d.packet)
+          ~target:d.target)
       (List.rev due)
+
+(* One received frame for node [ns].  A CRC-clean frame no view can hold
+   is forged: undecodable. *)
+let deliver t (ns : node_state) msg =
+  let node = ns.node in
+  let dst = node.Sf_core.Protocol.node_id in
+  if not (Sf_core.Protocol.row_fits node.Sf_core.Protocol.view msg) then begin
+    Sf_obs.Metrics.incr t.c_decode_errors;
+    reject t ~dst
+  end
+  else begin
+    Sf_obs.Metrics.incr t.c_messages_received;
+    if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
+    ignore (Sf_core.Protocol.receive_node ns.config t.rng node msg)
+  end
+
+(* One datagram of [length] bytes in the read buffer, for [ns]: its
+   CRC-clean frames decode into the inbox, then each is delivered, in
+   batch order. *)
+let receive_datagram t (ns : node_state) length =
+  let dst = ns.node.Sf_core.Protocol.node_id in
+  if is_crashed t dst then begin
+    Sf_obs.Metrics.incr t.c_crash_dropped;
+    if tracing t then trace t (Sf_obs.Trace.Drop { src = -1; dst; cause = "crash" })
+  end
+  else begin
+    Sf_obs.Metrics.incr t.c_received;
+    let buffer = t.read_buffer in
+    if length >= Bytes.length buffer then
+      (* recv filled the whole buffer, so the datagram may have been
+         truncated to it: foreign traffic, larger than anything the codec
+         produces. *)
+      Sf_obs.Metrics.incr t.c_oversized
+    else begin
+      let t0 = t.now () in
+      let error = Codec.check_batch buffer ~length in
+      let frames = match error with None -> Codec.complete_frames ~length | Some _ -> 0 in
+      let clean = ref 0 in
+      for i = 0 to frames - 1 do
+        if Codec.read_frame buffer i t.inbox.(!clean) then incr clean
+      done;
+      Sf_obs.Span.observe_duration t.decode_span (t.now () -. t0);
+      match error with
+      | Some (Codec.Too_short _) ->
+        Sf_obs.Metrics.incr t.c_truncated;
+        reject t ~dst
+      | Some (Codec.Oversized _) -> Sf_obs.Metrics.incr t.c_oversized
+      | Some _ ->
+        Sf_obs.Metrics.incr t.c_decode_errors;
+        reject t ~dst
+      | None ->
+        if Codec.truncated buffer ~length then begin
+          Sf_obs.Metrics.incr t.c_truncated;
+          reject t ~dst
+        end;
+        if frames > !clean then begin
+          Sf_obs.Metrics.add t.c_crc_rejected (frames - !clean);
+          reject t ~dst
+        end;
+        for k = 0 to !clean - 1 do
+          deliver t ns t.inbox.(k)
+        done
+    end
+  end
 
 (* Drain every pending datagram on a readable socket.  A crashed receiver
    discards instead of processing: messages arriving during the window are
    lost, not queued for the resume. *)
-let drain t ns =
+let drain t (ns : node_state) =
   let continue = ref true in
   while !continue do
-    match Unix.recvfrom ns.socket t.read_buffer 0 (Bytes.length t.read_buffer) [] with
+    match Unix.recv ns.socket t.read_buffer 0 (Bytes.length t.read_buffer) [] with
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -522,56 +636,7 @@ let drain t ns =
          datagram to a crashed node's closed port) can surface here; it
          carries no datagram, so keep draining. *)
       ()
-    | length, _ ->
-      let dst = ns.node.Sf_core.Protocol.node_id in
-      if is_crashed t dst then begin
-        Sf_obs.Metrics.incr t.c_crash_dropped;
-        trace t (Sf_obs.Trace.Drop { src = -1; dst; cause = "crash" })
-      end
-      else begin
-        Sf_obs.Metrics.incr t.c_received;
-        if length >= Bytes.length t.read_buffer then
-          (* recvfrom filled the whole buffer, so the datagram may have
-             been truncated to it: foreign traffic, larger than anything
-             the codec produces. *)
-          Sf_obs.Metrics.incr t.c_oversized
-        else
-          let deliver (message : Sf_core.Protocol.message) =
-            let view = ns.node.Sf_core.Protocol.view in
-            (* A CRC-clean frame no view can hold is forged: undecodable. *)
-            if not (Sf_core.View.fits view message.reinforcement
-                    && Sf_core.View.fits view message.mixing) then begin
-              Sf_obs.Metrics.incr t.c_decode_errors;
-              trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
-            end
-            else begin
-              Sf_obs.Metrics.incr t.c_messages_received;
-              trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
-              ignore (Sf_core.Protocol.receive ns.config t.rng ns.node message)
-            end
-          in
-          match
-            Sf_obs.Span.time t.decode_span (fun () ->
-                Codec.decode_datagram t.read_buffer ~length)
-          with
-          | Ok (Codec.Batch batch) ->
-            if batch.Codec.truncated then begin
-              Sf_obs.Metrics.incr t.c_truncated;
-              trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
-            end;
-            if batch.Codec.bad_crc > 0 then begin
-              Sf_obs.Metrics.add t.c_crc_rejected batch.Codec.bad_crc;
-              trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
-            end;
-            List.iter deliver batch.Codec.messages
-          | Error (Codec.Too_short _) ->
-            Sf_obs.Metrics.incr t.c_truncated;
-            trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
-          | Error (Codec.Oversized _) -> Sf_obs.Metrics.incr t.c_oversized
-          | Error _ ->
-            Sf_obs.Metrics.incr t.c_decode_errors;
-            trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
-      end
+    | length -> receive_datagram t ns length
   done
 
 (* --- Crash-restart with state recovery (resilience mode only) ---
@@ -594,7 +659,7 @@ let crash_down t (ns : node_state) =
   (try Unix.close ns.socket with Unix.Unix_error _ -> ());
   ns.down <- true;
   t.socket_generation <- t.socket_generation + 1;
-  trace t (Sf_obs.Trace.Mark { label = "crash_down" })
+  if tracing t then trace t (Sf_obs.Trace.Mark { label = "crash_down" })
 
 (* The donor a view is copied from: a live owned sibling, drawn from the
    protocol stream (8 tries), or [None]. *)
@@ -621,35 +686,35 @@ let copy_view t (ns : node_state) (donor : node_state) =
        ~donor:donor.node.Sf_core.Protocol.node_id
        ~from:donor.node.Sf_core.Protocol.view ~from_row:0
        ~dl:ns.config.Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
-       ~born:t.actions ~mint:(fun () -> fresh_serial t))
+       ~born:t.actions ~mint:t.mint)
 
 let rejoin t (ns : node_state) =
   let node_id = ns.node.Sf_core.Protocol.node_id in
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.set_nonblock socket;
   Unix.setsockopt socket Unix.SO_REUSEADDR true;
-  Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, t.base_port + node_id));
+  Unix.bind socket t.addresses.(node_id);
   ns.socket <- socket;
   (* Rejoin with the crash snapshot, else a copy of a live neighbour's view. *)
   (match ns.snapshot with
   | [] -> Option.iter (copy_view t ns) (pick_donor t ~node_id)
   | ids ->
     Sf_core.Protocol.install_ids ns.node.Sf_core.Protocol.view 0 (Array.of_list ids)
-      ~born:t.actions ~mint:(fun () -> fresh_serial t));
+      ~born:t.actions ~mint:t.mint);
   ns.down <- false;
   ns.snapshot <- [];
   t.socket_generation <- t.socket_generation + 1;
   Sf_obs.Metrics.incr t.c_rejoins;
-  trace t (Sf_obs.Trace.Mark { label = "rejoin" })
+  if tracing t then trace t (Sf_obs.Trace.Mark { label = "rejoin" })
 
 let sync_crash_states t =
   if Option.is_some t.resilience then
-    Array.iter
-      (fun ns ->
-        let crashed = is_crashed t ns.node.Sf_core.Protocol.node_id in
-        if crashed && not ns.down then crash_down t ns
-        else if (not crashed) && ns.down then rejoin t ns)
-      t.nodes
+    for i = 0 to Array.length t.nodes - 1 do
+      let ns = t.nodes.(i) in
+      let crashed = is_crashed t ns.node.Sf_core.Protocol.node_id in
+      if crashed && not ns.down then crash_down t ns
+      else if (not crashed) && ns.down then rejoin t ns
+    done
 
 (* --- Supervised connectivity repair ---
 
@@ -678,7 +743,7 @@ let probe_repairs t ~now =
           | None -> ()
           | Some donor ->
             copy_view t ns donor;
-            trace t (Sf_obs.Trace.Mark { label = "rebootstrap" }))
+            if tracing t then trace t (Sf_obs.Trace.Mark { label = "rebootstrap" }))
         isolated;
       isolated = []
     in
@@ -693,28 +758,69 @@ let probe_repairs t ~now =
       ())
   | Some _ | None -> ()
 
+(* --- The event loop --- *)
+
+let rec run_periodics now = function
+  | [] -> ()
+  | p :: rest ->
+    if p.due_at <= now then begin
+      p.due_at <- now +. p.every;
+      p.callback ()
+    end;
+    run_periodics now rest
+
+(* The earliest pending event: a node's timer, a delayed datagram's
+   release, a periodic callback or a repair probe. *)
+let next_event t =
+  let next =
+    ref
+      (Float.min
+         (List.fold_left (fun acc d -> Float.min acc d.release_at) infinity t.delayed)
+         (List.fold_left (fun acc p -> Float.min acc p.due_at) infinity t.periodics))
+  in
+  (match t.supervisor with
+  | Some _ when t.next_probe < !next -> next := t.next_probe
+  | Some _ | None -> ());
+  for i = 0 to Array.length t.next_fire - 1 do
+    if t.next_fire.(i) < !next then next := t.next_fire.(i)
+  done;
+  !next
+
+(* The select set: control channels, then every live socket in node
+   order, with the map from a socket back to its node.  The set excludes
+   crashed (closed) sockets and is rebuilt only when [socket_generation]
+   moves. *)
+let select_set t by_socket =
+  Hashtbl.reset by_socket;
+  let sockets = ref [] in
+  for i = Array.length t.nodes - 1 downto 0 do
+    let ns = t.nodes.(i) in
+    if not ns.down then begin
+      Hashtbl.replace by_socket ns.socket ns;
+      sockets := ns.socket :: !sockets
+    end
+  done;
+  List.rev_append (List.rev_map fst t.channels) !sockets
+
+let rec dispatch t by_socket = function
+  | [] -> ()
+  | fd :: rest ->
+    (match Hashtbl.find_opt by_socket fd with
+    | Some ns -> drain t ns
+    | None -> (
+      match List.assq_opt fd t.channels with
+      | Some callback -> callback ()
+      | None -> ()));
+    dispatch t by_socket rest
+
 (* Run the driver for [duration] wall-clock seconds (or until
    [request_stop], typically from a control-channel callback). *)
 let run t ~duration =
   t.stop_requested <- false;
   let deadline = t.now () +. duration in
-  (* The select set excludes crashed (closed) sockets and is rebuilt
-     whenever a crash-restart closes or rebinds one. *)
-  let select_set () =
-    let by_socket = Hashtbl.create (Array.length t.nodes) in
-    let sockets =
-      Array.to_list t.nodes
-      |> List.filter_map (fun ns ->
-             if ns.down then None
-             else begin
-               Hashtbl.replace by_socket ns.socket ns;
-               Some ns.socket
-             end)
-    in
-    (sockets, by_socket)
-  in
-  let generation = ref t.socket_generation in
-  let index = ref (select_set ()) in
+  let by_socket = Hashtbl.create (Array.length t.nodes) in
+  let generation = ref (t.socket_generation - 1) in
+  let fds = ref [] in
   let rec loop () =
     let now = t.now () in
     if now >= deadline || t.stop_requested then flush_batches t
@@ -725,78 +831,44 @@ let run t ~duration =
       sync_crash_states t;
       if t.socket_generation <> !generation then begin
         generation := t.socket_generation;
-        index := select_set ()
+        fds := select_set t by_socket
       end;
       flush_delayed t ~now;
       (* Fire all due timers, rescheduling with jitter.  A crashed node
          skips its initiation but keeps its timer running, so it resumes —
          restored from its snapshot (resilience) or with its stale view —
          when the window closes. *)
-      Array.iter
-        (fun ns ->
-          if ns.next_fire <= now then begin
-            if not (is_crashed t ns.node.Sf_core.Protocol.node_id) then begin
-              fire t ns;
-              resil_tick t ns
-            end;
-            ns.next_fire <-
-              now +. (t.period *. (0.9 +. (0.2 *. Sf_prng.Rng.float t.rng)))
-          end)
-        t.nodes;
-      List.iter
-        (fun p ->
-          if p.due_at <= now then begin
-            p.due_at <- now +. p.every;
-            p.callback ()
-          end)
-        t.periodics;
+      for i = 0 to Array.length t.nodes - 1 do
+        if t.next_fire.(i) <= now then begin
+          let ns = t.nodes.(i) in
+          if not (is_crashed t ns.node.Sf_core.Protocol.node_id) then begin
+            fire t i;
+            resil_tick t ns
+          end;
+          t.next_fire.(i) <-
+            now +. (t.period *. (0.9 +. (0.2 *. Sf_prng.Rng.float t.rng)))
+        end
+      done;
+      run_periodics now t.periodics;
       probe_repairs t ~now;
       (* Batches queued this iteration leave before the loop sleeps: batch
          latency is bounded by one iteration, not by the fill rate. *)
       flush_batches t;
-      let next_timer =
-        Array.fold_left (fun acc ns -> Float.min acc ns.next_fire) infinity t.nodes
-      in
-      let next_release =
-        List.fold_left (fun acc d -> Float.min acc d.release_at) infinity t.delayed
-      in
-      let next_periodic =
-        List.fold_left (fun acc p -> Float.min acc p.due_at) infinity t.periodics
-      in
-      let next_probe =
-        match t.supervisor with None -> infinity | Some _ -> t.next_probe
-      in
-      let next_event =
-        Float.min (Float.min next_timer next_release)
-          (Float.min next_periodic next_probe)
-      in
-      let timeout = Float.max 0. (Float.min (next_event -. now) (deadline -. now)) in
-      let sockets, by_socket = !index in
-      let fds =
-        List.rev_append (List.rev_map fst t.channels) sockets
-      in
+      let wait = Float.min (next_event t) deadline -. now in
+      let timeout = if wait > 0. then wait else 0. in
       (* EINTR: a signal (SIGALRM, SIGTERM via a handler, a profiler tick)
          interrupting the wait is routine, not an error; EAGAIN is how some
          kernels report a transient resource squeeze on select.  Both mean
          "try again" — the deadline/stop check at the loop head bounds the
          retry. *)
-      match Unix.select fds [] [] timeout with
+      match Unix.select !fds [] [] timeout with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> loop ()
       | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            match List.assq_opt fd t.channels with
-            | Some callback -> callback ()
-            | None -> (
-              match Hashtbl.find_opt by_socket fd with
-              | Some ns -> drain t ns
-              | None -> ()))
-          readable;
+        dispatch t by_socket readable;
         loop ()
     end
   in
   loop ()
-
 (* --- Measurement (mirrors the simulator's monitors) --- *)
 
 let views t =

@@ -43,13 +43,18 @@ val create :
     default; inject a virtual clock to make runs time-deterministic in
     tests.
 
-    Messages leave as {!Codec} batch datagrams: they queue per
-    destination and flush at the end of each loop iteration, or as soon
-    as a queue holds {!Codec.max_batch} messages.  A corrupt verdict
-    flips one byte of the message's own frame, so the receiver counts it
-    in [frames_crc_rejected].  Raises [Invalid_argument] when [n < 1],
-    when a port falls outside [1024, 65535], when the slice leaves the id
-    space or when the serial striding is inconsistent.
+    Messages leave as {!Codec} batch datagrams.  Each destination of a
+    loop iteration gets a batch buffer from a preallocated pool of
+    {!Codec.max_datagram_size}-byte buffers, and {!Codec.write_frame}
+    writes each message into it as the initiate step makes it.  Buffers
+    flush in first-enqueue order at the end of the iteration, or as soon
+    as one holds {!Codec.max_batch} frames.  A corrupt verdict flips one
+    byte of the message's own frame, so the receiver counts it in
+    [frames_crc_rejected].  Received frames decode into a preallocated
+    inbox, so the steady-state loop builds no boxed message either way.
+    Raises [Invalid_argument] when [n < 1], when a port falls outside
+    [1024, 65535], when the slice leaves the id space or when the serial
+    striding is inconsistent.
 
     [serial_stride]/[serial_offset] stride the minted serials
     ([k * stride + offset]): sibling processes use stride = process count
@@ -57,8 +62,9 @@ val create :
     cluster-wide.
 
     [obs] is the observability bundle: all [cluster_*] counters, the
-    [codec_*_seconds] spans and the [cluster_action_seconds] per-action
-    latency histogram land in its registry (a private one when omitted).
+    [codec_*_seconds] spans (one frame written, one datagram checked and
+    read) and the [cluster_action_seconds] per-action latency histogram
+    land in its registry (a private one when omitted).
 
     [scenario] routes every datagram through the same fault plan the
     simulator uses ({!Sf_faults.Scenario}); one round of the scenario

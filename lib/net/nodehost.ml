@@ -55,21 +55,48 @@ type config = {
   resilience : Sf_resil.Policy.t option;
 }
 
-let entry_to_string (e : Sf_core.View.entry) =
-  Fmt.str "%d:%d:%d:%d" e.Sf_core.View.id e.Sf_core.View.serial
-    (match e.Sf_core.View.anchor with None -> -1 | Some a -> a)
-    e.Sf_core.View.born
+let add_int buf k = Buffer.add_string buf (string_of_int k)
+
+(* [view ID E1,E2,...] with each entry [id:serial:anchor:born], slot
+   order, or [view ID -] for an empty view, appended to a caller's
+   buffer: no string per entry and no concatenation per line. *)
+let add_view_line buf id view =
+  let module F = Sf_core.View.Flat in
+  Buffer.add_string buf "view ";
+  add_int buf id;
+  Buffer.add_char buf ' ';
+  let empty = ref true in
+  for slot = 0 to F.view_size view - 1 do
+    let entry = F.id_at view 0 slot in
+    if entry >= 0 then begin
+      if not !empty then Buffer.add_char buf ',';
+      empty := false;
+      add_int buf entry;
+      Buffer.add_char buf ':';
+      add_int buf (F.serial_at view 0 slot);
+      Buffer.add_char buf ':';
+      add_int buf (F.anchor_at view 0 slot);
+      Buffer.add_char buf ':';
+      add_int buf (F.born_at view 0 slot)
+    end
+  done;
+  if !empty then Buffer.add_char buf '-'
 
 let view_line id view =
-  let entries = List.map entry_to_string (Sf_core.View.entries view) in
-  Fmt.str "view %d %s"
-    id
-    (match entries with [] -> "-" | es -> String.concat "," es)
+  let buf = Buffer.create 256 in
+  add_view_line buf id view;
+  Buffer.contents buf
 
+(* Every owned view, one line each, in one write. *)
 let emit_views driver =
+  let buf = Buffer.create (256 * Driver.node_count driver) in
   Seq.iter
-    (fun (id, view) -> Fmt.pr "%s@." (view_line id view))
-    (Driver.views driver)
+    (fun (id, view) ->
+      add_view_line buf id view;
+      Buffer.add_char buf '\n')
+    (Driver.views driver);
+  Buffer.output_buffer stdout buf;
+  flush stdout
 
 let emit_stats driver =
   let s = Driver.statistics driver in
@@ -99,7 +126,13 @@ let handle_command driver ~reply line =
   | [ "" ] -> ()  (* blank line *)
   | [ "stop" ] -> Driver.request_stop driver
   | [ "snapshot" ] ->
-    Seq.iter (fun (id, view) -> reply (view_line id view)) (Driver.views driver);
+    let buf = Buffer.create 256 in
+    Seq.iter
+      (fun (id, view) ->
+        Buffer.clear buf;
+        add_view_line buf id view;
+        reply (Buffer.contents buf))
+      (Driver.views driver);
     reply "end"
   | [ "filter"; "off" ] -> Driver.set_partition_filter driver ~parts:None
   | [ "filter"; k ] -> (

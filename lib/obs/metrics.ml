@@ -20,7 +20,8 @@ type gauge = { g_name : string; mutable g_level : float }
 
 (* --- Histogram bucketing --- *)
 
-let sub_buckets_per_octave = 16
+let sub_bucket_bits = 4
+let sub_buckets_per_octave = 1 lsl sub_bucket_bits
 
 (* Octave = the [frexp] exponent e with v = m * 2^e, m in [0.5, 1).
    Exponents cover 2^-33 .. 2^32: ~1e-10 (fractions of a microsecond,
@@ -35,17 +36,20 @@ let octaves = max_exponent - min_exponent + 1
    bucket. *)
 let bucket_count = 1 + (octaves * sub_buckets_per_octave)
 
+(* The octave and sub-bucket come straight from the IEEE-754 fields,
+   which is [frexp] without the pair it allocates: a normal [v] is
+   [(0.5 + mantissa / 2^53) * 2^(biased exponent - 1022)], so the
+   sub-bucket is the mantissa's top [sub_bucket_bits] bits.  Subnormals
+   fall below the first octave; infinity is beyond the last. *)
 let bucket_of_value v =
   if Float.is_nan v || v <= 0. then 0
   else
-    let m, e = Float.frexp v in
+    let bits = Int64.to_int (Int64.bits_of_float v) in
+    let e = ((bits lsr 52) land 0x7ff) - 1022 in
     if e < min_exponent then 0
     else if e > max_exponent then bucket_count - 1
     else
-      let sub =
-        int_of_float ((m -. 0.5) *. 2. *. float_of_int sub_buckets_per_octave)
-      in
-      let sub = min sub (sub_buckets_per_octave - 1) in
+      let sub = (bits land 0xf_ffff_ffff_ffff) lsr (52 - sub_bucket_bits) in
       1 + (((e - min_exponent) * sub_buckets_per_octave) + sub)
 
 (* Inclusive lower bound of a bucket: the smallest value mapping to it. *)
@@ -64,28 +68,31 @@ let bucket_lower index =
 let bucket_upper index =
   if index >= bucket_count - 1 then Float.infinity else bucket_lower (index + 1)
 
+(* Sum, minimum and maximum live in a float-only record, whose fields
+   OCaml stores unboxed: [observe] updates them without allocating. *)
+type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type histogram = {
   h_name : string;
   buckets : int array;
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  moments : moments;
 }
 
 let observe h v =
   let b = bucket_of_value v in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
+  let m = h.moments in
+  m.sum <- m.sum +. v;
+  if v < m.lo then m.lo <- v;
+  if v > m.hi then m.hi <- v
 
 let observations h = h.h_count
-let total h = h.h_sum
-let minimum h = if h.h_count = 0 then Float.nan else h.h_min
-let maximum h = if h.h_count = 0 then Float.nan else h.h_max
-let mean h = if h.h_count = 0 then Float.nan else h.h_sum /. float_of_int h.h_count
+let total h = h.moments.sum
+let minimum h = if h.h_count = 0 then Float.nan else h.moments.lo
+let maximum h = if h.h_count = 0 then Float.nan else h.moments.hi
+let mean h = if h.h_count = 0 then Float.nan else h.moments.sum /. float_of_int h.h_count
 
 (* Quantile estimate: lower bound of the first bucket whose cumulative
    count reaches ceil(q * count), clamped to the exact observed range. *)
@@ -95,13 +102,13 @@ let quantile h q =
     let q = Float.max 0. (Float.min 1. q) in
     let target = max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count))) in
     let rec find i acc =
-      if i >= bucket_count then h.h_max
+      if i >= bucket_count then h.moments.hi
       else
         let acc = acc + h.buckets.(i) in
         if acc >= target then bucket_lower i else find (i + 1) acc
     in
     let raw = find 0 0 in
-    Float.max h.h_min (Float.min h.h_max raw)
+    Float.max h.moments.lo (Float.min h.moments.hi raw)
   end
 
 (* --- Registry --- *)
@@ -156,9 +163,7 @@ let histogram t name =
         h_name = name;
         buckets = Array.make bucket_count 0;
         h_count = 0;
-        h_sum = 0.;
-        h_min = Float.infinity;
-        h_max = Float.neg_infinity;
+        moments = { sum = 0.; lo = Float.infinity; hi = Float.neg_infinity };
       }
     in
     Hashtbl.replace t.items name (Histogram h);
@@ -224,7 +229,7 @@ let to_prometheus t =
            clamping overflow bucket. *)
         Buffer.add_string buf (Fmt.str "%s_bucket{le=\"+Inf\"} %d\n" name h.h_count);
         Buffer.add_string buf
-          (Fmt.str "%s_sum %s\n%s_count %d\n" name (float_repr h.h_sum) name h.h_count))
+          (Fmt.str "%s_sum %s\n%s_count %d\n" name (float_repr h.moments.sum) name h.h_count))
     (sorted t);
   Buffer.contents buf
 
@@ -243,10 +248,10 @@ let to_csv t =
       | Gauge g -> row "gauge" name "value" (float_repr g.g_level)
       | Histogram h ->
         row "histogram" name "count" (string_of_int h.h_count);
-        row "histogram" name "sum" (float_repr h.h_sum);
+        row "histogram" name "sum" (float_repr h.moments.sum);
         if h.h_count > 0 then begin
-          row "histogram" name "min" (float_repr h.h_min);
-          row "histogram" name "max" (float_repr h.h_max);
+          row "histogram" name "min" (float_repr h.moments.lo);
+          row "histogram" name "max" (float_repr h.moments.hi);
           row "histogram" name "p50" (float_repr (quantile h 0.5));
           row "histogram" name "p90" (float_repr (quantile h 0.9));
           row "histogram" name "p99" (float_repr (quantile h 0.99))
@@ -265,14 +270,14 @@ let to_json t =
         Json.Obj
           ([
              ("count", Json.Int h.h_count);
-             ("sum", Json.Float h.h_sum);
+             ("sum", Json.Float h.moments.sum);
            ]
           @
           if h.h_count = 0 then []
           else
             [
-              ("min", Json.Float h.h_min);
-              ("max", Json.Float h.h_max);
+              ("min", Json.Float h.moments.lo);
+              ("max", Json.Float h.moments.hi);
               ("p50", Json.Float (quantile h 0.5));
               ("p90", Json.Float (quantile h 0.9));
               ("p99", Json.Float (quantile h 0.99));

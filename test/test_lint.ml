@@ -325,6 +325,29 @@ let test_one_install_rule_exempts_protocol () =
   check_quiet "install calls are allowed" ~path:"lib/core/runner.ml"
     "let n = Protocol.install_copy view 0 ~owner ~donor"
 
+(* --- driver-row-kernel --- *)
+
+let test_driver_row_kernel_fires () =
+  let fires name source =
+    check_fires name ~rule:"driver-row-kernel" ~path:"lib/net/driver.ml" source
+  in
+  fires "boxed initiate"
+    "let r = Sf_core.Protocol.initiate cfg rng ~fresh_serial ~clock node";
+  fires "boxed receive" "let r = Protocol.receive cfg rng node message";
+  fires "boxed encode" "let packets = Codec.encode_batch messages";
+  fires "boxed decode" "let d = Codec.decode_datagram buffer ~length";
+  fires "span closures" "let () = Sf_obs.Span.time span (fun () -> work ())";
+  fires "recvfrom" "let n, _ = Unix.recvfrom fd buffer 0 len []";
+  (* The real driver is clean, and the row kernel's names are allowed. *)
+  check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" (read "../lib/net/driver.ml");
+  check_quiet "row kernel calls" ~path:"lib/net/driver.ml"
+    "let d = Protocol.initiate_node cfg rng ~mint ~born node msg\n\
+     let a = Protocol.receive_node cfg rng node msg\n\
+     let () = Codec.write_frame buffer i msg";
+  (* The boxed forms stay available everywhere else. *)
+  check_quiet "other modules" ~path:"lib/core/runner.ml"
+    "let r = Protocol.initiate cfg rng ~fresh_serial ~clock node"
+
 let suite =
   [
     Alcotest.test_case "determinism fires" `Quick test_determinism_fires;
@@ -359,6 +382,7 @@ let suite =
     Alcotest.test_case "one-resilience-loop exempts lib/resilience/" `Quick
       test_one_resilience_loop_exempts_lib_resilience;
     Alcotest.test_case "one-install-rule fires" `Quick test_one_install_rule_fires;
+    Alcotest.test_case "driver-row-kernel fires" `Quick test_driver_row_kernel_fires;
     Alcotest.test_case "one-install-rule exempts lib/core/protocol.ml" `Quick
       test_one_install_rule_exempts_protocol;
   ]

@@ -594,6 +594,27 @@ let test_nodehost_view_line () =
     "view 3 7:123:5:42,9:456:-1:43"
     (Nodehost.view_line 3 view)
 
+(* Several anchored and unanchored entries, with empty slots between
+   them and numbers of every width: the line lists them in slot order as
+   [id:serial:anchor:born], anchor -1 for none. *)
+let test_nodehost_view_line_entries () =
+  let view = View.create 8 in
+  List.iter
+    (fun (slot, e) -> View.set view slot e)
+    [
+      (0, entry ~serial:1_000_000_007 ~anchor:(Some 0) ~born:0 12);
+      (1, entry ~serial:5 ~born:123_456 0);
+      (4, entry ~serial:98 ~anchor:(Some 31) ~born:7 31);
+      (7, entry ~serial:(1 lsl 40) ~born:(1 lsl 35) 2);
+    ];
+  Alcotest.(check string) "entries in slot order"
+    "view 42 12:1000000007:0:0,0:5:-1:123456,31:98:31:7,2:1099511627776:-1:34359738368"
+    (Nodehost.view_line 42 view);
+  View.clear view 0;
+  View.clear view 7;
+  Alcotest.(check string) "cleared slots drop out"
+    "view 0 0:5:-1:123456,31:98:31:7" (Nodehost.view_line 0 view)
+
 let test_line_reader () =
   let r, w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock r;
@@ -811,6 +832,110 @@ let test_driver_repair_from_self_only_donor () =
               (List.map (fun e -> (e.View.id, e.View.anchor)) (View.entries view)))
         (Driver.views c))
 
+(* --- Virtual-clock driver runs ---
+
+   One driver owns the whole id space under a virtual clock that a
+   periodic callback advances by one fixed step per loop iteration.  The
+   run is then a function of the seed alone: Linux loopback UDP hands
+   each datagram to its socket within the sendto, so every batch flushed
+   in an iteration is drained by the select that follows it, in socket
+   order. *)
+
+let virtual_period = 0.01
+
+let virtual_driver ?scenario ~steps ~n ~base_port ~seed () =
+  let clock = ref 0. in
+  let step = virtual_period /. float_of_int steps in
+  let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
+  let d =
+    Driver.create ~period:virtual_period ~now:(fun () -> !clock) ?scenario ~base_port
+      ~n ~config ~loss_rate:0.05 ~seed ~topology ()
+  in
+  Driver.add_periodic d ~every:step (fun () -> clock := !clock +. step);
+  (* The tick falls due at [step]: start there, so every iteration
+     advances the clock. *)
+  clock := step;
+  d
+
+let run_periods d periods =
+  Driver.run d ~duration:(float_of_int periods *. virtual_period)
+
+(* Every instance of every owned view and every statistics field, as
+   one digest. *)
+let driver_digest d =
+  let b = Buffer.create 4096 in
+  let add_int k =
+    Buffer.add_string b (string_of_int k);
+    Buffer.add_char b ' '
+  in
+  Seq.iter
+    (fun (id, view) ->
+      add_int id;
+      View.iter
+        (fun slot e ->
+          List.iter add_int
+            [ slot; e.View.id; e.View.serial;
+              Option.value ~default:(-1) e.View.anchor; e.View.born ])
+        view;
+      Buffer.add_char b '\n')
+    (Driver.views d);
+  let s = Driver.statistics d in
+  List.iter add_int
+    [ s.Driver.actions; s.Driver.datagrams_sent; s.Driver.datagrams_dropped;
+      s.Driver.datagrams_received; s.Driver.datagrams_corrupted;
+      s.Driver.datagrams_delayed; s.Driver.datagrams_crash_dropped;
+      s.Driver.datagrams_oversized; s.Driver.datagrams_truncated;
+      s.Driver.decode_errors; s.Driver.send_errors; s.Driver.rejoins;
+      s.Driver.retunes; s.Driver.datagrams_emitted; s.Driver.messages_received;
+      s.Driver.batches_sent; s.Driver.frames_sent; s.Driver.frames_crc_rejected;
+      s.Driver.datagrams_filtered; s.Driver.repair_attempts; s.Driver.recoveries ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Known answer: 16 nodes for 30 virtual periods under bursty loss, a
+   corrupt window, a delay window and a frozen crash range.  The digest
+   pins every RNG draw (slot pairs, verdicts, receive slots, timer
+   jitter), the order serials are minted in, and every counter: a change
+   that moves any of them changes the digest. *)
+let test_driver_replay () =
+  let scenario =
+    match Sf_faults.Scenario.of_string "ge:0.2:4;corrupt@5-15:0.2;delay@18-22:2;crash@8-12:3-5" with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail ("scenario parse: " ^ e)
+  in
+  let d = virtual_driver ~scenario ~steps:5 ~n:16 ~base_port:49700 ~seed:9 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.shutdown d)
+    (fun () ->
+      run_periods d 30;
+      let s = Driver.statistics d in
+      Alcotest.(check bool) "the run crossed every fault path" true
+        (s.Driver.frames_crc_rejected > 0 && s.Driver.datagrams_delayed > 0
+        && s.Driver.datagrams_dropped > 0);
+      Alcotest.(check string) "views and statistics digest"
+        "2004f2119eedab573e69f56346f78193" (driver_digest d))
+
+(* After a warm-up, a 128-node driver's steady-state loop allocates
+   little per action: the clock reads of the per-action and codec spans
+   and the select call, nothing per message.  Floats box under bytecode,
+   so this runs on the native backend only. *)
+let test_driver_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let d = virtual_driver ~steps:128 ~n:128 ~base_port:49720 ~seed:3 () in
+    Fun.protect
+      ~finally:(fun () -> Driver.shutdown d)
+      (fun () ->
+        run_periods d 5;
+        let before = (Driver.statistics d).Driver.actions in
+        let w0 = Gc.minor_words () in
+        run_periods d 20;
+        let words = Gc.minor_words () -. w0 in
+        let actions = (Driver.statistics d).Driver.actions - before in
+        let per_action = words /. float_of_int actions in
+        Printf.printf "driver: %.2f minor words per action\n" per_action;
+        if per_action > 25. then
+          Alcotest.failf "%.2f minor words per action (limit 25)" per_action)
+  end
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -841,6 +966,8 @@ let suite =
       test_driver_v1_v2_interop;
     Alcotest.test_case "nodehost control commands" `Quick test_nodehost_commands;
     Alcotest.test_case "nodehost view report line" `Quick test_nodehost_view_line;
+    Alcotest.test_case "nodehost view report line, several entries" `Quick
+      test_nodehost_view_line_entries;
     Alcotest.test_case "nodehost line reader" `Quick test_line_reader;
     Alcotest.test_case "spawner forks real node-host processes" `Quick
       test_spawner_smoke;
@@ -852,4 +979,6 @@ let suite =
       test_driver_supervised_repair;
     Alcotest.test_case "driver repair from a self-only donor" `Quick
       test_driver_repair_from_self_only_donor;
+    Alcotest.test_case "driver known-answer replay" `Quick test_driver_replay;
+    Alcotest.test_case "driver steady-state allocation" `Quick test_driver_allocation;
   ]

@@ -35,7 +35,46 @@ let test_bucket_edge_cases () =
   Alcotest.(check int) "huge values clamp to the last bucket"
     (Metrics.bucket_count - 1)
     (Metrics.bucket_of_value 1e300);
-  Alcotest.(check int) "tiny values underflow" 0 (Metrics.bucket_of_value 1e-300)
+  Alcotest.(check int) "tiny values underflow" 0 (Metrics.bucket_of_value 1e-300);
+  Alcotest.(check int) "infinity clamps to the last bucket"
+    (Metrics.bucket_count - 1)
+    (Metrics.bucket_of_value Float.infinity)
+
+(* The bucket read from the float's bits is the one its [frexp]
+   decomposition names: octave [e] of [v = m * 2^e], linear sub-bucket
+   [(m - 1/2) * 2 * sub_buckets_per_octave]. *)
+let prop_bucket_matches_frexp =
+  let by_frexp v =
+    let m, e = Float.frexp v in
+    if e < -32 then 0
+    else if e > 32 then Metrics.bucket_count - 1
+    else
+      let per = Metrics.sub_buckets_per_octave in
+      let sub = min (per - 1) (int_of_float ((m -. 0.5) *. 2. *. float_of_int per)) in
+      1 + ((e + 32) * per) + sub
+  in
+  QCheck.Test.make ~name:"bucket of a value matches frexp" ~count:2000
+    QCheck.(pair (float_range 0.5 1.) (int_range (-40) 40))
+    (fun (m, e) ->
+      let v = Float.ldexp m e in
+      v <= 0. || Metrics.bucket_of_value v = by_frexp v)
+
+(* An observation is a bucket increment and three float-field updates:
+   no allocation.  The observed values are preboxed list elements, so the
+   count is [observe]'s own.  Floats box under bytecode: native only. *)
+let test_observe_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let h = Metrics.histogram (Metrics.create ()) "observe_alloc_seconds" in
+    let values = List.init 64 (fun i -> 1e-6 *. (1.3 ** float_of_int i)) in
+    let observe = Metrics.observe h in
+    observe 1.;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      List.iter observe values
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check (float 0.)) "minor words over 64000 observations" 0. words
+  end
 
 (* A single-valued histogram must round-trip exactly: quantiles are
    clamped to the observed [min, max]. *)
@@ -286,6 +325,8 @@ let suite =
   [
     Alcotest.test_case "bucket boundaries are exact" `Quick test_bucket_boundaries;
     Alcotest.test_case "bucket edge cases" `Quick test_bucket_edge_cases;
+    QCheck_alcotest.to_alcotest prop_bucket_matches_frexp;
+    Alcotest.test_case "observe allocates nothing" `Quick test_observe_allocates_nothing;
     Alcotest.test_case "single-value quantile round trip" `Quick
       test_single_value_round_trip;
     Alcotest.test_case "quantile relative error bound" `Quick

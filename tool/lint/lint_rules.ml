@@ -294,6 +294,36 @@ let rules =
                  "View.set"; "View.Flat.set" ]));
     };
     {
+      id = "driver-row-kernel";
+      doc =
+        "lib/net/driver.ml moves messages as row messages: it runs \
+         Protocol.initiate_node/receive_node and Codec.write_frame/read_frame, \
+         never the boxed Protocol.initiate, Protocol.receive, \
+         Codec.encode_batch or Codec.decode_datagram, nor Span.time's \
+         closures or recvfrom's tuple";
+      applies = (fun path -> path = "lib/net/driver.ml");
+      tokens =
+        List.concat_map
+          (fun (names, message) -> List.map (fun name -> (name, message)) names)
+          [
+            ( [ "Protocol.initiate"; "Sf_core.Protocol.initiate" ],
+              "a boxed message per action — run Protocol.initiate_node" );
+            ( [ "Protocol.receive"; "Sf_core.Protocol.receive" ],
+              "a boxed message per frame — run Protocol.receive_node" );
+            ( [ "Codec.encode_batch"; "Sf_net.Codec.encode_batch" ],
+              "boxed messages into a fresh datagram — Codec.write_frame into \
+               the batch buffer" );
+            ( [ "Codec.decode_datagram"; "Sf_net.Codec.decode_datagram" ],
+              "a boxed message list per datagram — Codec.read_frame into the \
+               inbox" );
+            ( [ "Span.time"; "Sf_obs.Span.time" ],
+              "two closures per timed section — read the clock and call \
+               Span.observe_duration" );
+            ( [ "recvfrom"; "Unix.recvfrom" ],
+              "a tuple and a sockaddr per datagram — Unix.recv" );
+          ];
+    };
+    {
       id = "no-obj-magic";
       doc = "Obj.magic is forbidden everywhere";
       applies = is_source;
