@@ -55,7 +55,36 @@ type config = {
   resilience : Sf_resil.Policy.t option;
 }
 
-let add_int buf k = Buffer.add_string buf (string_of_int k)
+(* The place value of [k]'s leading decimal digit, for [k >= 0]. *)
+let leading_place k =
+  let place = ref 1 in
+  while !place <= k / 10 do
+    place := !place * 10
+  done;
+  !place
+
+let digit k place = Char.chr (48 + (k / place mod 10))
+
+(* [k] in decimal, digit by digit: no string is built. *)
+let add_int buf k =
+  if k < 0 then Buffer.add_char buf '-';
+  let k = abs k in
+  let place = ref (leading_place k) in
+  while !place > 0 do
+    Buffer.add_char buf (digit k !place);
+    place := !place / 10
+  done
+
+(* Write [k >= 0] in decimal into [packet] at [pos]; returns the end
+   position. *)
+let put_decimal packet pos k =
+  let place = ref (leading_place k) and pos = ref pos in
+  while !place > 0 do
+    Bytes.set packet !pos (digit k !place);
+    incr pos;
+    place := !place / 10
+  done;
+  !pos
 
 (* [view ID E1,E2,...] with each entry [id:serial:anchor:born], slot
    order, or [view ID -] for an empty view, appended to a caller's
@@ -251,14 +280,15 @@ let main config =
     let sink =
       Unix.ADDR_INET (Unix.inet_addr_loopback, config.controller_port)
     in
+    (* [hb HOST PID ACTIONS]: the prefix is written once and each beat
+       writes its action count after it, into the same packet. *)
+    let prefix = Fmt.str "hb %d %d " config.host_index (Unix.getpid ()) in
+    let packet = Bytes.create (String.length prefix + 24) in
+    Bytes.blit_string prefix 0 packet 0 (String.length prefix);
     let beat () =
-      let s = Driver.statistics driver in
-      let packet =
-        Bytes.of_string
-          (Fmt.str "hb %d %d %d\n" config.host_index (Unix.getpid ())
-             s.Driver.actions)
-      in
-      try ignore (Unix.sendto control packet 0 (Bytes.length packet) [] sink)
+      let length = put_decimal packet (String.length prefix) (Driver.actions driver) in
+      Bytes.set packet length '\n';
+      try ignore (Unix.sendto control packet 0 (length + 1) [] sink)
       with Unix.Unix_error _ -> ()
     in
     Driver.add_periodic driver ~every:config.heartbeat beat;

@@ -7,9 +7,16 @@
    timing, span profiling of wall-clock cost) obtains it from here, which
    keeps the wall-clock dependence auditable: the sf_lint
    [clock-discipline] rule forbids [Unix.gettimeofday]/[Sys.time]
-   everywhere except this file. *)
+   everywhere except this file.
 
-let wall = Unix.gettimeofday
+   [wall] re-exports the Unix primitive itself rather than a closure
+   over it: a native caller gets the reading as an unboxed float in a
+   register, so a hot loop that stores it into a float field or does
+   arithmetic on it allocates nothing. *)
+
+external wall : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+[@@noalloc]
 
 (* Per-process CPU seconds: immune to preemption by other processes, so
    overhead ratios measured with it are stable on shared or single-core

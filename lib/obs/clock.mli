@@ -6,8 +6,13 @@
     opened only here.  Drivers that default to real time (the UDP cluster,
     bench timing) take their default from {!wall}. *)
 
-val wall : unit -> float
-(** The wall clock, in seconds since the epoch ([Unix.gettimeofday]). *)
+external wall : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+[@@noalloc]
+(** The wall clock, in seconds since the epoch: [Unix.gettimeofday]'s own
+    primitive, so a native call returns the reading unboxed and allocates
+    nothing.  Passed as a value ([~clock:Clock.wall]) it is an ordinary
+    [unit -> float] closure that boxes each reading. *)
 
 val cpu : unit -> float
 (** Per-process CPU seconds ([Sys.time]): preferred for overhead ratios,

@@ -50,6 +50,12 @@ type histogram
 
 val histogram : t -> string -> histogram
 val observe : histogram -> float -> unit
+val observe_ns : histogram -> int -> unit
+(** [observe_ns h ns] observes [ns] nanoseconds as [ns * 1e-9] seconds.
+    It takes an int, so a native caller boxes nothing and the call
+    allocates nothing; {!observe}'s float argument is boxed whenever the
+    caller computed it. *)
+
 val observations : histogram -> int
 val total : histogram -> float
 val minimum : histogram -> float  (** [nan] when empty *)

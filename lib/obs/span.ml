@@ -18,4 +18,4 @@ let time t f =
   let t0 = t.clock () in
   Fun.protect ~finally:(fun () -> Metrics.observe t.hist (t.clock () -. t0)) f
 
-let observe_duration t d = Metrics.observe t.hist d
+let observe_ns t ns = Metrics.observe_ns t.hist ns

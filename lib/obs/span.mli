@@ -18,5 +18,7 @@ val time : t -> (unit -> 'a) -> 'a
 (** Run the thunk, observing its duration (clock units) even when it
     raises. *)
 
-val observe_duration : t -> float -> unit
-(** Record an externally measured duration. *)
+val observe_ns : t -> int -> unit
+(** Record an externally measured duration, given in integer nanoseconds
+    and stored in seconds (the unit of a wall-clock {!time}).  An int
+    argument is never boxed, so a native call allocates nothing. *)

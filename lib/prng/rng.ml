@@ -49,6 +49,11 @@ let copy = Bytes.copy
 (* Byte equality of the state: same position in the same stream. *)
 let equal = Bytes.equal
 
+(* The top 53 bits of the next output, as a native int: [float]'s draw
+   before scaling.  Below 2^53 the int-to-float conversion is exact, so
+   [float_of_int (float_bits t) *. 0x1p-53] is [float t], bit for bit. *)
+let[@inline] float_bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+
 (* Uniform float in [0,1): top 53 bits. *)
 let[@inline] float t =
   Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1p-53

@@ -31,6 +31,12 @@ val next_int64 : t -> int64
 val float : t -> float
 (** Uniform float in [0,1). *)
 
+val float_bits : t -> int
+(** The draw {!float} scales, as an int in [0, 2^53): [float_of_int
+    (float_bits t) *. 0x1p-53] equals [float t] bit for bit and leaves the
+    stream at the same position.  It returns an unboxed int, so a caller
+    that scales it locally allocates nothing per draw. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); unbiased. Raises
     [Invalid_argument] for non-positive bounds. *)

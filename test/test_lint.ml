@@ -338,12 +338,17 @@ let test_driver_row_kernel_fires () =
   fires "boxed decode" "let d = Codec.decode_datagram buffer ~length";
   fires "span closures" "let () = Sf_obs.Span.time span (fun () -> work ())";
   fires "recvfrom" "let n, _ = Unix.recvfrom fd buffer 0 len []";
+  fires "boxed float draw" "let u = Sf_prng.Rng.float t.rng";
+  fires "boxed float draw, short path" "let u = Rng.float rng";
+  fires "option lookup" "let ns = Hashtbl.find_opt by_socket fd";
   (* The real driver is clean, and the row kernel's names are allowed. *)
   check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" (read "../lib/net/driver.ml");
   check_quiet "row kernel calls" ~path:"lib/net/driver.ml"
     "let d = Protocol.initiate_node cfg rng ~mint ~born node msg\n\
      let a = Protocol.receive_node cfg rng node msg\n\
-     let () = Codec.write_frame buffer i msg";
+     let () = Codec.write_frame buffer i msg\n\
+     let u = float_of_int (Sf_prng.Rng.float_bits rng) *. 0x1p-53\n\
+     let () = Sf_obs.Span.observe_ns span ns";
   (* The boxed forms stay available everywhere else. *)
   check_quiet "other modules" ~path:"lib/core/runner.ml"
     "let r = Protocol.initiate cfg rng ~fresh_serial ~clock node"

@@ -76,6 +76,28 @@ let test_observe_allocates_nothing () =
     Alcotest.(check (float 0.)) "minor words over 64000 observations" 0. words
   end
 
+(* The integer-nanosecond entries convert inside the registry, so the
+   seconds value is never boxed: a caller computing durations afresh
+   (unlike the preboxed list above) still allocates nothing.  The
+   histogram holds the same seconds [observe] would. *)
+let test_observe_ns_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let m = Metrics.create () in
+    let h = Metrics.histogram m "observe_ns_alloc_seconds" in
+    let span = Span.create ~clock:(fun () -> 0.) m "observe_ns_span_seconds" in
+    Metrics.observe_ns h 1;
+    Span.observe_ns span 1;
+    let w0 = Gc.minor_words () in
+    for i = 1 to 64_000 do
+      Metrics.observe_ns h (i * 37);
+      Span.observe_ns span (i * 53)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check (float 0.)) "minor words over 128000 observations" 0. words;
+    Alcotest.(check (float 0.)) "stored in seconds" (float_of_int (64_000 * 37) *. 1e-9)
+      (Metrics.maximum h)
+  end
+
 (* A single-valued histogram must round-trip exactly: quantiles are
    clamped to the observed [min, max]. *)
 let test_single_value_round_trip () =
@@ -327,6 +349,8 @@ let suite =
     Alcotest.test_case "bucket edge cases" `Quick test_bucket_edge_cases;
     QCheck_alcotest.to_alcotest prop_bucket_matches_frexp;
     Alcotest.test_case "observe allocates nothing" `Quick test_observe_allocates_nothing;
+    Alcotest.test_case "observe_ns allocates nothing" `Quick
+      test_observe_ns_allocates_nothing;
     Alcotest.test_case "single-value quantile round trip" `Quick
       test_single_value_round_trip;
     Alcotest.test_case "quantile relative error bound" `Quick

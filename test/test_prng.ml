@@ -265,6 +265,8 @@ let test_draws_allocate_nothing () =
     check "bernoulli" 0. (fun () -> if Rng.bernoulli rng 0.05 then incr sink);
     check "bool" 0. (fun () -> if Rng.bool rng then incr sink);
     check "float" 2. (fun () -> if Rng.float rng < 0.5 then incr sink);
+    check "float_bits" 0. (fun () ->
+        if float_of_int (Rng.float_bits rng) *. 0x1p-53 < 0.5 then incr sink);
     ignore (Sys.opaque_identity !sink)
   end
 
@@ -296,6 +298,20 @@ let prop_sample_indices =
       Array.length picks = k
       && List.length (List.sort_uniq compare (Array.to_list picks)) = k
       && Array.for_all (fun x -> x >= 0 && x < n) picks)
+
+(* [float_bits] is [float]'s draw before scaling: the same value bit for
+   bit, and the two streams stay in step draw after draw. *)
+let prop_float_bits_is_float =
+  QCheck.Test.make ~name:"float_bits reproduces float bit for bit" ~count:300
+    QCheck.(pair int (int_range 1 40))
+    (fun (seed, draws) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let same = ref true in
+      for _ = 1 to draws do
+        let x = Rng.float a and y = float_of_int (Rng.float_bits b) *. 0x1p-53 in
+        if Int64.bits_of_float x <> Int64.bits_of_float y then same := false
+      done;
+      !same && Rng.equal a b)
 
 let suite =
   [
@@ -330,4 +346,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_slot_pair;
     QCheck_alcotest.to_alcotest prop_sample_indices;
+    QCheck_alcotest.to_alcotest prop_float_bits_is_float;
   ]

@@ -300,7 +300,8 @@ let rules =
          Protocol.initiate_node/receive_node and Codec.write_frame/read_frame, \
          never the boxed Protocol.initiate, Protocol.receive, \
          Codec.encode_batch or Codec.decode_datagram, nor Span.time's \
-         closures or recvfrom's tuple";
+         closures or recvfrom's tuple; and its loop builds no boxed float \
+         or option it can avoid: no Rng.float or Hashtbl.find_opt";
       applies = (fun path -> path = "lib/net/driver.ml");
       tokens =
         List.concat_map
@@ -318,9 +319,13 @@ let rules =
                inbox" );
             ( [ "Span.time"; "Sf_obs.Span.time" ],
               "two closures per timed section — read the clock and call \
-               Span.observe_duration" );
+               Span.observe_ns" );
             ( [ "recvfrom"; "Unix.recvfrom" ],
               "a tuple and a sockaddr per datagram — Unix.recv" );
+            ( [ "Rng.float"; "Sf_prng.Rng.float" ],
+              "a boxed float per draw — scale Rng.float_bits where it is used" );
+            ( [ "Hashtbl.find_opt" ],
+              "an option per lookup — scan for the node instead" );
           ];
     };
     {
