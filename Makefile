@@ -45,7 +45,7 @@ storm: build
 # partition, a crash wave — under the full self-healing policy, first on
 # the audited simulator (estimator accuracy checked against the
 # injector's ground truth) and then on a UDP loopback cluster with
-# crash/rebind; nonzero exit on any failed verdict.  The second chaos
+# in-place crash-restart; nonzero exit on any failed verdict.  The second chaos
 # world (s=16, dL=6, d_hat=10, no recovery fallback) is the test
 # `resilience 12` under `make test`.
 soak: build

@@ -134,7 +134,8 @@ val load_row : row_message -> message -> unit
 val install_ids :
   View.Flat.t -> int -> int array -> born:int -> mint:(unit -> int) -> unit
 (** [install_ids store u ids ~born ~mint] writes [ids], unanchored, in
-    array order: the start topology and a crash snapshot's restore.
+    array order: the start topology and a crash-restart's reset to the
+    node's own first ids.
     Raises [Invalid_argument], changing nothing, when [ids] has more
     entries than the row has slots.  Allocation-free. *)
 

@@ -12,12 +12,14 @@
    computes it, so datagrams cross process boundaries with no routing
    layer.
 
-   The loop multiplexes all owned sockets (plus any registered control
+   Each owned node's socket is bound once, in [create], and closed only
+   by [shutdown].  The loop multiplexes them (plus any registered control
    channels) with [Unix.select]: wait for readable fds or the next timer,
-   drain datagrams (sockets are non-blocking), decode and run the receive
-   step, then run the initiate steps that have come due.  Send-side loss
-   injection keeps loss experiments controlled even though loopback UDP
-   rarely drops on its own.
+   read one datagram from each readable socket (sockets are
+   non-blocking), decode and run the receive step, then run the initiate
+   steps that have come due.  Send-side loss injection keeps loss
+   experiments controlled even though loopback UDP rarely drops on its
+   own.
 
    The steady-state loop allocates nothing but [Unix.select]'s result.
    The protocol step writes one driver-owned row message
@@ -38,9 +40,12 @@
    draw exactly as in the simulator; [set_partition_filter] adds the
    cross-process form of a partition window, where a controller tells each
    process which block it is in and the send path drops cross-block
-   datagrams.  Fire-and-forget UDP matches S&F's assumptions exactly: no
-   connection state, no retransmission, the sender never learns whether
-   the message arrived. *)
+   datagrams.  A crash window stops its nodes from firing and receiving,
+   and under resilience also restarts them in place (see the
+   crash-restart section); it never touches a socket.  Fire-and-forget
+   UDP matches S&F's assumptions exactly: no connection state, no
+   retransmission, the sender never learns whether the message
+   arrived. *)
 
 (* The loop's clock: the wall clock read through its unboxed primitive,
    or a caller's closure (the virtual clocks of tests). *)
@@ -48,18 +53,17 @@ type clock = Wall | Injected of (unit -> float)
 
 type node_state = {
   node : Sf_core.Protocol.node;
-  (* Mutable: a crash-restart closes the socket for the duration of the
-     window and rebinds a fresh one on the same port at resume. *)
-  mutable socket : Unix.file_descr;
+  (* Bound in [create], closed in [shutdown]. *)
+  socket : Unix.file_descr;
   (* The node's current thresholds; starts at the cluster config and
      diverges under adaptive retuning. *)
   mutable config : Sf_core.Protocol.config;
   (* Resilience (lib/resilience): each node tunes from its own protocol
      counters — a deployed node has nobody else's. *)
   tuner : Sf_resil.Loop.tuner option;
-  (* Crash-restart bookkeeping (resilience mode only). *)
-  mutable down : bool;       (* socket closed by an active crash window *)
-  mutable snapshot : int list;  (* bounded view snapshot taken at crash *)
+  (* Resilience mode only: an active crash window holds the node down
+     until it rejoins. *)
+  mutable down : bool;
 }
 
 (* A datagram held back by an active delay window: release time, sending
@@ -73,9 +77,8 @@ type delayed_datagram = {
 
 (* An outbound batch under construction: one destination's frames,
    written into the wire buffer as their messages are made, and flushed
-   as one datagram.  The sender is remembered as a node index (not a
-   socket) so a crash-rebind between enqueue and flush cannot leak a
-   closed fd. *)
+   as one datagram through the socket of the node that enqueued the
+   first frame. *)
 type batch = {
   packet : bytes;               (* Codec.max_datagram_size *)
   mutable destination : int;
@@ -94,16 +97,14 @@ type periodic = { schedule : schedule; callback : unit -> unit }
 let now_slot = 0        (* the current loop iteration's clock reading *)
 let deadline_slot = 1   (* when the current [run] ends *)
 let wake_slot = 2       (* the earliest pending event ([next_event]) *)
-let probe_slot = 3      (* the next repair probe *)
 (* Starts of the three spans being timed (see [observe_since]). *)
-let action_slot = 4
-let encode_slot = 5
-let decode_slot = 6
-let time_slots = 7
+let action_slot = 3
+let encode_slot = 4
+let decode_slot = 5
+let time_slots = 6
 
 type t = {
-  n_global : int;  (* the full id space; owned slice is [first, first+count) *)
-  first : int;
+  n_global : int;  (* the full id space *)
   period : float;
   loss_rate : float;
   (* Injected clock: tests drive virtual time; production reads
@@ -123,14 +124,14 @@ type t = {
   injector : Sf_faults.Injector.t option;
   resilience : Sf_resil.Policy.t option;
   (* Cross-process repair scheduling under a recovering policy: see
-     [probe_repairs]. *)
+     [repair_isolated]. *)
   supervisor : Sf_resil.Supervisor.t option;
   nodes : node_state array;  (* index i holds global id [first + i] *)
   next_fire : float array;   (* node i's next initiation, unboxed *)
   addresses : Unix.sockaddr array;  (* the port map: global id -> address *)
-  (* Bumped whenever a socket is closed or rebound or a channel added, so
-     the run loop knows to rebuild its select set. *)
-  mutable socket_generation : int;
+  (* The select set: control channels, newest first, then every owned
+     socket in node order. *)
+  mutable fds : Unix.file_descr list;
   read_buffer : bytes;
   (* The outbound row message, written by the initiate step. *)
   outbox : Sf_core.Protocol.row_message;
@@ -167,7 +168,6 @@ type t = {
   c_decode_errors : Sf_obs.Metrics.counter;
   c_send_errors : Sf_obs.Metrics.counter;
   c_rejoins : Sf_obs.Metrics.counter;  (* crash-restart rejoin recoveries *)
-  c_rejoin_failures : Sf_obs.Metrics.counter;  (* rebinds refused by the kernel *)
   c_retunes : Sf_obs.Metrics.counter;  (* per-node threshold retunes *)
   c_emitted : Sf_obs.Metrics.counter;  (* datagrams actually sent on the wire *)
   c_messages_received : Sf_obs.Metrics.counter;  (* decoded protocol messages *)
@@ -203,12 +203,12 @@ let[@inline] read = function
   | Injected now -> now ()
 
 (* A non-blocking datagram socket bound to [address].  A failing call
-   closes the socket before the error propagates. *)
+   (a port another socket holds: EADDRINUSE) closes the socket before the
+   error propagates. *)
 let bound_socket address =
   let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   match
     Unix.set_nonblock socket;
-    Unix.setsockopt socket Unix.SO_REUSEADDR true;
     Unix.bind socket address
   with
   | () -> socket
@@ -219,6 +219,95 @@ let bound_socket address =
 (* A uniform float in [0, 1): [Rng.float]'s value from an int draw,
    scaled where it is used so no boxed float crosses a call. *)
 let[@inline] uniform rng = float_of_int (Sf_prng.Rng.float_bits rng) *. 0x1p-53
+
+let is_crashed t node_id =
+  match t.injector with
+  | None -> false
+  | Some injector -> Sf_faults.Injector.is_crashed injector node_id
+
+(* Trace stamps are rounds since creation — the same unit as the
+   injector's round clock, and derived from the injected [now] so
+   virtual-clock tests stay deterministic.  Call sites test [tracing]
+   first, so no event is built while tracing is off. *)
+let tracing t = Sf_obs.Obs.tracing t.obs
+
+let trace t event =
+  Sf_obs.Obs.trace t.obs ~now:((read t.clock -. t.started) /. t.period) event
+
+(* --- The joining rule --- *)
+
+(* The donor a view is copied from: a live owned sibling, drawn from the
+   protocol stream (8 tries), or [None]. *)
+let pick_donor t ~node_id =
+  let n = Array.length t.nodes in
+  let rec pick tries =
+    if tries = 0 then None
+    else
+      let candidate = t.nodes.(Sf_prng.Rng.int t.rng n) in
+      if candidate.node.Sf_core.Protocol.node_id <> node_id && not candidate.down
+      then Some candidate
+      else pick (tries - 1)
+  in
+  pick 8
+
+(* The one install rule with the driver's choice of donor: the paper's
+   "copy another node's view" joining rule.  A node cannot see which
+   remote ids are alive, so none are filtered. *)
+let copy_view t (ns : node_state) (donor : node_state) =
+  let node = ns.node in
+  ignore
+    (Sf_core.Protocol.install_copy node.Sf_core.Protocol.view 0
+       ~owner:node.Sf_core.Protocol.node_id
+       ~donor:donor.node.Sf_core.Protocol.node_id
+       ~from:donor.node.Sf_core.Protocol.view ~from_row:0
+       ~dl:ns.config.Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
+       ~born:t.actions ~mint:t.mint)
+
+(* --- Supervised connectivity repair ---
+
+   In a multi-process cluster a node can lose its whole view to causes no
+   crash window announces (its neighbours' processes were kill -9'd and
+   their views of it decayed).  The probe, a periodic every two firing
+   periods, finds owned, live, isolated (degree-0) nodes and rebootstraps
+   them from a live sibling's view — the same joining rule as a rejoin —
+   with the supervisor spacing attempts under capped backoff and
+   confirming recovery on the next due probe. *)
+
+(* One probe pass, scanning the nodes in place: rebootstrap every owned,
+   live, isolated node and say whether there was none.  A repair writes
+   only its own node's view, so repairing during the scan finds the same
+   nodes, and draws the same donors, as finding them all first. *)
+let repair_isolated t =
+  let healthy = ref true in
+  for i = 0 to Array.length t.nodes - 1 do
+    let ns = t.nodes.(i) in
+    let node_id = ns.node.Sf_core.Protocol.node_id in
+    if
+      (not ns.down)
+      && (not (is_crashed t node_id))
+      && Sf_core.Protocol.degree ns.node = 0
+    then begin
+      healthy := false;
+      match pick_donor t ~node_id with
+      | None -> ()
+      | Some donor ->
+        copy_view t ns donor;
+        if tracing t then trace t (Sf_obs.Trace.Mark { label = "rebootstrap" })
+    end
+  done;
+  !healthy
+
+(* [probe] is [repair_isolated t], made once in [create]. *)
+let probe_repairs t supervisor probe =
+  match
+    Sf_resil.Supervisor.step supervisor
+      ~now:((t.times.(now_slot) -. t.started) /. t.period)
+      probe
+  with
+  | Sf_resil.Supervisor.Attempted -> Sf_obs.Metrics.incr t.c_repairs
+  | Sf_resil.Supervisor.Not_due | Sf_resil.Supervisor.Healthy
+  | Sf_resil.Supervisor.Recovered ->
+    ()
 
 let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
     ?(first = 0) ?count ?(serial_stride = 1) ?(serial_offset = 0)
@@ -292,7 +381,6 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
               ~capacity:config.Sf_core.Protocol.view_size ~edges:0)
           resilience;
       down = false;
-      snapshot = [];
     }
   in
   let nodes =
@@ -304,66 +392,78 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
         !opened;
       raise e
   in
-  {
-    n_global = n;
-    first;
-    period;
-    loss_rate;
-    clock;
-    times =
-      (let times = Array.make time_slots 0. in
-       times.(probe_slot) <- start +. (2.0 *. period);
-       times);
-    started = start;
-    rng;
-    mint;
-    injector;
-    resilience;
+  let t =
+    {
+      n_global = n;
+      period;
+      loss_rate;
+      clock;
+      times = Array.make time_slots 0.;
+      started = start;
+      rng;
+      mint;
+      injector;
+      resilience;
+      supervisor;
+      nodes;
+      next_fire;
+      addresses;
+      fds = Array.fold_right (fun ns fds -> ns.socket :: fds) nodes [];
+      read_buffer = Bytes.create Codec.recv_buffer_size;
+      outbox = Sf_core.Protocol.row_message ();
+      inbox = Array.init Codec.max_batch (fun _ -> Sf_core.Protocol.row_message ());
+      batches = Array.init 8 (fun _ -> new_batch ());
+      pending = 0;
+      batch_of = Array.make n (-1);
+      channels = [];
+      periodics = [];
+      stop_requested = false;
+      filter_parts = None;
+      obs;
+      c_sent = Sf_obs.Metrics.counter metrics "cluster_datagrams_sent";
+      c_dropped = Sf_obs.Metrics.counter metrics "cluster_datagrams_dropped";
+      c_received = Sf_obs.Metrics.counter metrics "cluster_datagrams_received";
+      c_corrupted = Sf_obs.Metrics.counter metrics "cluster_datagrams_corrupted";
+      c_delayed = Sf_obs.Metrics.counter metrics "cluster_datagrams_delayed";
+      c_crash_dropped =
+        Sf_obs.Metrics.counter metrics "cluster_datagrams_crash_dropped";
+      c_oversized = Sf_obs.Metrics.counter metrics "cluster_datagrams_oversized";
+      c_truncated = Sf_obs.Metrics.counter metrics "cluster_datagrams_truncated";
+      c_decode_errors = Sf_obs.Metrics.counter metrics "cluster_decode_errors";
+      c_send_errors = Sf_obs.Metrics.counter metrics "cluster_send_errors";
+      c_rejoins = Sf_obs.Metrics.counter metrics "cluster_rejoins";
+      c_retunes = Sf_obs.Metrics.counter metrics "cluster_retunes";
+      c_emitted = Sf_obs.Metrics.counter metrics "cluster_datagrams_emitted";
+      c_messages_received =
+        Sf_obs.Metrics.counter metrics "cluster_messages_received";
+      c_batches = Sf_obs.Metrics.counter metrics "cluster_batches_sent";
+      c_frames = Sf_obs.Metrics.counter metrics "cluster_frames_sent";
+      c_crc_rejected =
+        Sf_obs.Metrics.counter metrics "cluster_frames_crc_rejected";
+      c_filtered = Sf_obs.Metrics.counter metrics "cluster_datagrams_filtered";
+      c_repairs = Sf_obs.Metrics.counter metrics "cluster_repair_attempts";
+      encode_span = span "codec_encode_seconds";
+      decode_span = span "codec_decode_seconds";
+      action_span = span "cluster_action_seconds";
+      delayed = [];
+      actions = 0;
+    }
+  in
+  (* The repair probe, registered before any caller's periodic so it runs
+     after them ([add_periodic] puts each new one in front). *)
+  Option.iter
+    (fun supervisor ->
+      let every = 2.0 *. period in
+      let probe () = repair_isolated t in
+      t.periodics <-
+        [
+          {
+            schedule = { every; due_at = start +. every };
+            callback = (fun () -> probe_repairs t supervisor probe);
+          };
+        ])
     supervisor;
-    nodes;
-    next_fire;
-    addresses;
-    socket_generation = 0;
-    read_buffer = Bytes.create Codec.recv_buffer_size;
-    outbox = Sf_core.Protocol.row_message ();
-    inbox = Array.init Codec.max_batch (fun _ -> Sf_core.Protocol.row_message ());
-    batches = Array.init 8 (fun _ -> new_batch ());
-    pending = 0;
-    batch_of = Array.make n (-1);
-    channels = [];
-    periodics = [];
-    stop_requested = false;
-    filter_parts = None;
-    obs;
-    c_sent = Sf_obs.Metrics.counter metrics "cluster_datagrams_sent";
-    c_dropped = Sf_obs.Metrics.counter metrics "cluster_datagrams_dropped";
-    c_received = Sf_obs.Metrics.counter metrics "cluster_datagrams_received";
-    c_corrupted = Sf_obs.Metrics.counter metrics "cluster_datagrams_corrupted";
-    c_delayed = Sf_obs.Metrics.counter metrics "cluster_datagrams_delayed";
-    c_crash_dropped =
-      Sf_obs.Metrics.counter metrics "cluster_datagrams_crash_dropped";
-    c_oversized = Sf_obs.Metrics.counter metrics "cluster_datagrams_oversized";
-    c_truncated = Sf_obs.Metrics.counter metrics "cluster_datagrams_truncated";
-    c_decode_errors = Sf_obs.Metrics.counter metrics "cluster_decode_errors";
-    c_send_errors = Sf_obs.Metrics.counter metrics "cluster_send_errors";
-    c_rejoins = Sf_obs.Metrics.counter metrics "cluster_rejoins";
-    c_rejoin_failures = Sf_obs.Metrics.counter metrics "cluster_rejoin_failures";
-    c_retunes = Sf_obs.Metrics.counter metrics "cluster_retunes";
-    c_emitted = Sf_obs.Metrics.counter metrics "cluster_datagrams_emitted";
-    c_messages_received =
-      Sf_obs.Metrics.counter metrics "cluster_messages_received";
-    c_batches = Sf_obs.Metrics.counter metrics "cluster_batches_sent";
-    c_frames = Sf_obs.Metrics.counter metrics "cluster_frames_sent";
-    c_crc_rejected =
-      Sf_obs.Metrics.counter metrics "cluster_frames_crc_rejected";
-    c_filtered = Sf_obs.Metrics.counter metrics "cluster_datagrams_filtered";
-    c_repairs = Sf_obs.Metrics.counter metrics "cluster_repair_attempts";
-    encode_span = span "codec_encode_seconds";
-    decode_span = span "codec_decode_seconds";
-    action_span = span "cluster_action_seconds";
-    delayed = [];
-    actions = 0;
-  }
+  t
 
 (* Store the clock reading in [t.times.(slot)]. *)
 let stamp t slot = t.times.(slot) <- read t.clock
@@ -376,12 +476,11 @@ let observe_since t span slot =
 
 let node_count t = Array.length t.nodes
 let actions t = t.actions
-let owned_range t = (t.first, Array.length t.nodes)
 let request_stop t = t.stop_requested <- true
 
 let add_channel t fd callback =
   t.channels <- (fd, callback) :: t.channels;
-  t.socket_generation <- t.socket_generation + 1
+  t.fds <- fd :: t.fds
 
 let add_periodic t ~every callback =
   t.periodics <-
@@ -404,28 +503,10 @@ let filtered t ~src ~dst =
     Sf_faults.Windows.block ~n:t.n_global ~parts src
     <> Sf_faults.Windows.block ~n:t.n_global ~parts dst
 
-(* A down node's socket was closed at [crash_down], and its fd number
-   may since belong to another socket: only live sockets are closed. *)
 let shutdown t =
   Array.iter
-    (fun ns ->
-      if not ns.down then
-        try Unix.close ns.socket with Unix.Unix_error _ -> ())
+    (fun ns -> try Unix.close ns.socket with Unix.Unix_error _ -> ())
     t.nodes
-
-let is_crashed t node_id =
-  match t.injector with
-  | None -> false
-  | Some injector -> Sf_faults.Injector.is_crashed injector node_id
-
-(* Trace stamps are rounds since creation — the same unit as the
-   injector's round clock, and derived from the injected [now] so
-   virtual-clock tests stay deterministic.  Call sites test [tracing]
-   first, so no event is built while tracing is off. *)
-let tracing t = Sf_obs.Obs.tracing t.obs
-
-let trace t event =
-  Sf_obs.Obs.trace t.obs ~now:((read t.clock -. t.started) /. t.period) event
 
 let reject t ~dst =
   if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
@@ -433,7 +514,7 @@ let reject t ~dst =
 (* A signal landing mid-sendto must not cost the datagram: retry on EINTR
    (the kernel sent nothing), count everything else as a send error —
    including ECONNREFUSED, which on loopback means a previous datagram
-   bounced off a closed (crashed or killed) port. *)
+   bounced off a port nobody holds (a killed node-host's). *)
 let rec transmit t ~via ~packet ~length ~target =
   match Unix.sendto via packet 0 length [] target with
   | _ -> Sf_obs.Metrics.incr t.c_emitted
@@ -447,20 +528,6 @@ let delay_factor t =
   match t.injector with
   | None -> 1.0
   | Some injector -> Sf_faults.Injector.delay_factor injector
-
-(* The node a queued batch leaves through: the enqueuing node unless a
-   crash window closed its socket mid-iteration, then the first live
-   sibling; -1 when every socket is down. *)
-let live_index t src_index =
-  if not t.nodes.(src_index).down then src_index
-  else begin
-    let found = ref (-1) and k = ref 0 in
-    while !found < 0 && !k < Array.length t.nodes do
-      if not t.nodes.(!k).down then found := !k;
-      incr k
-    done;
-    !found
-  end
 
 let send_batch t (b : batch) =
   let frames = b.frames in
@@ -478,25 +545,22 @@ let send_batch t (b : batch) =
   Sf_obs.Metrics.add t.c_frames frames;
   let length = Codec.frame_offset frames in
   let target = t.addresses.(b.destination) in
-  match live_index t b.src_index with
-  | -1 -> Sf_obs.Metrics.incr t.c_send_errors
-  | k ->
-    let via = t.nodes.(k).socket in
-    let factor = delay_factor t in
-    if factor > 1.0 then begin
-      (* Loopback latency is negligible, so a delay window holds the
-         datagram for [factor] firing periods instead. *)
-      Sf_obs.Metrics.incr t.c_delayed;
-      t.delayed <-
-        {
-          release_at = read t.clock +. (factor *. t.period);
-          via;
-          packet = Bytes.sub b.packet 0 length;
-          target;
-        }
-        :: t.delayed
-    end
-    else transmit t ~via ~packet:b.packet ~length ~target
+  let via = t.nodes.(b.src_index).socket in
+  let factor = delay_factor t in
+  if factor > 1.0 then begin
+    (* Loopback latency is negligible, so a delay window holds the
+       datagram for [factor] firing periods instead. *)
+    Sf_obs.Metrics.incr t.c_delayed;
+    t.delayed <-
+      {
+        release_at = read t.clock +. (factor *. t.period);
+        via;
+        packet = Bytes.sub b.packet 0 length;
+        target;
+      }
+      :: t.delayed
+  end
+  else transmit t ~via ~packet:b.packet ~length ~target
 
 let flush_batches t =
   for k = 0 to t.pending - 1 do
@@ -635,10 +699,11 @@ let deliver t (ns : node_state) msg =
 
 (* One datagram of [length] bytes in the read buffer, for [ns]: its
    CRC-clean frames decode into the inbox, then each is delivered, in
-   batch order. *)
+   batch order.  A down or crashed receiver discards it instead: messages
+   arriving during a crash window are lost, not queued for the resume. *)
 let receive_datagram t (ns : node_state) length =
   let dst = ns.node.Sf_core.Protocol.node_id in
-  if is_crashed t dst then begin
+  if ns.down || is_crashed t dst then begin
     Sf_obs.Metrics.incr t.c_crash_dropped;
     if tracing t then trace t (Sf_obs.Trace.Drop { src = -1; dst; cause = "crash" })
   end
@@ -684,9 +749,7 @@ let receive_datagram t (ns : node_state) length =
 
 (* Read one datagram from a readable socket.  A socket with more queued
    stays readable and is served by the next select, so no read ends in
-   the exception [EAGAIN] raises.  A crashed receiver discards instead of
-   processing: messages arriving during the window are lost, not queued
-   for the resume. *)
+   the exception [EAGAIN] raises. *)
 let receive t (ns : node_state) =
   match Unix.recv ns.socket t.read_buffer 0 (Bytes.length t.read_buffer) [] with
   | length -> receive_datagram t ns length
@@ -695,140 +758,52 @@ let receive t (ns : node_state) =
         ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR | Unix.ECONNREFUSED), _, _)
     ->
     (* Nothing read: a spurious wakeup, a signal, or (Linux loopback) a
-       pending ICMP port-unreachable for an earlier datagram to a
-       crashed node's closed port.  The next select tells whether a
-       datagram is still waiting. *)
+       pending ICMP port-unreachable for an earlier datagram to a port
+       nobody holds (a killed node-host's).  The next select tells
+       whether a datagram is still waiting. *)
     ()
 
-(* --- Crash-restart with state recovery (resilience mode only) ---
+(* --- Crash-restart (resilience mode only) ---
 
-   Without resilience a crash window only freezes the node (timers skip,
-   arrivals are discarded) — the socket stays bound and the view survives,
-   which models a paused process.  With resilience the crash is real:
-   entering the window saves a bounded snapshot of the view (up to dL ids,
-   the same bound the section 5 joining rule donates) and closes the
-   socket, so in-flight datagrams bounce off a dead port; leaving it
-   rebinds a fresh socket on the same port and rejoins by reinstalling the
-   snapshot as fresh instances — falling back to copying a live
-   neighbour's view (the paper's "copy another node's view" rule) when the
-   snapshot is empty. *)
+   Without resilience a crash window only freezes the node: its timer
+   skips and its arrivals are discarded, which models a paused process
+   whose view survives.  With resilience the node also restarts: it is
+   down for the window, and at the window's end it rejoins with a reset
+   view.  The socket stays bound throughout; the dead address space of
+   a real crash is the spawner's kill -9 of a whole node-host. *)
 
-let crash_down t (ns : node_state) =
-  let keep = max 2 ns.config.Sf_core.Protocol.lower_threshold in
-  ns.snapshot <-
-    List.filteri (fun i _ -> i < keep) (Sf_core.View.ids ns.node.Sf_core.Protocol.view);
-  (try Unix.close ns.socket with Unix.Unix_error _ -> ());
-  ns.down <- true;
-  t.socket_generation <- t.socket_generation + 1;
-  if tracing t then trace t (Sf_obs.Trace.Mark { label = "crash_down" })
-
-(* The donor a view is copied from: a live owned sibling, drawn from the
-   protocol stream (8 tries), or [None]. *)
-let pick_donor t ~node_id =
-  let n = Array.length t.nodes in
-  let rec pick tries =
-    if tries = 0 then None
-    else
-      let candidate = t.nodes.(Sf_prng.Rng.int t.rng n) in
-      if candidate.node.Sf_core.Protocol.node_id <> node_id && not candidate.down
-      then Some candidate
-      else pick (tries - 1)
-  in
-  pick 8
-
-(* The one install rule with the driver's choice of donor: the paper's
-   "copy another node's view" joining rule.  A node cannot see which
-   remote ids are alive, so none are filtered. *)
-let copy_view t (ns : node_state) (donor : node_state) =
-  let node = ns.node in
-  ignore
-    (Sf_core.Protocol.install_copy node.Sf_core.Protocol.view 0
-       ~owner:node.Sf_core.Protocol.node_id
-       ~donor:donor.node.Sf_core.Protocol.node_id
-       ~from:donor.node.Sf_core.Protocol.view ~from_row:0
-       ~dl:ns.config.Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
-       ~born:t.actions ~mint:t.mint)
-
-(* A rebind the kernel refuses (another process took the port during
-   the crash window, say) leaves the node down; [sync_crash_states]
-   retries it on the next loop iteration. *)
+(* The node rejoins with the first max(2, dL) ids of its own view (the
+   bound the section 5 joining rule donates) as fresh instances.  The
+   view is frozen while the node is down, so these are the ids it held
+   when it crashed.  An empty view copies a live neighbour's instead
+   (the paper's "copy another node's view" rule). *)
 let rejoin t (ns : node_state) =
-  let node_id = ns.node.Sf_core.Protocol.node_id in
-  match bound_socket t.addresses.(node_id) with
-  | exception Unix.Unix_error _ -> Sf_obs.Metrics.incr t.c_rejoin_failures
-  | socket ->
-    ns.socket <- socket;
-    (* Rejoin with the crash snapshot, else a copy of a live neighbour's
-       view. *)
-    (match ns.snapshot with
-    | [] -> Option.iter (copy_view t ns) (pick_donor t ~node_id)
-    | ids ->
-      Sf_core.Protocol.install_ids ns.node.Sf_core.Protocol.view 0
-        (Array.of_list ids) ~born:t.actions ~mint:t.mint);
-    ns.down <- false;
-    ns.snapshot <- [];
-    t.socket_generation <- t.socket_generation + 1;
-    Sf_obs.Metrics.incr t.c_rejoins;
-    if tracing t then trace t (Sf_obs.Trace.Mark { label = "rejoin" })
+  let node = ns.node in
+  let view = node.Sf_core.Protocol.view in
+  (match Sf_core.View.ids view with
+  | [] ->
+    Option.iter (copy_view t ns)
+      (pick_donor t ~node_id:node.Sf_core.Protocol.node_id)
+  | ids ->
+    let keep = max 2 ns.config.Sf_core.Protocol.lower_threshold in
+    Sf_core.Protocol.install_ids view 0
+      (Array.of_list (List.filteri (fun i _ -> i < keep) ids))
+      ~born:t.actions ~mint:t.mint);
+  ns.down <- false;
+  Sf_obs.Metrics.incr t.c_rejoins;
+  if tracing t then trace t (Sf_obs.Trace.Mark { label = "rejoin" })
 
 let sync_crash_states t =
   if Option.is_some t.resilience then
     for i = 0 to Array.length t.nodes - 1 do
       let ns = t.nodes.(i) in
       let crashed = is_crashed t ns.node.Sf_core.Protocol.node_id in
-      if crashed && not ns.down then crash_down t ns
+      if crashed && not ns.down then begin
+        ns.down <- true;
+        if tracing t then trace t (Sf_obs.Trace.Mark { label = "crash_down" })
+      end
       else if (not crashed) && ns.down then rejoin t ns
     done
-
-(* --- Supervised connectivity repair ---
-
-   In a multi-process cluster a node can lose its whole view to causes no
-   crash window announces (its neighbours' processes were kill -9'd and
-   their views of it decayed).  The probe finds owned, live, isolated
-   (degree-0) nodes and rebootstraps them from a live sibling's view — the
-   same joining rule as a rejoin — with the supervisor spacing probes
-   under capped backoff and confirming recovery on the next due probe. *)
-
-(* One probe pass, scanning the nodes in place: rebootstrap every owned,
-   live, isolated node and say whether there was none.  A repair writes
-   only its own node's view, so repairing during the scan finds the same
-   nodes, and draws the same donors, as finding them all first. *)
-let repair_isolated t =
-  let healthy = ref true in
-  for i = 0 to Array.length t.nodes - 1 do
-    let ns = t.nodes.(i) in
-    let node_id = ns.node.Sf_core.Protocol.node_id in
-    if
-      (not ns.down)
-      && (not (is_crashed t node_id))
-      && Sf_core.Protocol.degree ns.node = 0
-    then begin
-      healthy := false;
-      match pick_donor t ~node_id with
-      | None -> ()
-      | Some donor ->
-        copy_view t ns donor;
-        if tracing t then trace t (Sf_obs.Trace.Mark { label = "rebootstrap" })
-    end
-  done;
-  !healthy
-
-(* [probe] is [repair_isolated t], made once per [run]. *)
-let probe_repairs t probe =
-  match t.supervisor with
-  | Some supervisor when t.times.(now_slot) >= t.times.(probe_slot) -> (
-    let now = t.times.(now_slot) in
-    t.times.(probe_slot) <- now +. (2.0 *. t.period);
-    match
-      Sf_resil.Supervisor.step supervisor
-        ~now:((now -. t.started) /. t.period)
-        probe
-    with
-    | Sf_resil.Supervisor.Attempted -> Sf_obs.Metrics.incr t.c_repairs
-    | Sf_resil.Supervisor.Not_due | Sf_resil.Supervisor.Healthy
-    | Sf_resil.Supervisor.Recovered ->
-      ())
-  | Some _ | None -> ()
 
 (* --- The event loop --- *)
 
@@ -857,39 +832,23 @@ let rec wake_for_periodics t = function
     wake_for_periodics t rest
 
 (* The earliest pending event, into [t.times.(wake_slot)]: a node's
-   timer, a delayed datagram's release, a periodic callback or a repair
-   probe. *)
+   timer, a delayed datagram's release or a periodic callback. *)
 let next_event t =
   let times = t.times in
   times.(wake_slot) <- infinity;
   wake_for_delayed t t.delayed;
   wake_for_periodics t t.periodics;
-  (match t.supervisor with
-  | Some _ -> wake_at t times.(probe_slot)
-  | None -> ());
   for i = 0 to Array.length t.next_fire - 1 do
     if t.next_fire.(i) < times.(wake_slot) then times.(wake_slot) <- t.next_fire.(i)
   done
 
-(* The select set: control channels, then every live socket in node
-   order.  The set excludes crashed (closed) sockets and is rebuilt only
-   when [socket_generation] moves. *)
-let select_set t =
-  let sockets = ref [] in
-  for i = Array.length t.nodes - 1 downto 0 do
-    let ns = t.nodes.(i) in
-    if not ns.down then sockets := ns.socket :: !sockets
-  done;
-  List.rev_append (List.rev_map fst t.channels) !sockets
-
-(* The index of the live node whose socket is [fd], or -1 (a control
+(* The index of the node whose socket is [fd], or -1 (a control
    channel).  A scan in node order: one comparison per owned node, as
    select itself makes, and no option or table lookup. *)
 let node_of_fd t fd =
   let found = ref (-1) and i = ref 0 in
   while !found < 0 && !i < Array.length t.nodes do
-    let ns = t.nodes.(!i) in
-    if (not ns.down) && ns.socket = fd then found := !i;
+    if t.nodes.(!i).socket = fd then found := !i;
     incr i
   done;
   !found
@@ -912,9 +871,6 @@ let run t ~duration =
   let times = t.times in
   stamp t now_slot;
   times.(deadline_slot) <- times.(now_slot) +. duration;
-  let generation = ref (t.socket_generation - 1) in
-  let fds = ref [] in
-  let probe () = repair_isolated t in
   let rec loop () =
     stamp t now_slot;
     let now = times.(now_slot) in
@@ -924,19 +880,15 @@ let run t ~duration =
       | None -> ()
       | Some injector -> Sf_faults.Injector.refresh injector);
       sync_crash_states t;
-      if t.socket_generation <> !generation then begin
-        generation := t.socket_generation;
-        fds := select_set t
-      end;
       flush_delayed t;
-      (* Fire all due timers, rescheduling with jitter.  A crashed node
-         skips its initiation but keeps its timer running, so it resumes —
-         restored from its snapshot (resilience) or with its stale view —
-         when the window closes. *)
+      (* Fire all due timers, rescheduling with jitter.  A down or crashed
+         node skips its initiation but keeps its timer running, so it
+         resumes when the window closes: rejoined with a reset view
+         (resilience) or with its stale one. *)
       for i = 0 to Array.length t.nodes - 1 do
         if t.next_fire.(i) <= now then begin
           let ns = t.nodes.(i) in
-          if not (is_crashed t ns.node.Sf_core.Protocol.node_id) then begin
+          if not (ns.down || is_crashed t ns.node.Sf_core.Protocol.node_id) then begin
             fire t i;
             resil_tick t ns
           end;
@@ -944,7 +896,6 @@ let run t ~duration =
         end
       done;
       run_periodics t t.periodics;
-      probe_repairs t probe;
       (* Batches queued this iteration leave before the loop sleeps: batch
          latency is bounded by one iteration, not by the fill rate. *)
       flush_batches t;
@@ -958,7 +909,7 @@ let run t ~duration =
          kernels report a transient resource squeeze on select.  Both mean
          "try again" — the deadline/stop check at the loop head bounds the
          retry. *)
-      match Unix.select !fds [] [] (if wake > now then wake -. now else 0.) with
+      match Unix.select t.fds [] [] (if wake > now then wake -. now else 0.) with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> loop ()
       | readable, _, _ ->
         dispatch t readable;
@@ -982,7 +933,7 @@ let outdegree_summary t =
 
 let independence_census t = Sf_core.Census.of_views (views t)
 
-let membership_graph t =
+let is_weakly_connected t =
   let g = Sf_graph.Digraph.create () in
   Array.iter
     (fun ns ->
@@ -992,9 +943,7 @@ let membership_graph t =
           Sf_graph.Digraph.add_edge g ns.node.Sf_core.Protocol.node_id e.Sf_core.View.id)
         ns.node.Sf_core.Protocol.view)
     t.nodes;
-  g
-
-let is_weakly_connected t = Sf_graph.Digraph.is_weakly_connected (membership_graph t)
+  Sf_graph.Digraph.is_weakly_connected g
 
 let fault_statistics t = Option.map Sf_faults.Injector.statistics t.injector
 
@@ -1011,7 +960,6 @@ type statistics = {
   decode_errors : int;
   send_errors : int;
   rejoins : int;
-  rejoin_failures : int;
   retunes : int;
   datagrams_emitted : int;
   messages_received : int;
@@ -1038,7 +986,6 @@ let statistics (t : t) =
     decode_errors = count t.c_decode_errors;
     send_errors = count t.c_send_errors;
     rejoins = count t.c_rejoins;
-    rejoin_failures = count t.c_rejoin_failures;
     retunes = count t.c_retunes;
     datagrams_emitted = count t.c_emitted;
     messages_received = count t.c_messages_received;
@@ -1052,8 +999,6 @@ let statistics (t : t) =
       | None -> 0
       | Some sup -> Sf_resil.Supervisor.recoveries sup);
   }
-
-let obs t = t.obs
 
 (* Per-action latency quantile (seconds) from the action span histogram;
    [nan] before any action. *)

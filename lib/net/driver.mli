@@ -72,21 +72,24 @@ val create :
 
     [scenario] routes every datagram through the same fault plan the
     simulator uses ({!Sf_faults.Scenario}); one round of the scenario
-    clock = one firing [period] elapsed.  [resilience] installs the
-    self-healing layer: per-node estimator/controller retuning, real
-    crash-restarts with socket rebinds, and — when the policy's [recover]
-    is set — a supervised repair probe that rebootstraps isolated
-    (degree-0) owned nodes from a live sibling's view under capped
-    backoff.
+    clock = one firing [period] elapsed.  Without [resilience] a crash
+    window freezes its nodes: no initiations, arrivals discarded, views
+    kept.  [resilience] installs the self-healing layer: per-node
+    estimator/controller retuning; crash-restarts, where a node is down
+    for its window and rejoins at its end with the first max(2, dL) ids
+    of its view as fresh instances (a copy of a live sibling's view when
+    it has none); and — when the policy's [recover] is set — a repair
+    probe every two periods that rebootstraps isolated (degree-0) owned
+    nodes from a live sibling's view under capped backoff.
 
-    If any socket operation fails mid-construction, every socket already
-    opened is closed before the exception propagates. *)
+    Each socket is bound once, here, and closed by {!shutdown}; crash
+    windows never touch it.  A port
+    another socket holds fails the bind with [Unix_error (EADDRINUSE, _,
+    _)].  If any socket operation fails mid-construction, every socket
+    already opened is closed before the exception propagates. *)
 
 val node_count : t -> int
 (** Owned nodes (the slice size). *)
-
-val owned_range : t -> int * int
-(** [(first, count)]: the owned slice of the global id space. *)
 
 val actions : t -> int
 (** Initiate actions so far: [statistics]'s [actions] without building
@@ -130,7 +133,6 @@ val is_crashed : t -> int -> bool
 
 val outdegree_summary : t -> Sf_stats.Summary.t
 val independence_census : t -> Sf_core.Census.t
-val membership_graph : t -> Sf_graph.Digraph.t
 val is_weakly_connected : t -> bool
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
@@ -143,7 +145,7 @@ type statistics = {
   datagrams_received : int;       (** datagrams arriving at owned sockets *)
   datagrams_corrupted : int;      (** sent with flipped bytes (corrupt windows) *)
   datagrams_delayed : int;        (** held back by a delay window *)
-  datagrams_crash_dropped : int;  (** discarded on arrival at a crashed node *)
+  datagrams_crash_dropped : int;  (** discarded on arrival at a down or crashed node *)
   datagrams_oversized : int;      (** longer than the wire format allows *)
   datagrams_truncated : int;      (** shorter than their layout declares *)
   decode_errors : int;
@@ -151,10 +153,6 @@ type statistics = {
           frames with an id or anchor that {!Sf_core.View.fits} refuses *)
   send_errors : int;
   rejoins : int;                  (** crash-restart recoveries (resilience mode) *)
-  rejoin_failures : int;
-      (** rebinds at a crash window's end that the kernel refused (the
-          port was taken meanwhile); the node stays down and retries on
-          the next loop iteration *)
   retunes : int;                  (** per-node threshold retunes (resilience mode) *)
   datagrams_emitted : int;        (** datagrams actually sent (batches coalesce) *)
   messages_received : int;        (** decoded protocol messages (frames add up) *)
@@ -168,10 +166,6 @@ type statistics = {
 
 val statistics : t -> statistics
 (** Thin reads of the registry counters (plus the action count). *)
-
-val obs : t -> Sf_obs.Obs.t
-(** The driver's observability bundle (the one passed to {!create}, or
-    the private default). *)
 
 val action_latency_quantile : t -> float -> float
 (** Quantile (in seconds) of the per-initiate-action latency histogram;
