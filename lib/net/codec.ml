@@ -52,19 +52,27 @@ let pp_error ppf = function
   | Bad_kind c -> Fmt.pf ppf "unknown datagram kind %d" (Char.code c)
   | Bad_count n -> Fmt.pf ppf "batch count %d outside [1, %d]" n max_batch
 
-(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), computed bitwise: 64
-   payload bytes cost 512 shift/xor steps, well under the cost of the
-   sendto the frame is about to pay, and the bitwise form keeps the module
-   free of shared mutable table state. *)
+(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), one table lookup
+   per byte.  The table's 256 entries (entry k is the CRC register after
+   shifting byte k through eight bitwise steps) are u32 little-endian in
+   an immutable string, so the module holds no shared mutable state. *)
+let crc_table =
+  let entry k =
+    let c = ref k in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done;
+    !c
+  in
+  String.init 1024 (fun i -> Char.chr ((entry (i / 4) lsr (8 * (i mod 4))) land 0xff))
+
 let crc32 buffer ~pos ~len =
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := !crc lxor Char.code (Bytes.get buffer i);
-    for _ = 0 to 7 do
-      let low = !crc land 1 in
-      crc := !crc lsr 1;
-      if low = 1 then crc := !crc lxor 0xEDB88320
-    done
+    let k = (!crc lxor Char.code (Bytes.get buffer i)) land 0xff in
+    crc :=
+      (!crc lsr 8)
+      lxor (Int32.to_int (String.get_int32_le crc_table (4 * k)) land 0xFFFFFFFF)
   done;
   !crc lxor 0xFFFFFFFF
 

@@ -1,6 +1,6 @@
-(* The reusable UDP select-loop driver: every owned node has a datagram
-   socket bound to 127.0.0.1 on port [base_port + id], messages travel as
-   actual datagrams, and nodes initiate on jittered periodic timers — the
+(* The reusable UDP driver: every owned node has a datagram socket bound
+   to 127.0.0.1 on port [base_port + id], messages travel as actual
+   datagrams, and nodes initiate on jittered periodic timers — the
    "practical implementation" the paper sketches in section 5, running on
    a real network stack instead of the discrete-event simulator.
 
@@ -13,16 +13,19 @@
    layer.
 
    Each owned node's socket is bound once, in [create], and closed only
-   by [shutdown].  The loop multiplexes them (plus any registered control
-   channels) with [Unix.select]: wait for readable fds or the next timer,
-   read one datagram from each readable socket (sockets are
-   non-blocking), decode and run the receive step, then run the initiate
-   steps that have come due.  Send-side loss injection keeps loss
+   by [shutdown].  The loop waits on a fixed fd array — the node sockets
+   in node order, then any registered control channels — with a ppoll(2)
+   stub ([wait]): wait for readable fds or the next timer, read one
+   datagram from each readable socket (sockets are non-blocking), decode
+   and run the receive step, then run the initiate steps that have come
+   due.  A ready flag maps to its node or channel by its index in the
+   array, so no fd is looked up.  Send-side loss injection keeps loss
    experiments controlled even though loopback UDP rarely drops on its
    own.
 
-   The steady-state loop allocates nothing but [Unix.select]'s result.
-   The protocol step writes one driver-owned row message
+   The steady-state loop allocates nothing.  The wait writes its ready
+   flags into a driver-owned [bytes] and takes its timeout unboxed.  The
+   protocol step writes one driver-owned row message
    ([Protocol.initiate_node]), the codec writes it straight into the
    destination's batch buffer ([Codec.write_frame]), and received frames
    decode into a preallocated inbox ([Codec.read_frame]) that
@@ -129,9 +132,11 @@ type t = {
   nodes : node_state array;  (* index i holds global id [first + i] *)
   next_fire : float array;   (* node i's next initiation, unboxed *)
   addresses : Unix.sockaddr array;  (* the port map: global id -> address *)
-  (* The select set: control channels, newest first, then every owned
-     socket in node order. *)
-  mutable fds : Unix.file_descr list;
+  (* The fds the loop waits on: every owned socket in node order, then
+     the control channels oldest first.  [ready] holds one flag per fd,
+     written by [wait]. *)
+  mutable fds : Unix.file_descr array;
+  mutable ready : bytes;
   read_buffer : bytes;
   (* The outbound row message, written by the initiate step. *)
   outbox : Sf_core.Protocol.row_message;
@@ -145,9 +150,10 @@ type t = {
   mutable batches : batch array;
   mutable pending : int;
   batch_of : int array;
-  (* Control channels: extra fds in the select set, each draining itself
-     via its callback (a node-host's stdin and control socket). *)
-  mutable channels : (Unix.file_descr * (unit -> unit)) list;
+  (* Control channels: the callback of [fds.(count + j)] is
+     [channels.(j)], and drains its fd (a node-host's stdin and control
+     socket). *)
+  mutable channels : (unit -> unit) array;
   mutable periodics : periodic list;
   mutable stop_requested : bool;
   (* Cross-process partition window: with [Some parts], cross-block
@@ -408,14 +414,15 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
       nodes;
       next_fire;
       addresses;
-      fds = Array.fold_right (fun ns fds -> ns.socket :: fds) nodes [];
+      fds = Array.map (fun ns -> ns.socket) nodes;
+      ready = Bytes.make count '\000';
       read_buffer = Bytes.create Codec.recv_buffer_size;
       outbox = Sf_core.Protocol.row_message ();
       inbox = Array.init Codec.max_batch (fun _ -> Sf_core.Protocol.row_message ());
       batches = Array.init 8 (fun _ -> new_batch ());
       pending = 0;
       batch_of = Array.make n (-1);
-      channels = [];
+      channels = [||];
       periodics = [];
       stop_requested = false;
       filter_parts = None;
@@ -479,8 +486,9 @@ let actions t = t.actions
 let request_stop t = t.stop_requested <- true
 
 let add_channel t fd callback =
-  t.channels <- (fd, callback) :: t.channels;
-  t.fds <- fd :: t.fds
+  t.fds <- Array.append t.fds [| fd |];
+  t.ready <- Bytes.make (Array.length t.fds) '\000';
+  t.channels <- Array.append t.channels [| callback |]
 
 let add_periodic t ~every callback =
   t.periodics <-
@@ -748,7 +756,7 @@ let receive_datagram t (ns : node_state) length =
   end
 
 (* Read one datagram from a readable socket.  A socket with more queued
-   stays readable and is served by the next select, so no read ends in
+   stays readable and is served after the next wait, so no read ends in
    the exception [EAGAIN] raises. *)
 let receive t (ns : node_state) =
   match Unix.recv ns.socket t.read_buffer 0 (Bytes.length t.read_buffer) [] with
@@ -759,7 +767,7 @@ let receive t (ns : node_state) =
     ->
     (* Nothing read: a spurious wakeup, a signal, or (Linux loopback) a
        pending ICMP port-unreachable for an earlier datagram to a port
-       nobody holds (a killed node-host's).  The next select tells
+       nobody holds (a killed node-host's).  The next wait tells
        whether a datagram is still waiting. *)
     ()
 
@@ -842,27 +850,29 @@ let next_event t =
     if t.next_fire.(i) < times.(wake_slot) then times.(wake_slot) <- t.next_fire.(i)
   done
 
-(* The index of the node whose socket is [fd], or -1 (a control
-   channel).  A scan in node order: one comparison per owned node, as
-   select itself makes, and no option or table lookup. *)
-let node_of_fd t fd =
-  let found = ref (-1) and i = ref 0 in
-  while !found < 0 && !i < Array.length t.nodes do
-    if t.nodes.(!i).socket = fd then found := !i;
-    incr i
-  done;
-  !found
+(* Wait until one of [fds] is readable or [timeout] seconds pass, and
+   flag each readable fd in [ready]: the count of ready fds, or -1 when
+   a signal (EINTR) or a transient resource squeeze (EAGAIN) cut the
+   wait short.  Allocates nothing; see wait_stubs.c. *)
+external wait :
+  Unix.file_descr array -> bytes -> (float[@unboxed]) -> (int[@untagged])
+  = "sf_net_wait_byte" "sf_net_wait"
 
-let rec dispatch t = function
-  | [] -> ()
-  | fd :: rest ->
-    (match node_of_fd t fd with
-    | -1 -> (
-      match List.assq_opt fd t.channels with
-      | Some callback -> callback ()
-      | None -> ())
-    | i -> receive t t.nodes.(i));
-    dispatch t rest
+(* Serve the fds the last [wait] flagged: the nodes from the highest
+   index down, then the channels oldest first.  This is the order the
+   loop served them in when it waited with OCaml's select, whose result
+   list is built by prepending and so reverses its input.  The receive
+   steps draw from the protocol stream in this order, so the replay
+   digests pin it. *)
+let serve_ready t =
+  let ready = t.ready in
+  let count = Array.length t.nodes in
+  for i = count - 1 downto 0 do
+    if Bytes.get ready i <> '\000' then receive t t.nodes.(i)
+  done;
+  for j = 0 to Array.length t.channels - 1 do
+    if Bytes.get ready (count + j) <> '\000' then t.channels.(j) ()
+  done
 
 (* Run the driver for [duration] wall-clock seconds (or until
    [request_stop], typically from a control-channel callback). *)
@@ -904,16 +914,13 @@ let run t ~duration =
         if times.(wake_slot) < times.(deadline_slot) then times.(wake_slot)
         else times.(deadline_slot)
       in
-      (* EINTR: a signal (SIGALRM, SIGTERM via a handler, a profiler tick)
-         interrupting the wait is routine, not an error; EAGAIN is how some
-         kernels report a transient resource squeeze on select.  Both mean
-         "try again" — the deadline/stop check at the loop head bounds the
-         retry. *)
-      match Unix.select t.fds [] [] (if wake > now then wake -. now else 0.) with
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> loop ()
-      | readable, _, _ ->
-        dispatch t readable;
-        loop ()
+      (* -1: a signal (SIGALRM, SIGTERM via a handler, a profiler tick)
+         interrupting the wait is routine, not an error, and EAGAIN is a
+         transient resource squeeze.  Both mean "try again" — the
+         deadline/stop check at the loop head bounds the retry. *)
+      if wait t.fds t.ready (if wake > now then wake -. now else 0.) > 0 then
+        serve_ready t;
+      loop ()
     end
   in
   loop ()

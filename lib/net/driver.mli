@@ -1,6 +1,7 @@
-(** The reusable UDP select-loop driver behind every real S&F deployment:
-    one datagram socket per owned node on the loopback interface, jittered
-    periodic initiations, send-side fault injection.
+(** The reusable UDP driver behind every real S&F deployment: one
+    datagram socket per owned node on the loopback interface, jittered
+    periodic initiations, send-side fault injection, all in one event
+    loop that allocates nothing in its steady state.
 
     A driver owns a contiguous slice [first, first + count) of a global id
     space of [n] nodes, all sharing one port map (node [i] lives at
@@ -8,9 +9,9 @@
     the whole space in one process; {!Nodehost} wraps a slice in a
     controllable process of its own.
 
-    Intended for moderate slice sizes (select(2) limits a driver to a few
-    hundred sockets per process); a multi-process cluster composes slices
-    to reach thousands of sockets. *)
+    The loop waits on all of a driver's sockets and channels with one
+    ppoll(2) call, which scans every fd per wake: a multi-process
+    cluster composes slices to reach thousands of sockets. *)
 
 type t
 
@@ -97,18 +98,23 @@ val actions : t -> int
 
 val run : t -> duration:float -> unit
 (** Drive the loop for [duration] seconds of the injected clock, or until
-    {!request_stop}.  Each [select] reads at most one datagram from each
+    {!request_stop}.  Each wake reads at most one datagram from each
     readable socket; a socket with more queued stays readable and is
-    served on the following iterations. *)
+    served on the following iterations.  A signal interrupting the wait
+    is retried after its handler runs, so a handler's {!request_stop}
+    ends the run at once.  Raises [Unix.Unix_error (EBADF, _, _)] if a
+    socket or channel was closed under it (after {!shutdown}, say). *)
 
 val request_stop : t -> unit
 (** Make the current {!run} return at its next loop head (idempotent;
     typically called from a control-channel callback or signal handler). *)
 
 val add_channel : t -> Unix.file_descr -> (unit -> unit) -> unit
-(** Put [fd] in the select set; the callback must drain it (it runs once
-    per readable wakeup).  This is how a node-host listens to stdin and
-    its control socket without a second loop. *)
+(** Add [fd] to the fds the loop waits on; the callback must drain it (it
+    runs once per wake that finds [fd] readable, after the wake's
+    datagrams, channels in the order they were added).  This is how a
+    node-host listens to stdin and its control socket without a second
+    loop. *)
 
 val add_periodic : t -> every:float -> (unit -> unit) -> unit
 (** Run a callback every [every] seconds of the injected clock while the

@@ -1,5 +1,5 @@
 (* A node-host: one OS process running a slice of the global id space
-   inside one {!Driver} select loop, controllable from outside.
+   inside one {!Driver} event loop, controllable from outside.
 
    The host is the unit the multi-process cluster is built from: the
    spawner ({!Spawner}) forks dozens of these, each owning
@@ -237,7 +237,7 @@ let main config =
       ~topology ()
   in
   (* Clean stop on SIGTERM/SIGINT: the handler only flips the stop flag;
-     the select loop notices via EINTR and unwinds normally, so views and
+     the driver's loop notices via EINTR and unwinds normally, so views and
      stats still get reported. *)
   let stop_signal _ = Driver.request_stop driver in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
@@ -251,10 +251,18 @@ let main config =
   (* Control channel 2: a UDP command socket, reachable even after a
      respawn replaces the pipes. *)
   let control = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.set_nonblock control;
-  Unix.setsockopt control Unix.SO_REUSEADDR true;
-  Unix.bind control
-    (Unix.ADDR_INET (Unix.inet_addr_loopback, config.control_port));
+  (* No SO_REUSEADDR: a port another socket holds fails the bind with
+     EADDRINUSE instead of being shared with it. *)
+  (match
+     Unix.set_nonblock control;
+     Unix.bind control
+       (Unix.ADDR_INET (Unix.inet_addr_loopback, config.control_port))
+   with
+  | () -> ()
+  | exception e ->
+    (try Unix.close control with Unix.Unix_error _ -> ());
+    Driver.shutdown driver;
+    raise e);
   let control_buffer = Bytes.create 512 in
   Driver.add_channel driver control (fun () ->
       let continue = ref true in

@@ -344,11 +344,18 @@ let run cfg =
   let unexpected_deaths = ref 0 in
   (* Controller heartbeat sink + command source. *)
   let hb_socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.set_nonblock hb_socket;
-  Unix.set_close_on_exec hb_socket;
-  Unix.setsockopt hb_socket Unix.SO_REUSEADDR true;
-  Unix.bind hb_socket
-    (Unix.ADDR_INET (Unix.inet_addr_loopback, controller_port cfg));
+  (* No SO_REUSEADDR: a port another socket holds fails the bind with
+     EADDRINUSE instead of being shared with it. *)
+  (match
+     Unix.set_nonblock hb_socket;
+     Unix.set_close_on_exec hb_socket;
+     Unix.bind hb_socket
+       (Unix.ADDR_INET (Unix.inet_addr_loopback, controller_port cfg))
+   with
+  | () -> ()
+  | exception e ->
+    (try Unix.close hb_socket with Unix.Unix_error _ -> ());
+    raise e);
   let send_control idx line =
     let packet = Bytes.of_string (line ^ "\n") in
     try

@@ -341,6 +341,7 @@ let test_driver_row_kernel_fires () =
   fires "boxed float draw" "let u = Sf_prng.Rng.float t.rng";
   fires "boxed float draw, short path" "let u = Rng.float rng";
   fires "option lookup" "let ns = Hashtbl.find_opt by_socket fd";
+  fires "select result" "let readable, _, _ = Unix.select fds [] [] timeout";
   (* The real driver is clean, and the row kernel's names are allowed. *)
   check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" (read "../lib/net/driver.ml");
   check_quiet "row kernel calls" ~path:"lib/net/driver.ml"

@@ -131,6 +131,34 @@ let prop_codec_roundtrip =
       | Ok decoded -> decoded = m
       | Error _ -> false)
 
+(* The table-driven CRC-32 against the bitwise definition it replaced:
+   eight shift/xor steps per byte, no table. *)
+let bitwise_crc32 buffer ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get buffer i);
+    for _ = 0 to 7 do
+      let low = !crc land 1 in
+      crc := !crc lsr 1;
+      if low = 1 then crc := !crc lxor 0xEDB88320
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_table =
+  let gen =
+    QCheck.Gen.(
+      let* b = bytes_size (int_range 0 200) in
+      let len = Bytes.length b in
+      let* pos = int_range 0 len in
+      let* span = int_range 0 (len - pos) in
+      return (b, pos, span))
+  in
+  let print (b, pos, len) = Printf.sprintf "pos %d len %d of %S" pos len (Bytes.to_string b) in
+  QCheck.Test.make ~name:"codec crc32 matches the bitwise reference" ~count:500
+    (QCheck.make ~print gen)
+    (fun (b, pos, len) -> Codec.crc32 b ~pos ~len = bitwise_crc32 b ~pos ~len)
+
 (* --- Cluster --- *)
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
@@ -183,8 +211,8 @@ let test_cluster_injected_loss_rate () =
       Alcotest.(check bool) "degrees survive loss" true
         (Sf_stats.Summary.mean outs >= 4.))
 
-(* Regression for the select-loop hardening: a SIGALRM firing every few
-   milliseconds interrupts [Unix.select] with EINTR throughout the run.
+(* Regression for the loop hardening: a SIGALRM firing every few
+   milliseconds interrupts the loop's wait with EINTR throughout the run.
    The driver must treat that as "try again", not an error — before the
    hardening this aborted the run with [Unix.Unix_error (EINTR, ...)]. *)
 let test_cluster_survives_signals () =
@@ -940,10 +968,10 @@ let test_driver_crash_restart_replay () =
         "fadd4ae5212dde5c3466f57981ef218d" (driver_digest d))
 
 (* After a warm-up, a 128-node driver's steady-state loop allocates
-   little per action: the select call's result and this test's own clock
-   tick (a boxed float per iteration), nothing per message.  Measured
-   8.8 words per action.  Floats box under bytecode, so this runs on the
-   native backend only. *)
+   only this test's own clock tick (a boxed float per iteration, read
+   through the injected closure), nothing per message or per wait.
+   Measured 2.01 words per action.  Floats box under bytecode, so this
+   runs on the native backend only. *)
 let test_driver_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let d = virtual_driver ~steps:128 ~n:128 ~base_port:49720 ~seed:3 () in
@@ -958,17 +986,17 @@ let test_driver_allocation () =
         let actions = (Driver.statistics d).Driver.actions - before in
         let per_action = words /. float_of_int actions in
         Printf.printf "driver: %.2f minor words per action\n" per_action;
-        if per_action > 11. then
-          Alcotest.failf "%.2f minor words per action (limit 11)" per_action)
+        if per_action > 3. then
+          Alcotest.failf "%.2f minor words per action (limit 3)" per_action)
   end
 
 (* The production path: the wall clock read through its unboxed
    primitive (no [?now]), a 16-node slice of a 32-node space, so half the
-   destinations are ports nobody reads.  After a warm-up, what is left
-   per action is [Unix.select]'s result: a triple, the boxed timeout and
-   a cons per ready fd.  Measured 4.6-6.6 words per action, depending on
-   how many actions share a loop iteration.  Native only. *)
-let wall_clock_words_limit = 10.
+   destinations are ports nobody reads.  After a warm-up the loop
+   allocates nothing: the wait takes its timeout unboxed and writes its
+   ready flags into the driver's own bytes.  Measured 0.00 words per
+   action.  Native only. *)
+let wall_clock_words_limit = 1.
 
 let test_driver_wall_clock_allocation () =
   if Sys.backend_type = Sys.Native then begin
@@ -991,12 +1019,12 @@ let test_driver_wall_clock_allocation () =
             wall_clock_words_limit)
   end
 
-(* A socket with a backlog is served one datagram per select: the rest
+(* A socket with a backlog is served one datagram per wake: the rest
    stay queued, the socket stays readable, and the next iterations read
    them.  Forty retired v1 datagrams wait at node 0 before the run; two
    virtual periods are ten loop iterations, so at most ten are read, and
    the next ten periods read the rest. *)
-let test_driver_one_datagram_per_select () =
+let test_driver_one_datagram_per_wake () =
   let d = virtual_driver ~steps:5 ~n:8 ~base_port:49910 ~seed:4 () in
   let foreign = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Fun.protect
@@ -1013,7 +1041,7 @@ let test_driver_one_datagram_per_select () =
       run_periods d 2;
       let early = (Driver.statistics d).Driver.decode_errors in
       Alcotest.(check bool)
-        (Printf.sprintf "one read per select (%d read in 10 iterations)" early)
+        (Printf.sprintf "one read per wake (%d read in 10 iterations)" early)
         true
         (early >= 1 && early <= 10);
       run_periods d 10;
@@ -1047,28 +1075,117 @@ let test_driver_refuses_bound_ports () =
   Alcotest.(check (option int)) "shutdown closed every socket" fds_before
     (open_fds ())
 
+(* A signal ends a long wait.  With no timer due for seconds the loop
+   sleeps in its wait, with the runtime lock released; a one-shot
+   SIGALRM interrupts it, its handler runs as the loop retries, and the
+   [request_stop] it makes ends [run] at once rather than at the next
+   timer or the deadline. *)
+let test_driver_signal_ends_wait () =
+  let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n:8 ~out_degree:4 in
+  let d =
+    Driver.create ~period:60. ~base_port:49986 ~n:8 ~config ~loss_rate:0. ~seed:6
+      ~topology ()
+  in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Driver.request_stop d))
+  in
+  let previous_timer =
+    Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0.1 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL previous_timer);
+      Sys.set_signal Sys.sigalrm previous;
+      Driver.shutdown d)
+    (fun () ->
+      let start = Sf_obs.Clock.wall () in
+      Driver.run d ~duration:5.0;
+      let elapsed = Sf_obs.Clock.wall () -. start in
+      Alcotest.(check bool)
+        (Printf.sprintf "run returned %.3f s after start" elapsed)
+        true (elapsed < 0.5))
+
+(* The node-host binary's combined stdout and stderr, and its exit
+   status, for [args] with stdin closed at once. *)
+let run_nodehost ?(env = Unix.environment ()) args =
+  let binary =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sf_nodehost.exe"
+  in
+  let out, inp, err =
+    Unix.open_process_args_full binary (Array.append [| binary |] args) env
+  in
+  close_out inp;
+  let text = In_channel.input_all out ^ In_channel.input_all err in
+  (text, Unix.close_process_full (out, inp, err))
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length text && (String.sub text i n = sub || at (i + 1)) in
+  at 0
+
+(* A socket holding a loopback port the way a duplicate host would, with
+   SO_REUSEADDR set: on Linux a second UDP socket that also sets it
+   shares the port and takes its datagrams. *)
+let reusable_holder port =
+  let socket = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.setsockopt socket Unix.SO_REUSEADDR true;
+  Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  socket
+
+(* The node-host's control socket is bound without SO_REUSEADDR, so a
+   control port another socket holds fails the host's bind with
+   EADDRINUSE: the host exits without reporting ready instead of sharing
+   the port. *)
+let test_nodehost_control_port_exclusive () =
+  let holder = reusable_holder 49994 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close holder)
+    (fun () ->
+      let text, status =
+        run_nodehost
+          [| "--per-host"; "8"; "--base-port"; "49995"; "--control-port"; "49994";
+             "--duration"; "1" |]
+      in
+      let has prefix =
+        List.exists (String.starts_with ~prefix) (String.split_on_char '\n' text)
+      in
+      Alcotest.(check bool) "the host never reported ready" false (has "ready");
+      Alcotest.(check bool) "the host failed" true (status <> Unix.WEXITED 0);
+      Alcotest.(check bool) ("the bind failed with EADDRINUSE:\n" ^ text) true
+        (contains text "EADDRINUSE"))
+
+(* The spawner's heartbeat socket is bound without SO_REUSEADDR: a
+   heartbeat port another socket holds fails [Spawner.run] with
+   EADDRINUSE before any host is forked, and the refused socket is
+   closed. *)
+let test_spawner_heartbeat_port_exclusive () =
+  let cfg =
+    Spawner.make_config ~hosts:1 ~nodes_per_host:8 ~base_port:50010
+      ~scenario:Sf_faults.Scenario.default ~seed:11 ~duration:0.5
+      ~heartbeat:0.1 ~hb_timeout:5.0 ()
+  in
+  let holder = reusable_holder (50010 - 1) in
+  let fds_held = open_fds () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close holder)
+    (fun () ->
+      (match Spawner.run cfg with
+      | _ -> Alcotest.fail "the spawner bound a heartbeat port another socket holds"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+      Alcotest.(check (option int)) "the refused socket was closed" fds_held
+        (open_fds ()))
+
 (* The node-host binary links only the libraries it uses, so module
    initialisation allocates little before its [main] runs.  An unknown
    option exits during argument parsing, and [OCAMLRUNPARAM=v=0x400]
    makes the runtime report its minor words at exit.  Linking the CLI's
    libraries too (compiler-libs, cmdliner, logs) would take it past 30k;
-   measured 3230. *)
+   measured 3364 (the CRC table string is ≈ 130 of them). *)
 let nodehost_start_words_limit = 10_000
 
 let test_nodehost_start_allocation () =
-  let binary =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sf_nodehost.exe"
-  in
   let env = Array.append [| "OCAMLRUNPARAM=v=0x400" |] (Unix.environment ()) in
-  let report =
-    let out, inp, err =
-      Unix.open_process_args_full binary [| binary; "--bogus" |] env
-    in
-    close_out inp;
-    let text = In_channel.input_all out ^ In_channel.input_all err in
-    ignore (Unix.close_process_full (out, inp, err));
-    text
-  in
+  let report, _ = run_nodehost ~env [| "--bogus" |] in
   let words =
     List.find_map
       (fun line -> Scanf.sscanf_opt line "minor_words: %d" Fun.id)
@@ -1131,10 +1248,17 @@ let suite =
     Alcotest.test_case "driver steady-state allocation" `Quick test_driver_allocation;
     Alcotest.test_case "driver wall-clock allocation" `Quick
       test_driver_wall_clock_allocation;
-    Alcotest.test_case "driver reads one datagram per select" `Quick
-      test_driver_one_datagram_per_select;
+    Alcotest.test_case "driver reads one datagram per wake" `Quick
+      test_driver_one_datagram_per_wake;
     Alcotest.test_case "driver refuses ports already bound" `Quick
       test_driver_refuses_bound_ports;
     Alcotest.test_case "nodehost start-up allocation" `Quick
       test_nodehost_start_allocation;
+    QCheck_alcotest.to_alcotest prop_crc32_table;
+    Alcotest.test_case "driver signal ends a long wait" `Quick
+      test_driver_signal_ends_wait;
+    Alcotest.test_case "nodehost control port is exclusive" `Quick
+      test_nodehost_control_port_exclusive;
+    Alcotest.test_case "spawner heartbeat port is exclusive" `Quick
+      test_spawner_heartbeat_port_exclusive;
   ]

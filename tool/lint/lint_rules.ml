@@ -300,8 +300,9 @@ let rules =
          Protocol.initiate_node/receive_node and Codec.write_frame/read_frame, \
          never the boxed Protocol.initiate, Protocol.receive, \
          Codec.encode_batch or Codec.decode_datagram, nor Span.time's \
-         closures or recvfrom's tuple; and its loop builds no boxed float \
-         or option it can avoid: no Rng.float or Hashtbl.find_opt";
+         closures or recvfrom's tuple; and its loop builds no boxed float, \
+         option or list it can avoid: no Rng.float, Hashtbl.find_opt or \
+         Unix.select";
       applies = (fun path -> path = "lib/net/driver.ml");
       tokens =
         List.concat_map
@@ -326,6 +327,9 @@ let rules =
               "a boxed float per draw — scale Rng.float_bits where it is used" );
             ( [ "Hashtbl.find_opt" ],
               "an option per lookup — scan for the node instead" );
+            ( [ "Unix.select" ],
+              "a triple and a cons per ready fd per iteration — wait on the \
+               fd array with the ppoll stub" );
           ];
     };
     {
