@@ -343,6 +343,65 @@ let test_observation_preserves_rng_stream () =
   Alcotest.(check bool) "identical final degrees" true
     (degrees_plain = degrees_full)
 
+(* Two dumps from one build cannot see an event reordered between
+   builds, so the dump of one faulted sequential run is pinned by its
+   digest.  Partition, crash and corrupt windows plus one leave make every
+   drop cause, a rejected delivery, duplications, deletions and fault
+   transitions appear. *)
+let test_trace_known_answer () =
+  let config = Sf_core.Protocol.make_config ~view_size:12 ~lower_threshold:4 in
+  let topology =
+    Sf_core.Topology.regular (Sf_prng.Rng.create 91) ~n:60 ~out_degree:8
+  in
+  let scenario =
+    Sf_faults.Scenario.make
+      ~windows:
+        Sf_faults.Scenario.
+          [
+            { start = 2.; stop = 5.; fault = Partition { parts = 2 } };
+            { start = 6.; stop = 9.; fault = Crash { first = 0; last = 5 } };
+            { start = 10.; stop = 13.; fault = Corrupt { rate = 0.2 } };
+          ]
+      ()
+  in
+  let tracer = Trace.create ~capacity:(1 lsl 16) in
+  let obs = Obs.create ~tracer () in
+  let r =
+    Sf_core.Runner.create ~scenario ~obs ~seed:9 ~n:60 ~loss_rate:0.1 ~config
+      ~topology ()
+  in
+  Sf_core.Runner.run_rounds r 4;
+  ignore (Sf_core.Runner.remove_node r 30);
+  Sf_core.Runner.run_rounds r 12;
+  Alcotest.(check int) "whole trace kept" 0 (Trace.dropped tracer);
+  let seen kind =
+    List.exists
+      (fun record ->
+        match (record.Trace.event, kind) with
+        | Trace.Drop { cause; _ }, `Drop c -> cause = c
+        | Trace.Deliver { accepted = false; _ }, `Rejected
+        | Trace.Duplicate _, `Duplicate
+        | Trace.Delete _, `Delete
+        | Trace.Fault _, `Fault ->
+          true
+        | _ -> false)
+      (Trace.records tracer)
+  in
+  List.iter
+    (fun (name, kind) -> Alcotest.(check bool) name true (seen kind))
+    [
+      ("chance drop", `Drop "chance");
+      ("partition drop", `Drop "partition");
+      ("crash drop", `Drop "crash");
+      ("corrupt drop", `Drop "corrupt");
+      ("rejected delivery", `Rejected);
+      ("duplicate", `Duplicate);
+      ("delete", `Delete);
+      ("fault transition", `Fault);
+    ];
+  Alcotest.(check string) "JSONL digest" "bacc26153f025c427c163ffee8d1f18a"
+    (Digest.to_hex (Digest.string (Trace.to_jsonl tracer)))
+
 let suite =
   [
     Alcotest.test_case "bucket boundaries are exact" `Quick test_bucket_boundaries;
@@ -371,4 +430,5 @@ let suite =
       test_equal_seed_runs_dump_identical_traces;
     Alcotest.test_case "observation preserves the RNG stream" `Quick
       test_observation_preserves_rng_stream;
+    Alcotest.test_case "trace known answer" `Quick test_trace_known_answer;
   ]
