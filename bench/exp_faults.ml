@@ -43,19 +43,9 @@ let bursty_vs_iid () =
     in
     Runner.run_rounds r rounds;
     let base = Runner.world_counters r in
-    let net_base = Runner.network_statistics r in
     Runner.run_rounds r rounds;
     let rates = Runner.rates_since r base in
-    let net = Runner.network_statistics r in
-    let observed_loss =
-      let sent =
-        net.Sf_engine.Network.messages_sent - net_base.Sf_engine.Network.messages_sent
-      in
-      let lost =
-        net.Sf_engine.Network.messages_lost - net_base.Sf_engine.Network.messages_lost
-      in
-      if sent = 0 then 0. else float_of_int lost /. float_of_int sent
-    in
+    let observed_loss = rates.Runner.loss in
     let outs = Properties.outdegree_summary r in
     let at_or_below_dl =
       Array.fold_left

@@ -139,7 +139,7 @@ let run () =
     (registry_count "runner_sends" = now.Runner.sends
     && registry_count "runner_duplications" = now.Runner.duplications
     && registry_count "runner_deletions" = now.Runner.deletions
-    && registry_count "net_lost" = now.Runner.messages_lost);
+    && registry_count "runner_lost" = now.Runner.messages_lost);
 
   (* --- Degree-marginal TVD against the degree MC --- *)
   let scan_span = Sf_obs.Span.create ~clock:Sf_obs.Clock.wall m "view_scan_seconds" in

@@ -34,9 +34,15 @@ let nonuniform_loss () =
   let uniform = Runner.create ~seed:201 ~n ~loss_rate:0.05 ~config ~topology:(topology 1) () in
   let lossy_node id = id < n && id mod 2 = 0 in
   let split =
-    Runner.create ~seed:202 ~n ~loss_rate:0.05
-      ~destination_loss:(fun dst -> if lossy_node dst then 0.098 else 0.002)
-      ~config ~topology:(topology 2) ()
+    let scenario =
+      Sf_faults.Scenario.make
+        ~loss:
+          (Sf_faults.Loss.Per_link
+             (fun _ dst -> if lossy_node dst then 0.098 else 0.002))
+        ()
+    in
+    Runner.create ~scenario ~seed:202 ~n ~loss_rate:0.05 ~config ~topology:(topology 2)
+      ()
   in
   Runner.run_rounds uniform 300;
   Runner.run_rounds split 300;

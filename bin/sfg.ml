@@ -312,10 +312,9 @@ let print_system_state r =
     census.Census.alpha census.Census.self_edges census.Census.anchored
     census.Census.parallel_surplus census.Census.total_entries;
   Fmt.pr "connected:   %b@." (Properties.is_weakly_connected r);
-  let net = Runner.network_statistics r in
+  let c = Runner.world_counters r in
   Fmt.pr "messages:    %d sent, %d delivered, %d lost, %d to dead nodes@."
-    net.Sf_engine.Network.messages_sent net.Sf_engine.Network.messages_delivered
-    net.Sf_engine.Network.messages_lost net.Sf_engine.Network.messages_to_dead_nodes
+    c.Runner.sends c.Runner.receipts c.Runner.messages_lost c.Runner.to_dead
 
 (* --- simulate --- *)
 

@@ -7,9 +7,13 @@
      and — if the message survives loss — runs the receive step
      synchronously.  All reproduction experiments use this mode.
    - *Timed execution* (the practical implementation the paper sketches):
-     every node initiates on its own periodic or Poisson clock and messages
-     travel through the discrete-event network with latency.  The
+     every node initiates on its own periodic or Poisson clock and each
+     surviving message arrives after a latency, as a discrete event.  The
      [ablation_scheduler] bench shows both modes agree on degree behaviour.
+
+   The runner is its own transport: [send] judges a message and [deliver]
+   hands it to the destination in [nodes], at once or as a scheduled
+   arrival.
 
    The runner also provides churn (joins and leaves), snapshots of the
    global membership graph, and the world-level counters used to verify
@@ -33,7 +37,7 @@ type delivery =
   | Accepted   (* placed in the receiver's view *)
   | Deleted    (* receiver full: both ids dropped *)
   | Lost       (* eaten by the network *)
-  | To_dead    (* destination has no live handler *)
+  | To_dead    (* destination has left *)
   | In_flight  (* timed mode: outcome not yet known *)
 
 type action_outcome =
@@ -65,8 +69,8 @@ type resil = {
   supervisor : Sf_resil.Supervisor.t option;  (* under a recovering policy *)
   (* Per-node retuned configs; nodes absent here run the base config. *)
   node_configs : (int, Protocol.config) Hashtbl.t;
-  mutable last_net_sent : int;      (* transport baselines for the true-loss gauge *)
-  mutable last_net_lost : int;
+  mutable last_sent : int;         (* baselines for the true-loss gauge *)
+  mutable last_lost : int;
   mutable ticks : int;              (* resilience decision ticks (rounds) *)
   g_estimate : Sf_obs.Metrics.gauge;
   g_true : Sf_obs.Metrics.gauge;
@@ -81,12 +85,15 @@ type t = {
   resilience : resil option;
   scheduler_rng : Sf_prng.Rng.t;  (* picks initiators and timing *)
   protocol_rng : Sf_prng.Rng.t;   (* slot selections inside nodes *)
+  network_rng : Sf_prng.Rng.t;    (* loss verdicts and latencies *)
   sim : Sf_engine.Sim.t;
-  network : Protocol.message Sf_engine.Network.t;
-  (* Fault scenario engine (lib/faults); [None] means fault-free.  The
+  loss_rate : float;
+  (* Judges every send: built from [Sf_faults.Scenario.default] when no
+     scenario is given, which makes the plain single Bernoulli draw.  The
      injector's round clock is actions / initial population in sequential
      mode and virtual time in timed mode. *)
-  injector : Sf_faults.Injector.t option;
+  injector : Sf_faults.Injector.t;
+  faulted : bool;                 (* a scenario was passed to [create] *)
   initial_population : int;
   nodes : (int, Protocol.node) Hashtbl.t;
   (* Live array, kept sorted by node id *incrementally*: joins and leaves
@@ -113,13 +120,13 @@ type t = {
   total_duplications : Sf_obs.Metrics.counter;
   total_receipts : Sf_obs.Metrics.counter;
   total_deletions : Sf_obs.Metrics.counter;
+  total_lost : Sf_obs.Metrics.counter;
+  total_to_dead : Sf_obs.Metrics.counter;
   total_reconnections : Sf_obs.Metrics.counter;
   total_rebootstraps : Sf_obs.Metrics.counter;
   live_gauge : Sf_obs.Metrics.gauge;
   (* Audit plumbing. *)
   mutable audit : (t -> audit_event -> unit) option;
-  mutable last_receive : Protocol.receive_result option;
-  mutable suppress_receipt : bool;  (* true inside a synchronous send *)
 }
 
 let set_audit t audit = t.audit <- audit
@@ -154,22 +161,17 @@ let trace t event =
    the invariant auditor resyncs its edge-conservation baseline exactly when
    the fault regime changes. *)
 let poll_faults t =
-  match t.injector with
-  | None -> ()
-  | Some injector ->
-    Sf_faults.Injector.refresh injector;
-    List.iter
-      (fun reason ->
-        trace t (Sf_obs.Trace.Fault { transition = reason });
-        emit t (Structural reason))
-      (Sf_faults.Injector.transitions injector)
+  Sf_faults.Injector.refresh t.injector;
+  List.iter
+    (fun reason ->
+      trace t (Sf_obs.Trace.Fault { transition = reason });
+      emit t (Structural reason))
+    (Sf_faults.Injector.transitions t.injector)
 
-let is_crashed t id =
-  match t.injector with
-  | None -> false
-  | Some injector -> Sf_faults.Injector.is_crashed injector id
+let is_crashed t id = Sf_faults.Injector.is_crashed t.injector id
 
-let fault_statistics t = Option.map Sf_faults.Injector.statistics t.injector
+let fault_statistics t =
+  if t.faulted then Some (Sf_faults.Injector.statistics t.injector) else None
 
 let fresh_serial t () =
   let s = t.next_serial in
@@ -189,29 +191,83 @@ let remember_seen node id =
       id :: List.filteri (fun k _ -> k < seen_cache_capacity - 1) rest
   end
 
-let handler t node message =
-  Sf_obs.Metrics.incr t.total_receipts;
-  let result =
-    Protocol.receive (node_config t node.Protocol.node_id) t.protocol_rng node
-      message
-  in
-  remember_seen node message.Protocol.reinforcement.View.id;
-  remember_seen node message.Protocol.mixing.View.id;
-  t.last_receive <- Some result;
-  (match result with
-  | Protocol.Accepted -> ()
-  | Protocol.Deleted ->
-    Sf_obs.Metrics.incr t.total_deletions;
-    trace t (Sf_obs.Trace.Delete { node = node.Protocol.node_id }));
-  (* Synchronous deliveries are reported inside the enclosing action
-     event; only asynchronous (timed-mode) deliveries stand alone. *)
-  if not t.suppress_receipt then
-    emit t
-      (Receipt
-         {
-           receiver = node.Protocol.node_id;
-           accepted = (result = Protocol.Accepted);
-         })
+(* --- Transport ---
+
+   Messages never leave memory: a send is judged by the injector (one
+   draw from the network stream under the default scenario), and a
+   surviving message is handed to the destination's receive step, at once
+   in sequential mode or after a latency in timed mode.  A message to a
+   node that has left is counted to-dead: its id stays in views until the
+   protocol erodes it, exactly as in section 6.5.2. *)
+
+(* The drop cause of one message, or [None] when it survives.  A corrupted
+   payload is indistinguishable from a drop at the receiver (the cluster,
+   which sends real bytes, instead flips them and lets the codec
+   reject). *)
+let judge t ~src ~dst =
+  match
+    Sf_faults.Injector.judge t.injector t.network_rng ~chance:t.loss_rate ~src ~dst
+  with
+  | Sf_faults.Injector.Deliver -> None
+  | Sf_faults.Injector.Corrupt_payload -> Some "corrupt"
+  | Sf_faults.Injector.Drop Sf_faults.Injector.Chance -> Some "chance"
+  | Sf_faults.Injector.Drop Sf_faults.Injector.Partitioned -> Some "partition"
+  | Sf_faults.Injector.Drop Sf_faults.Injector.Crashed -> Some "crash"
+
+let lose t ~src ~dst ~cause =
+  Sf_obs.Metrics.incr t.total_lost;
+  trace t (Sf_obs.Trace.Drop { src; dst; cause })
+
+(* The receive step at [dst]: [Accepted] or [Deleted], or [To_dead] when
+   [dst] has left. *)
+let deliver t ~dst message =
+  match Hashtbl.find_opt t.nodes dst with
+  | None ->
+    Sf_obs.Metrics.incr t.total_to_dead;
+    trace t (Sf_obs.Trace.Deliver { dst; accepted = false });
+    To_dead
+  | Some node -> (
+    trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
+    Sf_obs.Metrics.incr t.total_receipts;
+    let result = Protocol.receive (node_config t dst) t.protocol_rng node message in
+    remember_seen node message.Protocol.reinforcement.View.id;
+    remember_seen node message.Protocol.mixing.View.id;
+    match result with
+    | Protocol.Accepted -> Accepted
+    | Protocol.Deleted ->
+      Sf_obs.Metrics.incr t.total_deletions;
+      trace t (Sf_obs.Trace.Delete { node = dst });
+      Deleted)
+
+(* Uniform in [0.5, 1.5): asynchronous but loosely synchronized, matching
+   the paper's assumption that nodes invoke actions at similar rates. *)
+let latency t = 0.5 +. Sf_prng.Rng.float t.network_rng
+
+(* A timed-mode arrival.  A destination that crashed while the message was
+   in flight drops it; an arrival stands alone, so it is reported as its
+   own [Receipt]. *)
+let arrive t ~src ~dst message =
+  if is_crashed t dst then lose t ~src ~dst ~cause:"crash"
+  else
+    match deliver t ~dst message with
+    | (Accepted | Deleted) as fate ->
+      emit t (Receipt { receiver = dst; accepted = fate = Accepted })
+    | Lost | To_dead | In_flight -> ()
+
+(* Fire-and-forget: the sender cannot detect loss, so the verdict is drawn
+   here, then the latency.  Returns the message's fate as the audit reports
+   it. *)
+let send t ~synchronous ~src ~duplicated ~dst message =
+  trace t (Sf_obs.Trace.Send { src; dst; duplicated });
+  match judge t ~src ~dst with
+  | Some cause ->
+    lose t ~src ~dst ~cause;
+    Lost
+  | None when synchronous -> deliver t ~dst message
+  | None ->
+    let delay = latency t *. Sf_faults.Injector.delay_factor t.injector in
+    Sf_engine.Sim.schedule t.sim ~delay (fun () -> arrive t ~src ~dst message);
+    In_flight
 
 (* Binary search over the sorted prefix [0, live_len): the index of [id],
    or the insertion point that keeps the array sorted. *)
@@ -252,12 +308,13 @@ let live_remove t id =
 
 let install_node t node =
   Hashtbl.replace t.nodes node.Protocol.node_id node;
-  Sf_engine.Network.register t.network node.Protocol.node_id (handler t node);
   live_insert t node;
   Sf_obs.Metrics.set t.live_gauge (float_of_int (Hashtbl.length t.nodes))
 
-let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?audit
-    ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topology () =
+let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topology
+    () =
+  if loss_rate < 0. || loss_rate > 1. then
+    invalid_arg "Runner.create: loss_rate must lie in [0,1]";
   let root = Sf_prng.Rng.create seed in
   let scheduler_rng = Sf_prng.Rng.split root in
   let protocol_rng = Sf_prng.Rng.split root in
@@ -270,13 +327,9 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
   let obs = match obs with Some o -> o | None -> Sf_obs.Obs.create () in
   let metrics = Sf_obs.Obs.metrics obs in
   let injector =
-    Option.map
-      (fun sc -> Sf_faults.Injector.create ~metrics ~scenario:sc ~n ())
-      scenario
-  in
-  let network =
-    Sf_engine.Network.create ~latency ?destination_loss ?injector ~obs ~sim
-      ~rng:network_rng ~loss_rate ()
+    Sf_faults.Injector.create ~metrics
+      ~scenario:(Option.value scenario ~default:Sf_faults.Scenario.default)
+      ~n ()
   in
   let resilience =
     match (resilience, resil_rng) with
@@ -289,8 +342,8 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
               ~capacity:config.Protocol.view_size ~edges:0;
           supervisor = Sf_resil.Loop.supervisor policy ~rng;
           node_configs = Hashtbl.create (2 * n);
-          last_net_sent = 0;
-          last_net_lost = 0;
+          last_sent = 0;
+          last_lost = 0;
           ticks = 0;
           (* Registered eagerly so exports show the resilience series from
              round zero, not from the first decision. *)
@@ -310,9 +363,11 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
       resilience;
       scheduler_rng;
       protocol_rng;
+      network_rng;
       sim;
-      network;
+      loss_rate;
       injector;
+      faulted = Option.is_some scenario;
       initial_population = n;
       nodes = Hashtbl.create (2 * n);
       live_buf = [||];
@@ -329,12 +384,12 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
       total_duplications = Sf_obs.Metrics.counter metrics "runner_duplications";
       total_receipts = Sf_obs.Metrics.counter metrics "runner_receipts";
       total_deletions = Sf_obs.Metrics.counter metrics "runner_deletions";
+      total_lost = Sf_obs.Metrics.counter metrics "runner_lost";
+      total_to_dead = Sf_obs.Metrics.counter metrics "runner_to_dead";
       total_reconnections = Sf_obs.Metrics.counter metrics "runner_reconnections";
       total_rebootstraps = Sf_obs.Metrics.counter metrics "runner_rebootstraps";
       live_gauge = Sf_obs.Metrics.gauge metrics "runner_live_nodes";
       audit;
-      last_receive = None;
-      suppress_receipt = false;
     }
   in
   for u = 0 to n - 1 do
@@ -343,25 +398,13 @@ let create ?(latency = Sf_engine.Network.default_latency) ?destination_loss ?aud
       ~anchor:(-1) ~born:0 ~mint:(fresh_serial t);
     install_node t node
   done;
-  Option.iter
-    (fun inj ->
-      Sf_faults.Injector.set_clock inj (fun () ->
-          match t.timed with
-          | Some _ -> Sf_engine.Sim.now t.sim
-          | None ->
-            float_of_int t.actions /. float_of_int (max 1 t.initial_population)))
-    t.injector;
-  (* Network trace records (send/deliver/drop) must carry the same clock
-     as the runner's own records, not the virtual clock — which never
-     advances in sequential mode. *)
-  Sf_engine.Network.set_trace_clock network (fun () -> obs_now t);
+  Sf_faults.Injector.set_clock t.injector (fun () -> obs_now t);
   t
 
 let config t = t.config
 let action_count t = t.actions
 let minted_serials t = t.next_serial
 let live_count t = Hashtbl.length t.nodes
-let network_statistics t = Sf_engine.Network.statistics t.network
 let simulator t = t.sim
 
 (* The array layout is sorted by id, never hash-table iteration order, so
@@ -405,32 +448,8 @@ let initiate_at t ~synchronous node =
         trace t (Sf_obs.Trace.Duplicate { node = node.Protocol.node_id })
       end;
       let delivery =
-        if synchronous then begin
-          let lost_before =
-            (Sf_engine.Network.statistics t.network).Sf_engine.Network.messages_lost
-          in
-          t.suppress_receipt <- true;
-          t.last_receive <- None;
-          let delivered =
-            Sf_engine.Network.send_immediate t.network
-              ~src:node.Protocol.node_id ~duplicated ~dst:destination message
-          in
-          t.suppress_receipt <- false;
-          let lost_after =
-            (Sf_engine.Network.statistics t.network).Sf_engine.Network.messages_lost
-          in
-          if delivered then
-            match t.last_receive with
-            | Some Protocol.Deleted -> Deleted
-            | Some Protocol.Accepted | None -> Accepted
-          else if lost_after > lost_before then Lost
-          else To_dead
-        end
-        else begin
-          Sf_engine.Network.send t.network ~src:node.Protocol.node_id ~duplicated
-            ~dst:destination message;
-          In_flight
-        end
+        send t ~synchronous ~src:node.Protocol.node_id ~duplicated ~dst:destination
+          message
       in
       Audit_send { destination; duplicated; delivery }
   in
@@ -447,29 +466,18 @@ let initiate_at t ~synchronous node =
 
 (* --- Sequential-action mode --- *)
 
-(* Crashed nodes do not initiate.  The fault-free path — and any scenario
-   without crash windows — keeps the historical single [Rng.choose] per
-   step, so the scheduler RNG stream is untouched; only while a crash
-   window is actually active does the pick rejection-sample. *)
+(* Crashed nodes do not initiate.  A scenario without crash windows keeps
+   the single [Rng.choose] per step, so the scheduler RNG stream is
+   untouched; only while a crash window is actually active does the pick
+   rejection-sample. *)
 let step t =
   poll_faults t;
-  let crash_gate =
-    match t.injector with
-    | None -> None
-    | Some injector ->
-      if
-        Sf_faults.Injector.has_crash_windows injector
-        && Sf_faults.Injector.crash_active injector
-      then Some injector
-      else None
-  in
-  match crash_gate with
-  | None -> ignore (initiate_at t ~synchronous:true (random_live_node t))
-  | Some injector ->
+  if
+    Sf_faults.Injector.has_crash_windows t.injector
+    && Sf_faults.Injector.crash_active t.injector
+  then begin
     let live = live_nodes t in
-    let up node =
-      not (Sf_faults.Injector.is_crashed injector node.Protocol.node_id)
-    in
+    let up node = not (is_crashed t node.Protocol.node_id) in
     if Array.exists up live then begin
       let rec pick () =
         let node = Sf_prng.Rng.choose t.scheduler_rng live in
@@ -481,6 +489,8 @@ let step t =
       (* Every live node is frozen: the round clock still has to advance or
          the crash window would never end. *)
       t.actions <- t.actions + 1
+  end
+  else ignore (initiate_at t ~synchronous:true (random_live_node t))
 
 let run_actions t k =
   for _ = 1 to k do
@@ -542,7 +552,6 @@ let remove_node t id =
   | None -> None
   | Some node ->
     Hashtbl.remove t.nodes id;
-    Sf_engine.Network.unregister t.network id;
     live_remove t id;
     Sf_obs.Metrics.set t.live_gauge (float_of_int (Hashtbl.length t.nodes));
     trace t (Sf_obs.Trace.Mark { label = "remove_node" });
@@ -601,7 +610,7 @@ let reconnect t ~node_id =
   match Hashtbl.find_opt t.nodes node_id with
   | None -> invalid_arg "Runner.reconnect: unknown node"
   | Some node ->
-    let loss = Sf_engine.Network.loss_rate t.network in
+    let loss = t.loss_rate in
     let view_ids =
       List.filter (fun id -> id <> node_id) (View.ids node.Protocol.view)
     in
@@ -710,10 +719,10 @@ type world_counters = {
   receipts : int;
   deletions : int;
   messages_lost : int;
+  to_dead : int;
 }
 
-let world_counters t =
-  let net = Sf_engine.Network.statistics t.network in
+let world_counters (t : t) =
   let count = Sf_obs.Metrics.count in
   {
     actions = t.actions;
@@ -722,7 +731,8 @@ let world_counters t =
     duplications = count t.total_duplications;
     receipts = count t.total_receipts;
     deletions = count t.total_deletions;
-    messages_lost = net.Sf_engine.Network.messages_lost;
+    messages_lost = count t.total_lost;
+    to_dead = count t.total_to_dead;
   }
 
 (* Empirical per-send probabilities for the Lemma 6.6 balance check. *)
@@ -835,15 +845,14 @@ let resil_tick t =
         ~edges_removed:0 ~edges:0
     in
     Sf_obs.Metrics.set r.g_estimate (Sf_resil.Loop.estimate r.tuner);
-    (* Ground truth from the transport's counters over the last round,
+    (* Ground truth from the send and loss counters over the last round,
        for dashboards and estimator cross-checks; under non-stationary
        loss it tracks the current regime where a cumulative rate would
        lag. *)
-    let net = Sf_engine.Network.statistics t.network in
-    let sent = net.Sf_engine.Network.messages_sent - r.last_net_sent in
-    let lost = net.Sf_engine.Network.messages_lost - r.last_net_lost in
-    r.last_net_sent <- net.Sf_engine.Network.messages_sent;
-    r.last_net_lost <- net.Sf_engine.Network.messages_lost;
+    let sends = count t.total_sends and losses = count t.total_lost in
+    let sent = sends - r.last_sent and lost = losses - r.last_lost in
+    r.last_sent <- sends;
+    r.last_lost <- losses;
     if sent > 0 then
       Sf_obs.Metrics.set r.g_true (float_of_int lost /. float_of_int sent);
     Option.iter (apply_retune t r) retune;
@@ -1530,6 +1539,7 @@ module Sharded = struct
           receipts = acc.receipts + sh.sh_receipts;
           deletions = acc.deletions + sh.sh_deletions;
           messages_lost = acc.messages_lost + sh.sh_lost;
+          to_dead = acc.to_dead + sh.sh_to_dead;
         })
       {
         actions = 0;
@@ -1539,6 +1549,7 @@ module Sharded = struct
         receipts = 0;
         deletions = 0;
         messages_lost = 0;
+        to_dead = 0;
       }
       t.shards
 

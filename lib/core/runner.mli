@@ -1,9 +1,9 @@
-(** Orchestration of an S&F system: nodes, lossy network, churn, and
-    measurement.
+(** Orchestration of an S&F system: nodes, lossy message delivery, churn,
+    and measurement.
 
     Sequential-action mode implements the paper's analysis model (a central
     scheduler runs one action at a time); timed mode runs each node on its
-    own clock over the discrete-event network. *)
+    own clock, and messages arrive after a latency as discrete events. *)
 
 type t
 
@@ -22,7 +22,7 @@ type delivery =
   | Accepted   (** placed in the receiver's view *)
   | Deleted    (** receiver full: both ids dropped *)
   | Lost       (** eaten by the network *)
-  | To_dead    (** destination has no live handler *)
+  | To_dead    (** destination has left *)
   | In_flight  (** timed mode: outcome not yet known *)
 
 type action_outcome =
@@ -46,8 +46,6 @@ val set_audit : t -> (t -> audit_event -> unit) option -> unit
     reported transition has fully taken effect. *)
 
 val create :
-  ?latency:(Sf_prng.Rng.t -> float) ->
-  ?destination_loss:(int -> float) ->
   ?audit:(t -> audit_event -> unit) ->
   ?scenario:Sf_faults.Scenario.t ->
   ?obs:Sf_obs.Obs.t ->
@@ -64,18 +62,22 @@ val create :
     ({!Protocol.install_scattered}, which raises [Invalid_argument] on
     more ids than view slots).  All randomness derives from [seed].
 
-    [scenario] routes every send through a fault plan (bursty loss,
-    partitions, crashes, delay spikes, corruption — see
-    {!Sf_faults.Scenario}).  Omitting it — or passing
-    {!Sf_faults.Scenario.default} — reproduces the fault-free RNG stream
-    byte-for-byte.  The scenario's round clock is [actions / n] in
+    Every send is judged by a {!Sf_faults.Injector} over [scenario] (bursty
+    or per-link loss, partitions, crashes, delay spikes, corruption — see
+    {!Sf_faults.Scenario}); {!Sf_faults.Scenario.default}, the same as
+    omitting it, makes one Bernoulli draw at [loss_rate] per send.  A
+    message that survives runs the receive step at once in sequential
+    mode; in timed mode it arrives after a latency uniform in [0.5, 1.5)
+    times the active delay factor, and is dropped if its destination has
+    crashed meanwhile.  The scenario's round clock is [actions / n] in
     sequential mode and virtual time in timed mode; window boundary
     crossings surface as [Structural] audit events so the invariant auditor
-    resyncs its conservation baseline.
+    resyncs its conservation baseline.  Raises [Invalid_argument] unless
+    [0 <= loss_rate <= 1].
 
-    [obs] is the observability bundle shared by the runner, its network
-    and its fault injector: all [runner_*], [net_*] and [faults_*]
-    metrics land in its registry, and — when a tracer is attached —
+    [obs] is the observability bundle shared by the runner and its fault
+    injector: all [runner_*] and [faults_*] metrics land in its registry,
+    and — when a tracer is attached —
     protocol events (Send/Drop/Deliver/Duplicate/Delete/Timer/Fault/Mark)
     are recorded, stamped with the injected round clock (sequential mode)
     or virtual time (timed mode).  A private bundle is used when omitted.
@@ -91,7 +93,7 @@ val create :
     jittered backoff; an attempt is confirmed by the next due probe.
     Decisions surface as [resil_*] metrics, [retune]/[repair] trace
     marks, and [Structural] audit events; the [resil_loss_true] gauge is
-    the last round's lost over sent, as deltas of {!network_statistics}.
+    the last round's lost over sent, as deltas of {!world_counters}.
     The resilience RNG is split from the root seed after every other
     stream, so omitting the option — or passing
     {!Sf_resil.Policy.observe_only} — replays the unadorned runner
@@ -127,7 +129,8 @@ val is_crashed : t -> int -> bool
     initiate nor receive; they resume with their stale views. *)
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
-(** Fault-injection counters, when a scenario is installed. *)
+(** Fault-injection counters; [None] unless [scenario] was passed to
+    {!create}. *)
 
 val step : t -> unit
 (** Sequential mode: one global action (random initiator, synchronous
@@ -205,8 +208,6 @@ val count_id_instances : t -> int -> int
 (** Instances of an id across all live views (decays per Lemma 6.10 after
     the node leaves). *)
 
-val network_statistics : t -> Sf_engine.Network.statistics
-
 type world_counters = {
   actions : int;
   self_loops : int;
@@ -214,10 +215,14 @@ type world_counters = {
   duplications : int;
   receipts : int;
   deletions : int;
-  messages_lost : int;
+  messages_lost : int;  (** dropped by loss or a fault *)
+  to_dead : int;  (** survived loss but found their destination gone *)
 }
 
 val world_counters : t -> world_counters
+(** Counts since creation.  In sequential mode
+    [sends = receipts + messages_lost + to_dead]; in timed mode the
+    difference is the messages still in flight. *)
 
 type rates = { duplication : float; deletion : float; loss : float }
 

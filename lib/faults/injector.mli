@@ -5,10 +5,10 @@
     {!Windows}; the injector adds the clock, the source-crash check,
     corruption and the [faults_*] counters.
 
-    One injector instance is shared by a driver's send path
-    ({!Sf_engine.Network} or {!Sf_net.Driver}) and its scheduler
-    ({!Sf_core.Runner} or the cluster timer loop), so every component sees
-    the same fault state.
+    One injector instance is shared by a driver's send path and its
+    scheduler ({!Sf_core.Runner}, or {!Sf_net.Driver} and its timer loop),
+    so every component sees the same fault state.  Both drivers always
+    build one, from {!Scenario.default} when given no scenario.
 
     {b Determinism.}  The injector owns no randomness: {!judge} draws from
     the RNG the caller passes (the driver's network RNG).  Under

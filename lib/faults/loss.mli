@@ -70,9 +70,9 @@ val create : model -> t
 val model : t -> model
 
 val drop : t -> Sf_prng.Rng.t -> chance:float -> src:int -> dst:int -> bool
-(** One loss decision.  [chance] is the driver's configured uniform (or
-    per-destination) drop probability, used only by {!Iid} so that the
-    default path replays the exact pre-fault RNG stream.  Gilbert–Elliott
+(** One loss decision.  [chance] is the driver's configured uniform drop
+    probability, used only by {!Iid} so that the default path replays the
+    exact pre-fault RNG stream.  Gilbert–Elliott
     first steps the chain (one draw), then draws the loss in the new state;
     [Per_link] draws at [f src dst]. *)
 

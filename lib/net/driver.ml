@@ -124,7 +124,10 @@ type t = {
      processes use stride = process count and distinct offsets, so
      concurrently minted serials never collide across the cluster. *)
   mint : unit -> int;
-  injector : Sf_faults.Injector.t option;
+  (* Judges every datagram; built from [Sf_faults.Scenario.default] when
+     no scenario is given, which makes the plain single Bernoulli draw. *)
+  injector : Sf_faults.Injector.t;
+  faulted : bool;  (* a scenario was passed to [create] *)
   resilience : Sf_resil.Policy.t option;
   (* Cross-process repair scheduling under a recovering policy: see
      [repair_isolated]. *)
@@ -226,10 +229,7 @@ let bound_socket address =
    scaled where it is used so no boxed float crosses a call. *)
 let[@inline] uniform rng = float_of_int (Sf_prng.Rng.float_bits rng) *. 0x1p-53
 
-let is_crashed t node_id =
-  match t.injector with
-  | None -> false
-  | Some injector -> Sf_faults.Injector.is_crashed injector node_id
+let is_crashed t node_id = Sf_faults.Injector.is_crashed t.injector node_id
 
 (* Trace stamps are rounds since creation — the same unit as the
    injector's round clock, and derived from the injected [now] so
@@ -330,9 +330,9 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
   let obs = match obs with Some o -> o | None -> Sf_obs.Obs.create () in
   let metrics = Sf_obs.Obs.metrics obs in
   let injector =
-    Option.map
-      (fun sc -> Sf_faults.Injector.create ~metrics ~scenario:sc ~n ())
-      scenario
+    Sf_faults.Injector.create ~metrics
+      ~scenario:(Option.value scenario ~default:Sf_faults.Scenario.default)
+      ~n ()
   in
   (* The supervisor exists only under a recovering policy, and its jitter
      stream is separate from the protocol RNG: non-recovering runs replay
@@ -354,11 +354,9 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
   let clock = match now with None -> Wall | Some now -> Injected now in
   let span = Sf_obs.Span.create ~clock:(fun () -> read clock) metrics in
   let start = read clock in
-  (* One round of the scenario clock = one firing period elapsed. *)
-  Option.iter
-    (fun inj ->
-      Sf_faults.Injector.set_clock inj (fun () -> (read clock -. start) /. period))
-    injector;
+  (* One round of the scenario clock = one firing period elapsed.  A
+     window-free scenario never reads it. *)
+  Sf_faults.Injector.set_clock injector (fun () -> (read clock -. start) /. period);
   let next_fire = Array.make count 0. in
   (* Track every socket opened so far: if node k's bind (or anything after
      it) fails, the k sockets already open must not leak. *)
@@ -409,6 +407,7 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
       rng;
       mint;
       injector;
+      faulted = Option.is_some scenario;
       resilience;
       supervisor;
       nodes;
@@ -532,10 +531,7 @@ let rec transmit t ~via ~packet ~length ~target =
 
 (* --- Outbound batching --- *)
 
-let delay_factor t =
-  match t.injector with
-  | None -> 1.0
-  | Some injector -> Sf_faults.Injector.delay_factor injector
+let delay_factor t = Sf_faults.Injector.delay_factor t.injector
 
 let send_batch t (b : batch) =
   let frames = b.frames in
@@ -658,20 +654,12 @@ let fire t i =
       drop t ~src ~dst ~cause:"filtered"
     end
     else begin
-      let verdict =
-        match t.injector with
-        | None -> if Sf_prng.Rng.bernoulli t.rng t.loss_rate then `Drop else `Deliver
-        | Some injector -> (
-          match Sf_faults.Injector.judge injector t.rng ~chance:t.loss_rate ~src ~dst with
-          | Sf_faults.Injector.Deliver -> `Deliver
-          | Sf_faults.Injector.Corrupt_payload -> `Corrupt
-          | Sf_faults.Injector.Drop _ -> `Drop)
-      in
-      match verdict with
-      | `Drop -> drop t ~src ~dst ~cause:"injected"
-      | (`Deliver | `Corrupt) as fate ->
+      match Sf_faults.Injector.judge t.injector t.rng ~chance:t.loss_rate ~src ~dst with
+      | Sf_faults.Injector.Drop _ -> drop t ~src ~dst ~cause:"injected"
+      | (Sf_faults.Injector.Deliver | Sf_faults.Injector.Corrupt_payload) as fate ->
         if dst < t.n_global then
-          enqueue_frame t ~src_index:i ~destination:dst ~corrupt:(fate = `Corrupt)
+          enqueue_frame t ~src_index:i ~destination:dst
+            ~corrupt:(fate = Sf_faults.Injector.Corrupt_payload)
     end
   end;
   observe_since t t.action_span action_slot
@@ -886,9 +874,7 @@ let run t ~duration =
     let now = times.(now_slot) in
     if now >= times.(deadline_slot) || t.stop_requested then flush_batches t
     else begin
-      (match t.injector with
-      | None -> ()
-      | Some injector -> Sf_faults.Injector.refresh injector);
+      Sf_faults.Injector.refresh t.injector;
       sync_crash_states t;
       flush_delayed t;
       (* Fire all due timers, rescheduling with jitter.  A down or crashed
@@ -952,7 +938,8 @@ let is_weakly_connected t =
     t.nodes;
   Sf_graph.Digraph.is_weakly_connected g
 
-let fault_statistics t = Option.map Sf_faults.Injector.statistics t.injector
+let fault_statistics t =
+  if t.faulted then Some (Sf_faults.Injector.statistics t.injector) else None
 
 type statistics = {
   actions : int;

@@ -73,7 +73,9 @@ val create :
 
     [scenario] routes every datagram through the same fault plan the
     simulator uses ({!Sf_faults.Scenario}); one round of the scenario
-    clock = one firing [period] elapsed.  Without [resilience] a crash
+    clock = one firing [period] elapsed.  Omitting it is the same as
+    {!Sf_faults.Scenario.default}: one Bernoulli draw at [loss_rate] per
+    datagram.  Without [resilience] a crash
     window freezes its nodes: no initiations, arrivals discarded, views
     kept.  [resilience] installs the self-healing layer: per-node
     estimator/controller retuning; crash-restarts, where a node is down
@@ -142,7 +144,8 @@ val independence_census : t -> Sf_core.Census.t
 val is_weakly_connected : t -> bool
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
-(** Fault-injection counters, when a scenario is installed. *)
+(** Fault-injection counters; [None] unless [scenario] was passed to
+    {!create}. *)
 
 type statistics = {
   actions : int;

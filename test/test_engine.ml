@@ -1,8 +1,7 @@
-(* Tests for the discrete-event engine and the lossy network. *)
+(* Tests for the discrete-event engine: the event queue and the simulator. *)
 
 module Event_queue = Sf_engine.Event_queue
 module Sim = Sf_engine.Sim
-module Network = Sf_engine.Network
 
 (* --- Event queue --- *)
 
@@ -124,85 +123,6 @@ let test_sim_rejects_negative_delay () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Sim.schedule: negative delay")
     (fun () -> Sim.schedule sim ~delay:(-1.) (fun () -> ()))
 
-(* --- Network --- *)
-
-let make_network ?(loss = 0.) () =
-  let sim = Sim.create () in
-  let rng = Sf_prng.Rng.create 99 in
-  (sim, Network.create ~sim ~rng ~loss_rate:loss ())
-
-let test_network_delivers () =
-  let sim, net = make_network () in
-  let received = ref [] in
-  Network.register net 1 (fun msg -> received := msg :: !received);
-  Network.send net ~dst:1 "hello";
-  Network.send net ~dst:1 "world";
-  ignore (Sim.run sim);
-  Alcotest.(check int) "both delivered" 2 (List.length !received);
-  let stats = Network.statistics net in
-  Alcotest.(check int) "sent" 2 stats.Network.messages_sent;
-  Alcotest.(check int) "delivered" 2 stats.Network.messages_delivered
-
-let test_network_loss_rate () =
-  let sim, net = make_network ~loss:0.25 () in
-  let received = ref 0 in
-  Network.register net 1 (fun () -> incr received);
-  let n = 40_000 in
-  for _ = 1 to n do
-    Network.send net ~dst:1 ()
-  done;
-  ignore (Sim.run sim);
-  let observed = Network.observed_loss_rate net in
-  Alcotest.(check bool) "observed loss near 0.25" true (Float.abs (observed -. 0.25) < 0.01);
-  Alcotest.(check int) "received + lost = sent" n
-    (!received + (Network.statistics net).Network.messages_lost)
-
-let test_network_dead_destination () =
-  let sim, net = make_network () in
-  Network.send net ~dst:42 "ghost";
-  ignore (Sim.run sim);
-  let stats = Network.statistics net in
-  Alcotest.(check int) "dropped" 1 stats.Network.messages_to_dead_nodes;
-  Alcotest.(check int) "not delivered" 0 stats.Network.messages_delivered
-
-let test_network_unregister () =
-  let sim, net = make_network () in
-  let received = ref 0 in
-  Network.register net 1 (fun () -> incr received);
-  Network.send net ~dst:1 ();
-  ignore (Sim.run sim);
-  Network.unregister net 1;
-  Alcotest.(check bool) "no longer registered" false (Network.is_registered net 1);
-  Network.send net ~dst:1 ();
-  ignore (Sim.run sim);
-  Alcotest.(check int) "only first delivered" 1 !received
-
-let test_network_send_immediate () =
-  let _, net = make_network () in
-  let received = ref 0 in
-  Network.register net 1 (fun () -> incr received);
-  Alcotest.(check bool) "delivered synchronously" true (Network.send_immediate net ~dst:1 ());
-  Alcotest.(check int) "handler ran inline" 1 !received;
-  Alcotest.(check bool) "dead destination" false (Network.send_immediate net ~dst:9 ())
-
-let test_network_latency_ordering () =
-  (* With the default latency in [0.5, 1.5), a message sent at t=0 arrives
-     before one sent at t=2. *)
-  let sim, net = make_network () in
-  let log = ref [] in
-  Network.register net 1 (fun tag -> log := tag :: !log);
-  Network.send net ~dst:1 "first";
-  Sim.schedule sim ~delay:2. (fun () -> Network.send net ~dst:1 "second");
-  ignore (Sim.run sim);
-  Alcotest.(check (list string)) "causal order" [ "first"; "second" ] (List.rev !log)
-
-let test_network_rejects_bad_loss () =
-  let sim = Sim.create () in
-  let rng = Sf_prng.Rng.create 1 in
-  Alcotest.check_raises "loss out of range"
-    (Invalid_argument "Network.create: loss_rate must lie in [0,1]") (fun () ->
-      ignore (Network.create ~sim ~rng ~loss_rate:1.5 ()))
-
 let suite =
   [
     Alcotest.test_case "queue time order" `Quick test_queue_orders_by_time;
@@ -215,11 +135,4 @@ let suite =
     Alcotest.test_case "sim event budget" `Quick test_sim_event_budget;
     Alcotest.test_case "sim stop" `Quick test_sim_stop;
     Alcotest.test_case "sim negative delay" `Quick test_sim_rejects_negative_delay;
-    Alcotest.test_case "network delivery" `Quick test_network_delivers;
-    Alcotest.test_case "network loss rate" `Quick test_network_loss_rate;
-    Alcotest.test_case "network dead destination" `Quick test_network_dead_destination;
-    Alcotest.test_case "network unregister" `Quick test_network_unregister;
-    Alcotest.test_case "network send_immediate" `Quick test_network_send_immediate;
-    Alcotest.test_case "network latency ordering" `Quick test_network_latency_ordering;
-    Alcotest.test_case "network loss validation" `Quick test_network_rejects_bad_loss;
   ]

@@ -296,12 +296,6 @@ let test_default_scenario_identity () =
     (dump_views plain = dump_views defaulted);
   Alcotest.(check int) "identical mint bound" (Runner.minted_serials plain)
     (Runner.minted_serials defaulted);
-  let np = Runner.network_statistics plain in
-  let nd = Runner.network_statistics defaulted in
-  Alcotest.(check int) "identical sends" np.Sf_engine.Network.messages_sent
-    nd.Sf_engine.Network.messages_sent;
-  Alcotest.(check int) "identical losses" np.Sf_engine.Network.messages_lost
-    nd.Sf_engine.Network.messages_lost;
   let wp = Runner.world_counters plain in
   let wd = Runner.world_counters defaulted in
   Alcotest.(check bool) "identical world counters" true (wp = wd)

@@ -190,12 +190,11 @@ let test_observe_only_identity () =
     (dump_views plain = dump_views observed);
   Alcotest.(check int) "identical mint bound" (Runner.minted_serials plain)
     (Runner.minted_serials observed);
-  let np = Runner.network_statistics plain in
-  let no = Runner.network_statistics observed in
-  Alcotest.(check int) "identical sends" np.Sf_engine.Network.messages_sent
-    no.Sf_engine.Network.messages_sent;
-  Alcotest.(check int) "identical losses" np.Sf_engine.Network.messages_lost
-    no.Sf_engine.Network.messages_lost;
+  let wp = Runner.world_counters plain in
+  let wo = Runner.world_counters observed in
+  Alcotest.(check int) "identical sends" wp.Runner.sends wo.Runner.sends;
+  Alcotest.(check int) "identical losses" wp.Runner.messages_lost
+    wo.Runner.messages_lost;
   (* The observer still did its job. *)
   match Runner.resilience_statistics observed with
   | None -> Alcotest.fail "observe-only runner must expose resilience statistics"
@@ -215,10 +214,9 @@ let estimator_error ~scenario ~loss ~seed =
      windows see the initial out_degree=10 overlay decaying toward its
      lossy equilibrium, where duplication under-counts the loss). *)
   Runner.run_rounds r 400;
-  let net = Runner.network_statistics r in
+  let c = Runner.world_counters r in
   let truth =
-    float_of_int net.Sf_engine.Network.messages_lost
-    /. float_of_int (max 1 net.Sf_engine.Network.messages_sent)
+    float_of_int c.Runner.messages_lost /. float_of_int (max 1 c.Runner.sends)
   in
   match Runner.resilience_statistics r with
   | None -> Alcotest.fail "resilience statistics missing"
@@ -373,9 +371,9 @@ let test_resil_metrics_exported () =
       "resil_backoff_rounds";
     ]
 
-(* [resil_loss_true] is the transport's lost over sent across the last
-   round alone — the deltas of [Runner.network_statistics] between two
-   ticks — so under bursty loss it follows the current regime. *)
+(* [resil_loss_true] is lost over sent across the last round alone — the
+   deltas of [Runner.world_counters] between two ticks — so under bursty
+   loss it follows the current regime. *)
 let test_resil_true_loss_gauge () =
   let obs = Sf_obs.Obs.create () in
   let scenario =
@@ -389,12 +387,11 @@ let test_resil_true_loss_gauge () =
   in
   let gauge = Sf_obs.Metrics.gauge (Sf_obs.Obs.metrics obs) "resil_loss_true" in
   for round = 1 to 30 do
-    let before = Runner.network_statistics r in
+    let before = Runner.world_counters r in
     Runner.run_rounds r 1;
-    let after = Runner.network_statistics r in
-    let open Sf_engine.Network in
-    let sent = after.messages_sent - before.messages_sent
-    and lost = after.messages_lost - before.messages_lost in
+    let after = Runner.world_counters r in
+    let sent = after.Runner.sends - before.Runner.sends
+    and lost = after.Runner.messages_lost - before.Runner.messages_lost in
     Alcotest.(check (float 0.))
       (Fmt.str "round %d: %d lost of %d sent" round lost sent)
       (float_of_int lost /. float_of_int sent)

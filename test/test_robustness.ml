@@ -11,18 +11,26 @@ module Summary = Sf_stats.Summary
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
-let make_system ?(seed = 60) ?(n = 120) ?(loss = 0.) ?destination_loss () =
+(* [drop_to dst] is the drop probability of every message to [dst]: a
+   per-link scenario that ignores the source. *)
+let make_system ?(seed = 60) ?(n = 120) ?(loss = 0.) ?drop_to () =
   let rng = Sf_prng.Rng.create (seed + 21) in
   let topology = Topology.regular rng ~n ~out_degree:4 in
-  Runner.create ?destination_loss ~seed ~n ~loss_rate:loss ~config ~topology ()
+  let scenario =
+    Option.map
+      (fun f ->
+        Sf_faults.Scenario.make ~loss:(Sf_faults.Loss.Per_link (fun _ dst -> f dst)) ())
+      drop_to
+  in
+  Runner.create ?scenario ~seed ~n ~loss_rate:loss ~config ~topology ()
 
 (* --- Non-uniform loss --- *)
 
-let test_destination_loss_zero_vs_one () =
+let test_drop_to_extremes () =
   (* Messages to even nodes always dropped, to odd nodes never. *)
   let r =
     make_system ~loss:0.5
-      ~destination_loss:(fun dst -> if dst mod 2 = 0 then 1. else 0.)
+      ~drop_to:(fun dst -> if dst mod 2 = 0 then 1. else 0.)
       ()
   in
   Runner.run_rounds r 50;
@@ -38,10 +46,10 @@ let test_destination_loss_zero_vs_one () =
           0 node.Protocol.messages_received)
     (Runner.live_nodes r)
 
-let test_destination_loss_statistics () =
+let test_drop_to_statistics () =
   let r =
     make_system ~n:200 ~loss:0.05
-      ~destination_loss:(fun dst -> if dst < 100 then 0.1 else 0.)
+      ~drop_to:(fun dst -> if dst < 100 then 0.1 else 0.)
       ()
   in
   Runner.run_rounds r 300;
@@ -176,8 +184,8 @@ let test_rumor_max_rounds_cap () =
 
 let suite =
   [
-    Alcotest.test_case "destination loss extremes" `Quick test_destination_loss_zero_vs_one;
-    Alcotest.test_case "destination loss statistics" `Quick test_destination_loss_statistics;
+    Alcotest.test_case "destination loss extremes" `Quick test_drop_to_extremes;
+    Alcotest.test_case "destination loss statistics" `Quick test_drop_to_statistics;
     Alcotest.test_case "lifetime sampling" `Quick test_lifetime_sampling;
     Alcotest.test_case "session churn equilibrium" `Quick test_session_churn_keeps_population;
     Alcotest.test_case "session drain" `Quick test_session_zero_arrivals_drains;
