@@ -52,32 +52,47 @@ let test_join_integration () =
     (fun d -> Alcotest.(check bool) "legal outdegree" true (d >= 0 && d <= 12 && d mod 2 = 0))
     trace.Churn.out_degrees
 
+(* The churn worlds below are run over [worlds] fixed worlds, world [k]
+   seeded [55 + k]: a churn outcome depends on the world, so each test
+   asserts per world what holds on every world and counts the rest
+   against a bound. *)
+let worlds = 30
+
+let count_worlds f = List.length (List.filter Fun.id (List.init worlds f))
+
+(* Corollary 6.14: within the Lemma 6.13 window a joiner is expected to
+   create at least (dL/s)^2 * Din instances.  The mean over the worlds
+   must reach it, and most joiners must be held at all: 25 of the 30
+   were when this test was written. *)
 let test_join_integration_bound () =
-  (* Corollary 6.14 (loose check): within the Lemma 6.13 window the joiner
-     is expected to create on the order of (dL/s)^2 * Din instances. We
-     check it reaches at least one instance well within the window. *)
-  let r = make_system ~n:200 () in
   let params =
     Sf_analysis.Decay.make_params ~loss:0. ~delta:0.02 ~lower_threshold:4 ~view_size:12
   in
   let window = Sf_analysis.Decay.joiner_integration_rounds params in
-  let trace = Churn.join_integration r ~rounds:window in
+  let instances = ref 0 and indegree = ref 0. in
+  let held =
+    count_worlds (fun k ->
+        let r = make_system ~seed:(55 + k) ~n:200 () in
+        indegree := !indegree +. Sf_stats.Summary.mean (Properties.indegree_summary r);
+        let trace = Churn.join_integration r ~rounds:window in
+        instances := !instances + trace.Churn.instances.(window);
+        trace.Churn.instances.(window) >= 1)
+  in
+  let mean = float_of_int !instances /. float_of_int worlds in
+  let predicted =
+    Sf_analysis.Decay.joiner_integration_instances params
+      ~expected_indegree:(!indegree /. float_of_int worlds)
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "instances %d after %d rounds" trace.Churn.instances.(window) window)
-    true
-    (trace.Churn.instances.(window) >= 1)
+    (Printf.sprintf "mean instances %.2f after %d rounds >= %.2f" mean window predicted)
+    true (mean >= predicted);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d joiners held (>= 20)" held worlds)
+    true (held >= 20)
 
-(* Sustained churn replaces the entire population over the run.  S&F keeps
-   the population healthy, but perfect weak connectivity cannot be promised:
-   a node whose few neighbors all depart duplicates dead ids forever and
-   isolates — exactly the severe-churn caveat of the paper's section 7
-   ("if the churn is severe enough to partition the network ... no
-   gossip-based protocol can be expected to work well").  The test checks
-   the realistic property: the giant component covers almost everyone. *)
-let test_sustained_churn_keeps_system_healthy () =
-  let r = make_system ~n:150 ~loss:0.02 () in
-  ignore (Churn.run_with_churn r ~rounds:80 ~joins:2 ~leaves:2);
-  Alcotest.(check int) "population stable" 150 (Runner.live_count r);
+(* The largest weak component of the membership graph among live nodes,
+   ignoring entries that point at departed ids. *)
+let live_giant r =
   let live = Runner.live_nodes r in
   let live_ids = Hashtbl.create 64 in
   Array.iter (fun n -> Hashtbl.replace live_ids n.Protocol.node_id ()) live;
@@ -91,34 +106,67 @@ let test_sustained_churn_keeps_system_healthy () =
             Sf_graph.Digraph.add_edge g node.Protocol.node_id e.Sf_core.View.id)
         node.Protocol.view)
     live;
-  let giant =
-    List.fold_left
-      (fun acc comp -> max acc (List.length comp))
-      0
-      (Sf_graph.Digraph.weakly_connected_components g)
+  List.fold_left
+    (fun acc comp -> max acc (List.length comp))
+    0
+    (Sf_graph.Digraph.weakly_connected_components g)
+
+(* Sustained churn replaces the entire population over the run.  S&F keeps
+   the population healthy, but perfect weak connectivity cannot be promised:
+   a node whose few neighbors all depart duplicates dead ids forever and
+   isolates — exactly the severe-churn caveat of the paper's section 7
+   ("if the churn is severe enough to partition the network ... no
+   gossip-based protocol can be expected to work well").  The test checks
+   the realistic property: in every world the population and its degrees
+   stay healthy, and in most the giant component covers almost everyone
+   (24 of the 30 worlds when this test was written). *)
+let test_sustained_churn_keeps_system_healthy () =
+  let covered =
+    count_worlds (fun k ->
+        let seed = 55 + k in
+        let r = make_system ~seed ~n:150 ~loss:0.02 () in
+        ignore (Churn.run_with_churn r ~rounds:80 ~joins:2 ~leaves:2);
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: population stable" seed)
+          150 (Runner.live_count r);
+        let outs = Properties.outdegree_summary r in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: healthy degrees" seed)
+          true
+          (Sf_stats.Summary.mean outs > 4.);
+        live_giant r >= 140)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "giant component %d of 150" giant)
-    true
-    (giant >= 140);
-  let outs = Properties.outdegree_summary r in
-  Alcotest.(check bool) "healthy degrees" true (Sf_stats.Summary.mean outs > 4.)
+    (Printf.sprintf "giant component >= 140 of 150 in %d of %d worlds (>= 18)" covered
+       worlds)
+    true (covered >= 18)
 
 (* The section 5 reconnection rule heals starvation: the same severe churn
-   that isolates nodes (see above) leaves no starved node behind when
-   recovery is on. *)
+   that isolates nodes (see above) leaves no isolated node behind in most
+   worlds when recovery is on (28 of the 30 when this test was written),
+   and leaves some worlds fully connected (11 of the 30). *)
 let test_reconnection_heals_starvation () =
-  let r = make_system ~n:150 ~loss:0.02 () in
-  ignore (Churn.run_with_churn ~recover:true r ~rounds:80 ~joins:2 ~leaves:2);
-  (* A few settle rounds: reconnected nodes re-announce themselves and
-     transiently starved nodes are restocked by incoming messages. *)
-  List.iter
-    (fun node -> ignore (Runner.reconnect r ~node_id:node.Protocol.node_id))
-    (Runner.isolated_nodes r);
-  Runner.run_rounds r 10;
-  Alcotest.(check int) "no isolated nodes" 0 (List.length (Runner.isolated_nodes r));
-  Alcotest.(check bool) "connected after healing" true
-    (Properties.is_weakly_connected r)
+  let healed = ref 0 in
+  let connected =
+    count_worlds (fun k ->
+        let r = make_system ~seed:(55 + k) ~n:150 ~loss:0.02 () in
+        ignore (Churn.run_with_churn ~recover:true r ~rounds:80 ~joins:2 ~leaves:2);
+        (* A few settle rounds: reconnected nodes re-announce themselves
+           and transiently starved nodes are restocked by incoming
+           messages. *)
+        List.iter
+          (fun node -> ignore (Runner.reconnect r ~node_id:node.Protocol.node_id))
+          (Runner.isolated_nodes r);
+        Runner.run_rounds r 10;
+        if Runner.isolated_nodes r = [] then incr healed;
+        Properties.is_weakly_connected r)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "no isolated node in %d of %d worlds (>= 24)" !healed worlds)
+    true (!healed >= 24);
+  Alcotest.(check bool)
+    (Printf.sprintf "connected after healing in %d of %d worlds (>= 5)" connected worlds)
+    true (connected >= 5)
 
 let test_reconnect_direct () =
   let r = make_system ~n:60 () in

@@ -319,31 +319,49 @@ let test_retune_e2e_audited () =
 
 (* --- Supervised recovery of a partition --- *)
 
+(* The worlds of the manual-recovery test in test_faults, world [k]
+   seeded [530 + k]: there a 100-round partition splits some of them and
+   needs [Churn.recover_connectivity]; here the supervisor must do the
+   whole job on its own.  Every world must end connected, and a world
+   whose supervisor attempted a repair must confirm a recovery.  Repairs
+   ran in 8 of the 30 worlds when this test was written. *)
 let test_supervised_partition_recovery () =
-  let policy =
-    Policy.make ~retune:false ~solve:(solve_63 ~d_hat:8 ~delta:0.01) ()
-  in
-  (* Same configuration and seeds as the manual-recovery test in
-     test_faults (there the 100-round partition provably splits the
-     overlay and needs [Churn.recover_connectivity]); here the supervisor
-     must do the whole job on its own. *)
+  let worlds = 30 in
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
   let n = 200 in
   let scenario = scenario_of_string "partition@5-105:2" in
-  let topology = Topology.regular (Sf_prng.Rng.create 531) ~n ~out_degree:6 in
-  let r =
-    Runner.create ~scenario ~resilience:policy ~seed:530 ~n ~loss_rate:0.05
-      ~config ~topology ()
+  let repaired =
+    List.init worlds (fun k ->
+        let seed = 530 + k in
+        let policy =
+          Policy.make ~retune:false ~solve:(solve_63 ~d_hat:8 ~delta:0.01) ()
+        in
+        let topology =
+          Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree:6
+        in
+        let r =
+          Runner.create ~scenario ~resilience:policy ~seed ~n ~loss_rate:0.05
+            ~config ~topology ()
+        in
+        Runner.run_rounds r 150;
+        Alcotest.(check bool)
+          (Fmt.str "seed %d: connected without manual recovery" seed)
+          true
+          (Properties.is_weakly_connected r);
+        match Runner.resilience_statistics r with
+        | None -> Alcotest.fail "resilience statistics missing"
+        | Some rs ->
+          let attempted = rs.Runner.repair_attempts >= 1 in
+          if attempted then
+            Alcotest.(check bool)
+              (Fmt.str "seed %d: a repair attempt confirmed a recovery" seed)
+              true (rs.Runner.recoveries >= 1);
+          attempted)
+    |> List.filter Fun.id |> List.length
   in
-  Runner.run_rounds r 150;
-  Alcotest.(check bool) "supervisor re-knit the overlay without manual recovery"
-    true
-    (Properties.is_weakly_connected r);
-  match Runner.resilience_statistics r with
-  | None -> Alcotest.fail "resilience statistics missing"
-  | Some rs ->
-    Alcotest.(check bool) "repairs were attempted" true (rs.Runner.repair_attempts >= 1);
-    Alcotest.(check bool) "a recovery was confirmed" true (rs.Runner.recoveries >= 1)
+  Alcotest.(check bool)
+    (Fmt.str "the supervisor repaired %d of %d worlds (>= 3)" repaired worlds)
+    true (repaired >= 3)
 
 (* --- Metrics surface --- *)
 
