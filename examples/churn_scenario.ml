@@ -27,13 +27,13 @@ let () =
   Runner.run_rounds runner 200;
   report runner "steady state";
 
-  (* Flash crowd: 200 joiners over 20 rounds, each bootstrapped by copying
-     dL live ids from an existing view (the paper's joining rule). *)
+  (* Flash crowd: 200 joiners over 20 rounds, each copying dL = 18 entries
+     of a live node's view, the donor's id first (the paper's joining
+     rule). *)
   let joiners = ref [] in
   for _ = 1 to 20 do
     for _ = 1 to 10 do
-      let bootstrap = Runner.bootstrap_from runner ~count:18 in
-      joiners := Runner.add_node runner ~bootstrap :: !joiners
+      joiners := Runner.add_node runner :: !joiners
     done;
     Runner.run_rounds runner 1
   done;

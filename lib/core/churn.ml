@@ -45,13 +45,10 @@ type join_trace = {
   out_degrees : int array; (* the joiner's outdegree, per round *)
 }
 
-(* Add a node bootstrapped with dL ids copied from a live view (the paper's
-   joining rule) and track its integration. *)
+(* Add a node by the paper's joining rule ([Runner.add_node]: a copy of a
+   live donor's view) and track its integration. *)
 let join_integration runner ~rounds =
-  let config = Runner.config runner in
-  let bootstrap_size = max 2 config.Protocol.lower_threshold in
-  let bootstrap = Runner.bootstrap_from runner ~count:bootstrap_size in
-  let joiner = Runner.add_node runner ~bootstrap in
+  let joiner = Runner.add_node runner in
   let instances = Array.make (rounds + 1) 0 in
   let out_degrees = Array.make (rounds + 1) 0 in
   let record r =
@@ -69,7 +66,7 @@ let join_integration runner ~rounds =
   { joiner; instances; out_degrees }
 
 (* Continuous-churn driver: every round, [leaves] random nodes depart and
-   [joins] new nodes arrive (bootstrapped from live views).  Used to check
+   [joins] new nodes arrive (each copying a live donor's view).  Used to check
    that the protocol keeps the graph connected and balanced under sustained
    membership change.  With [recover] set, isolated nodes (whose neighbors
    have all departed) run the section 5 reconnection rule each round
@@ -90,10 +87,7 @@ let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
       end
     done;
     for _ = 1 to joins do
-      let config = Runner.config runner in
-      let count = max 2 config.Protocol.lower_threshold in
-      let bootstrap = Runner.bootstrap_from runner ~count in
-      ignore (Runner.add_node runner ~bootstrap)
+      ignore (Runner.add_node runner)
     done;
     if recover then begin
       let repaired = Runner.reconnect_isolated runner in

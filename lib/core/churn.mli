@@ -16,7 +16,8 @@ type join_trace = {
 }
 
 val join_integration : Runner.t -> rounds:int -> join_trace
-(** Join a node bootstrapped with dL copied ids and track its id instances
+(** Join a node by {!Runner.add_node} — the donor's id and its live ids,
+    max(2, dL) entries anchored at the donor — and track its id instances
     and outdegree per round (Lemmas 6.11-6.13, Corollary 6.14). *)
 
 val run_with_churn :

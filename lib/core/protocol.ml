@@ -222,16 +222,6 @@ let install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born ~mint =
   end;
   !installed
 
-let install_scattered rng store u ids ~anchor ~born ~mint =
-  if List.length ids > View.Flat.view_size store then
-    invalid_arg "Protocol.install_scattered: more ids than view slots";
-  ignore (View.Flat.clear_row store u);
-  List.iter
-    (fun id ->
-      let k = View.Flat.random_empty_slot store u rng in
-      put store u k ~id ~anchor ~born ~mint)
-    ids
-
 (* --- The steps of one node ---
 
    The kernel on a node's own view plus the node's counters, written

@@ -124,9 +124,9 @@ val load_row : row_message -> message -> unit
 
     Every view filled from ids rather than by a receive (a start
     topology, a join, a repair, a crash-restart rejoin) is filled here.
-    Each function clears row [u] first and mints fresh serials with
-    [mint], born [born].  {!install_ids} and {!install_copy} write slots
-    0, 1, 2, … in order.  That draws nothing and loses nothing:
+    Both functions clear row [u] first, mint fresh serials with [mint],
+    born [born], and write slots 0, 1, 2, … in order.  That draws
+    nothing and loses nothing:
     {!initiate_row} draws its slot pair uniformly and {!receive_row}
     fills a uniform empty slot, so an entry's slot does not change the
     protocol's behaviour. *)
@@ -161,23 +161,6 @@ val install_copy :
     row is read after row [u] is cleared, so a node that copies its own
     row gets [[donor; donor]].
     Returns the number of entries installed.  Allocation-free. *)
-
-val install_scattered :
-  Sf_prng.Rng.t ->
-  View.Flat.t ->
-  int ->
-  int list ->
-  anchor:int ->
-  born:int ->
-  mint:(unit -> int) ->
-  unit
-(** [install_scattered rng store u ids ~anchor ~born ~mint] writes each
-    id, in list order, into a uniform empty slot drawn from [rng],
-    anchored at [anchor] ([-1] for none): the placement of the sequential
-    {!Runner}'s start, joins and repairs, whose ids it picks by its own
-    policy (DESIGN §5 says why it is not yet on {!install_copy}).  Raises
-    [Invalid_argument], changing nothing, when [ids] has more entries
-    than the row has slots. *)
 
 (** {1 The steps of one node} *)
 

@@ -58,9 +58,9 @@ val create :
   unit ->
   t
 (** Build a system of [n] nodes with the given initial topology: node
-    [u]'s view is [topology u], each id in a uniform empty slot
-    ({!Protocol.install_scattered}, which raises [Invalid_argument] on
-    more ids than view slots).  All randomness derives from [seed].
+    [u]'s view is [topology u], unanchored, born 0, in slot order
+    ({!Protocol.install_ids}, which raises [Invalid_argument] on more
+    ids than view slots).  All randomness derives from [seed].
 
     Every send is judged by a {!Sf_faults.Injector} over [scenario] (bursty
     or per-link loss, partitions, crashes, delay spikes, corruption — see
@@ -130,7 +130,9 @@ val is_crashed : t -> int -> bool
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
 (** Fault-injection counters; [None] unless [scenario] was passed to
-    {!create}. *)
+    {!create}.  Its [judged] count and drop counts include the request
+    and response messages of {!reconnect}'s probes, which
+    {!world_counters} leaves out. *)
 
 val step : t -> unit
 (** Sequential mode: one global action (random initiator, synchronous
@@ -152,31 +154,36 @@ val start_timed : t -> scheduling -> unit
 val run_until : t -> float -> unit
 (** Timed mode: run the event loop to the given virtual time. *)
 
-val add_node : t -> bootstrap:int list -> int
-(** Join a new node whose view is seeded with [bootstrap]; returns its id. *)
+val add_node : t -> int
+(** Join a new node by the section 6.5 joining rule and return its id: a
+    random live donor is drawn from the scheduler stream and its view
+    copied through {!Protocol.install_copy} — the donor's id, then its
+    live ids other than the joiner's in slot order, up to max(2, dL)
+    entries of the joiner's dL, padded with the donor's id to even, all
+    anchored at the donor.  Raises [Invalid_argument] when no node is
+    live. *)
 
 val remove_node : t -> int -> Protocol.node option
 (** Leave/fail: the node stops participating; its id decays out of other
     views through normal protocol operation. *)
-
-val bootstrap_from : t -> count:int -> int list
-(** Bootstrap ids for a joiner: a prefix of a random live node's view,
-    filtered to live ids (the paper requires joiners to know live nodes);
-    the donor's id fills any shortfall. *)
 
 type reconnect_result =
   | Reconnected of { donor : int; probes : int; installed : int }
   | Exhausted of { probes : int }
 
 val reconnect : t -> node_id:int -> reconnect_result
-(** The section 5 reconnection rule: probe previously seen ids (then the
-    current view) over the lossy network until a live node donates a copy
-    of up to dL view entries, which replace the stale view. *)
+(** The section 5 reconnection rule: probe previously seen ids, newest
+    first, then the current view's.  A probe is a request and a response,
+    each judged like a send (loss, partitions and crashes apply) but left
+    out of {!world_counters}.  The first live candidate whose request and
+    response both arrive is the donor, copied as by {!add_node} with the
+    node's own dL.  [installed] is the number of entries written. *)
 
 val rebootstrap : t -> node_id:int -> int
 (** Out-of-band recovery (the "copy another node's view" joining rule):
-    replace the node's view with up to dL entries copied from a random live
-    donor. Returns the number of installed entries. *)
+    a random live donor other than the node (drawn from the scheduler
+    stream) is copied as by {!add_node}, with the node's own dL.  Returns
+    the number of installed entries. *)
 
 val is_starved : t -> Protocol.node -> bool
 (** No live id in the view (transient while others still hold this node's

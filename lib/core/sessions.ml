@@ -106,11 +106,8 @@ let run_round t =
         | None -> ())
     due;
   (* Arrivals. *)
-  let config = Runner.config t.runner in
-  let bootstrap_size = max 2 config.Protocol.lower_threshold in
   for _ = 1 to sample_arrivals t do
-    let bootstrap = Runner.bootstrap_from t.runner ~count:bootstrap_size in
-    let id = Runner.add_node t.runner ~bootstrap in
+    let id = Runner.add_node t.runner in
     t.total_joins <- t.total_joins + 1;
     insert_departure t (now +. sample_lifetime t.rng t.lifetime) id
   done;

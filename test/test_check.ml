@@ -167,7 +167,7 @@ let test_structural_changes_resync () =
   Runner.run_rounds r 3;
   let stats = Invariant.attach ~mode:Invariant.Strict ~scan_every:500 r in
   Runner.run_actions r 200;
-  let id = Runner.add_node r ~bootstrap:(Runner.bootstrap_from r ~count:4) in
+  let id = Runner.add_node r in
   Runner.run_actions r 200;
   ignore (Runner.remove_node r id);
   Runner.run_actions r 200;

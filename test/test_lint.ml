@@ -323,7 +323,9 @@ let test_one_install_rule_exempts_protocol () =
   check_quiet "baselines are out of scope" ~path:"lib/core/baselines.ml"
     "let () = View.set view slot e";
   check_quiet "install calls are allowed" ~path:"lib/core/runner.ml"
-    "let n = Protocol.install_copy view 0 ~owner ~donor"
+    "let n = Protocol.install_copy view 0 ~owner ~donor";
+  check_quiet "id installs too" ~path:"lib/core/runner.ml"
+    "let () = Protocol.install_ids view 0 ids ~born:0 ~mint"
 
 (* --- driver-row-kernel --- *)
 

@@ -372,7 +372,7 @@ let test_trace_known_answer () =
   in
   Sf_core.Runner.run_rounds r 4;
   ignore (Sf_core.Runner.remove_node r 30);
-  Sf_core.Runner.run_rounds r 12;
+  Sf_core.Runner.run_rounds r 20;
   Alcotest.(check int) "whole trace kept" 0 (Trace.dropped tracer);
   let seen kind =
     List.exists
@@ -399,7 +399,7 @@ let test_trace_known_answer () =
       ("delete", `Delete);
       ("fault transition", `Fault);
     ];
-  Alcotest.(check string) "JSONL digest" "bacc26153f025c427c163ffee8d1f18a"
+  Alcotest.(check string) "JSONL digest" "c0e6515786a0c835b9d459d5b5503d8b"
     (Digest.to_hex (Digest.string (Trace.to_jsonl tracer)))
 
 let suite =

@@ -456,26 +456,7 @@ let prop_install_rule =
             row_entries store u = before
             && (Protocol.install_ids store u (Array.of_list expected) ~born:7 ~mint;
                 List.map (fun (_, id, _, anchor) -> (id, anchor)) (row_entries store u)
-                = List.map (fun id -> (id, -1)) expected))
-      (* A scattered install writes the same ids, anchored as asked, each
-         in an empty slot drawn from the stream, and refuses an overlong
-         list the same way. *)
-      && (let rng = Sf_prng.Rng.create (s + dl + owner) in
-          let before = row_entries store u in
-          match
-            Protocol.install_scattered rng store u (List.init (s + 1) Fun.id) ~anchor:donor
-              ~born:7 ~mint
-          with
-          | () -> false
-          | exception Invalid_argument _ ->
-            row_entries store u = before
-            && (Protocol.install_scattered rng store u expected ~anchor:donor ~born:7 ~mint;
-                let entries = row_entries store u in
-                List.sort compare (List.map (fun (_, id, _, _) -> id) entries)
-                = List.sort compare expected
-                && List.for_all (fun (_, _, _, anchor) -> anchor = donor) entries
-                && List.length (List.sort_uniq compare (List.map (fun (_, _, serial, _) -> serial) entries))
-                   = List.length expected)))
+                = List.map (fun id -> (id, -1)) expected)))
 
 let suite =
   [

@@ -132,9 +132,7 @@ let test_sends_to_departed () =
 let test_add_node () =
   let r = make_system () in
   Runner.run_rounds r 5;
-  let bootstrap = Runner.bootstrap_from r ~count:4 in
-  Alcotest.(check int) "bootstrap size" 4 (List.length bootstrap);
-  let id = Runner.add_node r ~bootstrap in
+  let id = Runner.add_node r in
   Alcotest.(check int) "fresh id" 60 id;
   Alcotest.(check int) "count up" 61 (Runner.live_count r);
   (match Runner.find_node r id with
@@ -146,6 +144,81 @@ let test_add_node () =
   Runner.run_rounds r 80;
   Alcotest.(check bool) "joiner gains indegree eventually" true
     (Runner.count_id_instances r id > 0)
+
+(* Every view the runner fills from a donor follows the one install rule
+   ({!Protocol.install_copy}): the live donor in slot 0, then the donor's
+   live ids other than the node's own in slot order, up to max(2, dL)
+   entries, padded with the donor's id to an even count, every entry
+   anchored at the donor.  [node_id]'s view is checked against its donor's
+   view, which the install only reads. *)
+let check_install_rule r ~what node_id =
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail (what ^ ": " ^ m)) fmt in
+  let node =
+    match Runner.find_node r node_id with Some n -> n | None -> fail "node not live"
+  in
+  let entries = Sf_core.View.entries node.Protocol.view in
+  let donor =
+    match entries with e :: _ -> e.Sf_core.View.id | [] -> fail "empty view"
+  in
+  let donor_view =
+    match Runner.find_node r donor with
+    | Some d -> d.Protocol.view
+    | None -> fail "donor %d not live" donor
+  in
+  let cap = max 2 (Runner.node_config r node_id).Protocol.lower_threshold in
+  let copied =
+    List.filter
+      (fun id -> id <> node_id && Runner.find_node r id <> None)
+      (Sf_core.View.ids donor_view)
+    |> List.filteri (fun k _ -> k < cap - 1)
+  in
+  let expected = donor :: copied in
+  let expected =
+    if List.length expected land 1 = 1 then expected @ [ donor ] else expected
+  in
+  Alcotest.(check (list int)) (what ^ ": donor, then its live ids in slot order")
+    expected
+    (Sf_core.View.ids node.Protocol.view);
+  Alcotest.(check (list int)) (what ^ ": slots 0, 1, 2, ...")
+    (List.init (List.length entries) Fun.id)
+    (List.filter
+       (fun k -> Sf_core.View.get node.Protocol.view k <> None)
+       (List.init (Sf_core.View.size node.Protocol.view) Fun.id));
+  Alcotest.(check bool) (what ^ ": every entry anchored at the donor") true
+    (List.for_all (fun e -> e.Sf_core.View.anchor = Some donor) entries);
+  let count = List.length entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d entries, even and at most %d" what count cap)
+    true
+    (count land 1 = 0 && count <= cap)
+
+(* A join, a reconnection and a rebootstrap, in a world whose views still
+   hold departed ids. *)
+let test_installs_by_rule () =
+  let r = make_system () in
+  Runner.run_rounds r 20;
+  for id = 0 to 9 do
+    ignore (Runner.remove_node r id)
+  done;
+  let joiner = Runner.add_node r in
+  check_install_rule r ~what:"join" joiner;
+  let view id =
+    match Runner.find_node r id with
+    | Some node -> Sf_core.View.ids node.Protocol.view
+    | None -> Alcotest.fail "repaired node not live"
+  in
+  (match Runner.reconnect r ~node_id:20 with
+  | Runner.Reconnected { donor; installed; _ } ->
+    check_install_rule r ~what:"reconnect" 20;
+    Alcotest.(check bool) "reconnect: the donor comes first" true
+      (List.nth_opt (view 20) 0 = Some donor);
+    Alcotest.(check int) "reconnect: installed count" installed
+      (List.length (view 20))
+  | Runner.Exhausted _ -> Alcotest.fail "reconnect: no loss, live candidates");
+  let installed = Runner.rebootstrap r ~node_id:30 in
+  check_install_rule r ~what:"rebootstrap" 30;
+  Alcotest.(check int) "rebootstrap: installed count" installed
+    (List.length (view 30))
 
 let test_remove_node () =
   let r = make_system () in
@@ -188,7 +261,7 @@ let test_timed_join_participates () =
   let r = make_system ~n:20 () in
   Runner.start_timed r (Runner.Periodic 1.0);
   Runner.run_until r 5.;
-  let id = Runner.add_node r ~bootstrap:(Runner.bootstrap_from r ~count:4) in
+  let id = Runner.add_node r in
   let before = Runner.action_count r in
   Runner.run_until r 30.;
   Alcotest.(check bool) "system kept running" true (Runner.action_count r > before);
@@ -274,7 +347,7 @@ let test_known_answer () =
     let live = Runner.live_nodes r in
     let leaver = live.(Sf_prng.Rng.int churn (Array.length live)) in
     ignore (Runner.remove_node r leaver.Protocol.node_id);
-    ignore (Runner.add_node r ~bootstrap:(Runner.bootstrap_from r ~count:4))
+    ignore (Runner.add_node r)
   done;
   let c = Runner.world_counters r in
   let retunes =
@@ -286,11 +359,11 @@ let test_known_answer () =
   Alcotest.(check bool) "a send duplicated" true (c.Runner.duplications >= 1);
   Alcotest.(check bool) "a receive deleted" true (c.Runner.deletions >= 1);
   Alcotest.(check (list int)) "world counters"
-    [ 9000; 6207; 2793; 191; 2488; 70; 247; 1; 4904 ]
+    [ 9000; 6625; 2375; 97; 2105; 47; 218; 1; 4392 ]
     [ c.Runner.actions; c.Runner.self_loops; c.Runner.sends;
       c.Runner.duplications; c.Runner.receipts; c.Runner.deletions;
       c.Runner.messages_lost; retunes; Runner.minted_serials r ];
-  Alcotest.(check int) "live views hash" (-2532282327167131190) (views_hash r)
+  Alcotest.(check int) "live views hash" 542151260500230763 (views_hash r)
 
 (* Timed mode, pinned the same way: Poisson clocks, latency draws, a
    crash window (arrival-time drops), a partition, a delay window
@@ -332,11 +405,11 @@ let test_timed_known_answer () =
   in
   let c = Runner.world_counters r in
   Alcotest.(check (list int)) "world counters"
-    [ 2327; 1643; 684; 130; 563; 15; 85; 6; 1294 ]
+    [ 2327; 1605; 722; 132; 599; 15; 90; 3; 1334 ]
     [ c.Runner.actions; c.Runner.self_loops; c.Runner.sends;
       c.Runner.duplications; c.Runner.receipts; c.Runner.deletions;
       c.Runner.messages_lost; to_dead; Runner.minted_serials r ];
-  Alcotest.(check int) "live views hash" (-2112777027333608350) (views_hash r)
+  Alcotest.(check int) "live views hash" 3720198667904072927 (views_hash r)
 
 let suite =
   [
@@ -358,4 +431,6 @@ let suite =
     Alcotest.test_case "no-loss edge conservation" `Quick test_no_loss_conserves_edges;
     Alcotest.test_case "known answer" `Quick test_known_answer;
     Alcotest.test_case "timed known answer" `Quick test_timed_known_answer;
+    Alcotest.test_case "joins and repairs install by the rule" `Quick
+      test_installs_by_rule;
   ]

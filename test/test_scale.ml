@@ -431,8 +431,7 @@ let test_live_nodes_incremental () =
       expected := IntSet.remove victim !expected
     end
     else begin
-      let bootstrap = Runner.bootstrap_from r ~count:4 in
-      let id = Runner.add_node r ~bootstrap in
+      let id = Runner.add_node r in
       expected := IntSet.add id !expected
     end;
     check_snapshot ()
@@ -493,7 +492,10 @@ let test_sample_many_contract () =
   Alcotest.(check (list int))
     "unknown node: k failed attempts, empty result" []
     (Sampling.sample_many r rng ~node_id:9999 ~k:5);
-  let lonely = Runner.add_node r ~bootstrap:[] in
+  let lonely = Runner.add_node r in
+  Option.iter
+    (fun node -> View.clear_all node.Protocol.view)
+    (Runner.find_node r lonely);
   Alcotest.(check (list int))
     "empty view: every attempt fails, none aborts" []
     (Sampling.sample_many r rng ~node_id:lonely ~k:5);

@@ -268,7 +268,7 @@ let rules =
       id = "one-install-rule";
       doc =
         "views are filled from ids only by lib/core/protocol.ml's install \
-         rule (Protocol.install_ids, install_copy, install_scattered) and by \
+         rule (Protocol.install_ids, install_copy), in slot order, and by \
          its receive step: random_empty_slot, View.set and View.Flat.set may \
          not appear in lib/core/runner.ml, churn.ml, sessions.ml, lib/net/, \
          bench/ or examples/";
