@@ -128,7 +128,7 @@ let rounds_to_reconnect r ~limit =
 let fig_res2 () =
   Output.section "RES2" "Supervised recovery vs manual rendezvous repair";
   Fmt.pr
-    "n=200, s=8, dL=2, partition@5-105:2 (provably splits the overlay).@\n\
+    "n=200, s=8, dL=2, partition@5-105:2 (splits about a quarter of worlds).@\n\
      Manual arm: run to the window close, then invoke Churn.recover_connectivity.@\n\
      Supervised arm: the resilience supervisor repairs on its own schedule.@.";
   (* Manual arm. *)
