@@ -127,7 +127,35 @@ let emit_views driver =
   Buffer.output_buffer stdout buf;
   flush stdout
 
-let emit_stats driver =
+(* --- Control commands ---
+
+   A command is matched in place over a byte slice with the grammar of
+   [String.split_on_char ' ' (String.trim line)]: the bytes [String.trim]
+   removes are trimmed from both ends and the rest is split on single
+   spaces, so two spaces make an empty word and a tab belongs to its
+   word.  Serving a [ping] allocates nothing. *)
+
+(* A host's control state: the driver its commands act on, the
+   [pong PID] reply (written once: the pid is fixed for the life of a
+   process, and a respawned host is a new process) and the count of
+   rejected commands the [stats] line reports. *)
+type control = {
+  driver : Driver.t;
+  pong : bytes;
+  mutable rejected : int;
+}
+
+let control driver =
+  let packet = Bytes.create 32 in
+  Bytes.blit_string "pong " 0 packet 0 5;
+  let length = put_decimal packet 5 (Unix.getpid ()) in
+  Bytes.set packet length '\n';
+  { driver; pong = Bytes.sub packet 0 (length + 1); rejected = 0 }
+
+let control_rejected c = c.rejected
+
+let emit_stats c =
+  let driver = c.driver in
   let s = Driver.statistics driver in
   let quantile q =
     let v = Driver.action_latency_quantile driver q in
@@ -137,7 +165,8 @@ let emit_stats driver =
     "stats actions=%d sent=%d dropped=%d received=%d messages=%d emitted=%d \
      batches=%d frames=%d crc_rejected=%d \
      truncated=%d oversized=%d decode_errors=%d send_errors=%d filtered=%d \
-     corrupted=%d repairs=%d recoveries=%d retunes=%d p50_us=%.1f p99_us=%.1f@."
+     corrupted=%d repairs=%d recoveries=%d retunes=%d control_rejected=%d \
+     p50_us=%.1f p99_us=%.1f@."
     s.Driver.actions s.Driver.datagrams_sent s.Driver.datagrams_dropped
     s.Driver.datagrams_received s.Driver.messages_received
     s.Driver.datagrams_emitted s.Driver.batches_sent s.Driver.frames_sent
@@ -145,32 +174,153 @@ let emit_stats driver =
     s.Driver.datagrams_truncated s.Driver.datagrams_oversized
     s.Driver.decode_errors s.Driver.send_errors s.Driver.datagrams_filtered
     s.Driver.datagrams_corrupted s.Driver.repair_attempts s.Driver.recoveries
-    s.Driver.retunes (quantile 0.5) (quantile 0.99)
+    s.Driver.retunes c.rejected (quantile 0.5) (quantile 0.99)
 
-(* One control command, from stdin or the control socket.  [reply] sends a
-   line back the way the command came (stdout for stdin commands, a
-   datagram to the sender for UDP ones). *)
-let handle_command driver ~reply line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "" ] -> ()  (* blank line *)
-  | [ "stop" ] -> Driver.request_stop driver
-  | [ "snapshot" ] ->
-    let buf = Buffer.create 256 in
-    Seq.iter
-      (fun (id, view) ->
-        Buffer.clear buf;
-        add_view_line buf id view;
-        reply (Buffer.contents buf))
-      (Driver.views driver);
-    reply "end"
-  | [ "filter"; "off" ] -> Driver.set_partition_filter driver ~parts:None
-  | [ "filter"; k ] -> (
-    match int_of_string_opt k with
-    | Some parts when parts >= 2 ->
-      Driver.set_partition_filter driver ~parts:(Some parts)
-    | _ -> reply "err bad-filter")
-  | [ "ping" ] -> reply (Fmt.str "pong %d" (Unix.getpid ()))
-  | _ -> reply "err unknown-command"
+(* The bytes [String.trim] removes. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec skip_blanks b pos stop =
+  if pos < stop && is_blank (Bytes.get b pos) then skip_blanks b (pos + 1) stop
+  else pos
+
+let rec trim_end b pos stop =
+  if stop > pos && is_blank (Bytes.get b (stop - 1)) then trim_end b pos (stop - 1)
+  else stop
+
+(* The first space in [b.[pos, stop)], or [stop]. *)
+let rec space_from b pos stop =
+  if pos = stop || Bytes.get b pos = ' ' then pos else space_from b (pos + 1) stop
+
+let rec same_from b pos word i =
+  i = String.length word
+  || (Bytes.get b (pos + i) = word.[i] && same_from b pos word (i + 1))
+
+(* [b.[pos, stop)] is [word]. *)
+let is_word b pos stop word =
+  stop - pos = String.length word && same_from b pos word 0
+
+(* The value of [c] as a digit of a base up to 16, or 16 when it is none. *)
+let digit_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> 16
+
+(* [acc] followed by the base-[base] digits of [b.[pos, stop)], [_]
+   skipped; [None] at a byte that is no such digit or past 2^63 - 1. *)
+let rec digits_from b pos stop base acc =
+  if pos = stop then Some acc
+  else
+    match Bytes.get b pos with
+    | '_' -> digits_from b (pos + 1) stop base acc
+    | c ->
+      let d = Int64.of_int (digit_value c) and base64 = Int64.of_int base in
+      if d >= base64 || acc > Int64.div (Int64.sub Int64.max_int d) base64 then None
+      else digits_from b (pos + 1) stop base (Int64.add (Int64.mul acc base64) d)
+
+let read_int b pos stop =
+  let negative = pos < stop && Bytes.get b pos = '-' in
+  let pos = if pos < stop && (negative || Bytes.get b pos = '+') then pos + 1 else pos in
+  (* A [0x], [0o], [0b] or [0u] prefix: 0 when there is none. *)
+  let prefix_base =
+    if pos + 1 < stop && Bytes.get b pos = '0' then
+      match Bytes.get b (pos + 1) with
+      | 'x' | 'X' -> 16
+      | 'o' | 'O' -> 8
+      | 'b' | 'B' -> 2
+      | 'u' | 'U' -> 10
+      | _ -> 0
+    else 0
+  in
+  let base = if prefix_base = 0 then 10 else prefix_base in
+  let first = if prefix_base = 0 then pos else pos + 2 in
+  if first = stop || digit_value (Bytes.get b first) >= base then None
+  else
+    match digits_from b first stop base 0L with
+    | None -> None
+    | Some magnitude ->
+      (* A plain literal is signed: up to 2^62 - 1, or 2^62 negated.  A
+         prefixed one may use all 63 bits and wraps, as a literal does. *)
+      let limit =
+        if prefix_base <> 0 then Int64.max_int
+        else if negative then Int64.neg (Int64.of_int min_int)
+        else Int64.of_int max_int
+      in
+      if magnitude > limit then None
+      else Some (Int64.to_int (if negative then Int64.neg magnitude else magnitude))
+
+(* [line] and a newline through [reply]: the rare replies build their
+   packet. *)
+let reply_line reply line =
+  let length = String.length line in
+  let packet = Bytes.create (length + 1) in
+  Bytes.blit_string line 0 packet 0 length;
+  Bytes.set packet length '\n';
+  reply packet (length + 1)
+
+let reject c reply line =
+  c.rejected <- c.rejected + 1;
+  reply_line reply line
+
+let snapshot c reply =
+  let buf = Buffer.create 256 in
+  Seq.iter
+    (fun (id, view) ->
+      Buffer.clear buf;
+      add_view_line buf id view;
+      Buffer.add_char buf '\n';
+      reply (Buffer.to_bytes buf) (Buffer.length buf))
+    (Driver.views c.driver);
+  reply_line reply "end"
+
+(* One control command, [b.[pos, pos + length)], from stdin or the
+   control socket.  [reply packet length] sends the first [length] bytes
+   of [packet], one line with its newline, back the way the command came
+   (stdout for stdin commands, a datagram to the sender for UDP ones). *)
+let handle_command c ~reply b pos length =
+  let first = skip_blanks b pos (pos + length) in
+  let stop = trim_end b first (pos + length) in
+  let space = space_from b first stop in
+  if first = stop then () (* blank line *)
+  else if space = stop then
+    if is_word b first stop "ping" then reply c.pong (Bytes.length c.pong)
+    else if is_word b first stop "stop" then Driver.request_stop c.driver
+    else if is_word b first stop "snapshot" then snapshot c reply
+    else reject c reply "err unknown-command"
+  else if is_word b first space "filter" && space_from b (space + 1) stop = stop then
+    if is_word b (space + 1) stop "off" then
+      Driver.set_partition_filter c.driver ~parts:None
+    else
+      match read_int b (space + 1) stop with
+      | Some parts when parts >= 2 ->
+        Driver.set_partition_filter c.driver ~parts:(Some parts)
+      | _ -> reject c reply "err bad-filter"
+  else reject c reply "err unknown-command"
+
+(* The control socket's channel callback: one datagram per readable
+   wake, as the driver reads its node sockets.  [ppoll] is
+   level-triggered, so a socket with more datagrams queued wakes the
+   loop again, and no read ends in the exception [EAGAIN] raises.  The
+   sender lives in a ref, so the reply closure is built once. *)
+let serve_control c socket =
+  let buffer = Bytes.create 512 in
+  let sender = ref (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
+  let reply packet length =
+    try ignore (Unix.sendto socket packet 0 length [] !sender)
+    with Unix.Unix_error _ -> ()
+  in
+  fun () ->
+    match Unix.recvfrom socket buffer 0 (Bytes.length buffer) [] with
+    | length, from ->
+      sender := from;
+      handle_command c ~reply buffer 0 length
+    | exception
+        Unix.Unix_error
+          ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR | Unix.ECONNREFUSED), _, _)
+      ->
+      (* Nothing read, as in the driver's receive: the next wait tells
+         whether a datagram is waiting. *)
+      ()
 
 (* Incremental line reader over a non-blocking fd: each readable wakeup
    drains what the kernel has, fires [on_line] per complete line, and
@@ -242,11 +392,18 @@ let main config =
   let stop_signal _ = Driver.request_stop driver in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
+  let commands = control driver in
   (* Control channel 1: stdin.  EOF = controller gone = stop. *)
+  let to_stdout packet length =
+    output stdout packet 0 length;
+    flush stdout
+  in
   Unix.set_nonblock Unix.stdin;
   Driver.add_channel driver Unix.stdin
     (line_reader Unix.stdin
-       ~on_line:(handle_command driver ~reply:(fun line -> Fmt.pr "%s@." line))
+       ~on_line:(fun line ->
+         handle_command commands ~reply:to_stdout (Bytes.of_string line) 0
+           (String.length line))
        ~on_eof:(fun () -> Driver.request_stop driver));
   (* Control channel 2: a UDP command socket, reachable even after a
      respawn replaces the pipes. *)
@@ -263,26 +420,7 @@ let main config =
     (try Unix.close control with Unix.Unix_error _ -> ());
     Driver.shutdown driver;
     raise e);
-  let control_buffer = Bytes.create 512 in
-  Driver.add_channel driver control (fun () ->
-      let continue = ref true in
-      while !continue do
-        match
-          Unix.recvfrom control control_buffer 0 (Bytes.length control_buffer) []
-        with
-        | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
-          continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
-        | length, from ->
-          let line = Bytes.sub_string control_buffer 0 length in
-          handle_command driver
-            ~reply:(fun line ->
-              let packet = Bytes.of_string (line ^ "\n") in
-              try ignore (Unix.sendto control packet 0 (Bytes.length packet) [] from)
-              with Unix.Unix_error _ -> ())
-            line
-      done);
+  Driver.add_channel driver control (serve_control commands control);
   (* Heartbeats: liveness the spawner can watch without consuming stdout. *)
   if config.controller_port > 0 then begin
     let sink =
@@ -306,7 +444,7 @@ let main config =
     config.nodes_per_host;
   Driver.run driver ~duration:config.duration;
   emit_views driver;
-  emit_stats driver;
+  emit_stats commands;
   Fmt.pr "bye@.";
   (try Unix.close control with Unix.Unix_error _ -> ());
   Driver.shutdown driver

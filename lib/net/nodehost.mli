@@ -45,9 +45,44 @@ val main : config -> unit
     Raises [Invalid_argument] on a malformed config (bad slice bounds, or
     a scenario carrying fault windows). *)
 
-val handle_command : Driver.t -> reply:(string -> unit) -> string -> unit
-(** Exposed for tests: parse and execute one control command against a
-    driver, answering through [reply]. *)
+type control
+(** A host's control state: the driver its commands act on, its
+    [pong PID] reply and a count of rejected commands. *)
+
+val control : Driver.t -> control
+(** The control state for a host running [driver]; [pong PID] is
+    written here, once per process. *)
+
+val control_rejected : control -> int
+(** Commands answered [err …] so far; the [stats] line reports it as
+    [control_rejected=N]. *)
+
+val handle_command :
+  control -> reply:(bytes -> int -> unit) -> bytes -> int -> int -> unit
+(** [handle_command c ~reply b pos length] runs the command
+    [b.[pos, pos + length)], matched in place with the grammar of
+    [String.split_on_char ' ' (String.trim line)]: trimmed of
+    [' ' '\012' '\n' '\r' '\t'] at both ends, then split on single
+    spaces.  [reply packet length] sends the first [length] bytes of
+    [packet], one line with its newline.  [ping] answers [pong PID] from
+    a packet written once, allocating nothing; a blank line does
+    nothing; [stop], [filter K] ([K >= 2], read as [int_of_string_opt]
+    reads it) and [filter off] act silently; [snapshot] answers a view
+    line per owned node, then [end].  Anything else answers
+    [err bad-filter] or [err unknown-command] and counts as rejected.
+    Used by both control channels.  Over a valid slice it raises
+    nothing but what [reply] raises. *)
+
+val serve_control : control -> Unix.file_descr -> unit -> unit
+(** [serve_control c socket] is the control socket's channel callback:
+    each call reads one datagram (at most 512 bytes), runs it through
+    {!handle_command} and sends the replies to its sender.  A socket
+    with more queued stays readable, so the driver's next wake serves
+    the next one.  Per [ping] it allocates only [recvfrom]'s result. *)
+
+val read_int : bytes -> int -> int -> int option
+(** Exposed for tests: [read_int b pos stop] is [int_of_string_opt] of
+    [b.[pos, stop)], read in place. *)
 
 val view_line : int -> Sf_core.View.t -> string
 (** Exposed for tests: the [view ID entries] report line for one node. *)

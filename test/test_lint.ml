@@ -356,6 +356,22 @@ let test_driver_row_kernel_fires () =
   check_quiet "other modules" ~path:"lib/core/runner.ml"
     "let r = Protocol.initiate cfg rng ~fresh_serial ~clock node"
 
+(* --- nodehost-control-in-place --- *)
+
+let test_nodehost_control_in_place_fires () =
+  let fires name source =
+    check_fires name ~rule:"nodehost-control-in-place" ~path:"lib/net/nodehost.ml"
+      source
+  in
+  fires "split" "let words = String.split_on_char ' ' line";
+  fires "trim" "let line = String.trim line";
+  fires "sub_string" "let line = Bytes.sub_string buffer 0 length";
+  (* The real node-host is clean; the rest of lib/ may build strings. *)
+  check_quiet "lib/net/nodehost.ml" ~path:"lib/net/nodehost.ml"
+    (read "../lib/net/nodehost.ml");
+  check_quiet "the spawner parses reports" ~path:"lib/net/spawner.ml"
+    "let fields = String.split_on_char ' ' (String.trim line)"
+
 let suite =
   [
     Alcotest.test_case "determinism fires" `Quick test_determinism_fires;
@@ -393,4 +409,6 @@ let suite =
     Alcotest.test_case "driver-row-kernel fires" `Quick test_driver_row_kernel_fires;
     Alcotest.test_case "one-install-rule exempts lib/core/protocol.ml" `Quick
       test_one_install_rule_exempts_protocol;
+    Alcotest.test_case "nodehost-control-in-place fires" `Quick
+      test_nodehost_control_in_place_fires;
   ]

@@ -568,23 +568,24 @@ let test_driver_refuses_out_of_lane_frames () =
 module Nodehost = Sf_net.Nodehost
 module Spawner = Sf_net.Spawner
 
+(* The replies [handle_command] sends for [line], as strings with their
+   newlines. *)
+let command_replies c line =
+  let replies = ref [] in
+  let reply packet length = replies := Bytes.sub_string packet 0 length :: !replies in
+  Nodehost.handle_command c ~reply (Bytes.of_string line) 0 (String.length line);
+  List.rev !replies
+
 let test_nodehost_commands () =
   let d = make_slice ~first:0 ~count:8 ~n:8 ~base_port:49200 () in
   Fun.protect
     ~finally:(fun () -> Driver.shutdown d)
     (fun () ->
-      let replies = ref [] in
-      let reply m = replies := m :: !replies in
-      Nodehost.handle_command d ~reply "ping";
-      (match !replies with
-      | [ pong ] ->
-        Alcotest.(check string) "pong carries our pid"
-          (Printf.sprintf "pong %d" (Unix.getpid ()))
-          pong
-      | _ -> Alcotest.fail "ping must produce exactly one reply");
-      replies := [];
-      Nodehost.handle_command d ~reply "snapshot";
-      let lines = List.rev !replies in
+      let c = Nodehost.control d in
+      Alcotest.(check (list string)) "pong carries our pid"
+        [ Printf.sprintf "pong %d\n" (Unix.getpid ()) ]
+        (command_replies c "ping");
+      let lines = command_replies c "snapshot" in
       Alcotest.(check int) "snapshot reports every owned node and a terminator" 9
         (List.length lines);
       Alcotest.(check bool) "snapshot lines are view lines" true
@@ -592,15 +593,126 @@ let test_nodehost_commands () =
            (fun l -> String.length l >= 4 && String.sub l 0 4 = "view")
            (List.filteri (fun i _ -> i < 8) lines));
       (match List.rev lines with
-      | "end" :: _ -> ()
+      | "end\n" :: _ -> ()
       | _ -> Alcotest.fail "snapshot must end with end");
-      replies := [];
-      Nodehost.handle_command d ~reply "filter 2";
-      Nodehost.handle_command d ~reply "filter off";
-      Alcotest.(check int) "filter commands are silent" 0 (List.length !replies);
-      Nodehost.handle_command d ~reply "bogus nonsense";
+      Alcotest.(check (list string)) "filter commands are silent" []
+        (command_replies c "filter 2" @ command_replies c "filter off");
       Alcotest.(check (list string)) "unknown commands answer err"
-        [ "err unknown-command" ] !replies)
+        [ "err unknown-command\n" ] (command_replies c "bogus nonsense");
+      Alcotest.(check int) "one command rejected" 1 (Nodehost.control_rejected c))
+
+(* The replies the control grammar gives [line]: split on single spaces
+   after [String.trim], as the node-host parsed commands before it
+   matched them in place. *)
+let reference_replies d line =
+  match String.split_on_char ' ' (String.trim line) with
+  | [ "" ] | [ "stop" ] | [ "filter"; "off" ] -> []
+  | [ "snapshot" ] ->
+    List.of_seq
+      (Seq.map (fun (id, view) -> Nodehost.view_line id view ^ "\n") (Driver.views d))
+    @ [ "end\n" ]
+  | [ "filter"; k ] -> (
+    match int_of_string_opt k with
+    | Some parts when parts >= 2 -> []
+    | _ -> [ "err bad-filter\n" ])
+  | [ "ping" ] -> [ Printf.sprintf "pong %d\n" (Unix.getpid ()) ]
+  | _ -> [ "err unknown-command\n" ]
+
+(* Number-like words: signs, base prefixes, digits of every base,
+   underscores and runs long enough to overflow. *)
+let number_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:(oneofl (String.to_seq "0123456789abcdefxXoObBuU_+-" |> List.of_seq))
+          (int_range 0 24);
+        oneofl
+          [ "2"; "1"; "0"; "-2"; "+2"; "0x10"; "0b11"; "0o7"; "0u5"; "1_0"; "_1"; "0x";
+            "0x_1"; "-"; "99999999999999999999"; "4611686018427387903";
+            "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+            "0x3fffffffffffffff"; "0x4000000000000000"; "0x7fffffffffffffff";
+            "0x8000000000000000"; "-0x7ffffffffffffffe"; "-0x7fffffffffffffff";
+            "0u9223372036854775807"; "0u9223372036854775808" ];
+      ])
+
+(* Control lines: arbitrary bytes up to the control socket's 512-byte
+   buffer, and lines assembled from the grammar's words, numbers and
+   the separators [String.trim] and the split treat differently. *)
+let control_line_gen =
+  QCheck.Gen.(
+    let word =
+      oneof
+        [ oneofl [ "ping"; "stop"; "snapshot"; "filter"; "off"; "pingx"; "" ]; number_gen ]
+    in
+    let sep = oneofl [ " "; " "; " "; "  "; "\t"; "\r"; "\n"; "\r\n"; "\012"; "\000"; "" ] in
+    let assembled =
+      let* words = list_size (int_range 0 4) (pair sep word) in
+      let* tail = sep in
+      return (String.concat "" (List.map (fun (s, w) -> s ^ w) words) ^ tail)
+    in
+    oneof
+      [
+        string_size ~gen:char (int_range 0 512);
+        assembled;
+        map (fun k -> "filter " ^ k) number_gen;
+      ])
+
+(* Arbitrary control lines never raise, and each gets exactly the
+   replies the grammar gives it; each [err] reply counts one rejected
+   command. *)
+let test_nodehost_command_fuzz () =
+  let d = make_slice ~first:0 ~count:8 ~n:8 ~base_port:49200 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.shutdown d)
+    (fun () ->
+      let c = Nodehost.control d in
+      let rejected_by replies =
+        List.length (List.filter (String.starts_with ~prefix:"err ") replies)
+      in
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~name:"nodehost control lines" ~count:3000
+           (QCheck.make ~print:(Printf.sprintf "%S") control_line_gen)
+           (fun line ->
+             let before = Nodehost.control_rejected c in
+             let expected = reference_replies d line in
+             command_replies c line = expected
+             && Nodehost.control_rejected c - before = rejected_by expected));
+      let table =
+        [
+          (" ping\r\n", [ Printf.sprintf "pong %d\n" (Unix.getpid ()) ]);
+          ("pingx", [ "err unknown-command\n" ]);
+          ("ping extra", [ "err unknown-command\n" ]);
+          ("filter  2", [ "err unknown-command\n" ]);
+          ("filter\t2", [ "err unknown-command\n" ]);
+          ("filter 1", [ "err bad-filter\n" ]);
+          ("filter -2", [ "err bad-filter\n" ]);
+          ("filter 99999999999999999999", [ "err bad-filter\n" ]);
+          ("filter 2\n", []);
+          ("filter off", []);
+          ("", []);
+          ("\n", []);
+        ]
+      in
+      let before = Nodehost.control_rejected c in
+      List.iter
+        (fun (line, expected) ->
+          Alcotest.(check (list string)) (Printf.sprintf "%S" line) expected
+            (command_replies c line);
+          Alcotest.(check (list string)) (Printf.sprintf "%S as before" line)
+            (reference_replies d line) expected)
+        table;
+      Alcotest.(check int) "each err reply counted"
+        (rejected_by (List.concat_map snd table))
+        (Nodehost.control_rejected c - before))
+
+(* [read_int] reads a slice as [int_of_string_opt] reads the string. *)
+let prop_read_int =
+  QCheck.Test.make ~name:"nodehost read_int is int_of_string_opt" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") number_gen)
+    (fun word ->
+      (* The word sits inside other bytes, which must not be read. *)
+      let b = Bytes.of_string ("0x" ^ word ^ "7_") in
+      Nodehost.read_int b 2 (2 + String.length word) = int_of_string_opt word)
 
 let test_nodehost_view_line () =
   let view = View.create 4 in
@@ -1106,14 +1218,16 @@ let test_driver_signal_ends_wait () =
         true (elapsed < 0.5))
 
 (* The node-host binary's combined stdout and stderr, and its exit
-   status, for [args] with stdin closed at once. *)
-let run_nodehost ?(env = Unix.environment ()) args =
+   status, for [args] with [input] written to its stdin, which is then
+   closed. *)
+let run_nodehost ?(env = Unix.environment ()) ?(input = "") args =
   let binary =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/sf_nodehost.exe"
   in
   let out, inp, err =
     Unix.open_process_args_full binary (Array.append [| binary |] args) env
   in
+  output_string inp input;
   close_out inp;
   let text = In_channel.input_all out ^ In_channel.input_all err in
   (text, Unix.close_process_full (out, inp, err))
@@ -1199,6 +1313,155 @@ let test_nodehost_start_allocation () =
       Alcotest.failf "%d minor words before main (limit %d)" words
         nodehost_start_words_limit
 
+(* A node-host's control socket on [port], bound as [Nodehost.main]
+   binds it: loopback, non-blocking. *)
+let control_socket port =
+  let socket = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.set_nonblock socket;
+  Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  socket
+
+(* A controller's socket on an ephemeral loopback port; a read gives up
+   after two seconds. *)
+let control_client () =
+  let socket = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.setsockopt_float socket Unix.SO_RCVTIMEO 2.0;
+  socket
+
+let send_command client port line =
+  ignore
+    (Unix.sendto_substring client line 0 (String.length line) []
+       (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+
+let receive_reply client =
+  let buffer = Bytes.create 128 in
+  let length = Unix.recv client buffer 0 (Bytes.length buffer) [] in
+  Bytes.sub_string buffer 0 length
+
+let our_pong () = Printf.sprintf "pong %d\n" (Unix.getpid ())
+
+(* Serving a ping through the control socket's callback allocates only
+   [recvfrom]'s tuple and sockaddr (measured 8 words); parsing it into
+   strings and formatting the reply took ≈ 294. *)
+let control_words_limit = 16.
+
+let test_nodehost_control_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let port = 49868 in
+    let d = make_slice ~first:0 ~count:8 ~n:8 ~base_port:49860 () in
+    let socket = control_socket port and client = control_client () in
+    Fun.protect
+      ~finally:(fun () ->
+        Driver.shutdown d;
+        Unix.close socket;
+        Unix.close client)
+      (fun () ->
+        let serve = Nodehost.serve_control (Nodehost.control d) socket in
+        let batch = 30 and batches = 10 in
+        let words = ref 0. in
+        for _ = 1 to batches do
+          for _ = 1 to batch do
+            send_command client port "ping"
+          done;
+          for _ = 1 to batch do
+            let w0 = Gc.minor_words () in
+            serve ();
+            words := !words +. (Gc.minor_words () -. w0)
+          done;
+          for _ = 1 to batch do
+            Alcotest.(check string) "every ping answered" (our_pong ())
+              (receive_reply client)
+          done
+        done;
+        let per_ping = !words /. float_of_int (batch * batches) in
+        Printf.printf "control socket: %.2f minor words per ping over %d\n" per_ping
+          (batch * batches);
+        if per_ping > control_words_limit then
+          Alcotest.failf "%.2f minor words per ping (limit %.0f)" per_ping
+            control_words_limit)
+  end
+
+(* The control socket served by a running driver.  A burst of pings
+   queued before one wake is read one datagram per call and answered in
+   full over the following wakes; [filter 2], [filter off] and [stop]
+   sent as datagrams act on the driver, whose slice (nodes 0-7 of 16)
+   sends across a two-way split. *)
+let test_nodehost_control_socket () =
+  let port = 49880 in
+  let d = make_slice ~first:0 ~count:8 ~n:16 ~base_port:49870 () in
+  let socket = control_socket port and client = control_client () in
+  Fun.protect
+    ~finally:(fun () ->
+      Driver.shutdown d;
+      Unix.close socket;
+      Unix.close client)
+    (fun () ->
+      let serve = Nodehost.serve_control (Nodehost.control d) socket in
+      Driver.add_channel d socket serve;
+      for _ = 1 to 20 do
+        send_command client port "ping"
+      done;
+      serve ();
+      Alcotest.(check string) "the first ping answered" (our_pong ())
+        (receive_reply client);
+      Unix.set_nonblock client;
+      (match receive_reply client with
+      | _ -> Alcotest.fail "one call read more than one datagram"
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+      Unix.clear_nonblock client;
+      Driver.run d ~duration:0.2;
+      for k = 2 to 20 do
+        Alcotest.(check string) (Printf.sprintf "ping %d answered" k) (our_pong ())
+          (receive_reply client)
+      done;
+      let filtered () = (Driver.statistics d).Driver.datagrams_filtered in
+      Alcotest.(check int) "nothing filtered yet" 0 (filtered ());
+      send_command client port "filter 2";
+      Driver.run d ~duration:0.2;
+      Alcotest.(check bool) "filter 2 drops crossing datagrams" true (filtered () > 0);
+      send_command client port "filter off\n";
+      Driver.run d ~duration:0.1;
+      let lifted = filtered () in
+      Driver.run d ~duration:0.2;
+      Alcotest.(check int) "filter off lifts the split" lifted (filtered ());
+      send_command client port "stop";
+      let start = Sf_obs.Clock.wall () in
+      Driver.run d ~duration:5.0;
+      let elapsed = Sf_obs.Clock.wall () -. start in
+      Alcotest.(check bool)
+        (Printf.sprintf "stop ended the run after %.3f s" elapsed)
+        true (elapsed < 1.0))
+
+(* Commands on stdin go through the same matcher, answered on stdout,
+   and the stats line reports the rejected ones. *)
+let test_nodehost_stdin_commands () =
+  let text, status =
+    run_nodehost ~input:"ping\nbogus\nfilter 1\nfilter 2\nstop\n"
+      [| "--per-host"; "8"; "--base-port"; "49882"; "--control-port"; "49890";
+         "--duration"; "5" |]
+  in
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check (result unit string)) "clean exit" (Ok ())
+    (if status = Unix.WEXITED 0 then Ok () else Error text);
+  let pid =
+    List.find_map (fun l -> Scanf.sscanf_opt l "ready %d %d" (fun _ pid -> pid)) lines
+  in
+  (match pid with
+  | None -> Alcotest.failf "no ready line in:\n%s" text
+  | Some pid ->
+    Alcotest.(check bool) "ping answered with the host's pid" true
+      (List.mem (Printf.sprintf "pong %d" pid) lines));
+  List.iter
+    (fun reply ->
+      Alcotest.(check bool) reply true (List.mem reply lines))
+    [ "err unknown-command"; "err bad-filter"; "bye" ];
+  Alcotest.(check bool) ("stats report two rejected commands:\n" ^ text) true
+    (List.exists
+       (fun l ->
+         String.starts_with ~prefix:"stats " l && contains l " control_rejected=2 ")
+       lines)
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -1261,4 +1524,12 @@ let suite =
       test_nodehost_control_port_exclusive;
     Alcotest.test_case "spawner heartbeat port is exclusive" `Quick
       test_spawner_heartbeat_port_exclusive;
+    Alcotest.test_case "nodehost control socket allocation" `Quick
+      test_nodehost_control_allocation;
+    Alcotest.test_case "nodehost control socket serves a burst, filter and stop"
+      `Quick test_nodehost_control_socket;
+    Alcotest.test_case "nodehost stdin commands and rejected count" `Quick
+      test_nodehost_stdin_commands;
+    Alcotest.test_case "nodehost control line fuzz" `Quick test_nodehost_command_fuzz;
+    QCheck_alcotest.to_alcotest prop_read_int;
   ]

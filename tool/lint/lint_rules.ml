@@ -333,6 +333,20 @@ let rules =
           ];
     };
     {
+      id = "nodehost-control-in-place";
+      doc =
+        "lib/net/nodehost.ml matches control commands in place over the \
+         datagram's bytes: no String.split_on_char, String.trim or \
+         Bytes.sub_string, which build strings per command";
+      applies = (fun path -> path = "lib/net/nodehost.ml");
+      tokens =
+        List.map
+          (fun name ->
+            ( name,
+              "a string per control command — match the bytes slice in place" ))
+          [ "String.split_on_char"; "String.trim"; "Bytes.sub_string" ];
+    };
+    {
       id = "no-obj-magic";
       doc = "Obj.magic is forbidden everywhere";
       applies = is_source;
