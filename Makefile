@@ -13,7 +13,7 @@ lint:
 # AST-grade passes (shared-mutable-state inventory, effect signatures,
 # AST-precise partiality) over lib/bin/bench/tool, ratcheted by
 # analyze.baseline; writes the machine-readable shared-state report CI
-# uploads.  `sfg analyze` prints the same inventory as a table.
+# uploads.
 analyze:
 	dune build @analyze
 	dune exec tool/analyze/sf_analyze.exe -- --baseline analyze.baseline \

@@ -1417,119 +1417,6 @@ let trace_cmd =
       const trace $ seed_arg $ n_arg 1000 $ view_size_arg 40 $ lower_threshold_arg 18
       $ loss_arg $ rounds_arg 50 $ capacity $ out $ scenario_arg)
 
-(* --- analyze: the shared-mutable-state report --- *)
-
-module Passes = Sf_analyze_passes.Analyze_passes
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let rec walk_sources acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc name ->
-        if name = "_build" || (String.length name > 0 && name.[0] = '.') then acc
-        else walk_sources acc (Filename.concat path name))
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then path :: acc
-  else acc
-
-let analyze dirs baseline_file json =
-  let dirs = if dirs = [] then [ "lib"; "bin"; "bench"; "tool" ] else dirs in
-  let missing = List.filter (fun d -> not (Sys.file_exists d)) dirs in
-  if missing <> [] then begin
-    Fmt.epr "sfg analyze: no such directory: %s (run from the repo root)@."
-      (String.concat ", " missing);
-    exit 2
-  end;
-  let baseline =
-    match baseline_file with
-    | Some file when Sys.file_exists file -> (
-      match Passes.parse_baseline (read_file file) with
-      | Ok entries -> entries
-      | Error msg ->
-        Fmt.epr "sfg analyze: %s@." msg;
-        exit 2)
-    | _ -> []
-  in
-  let paths =
-    List.fold_left walk_sources [] dirs |> List.sort_uniq compare
-  in
-  let files = List.map (fun p -> (p, read_file p)) paths in
-  let analysis = Passes.analyze_files files in
-  let kept, stale = Passes.apply_baseline baseline analysis in
-  if json then
-    Fmt.pr "%s@." (Sf_obs.Json.to_string (Passes.report_json ~kept analysis))
-  else begin
-    Fmt.pr "Shared mutable state (%d files analyzed)@." analysis.parsed_files;
-    if analysis.hazards = [] then
-      Fmt.pr "  no module-level mutable bindings — the tree is domain-shardable@."
-    else begin
-      Fmt.pr "  %-34s %-5s %-22s %-14s %s@." "path" "line" "binding" "kind"
-        "classified";
-      List.iter
-        (fun (h : Passes.hazard) ->
-          Fmt.pr "  %-34s %-5d %-22s %-14s %s@." h.h_path h.h_line h.h_ident
-            h.h_kind
-            (if h.h_classified then "yes (baseline)" else "NO — blocker"))
-        analysis.hazards
-    end;
-    let safe_total = List.fold_left (fun a (_, c) -> a + c) 0 analysis.safe_sites in
-    Fmt.pr
-      "  %d per-instance allocation sites under constructors (domain-safe)@."
-      safe_total;
-    Fmt.pr "@.Effect signatures: %d effectful, %d pure toplevel functions@."
-      (List.length analysis.effect_sigs)
-      analysis.pure_functions;
-    let count p = List.length (List.filter p analysis.effect_sigs) in
-    Fmt.pr "  mut %d · rand %d · clock %d · io %d · raise %d@."
-      (count (fun e -> e.Passes.e_effects.Passes.mutation))
-      (count (fun e -> e.Passes.e_effects.Passes.randomness))
-      (count (fun e -> e.Passes.e_effects.Passes.clock))
-      (count (fun e -> e.Passes.e_effects.Passes.io))
-      (count (fun e -> e.Passes.e_effects.Passes.raises));
-    if kept <> [] then begin
-      Fmt.pr "@.Findings not covered by the baseline:@.";
-      List.iter (fun f -> Fmt.pr "  %a@." Passes.pp_finding f) kept
-    end;
-    if stale <> [] then
-      List.iter
-        (fun (e : Passes.baseline_entry) ->
-          Fmt.pr "  stale baseline entry: %s %s@." e.allow_path e.allow_rule)
-        stale
-  end;
-  if kept <> [] || stale <> [] then exit 1
-
-let analyze_cmd =
-  let dirs =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"DIR" ~doc:"Directories to analyze (default: lib bin bench tool).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) (Some "analyze.baseline")
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Baseline file (sf_lint allowlist contract); ignored if absent.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the full machine-readable report.")
-  in
-  let doc =
-    "Print the AST-grade static analysis report: the shared-mutable-state \
-     inventory gating the Domain-sharding refactor (module-level refs, \
-     tables, arrays, lazies — classified against the baseline), per-function \
-     effect signatures, and any findings the baseline does not cover.  \
-     Exits 1 on uncovered findings or stale baseline entries, 2 on usage \
-     errors."
-  in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const analyze $ dirs $ baseline $ json)
-
 (* --- scale --- *)
 
 (* The sharded flat-state engine from the CLI: time a bulk-synchronous run
@@ -1702,7 +1589,6 @@ let () =
         top_cmd;
         trace_cmd;
         scale_cmd;
-        analyze_cmd;
       ]
   in
   exit (Cmd.eval group)

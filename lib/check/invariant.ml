@@ -51,14 +51,14 @@ let check_view view =
          (View.degree view) occupied)
   else None
 
-let check_degree ?(require_even = true) ~config node =
+let check_degree ~config node =
   let d = Protocol.degree node in
   let s = config.Protocol.view_size in
   if d < 0 || d > s then
     Some
       (violation "M1-degree-bound" "node %d has outdegree %d outside [0, %d]"
          node.Protocol.node_id d s)
-  else if require_even && d mod 2 <> 0 then
+  else if d mod 2 <> 0 then
     Some
       (violation "degree-parity" "node %d has odd outdegree %d"
          node.Protocol.node_id d)
@@ -71,7 +71,7 @@ let total_edges runner =
 
 (* Full structural scan: per-view soundness, degree bounds, global serial
    uniqueness, serial/birth bounds. *)
-let scan ?(require_even = true) runner =
+let scan runner =
   let ceiling = Runner.minted_serials runner in
   let now = Runner.action_count runner in
   let seen = Hashtbl.create 4096 in
@@ -83,9 +83,7 @@ let scan ?(require_even = true) runner =
       (* Per-node config: the resilience controller may have retuned this
          node's thresholds away from the base config. *)
       record
-        (check_degree ~require_even
-           ~config:(Runner.node_config runner node.Protocol.node_id)
-           node);
+        (check_degree ~config:(Runner.node_config runner node.Protocol.node_id) node);
       View.iter
         (fun _ (e : View.entry) ->
           (match Hashtbl.find_opt seen e.View.serial with
@@ -155,7 +153,6 @@ let record_scan mode stats violations =
 type auditor = {
   mode : mode;
   scan_every : int;
-  require_even : bool;
   stats : stats;
   mutable edges : int;     (* cached global edge count *)
   mutable synced : bool;   (* false once timed-mode events interleave *)
@@ -165,7 +162,7 @@ type auditor = {
 let report a v = record_violation a.mode a.stats v
 
 let full_scan a runner =
-  record_scan a.mode a.stats (scan ~require_even:a.require_even runner)
+  record_scan a.mode a.stats (scan runner)
 
 (* Expected change of the global edge count for a completed action, or
    [None] when the outcome is still in flight (timed mode). *)
@@ -198,7 +195,7 @@ let on_action a runner ~initiator ~degree_before ~degree_after ~outcome =
     report a
       (violation "M1-degree-bound" "initiator %d left with outdegree %d outside [0, %d]"
          initiator degree_after s);
-  if a.require_even && degree_after mod 2 <> 0 then
+  if degree_after mod 2 <> 0 then
     report a
       (violation "degree-parity" "initiator %d left with odd outdegree %d" initiator
          degree_after);
@@ -273,8 +270,7 @@ let on_event a runner event =
     | None -> ()
     | Some node -> (
       match
-        check_degree ~require_even:a.require_even
-          ~config:(Runner.node_config runner receiver) node
+        check_degree ~config:(Runner.node_config runner receiver) node
       with
       | Some v -> report a v
       | None -> ()))
@@ -283,13 +279,12 @@ let on_event a runner event =
     a.stats.resyncs <- a.stats.resyncs + 1;
     a.edges <- total_edges runner
 
-let attach ?(mode = Strict) ?(scan_every = 1000) ?(require_even = true) runner =
+let attach ?(mode = Strict) ?(scan_every = 1000) runner =
   let stats = fresh_stats () in
   let a =
     {
       mode;
       scan_every;
-      require_even;
       stats;
       edges = total_edges runner;
       synced = true;
@@ -321,7 +316,7 @@ module Flat = View.Flat
    against a slot recount, global serial uniqueness, the shard-strided
    serial bound (serial c*S + i is valid iff shard i has minted more than
    c times), birth times within the round clock, and id range. *)
-let scan_sharded ?(require_even = true) w =
+let scan_sharded w =
   let store = Sharded.store w in
   let cap = Flat.node_count store in
   let s = Flat.view_size store in
@@ -346,7 +341,7 @@ let scan_sharded ?(require_even = true) w =
       record
         (violation "M1-degree-bound" "node %d has outdegree %d outside [0, %d]"
            u d s);
-    if require_even && d mod 2 <> 0 then
+    if d mod 2 <> 0 then
       record (violation "degree-parity" "node %d has odd outdegree %d" u d);
     if Flat.recount_degree store u <> d then
       record
@@ -403,10 +398,9 @@ let scan_sharded ?(require_even = true) w =
    and re-verified here through its footprint: parity plus the edge
    ledger.  In the returned stats, [actions_checked] counts audited
    rounds. *)
-let audited_sharded_run ?(mode = Strict) ?(scan_every = 10)
-    ?(require_even = true) ?(domains = 1) w ~rounds =
+let audited_sharded_run ?(mode = Strict) ?(scan_every = 10) ?(domains = 1) w ~rounds =
   let stats = fresh_stats () in
-  let full_scan () = record_scan mode stats (scan_sharded ~require_even w) in
+  let full_scan () = record_scan mode stats (scan_sharded w) in
   let edges = ref (Sharded.total_edges w) in
   let prev = ref (Sharded.ledger w) in
   for r = 1 to rounds do
@@ -439,11 +433,11 @@ let audited_sharded_run ?(mode = Strict) ?(scan_every = 10)
   stats
 
 (* One fully audited sequential run: attach, run, final scan, detach. *)
-let audited_run ?(mode = Strict) ?scan_every ?(require_even = true) runner ~rounds =
-  let stats = attach ~mode ?scan_every ~require_even runner in
+let audited_run ?(mode = Strict) ?scan_every runner ~rounds =
+  let stats = attach ~mode ?scan_every runner in
   Fun.protect
     ~finally:(fun () -> detach runner)
     (fun () ->
       Runner.run_rounds runner rounds;
-      record_scan mode stats (scan ~require_even runner));
+      record_scan mode stats (scan runner));
   stats

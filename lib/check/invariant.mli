@@ -41,16 +41,13 @@ val check_view : Sf_core.View.t -> violation option
 (** Structural soundness of one view: cached degree = occupied slots. *)
 
 val check_degree :
-  ?require_even:bool ->
-  config:Sf_core.Protocol.config ->
-  Sf_core.Protocol.node ->
-  violation option
-(** M1 bounds (and parity) for one node. *)
+  config:Sf_core.Protocol.config -> Sf_core.Protocol.node -> violation option
+(** M1 bounds and parity for one node. *)
 
 val total_edges : Sf_core.Runner.t -> int
 (** Global edge count: the sum of live outdegrees. *)
 
-val scan : ?require_even:bool -> Sf_core.Runner.t -> violation list
+val scan : Sf_core.Runner.t -> violation list
 (** Full structural scan of a system; empty means every invariant holds. *)
 
 (** {2 Attached audit} *)
@@ -65,23 +62,16 @@ type stats = {
       (** newest first; bounded to the first 100 in [Warn] mode *)
 }
 
-val attach :
-  ?mode:mode -> ?scan_every:int -> ?require_even:bool -> Sf_core.Runner.t -> stats
+val attach : ?mode:mode -> ?scan_every:int -> Sf_core.Runner.t -> stats
 (** Install the auditor on a runner.  Defaults: [Strict], a full scan every
-    1000 actions, parity required.  Returns live statistics.  Degree
+    1000 actions.  Parity is always required.  Returns live statistics.  Degree
     conservation is only checked while actions are serial; it disarms
     itself when timed-mode deliveries interleave. *)
 
 val detach : Sf_core.Runner.t -> unit
 (** Remove the auditor and the sim monitor. *)
 
-val audited_run :
-  ?mode:mode ->
-  ?scan_every:int ->
-  ?require_even:bool ->
-  Sf_core.Runner.t ->
-  rounds:int ->
-  stats
+val audited_run : ?mode:mode -> ?scan_every:int -> Sf_core.Runner.t -> rounds:int -> stats
 (** [attach], run [rounds] sequential rounds, final full scan, [detach]
     (also on exception). *)
 
@@ -92,7 +82,7 @@ val audited_run :
     ledger checked after every round, full structural scans at a
     configurable cadence. *)
 
-val scan_sharded : ?require_even:bool -> Sf_core.Runner.Sharded.t -> violation list
+val scan_sharded : Sf_core.Runner.Sharded.t -> violation list
 (** Full structural scan of a packed world: M1 bounds and parity, cached
     degrees against slot recounts, global serial uniqueness, the
     shard-strided serial bound, birth-round bounds, id range, and — under
@@ -104,7 +94,6 @@ val scan_sharded : ?require_even:bool -> Sf_core.Runner.Sharded.t -> violation l
 val audited_sharded_run :
   ?mode:mode ->
   ?scan_every:int ->
-  ?require_even:bool ->
   ?domains:int ->
   Sf_core.Runner.Sharded.t ->
   rounds:int ->

@@ -15,9 +15,9 @@
    the two steps, exactly as in the paper's non-atomic action model.
 
    The rule is written once, as a kernel over one row of a [View.Flat]
-   store ([initiate_row], [receive_row]).  [initiate_node] and
-   [receive_node] run it on a node's own view and count; the sharded
-   engine runs it on its world. *)
+   store ([initiate_row], [receive_row]).  The boxed [initiate] and
+   [receive] run it on a node's own view and count; the sharded engine
+   runs it on its world and the UDP driver on its owned rows. *)
 
 type config = {
   view_size : int;        (* s: number of view slots, even, >= 6 *)
@@ -78,9 +78,9 @@ let degree node = View.degree node.view
 
 (* --- The step kernel over one row of a View.Flat store ---
 
-   Every engine runs these two functions: the wrappers below for a single
-   view (row 0 of a one-node store), [Runner.Sharded] on its world store.
-   Both are allocation-free. *)
+   Every engine runs these two functions: the boxed steps below on a
+   single view (row 0 of a one-node store), [Runner.Sharded] on its world
+   store, the UDP driver on its owned rows.  Both are allocation-free. *)
 
 type row_message = {
   mutable duplicated : bool;
@@ -222,34 +222,8 @@ let install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born ~mint =
   end;
   !installed
 
-(* --- The steps of one node ---
-
-   The kernel on a node's own view plus the node's counters, written
-   once: the UDP driver calls [initiate_node]/[receive_node] on a row
-   message it owns, and the sequential runner's boxed [initiate] and
-   [receive] wrap them. *)
-
-let initiate_node config rng ~mint ~born node msg =
-  node.initiated_actions <- node.initiated_actions + 1;
-  let destination =
-    initiate_row rng node.view 0 ~owner:node.node_id ~dl:config.lower_threshold ~born
-      ~mint msg
-  in
-  if destination < 0 then node.self_loop_actions <- node.self_loop_actions + 1
-  else begin
-    if msg.duplicated then node.duplications <- node.duplications + 1;
-    node.messages_sent <- node.messages_sent + 1
-  end;
-  destination
-
-let receive_node config rng node msg =
-  (* After the kernel, which refuses an unfit message before any change. *)
-  let accepted =
-    receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
-  in
-  node.messages_received <- node.messages_received + 1;
-  if not accepted then node.deletions <- node.deletions + 1;
-  accepted
+(* --- The steps of one node: the kernel on its own view, boxed, plus the
+   node's counters --- *)
 
 type initiate_result =
   | Self_loop                      (* an empty slot was selected; no effect *)
@@ -259,17 +233,37 @@ type initiate_result =
    creation times. *)
 let initiate config rng ~fresh_serial ~clock node =
   let msg = row_message () in
-  let destination = initiate_node config rng ~mint:fresh_serial ~born:clock node msg in
-  if destination < 0 then Self_loop
-  else Send { destination; message = message_of_row msg; duplicated = msg.duplicated }
+  node.initiated_actions <- node.initiated_actions + 1;
+  let destination =
+    initiate_row rng node.view 0 ~owner:node.node_id ~dl:config.lower_threshold
+      ~born:clock ~mint:fresh_serial msg
+  in
+  if destination < 0 then begin
+    node.self_loop_actions <- node.self_loop_actions + 1;
+    Self_loop
+  end
+  else begin
+    if msg.duplicated then node.duplications <- node.duplications + 1;
+    node.messages_sent <- node.messages_sent + 1;
+    Send { destination; message = message_of_row msg; duplicated = msg.duplicated }
+  end
 
 type receive_result = Accepted | Deleted
 
-(* The receive step. *)
+(* The receive step, counted after the kernel, which refuses an unfit
+   message before any change. *)
 let receive config rng node message =
   let msg = row_message () in
   load_row msg message;
-  if receive_node config rng node msg then Accepted else Deleted
+  let accepted =
+    receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
+  in
+  node.messages_received <- node.messages_received + 1;
+  if accepted then Accepted
+  else begin
+    node.deletions <- node.deletions + 1;
+    Deleted
+  end
 
 (* Observation 5.1: outdegree stays within [dL, s] (starting states included)
    and even. *)

@@ -3,13 +3,13 @@
 
     The step rule is written once, as the allocation-free row kernel
     {!initiate_row}/{!receive_row} over one row of a {!View.Flat} store.
-    {!initiate_node} and {!receive_node} run it on a node's view (row 0
-    of a one-node store) and add the per-node counters: the UDP driver
-    calls them on a {!row_message} it owns, and {!initiate} and
-    {!receive} wrap them in the boxed {!message} record for the
-    sequential {!Runner}.  The sharded engine ({!Runner.Sharded}) runs
-    the kernel on its world store.  Every engine therefore applies the
-    same rule. *)
+    {!initiate} and {!receive} run it on a node's view (row 0 of a
+    one-node store) for the sequential {!Runner}, with the boxed
+    {!message} record and the node's counters.  The sharded engine
+    ({!Runner.Sharded}) runs the kernel on its world store, and the UDP
+    driver on the rows of its owned nodes' store, each with a
+    {!row_message} it owns.  Every engine therefore applies the same
+    rule. *)
 
 type config = {
   view_size : int;        (** s: number of view slots, even, >= 6 *)
@@ -164,20 +164,6 @@ val install_copy :
 
 (** {1 The steps of one node} *)
 
-val initiate_node :
-  config -> Sf_prng.Rng.t -> mint:(unit -> int) -> born:int -> node -> row_message -> int
-(** One initiate step at [node]: {!initiate_row} on its view with the
-    config's [dL], counting the action, a self-loop, a send and a
-    duplication in the node's counters.  Returns the target id, or [-1]
-    for a self-loop.  Allocation-free: the counting every engine on
-    single views shares. *)
-
-val receive_node : config -> Sf_prng.Rng.t -> node -> row_message -> bool
-(** One receive step at [node]: {!receive_row} within the config's
-    [view_size] (capped at the allocated view), counting the message
-    and a deletion.  Raises [Invalid_argument], changing neither the
-    view nor the counters, unless {!row_fits} holds.  Allocation-free. *)
-
 type initiate_result =
   | Self_loop
   | Send of { destination : int; message : message; duplicated : bool }
@@ -189,19 +175,22 @@ val initiate :
   clock:int ->
   node ->
   initiate_result
-(** {!initiate_node} with the message boxed: selects two distinct slots
-    uniformly; on two non-empty slots, produces the message to send and
-    either clears the slots or (at the threshold) duplicates. The caller
-    transmits the message; the sender never learns the outcome. *)
+(** {!initiate_row} on [node]'s view with the config's [dL], the message
+    boxed: selects two distinct slots uniformly; on two non-empty slots,
+    produces the message to send and either clears the slots or (at the
+    threshold) duplicates.  Counts the action, a self-loop, a send and a
+    duplication in the node's counters.  The caller transmits the
+    message; the sender never learns the outcome. *)
 
 type receive_result = Accepted | Deleted
 
 val receive : config -> Sf_prng.Rng.t -> node -> message -> receive_result
-(** {!receive_node} on a boxed message: installs both ids into uniformly
-    chosen empty slots when both fit within the config's [view_size]
-    ({!receive_row}), or deletes them.  Raises [Invalid_argument], changing neither the view
-    nor the counters, unless both instances satisfy {!View.fits}: a
-    caller fed by the network filters first. *)
+(** {!receive_row} on [node]'s view with a boxed message: installs both
+    ids into uniformly chosen empty slots when both fit within the
+    config's [view_size] (capped at the allocated view), or deletes them,
+    counting the message and a deletion.  Raises [Invalid_argument],
+    changing neither the view nor the counters, unless both instances
+    satisfy {!View.fits}: a caller fed by the network filters first. *)
 
 val invariant_holds : config -> node -> bool
 (** Observation 5.1: outdegree even and within bounds. *)

@@ -878,10 +878,9 @@ let resilience_statistics t =
 
    Both phases run Protocol's row kernel ([Protocol.initiate_row],
    [Protocol.receive_row]) on the world store: the step rule the UDP
-   driver runs through [Protocol.initiate_node] and
-   [Protocol.receive_node], and the sequential runner through their
-   boxed wrappers [Protocol.initiate] and [Protocol.receive], not a copy
-   of it.
+   driver runs on the rows of its owned nodes' store, and the sequential
+   runner through the boxed [Protocol.initiate] and [Protocol.receive],
+   not a copy of it.
 
    Determinism across domain counts is by construction, not by locking:
    every PRNG draw comes from one of [shard_count] streams split from the

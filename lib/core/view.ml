@@ -13,7 +13,8 @@
      M4).  Forwarding an instance without duplication clears the anchor,
      matching the dependence MC of Fig 7.1.
    - [born]: creation stamp, for age statistics: the global action count
-     in a single view, the round number in a world store.
+     in a single view or an action-stamped store ([create_rows]), the
+     round number in a world store ([Flat.create]).
 
    Representation: one layout for every engine.  [Flat] packs the views
    of a whole world into contiguous columns; a single view is row 0 of a
@@ -39,9 +40,10 @@ type entry = {
    a slot): ids and anchors are node slots below the store's capacity,
    born stamps are round numbers.  Serials stay a 63-bit [int array]: they
    are shard-strided mint counters that would overflow 32 bits within a
-   few thousand rounds at 10^6 nodes.  A single view keeps its born
-   stamps, the unbounded action count of the sequential runner and the
-   UDP driver, in a 63-bit [int array] too.  Every accessor takes and
+   few thousand rounds at 10^6 nodes.  An action-stamped store (a single
+   view, or the UDP driver's owned nodes) keeps its born stamps, the
+   unbounded action count of the sequential runner and the driver, in a
+   63-bit [int array] too.  Every accessor takes and
    returns [int]; [set] range-checks before it writes, so nothing is
    truncated. *)
 
@@ -68,16 +70,17 @@ module Flat = struct
     f_ids : lane;           (* nodes * view_size; -1 = empty *)
     f_serials : int array;
     f_anchors : lane;       (* -1 = no anchor *)
-    f_born : lane;          (* round stamps; empty in a single view *)
-    f_born_actions : int array;  (* a single view's action stamps *)
+    f_born : lane;          (* round stamps; empty when action-stamped *)
+    f_born_actions : int array;  (* action stamps *)
     degrees : int array;    (* per-node cached occupied-slot counts *)
-    single : bool;          (* born lives in [f_born_actions] *)
+    actions : bool;         (* born lives in [f_born_actions] *)
   }
 
   type t = store
 
-  (* [single]: a single view's wide born column in place of the lane. *)
-  let alloc ~nodes ~view_size ~single =
+  (* [actions]: the wide born column of action stamps in place of the
+     lane. *)
+  let alloc ~nodes ~view_size ~actions =
     let slots = nodes * view_size in
     {
       nodes;
@@ -85,10 +88,10 @@ module Flat = struct
       f_ids = lane slots (-1);
       f_serials = Array.make slots 0;
       f_anchors = lane slots (-1);
-      f_born = lane (if single then 0 else slots) 0;
-      f_born_actions = Array.make (if single then slots else 0) 0;
+      f_born = lane (if actions then 0 else slots) 0;
+      f_born_actions = Array.make (if actions then slots else 0) 0;
       degrees = Array.make nodes 0;
-      single;
+      actions;
     }
 
   let create ~nodes ~view_size =
@@ -96,7 +99,7 @@ module Flat = struct
     if nodes > lane_max then
       invalid_arg "View.Flat.create: node ids must fit a 32-bit lane";
     if view_size < 2 then invalid_arg "View.Flat.create: view_size must be at least 2";
-    alloc ~nodes ~view_size ~single:false
+    alloc ~nodes ~view_size ~actions:false
 
   let node_count t = t.nodes
   let view_size t = t.view_size
@@ -107,11 +110,11 @@ module Flat = struct
   let anchor_at t u slot = lane_get t.f_anchors ((u * t.view_size) + slot)
   let born_at t u slot =
     let i = (u * t.view_size) + slot in
-    if t.single then t.f_born_actions.(i) else lane_get t.f_born i
+    if t.actions then t.f_born_actions.(i) else lane_get t.f_born i
 
   let[@inline] fits t ~id ~anchor ~born =
     id >= 0 && id <= lane_max && anchor >= -1 && anchor <= lane_max
-    && ((born >= 0 && born <= lane_max) || t.single)
+    && ((born >= 0 && born <= lane_max) || t.actions)
 
   let set t u slot ~id ~serial ~anchor ~born =
     if not (fits t ~id ~anchor ~born) then
@@ -121,7 +124,7 @@ module Flat = struct
     lane_set t.f_ids i id;
     t.f_serials.(i) <- serial;
     lane_set t.f_anchors i anchor;
-    if t.single then t.f_born_actions.(i) <- born else lane_set t.f_born i born
+    if t.actions then t.f_born_actions.(i) <- born else lane_set t.f_born i born
 
   let clear t u slot =
     let i = (u * t.view_size) + slot in
@@ -180,9 +183,22 @@ end
 
 type t = Flat.t
 
-let create size =
+let create_rows ~nodes size =
+  if nodes < 1 then invalid_arg "View.create_rows: need at least one row";
   if size < 2 then invalid_arg "View.create: size must be at least 2";
-  Flat.alloc ~nodes:1 ~view_size:size ~single:true
+  Flat.alloc ~nodes ~view_size:size ~actions:true
+
+let create size = create_rows ~nodes:1 size
+
+let copy_row store u =
+  let v = create (Flat.view_size store) in
+  for slot = 0 to Flat.view_size store - 1 do
+    let id = Flat.id_at store u slot in
+    if id >= 0 then
+      Flat.set v 0 slot ~id ~serial:(Flat.serial_at store u slot)
+        ~anchor:(Flat.anchor_at store u slot) ~born:(Flat.born_at store u slot)
+  done;
+  v
 
 let size = Flat.view_size
 

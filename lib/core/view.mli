@@ -4,7 +4,8 @@
     Instances carry a unique [serial] (followed for decay and temporal
     independence measurements), an optional [anchor] (the node whose view
     the instance depends on, set by duplication — Property M4), and a [born]
-    stamp: the action count in a single view, the round in a world store.
+    stamp: the action count in a single view or a {!create_rows} store,
+    the round in a {!Flat.create} world store.
 
     Every view lives in the one flat layout, {!Flat}: a single view is
     row 0 of a one-node store, so no per-entry heap objects exist and the
@@ -24,11 +25,13 @@ type entry = {
     contiguous columns indexed by [node * view_size + slot], plus a cached
     per-node degree array.  Ids, anchors and born stamps are 32-bit lanes
     (int32 Bigarrays); serials and degrees are unboxed [int array]s.  A
-    single view ({!t}) keeps its born stamps, cumulative action counts
-    with no bound, in a 63-bit [int array] instead.  A
+    store made by {!create_rows}, a single view ({!t}) included, keeps
+    its born stamps, cumulative action counts with no bound, in a 63-bit
+    [int array] instead.  A
     slot is empty when its id is [-1]; an anchor of [-1] encodes "none".
     This is the state layout of every engine: the sharded runner
-    ({!Sf_core.Runner.Sharded}) keeps its world in one store, and a single
+    ({!Sf_core.Runner.Sharded}) keeps its world in one store, the UDP
+    driver its owned nodes in one {!create_rows} store, and a single
     view ({!t}) is a one-node store.  No per-node or per-entry heap
     objects, so a million-node world is a handful of flat arrays the GC
     never walks.
@@ -37,7 +40,8 @@ module Flat : sig
   type t
 
   val create : nodes:int -> view_size:int -> t
-  (** All slots empty.  20 bytes a slot, allocated once.  Raises
+  (** A world store, born stamps in 32-bit lanes.  All slots empty.  20
+      bytes a slot, allocated once.  Raises
       [Invalid_argument] before allocating unless
       [1 <= nodes <= 2^31 - 1] and [view_size >= 2]. *)
 
@@ -65,7 +69,8 @@ module Flat : sig
   val fits : t -> id:int -> anchor:int -> born:int -> bool
   (** Whether {!set} accepts the instance: [id] in [[0, 2^31)] and
       [anchor] in [[-1, 2^31)], both stored in 32-bit lanes, and — in a
-      world store, not in a single view — [born] in [[0, 2^31)]. *)
+      {!create} world store, not in a {!create_rows} one — [born] in
+      [[0, 2^31)]. *)
 
   val clear : t -> int -> int -> unit
 
@@ -92,8 +97,19 @@ type t = Flat.t
 (** A view is row 0 of a one-node store: every {!Flat} function applies
     to it with node [0]. *)
 
+val create_rows : nodes:int -> int -> Flat.t
+(** [create_rows ~nodes s]: [nodes] all-empty views of [s] slots, the
+    rows of one store that stamps [born] with action counts, as a single
+    view does.  Every {!Flat} function applies to it.  Raises
+    [Invalid_argument] unless [nodes >= 1] and [s >= 2]. *)
+
 val create : int -> t
-(** [create s] makes an all-empty view of [s] slots. *)
+(** [create s] makes an all-empty view of [s] slots: [create_rows
+    ~nodes:1 s]. *)
+
+val copy_row : Flat.t -> int -> t
+(** [copy_row store u]: a single view holding row [u]'s instances in
+    their slots. *)
 
 val size : t -> int
 

@@ -467,9 +467,6 @@ let deliver_responses t i sh =
 let infected_count t =
   Array.fold_left (fun acc sh -> acc + sh.sp_infected) 0 t.sshards
 
-let coverage_now t =
-  match t.cov_rev with [] -> 0. | f :: _ -> f
-
 let run_round t ~domains =
   Sharded.run_round t.world ~domains;
   Sf_engine.Par.run ~domains ~tasks:t.shard_count (fun i ->

@@ -61,10 +61,6 @@ val infected_count : t -> int
 (** Informed {e live} nodes right now (infection bits of departed slots
     are cleared as the census passes them). *)
 
-val coverage_now : t -> float
-(** Live coverage after the last completed round ([0.] before the
-    first). *)
-
 val equal : t -> t -> bool
 (** Bit-for-bit engine equality: {!Sf_core.Runner.Sharded.equal} on the
     worlds plus every piece of spread state (infection bitmaps, counters,

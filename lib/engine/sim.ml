@@ -10,9 +10,6 @@ type t = {
   (* Post-event hook: runs after every executed event.  Used by the
      Sf_check audit layer to interleave invariant scans with timed runs. *)
   mutable monitor : (unit -> unit) option;
-  (* Profiling hook: when set, every event execution is timed into the
-     span's histogram (the span carries its own clock). *)
-  mutable span : Sf_obs.Span.t option;
 }
 
 let create () =
@@ -22,12 +19,9 @@ let create () =
     executed = 0;
     stopped = false;
     monitor = None;
-    span = None;
   }
 
 let set_monitor t monitor = t.monitor <- monitor
-
-let set_span t span = t.span <- span
 
 let now t = t.now
 
@@ -62,7 +56,7 @@ let run ?(horizon = infinity) ?(max_events = max_int) t =
         | Some (time, f) ->
           t.now <- time;
           t.executed <- t.executed + 1;
-          (match t.span with None -> f () | Some s -> Sf_obs.Span.time s f);
+          f ();
           (match t.monitor with Some m -> m () | None -> ());
           loop ())
   in

@@ -21,10 +21,6 @@ val set_monitor : t -> (unit -> unit) option -> unit
 (** Install (or clear) a hook that runs after every executed event — the
     attachment point for runtime audits such as [Sf_check.Invariant]. *)
 
-val set_span : t -> Sf_obs.Span.t option -> unit
-(** Install (or clear) a profiling span: every event execution is timed
-    into the span's histogram using the span's own clock. *)
-
 val pending : t -> int
 (** Number of queued events. *)
 

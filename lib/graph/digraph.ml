@@ -29,8 +29,6 @@ let ensure_vertex t u =
     Int_table.replace t.in_edges u (Int_table.create 8)
   end
 
-let mem_vertex t u = Int_table.mem t.out_edges u
-
 let vertex_count t = Int_table.length t.out_edges
 
 let edge_count t = t.edge_count
@@ -153,10 +151,6 @@ let is_weakly_connected t =
 let out_degree_array t =
   let vs = vertices t in
   Array.of_list (List.map (out_degree t) vs)
-
-let in_degree_array t =
-  let vs = vertices t in
-  Array.of_list (List.map (in_degree t) vs)
 
 type degree_statistics = {
   out_degrees : Sf_stats.Summary.t;

@@ -10,7 +10,6 @@ val ensure_vertex : t -> int -> unit
 (** Register a vertex (idempotent); isolated vertices count in
     connectivity. *)
 
-val mem_vertex : t -> int -> bool
 val vertex_count : t -> int
 val edge_count : t -> int
 
@@ -55,7 +54,6 @@ val weakly_connected_components : t -> int list list
 val is_weakly_connected : t -> bool
 
 val out_degree_array : t -> int array
-val in_degree_array : t -> int array
 
 type degree_statistics = {
   out_degrees : Sf_stats.Summary.t;

@@ -5,12 +5,14 @@
    a real network stack instead of the discrete-event simulator.
 
    One driver owns a contiguous *slice* [first, first + count) of a global
-   id space of [n] nodes.  A single-process deployment is the whole-space
-   slice (the default); a node-host process ({!Nodehost}) owns one slice
-   while sibling processes own the others, all sharing the same port map
-   — the address of node [i] is [base_port + i] no matter which process
-   computes it, so datagrams cross process boundaries with no routing
-   layer.
+   id space of [n] nodes, held as the rows of one view store: row [i] is
+   node [first + i], and every step works on (store, row), the way the
+   sharded runner holds its world.  A single-process deployment is the
+   whole-space slice (the default); a node-host process ({!Nodehost})
+   owns one slice while sibling processes own the others, all sharing the
+   same port map — the address of node [i] is [base_port + i] no matter
+   which process computes it, so datagrams cross process boundaries with
+   no routing layer.
 
    Each owned node's socket is bound once, in [create], and closed only
    by [shutdown].  The loop waits on a fixed fd array — the node sockets
@@ -25,11 +27,11 @@
 
    The steady-state loop allocates nothing.  The wait writes its ready
    flags into a driver-owned [bytes] and takes its timeout unboxed.  The
-   protocol step writes one driver-owned row message
-   ([Protocol.initiate_node]), the codec writes it straight into the
+   initiate step writes one driver-owned row message
+   ([Protocol.initiate_row]), the codec writes it straight into the
    destination's batch buffer ([Codec.write_frame]), and received frames
    decode into a preallocated inbox ([Codec.read_frame]) that
-   [Protocol.receive_node] reads.  No float crosses a call in the loop:
+   [Protocol.receive_row] reads.  No float crosses a call in the loop:
    clock readings are stored straight into the unboxed [times] array
    ({!Sf_obs.Clock.wall} is an unboxed primitive), spans take integer
    nanoseconds, and the timer jitter scales an int draw in place.
@@ -53,21 +55,6 @@
 (* The loop's clock: the wall clock read through its unboxed primitive,
    or a caller's closure (the virtual clocks of tests). *)
 type clock = Wall | Injected of (unit -> float)
-
-type node_state = {
-  node : Sf_core.Protocol.node;
-  (* Bound in [create], closed in [shutdown]. *)
-  socket : Unix.file_descr;
-  (* The node's current thresholds; starts at the cluster config and
-     diverges under adaptive retuning. *)
-  mutable config : Sf_core.Protocol.config;
-  (* Resilience (lib/resilience): each node tunes from its own protocol
-     counters — a deployed node has nobody else's. *)
-  tuner : Sf_resil.Loop.tuner option;
-  (* Resilience mode only: an active crash window holds the node down
-     until it rejoins. *)
-  mutable down : bool;
-}
 
 (* A datagram held back by an active delay window: release time, sending
    socket, wire bytes, destination. *)
@@ -132,12 +119,28 @@ type t = {
   (* Cross-process repair scheduling under a recovering policy: see
      [repair_isolated]. *)
   supervisor : Sf_resil.Supervisor.t option;
-  nodes : node_state array;  (* index i holds global id [first + i] *)
-  next_fire : float array;   (* node i's next initiation, unboxed *)
+  first : int;  (* the global id of row 0 *)
+  (* The owned nodes' views: row i is node [first + i]. *)
+  store : Sf_core.View.Flat.t;
+  (* Row i's current thresholds: the cluster config at first, diverging
+     under adaptive retuning. *)
+  configs : Sf_core.Protocol.config array;
+  (* Resilience mode only: an active crash window holds a row down until
+     it rejoins. *)
+  down : bool array;
+  (* Resilience (lib/resilience): one tuner per row, fed only that row's
+     counters, since a deployed node has nobody else's; empty without
+     resilience.  The counters are cumulative sends, duplications and
+     deletions. *)
+  tuners : Sf_resil.Loop.tuner array;
+  sends : int array;
+  duplications : int array;
+  deletions : int array;
+  next_fire : float array;   (* row i's next initiation, unboxed *)
   addresses : Unix.sockaddr array;  (* the port map: global id -> address *)
-  (* The fds the loop waits on: every owned socket in node order, then
-     the control channels oldest first.  [ready] holds one flag per fd,
-     written by [wait]. *)
+  (* The fds the loop waits on: every owned socket in row order (bound in
+     [create], closed in [shutdown]), then the control channels oldest
+     first.  [ready] holds one flag per fd, written by [wait]. *)
   mutable fds : Unix.file_descr array;
   mutable ready : bytes;
   read_buffer : bytes;
@@ -240,18 +243,18 @@ let tracing t = Sf_obs.Obs.tracing t.obs
 let trace t event =
   Sf_obs.Obs.trace t.obs ~now:((read t.clock -. t.started) /. t.period) event
 
+let node_count t = Sf_core.View.Flat.node_count t.store
+
 (* --- The joining rule --- *)
 
-(* The donor a view is copied from: a live owned sibling, drawn from the
-   protocol stream (8 tries), or [None]. *)
-let pick_donor t ~node_id =
-  let n = Array.length t.nodes in
+(* The row a view is copied from: a live owned sibling of row [i], drawn
+   from the protocol stream (8 tries), or -1. *)
+let pick_donor t i =
   let rec pick tries =
-    if tries = 0 then None
+    if tries = 0 then -1
     else
-      let candidate = t.nodes.(Sf_prng.Rng.int t.rng n) in
-      if candidate.node.Sf_core.Protocol.node_id <> node_id && not candidate.down
-      then Some candidate
+      let candidate = Sf_prng.Rng.int t.rng (node_count t) in
+      if candidate <> i && not t.down.(candidate) then candidate
       else pick (tries - 1)
   in
   pick 8
@@ -259,14 +262,11 @@ let pick_donor t ~node_id =
 (* The one install rule with the driver's choice of donor: the paper's
    "copy another node's view" joining rule.  A node cannot see which
    remote ids are alive, so none are filtered. *)
-let copy_view t (ns : node_state) (donor : node_state) =
-  let node = ns.node in
+let copy_view t i donor =
   ignore
-    (Sf_core.Protocol.install_copy node.Sf_core.Protocol.view 0
-       ~owner:node.Sf_core.Protocol.node_id
-       ~donor:donor.node.Sf_core.Protocol.node_id
-       ~from:donor.node.Sf_core.Protocol.view ~from_row:0
-       ~dl:ns.config.Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
+    (Sf_core.Protocol.install_copy t.store i ~owner:(t.first + i)
+       ~donor:(t.first + donor) ~from:t.store ~from_row:donor
+       ~dl:t.configs.(i).Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
        ~born:t.actions ~mint:t.mint)
 
 (* --- Supervised connectivity repair ---
@@ -285,20 +285,18 @@ let copy_view t (ns : node_state) (donor : node_state) =
    nodes, and draws the same donors, as finding them all first. *)
 let repair_isolated t =
   let healthy = ref true in
-  for i = 0 to Array.length t.nodes - 1 do
-    let ns = t.nodes.(i) in
-    let node_id = ns.node.Sf_core.Protocol.node_id in
+  for i = 0 to node_count t - 1 do
     if
-      (not ns.down)
-      && (not (is_crashed t node_id))
-      && Sf_core.Protocol.degree ns.node = 0
+      (not t.down.(i))
+      && (not (is_crashed t (t.first + i)))
+      && Sf_core.View.Flat.degree t.store i = 0
     then begin
       healthy := false;
-      match pick_donor t ~node_id with
-      | None -> ()
-      | Some donor ->
-        copy_view t ns donor;
+      let donor = pick_donor t i in
+      if donor >= 0 then begin
+        copy_view t i donor;
         if tracing t then trace t (Sf_obs.Trace.Mark { label = "rebootstrap" })
+      end
     end
   done;
   !healthy
@@ -357,45 +355,28 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
   (* One round of the scenario clock = one firing period elapsed.  A
      window-free scenario never reads it. *)
   Sf_faults.Injector.set_clock injector (fun () -> (read clock -. start) /. period);
+  let s = config.Sf_core.Protocol.view_size in
+  let store = Sf_core.View.create_rows ~nodes:count s in
   let next_fire = Array.make count 0. in
-  (* Track every socket opened so far: if node k's bind (or anything after
-     it) fails, the k sockets already open must not leak. *)
-  let opened = ref [] in
-  let make_node i =
-    let node_id = first + i in
-    let socket = bound_socket addresses.(node_id) in
-    opened := socket :: !opened;
-    let node = Sf_core.Protocol.create_node ~config ~node_id in
-    Sf_core.Protocol.install_ids node.Sf_core.Protocol.view 0
-      (Array.of_list (topology node_id))
-      ~born:0 ~mint;
+  for i = 0 to count - 1 do
+    Sf_core.Protocol.install_ids store i (Array.of_list (topology (first + i))) ~born:0
+      ~mint;
     (* Stagger first firings across one period. *)
-    next_fire.(i) <- start +. (period *. uniform rng);
-    {
-      node;
-      socket;
-      config;
-      tuner =
-        Option.map
-          (fun policy ->
-            Sf_resil.Loop.tuner policy
-              ~initial:
-                ( config.Sf_core.Protocol.lower_threshold,
-                  config.Sf_core.Protocol.view_size )
-              ~capacity:config.Sf_core.Protocol.view_size ~edges:0)
-          resilience;
-      down = false;
-    }
-  in
-  let nodes =
-    match Array.init count make_node with
-    | nodes -> nodes
-    | exception e ->
-      List.iter
-        (fun socket -> try Unix.close socket with Unix.Unix_error _ -> ())
-        !opened;
-      raise e
-  in
+    next_fire.(i) <- start +. (period *. uniform rng)
+  done;
+  (* Bound last, so only a bind can fail with sockets open: if row k's
+     fails, the k sockets already open must not leak. *)
+  let fds = Array.make count Unix.stdin and opened = ref 0 in
+  (try
+     while !opened < count do
+       fds.(!opened) <- bound_socket addresses.(first + !opened);
+       incr opened
+     done
+   with e ->
+     for k = 0 to !opened - 1 do
+       try Unix.close fds.(k) with Unix.Unix_error _ -> ()
+     done;
+     raise e);
   let t =
     {
       n_global = n;
@@ -410,10 +391,24 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
       faulted = Option.is_some scenario;
       resilience;
       supervisor;
-      nodes;
+      first;
+      store;
+      configs = Array.make count config;
+      down = Array.make count false;
+      tuners =
+        (match resilience with
+        | None -> [||]
+        | Some policy ->
+          Array.init count (fun _ ->
+              Sf_resil.Loop.tuner policy
+                ~initial:(config.Sf_core.Protocol.lower_threshold, s)
+                ~capacity:s ~edges:0));
+      sends = Array.make count 0;
+      duplications = Array.make count 0;
+      deletions = Array.make count 0;
       next_fire;
       addresses;
-      fds = Array.map (fun ns -> ns.socket) nodes;
+      fds;
       ready = Bytes.make count '\000';
       read_buffer = Bytes.create Codec.recv_buffer_size;
       outbox = Sf_core.Protocol.row_message ();
@@ -480,7 +475,8 @@ let observe_since t span slot =
   Sf_obs.Span.observe_ns span
     (Float.to_int ((read t.clock -. t.times.(slot)) *. 1e9))
 
-let node_count t = Array.length t.nodes
+let first t = t.first
+let store t = t.store
 let actions t = t.actions
 let request_stop t = t.stop_requested <- true
 
@@ -511,9 +507,9 @@ let filtered t ~src ~dst =
     <> Sf_faults.Windows.block ~n:t.n_global ~parts dst
 
 let shutdown t =
-  Array.iter
-    (fun ns -> try Unix.close ns.socket with Unix.Unix_error _ -> ())
-    t.nodes
+  for i = 0 to node_count t - 1 do
+    try Unix.close t.fds.(i) with Unix.Unix_error _ -> ()
+  done
 
 let reject t ~dst =
   if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = false })
@@ -549,7 +545,7 @@ let send_batch t (b : batch) =
   Sf_obs.Metrics.add t.c_frames frames;
   let length = Codec.frame_offset frames in
   let target = t.addresses.(b.destination) in
-  let via = t.nodes.(b.src_index).socket in
+  let via = t.fds.(b.src_index) in
   let factor = delay_factor t in
   if factor > 1.0 then begin
     (* Loopback latency is negligible, so a delay window holds the
@@ -603,47 +599,47 @@ let enqueue_frame t ~src_index ~destination ~corrupt =
   b.frames <- b.frames + 1;
   if b.frames >= Codec.max_batch then send_batch t b
 
-(* Per-node resilience tick, run after each initiation: the node's tuner
-   reads its own counters, and a retune becomes the node's config.  The
-   controller's cooldown is counted in these ticks, i.e. in firings. *)
-let resil_tick t (ns : node_state) =
-  match ns.tuner with
-  | None -> ()
-  | Some tuner -> (
-    let node = ns.node in
+(* Per-row resilience tick, run after each initiation: the row's tuner
+   reads the row's own counters, and a retune becomes the row's config.
+   The controller's cooldown is counted in these ticks, i.e. in
+   firings. *)
+let resil_tick t i =
+  if Array.length t.tuners > 0 then
     match
-      Sf_resil.Loop.tick tuner ~sends:node.Sf_core.Protocol.messages_sent
-        ~duplications:node.Sf_core.Protocol.duplications
-        ~deletions:node.Sf_core.Protocol.deletions ~to_dead:0 ~edges_added:0
-        ~edges_removed:0 ~edges:0
+      Sf_resil.Loop.tick t.tuners.(i) ~sends:t.sends.(i)
+        ~duplications:t.duplications.(i) ~deletions:t.deletions.(i) ~to_dead:0
+        ~edges_added:0 ~edges_removed:0 ~edges:0
     with
     | None -> ()
     | Some pair ->
-      ns.config <-
+      t.configs.(i) <-
         Sf_core.Protocol.clamped_config
-          ~capacity:(Sf_core.View.size node.Sf_core.Protocol.view)
-          ~degree:(Sf_core.Protocol.degree node) pair;
+          ~capacity:(Sf_core.View.Flat.view_size t.store)
+          ~degree:(Sf_core.View.Flat.degree t.store i) pair;
       Sf_obs.Metrics.incr t.c_retunes;
-      if tracing t then trace t (Sf_obs.Trace.Mark { label = "retune" }))
+      if tracing t then trace t (Sf_obs.Trace.Mark { label = "retune" })
 
 let drop t ~src ~dst ~cause =
   Sf_obs.Metrics.incr t.c_dropped;
   if tracing t then trace t (Sf_obs.Trace.Drop { src; dst; cause })
 
-(* One initiate step at node index [i]; the message goes out as a frame
-   of its destination's batch unless the loss draw — or an active fault
-   window, or the cross-process partition filter — eats it. *)
+(* One initiate step at row [i]; the message goes out as a frame of its
+   destination's batch unless the loss draw — or an active fault window,
+   or the cross-process partition filter — eats it. *)
 let fire t i =
   stamp t action_slot;
-  let node = t.nodes.(i).node in
-  let src = node.Sf_core.Protocol.node_id in
+  let src = t.first + i in
   t.actions <- t.actions + 1;
   if tracing t then trace t (Sf_obs.Trace.Timer { node = src });
   let dst =
-    Sf_core.Protocol.initiate_node t.nodes.(i).config t.rng ~mint:t.mint
-      ~born:t.actions node t.outbox
+    Sf_core.Protocol.initiate_row t.rng t.store i ~owner:src
+      ~dl:t.configs.(i).Sf_core.Protocol.lower_threshold ~born:t.actions ~mint:t.mint
+      t.outbox
   in
   if dst >= 0 then begin
+    t.sends.(i) <- t.sends.(i) + 1;
+    if t.outbox.Sf_core.Protocol.duplicated then
+      t.duplications.(i) <- t.duplications.(i) + 1;
     Sf_obs.Metrics.incr t.c_sent;
     if tracing t then
       trace t
@@ -678,28 +674,32 @@ let flush_delayed t =
           ~target:d.target)
       (List.rev due)
 
-(* One received frame for node [ns].  A CRC-clean frame no view can hold
-   is forged: undecodable. *)
-let deliver t (ns : node_state) msg =
-  let node = ns.node in
-  let dst = node.Sf_core.Protocol.node_id in
-  if not (Sf_core.Protocol.row_fits node.Sf_core.Protocol.view msg) then begin
+(* One received frame for row [i].  A CRC-clean frame no view can hold is
+   forged: undecodable.  A retune never lifts a row's s above the
+   store's, so the receive step's [s] is the row's config. *)
+let deliver t i msg =
+  let dst = t.first + i in
+  if not (Sf_core.Protocol.row_fits t.store msg) then begin
     Sf_obs.Metrics.incr t.c_decode_errors;
     reject t ~dst
   end
   else begin
     Sf_obs.Metrics.incr t.c_messages_received;
     if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
-    ignore (Sf_core.Protocol.receive_node ns.config t.rng node msg)
+    if
+      not
+        (Sf_core.Protocol.receive_row t.rng t.store i
+           ~s:t.configs.(i).Sf_core.Protocol.view_size msg)
+    then t.deletions.(i) <- t.deletions.(i) + 1
   end
 
-(* One datagram of [length] bytes in the read buffer, for [ns]: its
+(* One datagram of [length] bytes in the read buffer, for row [i]: its
    CRC-clean frames decode into the inbox, then each is delivered, in
    batch order.  A down or crashed receiver discards it instead: messages
    arriving during a crash window are lost, not queued for the resume. *)
-let receive_datagram t (ns : node_state) length =
-  let dst = ns.node.Sf_core.Protocol.node_id in
-  if ns.down || is_crashed t dst then begin
+let receive_datagram t i length =
+  let dst = t.first + i in
+  if t.down.(i) || is_crashed t dst then begin
     Sf_obs.Metrics.incr t.c_crash_dropped;
     if tracing t then trace t (Sf_obs.Trace.Drop { src = -1; dst; cause = "crash" })
   end
@@ -738,7 +738,7 @@ let receive_datagram t (ns : node_state) length =
           reject t ~dst
         end;
         for k = 0 to !clean - 1 do
-          deliver t ns t.inbox.(k)
+          deliver t i t.inbox.(k)
         done
     end
   end
@@ -746,9 +746,9 @@ let receive_datagram t (ns : node_state) length =
 (* Read one datagram from a readable socket.  A socket with more queued
    stays readable and is served after the next wait, so no read ends in
    the exception [EAGAIN] raises. *)
-let receive t (ns : node_state) =
-  match Unix.recv ns.socket t.read_buffer 0 (Bytes.length t.read_buffer) [] with
-  | length -> receive_datagram t ns length
+let receive t i =
+  match Unix.recv t.fds.(i) t.read_buffer 0 (Bytes.length t.read_buffer) [] with
+  | length -> receive_datagram t i length
   | exception
       Unix.Unix_error
         ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR | Unix.ECONNREFUSED), _, _)
@@ -773,32 +773,39 @@ let receive t (ns : node_state) =
    view is frozen while the node is down, so these are the ids it held
    when it crashed.  An empty view copies a live neighbour's instead
    (the paper's "copy another node's view" rule). *)
-let rejoin t (ns : node_state) =
-  let node = ns.node in
-  let view = node.Sf_core.Protocol.view in
-  (match Sf_core.View.ids view with
-  | [] ->
-    Option.iter (copy_view t ns)
-      (pick_donor t ~node_id:node.Sf_core.Protocol.node_id)
-  | ids ->
-    let keep = max 2 ns.config.Sf_core.Protocol.lower_threshold in
-    Sf_core.Protocol.install_ids view 0
-      (Array.of_list (List.filteri (fun i _ -> i < keep) ids))
-      ~born:t.actions ~mint:t.mint);
-  ns.down <- false;
+let rejoin t i =
+  let degree = Sf_core.View.Flat.degree t.store i in
+  if degree = 0 then begin
+    let donor = pick_donor t i in
+    if donor >= 0 then copy_view t i donor
+  end
+  else begin
+    let keep = max 2 t.configs.(i).Sf_core.Protocol.lower_threshold in
+    let ids = Array.make (min keep degree) 0 in
+    let k = ref 0 and slot = ref 0 in
+    while !k < Array.length ids do
+      let id = Sf_core.View.Flat.id_at t.store i !slot in
+      if id >= 0 then begin
+        ids.(!k) <- id;
+        incr k
+      end;
+      incr slot
+    done;
+    Sf_core.Protocol.install_ids t.store i ids ~born:t.actions ~mint:t.mint
+  end;
+  t.down.(i) <- false;
   Sf_obs.Metrics.incr t.c_rejoins;
   if tracing t then trace t (Sf_obs.Trace.Mark { label = "rejoin" })
 
 let sync_crash_states t =
   if Option.is_some t.resilience then
-    for i = 0 to Array.length t.nodes - 1 do
-      let ns = t.nodes.(i) in
-      let crashed = is_crashed t ns.node.Sf_core.Protocol.node_id in
-      if crashed && not ns.down then begin
-        ns.down <- true;
+    for i = 0 to node_count t - 1 do
+      let crashed = is_crashed t (t.first + i) in
+      if crashed && not t.down.(i) then begin
+        t.down.(i) <- true;
         if tracing t then trace t (Sf_obs.Trace.Mark { label = "crash_down" })
       end
-      else if (not crashed) && ns.down then rejoin t ns
+      else if (not crashed) && t.down.(i) then rejoin t i
     done
 
 (* --- The event loop --- *)
@@ -854,9 +861,9 @@ external wait :
    digests pin it. *)
 let serve_ready t =
   let ready = t.ready in
-  let count = Array.length t.nodes in
+  let count = node_count t in
   for i = count - 1 downto 0 do
-    if Bytes.get ready i <> '\000' then receive t t.nodes.(i)
+    if Bytes.get ready i <> '\000' then receive t i
   done;
   for j = 0 to Array.length t.channels - 1 do
     if Bytes.get ready (count + j) <> '\000' then t.channels.(j) ()
@@ -881,12 +888,11 @@ let run t ~duration =
          node skips its initiation but keeps its timer running, so it
          resumes when the window closes: rejoined with a reset view
          (resilience) or with its stale one. *)
-      for i = 0 to Array.length t.nodes - 1 do
+      for i = 0 to node_count t - 1 do
         if t.next_fire.(i) <= now then begin
-          let ns = t.nodes.(i) in
-          if not (ns.down || is_crashed t ns.node.Sf_core.Protocol.node_id) then begin
+          if not (t.down.(i) || is_crashed t (t.first + i)) then begin
             fire t i;
-            resil_tick t ns
+            resil_tick t i
           end;
           t.next_fire.(i) <- now +. (t.period *. (0.9 +. (0.2 *. uniform t.rng)))
         end
@@ -914,28 +920,27 @@ let run t ~duration =
 (* --- Measurement (mirrors the simulator's monitors) --- *)
 
 let views t =
-  Array.to_seq t.nodes
-  |> Seq.map (fun ns -> (ns.node.Sf_core.Protocol.node_id, ns.node.Sf_core.Protocol.view))
+  Seq.init (node_count t) (fun i -> (t.first + i, Sf_core.View.copy_row t.store i))
 
 let outdegree_summary t =
   let summary = Sf_stats.Summary.create () in
-  Array.iter
-    (fun ns -> Sf_stats.Summary.add_int summary (Sf_core.Protocol.degree ns.node))
-    t.nodes;
+  for i = 0 to node_count t - 1 do
+    Sf_stats.Summary.add_int summary (Sf_core.View.Flat.degree t.store i)
+  done;
   summary
 
 let independence_census t = Sf_core.Census.of_views (views t)
 
 let is_weakly_connected t =
   let g = Sf_graph.Digraph.create () in
-  Array.iter
-    (fun ns ->
-      Sf_graph.Digraph.ensure_vertex g ns.node.Sf_core.Protocol.node_id;
-      Sf_core.View.iter
-        (fun _ e ->
-          Sf_graph.Digraph.add_edge g ns.node.Sf_core.Protocol.node_id e.Sf_core.View.id)
-        ns.node.Sf_core.Protocol.view)
-    t.nodes;
+  for i = 0 to node_count t - 1 do
+    let u = t.first + i in
+    Sf_graph.Digraph.ensure_vertex g u;
+    for slot = 0 to Sf_core.View.Flat.view_size t.store - 1 do
+      let v = Sf_core.View.Flat.id_at t.store i slot in
+      if v >= 0 then Sf_graph.Digraph.add_edge g u v
+    done
+  done;
   Sf_graph.Digraph.is_weakly_connected g
 
 let fault_statistics t =

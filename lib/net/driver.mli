@@ -7,7 +7,8 @@
     space of [n] nodes, all sharing one port map (node [i] lives at
     [base_port + i] in whichever process owns it).  The default slice is
     the whole space in one process; {!Nodehost} wraps a slice in a
-    controllable process of its own.
+    controllable process of its own.  The slice's views are the rows of
+    one store ({!store}): row [i] is node [first + i].
 
     The loop waits on all of a driver's sockets and channels with one
     ppoll(2) call, which scans every fd per wake: a multi-process
@@ -94,6 +95,13 @@ val create :
 val node_count : t -> int
 (** Owned nodes (the slice size). *)
 
+val first : t -> int
+(** The global id of the slice's first node. *)
+
+val store : t -> Sf_core.View.Flat.t
+(** The live views of the owned nodes: row [i] is node [first t + i].
+    Reports read it in place; a test may edit it before a run. *)
+
 val actions : t -> int
 (** Initiate actions so far: [statistics]'s [actions] without building
     the record (a heartbeat reads it). *)
@@ -133,7 +141,8 @@ val shutdown : t -> unit
 (** Close every owned socket. *)
 
 val views : t -> (int * Sf_core.View.t) Seq.t
-(** Owned nodes' views, for external invariant checks. *)
+(** Owned nodes' views, copied as each is read, for external invariant
+    checks. *)
 
 val is_crashed : t -> int -> bool
 (** [true] while the fault scenario holds the id inside an active crash

@@ -87,43 +87,43 @@ let put_decimal packet pos k =
   !pos
 
 (* [view ID E1,E2,...] with each entry [id:serial:anchor:born], slot
-   order, or [view ID -] for an empty view, appended to a caller's
-   buffer: no string per entry and no concatenation per line. *)
-let add_view_line buf id view =
+   order, or [view ID -] for an empty view, for row [row] of [store],
+   appended to a caller's buffer: no string per entry and no
+   concatenation per line. *)
+let add_view_line buf id store row =
   let module F = Sf_core.View.Flat in
   Buffer.add_string buf "view ";
   add_int buf id;
   Buffer.add_char buf ' ';
   let empty = ref true in
-  for slot = 0 to F.view_size view - 1 do
-    let entry = F.id_at view 0 slot in
+  for slot = 0 to F.view_size store - 1 do
+    let entry = F.id_at store row slot in
     if entry >= 0 then begin
       if not !empty then Buffer.add_char buf ',';
       empty := false;
       add_int buf entry;
       Buffer.add_char buf ':';
-      add_int buf (F.serial_at view 0 slot);
+      add_int buf (F.serial_at store row slot);
       Buffer.add_char buf ':';
-      add_int buf (F.anchor_at view 0 slot);
+      add_int buf (F.anchor_at store row slot);
       Buffer.add_char buf ':';
-      add_int buf (F.born_at view 0 slot)
+      add_int buf (F.born_at store row slot)
     end
   done;
   if !empty then Buffer.add_char buf '-'
 
 let view_line id view =
   let buf = Buffer.create 256 in
-  add_view_line buf id view;
+  add_view_line buf id view 0;
   Buffer.contents buf
 
-(* Every owned view, one line each, in one write. *)
+(* Every owned view, one line each, in one write, read in place. *)
 let emit_views driver =
   let buf = Buffer.create (256 * Driver.node_count driver) in
-  Seq.iter
-    (fun (id, view) ->
-      add_view_line buf id view;
-      Buffer.add_char buf '\n')
-    (Driver.views driver);
+  for i = 0 to Driver.node_count driver - 1 do
+    add_view_line buf (Driver.first driver + i) (Driver.store driver) i;
+    Buffer.add_char buf '\n'
+  done;
   Buffer.output_buffer stdout buf;
   flush stdout
 
@@ -264,13 +264,12 @@ let reject c reply line =
 
 let snapshot c reply =
   let buf = Buffer.create 256 in
-  Seq.iter
-    (fun (id, view) ->
-      Buffer.clear buf;
-      add_view_line buf id view;
-      Buffer.add_char buf '\n';
-      reply (Buffer.to_bytes buf) (Buffer.length buf))
-    (Driver.views c.driver);
+  for i = 0 to Driver.node_count c.driver - 1 do
+    Buffer.clear buf;
+    add_view_line buf (Driver.first c.driver + i) (Driver.store c.driver) i;
+    Buffer.add_char buf '\n';
+    reply (Buffer.to_bytes buf) (Buffer.length buf)
+  done;
   reply_line reply "end"
 
 (* One control command, [b.[pos, pos + length)], from stdin or the

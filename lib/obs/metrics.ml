@@ -15,8 +15,8 @@
    sum, min and max are tracked alongside, and quantiles are clamped to
    [min, max] — a single-valued histogram round-trips exactly. *)
 
-type counter = { c_name : string; mutable c_count : int }
-type gauge = { g_name : string; mutable g_level : float }
+type counter = { mutable c_count : int }
+type gauge = { mutable g_level : float }
 
 (* --- Histogram bucketing --- *)
 
@@ -73,7 +73,6 @@ let bucket_upper index =
 type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
 
 type histogram = {
-  h_name : string;
   buckets : int array;
   mutable h_count : int;
   moments : moments;
@@ -142,7 +141,7 @@ let counter t name =
   | Some _ -> invalid_arg (Fmt.str "Metrics.counter: %S registered as another kind" name)
   | None ->
     validate_name name;
-    let c = { c_name = name; c_count = 0 } in
+    let c = { c_count = 0 } in
     Hashtbl.replace t.items name (Counter c);
     c
 
@@ -152,7 +151,7 @@ let gauge t name =
   | Some _ -> invalid_arg (Fmt.str "Metrics.gauge: %S registered as another kind" name)
   | None ->
     validate_name name;
-    let g = { g_name = name; g_level = 0. } in
+    let g = { g_level = 0. } in
     Hashtbl.replace t.items name (Gauge g);
     g
 
@@ -165,7 +164,6 @@ let histogram t name =
     validate_name name;
     let h =
       {
-        h_name = name;
         buckets = Array.make bucket_count 0;
         h_count = 0;
         moments = { sum = 0.; lo = Float.infinity; hi = Float.neg_infinity };
@@ -177,24 +175,12 @@ let histogram t name =
 let incr c = c.c_count <- c.c_count + 1
 let add c n = c.c_count <- c.c_count + n
 let count c = c.c_count
-let counter_name c = c.c_name
 
 let set g level = g.g_level <- level
 let level g = g.g_level
-let gauge_name g = g.g_name
-
-let histogram_name h = h.h_name
 
 let find_counter t name =
   match Hashtbl.find_opt t.items name with Some (Counter c) -> Some c | _ -> None
-
-let find_gauge t name =
-  match Hashtbl.find_opt t.items name with Some (Gauge g) -> Some g | _ -> None
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.items name with
-  | Some (Histogram h) -> Some h
-  | _ -> None
 
 (* Name-sorted view of the registry: export order is deterministic and
    independent of registration or hash order. *)

@@ -31,7 +31,6 @@ val counter : t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val count : counter -> int
-val counter_name : counter -> string
 val find_counter : t -> string -> counter option
 
 (** {2 Gauges} *)
@@ -41,8 +40,6 @@ type gauge
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val level : gauge -> float
-val gauge_name : gauge -> string
-val find_gauge : t -> string -> gauge option
 
 (** {2 Histograms} *)
 
@@ -69,8 +66,6 @@ val quantile : histogram -> float -> float
     whose cumulative count reaches [ceil (q * count)], clamped to the
     observed [min, max].  [nan] when empty. *)
 
-val histogram_name : histogram -> string
-val find_histogram : t -> string -> histogram option
 
 (** {2 Bucketing scheme} (exposed for boundary-exactness tests) *)
 

@@ -10,8 +10,6 @@ type t = { clock : unit -> float; hist : Metrics.histogram }
 
 let create ~clock metrics name = { clock; hist = Metrics.histogram metrics name }
 
-let of_histogram ~clock hist = { clock; hist }
-
 let histogram t = t.hist
 
 let time t f =

@@ -10,8 +10,6 @@ val create : clock:(unit -> float) -> Metrics.t -> string -> t
 (** Get-or-create the histogram named [name] in the registry and attach
     the clock to it. *)
 
-val of_histogram : clock:(unit -> float) -> Metrics.histogram -> t
-
 val histogram : t -> Metrics.histogram
 
 val time : t -> (unit -> 'a) -> 'a

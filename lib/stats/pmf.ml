@@ -87,9 +87,6 @@ let of_samples samples =
   Array.iter (fun k -> mass.(k - lo) <- mass.(k - lo) +. w) samples;
   { offset = lo; mass }
 
-let to_alist t =
-  List.rev (fold (fun acc k p -> (k, p) :: acc) [] t)
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   iter (fun k p -> if p > 1e-12 then Fmt.pf ppf "%4d  %.6f@," k p) t;

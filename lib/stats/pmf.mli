@@ -49,6 +49,4 @@ val of_assoc : (int * float) list -> t
 val of_samples : int array -> t
 (** Empirical pmf of a non-empty integer sample. *)
 
-val to_alist : t -> (int * float) list
-
 val pp : Format.formatter -> t -> unit

@@ -35,7 +35,6 @@ let variance_population t =
   if t.count = 0 then 0. else t.m2 /. float_of_int t.count
 
 let std t = sqrt (variance t)
-let std_population t = sqrt (variance_population t)
 let min_value t = t.min
 let max_value t = t.max
 

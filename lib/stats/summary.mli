@@ -16,7 +16,6 @@ val variance_population : t -> float
 (** Population variance (n denominator). *)
 
 val std : t -> float
-val std_population : t -> float
 val min_value : t -> float
 val max_value : t -> float
 

@@ -902,16 +902,18 @@ let test_driver_supervised_repair () =
   Fun.protect
     ~finally:(fun () -> Driver.shutdown c)
     (fun () ->
-      Seq.iter
-        (fun (id, view) ->
-          if id = 0 then View.clear_all view
-          else
-            View.iter
-              (fun slot e ->
-                if e.View.id = 0 then
-                  View.set view slot { e with View.id = (if id = 1 then 2 else 1) })
-              view)
-        (Driver.views c);
+      (* Row u is node u: the driver owns the whole space. *)
+      let store = Driver.store c in
+      ignore (View.Flat.clear_row store 0);
+      for u = 1 to n - 1 do
+        for slot = 0 to View.Flat.view_size store - 1 do
+          if View.Flat.id_at store u slot = 0 then
+            View.Flat.set store u slot ~id:(if u = 1 then 2 else 1)
+              ~serial:(View.Flat.serial_at store u slot)
+              ~anchor:(View.Flat.anchor_at store u slot)
+              ~born:(View.Flat.born_at store u slot)
+        done
+      done;
       Driver.run c ~duration:0.5;
       let stats = Driver.statistics c in
       Alcotest.(check bool)
@@ -1070,7 +1072,7 @@ let test_driver_crash_restart_replay () =
   Fun.protect
     ~finally:(fun () -> Driver.shutdown d)
     (fun () ->
-      Seq.iter (fun (id, view) -> if id = 0 then View.clear_all view) (Driver.views d);
+      ignore (View.Flat.clear_row (Driver.store d) 0);
       run_periods d 40;
       let s = Driver.statistics d in
       Alcotest.(check bool) "the run crossed every crash-restart path" true
@@ -1100,6 +1102,35 @@ let test_driver_allocation () =
         Printf.printf "driver: %.2f minor words per action\n" per_action;
         if per_action > 3. then
           Alcotest.failf "%.2f minor words per action (limit 3)" per_action)
+  end
+
+(* Building a 128-node driver under resilience, the node-host's shape
+   (s = 20, dL = 12), allocates per owned node the start topology's list
+   and array, the node's tuner and its share of the view store and
+   bookkeeping arrays.  Measured 178 minor words per node; a node object
+   graph of its own (a one-row store, a node record and counters in a
+   per-node record) took 287.  Native only, like the other allocation
+   tests. *)
+let create_words_limit = 230.
+
+let test_driver_create_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 128 in
+    let config = Protocol.make_config ~view_size:20 ~lower_threshold:12 in
+    let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:16 in
+    let resilience = Sf_resil.Policy.make ~solve:(fun ~loss:_ -> (12, 20)) () in
+    let w0 = Gc.minor_words () in
+    let d =
+      Driver.create ~resilience ~base_port:48500 ~n ~config ~loss_rate:0.05 ~seed:4
+        ~topology ()
+    in
+    let words = Gc.minor_words () -. w0 in
+    Driver.shutdown d;
+    let per_node = words /. float_of_int n in
+    Printf.printf "driver create: %.1f minor words per owned node\n" per_node;
+    if per_node > create_words_limit then
+      Alcotest.failf "%.1f minor words per owned node (limit %.0f)" per_node
+        create_words_limit
   end
 
 (* The production path: the wall clock read through its unboxed
@@ -1509,6 +1540,7 @@ let suite =
     Alcotest.test_case "driver crash-restart replay" `Quick
       test_driver_crash_restart_replay;
     Alcotest.test_case "driver steady-state allocation" `Quick test_driver_allocation;
+    Alcotest.test_case "driver create allocation" `Quick test_driver_create_allocation;
     Alcotest.test_case "driver wall-clock allocation" `Quick
       test_driver_wall_clock_allocation;
     Alcotest.test_case "driver reads one datagram per wake" `Quick

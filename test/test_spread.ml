@@ -381,9 +381,9 @@ let test_gate_refuses_unsupported_world () =
 
 let suite =
   [
-    Alcotest.test_case "shim byte-identity with historical spread" `Quick
+    Alcotest.test_case "flat push against the historical push spread" `Quick
       test_push_against_historical;
-    Alcotest.test_case "sequential per-strategy determinism" `Quick
+    Alcotest.test_case "flat per-strategy determinism" `Quick
       test_strategy_determinism;
     Alcotest.test_case "crash-aware coverage denominator" `Quick
       test_crash_coverage_denominator;
@@ -394,7 +394,7 @@ let suite =
     Alcotest.test_case "direct beats push on messages at 10k" `Slow
       test_direct_beats_push_messages;
     Alcotest.test_case "flat spread known answer" `Quick test_flat_known_answer;
-    Alcotest.test_case "sequential spread known answer" `Quick
+    Alcotest.test_case "flat churn-free known answer" `Quick
       test_churn_free_known_answer;
     Alcotest.test_case "sfg gate exit precedence" `Quick test_gate_exit_precedence;
     Alcotest.test_case "sfg refuses what the sharded engine cannot run" `Quick

@@ -297,7 +297,7 @@ let rules =
       id = "driver-row-kernel";
       doc =
         "lib/net/driver.ml moves messages as row messages: it runs \
-         Protocol.initiate_node/receive_node and Codec.write_frame/read_frame, \
+         Protocol.initiate_row/receive_row and Codec.write_frame/read_frame, \
          never the boxed Protocol.initiate, Protocol.receive, \
          Codec.encode_batch or Codec.decode_datagram, nor Span.time's \
          closures or recvfrom's tuple; and its loop builds no boxed float, \
@@ -309,9 +309,9 @@ let rules =
           (fun (names, message) -> List.map (fun name -> (name, message)) names)
           [
             ( [ "Protocol.initiate"; "Sf_core.Protocol.initiate" ],
-              "a boxed message per action — run Protocol.initiate_node" );
+              "a boxed message per action — run Protocol.initiate_row" );
             ( [ "Protocol.receive"; "Sf_core.Protocol.receive" ],
-              "a boxed message per frame — run Protocol.receive_node" );
+              "a boxed message per frame — run Protocol.receive_row" );
             ( [ "Codec.encode_batch"; "Sf_net.Codec.encode_batch" ],
               "boxed messages into a fresh datagram — Codec.write_frame into \
                the batch buffer" );
