@@ -177,11 +177,10 @@ let minwise_vs_views () =
   done;
   let reference = Minwise.raw_snapshot fleet in
   let view_reference = Hashtbl.create n in
+  let sorted_ids u = List.sort compare (View.ids (View.copy_row (Runner.store r) u)) in
   Array.iter
-    (fun node ->
-      Hashtbl.replace view_reference node.Protocol.node_id
-        (List.sort compare (View.ids node.Protocol.view)))
-    (Runner.live_nodes r);
+    (fun u -> Hashtbl.replace view_reference u (sorted_ids u))
+    (Runner.live_ids r);
   (* Another 100 rounds of evolution. *)
   for _ = 1 to 100 do
     Runner.run_rounds r 1;
@@ -191,13 +190,13 @@ let minwise_vs_views () =
   let views_frozen =
     let unchanged = ref 0 and total = ref 0 in
     Array.iter
-      (fun node ->
-        match Hashtbl.find_opt view_reference node.Protocol.node_id with
+      (fun u ->
+        match Hashtbl.find_opt view_reference u with
         | None -> ()
         | Some old ->
           incr total;
-          if List.sort compare (View.ids node.Protocol.view) = old then incr unchanged)
-      (Runner.live_nodes r);
+          if sorted_ids u = old then incr unchanged)
+      (Runner.live_ids r);
     float_of_int !unchanged /. float_of_int (max 1 !total)
   in
   (* Uniformity of the sampler outputs. *)
@@ -305,14 +304,13 @@ let partition_healing () =
   let cross_fraction () =
     let cross = ref 0 and total = ref 0 in
     Array.iter
-      (fun node ->
-        let side = node.Protocol.node_id < half in
-        View.iter
-          (fun _ e ->
+      (fun u ->
+        List.iter
+          (fun id ->
             incr total;
-            if (e.View.id < half) <> side then incr cross)
-          node.Protocol.view)
-      (Runner.live_nodes r);
+            if (id < half) <> (u < half) then incr cross)
+          (View.ids (View.copy_row (Runner.store r) u)))
+      (Runner.live_ids r);
     float_of_int !cross /. float_of_int (max 1 !total)
   in
   let before = cross_fraction () in
@@ -320,17 +318,15 @@ let partition_healing () =
      two ids of the other half — an ordinary S&F receive, so the outdegree
      stays even and a full view deletes it. *)
   let bridge_rng = Sf_prng.Rng.create 97 in
-  let other_half () =
-    { View.id = half + Sf_prng.Rng.int bridge_rng half; serial = 0; anchor = None; born = 0 }
-  in
+  let msg = Protocol.row_message () in
   for _ = 1 to 10 do
     let a = Sf_prng.Rng.int bridge_rng half in
-    let reinforcement = other_half () in
-    let mixing = other_half () in
-    match Runner.find_node r a with
-    | Some node ->
-      ignore (Protocol.receive config bridge_rng node { Protocol.reinforcement; mixing })
-    | None -> ()
+    msg.r_id <- half + Sf_prng.Rng.int bridge_rng half;
+    msg.m_id <- half + Sf_prng.Rng.int bridge_rng half;
+    if Runner.is_live r a then
+      ignore
+        (Protocol.receive_row bridge_rng (Runner.store r) a
+           ~s:config.Protocol.view_size msg)
   done;
   let points = ref [ (0, cross_fraction ()) ] in
   List.iter

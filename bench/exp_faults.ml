@@ -49,10 +49,8 @@ let bursty_vs_iid () =
     let outs = Properties.outdegree_summary r in
     let at_or_below_dl =
       Array.fold_left
-        (fun acc node ->
-          if Protocol.degree node <= config.Protocol.lower_threshold then acc + 1
-          else acc)
-        0 (Runner.live_nodes r)
+        (fun acc d -> if d <= config.Protocol.lower_threshold then acc + 1 else acc)
+        0 (Properties.outdegree_samples r)
     in
     [
       name;
@@ -114,10 +112,10 @@ let fault_recovery () =
   let stats = Invariant.audited_run ~mode:Invariant.Strict r ~rounds:100 in
   let crashed_outs = Summary.create () in
   Array.iter
-    (fun node ->
-      if node.Protocol.node_id < 40 then
-        Summary.add_int crashed_outs (Protocol.degree node))
-    (Runner.live_nodes r);
+    (fun u ->
+      if u < 40 then
+        Summary.add_int crashed_outs (Sf_core.View.Flat.degree (Runner.store r) u))
+    (Runner.live_ids r);
   Output.row "  %d actions audited, %d resyncs, %d violations@."
     stats.Invariant.actions_checked stats.Invariant.resyncs
     stats.Invariant.violation_count;

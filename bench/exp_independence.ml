@@ -37,13 +37,11 @@ let table_7_6 () =
     let r = make_system ~seed:(7000 + seed) ~n ~loss:0.01 in
     Runner.run_rounds r 250;
     Array.iter
-      (fun node ->
-        View.iter
-          (fun _ e ->
-            if e.View.id <> node.Protocol.node_id && e.View.id < n then
-              counts.(e.View.id) <- counts.(e.View.id) +. 1.)
-          node.Protocol.view)
-      (Runner.live_nodes r)
+      (fun u ->
+        List.iter
+          (fun id -> if id <> u && id < n then counts.(id) <- counts.(id) +. 1.)
+          (View.ids (View.copy_row (Runner.store r) u)))
+      (Runner.live_ids r)
   done;
   let result = Sf_stats.Hypothesis.chi_square_uniform counts in
   let summary = Sf_stats.Summary.of_array counts in

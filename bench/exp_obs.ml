@@ -78,8 +78,7 @@ let measure_overhead ~reps =
 
 let empirical_outdegree span r =
   Sf_obs.Span.time span (fun () ->
-      Pmf.of_samples
-        (Array.map (fun node -> Protocol.degree node) (Runner.live_nodes r)))
+      Pmf.of_samples (Sf_core.Properties.outdegree_samples r))
 
 let run () =
   Output.section "OBS" "Observability layer: overhead, balance, degree TVD";

@@ -56,14 +56,14 @@ let nonuniform_loss () =
   let class_summary pred =
     let outs = Summary.create () and ins = Summary.create () in
     let indegree = Properties.indegree_samples split in
-    let live = Runner.live_nodes split in
+    let outdegree = Properties.outdegree_samples split in
     Array.iteri
-      (fun i node ->
-        if pred node.Protocol.node_id then begin
-          Summary.add_int outs (Protocol.degree node);
+      (fun i u ->
+        if pred u then begin
+          Summary.add_int outs outdegree.(i);
           Summary.add_int ins indegree.(i)
         end)
-      live;
+      (Runner.live_ids split);
     (outs, ins)
   in
   let lossy_out, lossy_in = class_summary lossy_node in

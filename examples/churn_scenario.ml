@@ -55,9 +55,7 @@ let () =
 
   (* Correlated crash: 20% of the nodes disappear at once. *)
   let victims =
-    Array.to_list (Runner.live_nodes runner)
-    |> List.filteri (fun i _ -> i mod 5 = 0)
-    |> List.map (fun node -> node.Protocol.node_id)
+    Array.to_list (Runner.live_ids runner) |> List.filteri (fun i _ -> i mod 5 = 0)
   in
   List.iter (fun id -> ignore (Runner.remove_node runner id)) victims;
   let dead_instances () =

@@ -22,7 +22,6 @@
 
 module Runner = Sf_core.Runner
 module Sampling = Sf_core.Sampling
-module Protocol = Sf_core.Protocol
 
 (* n-hat from a list of sampled ids. *)
 let collision_estimate samples =
@@ -58,7 +57,7 @@ let () =
         let samples =
           List.filter_map
             (fun _ ->
-              let node_id = (Runner.random_live_node runner).Protocol.node_id in
+              let node_id = Runner.random_live_id runner in
               Sampling.sample runner rng ~node_id)
             (List.init k Fun.id)
         in
@@ -75,7 +74,7 @@ let () =
   Fmt.pr "averaged n-hat = %.0f  (relative error %.1f%%)@." mean (100. *. error);
 
   (* The contrast: all k samples from one node's frozen view. *)
-  let node_id = (Runner.random_live_node runner).Protocol.node_id in
+  let node_id = Runner.random_live_id runner in
   let frozen_samples = Sampling.sample_many runner rng ~node_id ~k in
   let frozen_estimate = collision_estimate frozen_samples in
   Fmt.pr "@.frozen single view: n-hat = %.0f — bounded by the view size (~%d)@."

@@ -17,9 +17,9 @@
      entry claims a birth time in the future.
 
    Attachment goes through [Runner.set_audit] (per-action events) and
-   [Sim.set_monitor] (timed-mode cadence).  Per-action checks are O(live)
-   — a sum of cached degrees — and full scans are O(live * s), run every
-   [scan_every] actions. *)
+   [Sim.set_monitor] (timed-mode cadence).  Per-action checks are
+   O(rows) — a sum of the store's cached degrees — and full scans are
+   O(rows * s), run every [scan_every] actions. *)
 
 module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
@@ -51,64 +51,84 @@ let check_view view =
          (View.degree view) occupied)
   else None
 
-let check_degree ~config node =
-  let d = Protocol.degree node in
+let check_degree ~config id d =
   let s = config.Protocol.view_size in
   if d < 0 || d > s then
     Some
-      (violation "M1-degree-bound" "node %d has outdegree %d outside [0, %d]"
-         node.Protocol.node_id d s)
+      (violation "M1-degree-bound" "node %d has outdegree %d outside [0, %d]" id d s)
   else if d mod 2 <> 0 then
-    Some
-      (violation "degree-parity" "node %d has odd outdegree %d"
-         node.Protocol.node_id d)
+    Some (violation "degree-parity" "node %d has odd outdegree %d" id d)
   else None
 
-let total_edges runner =
-  Array.fold_left
-    (fun acc node -> acc + Protocol.degree node)
-    0 (Runner.live_nodes runner)
+(* Every view is a row of its engine's store and departed rows are empty,
+   so the global edge count is the store's degree sum. *)
+let total_edges runner = View.Flat.total_edges (Runner.store runner)
 
-(* Full structural scan: per-view soundness, degree bounds, global serial
-   uniqueness, serial/birth bounds. *)
-let scan runner =
-  let ceiling = Runner.minted_serials runner in
-  let now = Runner.action_count runner in
+module Flat = View.Flat
+
+(* The one structural scan, over any store whose row [u] is node [u]'s
+   view.  A row that is not [live] must hold nothing: leaves clear the
+   view.  A live row is checked for M1 bounds and parity against
+   [config u], its cached degree against a slot recount, and each entry
+   for an id inside the store (live views may hold departed ids, which
+   decay through the protocol, but never ids of no row), global serial
+   uniqueness, [serial_bound u serial] and a born stamp in [[0, clock]]
+   ([stamp] names the clock's unit). *)
+let walk store ~live ~config ~serial_bound ~clock ~stamp =
+  let cap = Flat.node_count store in
+  let s = Flat.view_size store in
   let seen = Hashtbl.create 4096 in
   let violations = ref [] in
-  let record = function Some v -> violations := v :: !violations | None -> () in
-  Array.iter
-    (fun node ->
-      record (check_view node.Protocol.view);
-      (* Per-node config: the resilience controller may have retuned this
-         node's thresholds away from the base config. *)
-      record
-        (check_degree ~config:(Runner.node_config runner node.Protocol.node_id) node);
-      View.iter
-        (fun _ (e : View.entry) ->
-          (match Hashtbl.find_opt seen e.View.serial with
+  let record v = violations := v :: !violations in
+  for u = 0 to cap - 1 do
+    let d = Flat.degree store u in
+    if not (live u) then begin
+      if d <> 0 then
+        record (violation "dead-slot-empty" "dead slot %d still has outdegree %d" u d)
+    end
+    else begin
+      Option.iter record (check_degree ~config:(config u) u d);
+      if Flat.recount_degree store u <> d then
+        record
+          (violation "view-soundness" "node %d: cached degree %d but %d occupied slots"
+             u d (Flat.recount_degree store u));
+      for slot = 0 to s - 1 do
+        let id = Flat.id_at store u slot in
+        if id >= 0 then begin
+          if id >= cap then
+            record (violation "id-bound" "node %d holds id %d outside [0, %d)" u id cap);
+          let serial = Flat.serial_at store u slot in
+          (match Hashtbl.find_opt seen serial with
           | Some owner ->
             record
-              (Some
-                 (violation "serial-uniqueness"
-                    "serial %d held by both node %d and node %d" e.View.serial
-                    owner node.Protocol.node_id))
-          | None -> Hashtbl.add seen e.View.serial node.Protocol.node_id);
-          if e.View.serial < 0 || e.View.serial >= ceiling then
+              (violation "serial-uniqueness" "serial %d held by both node %d and node %d"
+                 serial owner u)
+          | None -> Hashtbl.add seen serial u);
+          Option.iter record (serial_bound u serial);
+          let born = Flat.born_at store u slot in
+          if born < 0 || born > clock then
             record
-              (Some
-                 (violation "serial-bound"
-                    "node %d holds serial %d outside [0, %d)"
-                    node.Protocol.node_id e.View.serial ceiling));
-          if e.View.born > now then
-            record
-              (Some
-                 (violation "birth-bound"
-                    "node %d holds an entry born at action %d > clock %d"
-                    node.Protocol.node_id e.View.born now)))
-        node.Protocol.view)
-    (Runner.live_nodes runner);
+              (violation "birth-bound" "node %d holds an entry born %s %d > clock %d" u
+                 stamp born clock)
+        end
+      done
+    end
+  done;
   List.rev !violations
+
+(* The sequential runner: per-node configs (the resilience controller may
+   retune a node), serials below the mint counter, born at an action. *)
+let scan runner =
+  let minted = Runner.minted_serials runner in
+  walk (Runner.store runner) ~live:(Runner.is_live runner)
+    ~config:(Runner.node_config runner)
+    ~serial_bound:(fun u serial ->
+      if serial < 0 || serial >= minted then
+        Some
+          (violation "serial-bound" "node %d holds serial %d outside [0, %d)" u serial
+             minted)
+      else None)
+    ~clock:(Runner.action_count runner) ~stamp:"at action"
 
 (* --- The attached auditor --- *)
 
@@ -266,14 +286,12 @@ let on_event a runner event =
       report a
         (violation "crashed-receiver"
            "node %d received a message inside an active crash window" receiver);
-    (match Runner.find_node runner receiver with
-    | None -> ()
-    | Some node -> (
-      match
-        check_degree ~config:(Runner.node_config runner receiver) node
-      with
-      | Some v -> report a v
-      | None -> ()))
+    if Runner.is_live runner receiver then
+      Option.iter (report a)
+        (check_degree
+           ~config:(Runner.node_config runner receiver)
+           receiver
+           (View.Flat.degree (Runner.store runner) receiver))
   | Runner.Structural reason ->
     ignore reason;
     a.stats.resyncs <- a.stats.resyncs + 1;
@@ -309,81 +327,25 @@ let detach runner =
 (* --- The sharded flat-state runner --- *)
 
 module Sharded = Runner.Sharded
-module Flat = View.Flat
 
-(* Full structural scan of a packed world.  The same invariants as [scan],
-   re-derived for the flat encoding: M1 bounds and parity, cached degree
-   against a slot recount, global serial uniqueness, the shard-strided
-   serial bound (serial c*S + i is valid iff shard i has minted more than
-   c times), birth times within the round clock, and id range. *)
+(* A packed world: one config for every row, the shard-strided serial
+   bound (serial c*S + i is valid iff shard i has minted more than c
+   times), born in a round. *)
 let scan_sharded w =
-  let store = Sharded.store w in
-  let cap = Flat.node_count store in
-  let s = Flat.view_size store in
   let shard_count = Sharded.shard_count w in
   let minted = Sharded.minted w in
-  let rounds = Sharded.rounds_completed w in
-  let seen = Hashtbl.create 4096 in
-  let violations = ref [] in
-  let record v = violations := v :: !violations in
-  for u = 0 to cap - 1 do
-    if not (Sharded.is_live w u) then begin
-      (* Dead slots (departed nodes, unused headroom) must hold nothing:
-         leaves clear the view before recycling the slot. *)
-      if Flat.degree store u <> 0 then
-        record
-          (violation "dead-slot-empty" "dead slot %d still has outdegree %d" u
-             (Flat.degree store u))
-    end
-    else begin
-    let d = Flat.degree store u in
-    if d < 0 || d > s then
-      record
-        (violation "M1-degree-bound" "node %d has outdegree %d outside [0, %d]"
-           u d s);
-    if d mod 2 <> 0 then
-      record (violation "degree-parity" "node %d has odd outdegree %d" u d);
-    if Flat.recount_degree store u <> d then
-      record
-        (violation "view-soundness"
-           "node %d: cached degree %d but %d occupied slots" u d
-           (Flat.recount_degree store u));
-    for slot = 0 to s - 1 do
-      let id = Flat.id_at store u slot in
-      if id >= 0 then begin
-        (* Live views may reference dead ids (stale entries decay through
-           the protocol), but never ids outside the allocated slot range. *)
-        if id >= cap then
-          record
-            (violation "id-bound" "node %d holds id %d outside [0, %d)" u id
-               cap);
-        let serial = Flat.serial_at store u slot in
-        (match Hashtbl.find_opt seen serial with
-        | Some owner ->
-          record
-            (violation "serial-uniqueness"
-               "serial %d held by both node %d and node %d" serial owner u)
-        | None -> Hashtbl.add seen serial u);
-        if
-          serial < 0
-          || serial / shard_count >= minted.(serial mod shard_count)
-        then
-          record
-            (violation "serial-bound"
-               "node %d holds serial %d beyond shard %d's mint position %d" u
-               serial (serial mod shard_count)
-               minted.(serial mod shard_count));
-        let born = Flat.born_at store u slot in
-        if born < 0 || born > rounds then
-          record
-            (violation "birth-bound"
-               "node %d holds an entry born in round %d > clock %d" u born
-               rounds)
-      end
-    done
-    end
-  done;
-  List.rev !violations
+  let config = Sharded.config w in
+  walk (Sharded.store w) ~live:(Sharded.is_live w)
+    ~config:(fun _ -> config)
+    ~serial_bound:(fun u serial ->
+      if serial < 0 || serial / shard_count >= minted.(serial mod shard_count) then
+        Some
+          (violation "serial-bound"
+             "node %d holds serial %d beyond shard %d's mint position %d" u serial
+             (serial mod shard_count)
+             minted.(serial mod shard_count))
+      else None)
+    ~clock:(Sharded.rounds_completed w) ~stamp:"in round"
 
 (* Audited bulk-synchronous run.  The sharded runner has no per-action
    audit hook (actions are not serialized), so the external checks move to

@@ -22,7 +22,7 @@
     conservation baseline — the invariants above keep holding under every
     fault the scenario language can express.
 
-    Per-action checks cost O(live nodes); full scans cost O(live × s) and
+    Per-action checks cost O(store rows); full scans cost O(rows × s) and
     run every [scan_every] actions. *)
 
 type mode =
@@ -40,15 +40,20 @@ val pp_violation : violation Fmt.t
 val check_view : Sf_core.View.t -> violation option
 (** Structural soundness of one view: cached degree = occupied slots. *)
 
-val check_degree :
-  config:Sf_core.Protocol.config -> Sf_core.Protocol.node -> violation option
-(** M1 bounds and parity for one node. *)
+val check_degree : config:Sf_core.Protocol.config -> int -> int -> violation option
+(** [check_degree ~config id degree]: M1 bounds and parity for node [id]
+    with outdegree [degree]. *)
 
 val total_edges : Sf_core.Runner.t -> int
 (** Global edge count: the sum of live outdegrees. *)
 
 val scan : Sf_core.Runner.t -> violation list
-(** Full structural scan of a system; empty means every invariant holds. *)
+(** Full structural scan of a system's store ({!Sf_core.Runner.store}):
+    M1 bounds and parity against each node's own config, cached degrees
+    against slot recounts, id range, global serial uniqueness, serials
+    below {!Sf_core.Runner.minted_serials}, birth stamps within the
+    action clock, and emptiness of every row no live node owns.  The
+    same walk as {!scan_sharded}.  Empty means every invariant holds. *)
 
 (** {2 Attached audit} *)
 
@@ -83,13 +88,13 @@ val audited_run : ?mode:mode -> ?scan_every:int -> Sf_core.Runner.t -> rounds:in
     configurable cadence. *)
 
 val scan_sharded : Sf_core.Runner.Sharded.t -> violation list
-(** Full structural scan of a packed world: M1 bounds and parity, cached
-    degrees against slot recounts, global serial uniqueness, the
-    shard-strided serial bound, birth-round bounds, id range, and — under
-    churn — emptiness of every dead slot.  Live views may hold stale
-    references to departed ids (they decay through the protocol); dead
-    slots must hold nothing.  Empty means every invariant holds.
-    O(capacity × s). *)
+(** Full structural scan of a packed world, the walk of {!scan}: M1
+    bounds and parity, cached degrees against slot recounts, global
+    serial uniqueness, the shard-strided serial bound, birth-round
+    bounds, id range, and — under churn — emptiness of every dead slot.
+    Live views may hold stale references to departed ids (they decay
+    through the protocol); dead slots must hold nothing.  Empty means
+    every invariant holds.  O(capacity × s). *)
 
 val audited_sharded_run :
   ?mode:mode ->

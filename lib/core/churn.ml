@@ -9,11 +9,10 @@ let leave_decay runner ?victim ~rounds () =
   let victim_id =
     match victim with
     | Some id -> id
-    | None -> (Runner.random_live_node runner).Protocol.node_id
+    | None -> Runner.random_live_id runner
   in
-  (match Runner.remove_node runner victim_id with
-  | Some _ -> ()
-  | None -> invalid_arg "Churn.leave_decay: victim not live");
+  if not (Runner.remove_node runner victim_id) then
+    invalid_arg "Churn.leave_decay: victim not live";
   let trace = Array.make (rounds + 1) 0 in
   trace.(0) <- Runner.count_id_instances runner victim_id;
   for r = 1 to rounds do
@@ -54,9 +53,9 @@ let join_integration runner ~rounds =
   let record r =
     instances.(r) <- Runner.count_id_instances runner joiner;
     out_degrees.(r) <-
-      (match Runner.find_node runner joiner with
-      | Some node -> Protocol.degree node
-      | None -> 0)
+      (if Runner.is_live runner joiner then
+         View.Flat.degree (Runner.store runner) joiner
+       else 0)
   in
   record 0;
   for r = 1 to rounds do
@@ -82,8 +81,7 @@ let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
   for _ = 1 to rounds do
     for _ = 1 to leaves do
       if Runner.live_count runner > 2 * (joins + leaves) then begin
-        let victim = (Runner.random_live_node runner).Protocol.node_id in
-        ignore (Runner.remove_node runner victim)
+        ignore (Runner.remove_node runner (Runner.random_live_id runner))
       end
     done;
     for _ = 1 to joins do

@@ -82,11 +82,15 @@ let layer fleet ~node_id =
 
 (* Feed every live node's layer with its current view contents. *)
 let feed_from_views fleet runner =
+  let store = Runner.store runner in
   Array.iter
-    (fun node ->
-      let l = layer fleet ~node_id:node.Protocol.node_id in
-      List.iter (fun id -> observe l id) (View.ids node.Protocol.view))
-    (Runner.live_nodes runner)
+    (fun u ->
+      let l = layer fleet ~node_id:u in
+      for slot = 0 to View.Flat.view_size store - 1 do
+        let id = View.Flat.id_at store u slot in
+        if id >= 0 then observe l id
+      done)
+    (Runner.live_ids runner)
 
 (* Fraction of individual samplers whose output is identical to a reference
    snapshot — quantifies the *lack* of temporal independence of persistent

@@ -15,87 +15,68 @@
    - M5 temporal independence: the fraction of instances surviving from a
      reference snapshot, which decays as views evolve. *)
 
+(* [f owner id serial] for every entry of every live view: live ids in
+   increasing order, then slot order. *)
+let iter_entries runner f =
+  let store = Runner.store runner in
+  Array.iter
+    (fun u ->
+      for slot = 0 to View.Flat.view_size store - 1 do
+        let id = View.Flat.id_at store u slot in
+        if id >= 0 then f u id (View.Flat.serial_at store u slot)
+      done)
+    (Runner.live_ids runner)
+
+(* Instances of each id (the store's row index) across live views. *)
+let indegrees runner =
+  let counts = Array.make (View.Flat.node_count (Runner.store runner)) 0 in
+  iter_entries runner (fun _ id _ -> counts.(id) <- counts.(id) + 1);
+  counts
+
 (* M2: summary of live-node indegrees; the load-balance property holds when
    the variance stays bounded as the system runs. *)
 let indegree_summary runner =
-  let live = Runner.live_nodes runner in
-  let counts = Hashtbl.create (2 * Array.length live) in
-  Array.iter
-    (fun node ->
-      View.iter
-        (fun _ e ->
-          let c = Option.value ~default:0 (Hashtbl.find_opt counts e.View.id) in
-          Hashtbl.replace counts e.View.id (c + 1))
-        node.Protocol.view)
-    live;
+  let counts = indegrees runner in
   let summary = Sf_stats.Summary.create () in
   Array.iter
-    (fun node ->
-      let din =
-        Option.value ~default:0 (Hashtbl.find_opt counts node.Protocol.node_id)
-      in
-      Sf_stats.Summary.add_int summary din)
-    live;
-  summary
-
-let outdegree_summary runner =
-  let summary = Sf_stats.Summary.create () in
-  Array.iter
-    (fun node -> Sf_stats.Summary.add_int summary (Protocol.degree node))
-    (Runner.live_nodes runner);
+    (fun u -> Sf_stats.Summary.add_int summary counts.(u))
+    (Runner.live_ids runner);
   summary
 
 let outdegree_samples runner =
-  Array.map Protocol.degree (Runner.live_nodes runner)
+  Array.map (View.Flat.degree (Runner.store runner)) (Runner.live_ids runner)
+
+let outdegree_summary runner =
+  let summary = Sf_stats.Summary.create () in
+  Array.iter (Sf_stats.Summary.add_int summary) (outdegree_samples runner);
+  summary
 
 let indegree_samples runner =
-  let live = Runner.live_nodes runner in
-  let index = Hashtbl.create (2 * Array.length live) in
-  Array.iteri (fun i node -> Hashtbl.replace index node.Protocol.node_id i) live;
-  let counts = Array.make (Array.length live) 0 in
-  Array.iter
-    (fun node ->
-      View.iter
-        (fun _ e ->
-          match Hashtbl.find_opt index e.View.id with
-          | Some i -> counts.(i) <- counts.(i) + 1
-          | None -> () (* departed node's id *))
-        node.Protocol.view)
-    live;
-  counts
+  let counts = indegrees runner in
+  Array.map (fun u -> counts.(u)) (Runner.live_ids runner)
 
 (* M3: accumulate per-id appearance counts over [snapshots] spaced
    [actions_between] global actions apart, then chi-square them against the
    uniform expectation.  Self-appearances are excluded: Lemma 7.6 proves
-   uniformity only over v <> u. *)
+   uniformity only over v <> u.  Counts are indexed by position among the
+   ids live at the start. *)
 let uniformity_test runner ~snapshots ~actions_between =
-  let live = Runner.live_nodes runner in
-  let index = Hashtbl.create (2 * Array.length live) in
-  Array.iteri (fun i node -> Hashtbl.replace index node.Protocol.node_id i) live;
+  let live = Runner.live_ids runner in
+  let index = Array.make (View.Flat.node_count (Runner.store runner)) (-1) in
+  Array.iteri (fun i u -> index.(u) <- i) live;
   let counts = Array.make (Array.length live) 0. in
   for _ = 1 to snapshots do
     Runner.run_actions runner actions_between;
-    Array.iter
-      (fun node ->
-        View.iter
-          (fun _ e ->
-            if e.View.id <> node.Protocol.node_id then
-              match Hashtbl.find_opt index e.View.id with
-              | Some i -> counts.(i) <- counts.(i) +. 1.
-              | None -> ())
-          node.Protocol.view)
-      (Runner.live_nodes runner)
+    iter_entries runner (fun u id _ ->
+        if id <> u && id < Array.length index && index.(id) >= 0 then
+          counts.(index.(id)) <- counts.(index.(id)) +. 1.)
   done;
   (counts, Sf_stats.Hypothesis.chi_square_uniform counts)
 
 (* M4: dependence census, delegated to the generic {!Census} so the same
-   labelling applies to baseline protocols. *)
-let independence_census runner =
-  let views =
-    Array.to_seq (Runner.live_nodes runner)
-    |> Seq.map (fun node -> (node.Protocol.node_id, node.Protocol.view))
-  in
-  Census.of_views views
+   labelling applies to baseline protocols.  Row [u] of the store is node
+   [u]'s view, and departed nodes' rows are empty. *)
+let independence_census runner = Census.of_flat (Runner.store runner)
 
 (* M5: snapshot the serial numbers of all current instances, then report the
    fraction still present after each block of rounds.  Under temporal
@@ -103,21 +84,14 @@ let independence_census runner =
    survival by 1 - (1-loss-delta) dL / s^2. *)
 let overlap_decay runner ~blocks ~rounds_per_block =
   let snapshot = Hashtbl.create 4096 in
-  Array.iter
-    (fun node ->
-      View.iter (fun _ e -> Hashtbl.replace snapshot e.View.serial ()) node.Protocol.view)
-    (Runner.live_nodes runner);
+  iter_entries runner (fun _ _ serial -> Hashtbl.replace snapshot serial ());
   let initial = Hashtbl.length snapshot in
   let fraction_surviving () =
     if initial = 0 then 0.
     else begin
       let surviving = ref 0 in
-      Array.iter
-        (fun node ->
-          View.iter
-            (fun _ e -> if Hashtbl.mem snapshot e.View.serial then incr surviving)
-            node.Protocol.view)
-        (Runner.live_nodes runner);
+      iter_entries runner (fun _ _ serial ->
+          if Hashtbl.mem snapshot serial then incr surviving);
       float_of_int !surviving /. float_of_int initial
     end
   in
@@ -131,17 +105,8 @@ let overlap_decay runner ~blocks ~rounds_per_block =
 (* Weak connectivity of the current membership graph restricted to live
    nodes (edges to departed ids are ignored: they cannot carry messages). *)
 let is_weakly_connected runner =
-  let live = Runner.live_nodes runner in
   let g = Sf_graph.Digraph.create () in
-  let live_ids = Hashtbl.create (2 * Array.length live) in
-  Array.iter (fun node -> Hashtbl.replace live_ids node.Protocol.node_id ()) live;
-  Array.iter
-    (fun node ->
-      Sf_graph.Digraph.ensure_vertex g node.Protocol.node_id;
-      View.iter
-        (fun _ e ->
-          if Hashtbl.mem live_ids e.View.id then
-            Sf_graph.Digraph.add_edge g node.Protocol.node_id e.View.id)
-        node.Protocol.view)
-    live;
+  Array.iter (Sf_graph.Digraph.ensure_vertex g) (Runner.live_ids runner);
+  iter_entries runner (fun u id _ ->
+      if Runner.is_live runner id then Sf_graph.Digraph.add_edge g u id);
   Sf_graph.Digraph.is_weakly_connected g

@@ -15,9 +15,9 @@
    the two steps, exactly as in the paper's non-atomic action model.
 
    The rule is written once, as a kernel over one row of a [View.Flat]
-   store ([initiate_row], [receive_row]).  The boxed [initiate] and
-   [receive] run it on a node's own view and count; the sharded engine
-   runs it on its world and the UDP driver on its owned rows. *)
+   store ([initiate_row], [receive_row]): the sequential runner and the
+   sharded engine run it on their world stores, the UDP driver on its
+   owned rows. *)
 
 type config = {
   view_size : int;        (* s: number of view slots, even, >= 6 *)
@@ -45,42 +45,11 @@ type message = {
   mixing : View.entry;         (* the forwarded id, [w] in [u, w] *)
 }
 
-type node = {
-  node_id : int;
-  view : View.t;
-  mutable initiated_actions : int;
-  mutable self_loop_actions : int;
-  mutable messages_sent : int;
-  mutable duplications : int;
-  mutable messages_received : int;
-  mutable deletions : int;
-  (* Recently received ids, newest first, deduplicated and bounded.  The
-     paper's joining rule lets a reconnecting node probe "previously seen
-     ids"; this cache is that memory.  [Runner], the one engine that
-     reconnects, maintains it; the steps here never touch it. *)
-  mutable seen_ids : int list;
-}
-
-let create_node ~config ~node_id =
-  {
-    node_id;
-    view = View.create config.view_size;
-    initiated_actions = 0;
-    self_loop_actions = 0;
-    messages_sent = 0;
-    duplications = 0;
-    messages_received = 0;
-    deletions = 0;
-    seen_ids = [];
-  }
-
-let degree node = View.degree node.view
-
 (* --- The step kernel over one row of a View.Flat store ---
 
-   Every engine runs these two functions: the boxed steps below on a
-   single view (row 0 of a one-node store), [Runner.Sharded] on its world
-   store, the UDP driver on its owned rows.  Both are allocation-free. *)
+   Every engine runs these two functions: [Runner] and [Runner.Sharded]
+   on their world stores, the UDP driver on its owned rows.  Both are
+   allocation-free. *)
 
 type row_message = {
   mutable duplicated : bool;
@@ -165,28 +134,6 @@ let receive_row rng store u ~s msg =
   end
   else false
 
-(* The boxed form of a row message and back; anchor -1 is [None]. *)
-let message_of_row msg =
-  let entry id serial anchor born =
-    { View.id; serial; anchor = (if anchor = -1 then None else Some anchor); born }
-  in
-  {
-    reinforcement = entry msg.r_id msg.r_serial msg.r_anchor msg.r_born;
-    mixing = entry msg.m_id msg.m_serial msg.m_anchor msg.m_born;
-  }
-
-let load_row msg message =
-  let r = message.reinforcement and m = message.mixing in
-  let anchor = Option.value ~default:(-1) in
-  msg.r_id <- r.View.id;
-  msg.r_serial <- r.View.serial;
-  msg.r_anchor <- anchor r.View.anchor;
-  msg.r_born <- r.View.born;
-  msg.m_id <- m.View.id;
-  msg.m_serial <- m.View.serial;
-  msg.m_anchor <- anchor m.View.anchor;
-  msg.m_born <- m.View.born
-
 (* --- The install rule: every view filled from ids rather than by a
    receive (the interface says why slot order loses nothing) --- *)
 
@@ -221,52 +168,3 @@ let install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born ~mint =
     incr installed
   end;
   !installed
-
-(* --- The steps of one node: the kernel on its own view, boxed, plus the
-   node's counters --- *)
-
-type initiate_result =
-  | Self_loop                      (* an empty slot was selected; no effect *)
-  | Send of { destination : int; message : message; duplicated : bool }
-
-(* The initiate step.  [fresh_serial] mints instance numbers; [clock] stamps
-   creation times. *)
-let initiate config rng ~fresh_serial ~clock node =
-  let msg = row_message () in
-  node.initiated_actions <- node.initiated_actions + 1;
-  let destination =
-    initiate_row rng node.view 0 ~owner:node.node_id ~dl:config.lower_threshold
-      ~born:clock ~mint:fresh_serial msg
-  in
-  if destination < 0 then begin
-    node.self_loop_actions <- node.self_loop_actions + 1;
-    Self_loop
-  end
-  else begin
-    if msg.duplicated then node.duplications <- node.duplications + 1;
-    node.messages_sent <- node.messages_sent + 1;
-    Send { destination; message = message_of_row msg; duplicated = msg.duplicated }
-  end
-
-type receive_result = Accepted | Deleted
-
-(* The receive step, counted after the kernel, which refuses an unfit
-   message before any change. *)
-let receive config rng node message =
-  let msg = row_message () in
-  load_row msg message;
-  let accepted =
-    receive_row rng node.view 0 ~s:(min config.view_size (View.size node.view)) msg
-  in
-  node.messages_received <- node.messages_received + 1;
-  if accepted then Accepted
-  else begin
-    node.deletions <- node.deletions + 1;
-    Deleted
-  end
-
-(* Observation 5.1: outdegree stays within [dL, s] (starting states included)
-   and even. *)
-let invariant_holds config node =
-  let d = degree node in
-  d mod 2 = 0 && d >= 0 && d <= config.view_size

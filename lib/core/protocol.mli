@@ -1,15 +1,12 @@
 (** The Send & Forget protocol (paper, Figure 5.1), split into the two
-    atomic steps of its non-atomic action: {!initiate} and {!receive}.
+    atomic steps of its non-atomic action: initiate and receive.
 
     The step rule is written once, as the allocation-free row kernel
-    {!initiate_row}/{!receive_row} over one row of a {!View.Flat} store.
-    {!initiate} and {!receive} run it on a node's view (row 0 of a
-    one-node store) for the sequential {!Runner}, with the boxed
-    {!message} record and the node's counters.  The sharded engine
-    ({!Runner.Sharded}) runs the kernel on its world store, and the UDP
-    driver on the rows of its owned nodes' store, each with a
-    {!row_message} it owns.  Every engine therefore applies the same
-    rule. *)
+    {!initiate_row}/{!receive_row} over one row of a {!View.Flat} store,
+    with the message in a reusable {!row_message}.  The sequential
+    {!Runner} and the sharded engine ({!Runner.Sharded}) run the kernel
+    on their world stores, the UDP driver on the rows of its owned
+    nodes' store.  Every engine therefore applies the same rule. *)
 
 type config = {
   view_size : int;        (** s: number of view slots, even, >= 6 *)
@@ -31,28 +28,8 @@ type message = {
   reinforcement : View.entry;  (** the sender's own id ([u] in [u,w]) *)
   mixing : View.entry;         (** the forwarded id ([w] in [u,w]) *)
 }
-
-type node = {
-  node_id : int;
-  view : View.t;
-  mutable initiated_actions : int;
-  mutable self_loop_actions : int;
-  mutable messages_sent : int;
-  mutable duplications : int;
-  mutable messages_received : int;
-  mutable deletions : int;
-  mutable seen_ids : int list;
-      (** recently received ids (newest first, bounded); the memory the
-          section 5 reconnection rule probes.  {!Runner} maintains it as
-          it delivers; {!receive} does not touch it. *)
-}
-
-val create_node : config:config -> node_id:int -> node
-(** A node with an empty view (filled by {!install_list} or
-    {!install_copy}). *)
-
-val degree : node -> int
-(** d(u): current outdegree. *)
+(** One S&F message with boxed entries: the form of the codec's batch
+    API ([Sf_net.Codec.encode_batch]). *)
 
 (** {1 The row kernel} *)
 
@@ -113,13 +90,6 @@ val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message ->
     [Invalid_argument], changing nothing, unless {!row_fits} holds.
     Allocation-free. *)
 
-val message_of_row : row_message -> message
-(** The boxed message of a row message (anchor [-1] is [None]). *)
-
-val load_row : row_message -> message -> unit
-(** Write a boxed message into a row message ([None] is anchor [-1]),
-    leaving [duplicated] as it is. *)
-
 (** {1 The install rule}
 
     Every view filled from ids rather than by a receive (a start
@@ -161,36 +131,3 @@ val install_copy :
     row is read after row [u] is cleared, so a node that copies its own
     row gets [[donor; donor]].
     Returns the number of entries installed.  Allocation-free. *)
-
-(** {1 The steps of one node} *)
-
-type initiate_result =
-  | Self_loop
-  | Send of { destination : int; message : message; duplicated : bool }
-
-val initiate :
-  config ->
-  Sf_prng.Rng.t ->
-  fresh_serial:(unit -> int) ->
-  clock:int ->
-  node ->
-  initiate_result
-(** {!initiate_row} on [node]'s view with the config's [dL], the message
-    boxed: selects two distinct slots uniformly; on two non-empty slots,
-    produces the message to send and either clears the slots or (at the
-    threshold) duplicates.  Counts the action, a self-loop, a send and a
-    duplication in the node's counters.  The caller transmits the
-    message; the sender never learns the outcome. *)
-
-type receive_result = Accepted | Deleted
-
-val receive : config -> Sf_prng.Rng.t -> node -> message -> receive_result
-(** {!receive_row} on [node]'s view with a boxed message: installs both
-    ids into uniformly chosen empty slots when both fit within the
-    config's [view_size] (capped at the allocated view), or deletes them,
-    counting the message and a deletion.  Raises [Invalid_argument],
-    changing neither the view nor the counters, unless both instances
-    satisfy {!View.fits}: a caller fed by the network filters first. *)
-
-val invariant_holds : config -> node -> bool
-(** Observation 5.1: outdegree even and within bounds. *)

@@ -20,18 +20,18 @@ type walk_result =
 let walk runner rng ~start ~length ~loss_rate =
   let rec hop current remaining =
     if remaining = 0 then Completed current
+    else if not (Runner.is_live runner current) then Dead_end (length - remaining)
     else
-      match Runner.find_node runner current with
-      | None -> Dead_end (length - remaining)
-      | Some node ->
-        let entries = Array.of_list (View.entries node.Protocol.view) in
-        if Array.length entries = 0 then Dead_end (length - remaining)
-        else begin
-          let next = (Sf_prng.Rng.choose rng entries).View.id in
-          if Sf_prng.Rng.bernoulli rng loss_rate then
-            Lost_at_hop (length - remaining + 1)
-          else hop next (remaining - 1)
-        end
+      let entries =
+        Array.of_list (View.ids (View.copy_row (Runner.store runner) current))
+      in
+      if Array.length entries = 0 then Dead_end (length - remaining)
+      else begin
+        let next = Sf_prng.Rng.choose rng entries in
+        if Sf_prng.Rng.bernoulli rng loss_rate then
+          Lost_at_hop (length - remaining + 1)
+        else hop next (remaining - 1)
+      end
   in
   hop start length
 
@@ -50,7 +50,7 @@ let sample_statistics runner rng ~attempts ~length ~loss_rate =
   let endpoint_counts = Hashtbl.create 256 in
   let completed = ref 0 and lost = ref 0 and dead_ends = ref 0 in
   for _ = 1 to attempts do
-    let start = (Runner.random_live_node runner).Protocol.node_id in
+    let start = Runner.random_live_id runner in
     match walk runner rng ~start ~length ~loss_rate with
     | Completed endpoint ->
       incr completed;

@@ -9,19 +9,25 @@
    - *Timed execution* (the practical implementation the paper sketches):
      every node initiates on its own periodic or Poisson clock and each
      surviving message arrives after a latency, as a discrete event.  The
-     [ablation_scheduler] bench shows both modes agree on degree behaviour.
+     [ablation_scheduler] bench (A1) compares the sequential model with
+     Poisson clocks, which give each node the same per-round law of
+     initiations.
+
+   Both modes hold the world as the rows of one [View.create_rows] store,
+   row = node id, as the sharded engine below does: the step rule is
+   [Protocol]'s row kernel on that store, a join past the last row grows
+   it by doubling ([View.grow_rows]) and a leave clears the row.
 
    The runner is its own transport: [send] judges a message and [deliver]
-   hands it to the destination in [nodes], at once or as a scheduled
-   arrival.
+   runs the receive step at the destination's row, at once or as a
+   scheduled arrival.
 
    The runner also provides churn (joins and leaves), snapshots of the
    global membership graph, and the world-level counters used to verify
    Lemmas 6.6/6.7 (duplication = loss + deletion).  Both modes and the
-   sharded engine below run one step rule, [Protocol]'s row kernel, and
-   judge every send through one fault verdict, [Sf_faults.Windows.judge]:
-   the sequential modes via the injector, the sharded engine directly on
-   per-shard loss chains. *)
+   sharded engine below judge every send through one fault verdict,
+   [Sf_faults.Windows.judge]: the sequential modes via the injector, the
+   sharded engine directly on per-shard loss chains. *)
 
 type scheduling = Poisson of float | Periodic of float
 
@@ -67,8 +73,6 @@ type audit_event =
 type resil = {
   tuner : Sf_resil.Loop.tuner;
   supervisor : Sf_resil.Supervisor.t option;  (* under a recovering policy *)
-  (* Per-node retuned configs; nodes absent here run the base config. *)
-  node_configs : (int, Protocol.config) Hashtbl.t;
   mutable last_sent : int;         (* baselines for the true-loss gauge *)
   mutable last_lost : int;
   mutable ticks : int;              (* resilience decision ticks (rounds) *)
@@ -95,25 +99,29 @@ type t = {
   injector : Sf_faults.Injector.t;
   faulted : bool;                 (* a scenario was passed to [create] *)
   initial_population : int;
-  nodes : (int, Protocol.node) Hashtbl.t;
-  (* Live array, kept sorted by node id *incrementally*: joins and leaves
-     splice by binary search (one O(n) blit), never a rebuild-and-sort.
-     The former [live_dirty] scheme re-materialized the whole array from
-     the hash table and re-sorted it after every join/leave — O(n log n)
-     per churn event, and hot at scale.  [live_buf] carries slack
-     capacity; [live_snapshot] is the exact-length view handed to
-     callers, re-blitted lazily after a change. *)
-  mutable live_buf : Protocol.node array;
-  mutable live_len : int;
-  mutable live_snapshot : Protocol.node array;
-  mutable live_snapshot_stale : bool;
+  (* The world, one row per node id.  Every per-node array has the
+     store's row count; [grow] doubles them all together. *)
+  mutable store : View.Flat.t;
+  mutable alive : bool array;
+  (* The config each node runs: the base config until the resilience
+     controller retunes the node. *)
+  mutable configs : Protocol.config array;
+  (* Recently received ids, newest first, deduplicated and bounded: the
+     "previously seen ids" the section 5 joining rule probes. *)
+  mutable seen : int list array;
+  (* The live ids, sorted: [Rng.choose] draws initiators from it, so its
+     order is part of the scheduler stream.  Ids are minted in increasing
+     order, so a join appends; a leave splices.  Never mutated in place:
+     [live_ids] hands it out. *)
+  mutable live : int array;
+  msg : Protocol.row_message;  (* the initiate step's message buffer *)
   mutable next_serial : int;
   mutable actions : int;           (* initiate steps executed *)
   mutable next_node_id : int;
   mutable timed : scheduling option;
-  (* Observability: registry counters replace the former ad-hoc world
-     counters (they survive node removal just the same — one O(1)
-     increment per update); the gauge tracks the live population. *)
+  (* Observability: registry counters are the world counters (they
+     survive node removal — one O(1) increment per update); the gauge
+     tracks the live population. *)
   obs : Sf_obs.Obs.t;
   total_self_loops : Sf_obs.Metrics.counter;
   total_sends : Sf_obs.Metrics.counter;
@@ -135,16 +143,12 @@ let emit t event = match t.audit with Some f -> f t event | None -> ()
 
 let obs t = t.obs
 
-(* The config a node currently runs: the base config until the adaptive
-   controller has retuned the node.  Without resilience this is one match
-   on [None] — no table, no cost. *)
+let store t = t.store
+
+let is_live t id = id >= 0 && id < Array.length t.alive && t.alive.(id)
+
 let node_config t id =
-  match t.resilience with
-  | None -> t.config
-  | Some r -> (
-    match Hashtbl.find_opt r.node_configs id with
-    | Some config -> config
-    | None -> t.config)
+  if id >= 0 && id < Array.length t.configs then t.configs.(id) else t.config
 
 (* The injected trace clock: the sequential round clock (actions per
    initial node) before [start_timed], virtual time after — matching the
@@ -182,14 +186,16 @@ let fresh_serial t () =
    [reconnect] reads. *)
 let seen_cache_capacity = 32
 
-(* Recently received ids, newest first, deduplicated and bounded: the
-   "previously seen ids" the section 5 joining rule probes. *)
-let remember_seen node id =
-  if id <> node.Protocol.node_id then begin
-    let rest = List.filter (fun x -> x <> id) node.Protocol.seen_ids in
-    node.Protocol.seen_ids <-
-      id :: List.filteri (fun k _ -> k < seen_cache_capacity - 1) rest
+let remember_seen t u id =
+  if id <> u then begin
+    let rest = List.filter (fun x -> x <> id) t.seen.(u) in
+    t.seen.(u) <- id :: List.filteri (fun k _ -> k < seen_cache_capacity - 1) rest
   end
+
+(* The ids in row [u], in slot order. *)
+let row_ids store u =
+  List.filter (fun id -> id >= 0)
+    (List.init (View.Flat.view_size store) (View.Flat.id_at store u))
 
 (* --- Transport ---
 
@@ -218,26 +224,30 @@ let lose t ~src ~dst ~cause =
   Sf_obs.Metrics.incr t.total_lost;
   trace t (Sf_obs.Trace.Drop { src; dst; cause })
 
-(* The receive step at [dst]: [Accepted] or [Deleted], or [To_dead] when
-   [dst] has left. *)
-let deliver t ~dst message =
-  match Hashtbl.find_opt t.nodes dst with
-  | None ->
+(* The receive step at row [dst]: [Accepted] or [Deleted], or [To_dead]
+   when [dst] has left. *)
+let deliver t ~dst (msg : Protocol.row_message) =
+  if not (is_live t dst) then begin
     Sf_obs.Metrics.incr t.total_to_dead;
     trace t (Sf_obs.Trace.Deliver { dst; accepted = false });
     To_dead
-  | Some node -> (
+  end
+  else begin
     trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
     Sf_obs.Metrics.incr t.total_receipts;
-    let result = Protocol.receive (node_config t dst) t.protocol_rng node message in
-    remember_seen node message.Protocol.reinforcement.View.id;
-    remember_seen node message.Protocol.mixing.View.id;
-    match result with
-    | Protocol.Accepted -> Accepted
-    | Protocol.Deleted ->
+    let accepted =
+      Protocol.receive_row t.protocol_rng t.store dst
+        ~s:(node_config t dst).Protocol.view_size msg
+    in
+    remember_seen t dst msg.r_id;
+    remember_seen t dst msg.m_id;
+    if accepted then Accepted
+    else begin
       Sf_obs.Metrics.incr t.total_deletions;
       trace t (Sf_obs.Trace.Delete { node = dst });
-      Deleted)
+      Deleted
+    end
+  end
 
 (* Uniform in [0.5, 1.5): asynchronous but loosely synchronized, matching
    the paper's assumption that nodes invoke actions at similar rates. *)
@@ -246,70 +256,45 @@ let latency t = 0.5 +. Sf_prng.Rng.float t.network_rng
 (* A timed-mode arrival.  A destination that crashed while the message was
    in flight drops it; an arrival stands alone, so it is reported as its
    own [Receipt]. *)
-let arrive t ~src ~dst message =
+let arrive t ~src ~dst msg =
   if is_crashed t dst then lose t ~src ~dst ~cause:"crash"
   else
-    match deliver t ~dst message with
+    match deliver t ~dst msg with
     | (Accepted | Deleted) as fate ->
       emit t (Receipt { receiver = dst; accepted = fate = Accepted })
     | Lost | To_dead | In_flight -> ()
 
 (* Fire-and-forget: the sender cannot detect loss, so the verdict is drawn
-   here, then the latency.  Returns the message's fate as the audit reports
-   it. *)
-let send t ~synchronous ~src ~duplicated ~dst message =
+   here, then the latency.  A message put in flight takes its own copy of
+   the buffer.  Returns the message's fate as the audit reports it. *)
+let send t ~synchronous ~src ~duplicated ~dst (msg : Protocol.row_message) =
   trace t (Sf_obs.Trace.Send { src; dst; duplicated });
   match judge t ~src ~dst with
   | Some cause ->
     lose t ~src ~dst ~cause;
     Lost
-  | None when synchronous -> deliver t ~dst message
+  | None when synchronous -> deliver t ~dst msg
   | None ->
     let delay = latency t *. Sf_faults.Injector.delay_factor t.injector in
-    Sf_engine.Sim.schedule t.sim ~delay (fun () -> arrive t ~src ~dst message);
+    let msg = { msg with duplicated } in
+    Sf_engine.Sim.schedule t.sim ~delay (fun () -> arrive t ~src ~dst msg);
     In_flight
 
-(* Binary search over the sorted prefix [0, live_len): the index of [id],
-   or the insertion point that keeps the array sorted. *)
-let live_position t id =
-  let lo = ref 0 and hi = ref t.live_len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.live_buf.(mid).Protocol.node_id < id then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* A join past the last row doubles the store and every per-node array;
+   earlier rows are copied bit for bit. *)
+let grow t =
+  let rows = 2 * View.Flat.node_count t.store in
+  let extend a fill =
+    Array.init rows (fun k -> if k < Array.length a then a.(k) else fill)
+  in
+  t.store <- View.grow_rows t.store ~nodes:rows;
+  t.alive <- extend t.alive false;
+  t.configs <- extend t.configs t.config;
+  t.seen <- extend t.seen []
 
-let live_insert t node =
-  let id = node.Protocol.node_id in
-  let pos = live_position t id in
-  if pos < t.live_len && t.live_buf.(pos).Protocol.node_id = id then
-    t.live_buf.(pos) <- node
-  else begin
-    if t.live_len = Array.length t.live_buf then begin
-      (* Grow; the tail slack keeps references to whatever node happened
-         to be used as filler, which is fine — only [0, live_len) is live. *)
-      let grown = Array.make (max 8 (2 * t.live_len)) node in
-      Array.blit t.live_buf 0 grown 0 t.live_len;
-      t.live_buf <- grown
-    end;
-    Array.blit t.live_buf pos t.live_buf (pos + 1) (t.live_len - pos);
-    t.live_buf.(pos) <- node;
-    t.live_len <- t.live_len + 1
-  end;
-  t.live_snapshot_stale <- true
-
-let live_remove t id =
-  let pos = live_position t id in
-  if pos < t.live_len && t.live_buf.(pos).Protocol.node_id = id then begin
-    Array.blit t.live_buf (pos + 1) t.live_buf pos (t.live_len - pos - 1);
-    t.live_len <- t.live_len - 1;
-    t.live_snapshot_stale <- true
-  end
-
-let install_node t node =
-  Hashtbl.replace t.nodes node.Protocol.node_id node;
-  live_insert t node;
-  Sf_obs.Metrics.set t.live_gauge (float_of_int (Hashtbl.length t.nodes))
+let set_live t id live =
+  t.alive.(id) <- live;
+  Sf_obs.Metrics.set t.live_gauge (float_of_int (Array.length t.live))
 
 let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topology
     () =
@@ -341,7 +326,6 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
               ~initial:(config.Protocol.lower_threshold, config.Protocol.view_size)
               ~capacity:config.Protocol.view_size ~edges:0;
           supervisor = Sf_resil.Loop.supervisor policy ~rng;
-          node_configs = Hashtbl.create (2 * n);
           last_sent = 0;
           last_lost = 0;
           ticks = 0;
@@ -357,6 +341,7 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
         }
     | _ -> None
   in
+  let rows = max 1 n in
   let t =
     {
       config;
@@ -369,11 +354,12 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
       injector;
       faulted = Option.is_some scenario;
       initial_population = n;
-      nodes = Hashtbl.create (2 * n);
-      live_buf = [||];
-      live_len = 0;
-      live_snapshot = [||];
-      live_snapshot_stale = false;
+      store = View.create_rows ~nodes:rows config.Protocol.view_size;
+      alive = Array.make rows false;
+      configs = Array.make rows config;
+      seen = Array.make rows [];
+      live = Array.init n Fun.id;
+      msg = Protocol.row_message ();
       next_serial = 0;
       actions = 0;
       next_node_id = n;
@@ -393,10 +379,9 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
     }
   in
   for u = 0 to n - 1 do
-    let node = Protocol.create_node ~config ~node_id:u in
-    Protocol.install_ids node.Protocol.view 0 (Array.of_list (topology u)) ~born:0
+    Protocol.install_ids t.store u (Array.of_list (topology u)) ~born:0
       ~mint:(fresh_serial t);
-    install_node t node
+    set_live t u true
   done;
   Sf_faults.Injector.set_clock t.injector (fun () -> obs_now t);
   t
@@ -404,65 +389,53 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
 let config t = t.config
 let action_count t = t.actions
 let minted_serials t = t.next_serial
-let live_count t = Hashtbl.length t.nodes
+let live_count t = Array.length t.live
+let live_ids t = t.live
+let seen_ids t = t.seen
 let simulator t = t.sim
 
-(* The array layout is sorted by id, never hash-table iteration order, so
-   random node picks are reproducible; incremental maintenance makes it
-   identical to the historical rebuild-and-sort (ids are unique). *)
-let live_nodes t =
-  if t.live_snapshot_stale || Array.length t.live_snapshot <> t.live_len then begin
-    t.live_snapshot <- Array.sub t.live_buf 0 t.live_len;
-    t.live_snapshot_stale <- false
-  end;
-  t.live_snapshot
+let random_live_id t =
+  if Array.length t.live = 0 then invalid_arg "Runner.random_live_id: no live nodes";
+  Sf_prng.Rng.choose t.scheduler_rng t.live
 
-let find_node t id = Hashtbl.find_opt t.nodes id
-
-let random_live_node t =
-  let live = live_nodes t in
-  if Array.length live = 0 then invalid_arg "Runner.random_live_node: no live nodes";
-  Sf_prng.Rng.choose t.scheduler_rng live
-
-(* One initiate step at [node]; the transport depends on the mode.  The
+(* One initiate step at row [u]; the transport depends on the mode.  The
    action counter increments only after the audit event fires, so the
    sequential round clock (actions / n) is constant across the whole action
    — initiate, loss draw, synchronous receive and audit all see the same
    round. *)
-let initiate_at t ~synchronous node =
-  let degree_before = Protocol.degree node in
-  let result =
-    Protocol.initiate
-      (node_config t node.Protocol.node_id)
-      t.protocol_rng ~fresh_serial:(fresh_serial t) ~clock:t.actions node
+let initiate_at t ~synchronous u =
+  let degree_before = View.Flat.degree t.store u in
+  let msg = t.msg in
+  let destination =
+    Protocol.initiate_row t.protocol_rng t.store u ~owner:u
+      ~dl:(node_config t u).Protocol.lower_threshold ~born:t.actions
+      ~mint:(fresh_serial t) msg
   in
   let outcome =
-    match result with
-    | Protocol.Self_loop ->
+    if destination < 0 then begin
       Sf_obs.Metrics.incr t.total_self_loops;
       Audit_self_loop
-    | Protocol.Send { destination; message; duplicated } ->
+    end
+    else begin
+      let duplicated = msg.duplicated in
       Sf_obs.Metrics.incr t.total_sends;
       if duplicated then begin
         Sf_obs.Metrics.incr t.total_duplications;
-        trace t (Sf_obs.Trace.Duplicate { node = node.Protocol.node_id })
+        trace t (Sf_obs.Trace.Duplicate { node = u })
       end;
-      let delivery =
-        send t ~synchronous ~src:node.Protocol.node_id ~duplicated ~dst:destination
-          message
-      in
+      let delivery = send t ~synchronous ~src:u ~duplicated ~dst:destination msg in
       Audit_send { destination; duplicated; delivery }
+    end
   in
   emit t
     (Action
        {
-         initiator = node.Protocol.node_id;
+         initiator = u;
          degree_before;
-         degree_after = Protocol.degree node;
+         degree_after = View.Flat.degree t.store u;
          outcome;
        });
-  t.actions <- t.actions + 1;
-  result
+  t.actions <- t.actions + 1
 
 (* --- Sequential-action mode --- *)
 
@@ -476,21 +449,21 @@ let step t =
     Sf_faults.Injector.has_crash_windows t.injector
     && Sf_faults.Injector.crash_active t.injector
   then begin
-    let live = live_nodes t in
-    let up node = not (is_crashed t node.Protocol.node_id) in
+    let live = t.live in
+    let up id = not (is_crashed t id) in
     if Array.exists up live then begin
       let rec pick () =
-        let node = Sf_prng.Rng.choose t.scheduler_rng live in
-        if up node then node else pick ()
+        let id = Sf_prng.Rng.choose t.scheduler_rng live in
+        if up id then id else pick ()
       in
-      ignore (initiate_at t ~synchronous:true (pick ()))
+      initiate_at t ~synchronous:true (pick ())
     end
     else
       (* Every live node is frozen: the round clock still has to advance or
          the crash window would never end. *)
       t.actions <- t.actions + 1
   end
-  else ignore (initiate_at t ~synchronous:true (random_live_node t))
+  else initiate_at t ~synchronous:true (random_live_id t)
 
 let run_actions t k =
   for _ = 1 to k do
@@ -503,7 +476,7 @@ let run_actions t k =
 
 (* --- Timed mode --- *)
 
-let schedule_node t scheduling node =
+let schedule_node t scheduling id =
   let delay () =
     match scheduling with
     | Poisson rate -> Sf_prng.Rng.exponential t.scheduler_rng rate
@@ -513,13 +486,12 @@ let schedule_node t scheduling node =
   in
   let rec tick () =
     (* The node may have left since this event was scheduled. *)
-    if Hashtbl.mem t.nodes node.Protocol.node_id then begin
-      trace t (Sf_obs.Trace.Timer { node = node.Protocol.node_id });
+    if is_live t id then begin
+      trace t (Sf_obs.Trace.Timer { node = id });
       poll_faults t;
       (* A crashed node skips its initiation but keeps its clock running, so
          it resumes — with its stale view — when the window closes. *)
-      if not (is_crashed t node.Protocol.node_id) then
-        ignore (initiate_at t ~synchronous:false node);
+      if not (is_crashed t id) then initiate_at t ~synchronous:false id;
       Sf_engine.Sim.schedule t.sim ~delay:(delay ()) tick
     end
   in
@@ -528,7 +500,7 @@ let schedule_node t scheduling node =
 let start_timed t scheduling =
   if t.timed <> None then invalid_arg "Runner.start_timed: already started";
   t.timed <- Some scheduling;
-  Array.iter (schedule_node t scheduling) (live_nodes t)
+  Array.iter (schedule_node t scheduling) t.live
 
 let run_until t horizon =
   ignore (Sf_engine.Sim.run ~horizon t.sim)
@@ -542,35 +514,46 @@ let run_until t horizon =
    anchored at the donor because the donor keeps its copy.  The runner's
    only policy is its choice of donor. *)
 
-let install_from t node donor =
-  let id = node.Protocol.node_id in
-  Protocol.install_copy node.Protocol.view 0 ~owner:id ~donor:donor.Protocol.node_id
-    ~from:donor.Protocol.view ~from_row:0
-    ~dl:(node_config t id).Protocol.lower_threshold ~live:(Hashtbl.mem t.nodes)
+let install_from t u donor =
+  Protocol.install_copy t.store u ~owner:u ~donor ~from:t.store ~from_row:donor
+    ~dl:(node_config t u).Protocol.lower_threshold ~live:(is_live t)
     ~born:t.actions ~mint:(fresh_serial t)
 
 let add_node t =
-  let donor = random_live_node t in
+  let donor = random_live_id t in
   let id = t.next_node_id in
   t.next_node_id <- id + 1;
-  let node = Protocol.create_node ~config:t.config ~node_id:id in
-  ignore (install_from t node donor);
-  install_node t node;
-  (match t.timed with Some s -> schedule_node t s node | None -> ());
+  if id >= View.Flat.node_count t.store then grow t;
+  ignore (install_from t id donor);
+  t.live <- Array.append t.live [| id |];
+  set_live t id true;
+  (match t.timed with Some s -> schedule_node t s id | None -> ());
   trace t (Sf_obs.Trace.Mark { label = "add_node" });
   emit t (Structural "add_node");
   id
 
+let live_position live id =
+  let lo = ref 0 and hi = ref (Array.length live) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if live.(mid) < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let remove_node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | None -> None
-  | Some node ->
-    Hashtbl.remove t.nodes id;
-    live_remove t id;
-    Sf_obs.Metrics.set t.live_gauge (float_of_int (Hashtbl.length t.nodes));
+  if not (is_live t id) then false
+  else begin
+    let live = t.live in
+    let pos = live_position live id in
+    t.live <-
+      Array.append (Array.sub live 0 pos)
+        (Array.sub live (pos + 1) (Array.length live - pos - 1));
+    ignore (View.Flat.clear_row t.store id);
+    set_live t id false;
     trace t (Sf_obs.Trace.Mark { label = "remove_node" });
     emit t (Structural "remove_node");
-    Some node
+    true
+  end
 
 (* --- Reconnection (paper, section 5 joining rule) ---
 
@@ -588,38 +571,36 @@ type reconnect_result =
   | Exhausted of { probes : int }
 
 let reconnect t ~node_id =
-  match Hashtbl.find_opt t.nodes node_id with
-  | None -> invalid_arg "Runner.reconnect: unknown node"
-  | Some node ->
-    let view_ids =
-      List.filter (fun id -> id <> node_id) (View.ids node.Protocol.view)
-    in
-    let candidates =
-      List.sort_uniq compare (node.Protocol.seen_ids @ view_ids)
-      |> List.filter (fun id -> id <> node_id)
-    in
-    (* Preserve seen-cache recency order ahead of view order. *)
-    let ordered =
-      List.filter (fun id -> List.mem id candidates) node.Protocol.seen_ids
-      @ List.filter (fun id -> not (List.mem id node.Protocol.seen_ids)) candidates
-    in
-    let probes = ref 0 in
-    let rec try_candidates = function
-      | [] -> Exhausted { probes = !probes }
-      | candidate :: rest -> (
-        incr probes;
-        let request_arrives = judge t ~src:node_id ~dst:candidate = None in
-        match Hashtbl.find_opt t.nodes candidate with
-        | Some donor
-          when request_arrives && judge t ~src:candidate ~dst:node_id = None ->
-          let installed = install_from t node donor in
-          Sf_obs.Metrics.incr t.total_reconnections;
-          trace t (Sf_obs.Trace.Mark { label = "reconnect" });
-          emit t (Structural "reconnect");
-          Reconnected { donor = candidate; probes = !probes; installed }
-        | _ -> try_candidates rest)
-    in
-    try_candidates ordered
+  if not (is_live t node_id) then invalid_arg "Runner.reconnect: unknown node";
+  let seen = t.seen.(node_id) in
+  let view_ids = List.filter (fun id -> id <> node_id) (row_ids t.store node_id) in
+  let candidates =
+    List.sort_uniq compare (seen @ view_ids) |> List.filter (fun id -> id <> node_id)
+  in
+  (* Preserve seen-cache recency order ahead of view order. *)
+  let ordered =
+    List.filter (fun id -> List.mem id candidates) seen
+    @ List.filter (fun id -> not (List.mem id seen)) candidates
+  in
+  let probes = ref 0 in
+  let rec try_candidates = function
+    | [] -> Exhausted { probes = !probes }
+    | candidate :: rest ->
+      incr probes;
+      let request_arrives = judge t ~src:node_id ~dst:candidate = None in
+      if
+        request_arrives && is_live t candidate
+        && judge t ~src:candidate ~dst:node_id = None
+      then begin
+        let installed = install_from t node_id candidate in
+        Sf_obs.Metrics.incr t.total_reconnections;
+        trace t (Sf_obs.Trace.Mark { label = "reconnect" });
+        emit t (Structural "reconnect");
+        Reconnected { donor = candidate; probes = !probes; installed }
+      end
+      else try_candidates rest
+  in
+  try_candidates ordered
 
 (* Out-of-band re-bootstrap — the other half of the paper's joining rule
    ("a node can obtain these ids by copying another node's view").  Models
@@ -628,19 +609,16 @@ let reconnect t ~node_id =
    previously seen ids is exhausted (e.g. a node that joined and lost all
    its neighbors before ever receiving a message). *)
 let rebootstrap t ~node_id =
-  match Hashtbl.find_opt t.nodes node_id with
-  | None -> invalid_arg "Runner.rebootstrap: unknown node"
-  | Some node ->
-    let rec pick_donor () =
-      let donor = random_live_node t in
-      if donor.Protocol.node_id <> node_id || live_count t <= 1 then donor
-      else pick_donor ()
-    in
-    let installed = install_from t node (pick_donor ()) in
-    Sf_obs.Metrics.incr t.total_rebootstraps;
-    trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
-    emit t (Structural "rebootstrap");
-    installed
+  if not (is_live t node_id) then invalid_arg "Runner.rebootstrap: unknown node";
+  let rec pick_donor () =
+    let donor = random_live_id t in
+    if donor <> node_id || live_count t <= 1 then donor else pick_donor ()
+  in
+  let installed = install_from t node_id (pick_donor ()) in
+  Sf_obs.Metrics.incr t.total_rebootstraps;
+  trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
+  emit t (Structural "rebootstrap");
+  installed
 
 (* A node is starved when its view holds no live id: every send is wasted.
    Starvation is transient while other live nodes still hold the node's id
@@ -648,21 +626,16 @@ let rebootstrap t ~node_id =
    once no instance of the id survives anywhere.  A real node detects
    isolation by timeout on prolonged silence; the simulator can see both
    conditions directly. *)
-let is_starved t node =
-  View.fold
-    (fun acc e -> acc && not (Hashtbl.mem t.nodes e.View.id))
-    true node.Protocol.view
+let is_starved t u = not (List.exists (is_live t) (row_ids t.store u))
 
-let starved_nodes t =
-  Array.to_list (live_nodes t) |> List.filter (is_starved t)
+let starved_nodes t = List.filter (is_starved t) (Array.to_list t.live)
 
 let count_id_instances t id =
   Array.fold_left
-    (fun acc node -> acc + View.count_id node.Protocol.view id)
-    0 (live_nodes t)
+    (fun acc u -> acc + List.length (List.filter (( = ) id) (row_ids t.store u)))
+    0 t.live
 
-let is_isolated t node =
-  is_starved t node && count_id_instances t node.Protocol.node_id = 0
+let is_isolated t u = is_starved t u && count_id_instances t u = 0
 
 let isolated_nodes t = List.filter (is_isolated t) (starved_nodes t)
 
@@ -671,12 +644,10 @@ let isolated_nodes t = List.filter (is_isolated t) (starved_nodes t)
 let membership_graph t =
   let g = Sf_graph.Digraph.create () in
   Array.iter
-    (fun node ->
-      Sf_graph.Digraph.ensure_vertex g node.Protocol.node_id;
-      View.iter
-        (fun _ e -> Sf_graph.Digraph.add_edge g node.Protocol.node_id e.View.id)
-        node.Protocol.view)
-    (live_nodes t);
+    (fun u ->
+      Sf_graph.Digraph.ensure_vertex g u;
+      List.iter (Sf_graph.Digraph.add_edge g u) (row_ids t.store u))
+    t.live;
   g
 
 type world_counters = {
@@ -729,10 +700,10 @@ let rates_since t (baseline : world_counters) =
 let reconnect_isolated t =
   let isolated = isolated_nodes t in
   List.iter
-    (fun node ->
-      match reconnect t ~node_id:node.Protocol.node_id with
+    (fun u ->
+      match reconnect t ~node_id:u with
       | Reconnected _ -> ()
-      | Exhausted _ -> ignore (rebootstrap t ~node_id:node.Protocol.node_id))
+      | Exhausted _ -> ignore (rebootstrap t ~node_id:u))
     isolated;
   List.length isolated
 
@@ -752,7 +723,7 @@ let rebootstrap_minorities t =
       (fun count component ->
         (* A component may consist solely of departed ids still held in
            views; only live nodes can rebootstrap. *)
-        match List.find_opt (fun id -> Hashtbl.mem t.nodes id) component with
+        match List.find_opt (is_live t) component with
         | None -> count
         | Some id ->
           ignore (rebootstrap t ~node_id:id);
@@ -768,14 +739,12 @@ let rebootstrap_minorities t =
 
 let apply_retune t r pair =
   Array.iter
-    (fun node ->
-      let cfg =
+    (fun u ->
+      t.configs.(u) <-
         Protocol.clamped_config
-          ~capacity:(View.size node.Protocol.view)
-          ~degree:(Protocol.degree node) pair
-      in
-      Hashtbl.replace r.node_configs node.Protocol.node_id cfg)
-    (live_nodes t);
+          ~capacity:(View.Flat.view_size t.store)
+          ~degree:(View.Flat.degree t.store u) pair)
+    t.live;
   Sf_obs.Metrics.incr r.c_retunes;
   trace t (Sf_obs.Trace.Mark { label = "retune" });
   (* Structural: the auditor must resync its per-node thresholds. *)
@@ -851,20 +820,22 @@ let resilience_statistics t =
 
 (* --- The sharded flat-state runner: the million-node path ---
 
-   The orchestrator above tops out around 1k-10k nodes: one heap object
-   per node, boxed audit/trace plumbing on every action, and a strictly
-   serial action loop.  [Sharded] is the million-node path: the whole
-   world lives in one [View.Flat] store (contiguous id, anchor and born
-   columns in 32-bit lanes, serials and cached degrees in int arrays —
-   nothing per-node for the GC to walk), and the action
-   loop is a bulk-synchronous variant of the paper's sequential model,
-   partitioned into [shard_count] fixed *logical* shards that OCaml 5
-   domains execute in parallel between deterministic barriers.
+   The orchestrator above tops out around 1k-10k nodes: boxed audit and
+   trace plumbing on every action, and a strictly serial action loop.
+   [Sharded] is the million-node path: the whole world lives in one
+   [View.Flat] store (contiguous id, anchor and born columns in 32-bit
+   lanes, serials and cached degrees in int arrays — nothing per-node for
+   the GC to walk), and the action loop is a bulk-synchronous variant of
+   the paper's sequential model, partitioned into [shard_count] fixed
+   *logical* shards that OCaml 5 domains execute in parallel between
+   deterministic barriers.
 
    One round = every node initiates exactly once (the paper's section 6.5
    round is n actions — here the schedule is the deterministic node order
-   rather than n uniform picks; A1 showed degree behaviour is scheduler-
-   robust).  Each round runs two phases:
+   rather than n uniform picks.  Bench A1 compares the sequential model
+   only with Poisson clocks, the same per-node law, so it does not cover
+   this schedule; ROADMAP item 3 measured the deletion-rate gap it
+   opens).  Each round runs two phases:
 
      I.  initiate: each shard walks its own nodes in id order.  An
          initiate touches only the initiator's view; surviving messages
@@ -877,10 +848,9 @@ let resilience_statistics t =
          nodes with draws from its own stream.
 
    Both phases run Protocol's row kernel ([Protocol.initiate_row],
-   [Protocol.receive_row]) on the world store: the step rule the UDP
-   driver runs on the rows of its owned nodes' store, and the sequential
-   runner through the boxed [Protocol.initiate] and [Protocol.receive],
-   not a copy of it.
+   [Protocol.receive_row]) on the world store: the step rule the
+   sequential runner runs on its store and the UDP driver on the rows of
+   its owned nodes' store, not a copy of it.
 
    Determinism across domain counts is by construction, not by locking:
    every PRNG draw comes from one of [shard_count] streams split from the

@@ -3,7 +3,11 @@
 
     Sequential-action mode implements the paper's analysis model (a central
     scheduler runs one action at a time); timed mode runs each node on its
-    own clock, and messages arrive after a latency as discrete events. *)
+    own clock, and messages arrive after a latency as discrete events.
+
+    Both modes hold the world as the rows of one {!View.create_rows}
+    store, row = node id ({!store}), and step it with the row kernel
+    ({!Protocol.initiate_row}/{!Protocol.receive_row}). *)
 
 type t
 
@@ -117,10 +121,31 @@ val minted_serials : t -> int
 (** Instance serials handed out so far; every serial stored in any view is
     strictly below this bound. *)
 
+val store : t -> View.Flat.t
+(** The world: row [u] is node [u]'s view (live: mutated by later
+    steps).  Rows of departed nodes, and rows no node has joined yet, are
+    empty.  A join past the last row ({!add_node}) replaces the store by
+    a larger copy, so re-read it after {!add_node}. *)
+
+val is_live : t -> int -> bool
+(** Has this id joined and not left? *)
+
 val live_count : t -> int
-val live_nodes : t -> Protocol.node array
-val find_node : t -> int -> Protocol.node option
-val random_live_node : t -> Protocol.node
+
+val live_ids : t -> int array
+(** The live ids in increasing order.  Shared, and replaced (not
+    mutated) by every join and leave: do not write to it. *)
+
+val random_live_id : t -> int
+(** A uniform live id, drawn from the scheduler stream (the draw that
+    picks initiators).  Raises [Invalid_argument] when no node is
+    live. *)
+
+val seen_ids : t -> int list array
+(** The seen-id caches {!reconnect} probes, indexed by id: recently
+    received ids, newest first, deduplicated, at most 32.  Live, and
+    replaced with the store by a join that grows it. *)
+
 val simulator : t -> Sf_engine.Sim.t
 
 val is_crashed : t -> int -> bool
@@ -160,12 +185,15 @@ val add_node : t -> int
     copied through {!Protocol.install_copy} — the donor's id, then its
     live ids other than the joiner's in slot order, up to max(2, dL)
     entries of the joiner's dL, padded with the donor's id to even, all
-    anchored at the donor.  Raises [Invalid_argument] when no node is
-    live. *)
+    anchored at the donor.  Ids are minted in increasing order; a join
+    past the store's last row doubles the store, copying every earlier
+    row as it is, so {!store} returns a new value afterwards.  Raises
+    [Invalid_argument] when no node is live. *)
 
-val remove_node : t -> int -> Protocol.node option
-(** Leave/fail: the node stops participating; its id decays out of other
-    views through normal protocol operation. *)
+val remove_node : t -> int -> bool
+(** Leave/fail: the node stops participating and its row is cleared; its
+    id decays out of other views through normal protocol operation.
+    [false] when the id was not live. *)
 
 type reconnect_result =
   | Reconnected of { donor : int; probes : int; installed : int }
@@ -185,17 +213,18 @@ val rebootstrap : t -> node_id:int -> int
     stream) is copied as by {!add_node}, with the node's own dL.  Returns
     the number of installed entries. *)
 
-val is_starved : t -> Protocol.node -> bool
-(** No live id in the view (transient while others still hold this node's
+val is_starved : t -> int -> bool
+(** No live id in the node's view (transient while others still hold its
     id; permanent once they do not). *)
 
-val starved_nodes : t -> Protocol.node list
+val starved_nodes : t -> int list
+(** The starved live ids, in increasing order. *)
 
-val is_isolated : t -> Protocol.node -> bool
+val is_isolated : t -> int -> bool
 (** Starved and with no surviving instance of its id anywhere — only
     reconnection can recover it. *)
 
-val isolated_nodes : t -> Protocol.node list
+val isolated_nodes : t -> int list
 
 val reconnect_isolated : t -> int
 (** The first step of the section 5 repair pass: every isolated node

@@ -17,14 +17,13 @@
    stream and the returned ids are bit-for-bit those of the historical
    implementation (asserted by an equal-seed test). *)
 let sample ?(allow_self = false) runner rng ~node_id =
-  match Runner.find_node runner node_id with
-  | None -> None
-  | Some node ->
-    let view = node.Protocol.view in
-    let last = View.size view - 1 in
+  if not (Runner.is_live runner node_id) then None
+  else begin
+    let store = Runner.store runner in
+    let last = View.Flat.view_size store - 1 in
     let candidates = ref 0 in
     for i = 0 to last do
-      let id = View.id_at view i in
+      let id = View.Flat.id_at store node_id i in
       if id >= 0 && (allow_self || id <> node_id) then incr candidates
     done;
     if !candidates = 0 then None
@@ -33,13 +32,14 @@ let sample ?(allow_self = false) runner rng ~node_id =
       let result = ref (-1) in
       let i = ref last in
       while !result < 0 do
-        let id = View.id_at view !i in
+        let id = View.Flat.id_at store node_id !i in
         if id >= 0 && (allow_self || id <> node_id) then
           if !skip = 0 then result := id else decr skip;
         decr i
       done;
       Some !result
     end
+  end
 
 (* [k] samples with replacement: exactly [k] independent draws.  A [None]
    draw (unknown node, or a view with no eligible id) contributes nothing
@@ -68,11 +68,11 @@ let sampling_census runner rng ~samples_per_node ~rounds_between =
   for _ = 1 to samples_per_node do
     Runner.run_rounds runner rounds_between;
     Array.iter
-      (fun node ->
-        match sample runner rng ~node_id:node.Protocol.node_id with
+      (fun node_id ->
+        match sample runner rng ~node_id with
         | None -> ()
         | Some id ->
           Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-      (Runner.live_nodes runner)
+      (Runner.live_ids runner)
   done;
   counts

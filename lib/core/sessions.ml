@@ -64,10 +64,10 @@ let create ?(recover = true) ~runner ~seed ~lifetime ~arrival_rate () =
      exponential; for Pareto this under-represents the long-lived core the
      process converges to, which the run then builds up naturally). *)
   Array.iter
-    (fun node ->
+    (fun id ->
       let expiry = float_of_int t.round +. sample_lifetime rng lifetime in
-      t.departures <- (expiry, node.Protocol.node_id) :: t.departures)
-    (Runner.live_nodes runner);
+      t.departures <- (expiry, id) :: t.departures)
+    (Runner.live_ids runner);
   t.departures <- List.sort compare t.departures;
   t
 
@@ -101,9 +101,7 @@ let run_round t =
   List.iter
     (fun (_, id) ->
       if Runner.live_count t.runner > 4 then
-        match Runner.remove_node t.runner id with
-        | Some _ -> t.total_leaves <- t.total_leaves + 1
-        | None -> ())
+        if Runner.remove_node t.runner id then t.total_leaves <- t.total_leaves + 1)
     due;
   (* Arrivals. *)
   for _ = 1 to sample_arrivals t do

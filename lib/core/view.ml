@@ -190,6 +190,23 @@ let create_rows ~nodes size =
 
 let create size = create_rows ~nodes:1 size
 
+let grow_rows store ~nodes =
+  let open Flat in
+  if nodes < store.nodes then invalid_arg "View.grow_rows: a store cannot shrink";
+  let g = alloc ~nodes ~view_size:store.view_size ~actions:store.actions in
+  let slots = store.nodes * store.view_size in
+  let copy_lane (src : lane) (dst : lane) =
+    Bigarray.Array1.blit src (Bigarray.Array1.sub dst 0 (Bigarray.Array1.dim src))
+  in
+  copy_lane store.f_ids g.f_ids;
+  copy_lane store.f_anchors g.f_anchors;
+  copy_lane store.f_born g.f_born;
+  Array.blit store.f_serials 0 g.f_serials 0 slots;
+  Array.blit store.f_born_actions 0 g.f_born_actions 0
+    (Array.length store.f_born_actions);
+  Array.blit store.degrees 0 g.degrees 0 store.nodes;
+  g
+
 let copy_row store u =
   let v = create (Flat.view_size store) in
   for slot = 0 to Flat.view_size store - 1 do

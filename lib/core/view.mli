@@ -107,6 +107,13 @@ val create : int -> t
 (** [create s] makes an all-empty view of [s] slots: [create_rows
     ~nodes:1 s]. *)
 
+val grow_rows : Flat.t -> nodes:int -> Flat.t
+(** [grow_rows store ~nodes]: a new store of [nodes] rows, the same view
+    size and born layout, whose first rows are bit-identical copies of
+    [store]'s and whose other rows are empty.  [store] is left as it
+    is.  Raises [Invalid_argument] when [nodes] is below [store]'s row
+    count. *)
+
 val copy_row : Flat.t -> int -> t
 (** [copy_row store u]: a single view holding row [u]'s instances in
     their slots. *)
@@ -136,7 +143,7 @@ val clear_all : t -> unit
 
 val id_at : t -> int -> int
 (** [id_at t i] is the id in slot [i], or [-1] when the slot is empty.
-    Allocation-free — the sampling facade's hot path. *)
+    Allocation-free. *)
 
 val random_empty_slot : t -> Sf_prng.Rng.t -> int option
 (** Uniformly random empty slot, [None] when full. *)

@@ -155,13 +155,37 @@ let truncated buffer ~length = length < frame_offset (Char.code (Bytes.get buffe
 
 (* --- Boxed messages --- *)
 
+(* The boxed form of a row message and back; anchor -1 is [None]. *)
+let message_of_row (msg : P.row_message) =
+  let entry id serial anchor born =
+    let anchor = if anchor = -1 then None else Some anchor in
+    { Sf_core.View.id; serial; anchor; born }
+  in
+  {
+    P.reinforcement = entry msg.r_id msg.r_serial msg.r_anchor msg.r_born;
+    mixing = entry msg.m_id msg.m_serial msg.m_anchor msg.m_born;
+  }
+
+(* Leaves [duplicated] as it is: no frame carries it. *)
+let load_row (msg : P.row_message) (message : P.message) =
+  let r = message.reinforcement and m = message.mixing in
+  let anchor = Option.value ~default:(-1) in
+  msg.r_id <- r.id;
+  msg.r_serial <- r.serial;
+  msg.r_anchor <- anchor r.anchor;
+  msg.r_born <- r.born;
+  msg.m_id <- m.id;
+  msg.m_serial <- m.serial;
+  msg.m_anchor <- anchor m.anchor;
+  msg.m_born <- m.born
+
 (* Oversized batches split greedily into full datagrams plus a remainder:
    every emitted datagram carries at most [max_batch] frames. *)
 let encode_batch messages =
   let msg = P.row_message () in
   let rec fill buffer i count = function
     | m :: rest when i < count ->
-      P.load_row msg m;
+      load_row msg m;
       write_frame buffer i msg;
       fill buffer (i + 1) count rest
     | rest -> rest
@@ -193,7 +217,7 @@ let decode_datagram buffer ~length =
     let bad_crc = ref 0 in
     let messages = ref [] in
     for i = complete_frames ~length - 1 downto 0 do
-      if read_frame buffer i msg then messages := P.message_of_row msg :: !messages
+      if read_frame buffer i msg then messages := message_of_row msg :: !messages
       else incr bad_crc
     done;
     Ok

@@ -17,7 +17,23 @@ let make_system ?(n = 100) ?(view_size = 12) ?(lower_threshold = 4) ?(loss = 0.)
   let topology = Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree in
   Runner.create ~seed ~n ~loss_rate:loss ~config ~topology ()
 
-let some_node r = Runner.random_live_node r
+let some_node r = Runner.random_live_id r
+
+module Flat = View.Flat
+
+(* The occupied slots of node [u]'s row, in order. *)
+let occupied r u =
+  let store = Runner.store r in
+  List.filter
+    (fun k -> Flat.id_at store u k >= 0)
+    (List.init (Flat.view_size store) Fun.id)
+
+(* Clears the first occupied slot of node [u]'s row behind the runner's
+   back; [false] when the row is empty. *)
+let clear_first r u =
+  match occupied r u with
+  | k :: _ -> Flat.clear (Runner.store r) u k; true
+  | [] -> false
 
 let invariants vs = List.sort_uniq compare (List.map (fun v -> v.Invariant.invariant) vs)
 
@@ -42,15 +58,7 @@ let test_scan_catches_odd_degree () =
   let r = make_system () in
   Runner.run_rounds r 5;
   Alcotest.(check (list string)) "clean before" [] (invariants (Invariant.scan r));
-  let node = some_node r in
-  let cleared = ref false in
-  View.iter
-    (fun i _ -> if not !cleared then begin
-        View.clear node.Protocol.view i;
-        cleared := true
-      end)
-    node.Protocol.view;
-  Alcotest.(check bool) "corrupted" true !cleared;
+  Alcotest.(check bool) "corrupted" true (clear_first r (some_node r));
   Alcotest.(check (list string)) "parity caught" [ "degree-parity" ]
     (invariants (Invariant.scan r))
 
@@ -58,21 +66,18 @@ let test_scan_catches_odd_degree () =
 let test_scan_catches_duplicate_serial () =
   let r = make_system () in
   Runner.run_rounds r 5;
+  let store = Runner.store r in
   let node = some_node r in
-  let first = ref None in
-  View.iter
-    (fun i e -> if !first = None then first := Some (i, e))
-    node.Protocol.view;
-  (match !first with
-  | None -> Alcotest.fail "expected a non-empty view"
-  | Some (i, e) ->
+  (match occupied r node with
+  | [] -> Alcotest.fail "expected a non-empty view"
+  | i :: _ ->
     let other = some_node r in
-    let slot = ref None in
-    View.iter (fun j _ -> if !slot = None && (other != node || j <> i) then slot := Some j)
-      other.Protocol.view;
-    (match !slot with
-    | None -> Alcotest.fail "expected a second occupied slot"
-    | Some j -> View.set other.Protocol.view j e));
+    (match List.filter (fun j -> other <> node || j <> i) (occupied r other) with
+    | [] -> Alcotest.fail "expected a second occupied slot"
+    | j :: _ ->
+      Flat.set store other j ~id:(Flat.id_at store node i)
+        ~serial:(Flat.serial_at store node i) ~anchor:(Flat.anchor_at store node i)
+        ~born:(Flat.born_at store node i)));
   let found = invariants (Invariant.scan r) in
   Alcotest.(check bool) "serial-uniqueness caught" true
     (List.mem "serial-uniqueness" found)
@@ -81,9 +86,8 @@ let test_scan_catches_duplicate_serial () =
 let test_scan_catches_serial_bound () =
   let r = make_system () in
   Runner.run_rounds r 2;
-  let node = some_node r in
-  View.set node.Protocol.view 0
-    { View.id = 0; serial = Runner.minted_serials r + 1_000; anchor = None; born = 0 };
+  Flat.set (Runner.store r) (some_node r) 0 ~id:0
+    ~serial:(Runner.minted_serials r + 1_000) ~anchor:(-1) ~born:0;
   let found = invariants (Invariant.scan r) in
   Alcotest.(check bool) "serial-bound caught" true (List.mem "serial-bound" found)
 
@@ -91,14 +95,9 @@ let test_scan_catches_serial_bound () =
 let test_scan_catches_birth_bound () =
   let r = make_system () in
   Runner.run_rounds r 2;
-  let node = some_node r in
-  View.set node.Protocol.view 1
-    {
-      View.id = 0;
-      serial = Runner.minted_serials r - 1;
-      anchor = None;
-      born = Runner.action_count r + 999;
-    };
+  Flat.set (Runner.store r) (some_node r) 1 ~id:0
+    ~serial:(Runner.minted_serials r - 1) ~anchor:(-1)
+    ~born:(Runner.action_count r + 999);
   let found = invariants (Invariant.scan r) in
   Alcotest.(check bool) "birth-bound caught" true (List.mem "birth-bound" found)
 
@@ -108,14 +107,7 @@ let test_strict_audit_catches_out_of_band_edit () =
   let r = make_system ~n:50 ~loss:0. () in
   Runner.run_rounds r 2;
   ignore (Invariant.attach ~mode:Invariant.Strict ~scan_every:0 r);
-  let node = some_node r in
-  let cleared = ref false in
-  View.iter
-    (fun i _ -> if not !cleared then begin
-        View.clear node.Protocol.view i;
-        cleared := true
-      end)
-    node.Protocol.view;
+  ignore (clear_first r (some_node r));
   let caught =
     try
       Runner.run_actions r 50;
@@ -132,14 +124,7 @@ let test_strict_audit_catches_out_of_band_edit () =
 let test_warn_mode_records () =
   let r = make_system () in
   Runner.run_rounds r 2;
-  let node = some_node r in
-  let cleared = ref false in
-  View.iter
-    (fun i _ -> if not !cleared then begin
-        View.clear node.Protocol.view i;
-        cleared := true
-      end)
-    node.Protocol.view;
+  ignore (clear_first r (some_node r));
   let stats = Invariant.attach ~mode:Invariant.Warn ~scan_every:1 r in
   Runner.run_actions r 3;
   Invariant.detach r;
@@ -151,14 +136,7 @@ let test_detach_disarms () =
   let r = make_system () in
   ignore (Invariant.attach ~mode:Invariant.Strict ~scan_every:1 r);
   Invariant.detach r;
-  let node = some_node r in
-  let cleared = ref false in
-  View.iter
-    (fun i _ -> if not !cleared then begin
-        View.clear node.Protocol.view i;
-        cleared := true
-      end)
-    node.Protocol.view;
+  ignore (clear_first r (some_node r));
   Runner.run_actions r 20 (* must not raise *)
 
 (* Churn resyncs the conservation baseline instead of misfiring. *)
@@ -194,13 +172,26 @@ let test_reconnect_resyncs () =
   let r = make_system ~n:40 ~loss:0. () in
   Runner.run_rounds r 3;
   let stats = Invariant.attach ~mode:Invariant.Strict ~scan_every:100 r in
-  let node = some_node r in
-  (match Runner.reconnect r ~node_id:node.Protocol.node_id with
+  (match Runner.reconnect r ~node_id:(some_node r) with
   | Runner.Reconnected _ -> ()
   | Runner.Exhausted _ -> ());
   Runner.run_actions r 100;
   Invariant.detach r;
   Alcotest.(check int) "no violations" 0 stats.Invariant.violation_count
+
+(* A departed node's row must stay empty: the runner clears it on leave,
+   and the scan reports an entry planted there afterwards. *)
+let test_scan_catches_dead_row () =
+  let r = make_system () in
+  Runner.run_rounds r 2;
+  let victim = some_node r in
+  Alcotest.(check bool) "removed" true (Runner.remove_node r victim);
+  Alcotest.(check (list string)) "clean after the leave" []
+    (invariants (Invariant.scan r));
+  Flat.set (Runner.store r) victim 0 ~id:1 ~serial:(Runner.minted_serials r - 1)
+    ~anchor:(-1) ~born:0;
+  Alcotest.(check (list string)) "dead row caught" [ "dead-slot-empty" ]
+    (invariants (Invariant.scan r))
 
 let suite =
   [
@@ -220,4 +211,6 @@ let suite =
     Alcotest.test_case "structural changes resync" `Quick test_structural_changes_resync;
     Alcotest.test_case "timed mode audit" `Quick test_timed_mode_audit;
     Alcotest.test_case "reconnect resyncs" `Quick test_reconnect_resyncs;
+    Alcotest.test_case "scan catches an entry in a departed row" `Quick
+      test_scan_catches_dead_row;
   ]

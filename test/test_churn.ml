@@ -5,6 +5,7 @@ module Protocol = Sf_core.Protocol
 module Topology = Sf_core.Topology
 module Churn = Sf_core.Churn
 module Properties = Sf_core.Properties
+module Flat = Sf_core.View.Flat
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
@@ -18,7 +19,7 @@ let make_system ?(seed = 55) ?(n = 120) ?(loss = 0.) () =
 let test_leave_decay_trace () =
   let r = make_system () in
   let victim, trace = Churn.leave_decay r ~rounds:200 () in
-  Alcotest.(check bool) "victim removed" true (Runner.find_node r victim = None);
+  Alcotest.(check bool) "victim removed" true (not (Runner.is_live r victim));
   Alcotest.(check int) "trace length" 201 (Array.length trace);
   Alcotest.(check bool) "had instances at departure" true (trace.(0) > 0);
   Alcotest.(check bool) "decays to nearly nothing" true
@@ -93,19 +94,16 @@ let test_join_integration_bound () =
 (* The largest weak component of the membership graph among live nodes,
    ignoring entries that point at departed ids. *)
 let live_giant r =
-  let live = Runner.live_nodes r in
-  let live_ids = Hashtbl.create 64 in
-  Array.iter (fun n -> Hashtbl.replace live_ids n.Protocol.node_id ()) live;
+  let store = Runner.store r in
   let g = Sf_graph.Digraph.create () in
   Array.iter
-    (fun node ->
-      Sf_graph.Digraph.ensure_vertex g node.Protocol.node_id;
-      Sf_core.View.iter
-        (fun _ e ->
-          if Hashtbl.mem live_ids e.Sf_core.View.id then
-            Sf_graph.Digraph.add_edge g node.Protocol.node_id e.Sf_core.View.id)
-        node.Protocol.view)
-    live;
+    (fun u ->
+      Sf_graph.Digraph.ensure_vertex g u;
+      for slot = 0 to Flat.view_size store - 1 do
+        let id = Flat.id_at store u slot in
+        if Runner.is_live r id then Sf_graph.Digraph.add_edge g u id
+      done)
+    (Runner.live_ids r);
   List.fold_left
     (fun acc comp -> max acc (List.length comp))
     0
@@ -155,7 +153,7 @@ let test_reconnection_heals_starvation () =
            and transiently starved nodes are restocked by incoming
            messages. *)
         List.iter
-          (fun node -> ignore (Runner.reconnect r ~node_id:node.Protocol.node_id))
+          (fun node_id -> ignore (Runner.reconnect r ~node_id))
           (Runner.isolated_nodes r);
         Runner.run_rounds r 10;
         if Runner.isolated_nodes r = [] then incr healed;
@@ -171,43 +169,36 @@ let test_reconnection_heals_starvation () =
 let test_reconnect_direct () =
   let r = make_system ~n:60 () in
   Runner.run_rounds r 20;
-  let node = Runner.random_live_node r in
+  let node = Runner.random_live_id r in
   (* Starve the node artificially: point its whole view at a dead id. *)
-  let victim = ref None in
-  Array.iter
-    (fun candidate ->
-      if !victim = None && candidate.Protocol.node_id <> node.Protocol.node_id then
-        victim := Some candidate.Protocol.node_id)
-    (Runner.live_nodes r);
   let dead =
-    match !victim with Some id -> id | None -> Alcotest.fail "no victim candidate"
+    match List.find_opt (( <> ) node) (Array.to_list (Runner.live_ids r)) with
+    | Some id -> id
+    | None -> Alcotest.fail "no victim candidate"
   in
   ignore (Runner.remove_node r dead);
-  Sf_core.View.clear_all node.Protocol.view;
-  Sf_core.View.set node.Protocol.view 0
-    { Sf_core.View.id = dead; serial = 0; anchor = None; born = 0 };
-  Sf_core.View.set node.Protocol.view 1
-    { Sf_core.View.id = dead; serial = 1; anchor = None; born = 0 };
+  let store = Runner.store r in
+  ignore (Flat.clear_row store node);
+  Flat.set store node 0 ~id:dead ~serial:0 ~anchor:(-1) ~born:0;
+  Flat.set store node 1 ~id:dead ~serial:1 ~anchor:(-1) ~born:0;
   Alcotest.(check bool) "starved" true (Runner.is_starved r node);
-  (match Runner.reconnect r ~node_id:node.Protocol.node_id with
+  (match Runner.reconnect r ~node_id:node with
   | Runner.Reconnected { donor; installed; probes } ->
-    Alcotest.(check bool) "live donor" true (Runner.find_node r donor <> None);
+    Alcotest.(check bool) "live donor" true (Runner.is_live r donor);
     Alcotest.(check bool) "entries installed" true (installed >= 2);
     Alcotest.(check bool) "probes counted" true (probes >= 1)
   | Runner.Exhausted _ -> Alcotest.fail "seen-cache should contain live ids");
   Alcotest.(check bool) "no longer starved" false (Runner.is_starved r node);
   Alcotest.(check bool) "even outdegree (Obs 5.1)" true
-    (Protocol.degree node mod 2 = 0)
+    (Flat.degree store node mod 2 = 0)
 
 let test_reconnect_exhausted_when_everyone_dead () =
   let r = make_system ~n:60 () in
   Runner.run_rounds r 5;
-  let keeper = (Runner.random_live_node r).Protocol.node_id in
+  let keeper = Runner.random_live_id r in
   Array.iter
-    (fun node ->
-      if node.Protocol.node_id <> keeper then
-        ignore (Runner.remove_node r node.Protocol.node_id))
-    (Runner.live_nodes r);
+    (fun id -> if id <> keeper then ignore (Runner.remove_node r id))
+    (Runner.live_ids r);
   (match Runner.reconnect r ~node_id:keeper with
   | Runner.Exhausted { probes } ->
     Alcotest.(check bool) "probed something" true (probes >= 1)

@@ -277,9 +277,9 @@ let test_injector_crash () =
    [Scenario.default] consumes exactly the RNG stream of a runner built
    with no scenario at all, so views, serials, and counters match. *)
 let dump_views r =
-  Array.to_list (Runner.live_nodes r)
-  |> List.map (fun node ->
-         (node.Protocol.node_id, Sf_core.View.entries node.Protocol.view))
+  Array.to_list (Runner.live_ids r)
+  |> List.map (fun u ->
+         (u, Sf_core.View.entries (Sf_core.View.copy_row (Runner.store r) u)))
 
 let test_default_scenario_identity () =
   let make scenario =
@@ -465,11 +465,9 @@ let test_crash_restart_strict_audit () =
       (fs.Injector.crash_drops > 0));
   Alcotest.(check bool) "nobody is crashed after the window" true
     (not (Runner.is_crashed r 0));
-  match Runner.find_node r 0 with
-  | None -> Alcotest.fail "node 0 missing"
-  | Some victim ->
-    Alcotest.(check bool) "resumed node kept a usable view" true
-      (Protocol.degree victim > 0)
+  Alcotest.(check bool) "node 0 live" true (Runner.is_live r 0);
+  Alcotest.(check bool) "resumed node kept a usable view" true
+    (Sf_core.View.Flat.degree (Runner.store r) 0 > 0)
 
 (* Reconnection probes are judged like sends.  While a two-way partition
    holds, a starved node that remembers only ids across the cut reaches
@@ -483,13 +481,10 @@ let test_reconnect_probes_respect_partition () =
     Runner.create ~scenario:(scenario_of_string "partition@2-6:2") ~seed:80 ~n
       ~loss_rate:0. ~config ~topology ()
   in
-  let node =
-    match Runner.find_node r 0 with Some node -> node | None -> Alcotest.fail "node 0"
-  in
   let across = List.init 10 (fun k -> 30 + k) in
   let starve () =
-    Sf_core.View.clear_all node.Protocol.view;
-    node.Protocol.seen_ids <- across
+    ignore (Sf_core.View.Flat.clear_row (Runner.store r) 0);
+    (Runner.seen_ids r).(0) <- across
   in
   let partition_drops () =
     match Runner.fault_statistics r with

@@ -333,9 +333,6 @@ let test_driver_row_kernel_fires () =
   let fires name source =
     check_fires name ~rule:"driver-row-kernel" ~path:"lib/net/driver.ml" source
   in
-  fires "boxed initiate"
-    "let r = Sf_core.Protocol.initiate cfg rng ~fresh_serial ~clock node";
-  fires "boxed receive" "let r = Protocol.receive cfg rng node message";
   fires "boxed encode" "let packets = Codec.encode_batch messages";
   fires "boxed decode" "let d = Codec.decode_datagram buffer ~length";
   fires "span closures" "let () = Sf_obs.Span.time span (fun () -> work ())";
@@ -353,8 +350,8 @@ let test_driver_row_kernel_fires () =
      let u = float_of_int (Sf_prng.Rng.float_bits rng) *. 0x1p-53\n\
      let () = Sf_obs.Span.observe_ns span ns";
   (* The boxed forms stay available everywhere else. *)
-  check_quiet "other modules" ~path:"lib/core/runner.ml"
-    "let r = Protocol.initiate cfg rng ~fresh_serial ~clock node"
+  check_quiet "other modules" ~path:"lib/net/nodehost.ml"
+    "let packets = Codec.encode_batch messages"
 
 (* --- nodehost-control-in-place --- *)
 

@@ -327,11 +327,7 @@ let test_observation_preserves_rng_stream () =
     in
     Sf_core.Runner.run_rounds r 20;
     let w = Sf_core.Runner.world_counters r in
-    let degrees =
-      Array.map
-        (fun node -> Sf_core.Protocol.degree node)
-        (Sf_core.Runner.live_nodes r)
-    in
+    let degrees = Sf_core.Properties.outdegree_samples r in
     ((w.Sf_core.Runner.sends, w.Sf_core.Runner.duplications,
       w.Sf_core.Runner.deletions, w.Sf_core.Runner.messages_lost),
      degrees)

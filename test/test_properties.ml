@@ -57,9 +57,8 @@ let test_indegree_summary_matches_graph () =
   let g = Runner.membership_graph r in
   let direct = Summary.create () in
   Array.iter
-    (fun node ->
-      Summary.add_int direct (Sf_graph.Digraph.in_degree g node.Protocol.node_id))
-    (Runner.live_nodes r);
+    (fun u -> Summary.add_int direct (Sf_graph.Digraph.in_degree g u))
+    (Runner.live_ids r);
   Alcotest.(check bool) "means agree" true
     (Float.abs (Summary.mean summary -. Summary.mean direct) < 1e-9);
   Alcotest.(check int) "counts agree" (Summary.count direct) (Summary.count summary)
@@ -91,13 +90,13 @@ let test_uniformity_chi_square () =
     let r = make_system ~seed:(1000 + seed) ~n () in
     Runner.run_rounds r 200;
     Array.iter
-      (fun node ->
+      (fun u ->
         View.iter
           (fun _ e ->
-            if e.View.id <> node.Protocol.node_id && e.View.id < n then
+            if e.View.id <> u && e.View.id < n then
               counts.(e.View.id) <- counts.(e.View.id) +. 1.)
-          node.Protocol.view)
-      (Runner.live_nodes r)
+          (View.copy_row (Runner.store r) u))
+      (Runner.live_ids r)
   done;
   let result = Sf_stats.Hypothesis.chi_square_uniform counts in
   Alcotest.(check bool)
@@ -169,10 +168,10 @@ let test_sampling_basics () =
   let r = make_system () in
   Runner.run_rounds r 50;
   let rng = Sf_prng.Rng.create 3 in
-  let node_id = (Runner.random_live_node r).Protocol.node_id in
+  let node_id = Runner.random_live_id r in
   (match Sf_core.Sampling.sample r rng ~node_id with
   | Some id ->
-    Alcotest.(check bool) "sample is a live id" true (Runner.find_node r id <> None);
+    Alcotest.(check bool) "sample is a live id" true (Runner.is_live r id);
     Alcotest.(check bool) "not self" true (id <> node_id)
   | None -> Alcotest.fail "expected a sample");
   let samples = Sf_core.Sampling.sample_many r rng ~node_id ~k:10 in
@@ -197,6 +196,22 @@ let test_sampling_census_roughly_uniform () =
     true
     (result.Sf_stats.Hypothesis.p_value > 0.001)
 
+(* M4 reads the runner's store with [Census.of_flat]: rows are ids and a
+   departed node's row is empty, so after churn (and a join that grows the
+   store) the census equals the one over each live view on its own. *)
+let test_census_over_store_after_churn () =
+  let r = make_system ~loss:0.05 () in
+  ignore (Sf_core.Churn.run_with_churn r ~rounds:20 ~joins:3 ~leaves:3);
+  Alcotest.(check bool) "the store grew" true
+    (View.Flat.node_count (Runner.store r) > 120);
+  let per_view =
+    Census.of_views
+      (Array.to_seq (Runner.live_ids r)
+      |> Seq.map (fun u -> (u, View.copy_row (Runner.store r) u)))
+  in
+  Alcotest.(check bool) "census over the store = census over live views" true
+    (Properties.independence_census r = per_view)
+
 let suite =
   [
     Alcotest.test_case "census empty" `Quick test_census_empty;
@@ -211,4 +226,6 @@ let suite =
     Alcotest.test_case "connectivity monitor" `Quick test_connectivity_monitor;
     Alcotest.test_case "sampling basics" `Quick test_sampling_basics;
     Alcotest.test_case "sampling census uniform" `Slow test_sampling_census_roughly_uniform;
+    Alcotest.test_case "census over the store after churn" `Quick
+      test_census_over_store_after_churn;
   ]

@@ -90,13 +90,15 @@ let test_config_validation () =
   expect_invalid "odd dL" (fun () -> Protocol.make_config ~view_size:10 ~lower_threshold:3);
   expect_invalid "negative dL" (fun () -> Protocol.make_config ~view_size:8 ~lower_threshold:(-2))
 
-(* --- Protocol steps --- *)
+(* --- Protocol steps: the row kernel on single views --- *)
 
+(* Node 100's view (row 0 of a one-node store) holding [ids] in slots
+   0, 1, ..., with serials 1000, 1001, .... *)
 let make_node ?(view_size = 8) ?(lower_threshold = 2) ids =
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let node = Protocol.create_node ~config ~node_id:100 in
-  List.iteri (fun i id -> View.set node.Protocol.view i (entry ~serial:(1000 + i) id)) ids;
-  (config, node)
+  let view = View.create view_size in
+  List.iteri (fun i id -> View.set view i (entry ~serial:(1000 + i) id)) ids;
+  (config, view)
 
 let serial_counter () =
   let c = ref 10_000 in
@@ -104,31 +106,48 @@ let serial_counter () =
     incr c;
     !c
 
-let run_initiate config node =
-  let rng = Sf_prng.Rng.create 5 in
-  Protocol.initiate config rng ~fresh_serial:(serial_counter ()) ~clock:0 node
+(* One initiate step at node [owner] (default 100): the destination, [-1]
+   for a self-loop, and the message written into [msg]. *)
+let initiate ?(owner = 100) ?(clock = 0) config rng ~mint view msg =
+  Protocol.initiate_row rng view 0 ~owner ~dl:config.Protocol.lower_threshold
+    ~born:clock ~mint msg
+
+let run_initiate config view msg =
+  initiate config (Sf_prng.Rng.create 5) ~mint:(serial_counter ()) view msg
+
+(* One receive step: [true] when both ids were accepted. *)
+let receive config rng view msg =
+  Protocol.receive_row rng view 0 ~s:config.Protocol.view_size msg
+
+(* A message carrying [r] and [m], unanchored unless given. *)
+let message ?(r_anchor = -1) ?(m_anchor = -1) ?(born = 0) r m =
+  let msg = Protocol.row_message () in
+  msg.r_id <- r;
+  msg.r_anchor <- r_anchor;
+  msg.r_born <- born;
+  msg.m_id <- m;
+  msg.m_anchor <- m_anchor;
+  msg.m_born <- born;
+  msg
 
 let test_initiate_empty_view_is_self_loop () =
-  let config, node = make_node [] in
-  (match run_initiate config node with
-  | Protocol.Self_loop -> ()
-  | Protocol.Send _ -> Alcotest.fail "empty view must not send");
-  Alcotest.(check int) "self loop counted" 1 node.Protocol.self_loop_actions
+  let config, view = make_node [] in
+  let destination = run_initiate config view (Protocol.row_message ()) in
+  Alcotest.(check int) "self loop counted" (-1) destination
 
 let test_initiate_sparse_view_can_self_loop () =
   (* With 2 of 8 slots filled, most selections hit an empty slot. *)
-  let config, node = make_node [ 1; 2 ] in
+  let config, view = make_node [ 1; 2 ] in
   let self_loops = ref 0 and sends = ref 0 in
   let rng = Sf_prng.Rng.create 6 in
-  let fresh = serial_counter () in
+  let mint = serial_counter () in
+  let msg = Protocol.row_message () in
   for _ = 1 to 2000 do
     (* Refill to keep the state constant. *)
-    View.clear_all node.Protocol.view;
-    View.set node.Protocol.view 0 (entry 1);
-    View.set node.Protocol.view 1 (entry 2);
-    match Protocol.initiate config rng ~fresh_serial:fresh ~clock:0 node with
-    | Protocol.Self_loop -> incr self_loops
-    | Protocol.Send _ -> incr sends
+    View.clear_all view;
+    View.set view 0 (entry 1);
+    View.set view 1 (entry 2);
+    if initiate config rng ~mint view msg < 0 then incr self_loops else incr sends
   done;
   (* P(both nonempty) = d(d-1)/(s(s-1)) = 2/56. *)
   let rate = float_of_int !sends /. 2000. in
@@ -139,30 +158,25 @@ let test_fig_5_2_normal_transformation () =
   (* A full view guarantees the slot pair is non-empty, so the action always
      sends. *)
   let config, sender = make_node ~lower_threshold:2 [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
-  match run_initiate config sender with
-  | Protocol.Self_loop -> Alcotest.fail "full view must send"
-  | Protocol.Send { destination; message; duplicated } ->
-    Alcotest.(check bool) "no duplication above dL" false duplicated;
-    Alcotest.(check int) "sender cleared two entries" 6 (Protocol.degree sender);
-    Alcotest.(check int) "reinforcement is sender id" 100
-      message.Protocol.reinforcement.View.id;
-    let initial_ids = [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
-    Alcotest.(check bool) "destination was in view" true (List.mem destination initial_ids);
-    Alcotest.(check bool) "payload was in view" true
-      (List.mem message.Protocol.mixing.View.id initial_ids);
-    (* The moved instance keeps its serial and stays unanchored. *)
-    Alcotest.(check bool) "moved instance keeps serial" true
-      (message.Protocol.mixing.View.serial >= 1000
-      && message.Protocol.mixing.View.serial < 1010);
-    Alcotest.(check bool) "unanchored" true (message.Protocol.mixing.View.anchor = None);
-    (* Receiver with room accepts both (Fig 5.2(b) right side). *)
-    let receiver = Protocol.create_node ~config ~node_id:destination in
-    let rng = Sf_prng.Rng.create 7 in
-    (match Protocol.receive config rng receiver message with
-    | Protocol.Accepted -> ()
-    | Protocol.Deleted -> Alcotest.fail "receiver had room");
-    Alcotest.(check int) "receiver gained two" 2 (Protocol.degree receiver);
-    Alcotest.(check bool) "receiver knows sender" true (View.mem receiver.Protocol.view 100)
+  let msg = Protocol.row_message () in
+  let destination = run_initiate config sender msg in
+  if destination < 0 then Alcotest.fail "full view must send";
+  Alcotest.(check bool) "no duplication above dL" false msg.duplicated;
+  Alcotest.(check int) "sender cleared two entries" 6 (View.degree sender);
+  Alcotest.(check int) "reinforcement is sender id" 100 msg.r_id;
+  let initial_ids = [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
+  Alcotest.(check bool) "destination was in view" true (List.mem destination initial_ids);
+  Alcotest.(check bool) "payload was in view" true (List.mem msg.m_id initial_ids);
+  (* The moved instance keeps its serial and stays unanchored. *)
+  Alcotest.(check bool) "moved instance keeps serial" true
+    (msg.m_serial >= 1000 && msg.m_serial < 1010);
+  Alcotest.(check bool) "unanchored" true (msg.m_anchor = -1);
+  (* Receiver with room accepts both (Fig 5.2(b) right side). *)
+  let receiver = View.create config.Protocol.view_size in
+  let rng = Sf_prng.Rng.create 7 in
+  if not (receive config rng receiver msg) then Alcotest.fail "receiver had room";
+  Alcotest.(check int) "receiver gained two" 2 (View.degree receiver);
+  Alcotest.(check bool) "receiver knows sender" true (View.mem receiver 100)
 
 (* Figure 5.2(c): duplication at the sender. *)
 let test_fig_5_2_duplication () =
@@ -170,47 +184,41 @@ let test_fig_5_2_duplication () =
   (* With only 2 of 8 slots filled, selections often hit an empty slot —
      keep drawing from one rng until the action sends. *)
   let rng = Sf_prng.Rng.create 5 in
-  let fresh = serial_counter () in
+  let mint = serial_counter () in
+  let msg = Protocol.row_message () in
   let rec attempt k =
     if k = 0 then Alcotest.fail "no send in 1000 tries"
-    else
-      match Protocol.initiate config rng ~fresh_serial:fresh ~clock:0 sender with
-      | Protocol.Self_loop -> attempt (k - 1)
-      | Protocol.Send { message; duplicated; _ } ->
-        Alcotest.(check bool) "duplicated at threshold" true duplicated;
-        Alcotest.(check int) "entries kept" 2 (Protocol.degree sender);
-        Alcotest.(check bool) "copies anchored at sender" true
-          (message.Protocol.mixing.View.anchor = Some 100
-          && message.Protocol.reinforcement.View.anchor = Some 100);
-        Alcotest.(check bool) "copy got a fresh serial" true
-          (message.Protocol.mixing.View.serial >= 10_000)
+    else if initiate config rng ~mint sender msg < 0 then attempt (k - 1)
+    else begin
+      Alcotest.(check bool) "duplicated at threshold" true msg.duplicated;
+      Alcotest.(check int) "entries kept" 2 (View.degree sender);
+      Alcotest.(check bool) "copies anchored at sender" true
+        (msg.m_anchor = 100 && msg.r_anchor = 100);
+      Alcotest.(check bool) "copy got a fresh serial" true (msg.m_serial >= 10_000)
+    end
   in
   attempt 1000
 
 (* Figure 5.2(d): deletion at a full receiver. *)
 let test_fig_5_2_deletion () =
   let config, receiver = make_node [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
-  Alcotest.(check bool) "receiver full" true (View.is_full receiver.Protocol.view);
+  Alcotest.(check bool) "receiver full" true (View.is_full receiver);
   let rng = Sf_prng.Rng.create 8 in
-  let message = { Protocol.reinforcement = entry 50; mixing = entry 51 } in
-  (match Protocol.receive config rng receiver message with
-  | Protocol.Deleted -> ()
-  | Protocol.Accepted -> Alcotest.fail "full receiver must delete");
-  Alcotest.(check int) "degree unchanged" 8 (Protocol.degree receiver);
-  Alcotest.(check int) "deletion counted" 1 receiver.Protocol.deletions;
+  let accepted = receive config rng receiver (message 50 51) in
+  if accepted then Alcotest.fail "full receiver must delete";
+  Alcotest.(check int) "degree unchanged" 8 (View.degree receiver);
+  Alcotest.(check bool) "deletion counted" false accepted;
   Alcotest.(check bool) "ids not installed" true
-    ((not (View.mem receiver.Protocol.view 50)) && not (View.mem receiver.Protocol.view 51))
+    ((not (View.mem receiver 50)) && not (View.mem receiver 51))
 
 let test_receive_places_in_empty_slots () =
   let config, receiver = make_node [ 1; 2 ] in
   let rng = Sf_prng.Rng.create 9 in
-  let message = { Protocol.reinforcement = entry 50; mixing = entry 51 } in
-  (match Protocol.receive config rng receiver message with
-  | Protocol.Accepted -> ()
-  | Protocol.Deleted -> Alcotest.fail "room available");
-  Alcotest.(check int) "degree +2" 4 (Protocol.degree receiver);
+  if not (receive config rng receiver (message 50 51)) then
+    Alcotest.fail "room available";
+  Alcotest.(check int) "degree +2" 4 (View.degree receiver);
   Alcotest.(check bool) "originals untouched" true
-    (View.mem receiver.Protocol.view 1 && View.mem receiver.Protocol.view 2)
+    (View.mem receiver 1 && View.mem receiver 2)
 
 (* Observation 5.1: outdegree stays even through random protocol activity. *)
 let prop_degree_parity_invariant =
@@ -219,27 +227,29 @@ let prop_degree_parity_invariant =
     (fun seed ->
       let config = Protocol.make_config ~view_size:10 ~lower_threshold:2 in
       let rng = Sf_prng.Rng.create seed in
-      let nodes =
+      let views =
         Array.init 5 (fun node_id ->
-            let node = Protocol.create_node ~config ~node_id in
+            let view = View.create config.Protocol.view_size in
             (* Even initial degree at every node. *)
-            View.set node.Protocol.view 0 (entry ((node_id + 1) mod 5));
-            View.set node.Protocol.view 1 (entry ((node_id + 2) mod 5));
-            node)
+            View.set view 0 (entry ((node_id + 1) mod 5));
+            View.set view 1 (entry ((node_id + 2) mod 5));
+            view)
       in
       let serial = ref 0 in
-      let fresh () = incr serial; !serial in
+      let mint () = incr serial; !serial in
+      let msg = Protocol.row_message () in
       let ok = ref true in
       for clock = 1 to 500 do
-        let u = nodes.(Sf_prng.Rng.int rng 5) in
-        (match Protocol.initiate config rng ~fresh_serial:fresh ~clock u with
-        | Protocol.Self_loop -> ()
-        | Protocol.Send { destination; message; _ } ->
-          (* Deliver unconditionally (loss handled elsewhere). *)
-          ignore (Protocol.receive config rng nodes.(destination) message));
+        let owner = Sf_prng.Rng.int rng 5 in
+        let destination = initiate ~owner ~clock config rng ~mint views.(owner) msg in
+        (* Deliver unconditionally (loss handled elsewhere). *)
+        if destination >= 0 then ignore (receive config rng views.(destination) msg);
         Array.iter
-          (fun node -> if not (Protocol.invariant_holds config node) then ok := false)
-          nodes
+          (fun view ->
+            let d = View.degree view in
+            if not (d mod 2 = 0 && d >= 0 && d <= config.Protocol.view_size) then
+              ok := false)
+          views
       done;
       !ok)
 
@@ -247,15 +257,14 @@ let prop_degree_parity_invariant =
    number of live instances (sender clears 2, receiver gains 2). *)
 let test_instance_conservation_without_loss () =
   let config, sender = make_node ~lower_threshold:2 [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
-  let receiver = Protocol.create_node ~config ~node_id:1 in
+  let receiver = View.create config.Protocol.view_size in
   let rng = Sf_prng.Rng.create 10 in
-  let total () = Protocol.degree sender + Protocol.degree receiver in
+  let total () = View.degree sender + View.degree receiver in
   let before = total () in
-  (match run_initiate config sender with
-  | Protocol.Send { message; duplicated; _ } ->
-    Alcotest.(check bool) "no dup" false duplicated;
-    ignore (Protocol.receive config rng receiver message)
-  | Protocol.Self_loop -> Alcotest.fail "expected send");
+  let msg = Protocol.row_message () in
+  if run_initiate config sender msg < 0 then Alcotest.fail "expected send";
+  Alcotest.(check bool) "no dup" false msg.duplicated;
+  ignore (receive config rng receiver msg);
   Alcotest.(check int) "instances conserved" before (total ())
 
 (* M1 under a retune: a node with 5 ids in an 8-slot view, clamped to
@@ -265,83 +274,66 @@ let test_instance_conservation_without_loss () =
 let test_receive_bounded_by_live_s () =
   let config = Protocol.clamped_config ~capacity:8 ~degree:5 (0, 6) in
   Alcotest.(check int) "retuned s" 6 config.Protocol.view_size;
-  let allocated = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
-  let node = Protocol.create_node ~config:allocated ~node_id:100 in
-  List.iteri (fun slot id -> View.set node.Protocol.view slot (entry id)) [ 1; 2; 3; 4; 5 ];
-  let message = { Protocol.reinforcement = entry 50; mixing = entry 51 } in
-  (match Protocol.receive config (Sf_prng.Rng.create 11) node message with
-  | Protocol.Deleted -> ()
-  | Protocol.Accepted -> Alcotest.fail "accepted two ids with one slot left under s");
-  Alcotest.(check int) "outdegree stays within s" 5 (Protocol.degree node);
-  Alcotest.(check int) "deletion counted" 1 node.Protocol.deletions
+  let view = View.create 8 in
+  List.iteri (fun slot id -> View.set view slot (entry id)) [ 1; 2; 3; 4; 5 ];
+  let accepted = receive config (Sf_prng.Rng.create 11) view (message 50 51) in
+  if accepted then Alcotest.fail "accepted two ids with one slot left under s";
+  Alcotest.(check int) "outdegree stays within s" 5 (View.degree view);
+  Alcotest.(check bool) "deletion counted" false accepted
 
 (* The sequential runner and the UDP driver stamp born with their
    cumulative action count, which passes 2^31 on long runs (a million
-   nodes for 2200 rounds; a node host after about two days).  A single
-   view stores any born: the whole step, at a node whose clock is past
-   2^31, installs both instances with their stamps intact. *)
+   nodes for 2200 rounds; a node host after about two days).  An
+   action-stamped store holds any born: the whole step, at a node whose
+   clock is past 2^31, installs both instances with their stamps
+   intact. *)
 let test_action_clock_past_2_31 () =
   let clock = (1 lsl 31) + 17 in
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
-  let sender = Protocol.create_node ~config ~node_id:1 in
+  let sender = View.create 8 in
   (* Two entries, degree 2 <= dL: the send duplicates, so both instances
      are fresh and born at [clock]. *)
-  View.set sender.Protocol.view 0 (entry ~born:max_int 2);
-  View.set sender.Protocol.view 1 (entry ~born:clock 3);
+  View.set sender 0 (entry ~born:max_int 2);
+  View.set sender 1 (entry ~born:clock 3);
   Alcotest.(check (list int)) "max_int born round-trips" [ max_int; clock ]
-    (List.map (fun e -> e.View.born) (View.entries sender.Protocol.view));
+    (List.map (fun e -> e.View.born) (View.entries sender));
   let serial = ref 0 in
-  let fresh_serial () = incr serial; !serial in
+  let mint () = incr serial; !serial in
   let rng = Sf_prng.Rng.create 5 in
+  let msg = Protocol.row_message () in
   let rec send () =
-    match Protocol.initiate config rng ~fresh_serial ~clock sender with
-    | Protocol.Self_loop -> send ()
-    | Protocol.Send { message; duplicated; _ } ->
-      Alcotest.(check bool) "duplicated" true duplicated;
-      message
+    if initiate ~owner:1 ~clock config rng ~mint sender msg < 0 then send ()
+    else Alcotest.(check bool) "duplicated" true msg.duplicated
   in
-  let message = send () in
-  let receiver = Protocol.create_node ~config ~node_id:2 in
-  (match Protocol.receive config rng receiver message with
-  | Protocol.Accepted -> ()
-  | Protocol.Deleted -> Alcotest.fail "an empty view deleted");
+  send ();
+  let receiver = View.create 8 in
+  if not (receive config rng receiver msg) then Alcotest.fail "an empty view deleted";
   Alcotest.(check (list int)) "both stamped at the clock" [ clock; clock ]
-    (List.map (fun e -> e.View.born) (View.entries receiver.Protocol.view))
+    (List.map (fun e -> e.View.born) (View.entries receiver))
 
 (* An instance no lane can hold is refused before anything changes: the
    reinforcement fits, the mixing id does not, and neither is written —
-   the view keeps its even degree and the counters do not move (the
-   seen-id cache is [Runner]'s, so [receive] leaves it empty either way).
-   The kernel refuses the same way on a world store, where born is a
-   32-bit round lane too. *)
+   the view keeps its even degree.  The kernel refuses the same way on a
+   world store, where born is a 32-bit round lane too. *)
 let test_receive_refuses_unfit_atomically () =
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
-  let node = Protocol.create_node ~config ~node_id:0 in
-  View.set node.Protocol.view 0 (entry 4);
-  View.set node.Protocol.view 5 (entry 6);
-  let snapshot () =
-    ( View.entries node.Protocol.view,
-      node.Protocol.messages_received,
-      node.Protocol.deletions,
-      node.Protocol.seen_ids )
-  in
-  let before = snapshot () in
-  let refused what message =
-    (match Protocol.receive config (Sf_prng.Rng.create 3) node message with
+  let view = View.create 8 in
+  View.set view 0 (entry 4);
+  View.set view 5 (entry 6);
+  let before = View.entries view in
+  let refused what msg =
+    (match receive config (Sf_prng.Rng.create 3) view msg with
     | _ -> Alcotest.failf "%s: accepted" what
     | exception Invalid_argument _ -> ());
-    if snapshot () <> before then Alcotest.failf "%s: node changed" what
+    if View.entries view <> before then Alcotest.failf "%s: node changed" what
   in
-  refused "mixing id 2^31" { Protocol.reinforcement = entry 9; mixing = entry (1 lsl 31) };
-  refused "negative mixing id" { Protocol.reinforcement = entry 9; mixing = entry (-3) };
-  refused "mixing anchor 2^40"
-    { Protocol.reinforcement = entry 9; mixing = entry ~anchor:(Some (1 lsl 40)) 7 };
-  refused "reinforcement anchor -2"
-    { Protocol.reinforcement = entry ~anchor:(Some (-2)) 9; mixing = entry 7 };
-  Alcotest.(check bool) "View.fits agrees" false
-    (View.fits node.Protocol.view (entry (1 lsl 31)));
+  refused "mixing id 2^31" (message 9 (1 lsl 31));
+  refused "negative mixing id" (message 9 (-3));
+  refused "mixing anchor 2^40" (message ~m_anchor:(1 lsl 40) 9 7);
+  refused "reinforcement anchor -2" (message ~r_anchor:(-2) 9 7);
+  Alcotest.(check bool) "View.fits agrees" false (View.fits view (entry (1 lsl 31)));
   Alcotest.(check bool) "any born fits a single view" true
-    (View.fits node.Protocol.view (entry ~born:(1 lsl 40) 1));
+    (View.fits view (entry ~born:(1 lsl 40) 1));
   let store = View.Flat.create ~nodes:2 ~view_size:8 in
   View.Flat.set store 1 0 ~id:0 ~serial:1 ~anchor:(-1) ~born:0;
   View.Flat.set store 1 1 ~id:0 ~serial:2 ~anchor:(-1) ~born:0;

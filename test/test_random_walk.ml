@@ -20,7 +20,7 @@ let test_walk_completes_without_loss () =
   for _ = 1 to 100 do
     match Random_walk.walk r rng ~start:0 ~length:8 ~loss_rate:0. with
     | Random_walk.Completed endpoint ->
-      Alcotest.(check bool) "endpoint live" true (Runner.find_node r endpoint <> None)
+      Alcotest.(check bool) "endpoint live" true (Runner.is_live r endpoint)
     | Random_walk.Lost_at_hop _ -> Alcotest.fail "no loss configured"
     | Random_walk.Dead_end _ -> Alcotest.fail "views are populated"
   done
@@ -34,7 +34,7 @@ let test_walk_length_zero () =
 
 let test_walk_from_dead_node () =
   let r = make_system () in
-  let victim = (Runner.random_live_node r).Protocol.node_id in
+  let victim = Runner.random_live_id r in
   ignore (Runner.remove_node r victim);
   let rng = Sf_prng.Rng.create 3 in
   (match Random_walk.walk r rng ~start:victim ~length:5 ~loss_rate:0. with

@@ -174,9 +174,9 @@ let test_supervisor_schedule () =
 (* --- Replay identity of disabled / observe-only resilience --- *)
 
 let dump_views r =
-  Array.to_list (Runner.live_nodes r)
-  |> List.map (fun node ->
-         (node.Protocol.node_id, Sf_core.View.entries node.Protocol.view))
+  Array.to_list (Runner.live_ids r)
+  |> List.map (fun u ->
+         (u, Sf_core.View.entries (Sf_core.View.copy_row (Runner.store r) u)))
 
 let test_observe_only_identity () =
   let run resilience =
@@ -306,15 +306,15 @@ let test_retune_e2e_audited () =
   let base = (6, 16) in
   let moved = ref false in
   Array.iter
-    (fun node ->
-      let c = Runner.node_config r node.Protocol.node_id in
+    (fun u ->
+      let c = Runner.node_config r u in
       let dl = c.Protocol.lower_threshold and s = c.Protocol.view_size in
       if (dl, s) <> base then moved := true;
       Alcotest.(check bool)
-        (Fmt.str "node %d config (%d, %d) valid" node.Protocol.node_id dl s)
+        (Fmt.str "node %d config (%d, %d) valid" u dl s)
         true
         (dl >= 0 && dl <= s - 6 && dl mod 2 = 0 && s mod 2 = 0 && s <= 16))
-    (Runner.live_nodes r);
+    (Runner.live_ids r);
   Alcotest.(check bool) "some node was actually retuned" true !moved
 
 (* --- Supervised recovery of a partition --- *)

@@ -8,6 +8,11 @@ module Digraph = Sf_graph.Digraph
 
 let small_config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
+let degrees r = Array.to_list (Sf_core.Properties.outdegree_samples r)
+
+(* Node [u]'s view as a single view. *)
+let view r u = Sf_core.View.copy_row (Runner.store r) u
+
 let make_system ?(seed = 21) ?(n = 60) ?(loss = 0.) ?(config = small_config)
     ?(out_degree = 4) () =
   let rng = Sf_prng.Rng.create (seed + 1000) in
@@ -17,9 +22,7 @@ let make_system ?(seed = 21) ?(n = 60) ?(loss = 0.) ?(config = small_config)
 let test_create_applies_topology () =
   let r = make_system () in
   Alcotest.(check int) "node count" 60 (Runner.live_count r);
-  Array.iter
-    (fun node -> Alcotest.(check int) "initial outdegree" 4 (Protocol.degree node))
-    (Runner.live_nodes r);
+  List.iter (Alcotest.(check int) "initial outdegree" 4) (degrees r);
   let g = Runner.membership_graph r in
   Alcotest.(check int) "edge count" (60 * 4) (Digraph.edge_count g);
   Alcotest.(check bool) "connected" true (Digraph.is_weakly_connected g)
@@ -30,9 +33,6 @@ let test_run_rounds_counts_actions () =
   Alcotest.(check int) "3 rounds = 3n actions" (3 * 60) (Runner.action_count r)
 
 let test_determinism () =
-  let degrees r =
-    Array.to_list (Array.map Protocol.degree (Runner.live_nodes r))
-  in
   let a = make_system ~seed:5 () in
   let b = make_system ~seed:5 () in
   Runner.run_rounds a 20;
@@ -69,11 +69,10 @@ let test_observation_5_1_under_loss () =
   let r = make_system ~loss:0.2 () in
   for _ = 1 to 40 do
     Runner.run_rounds r 1;
-    Array.iter
-      (fun node ->
-        let d = Protocol.degree node in
+    List.iter
+      (fun d ->
         Alcotest.(check bool) "even and bounded" true (d mod 2 = 0 && d >= 0 && d <= 12))
-      (Runner.live_nodes r)
+      (degrees r)
   done
 
 (* Lemma 6.6: in the steady state, duplication rate = loss + deletion rate
@@ -115,17 +114,23 @@ let test_rejects_bad_loss () =
    mode every send is received, lost or to-dead. *)
 let test_sends_to_departed () =
   let r = make_system ~loss:0.1 () in
-  let victim =
-    match Runner.remove_node r 7 with
-    | Some node -> node
-    | None -> Alcotest.fail "node 7 was live"
-  in
-  let received = victim.Protocol.messages_received in
+  Alcotest.(check bool) "node 7 was live" true (Runner.remove_node r 7);
+  let received = ref 0 in
+  Runner.set_audit r
+    (Some
+       (fun _ -> function
+         | Runner.Action
+             {
+               outcome =
+                 Runner.Audit_send { destination = 7; delivery = Accepted | Deleted; _ };
+               _;
+             } ->
+           incr received
+         | _ -> ()));
   Runner.run_rounds r 30;
   let c = Runner.world_counters r in
   Alcotest.(check bool) "sends reached the departed id" true (c.Runner.to_dead > 0);
-  Alcotest.(check int) "the departed node received nothing" received
-    victim.Protocol.messages_received;
+  Alcotest.(check int) "the departed node received nothing" 0 !received;
   Alcotest.(check int) "sends = receipts + lost + to-dead" c.Runner.sends
     (c.Runner.receipts + c.Runner.messages_lost + c.Runner.to_dead)
 
@@ -135,9 +140,9 @@ let test_add_node () =
   let id = Runner.add_node r in
   Alcotest.(check int) "fresh id" 60 id;
   Alcotest.(check int) "count up" 61 (Runner.live_count r);
-  (match Runner.find_node r id with
-  | Some node -> Alcotest.(check int) "joiner outdegree" 4 (Protocol.degree node)
-  | None -> Alcotest.fail "joiner not found");
+  Alcotest.(check bool) "joiner found" true (Runner.is_live r id);
+  Alcotest.(check int) "joiner outdegree" 4
+    (Sf_core.View.Flat.degree (Runner.store r) id);
   (* The joiner participates; with outdegree 4 of 12 slots its send rate is
      d(d-1)/(s(s-1)) ~ 0.09 per round, so 80 rounds make a missing
      reinforcement astronomically unlikely. *)
@@ -153,23 +158,18 @@ let test_add_node () =
    view, which the install only reads. *)
 let check_install_rule r ~what node_id =
   let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail (what ^ ": " ^ m)) fmt in
-  let node =
-    match Runner.find_node r node_id with Some n -> n | None -> fail "node not live"
-  in
-  let entries = Sf_core.View.entries node.Protocol.view in
+  if not (Runner.is_live r node_id) then fail "node not live";
+  let node_view = view r node_id in
+  let entries = Sf_core.View.entries node_view in
   let donor =
     match entries with e :: _ -> e.Sf_core.View.id | [] -> fail "empty view"
   in
-  let donor_view =
-    match Runner.find_node r donor with
-    | Some d -> d.Protocol.view
-    | None -> fail "donor %d not live" donor
-  in
+  if not (Runner.is_live r donor) then fail "donor %d not live" donor;
   let cap = max 2 (Runner.node_config r node_id).Protocol.lower_threshold in
   let copied =
     List.filter
-      (fun id -> id <> node_id && Runner.find_node r id <> None)
-      (Sf_core.View.ids donor_view)
+      (fun id -> id <> node_id && Runner.is_live r id)
+      (Sf_core.View.ids (view r donor))
     |> List.filteri (fun k _ -> k < cap - 1)
   in
   let expected = donor :: copied in
@@ -178,12 +178,12 @@ let check_install_rule r ~what node_id =
   in
   Alcotest.(check (list int)) (what ^ ": donor, then its live ids in slot order")
     expected
-    (Sf_core.View.ids node.Protocol.view);
+    (Sf_core.View.ids node_view);
   Alcotest.(check (list int)) (what ^ ": slots 0, 1, 2, ...")
     (List.init (List.length entries) Fun.id)
     (List.filter
-       (fun k -> Sf_core.View.get node.Protocol.view k <> None)
-       (List.init (Sf_core.View.size node.Protocol.view) Fun.id));
+       (fun k -> Sf_core.View.get node_view k <> None)
+       (List.init (Sf_core.View.size node_view) Fun.id));
   Alcotest.(check bool) (what ^ ": every entry anchored at the donor") true
     (List.for_all (fun e -> e.Sf_core.View.anchor = Some donor) entries);
   let count = List.length entries in
@@ -203,9 +203,8 @@ let test_installs_by_rule () =
   let joiner = Runner.add_node r in
   check_install_rule r ~what:"join" joiner;
   let view id =
-    match Runner.find_node r id with
-    | Some node -> Sf_core.View.ids node.Protocol.view
-    | None -> Alcotest.fail "repaired node not live"
+    if Runner.is_live r id then Sf_core.View.ids (view r id)
+    else Alcotest.fail "repaired node not live"
   in
   (match Runner.reconnect r ~node_id:20 with
   | Runner.Reconnected { donor; installed; _ } ->
@@ -222,12 +221,10 @@ let test_installs_by_rule () =
 
 let test_remove_node () =
   let r = make_system () in
-  let victim = (Runner.random_live_node r).Protocol.node_id in
-  (match Runner.remove_node r victim with
-  | Some _ -> ()
-  | None -> Alcotest.fail "victim was live");
+  let victim = Runner.random_live_id r in
+  Alcotest.(check bool) "victim was live" true (Runner.remove_node r victim);
   Alcotest.(check int) "count down" 59 (Runner.live_count r);
-  Alcotest.(check bool) "double remove" true (Runner.remove_node r victim = None);
+  Alcotest.(check bool) "double remove" false (Runner.remove_node r victim);
   (* Instances of the departed id decay to zero (erosion, section 6.5.2):
      with no loss and a positive dL this takes a bounded number of rounds. *)
   Runner.run_rounds r 2000;
@@ -262,13 +259,17 @@ let test_timed_join_participates () =
   Runner.start_timed r (Runner.Periodic 1.0);
   Runner.run_until r 5.;
   let id = Runner.add_node r in
+  let initiated = ref 0 in
+  Runner.set_audit r
+    (Some
+       (fun _ -> function
+         | Runner.Action { initiator; _ } when initiator = id -> incr initiated
+         | _ -> ()));
   let before = Runner.action_count r in
   Runner.run_until r 30.;
   Alcotest.(check bool) "system kept running" true (Runner.action_count r > before);
-  (match Runner.find_node r id with
-  | Some node ->
-    Alcotest.(check bool) "joiner initiated" true (node.Protocol.initiated_actions > 0)
-  | None -> Alcotest.fail "joiner vanished")
+  Alcotest.(check bool) "joiner still live" true (Runner.is_live r id);
+  Alcotest.(check bool) "joiner initiated" true (!initiated > 0)
 
 let test_no_loss_conserves_edges () =
   (* With loss = 0 and sequential actions, every send is delivered, so the
@@ -312,9 +313,9 @@ let views_hash r =
   let h = ref 0 in
   let mix v = h := (!h * 1_000_003) + v in
   Array.iter
-    (fun node ->
-      mix node.Protocol.node_id;
-      let view = node.Protocol.view in
+    (fun u ->
+      mix u;
+      let view = view r u in
       for slot = 0 to Sf_core.View.size view - 1 do
         match Sf_core.View.get view slot with
         | None -> mix (-1)
@@ -324,7 +325,7 @@ let views_hash r =
           mix (Option.value ~default:(-1) e.Sf_core.View.anchor);
           mix e.Sf_core.View.born
       done)
-    (Runner.live_nodes r);
+    (Runner.live_ids r);
   !h
 
 (* n = 300, loss 0.1, s = 10, dL = 4, one leave and one join (a 4-id
@@ -344,9 +345,8 @@ let test_known_answer () =
   let churn = Sf_prng.Rng.create 31 in
   for _ = 1 to 30 do
     Runner.run_rounds r 1;
-    let live = Runner.live_nodes r in
-    let leaver = live.(Sf_prng.Rng.int churn (Array.length live)) in
-    ignore (Runner.remove_node r leaver.Protocol.node_id);
+    let live = Runner.live_ids r in
+    ignore (Runner.remove_node r live.(Sf_prng.Rng.int churn (Array.length live)));
     ignore (Runner.add_node r)
   done;
   let c = Runner.world_counters r in
@@ -411,6 +411,43 @@ let test_timed_known_answer () =
       c.Runner.messages_lost; to_dead; Runner.minted_serials r ];
   Alcotest.(check int) "live views hash" 3720198667904072927 (views_hash r)
 
+(* A join past the last row doubles the store: n = 4 and 20 joins grow it
+   to 8, 16 and 32 rows.  Every earlier row survives each growth bit for
+   bit, the new rows are empty, and the grown world passes the full
+   structural scan. *)
+let test_store_growth () =
+  let r = make_system ~n:4 ~out_degree:2 ~loss:0.1 () in
+  let growths = ref 0 in
+  for _ = 1 to 20 do
+    Runner.run_rounds r 3;
+    let before = Runner.store r in
+    let rows = Sf_core.View.Flat.node_count before in
+    let copies = List.init rows (fun u -> Sf_core.View.copy_row before u) in
+    let id = Runner.add_node r in
+    let after = Runner.store r in
+    if Sf_core.View.Flat.node_count after <> rows then begin
+      incr growths;
+      Alcotest.(check int) "doubled" (2 * rows) (Sf_core.View.Flat.node_count after);
+      List.iteri
+        (fun u copy ->
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d bit-identical" u)
+            true
+            (Sf_core.View.Flat.equal copy (Sf_core.View.copy_row after u)))
+        copies;
+      for u = id + 1 to (2 * rows) - 1 do
+        Alcotest.(check int) (Printf.sprintf "row %d empty" u) 0
+          (Sf_core.View.Flat.degree after u)
+      done;
+      Alcotest.(check (list string)) "scan clean after growth" []
+        (List.map
+           (fun v -> v.Sf_check.Invariant.invariant)
+           (Sf_check.Invariant.scan r))
+    end
+  done;
+  Alcotest.(check int) "grew 4 -> 8 -> 16 -> 32" 3 !growths;
+  Alcotest.(check int) "all live" 24 (Runner.live_count r)
+
 let suite =
   [
     Alcotest.test_case "topology applied" `Quick test_create_applies_topology;
@@ -433,4 +470,6 @@ let suite =
     Alcotest.test_case "timed known answer" `Quick test_timed_known_answer;
     Alcotest.test_case "joins and repairs install by the rule" `Quick
       test_installs_by_rule;
+    Alcotest.test_case "a join past the last row grows the store" `Quick
+      test_store_growth;
   ]

@@ -405,9 +405,9 @@ let test_observe_only_resilience_identity () =
     Alcotest.(check bool) "estimator saw the loss" true
       (rs.Runner.loss_estimate > 0.)
 
-(* --- live_nodes: incremental sorted array vs rebuild-and-sort --- *)
+(* --- live_ids: spliced sorted array vs rebuild-and-sort --- *)
 
-let test_live_nodes_incremental () =
+let test_live_ids_spliced () =
   let r = make_system ~n:50 () in
   let module IntSet = Set.Make (Int) in
   let expected = ref IntSet.empty in
@@ -416,17 +416,13 @@ let test_live_nodes_incremental () =
   done;
   let rng = Rng.create 99 in
   let check_snapshot () =
-    let got =
-      Array.to_list
-        (Array.map (fun n -> n.Protocol.node_id) (Runner.live_nodes r))
-    in
-    (* The rebuild-and-sort baseline the incremental array must match. *)
+    let got = Array.to_list (Runner.live_ids r) in
+    (* The rebuild-and-sort baseline the spliced array must match. *)
     Alcotest.(check (list int)) "sorted live ids" (IntSet.elements !expected) got
   in
   for _ = 1 to 150 do
     if Rng.bernoulli rng 0.45 && IntSet.cardinal !expected > 5 then begin
-      let live = Runner.live_nodes r in
-      let victim = (Rng.choose rng live).Protocol.node_id in
+      let victim = Rng.choose rng (Runner.live_ids r) in
       ignore (Runner.remove_node r victim);
       expected := IntSet.remove victim !expected
     end
@@ -444,14 +440,13 @@ let test_live_nodes_incremental () =
 (* The historical implementation: fold the candidates into a list (highest
    slot first), then one [Rng.choose] over the materialized array. *)
 let reference_sample ?(allow_self = false) runner rng ~node_id =
-  match Runner.find_node runner node_id with
-  | None -> None
-  | Some node ->
+  if not (Runner.is_live runner node_id) then None
+  else
     let candidates =
       View.fold
         (fun acc e ->
           if allow_self || e.View.id <> node_id then e.View.id :: acc else acc)
-        [] node.Protocol.view
+        [] (View.copy_row (Runner.store runner) node_id)
     in
     if candidates = [] then None
     else Some (Rng.choose rng (Array.of_list candidates))
@@ -493,9 +488,7 @@ let test_sample_many_contract () =
     "unknown node: k failed attempts, empty result" []
     (Sampling.sample_many r rng ~node_id:9999 ~k:5);
   let lonely = Runner.add_node r in
-  Option.iter
-    (fun node -> View.clear_all node.Protocol.view)
-    (Runner.find_node r lonely);
+  ignore (View.Flat.clear_row (Runner.store r) lonely);
   Alcotest.(check (list int))
     "empty view: every attempt fails, none aborts" []
     (Sampling.sample_many r rng ~node_id:lonely ~k:5);
@@ -806,7 +799,7 @@ let suite =
     Alcotest.test_case "observe-only resilience identity" `Quick
       test_observe_only_resilience_identity;
     Alcotest.test_case "incremental live array" `Quick
-      test_live_nodes_incremental;
+      test_live_ids_spliced;
     Alcotest.test_case "sample preserves RNG stream" `Quick
       test_sample_matches_reference;
     Alcotest.test_case "sample_many contract" `Quick test_sample_many_contract;

@@ -58,20 +58,16 @@ let reference_spread ?(coverage_target = 0.99) ?(max_rounds = 200) runner rng
     in
     List.iter
       (fun id ->
-        match Runner.find_node runner id with
-        | None -> ()
-        | Some node ->
-          let targets =
-            Sampling.sample_many runner rng ~node_id:node.Protocol.node_id
-              ~k:fanout
-          in
+        if Runner.is_live runner id then begin
+          let targets = Sampling.sample_many runner rng ~node_id:id ~k:fanout in
           List.iter
             (fun target ->
               incr pushes;
               if not (Rng.bernoulli rng loss_rate) then
-                if Runner.find_node runner target <> None then
+                if Runner.is_live runner target then
                   Hashtbl.replace infected target ())
-            targets)
+            targets
+        end)
       currently_infected;
     let f = fraction () in
     coverage := f :: !coverage;

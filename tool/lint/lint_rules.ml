@@ -283,7 +283,7 @@ let rules =
       tokens =
         (let message =
            "a view filled by hand — call Protocol.install_ids, \
-            Protocol.install_copy or Protocol.receive"
+            Protocol.install_copy or Protocol.receive_row"
          in
          List.map
            (fun token -> (token, message))
@@ -298,20 +298,15 @@ let rules =
       doc =
         "lib/net/driver.ml moves messages as row messages: it runs \
          Protocol.initiate_row/receive_row and Codec.write_frame/read_frame, \
-         never the boxed Protocol.initiate, Protocol.receive, \
-         Codec.encode_batch or Codec.decode_datagram, nor Span.time's \
-         closures or recvfrom's tuple; and its loop builds no boxed float, \
-         option or list it can avoid: no Rng.float, Hashtbl.find_opt or \
-         Unix.select";
+         never the boxed Codec.encode_batch or Codec.decode_datagram, nor \
+         Span.time's closures or recvfrom's tuple; and its loop builds no \
+         boxed float, option or list it can avoid: no Rng.float, \
+         Hashtbl.find_opt or Unix.select";
       applies = (fun path -> path = "lib/net/driver.ml");
       tokens =
         List.concat_map
           (fun (names, message) -> List.map (fun name -> (name, message)) names)
           [
-            ( [ "Protocol.initiate"; "Sf_core.Protocol.initiate" ],
-              "a boxed message per action — run Protocol.initiate_row" );
-            ( [ "Protocol.receive"; "Sf_core.Protocol.receive" ],
-              "a boxed message per frame — run Protocol.receive_row" );
             ( [ "Codec.encode_batch"; "Sf_net.Codec.encode_batch" ],
               "boxed messages into a fresh datagram — Codec.write_frame into \
                the batch buffer" );
