@@ -147,27 +147,29 @@ let ablation_duplication () =
   Output.check "without duplication the edges drain away" (without_dup.(3) < j0 / 2)
 
 (* The section 5 joining/reconnection rule under severe churn: without it,
-   nodes whose neighborhoods die out isolate permanently; with it, probing
-   previously seen ids (falling back to the bootstrap service) keeps
-   everyone attached. *)
+   nodes whose neighborhoods die out isolate permanently; with it (the
+   repair pass, [Runner.repair]: a lone node probes previously seen ids,
+   every other straggler copies a donor of the largest component) everyone
+   stays attached. *)
 let ablation_reconnection () =
   Output.section "A5" "Ablation: the section 5 reconnection rule under severe churn";
   Fmt.pr
     "n=300, s=12, dL=4, loss=2%%; 120 rounds of churn replacing ~80%% of the@\n\
-     population (2 joins + 2 leaves per round).  Without reconnection some@\n\
-     nodes end up holding only dead ids with no surviving instance of their@\n\
-     own id; the reconnection rule (probe previously seen ids, fall back to@\n\
-     re-bootstrap) eliminates them.@.";
+     population (2 joins + 2 leaves per round).  Without recovery some@\n\
+     nodes end up alone in their component: no live id in their view and@\n\
+     their id in no live view.  The section 5 repair pass (a lone node probes@\n\
+     previously seen ids, every other straggler copies a view from the@\n\
+     largest component) eliminates them.@.";
   let run ~recover seed =
     let config = Protocol.make_config ~view_size:12 ~lower_threshold:4 in
     let topology = Topology.regular (Sf_prng.Rng.create (seed + 3)) ~n:300 ~out_degree:4 in
     let r = Runner.create ~seed ~n:300 ~loss_rate:0.02 ~config ~topology () in
     Runner.run_rounds r 100;
-    let reconnections =
+    let repairs =
       Sf_core.Churn.run_with_churn ~recover r ~rounds:120 ~joins:2 ~leaves:2
     in
     Runner.run_rounds r 10;
-    (List.length (Runner.isolated_nodes r), reconnections,
+    (List.length (Runner.isolated_nodes r), repairs,
      Properties.is_weakly_connected r)
   in
   (* Whether a node isolates depends on the world, so the section runs
@@ -187,13 +189,12 @@ let ablation_reconnection () =
       name;
       Output.i (isolating results);
       Output.i (sum (fun (iso, _, _) -> iso) results);
-      Output.i (sum (fun (_, attempts, _) -> attempts) results);
+      Output.i (sum (fun (_, repairs, _) -> repairs) results);
       Output.i (connected results);
     ]
   in
   Output.table
-    [ "recovery"; "worlds isolating"; "isolated nodes"; "reconnection attempts";
-      "worlds connected" ]
+    [ "recovery"; "worlds isolating"; "isolated nodes"; "repairs"; "worlds connected" ]
     [ row "off" off; row "on" on ];
   Output.check
     (Fmt.str
@@ -202,7 +203,7 @@ let ablation_reconnection () =
        (isolating off) worlds)
     (isolating off >= 5);
   Output.check
-    (Fmt.str "the reconnection rule leaves no isolated node in %d of %d worlds (>= 24)"
+    (Fmt.str "the repair pass leaves no isolated node in %d of %d worlds (>= 24)"
        (worlds - isolating on) worlds)
     (worlds - isolating on >= 24);
   Output.check

@@ -150,7 +150,7 @@ let fault_recovery () =
   (* Whether the cut outlives every cross edge depends on the world, so
      the leg runs the 30 worlds of the faults test "long partition"
      (world k seeded 530 + k) and counts the split ones against its
-     bound; every split world must be re-knit with a rebootstrap. *)
+     bound; every split world must be re-knit with a repair. *)
   let small = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
   let n = 200 and worlds = 30 in
   let scenario =
@@ -174,7 +174,7 @@ let fault_recovery () =
   let healed = List.filter_map Fun.id recoveries in
   let total f = List.fold_left (fun acc x -> acc + f x) 0 healed in
   Output.table
-    [ "worlds"; "split"; "re-knit"; "rounds (mean)"; "rounds (max)"; "rebootstraps" ]
+    [ "worlds"; "split"; "re-knit"; "rounds (mean)"; "rounds (max)"; "repairs" ]
     [
       [
         Output.i worlds;
@@ -189,5 +189,5 @@ let fault_recovery () =
   Output.check
     (Fmt.str "the cut split %d of %d worlds (>= 3)" (List.length recoveries) worlds)
     (List.length recoveries >= 3);
-  Output.check "recover_connectivity re-knit every split world with a rebootstrap"
-    (List.for_all (function Some (_, reboots) -> reboots >= 1 | None -> false) recoveries)
+  Output.check "recover_connectivity re-knit every split world with a repair"
+    (List.for_all (function Some (_, repairs) -> repairs >= 1 | None -> false) recoveries)

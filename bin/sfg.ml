@@ -283,9 +283,9 @@ let heal_split v r =
   if not (Properties.is_weakly_connected r) then begin
     Fmt.pr "overlay split by the fault plan; invoking rendezvous recovery...@.";
     match Sf_core.Churn.recover_connectivity r with
-    | Some (recovery_rounds, rebootstraps) ->
-      Fmt.pr "reconnected after %d recovery rounds (%d rebootstraps)@."
-        recovery_rounds rebootstraps
+    | Some (recovery_rounds, repairs) ->
+      Fmt.pr "reconnected after %d recovery rounds (%d repairs)@."
+        recovery_rounds repairs
     | None -> Verdict.fail v "overlay split and unhealable"
   end
 

@@ -67,34 +67,23 @@ let join_integration runner ~rounds =
 (* Continuous-churn driver: every round, [leaves] random nodes depart and
    [joins] new nodes arrive (each copying a live donor's view).  Used to check
    that the protocol keeps the graph connected and balanced under sustained
-   membership change.  With [recover] set, isolated nodes (whose neighbors
-   have all departed) run the section 5 reconnection rule each round
-   ([Runner.reconnect_isolated]); the return value counts the reconnection
-   attempts made. *)
+   membership change.  With [recover] set, the section 5 repair pass runs
+   each round ([Runner.repair]); the return value counts the stragglers
+   it repaired. *)
 let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
-  let attempts =
-    Sf_obs.Metrics.counter
-      (Sf_obs.Obs.metrics (Runner.obs runner))
-      "churn_recovery_attempts"
-  in
-  let reconnections = ref 0 in
+  let repairs = ref 0 in
   for _ = 1 to rounds do
     for _ = 1 to leaves do
-      if Runner.live_count runner > 2 * (joins + leaves) then begin
+      if Runner.live_count runner > 2 * (joins + leaves) then
         ignore (Runner.remove_node runner (Runner.random_live_id runner))
-      end
     done;
     for _ = 1 to joins do
       ignore (Runner.add_node runner)
     done;
-    if recover then begin
-      let repaired = Runner.reconnect_isolated runner in
-      reconnections := !reconnections + repaired;
-      Sf_obs.Metrics.add attempts repaired
-    end;
+    if recover then repairs := !repairs + Runner.repair runner;
     Runner.run_rounds runner 1
   done;
-  !reconnections
+  !repairs
 
 (* After a long partition the overlay can split permanently: cross-partition
    view entries decay to nothing while the cut holds, and the section 5
@@ -102,17 +91,16 @@ let run_with_churn ?(recover = false) runner ~rounds ~joins ~leaves =
    small and recency-ordered, so by then it only holds same-side ids.  The
    paper's remedy is the other half of the joining rule: an out-of-band
    rendezvous ("copy another node's view").  Each round this driver runs
-   [Runner.rebootstrap_minorities], then one protocol round to spread the
-   new edges. *)
+   the repair pass on its probe ([Runner.repair]), then one protocol round
+   to spread the new edges. *)
 let recover_connectivity ?(max_rounds = 50) runner =
-  let rec go rounds rebootstraps =
-    if Sf_graph.Digraph.is_weakly_connected (Runner.membership_graph runner) then
-      Some (rounds, rebootstraps)
+  let rec go rounds repairs =
+    if Overlay.connected (Runner.probe runner) then Some (rounds, repairs)
     else if rounds >= max_rounds then None
     else begin
-      let rebootstrapped = Runner.rebootstrap_minorities runner in
+      let repaired = Runner.repair runner in
       Runner.run_rounds runner 1;
-      go (rounds + 1) (rebootstraps + rebootstrapped)
+      go (rounds + 1) (repairs + repaired)
     end
   in
   go 0 0

@@ -23,16 +23,14 @@ val join_integration : Runner.t -> rounds:int -> join_trace
 val run_with_churn :
   ?recover:bool -> Runner.t -> rounds:int -> joins:int -> leaves:int -> int
 (** Sustained churn: per round, [leaves] departures and [joins] arrivals.
-    With [recover], isolated nodes reconnect via the section 5 rule each
-    round ({!Runner.reconnect_isolated}); returns the number of
-    reconnection attempts. *)
+    With [recover], the section 5 repair pass runs each round
+    ({!Runner.repair}); returns the number of stragglers it repaired. *)
 
 val recover_connectivity : ?max_rounds:int -> Runner.t -> (int * int) option
 (** Heal a split overlay (e.g. after a partition window outlived view
-    decay) with the out-of-band half of the joining rule: each round, one
-    live member of every weak component except the largest rebootstraps
-    from a random live donor ({!Runner.rebootstrap_minorities}), then one
-    protocol round runs.  Returns
-    [Some (rounds, rebootstraps)] once the membership graph is weakly
-    connected again (within [max_rounds], default 50), [None] if it is
-    still split. *)
+    decay): each round, the root of every live component except the
+    largest is repaired ({!Runner.repair} — from a donor of the largest
+    component, after its seen ids when it is alone), then one protocol
+    round runs.  Returns [Some (rounds, repairs)] once the live overlay
+    is weakly connected again ({!Runner.probe}; within [max_rounds],
+    default 50), [None] if it is still split. *)

@@ -102,11 +102,6 @@ let overlap_decay runner ~blocks ~rounds_per_block =
   done;
   List.rev !points
 
-(* Weak connectivity of the current membership graph restricted to live
-   nodes (edges to departed ids are ignored: they cannot carry messages). *)
-let is_weakly_connected runner =
-  let g = Sf_graph.Digraph.create () in
-  Array.iter (Sf_graph.Digraph.ensure_vertex g) (Runner.live_ids runner);
-  iter_entries runner (fun u id _ ->
-      if Runner.is_live runner id then Sf_graph.Digraph.add_edge g u id);
-  Sf_graph.Digraph.is_weakly_connected g
+(* Weak connectivity of the live overlay (edges to departed ids are
+   ignored: they cannot carry messages). *)
+let is_weakly_connected runner = Overlay.connected (Runner.probe runner)

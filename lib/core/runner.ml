@@ -572,15 +572,14 @@ type reconnect_result =
 
 let reconnect t ~node_id =
   if not (is_live t node_id) then invalid_arg "Runner.reconnect: unknown node";
+  (* The seen-cache (deduplicated, never the node itself) in recency
+     order, then the view's other ids in increasing order. *)
   let seen = t.seen.(node_id) in
-  let view_ids = List.filter (fun id -> id <> node_id) (row_ids t.store node_id) in
-  let candidates =
-    List.sort_uniq compare (seen @ view_ids) |> List.filter (fun id -> id <> node_id)
-  in
-  (* Preserve seen-cache recency order ahead of view order. *)
   let ordered =
-    List.filter (fun id -> List.mem id candidates) seen
-    @ List.filter (fun id -> not (List.mem id seen)) candidates
+    seen
+    @ List.filter
+        (fun id -> id <> node_id && not (List.mem id seen))
+        (List.sort_uniq compare (row_ids t.store node_id))
   in
   let probes = ref 0 in
   let rec try_candidates = function
@@ -602,30 +601,9 @@ let reconnect t ~node_id =
   in
   try_candidates ordered
 
-(* Out-of-band re-bootstrap — the other half of the paper's joining rule
-   ("a node can obtain these ids by copying another node's view").  Models
-   contacting a bootstrap/rendezvous service: a random live donor other
-   than the node is copied, as for a fresh joiner.  Used when probing
-   previously seen ids is exhausted (e.g. a node that joined and lost all
-   its neighbors before ever receiving a message). *)
-let rebootstrap t ~node_id =
-  if not (is_live t node_id) then invalid_arg "Runner.rebootstrap: unknown node";
-  let rec pick_donor () =
-    let donor = random_live_id t in
-    if donor <> node_id || live_count t <= 1 then donor else pick_donor ()
-  in
-  let installed = install_from t node_id (pick_donor ()) in
-  Sf_obs.Metrics.incr t.total_rebootstraps;
-  trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
-  emit t (Structural "rebootstrap");
-  installed
-
 (* A node is starved when its view holds no live id: every send is wasted.
-   Starvation is transient while other live nodes still hold the node's id
-   (an incoming message restocks the view); it is permanent — *isolation* —
-   once no instance of the id survives anywhere.  A real node detects
-   isolation by timeout on prolonged silence; the simulator can see both
-   conditions directly. *)
+   Starvation is transient while other live nodes still hold the node's
+   id (an incoming message restocks the view). *)
 let is_starved t u = not (List.exists (is_live t) (row_ids t.store u))
 
 let starved_nodes t = List.filter (is_starved t) (Array.to_list t.live)
@@ -635,9 +613,35 @@ let count_id_instances t id =
     (fun acc u -> acc + List.length (List.filter (( = ) id) (row_ids t.store u)))
     0 t.live
 
-let is_isolated t u = is_starved t u && count_id_instances t u = 0
+(* --- The section 5 repair pass ([Overlay], shared with [Sharded]) ---
 
-let isolated_nodes t = List.filter (is_isolated t) (starved_nodes t)
+   A root alone in its component first probes its seen ids
+   ([reconnect]); otherwise it copies a donor of the largest component
+   drawn from the scheduler stream, out of band, as from a rendezvous
+   service ("copy another node's view"). *)
+
+let probe t = Overlay.probe t.store ~live:(is_live t)
+let isolated_nodes t = List.filter (Overlay.alone (probe t)) (Array.to_list t.live)
+
+let rebootstrap_from t u donor =
+  let installed = install_from t u donor in
+  Sf_obs.Metrics.incr t.total_rebootstraps;
+  trace t (Sf_obs.Trace.Mark { label = "rebootstrap" });
+  emit t (Structural "rebootstrap");
+  installed
+
+let rebootstrap t ~node_id =
+  if not (is_live t node_id) then invalid_arg "Runner.rebootstrap: unknown node";
+  let donor = Overlay.donor (probe t) t.scheduler_rng node_id in
+  if donor < 0 then 0 else rebootstrap_from t node_id donor
+
+let repair_probe t p =
+  Overlay.repair p t.scheduler_rng
+    ~reconnect:(fun u ->
+      match reconnect t ~node_id:u with Reconnected _ -> true | Exhausted _ -> false)
+    ~install:(fun u ~donor -> ignore (rebootstrap_from t u donor))
+
+let repair t = repair_probe t (probe t)
 
 (* --- Measurement --- *)
 
@@ -689,47 +693,6 @@ let rates_since t (baseline : world_counters) =
       loss = f (now.messages_lost - baseline.messages_lost);
     }
 
-(* --- The section 5 repair pass ---
-
-   Written once: the supervisor below, [Churn.run_with_churn ~recover],
-   [Churn.recover_connectivity] and [Sessions] call these two steps. *)
-
-(* Every isolated node reconnects by probing its previously seen ids,
-   falling back to the out-of-band rebootstrap when every probe fails.
-   Returns the number of isolated nodes repaired. *)
-let reconnect_isolated t =
-  let isolated = isolated_nodes t in
-  List.iter
-    (fun u ->
-      match reconnect t ~node_id:u with
-      | Reconnected _ -> ()
-      | Exhausted _ -> ignore (rebootstrap t ~node_id:u))
-    isolated;
-  List.length isolated
-
-(* One live member of every weak component except the largest
-   rebootstraps from a random live donor — with a dominant nucleus most
-   donations bridge the cut.  Returns the number of rebootstraps: 0
-   exactly when the membership graph is weakly connected. *)
-let rebootstrap_minorities t =
-  let components =
-    Sf_graph.Digraph.weakly_connected_components (membership_graph t)
-    |> List.sort (fun a b -> compare (List.length b) (List.length a))
-  in
-  match components with
-  | [] | [ _ ] -> 0
-  | _largest :: minorities ->
-    List.fold_left
-      (fun count component ->
-        (* A component may consist solely of departed ids still held in
-           views; only live nodes can rebootstrap. *)
-        match List.find_opt (is_live t) component with
-        | None -> count
-        | Some id ->
-          ignore (rebootstrap t ~node_id:id);
-          count + 1)
-      0 minorities
-
 (* --- Resilience decision loop (lib/resilience) ---
 
    One tick per round, after the round's actions: the tuner reads the
@@ -750,13 +713,14 @@ let apply_retune t r pair =
   (* Structural: the auditor must resync its per-node thresholds. *)
   emit t (Structural "retune")
 
-(* The health probe is the simulator's privileged view (isolation and
-   weak connectivity are directly visible); a sick probe has already run
-   the repair pass by the time it reports. *)
+(* The health probe is the simulator's privileged view (weak
+   connectivity is directly visible); a sick probe has already run the
+   repair pass by the time it reports. *)
 let supervise t r supervisor =
   let probe_and_repair () =
-    let reconnected = reconnect_isolated t in
-    reconnected + rebootstrap_minorities t = 0
+    let p = probe t in
+    ignore (repair_probe t p);
+    Overlay.connected p
   in
   match
     Sf_resil.Supervisor.step supervisor ~now:(float_of_int r.ticks)
@@ -895,9 +859,10 @@ let resilience_statistics t =
      deltas, controller retunes rewrite the per-shard (dL, s) thresholds
      (the kernel takes the shard's live dL in phase I and its live s in
      phase II; slot selection stays over the full allocation), and the
-     supervisor probes in-degree isolation and weak connectivity every
-     [probe_every] rounds, rebootstrapping stragglers from a dedicated
-     resilience stream split from the root seed after the shard streams.
+     supervisor runs the section 5 probe and repair pass ([Overlay], the
+     one the sequential runner runs) every [probe_every] rounds,
+     rebootstrapping stragglers from a dedicated resilience stream split
+     from the root seed after the shard streams.
 
    The edge ledger extends Lemma 6.6 accordingly: a round moves the edge
    total by 2*accepted duplications - 2*dropped non-duplicated messages
@@ -1492,125 +1457,25 @@ module Sharded = struct
 
   (* --- Barrier-time resilience (coordinator only) --- *)
 
-  (* A random live node satisfying [accept]: bounded rejection sampling,
-     then a deterministic wrap-around scan from the last draw so a thin
-     target set cannot stall the barrier. *)
-  let draw_live t r ~accept =
-    let attempt = ref 0 and found = ref (-1) and last = ref 0 in
-    while !found < 0 && !attempt < 64 do
-      let u = Sf_prng.Rng.int r.r_rng t.capacity in
-      last := u;
-      if t.alive.(u) = 1 && accept u then found := u;
-      incr attempt
-    done;
-    if !found >= 0 then !found
-    else begin
-      let u = ref !last and steps = ref 0 in
-      while !found < 0 && !steps < t.capacity do
-        if t.alive.(!u) = 1 && accept !u then found := !u
-        else begin
-          u := (!u + 1) mod t.capacity;
-          incr steps
-        end
-      done;
-      !found
-    end
-
-  (* Overlay health probe: in-degree isolation (a live node nobody points
-     at and that points at nobody) and weak connectivity (union-find over
-     the live subgraph, self-edges and dead refs ignored). *)
+  (* The section 5 probe and repair pass ([Overlay]): every straggler
+     root copies a donor of the largest component, drawn from the
+     resilience stream, charging both sides of the churn edge ledger to
+     its owning shard (the alive array is quiescent at the barrier). *)
   let probe_and_repair t r =
     let store = t.store in
-    let view_size = t.sh_config.Protocol.view_size in
-    let cap = t.capacity in
-    let parent = Array.init cap (fun i -> i) in
-    let comp_size = Array.make cap 1 in
-    (* Union by size bounds the depth by log2 n, so the recursion is
-       shallow. *)
-    let rec find i =
-      let p = parent.(i) in
-      if p = i then i
-      else begin
-        let root = find p in
-        parent.(i) <- root;
-        root
-      end
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then
-        if comp_size.(ra) >= comp_size.(rb) then begin
-          parent.(rb) <- ra;
-          comp_size.(ra) <- comp_size.(ra) + comp_size.(rb)
-        end
-        else begin
-          parent.(ra) <- rb;
-          comp_size.(rb) <- comp_size.(rb) + comp_size.(ra)
-        end
-    in
-    let indeg = Array.make cap 0 in
-    for u = 0 to cap - 1 do
-      if t.alive.(u) = 1 then
-        for k = 0 to view_size - 1 do
-          let id = Flat.id_at store u k in
-          if id >= 0 && id <> u && id < cap && t.alive.(id) = 1 then begin
-            indeg.(id) <- indeg.(id) + 1;
-            union u id
-          end
-        done
-    done;
-    (* Largest live component (smallest root breaks ties — determinism). *)
-    let largest_root = ref (-1) and largest = ref 0 in
-    for u = 0 to cap - 1 do
-      if t.alive.(u) = 1 && find u = u && comp_size.(u) > !largest then begin
-        largest := comp_size.(u);
-        largest_root := u
-      end
-    done;
-    let isolated = ref [] and minority_roots = ref [] in
-    for u = cap - 1 downto 0 do
-      if t.alive.(u) = 1 then begin
-        if Flat.degree store u = 0 && indeg.(u) = 0 then
-          isolated := u :: !isolated
-        else if find u = u && u <> !largest_root then
-          minority_roots := u :: !minority_roots
-      end
-    done;
-    let healthy = !isolated = [] && !minority_roots = [] in
-    if not healthy then begin
-      (* Cap the repair batch: a catastrophically sick world heals over
-         several supervised attempts rather than one unbounded barrier. *)
-      let budget = ref 128 in
-      (* Rebootstrap [v] from a live donor drawn from the resilience
-         stream — for a minority root, one in the largest component:
-         replace the stale view by a copy of the donor's live ids (the
-         alive array is quiescent at the barrier), charging both sides of
-         the churn edge ledger to [v]'s owning shard. *)
-      let repair ~minority v =
-        if !budget > 0 then begin
-          let donor =
-            draw_live t r ~accept:(fun u ->
-                u <> v
-                && ((not minority) || find u = !largest_root)
-                && Flat.degree store u >= 2)
-          in
-          if donor >= 0 then begin
-            let sh = t.shards.(shard_of t v) in
-            sh.sh_edges_removed <- sh.sh_edges_removed + Flat.degree store v;
-            sh.sh_edges_added <-
-              sh.sh_edges_added
-              + Protocol.install_copy store v ~owner:v ~donor ~from:store
-                  ~from_row:donor ~dl:sh.cfg_dl
-                  ~live:(fun id -> t.alive.(id) = 1)
-                  ~born:t.rounds ~mint:sh.mint;
-            decr budget
-          end
-        end
-      in
-      List.iter (repair ~minority:false) !isolated;
-      List.iter (repair ~minority:true) !minority_roots
-    end;
-    healthy
+    let live id = t.alive.(id) = 1 in
+    let p = Overlay.probe store ~live in
+    ignore
+      (Overlay.repair p r.r_rng
+         ~install:(fun v ~donor ->
+           let sh = t.shards.(shard_of t v) in
+           sh.sh_edges_removed <- sh.sh_edges_removed + Flat.degree store v;
+           sh.sh_edges_added <-
+             sh.sh_edges_added
+             + Protocol.install_copy store v ~owner:v ~donor ~from:store
+                 ~from_row:donor ~dl:sh.cfg_dl ~live ~born:t.rounds ~mint:sh.mint)
+         );
+    Overlay.connected p
 
   let resil_tick t =
     match t.resil with

@@ -93,8 +93,7 @@ val create :
     runner ticks a {!Sf_resil.Loop} tuner with its world counters,
     applies its retunes per node (see {!node_config}), and runs
     {!Sf_resil.Supervisor.step} over the section 5 repair pass
-    ({!reconnect_isolated}, then {!rebootstrap_minorities}) under capped
-    jittered backoff; an attempt is confirmed by the next due probe.
+    ({!repair}) under capped jittered backoff; an attempt is confirmed by the next due probe.
     Decisions surface as [resil_*] metrics, [retune]/[repair] trace
     marks, and [Structural] audit events; the [resil_loss_true] gauge is
     the last round's lost over sent, as deltas of {!world_counters}.
@@ -209,9 +208,10 @@ val reconnect : t -> node_id:int -> reconnect_result
 
 val rebootstrap : t -> node_id:int -> int
 (** Out-of-band recovery (the "copy another node's view" joining rule):
-    a random live donor other than the node (drawn from the scheduler
-    stream) is copied as by {!add_node}, with the node's own dL.  Returns
-    the number of installed entries. *)
+    a donor of the largest live component ({!Overlay.donor}, drawn from
+    the scheduler stream) is copied as by {!add_node}, with the node's
+    own dL.  Returns the number of installed entries, [0] when no donor
+    exists. *)
 
 val is_starved : t -> int -> bool
 (** No live id in the node's view (transient while others still hold its
@@ -220,21 +220,19 @@ val is_starved : t -> int -> bool
 val starved_nodes : t -> int list
 (** The starved live ids, in increasing order. *)
 
-val is_isolated : t -> int -> bool
-(** Starved and with no surviving instance of its id anywhere — only
-    reconnection can recover it. *)
+val probe : t -> Overlay.t
+(** The live overlay's weak components ({!Overlay.probe} over {!store}). *)
 
 val isolated_nodes : t -> int list
+(** The live nodes alone in their component ({!Overlay.alone}),
+    ascending. *)
 
-val reconnect_isolated : t -> int
-(** The first step of the section 5 repair pass: every isolated node
-    {!reconnect}s, falling back to {!rebootstrap} when its probes are
-    exhausted.  Returns the number of isolated nodes repaired. *)
-
-val rebootstrap_minorities : t -> int
-(** The second step: one live member of every weak component except the
-    largest {!rebootstrap}s.  Returns the number of rebootstraps, [0]
-    exactly when the membership graph is weakly connected. *)
+val repair : t -> int
+(** The section 5 repair pass ({!Overlay.repair} on a fresh {!probe}):
+    the root of every live component but the largest {!reconnect}s when
+    alone in its component, else {!rebootstrap}s.  Returns the number
+    repaired: [0] when the overlay is connected, at least [1] when it is
+    split and its largest component holds a node of degree >= 2. *)
 
 val membership_graph : t -> Sf_graph.Digraph.t
 (** Snapshot of the global membership multigraph over live nodes (edges to

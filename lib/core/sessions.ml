@@ -33,7 +33,7 @@ type t = {
   rng : Sf_prng.Rng.t;
   lifetime : lifetime;
   arrival_rate : float;      (* expected arrivals per round *)
-  recover : bool;            (* run the reconnection rule on isolated nodes *)
+  recover : bool;            (* run the section 5 repair pass *)
   mutable round : int;
   (* (expiry round, node id), kept as a sorted-by-expiry list; populations
      are small enough that a heap is unnecessary. *)
@@ -109,10 +109,8 @@ let run_round t =
     t.total_joins <- t.total_joins + 1;
     insert_departure t (now +. sample_lifetime t.rng t.lifetime) id
   done;
-  (* Recovery of isolated nodes (section 5 reconnection rule). *)
   if t.recover then
-    t.total_reconnections <-
-      t.total_reconnections + Runner.reconnect_isolated t.runner;
+    t.total_reconnections <- t.total_reconnections + Runner.repair t.runner;
   Runner.run_rounds t.runner 1
 
 let run t ~rounds =

@@ -23,7 +23,7 @@ val create :
 (** Attach a session process to a runner. [arrival_rate] is the expected
     number of joins per round; in equilibrium the population hovers near
     arrival_rate * mean_lifetime. [recover] (default true) runs the
-    section 5 reconnection rule on isolated nodes each round. *)
+    section 5 repair pass ({!Runner.repair}) each round. *)
 
 val run_round : t -> unit
 val run : t -> rounds:int -> unit
@@ -33,7 +33,7 @@ type statistics = {
   population : int;
   joins : int;
   leaves : int;
-  reconnections : int;
+  reconnections : int;  (** stragglers repaired, by reconnection or rebootstrap *)
 }
 
 val statistics : t -> statistics

@@ -2,8 +2,9 @@
 
    The section 5 joining rule gives a node two escalating remedies when
    its neighborhood dies — probe previously seen ids, then copy a live
-   view out of band — and lib/core already implements both
-   ([Runner.reconnect_isolated], [Runner.rebootstrap_minorities]).
+   view out of band — and lib/core implements both, once, in its repair
+   pass ([Sf_core.Overlay.repair], which [Runner.repair] and
+   [Runner.Sharded] run).
    What none of them decide is *when*: a driver that fires them every
    round hammers the rendezvous service exactly when the system is least
    healthy (the thundering-herd failure mode), and one that never fires
@@ -19,9 +20,9 @@
      under [Backoff] while repairs keep failing.
 
    The module is driver-agnostic: every engine runs the same cycle,
-   [step], and passes its own probe-and-repair pass (isolation and weak
-   connectivity in [Runner] and [Runner.Sharded], degree-0 owned nodes in
-   [Sf_net.Driver]).  All timing is in rounds from the caller's injected
+   [step], and passes its own probe-and-repair pass (weak connectivity of
+   the live overlay in [Runner] and [Runner.Sharded], degree-0 owned
+   nodes in [Sf_net.Driver]).  All timing is in rounds from the caller's injected
    clock; jitter comes from the backoff's injected PRNG. *)
 
 type state = Ready | Backing_off of float  (* no probe before this time *)

@@ -1,7 +1,7 @@
 (** Scheduling state machine for connectivity repairs.
 
-    Engines probe their own health signals (starved/isolated nodes, weak
-    connectivity) and perform their own repairs (the section 5
+    Engines probe their own health signals (weak connectivity of the
+    live overlay, degree-0 nodes) and perform their own repairs (the section 5
     reconnect/rebootstrap rules); the supervisor decides {e when} a probe
     may run, spacing failures out under capped exponential {!Backoff} so
     a sick system is not hammered by its own recovery.  Every engine runs

@@ -117,7 +117,7 @@ let live_giant r =
    gossip-based protocol can be expected to work well").  The test checks
    the realistic property: in every world the population and its degrees
    stay healthy, and in most the giant component covers almost everyone
-   (24 of the 30 worlds when this test was written). *)
+   (23 of the 30 worlds). *)
 let test_sustained_churn_keeps_system_healthy () =
   let covered =
     count_worlds (fun k ->
@@ -141,8 +141,9 @@ let test_sustained_churn_keeps_system_healthy () =
 
 (* The section 5 reconnection rule heals starvation: the same severe churn
    that isolates nodes (see above) leaves no isolated node behind in most
-   worlds when recovery is on (28 of the 30 when this test was written),
-   and leaves some worlds fully connected (11 of the 30). *)
+   worlds when recovery is on (29 of the 30), and leaves most worlds
+   fully connected (26 of the 30) since recovery runs the whole section 5
+   repair pass ([Runner.repair]). *)
 let test_reconnection_heals_starvation () =
   let healed = ref 0 in
   let connected =
@@ -204,6 +205,34 @@ let test_reconnect_exhausted_when_everyone_dead () =
     Alcotest.(check bool) "probed something" true (probes >= 1)
   | Runner.Reconnected _ -> Alcotest.fail "no live candidate exists")
 
+(* Two live pairs {0,1} and {3,4} whose views also hold id 2: once node 2
+   leaves, its id is held in all four views but bridges nothing, since a
+   message sent to it is lost.  The probe must see two components, and
+   the repair pass must re-knit them. *)
+let split_by_a_departed_id () =
+  let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
+  let topology = function
+    | 0 -> [ 1; 2 ]
+    | 1 -> [ 0; 2 ]
+    | 2 -> [ 0; 3 ]
+    | 3 -> [ 4; 2 ]
+    | _ -> [ 3; 2 ]
+  in
+  let r = Runner.create ~seed:5 ~n:5 ~loss_rate:0. ~config ~topology () in
+  Alcotest.(check bool) "node 2 left" true (Runner.remove_node r 2);
+  Alcotest.(check bool) "split" false (Properties.is_weakly_connected r);
+  r
+
+let test_departed_id_does_not_bridge () =
+  let r = split_by_a_departed_id () in
+  Alcotest.(check bool) "repaired" true (Runner.repair r >= 1);
+  Alcotest.(check bool) "connected after the repair" true
+    (Properties.is_weakly_connected r);
+  match Churn.recover_connectivity (split_by_a_departed_id ()) with
+  | Some (_, repairs) ->
+    Alcotest.(check bool) (Printf.sprintf "%d repairs" repairs) true (repairs >= 1)
+  | None -> Alcotest.fail "recover_connectivity left the world split"
+
 let suite =
   [
     Alcotest.test_case "leave decay trace" `Quick test_leave_decay_trace;
@@ -214,4 +243,6 @@ let suite =
     Alcotest.test_case "join integration" `Quick test_join_integration;
     Alcotest.test_case "Cor 6.14 integration window" `Quick test_join_integration_bound;
     Alcotest.test_case "sustained churn" `Quick test_sustained_churn_keeps_system_healthy;
+    Alcotest.test_case "a departed id does not bridge two live halves" `Quick
+      test_departed_id_does_not_bridge;
   ]

@@ -317,8 +317,8 @@ let partition_world ~scenario ~seed =
     ~config ~topology ()
 
 (* Run [scenario] for [rounds] rounds in each world; every world left split
-   must be re-knit by the rendezvous rule within [max_rounds] with at
-   least one rebootstrap.  Returns the number of worlds that split. *)
+   must be re-knit by the repair pass within [max_rounds] with at least
+   one repair.  Returns the number of worlds that split. *)
 let split_worlds ~scenario ~base ~rounds ~max_rounds =
   List.init worlds (fun k ->
       let seed = base + k in
@@ -327,10 +327,10 @@ let split_worlds ~scenario ~base ~rounds ~max_rounds =
       let split = not (Properties.is_weakly_connected r) in
       if split then begin
         match Churn.recover_connectivity ~max_rounds r with
-        | Some (_, rebootstraps) ->
+        | Some (_, repairs) ->
           Alcotest.(check bool)
-            (Printf.sprintf "seed %d: recovery used a rebootstrap" seed)
-            true (rebootstraps >= 1);
+            (Printf.sprintf "seed %d: recovery repaired a straggler" seed)
+            true (repairs >= 1);
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: weakly connected after recovery" seed)
             true
@@ -344,8 +344,8 @@ let split_worlds ~scenario ~base ~rounds ~max_rounds =
 
 (* A partition splits the membership graph once it outlives view decay
    (small views, long window), and the out-of-band rendezvous rule re-knits
-   it within a bounded number of rounds.  A 100-round cut split 7 of the
-   30 worlds when this test was written. *)
+   it within a bounded number of rounds.  A 100-round cut splits 3 of the
+   30 worlds. *)
 let test_partition_split_and_recovery () =
   let split =
     split_worlds ~scenario:"partition@5-105:2" ~base:530 ~rounds:110 ~max_rounds:50
@@ -381,8 +381,8 @@ let test_partition_heals_quickly () =
    round 5 and a 3-way cut from round 40 are active together for 20
    rounds, then the 3-way cut persists alone.  The rendezvous rule must
    re-knit whatever is left standing — recovery can't assume the overlay
-   fractured along a single clean cut.  The cuts split 10 of the 30
-   worlds when this test was written. *)
+   fractured along a single clean cut.  The cuts split 15 of the 30
+   worlds. *)
 let test_overlapping_partitions_recovery () =
   let split =
     split_worlds ~scenario:"partition@5-60:2;partition@40-105:3" ~base:540
@@ -414,8 +414,8 @@ let test_repeated_partitions_recovery () =
   Alcotest.(check bool) "second partition split the overlay again" false
     (Properties.is_weakly_connected r);
   (match Churn.recover_connectivity ~max_rounds:60 r with
-  | Some (_, rebootstraps) ->
-    Alcotest.(check bool) "second recovery rebootstrapped" true (rebootstraps >= 1)
+  | Some (_, repairs) ->
+    Alcotest.(check bool) "second recovery repaired" true (repairs >= 1)
   | None -> Alcotest.fail "recovery failed after the repeated partition");
   Alcotest.(check bool) "weakly connected after the second recovery" true
     (Properties.is_weakly_connected r)
@@ -437,8 +437,8 @@ let test_partition_overlapping_crash_recovery () =
     (not (Runner.is_crashed r 0));
   if not (Properties.is_weakly_connected r) then
     (match Churn.recover_connectivity ~max_rounds:60 r with
-    | Some (_, rebootstraps) ->
-      Alcotest.(check bool) "recovery rebootstrapped" true (rebootstraps >= 1)
+    | Some (_, repairs) ->
+      Alcotest.(check bool) "recovery repaired" true (repairs >= 1)
     | None -> Alcotest.fail "recovery failed after partition + crash");
   Alcotest.(check bool) "weakly connected with resumed nodes" true
     (Properties.is_weakly_connected r)

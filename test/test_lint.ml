@@ -327,6 +327,32 @@ let test_one_install_rule_exempts_protocol () =
   check_quiet "id installs too" ~path:"lib/core/runner.ml"
     "let () = Protocol.install_ids view 0 ids ~born:0 ~mint"
 
+(* --- one-overlay-probe --- *)
+
+let test_one_overlay_probe_fires () =
+  check_fires "a Digraph probe in the runner" ~rule:"one-overlay-probe"
+    ~path:"lib/core/runner.ml"
+    "let ok = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
+  check_fires "components in churn" ~rule:"one-overlay-probe" ~path:"lib/core/churn.ml"
+    "let cs = Digraph.weakly_connected_components g";
+  check_fires "sessions too" ~rule:"one-overlay-probe" ~path:"lib/core/sessions.ml"
+    "let ok = Digraph.is_weakly_connected g";
+  check_fires "properties too" ~rule:"one-overlay-probe" ~path:"lib/core/properties.ml"
+    "let cs = Sf_graph.Digraph.weakly_connected_components g"
+
+let test_one_overlay_probe_quiet () =
+  (* Baselines and the graph quality metrics have no shared store. *)
+  check_quiet "baselines" ~path:"lib/core/baselines.ml"
+    "let c = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
+  check_quiet "quality" ~path:"lib/graph/quality.ml"
+    "let cs = Digraph.weakly_connected_components survivor";
+  check_quiet "the probe is allowed" ~path:"lib/core/properties.ml"
+    "let c = Overlay.connected (Runner.probe runner)";
+  List.iter
+    (fun path -> check_quiet path ~path (read ("../" ^ path)))
+    [ "lib/core/runner.ml"; "lib/core/churn.ml"; "lib/core/sessions.ml";
+      "lib/core/properties.ml" ]
+
 (* --- driver-row-kernel --- *)
 
 let test_driver_row_kernel_fires () =
@@ -404,6 +430,8 @@ let suite =
       test_one_resilience_loop_exempts_lib_resilience;
     Alcotest.test_case "one-install-rule fires" `Quick test_one_install_rule_fires;
     Alcotest.test_case "driver-row-kernel fires" `Quick test_driver_row_kernel_fires;
+    Alcotest.test_case "one-overlay-probe fires" `Quick test_one_overlay_probe_fires;
+    Alcotest.test_case "one-overlay-probe quiet" `Quick test_one_overlay_probe_quiet;
     Alcotest.test_case "one-install-rule exempts lib/core/protocol.ml" `Quick
       test_one_install_rule_exempts_protocol;
     Alcotest.test_case "nodehost-control-in-place fires" `Quick

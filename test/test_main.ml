@@ -12,6 +12,7 @@ let () =
       ("runner", Test_runner.suite);
       ("properties", Test_properties.suite);
       ("churn", Test_churn.suite);
+      ("overlay", Test_overlay.suite);
       ("baselines", Test_baselines.suite);
       ("variants", Test_variants.suite);
       ("analysis", Test_analysis.suite);

@@ -324,7 +324,7 @@ let test_retune_e2e_audited () =
    needs [Churn.recover_connectivity]; here the supervisor must do the
    whole job on its own.  Every world must end connected, and a world
    whose supervisor attempted a repair must confirm a recovery.  Repairs
-   ran in 8 of the 30 worlds when this test was written. *)
+   run in 5 of the 30 worlds. *)
 let test_supervised_partition_recovery () =
   let worlds = 30 in
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in

@@ -294,6 +294,24 @@ let rules =
                  "View.set"; "View.Flat.set" ]));
     };
     {
+      id = "one-overlay-probe";
+      doc =
+        "overlay health is read from lib/core/overlay.ml's one probe: \
+         Digraph.is_weakly_connected and Digraph.weakly_connected_components \
+         may not appear in lib/core/runner.ml, churn.ml, sessions.ml or \
+         properties.ml";
+      applies =
+        (fun path ->
+          List.mem path
+            (List.map (( ^ ) "lib/core/") [ "runner.ml"; "churn.ml"; "sessions.ml"; "properties.ml" ]));
+      tokens =
+        List.concat_map
+          (fun name ->
+            let message = "a second overlay probe — read Runner.probe" in
+            [ (name, message); ("Sf_graph." ^ name, message) ])
+          [ "Digraph.is_weakly_connected"; "Digraph.weakly_connected_components" ];
+    };
+    {
       id = "driver-row-kernel";
       doc =
         "lib/net/driver.ml moves messages as row messages: it runs \
