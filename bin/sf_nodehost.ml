@@ -12,7 +12,7 @@
    (Sf_analysis.Thresholds.select_lossy, the section 6.3 inversion) lives
    above sf_net in the library order. *)
 
-let usage = "sf_nodehost --host I --hosts H --per-host K [options]"
+let usage = "sf_nodehost --host I --hosts H --per-host K --control-port P [options]"
 
 let () =
   let host = ref 0
@@ -37,11 +37,11 @@ let () =
       ("--hosts", Arg.Set_int hosts, "H  total node-host processes");
       ("--per-host", Arg.Set_int per_host, "K  nodes owned by each host");
       ("--base-port", Arg.Set_int base_port, "P  node i binds port P+i");
-      ("--control-port", Arg.Set_int control_port, "P  UDP command socket (0 = host+index derived off base)");
+      ("--control-port", Arg.Set_int control_port, "P  UDP command socket (required)");
       ("--controller-port", Arg.Set_int controller_port, "P  heartbeat sink (0 = no heartbeats)");
       ("--view-size", Arg.Set_int view_size, "S  view slots per node");
       ("--lower", Arg.Set_int lower, "DL  lower threshold");
-      ("--out-degree", Arg.Set_int out_degree, "D  seed topology degree (0 = derive from S, DL)");
+      ("--out-degree", Arg.Set_int out_degree, "D  seed topology degree (0 = Protocol.start_degree)");
       ("--loss", Arg.Set_string loss, "MODEL  loss model (iid | ge:MEAN:BURST); windows rejected");
       ("--loss-rate", Arg.Set_float loss_rate, "R  iid loss probability");
       ("--period", Arg.Set_float period, "SEC  mean time between initiations");
@@ -61,12 +61,14 @@ let () =
       Fmt.epr "sf_nodehost: bad --loss: %s@." msg;
       exit 2
   in
+  if !control_port <= 0 then begin
+    Fmt.epr "sf_nodehost: --control-port is required@.";
+    exit 2
+  end;
+  let protocol = Sf_core.Protocol.make_config ~view_size:!view_size ~lower_threshold:!lower in
   let out_degree =
     if !out_degree > 0 then !out_degree
-    else
-      (* The sfg UDP-gate derivation: even, below the view size. *)
-      let d = min ((!hosts * !per_host) - 1) ((!view_size + !lower) / 2) in
-      if d mod 2 = 0 then d else d - 1
+    else Sf_core.Protocol.start_degree protocol ~n:(!hosts * !per_host)
   in
   let resilience =
     if not !resilience then None
@@ -87,12 +89,9 @@ let () =
       hosts = !hosts;
       nodes_per_host = !per_host;
       base_port = !base_port;
-      control_port =
-        (if !control_port > 0 then !control_port else !base_port - 1 - !host);
+      control_port = !control_port;
       controller_port = !controller_port;
-      protocol =
-        Sf_core.Protocol.make_config ~view_size:!view_size
-          ~lower_threshold:!lower;
+      protocol;
       out_degree;
       scenario;
       loss_rate = !loss_rate;

@@ -110,10 +110,8 @@ let verify_domains_arg =
 let make_runner ?scenario ?obs ?resilience ~seed ~n ~view_size ~lower_threshold ~loss
     () =
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let out_degree = min (n - 1) (max lower_threshold ((view_size + lower_threshold) / 2)) in
-  let out_degree = if out_degree mod 2 = 0 then out_degree else out_degree - 1 in
   let rng = Sf_prng.Rng.create (seed + 1) in
-  let topology = Topology.regular rng ~n ~out_degree in
+  let topology = Topology.regular rng ~n ~out_degree:(Protocol.start_degree config ~n) in
   Runner.create ?scenario ?obs ?resilience ~seed ~n ~loss_rate:loss ~config ~topology ()
 
 (* --- Resilience policy (shared by soak and the --resilience flags) --- *)
@@ -676,18 +674,15 @@ let mixing_cmd =
 
 (* --- udp --- *)
 
-(* The start overlay of the UDP commands: a regular digraph of even
-   outdegree midway between dL and s. *)
-let udp_topology ~seed ~n ~view_size ~lower_threshold =
-  let out_degree =
-    let d = min (n - 1) ((view_size + lower_threshold) / 2) in
-    if d mod 2 = 0 then d else d - 1
-  in
-  Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n ~out_degree
+(* The start overlay of the UDP commands: a regular digraph of the start
+   outdegree. *)
+let udp_topology ~seed ~n config =
+  Topology.regular (Sf_prng.Rng.create (seed + 1)) ~n
+    ~out_degree:(Protocol.start_degree config ~n)
 
 let udp seed n view_size lower_threshold loss duration base_port =
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let topology = udp_topology ~seed ~n ~view_size ~lower_threshold in
+  let topology = udp_topology ~seed ~n config in
   let c =
     Sf_net.Driver.create ~base_port ~n ~config ~loss_rate:loss ~seed ~topology ()
   in
@@ -790,12 +785,10 @@ let no_udp_arg = Arg.(value & flag & info [ "no-udp" ] ~doc:"Skip the UDP cluste
 let udp_leg v ?resilience ~seed ~view_size ~lower_threshold ~loss ~scenario
     ~udp_nodes ~base_port ~rounds () =
   let period = 0.005 in
+  let config = Protocol.make_config ~view_size ~lower_threshold in
   let c =
-    Sf_net.Driver.create ~period ~scenario ?resilience ~base_port ~n:udp_nodes
-      ~config:(Protocol.make_config ~view_size ~lower_threshold)
-      ~loss_rate:loss ~seed
-      ~topology:(udp_topology ~seed ~n:udp_nodes ~view_size ~lower_threshold)
-      ()
+    Sf_net.Driver.create ~period ~scenario ?resilience ~base_port ~n:udp_nodes ~config
+      ~loss_rate:loss ~seed ~topology:(udp_topology ~seed ~n:udp_nodes config) ()
   in
   Fun.protect
     ~finally:(fun () -> Sf_net.Driver.shutdown c)

@@ -1,6 +1,8 @@
 (* Baseline gossip-membership protocols from the paper's taxonomy
-   (section 3.1), implemented over the same view abstraction so their
-   behaviour under message loss can be contrasted with S&F:
+   (section 3.1), holding their views as rows of one view store (row =
+   node id) like the S&F engines, and read by the same census and
+   overlay probe, so their behaviour under message loss can be
+   contrasted with S&F:
 
    - [Shuffle] (flipper style, delete-on-send with a bidirectional
      exchange): creates no spatial dependence, but every lost request or
@@ -27,18 +29,14 @@ type kind =
   | Push_pull of { gossip_size : int }
   | Push_only
 
-type node = { id : int; view : View.t }
-
 type t = {
   kind : kind;
   loss_rate : float;
   rng : Sf_prng.Rng.t;
-  nodes : node array;
-  dead : bool array;  (* killed nodes drop all traffic *)
+  store : View.Flat.t;  (* row u is node u's view *)
+  dead : bool array;  (* killed nodes drop all traffic; their rows are empty *)
   mutable next_serial : int;
   mutable actions : int;
-  mutable messages_sent : int;
-  mutable messages_lost : int;
 }
 
 let fresh_serial t =
@@ -53,173 +51,151 @@ let create ~seed ~n ~view_size ~loss_rate ~kind ~topology =
       kind;
       loss_rate;
       rng;
-      nodes = Array.init n (fun id -> { id; view = View.create view_size });
+      store = View.create_rows ~nodes:n view_size;
       dead = Array.make n false;
       next_serial = 0;
       actions = 0;
-      messages_sent = 0;
-      messages_lost = 0;
     }
   in
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun v ->
-          match View.random_empty_slot node.view t.rng with
-          | None -> invalid_arg "Baselines.create: topology exceeds view size"
-          | Some slot ->
-            View.set node.view slot { View.id = v; serial = fresh_serial t; anchor = None; born = 0 })
-        (topology node.id))
-    t.nodes;
+  for u = 0 to n - 1 do
+    List.iter
+      (fun v ->
+        let slot = View.Flat.random_empty_slot t.store u t.rng in
+        if slot < 0 then invalid_arg "Baselines.create: topology exceeds view size";
+        View.Flat.set t.store u slot ~id:v ~serial:(fresh_serial t) ~anchor:(-1) ~born:0)
+      (topology u)
+  done;
   t
 
-let node_count t = Array.length t.nodes
+let node_count t = Array.length t.dead
 
 (* A message to [dst] survives the lossy channel with probability 1 - loss
    and only if the destination is alive. *)
-let transmit t ~dst =
-  t.messages_sent <- t.messages_sent + 1;
-  if Sf_prng.Rng.bernoulli t.rng t.loss_rate || t.dead.(dst) then begin
-    t.messages_lost <- t.messages_lost + 1;
-    false
-  end
-  else true
+let transmit t ~dst = not (Sf_prng.Rng.bernoulli t.rng t.loss_rate || t.dead.(dst))
 
-(* Remove and return up to [k] uniformly chosen entries from a view. *)
-let extract_random_entries t view k =
-  let filled = ref [] in
-  View.iter (fun slot _ -> filled := slot :: !filled) view;
-  let slots = Array.of_list !filled in
+(* Remove and return up to [k] uniformly chosen entries from row [u]: a
+   shuffle of its occupied slots, highest slot first. *)
+let extract_random_entries t u k =
+  let slots = Array.make (View.Flat.degree t.store u) 0 and filled = ref 0 in
+  for slot = View.Flat.view_size t.store - 1 downto 0 do
+    if View.Flat.id_at t.store u slot >= 0 then begin
+      slots.(!filled) <- slot;
+      incr filled
+    end
+  done;
   Sf_prng.Rng.shuffle t.rng slots;
-  let take = min k (Array.length slots) in
   let out = ref [] in
-  for i = 0 to take - 1 do
-    (match View.get view slots.(i) with
-    | Some e -> out := e :: !out
-    | None -> assert false);
-    View.clear view slots.(i)
+  for i = 0 to min k (Array.length slots) - 1 do
+    out := View.entry_at t.store u slots.(i) :: !out;
+    View.Flat.clear t.store u slots.(i)
   done;
   !out
 
 (* Copy up to [k] uniformly chosen entries (without removing them). *)
-let copy_random_entries t view k =
-  let entries = Array.of_list (View.entries view) in
+let copy_random_entries t u k =
+  let entries = Array.of_list (View.row_entries t.store u) in
   Sf_prng.Rng.shuffle t.rng entries;
   Array.to_list (Array.sub entries 0 (min k (Array.length entries)))
 
 (* Install entries into empty slots, dropping the excess (shuffle semantics:
    the receiver freed slots by extracting its reply first). *)
-let install_into_empty t view entries =
+let install_into_empty t u entries =
   List.iter
     (fun e ->
-      match View.random_empty_slot view t.rng with
-      | Some slot -> View.set view slot e
-      | None -> ())
+      let slot = View.Flat.random_empty_slot t.store u t.rng in
+      if slot >= 0 then View.set_entry t.store u slot e)
     entries
 
 (* Install entries, overwriting uniformly random occupied slots when the
    view is full (push-pull merge semantics). *)
-let install_with_replacement t view entries =
+let install_with_replacement t u entries =
   List.iter
     (fun e ->
-      match View.random_empty_slot view t.rng with
-      | Some slot -> View.set view slot e
-      | None ->
-        let slot = Sf_prng.Rng.int t.rng (View.size view) in
-        View.set view slot e)
+      let slot = View.Flat.random_empty_slot t.store u t.rng in
+      let slot =
+        if slot >= 0 then slot else Sf_prng.Rng.int t.rng (View.Flat.view_size t.store)
+      in
+      View.set_entry t.store u slot e)
     entries
 
-let random_neighbor t node =
-  let entries = Array.of_list (View.entries node.view) in
-  if Array.length entries = 0 then None
-  else Some (Sf_prng.Rng.choose t.rng entries)
+(* A uniformly random occupied slot of row [u], or -1. *)
+let random_neighbor t u = View.Flat.random_occupied_slot t.store u t.rng ~except:(-1)
 
-let own_instance t node =
-  { View.id = node.id; serial = fresh_serial t; anchor = None; born = t.actions }
+let own_instance t u = { View.id = u; serial = fresh_serial t; anchor = None; born = t.actions }
 
 (* Mark a transferred copy as anchored at the sender, who retains the
    original — the dependence labelling shared with S&F's duplication. *)
 let anchored_copy t sender entry =
   { entry with View.serial = fresh_serial t; anchor = Some sender; born = t.actions }
 
-(* The oldest entry in the view (smallest birth stamp) — Cyclon's target
-   rule and failure detector. *)
-let oldest_neighbor node =
-  View.fold
-    (fun acc (e : View.entry) ->
-      match acc with
-      | Some (best : View.entry) when best.View.born <= e.View.born -> acc
-      | _ -> Some e)
-    None node.view
+(* The slot of the oldest entry in row [u] (smallest birth stamp, the
+   first in slot order on a tie), or -1 — Cyclon's target rule and
+   failure detector. *)
+let oldest_neighbor t u =
+  let best = ref (-1) in
+  for slot = 0 to View.Flat.view_size t.store - 1 do
+    if
+      View.Flat.id_at t.store u slot >= 0
+      && (!best < 0 || View.Flat.born_at t.store u slot < View.Flat.born_at t.store u !best)
+    then best := slot
+  done;
+  !best
 
 let shuffle_action ?(oldest_first = false) t ~exchange_size initiator =
-  let target =
-    if oldest_first then oldest_neighbor initiator else random_neighbor t initiator
-  in
-  match target with
-  | None -> ()
-  | Some target_entry ->
-    let peer = t.nodes.(target_entry.View.id) in
-    if peer.id = initiator.id then ()
-    else begin
+  let slot = if oldest_first then oldest_neighbor t initiator else random_neighbor t initiator in
+  if slot >= 0 then begin
+    let peer = View.Flat.id_at t.store initiator slot in
+    if peer <> initiator then begin
       (* The initiator removes the target entry plus exchange_size - 1 other
          entries, and offers them together with its own id. *)
-      let slot_of_target = ref None in
-      View.iter
-        (fun slot e ->
-          if !slot_of_target = None && e.View.serial = target_entry.View.serial then
-            slot_of_target := Some slot)
-        initiator.view;
-      (match !slot_of_target with
-      | Some slot -> View.clear initiator.view slot
-      | None -> assert false);
-      let extras = extract_random_entries t initiator.view (exchange_size - 1) in
+      View.Flat.clear t.store initiator slot;
+      let extras = extract_random_entries t initiator (exchange_size - 1) in
       let request = own_instance t initiator :: extras in
-      if transmit t ~dst:peer.id then begin
+      if transmit t ~dst:peer then begin
         (* Peer extracts its reply first, then installs the request. *)
-        let reply = extract_random_entries t peer.view exchange_size in
-        install_into_empty t peer.view request;
-        if transmit t ~dst:initiator.id then install_into_empty t initiator.view reply
+        let reply = extract_random_entries t peer exchange_size in
+        install_into_empty t peer request;
+        if transmit t ~dst:initiator then install_into_empty t initiator reply
         (* Reply lost: the peer's extracted entries are gone and the
            initiator's freed slots stay empty — the id bleed of
            delete-on-send protocols under loss. *)
       end
       (* Request lost: the initiator's extracted entries are gone. *)
     end
+  end
 
 let push_pull_action t ~gossip_size initiator =
-  match random_neighbor t initiator with
-  | None -> ()
-  | Some target_entry ->
-    let peer = t.nodes.(target_entry.View.id) in
-    if peer.id = initiator.id then ()
-    else begin
+  let slot = random_neighbor t initiator in
+  if slot >= 0 then begin
+    let peer = View.Flat.id_at t.store initiator slot in
+    if peer <> initiator then begin
       let offer =
         own_instance t initiator
-        :: List.map (anchored_copy t initiator.id) (copy_random_entries t initiator.view gossip_size)
+        :: List.map (anchored_copy t initiator) (copy_random_entries t initiator gossip_size)
       in
-      if transmit t ~dst:peer.id then begin
-        install_with_replacement t peer.view offer;
+      if transmit t ~dst:peer then begin
+        install_with_replacement t peer offer;
         let reply =
           own_instance t peer
-          :: List.map (anchored_copy t peer.id) (copy_random_entries t peer.view gossip_size)
+          :: List.map (anchored_copy t peer) (copy_random_entries t peer gossip_size)
         in
-        if transmit t ~dst:initiator.id then install_with_replacement t initiator.view reply
+        if transmit t ~dst:initiator then install_with_replacement t initiator reply
       end
     end
+  end
 
 let push_only_action t initiator =
-  match random_neighbor t initiator with
-  | None -> ()
-  | Some target_entry ->
-    let peer = t.nodes.(target_entry.View.id) in
-    if peer.id <> initiator.id && transmit t ~dst:peer.id then
-      install_with_replacement t peer.view [ own_instance t initiator ]
+  let slot = random_neighbor t initiator in
+  if slot >= 0 then begin
+    let peer = View.Flat.id_at t.store initiator slot in
+    if peer <> initiator && transmit t ~dst:peer then
+      install_with_replacement t peer [ own_instance t initiator ]
+  end
 
 let step t =
   t.actions <- t.actions + 1;
-  let initiator = Sf_prng.Rng.choose t.rng t.nodes in
-  if t.dead.(initiator.id) then ()
+  let initiator = Sf_prng.Rng.int t.rng (node_count t) in
+  if t.dead.(initiator) then ()
   else
     match t.kind with
     | Shuffle { exchange_size } -> shuffle_action t ~exchange_size initiator
@@ -229,28 +205,30 @@ let step t =
 
 let run_rounds t rounds =
   for _ = 1 to rounds do
-    for _ = 1 to Array.length t.nodes do
+    for _ = 1 to node_count t do
       step t
     done
   done
 
 (* --- Churn --- *)
 
+(* A dead node's row is never read: it initiates nothing, a message to
+   it is dropped before its view is touched, and [revive] refills it. *)
 let kill t id =
-  if id < 0 || id >= Array.length t.nodes then invalid_arg "Baselines.kill";
-  t.dead.(id) <- true
+  if id < 0 || id >= node_count t then invalid_arg "Baselines.kill";
+  t.dead.(id) <- true;
+  ignore (View.Flat.clear_row t.store id)
 
 (* Revive a previously killed node as a fresh incarnation: empty view
    re-seeded with up to [bootstrap] entries copied from a random live
    node. *)
 let revive t id ~bootstrap =
-  if id < 0 || id >= Array.length t.nodes then invalid_arg "Baselines.revive";
+  if id < 0 || id >= node_count t then invalid_arg "Baselines.revive";
   t.dead.(id) <- false;
-  let node = t.nodes.(id) in
-  View.clear_all node.view;
+  ignore (View.Flat.clear_row t.store id);
   let live =
-    Array.to_list t.nodes
-    |> List.filter (fun n -> (not t.dead.(n.id)) && n.id <> id && View.degree n.view > 0)
+    List.init (node_count t) Fun.id
+    |> List.filter (fun u -> (not t.dead.(u)) && u <> id && View.Flat.degree t.store u > 0)
   in
   match live with
   | [] -> ()
@@ -258,13 +236,13 @@ let revive t id ~bootstrap =
     let donor = Sf_prng.Rng.choose t.rng (Array.of_list live) in
     List.iteri
       (fun i (e : View.entry) ->
-        if i < bootstrap then
-          match View.random_empty_slot node.view t.rng with
-          | Some slot ->
-            View.set node.view slot
+        if i < bootstrap then begin
+          let slot = View.Flat.random_empty_slot t.store id t.rng in
+          if slot >= 0 then
+            View.set_entry t.store id slot
               { e with View.serial = fresh_serial t; born = t.actions }
-          | None -> ())
-      (View.entries donor.view)
+        end)
+      (View.row_entries t.store donor)
 
 let is_dead t id = t.dead.(id)
 
@@ -272,60 +250,39 @@ let is_dead t id = t.dead.(id)
    the staleness Cyclon's age rule is designed to purge. *)
 let dead_entry_fraction t =
   let total = ref 0 and stale = ref 0 in
-  Array.iter
-    (fun node ->
-      if not t.dead.(node.id) then
-        View.iter
-          (fun _ e ->
-            incr total;
-            if t.dead.(e.View.id) then incr stale)
-          node.view)
-    t.nodes;
+  for u = 0 to node_count t - 1 do
+    for slot = 0 to View.Flat.view_size t.store - 1 do
+      let id = View.Flat.id_at t.store u slot in
+      if id >= 0 then begin
+        incr total;
+        if t.dead.(id) then incr stale
+      end
+    done
+  done;
   if !total = 0 then 0. else float_of_int !stale /. float_of_int !total
 
 (* --- Measurement (mirrors the S&F monitors) --- *)
 
-let total_instances t =
-  Array.fold_left
-    (fun acc node -> if t.dead.(node.id) then acc else acc + View.degree node.view)
-    0 t.nodes
+let total_instances t = View.Flat.total_edges t.store
 
 let outdegree_summary t =
   let summary = Sf_stats.Summary.create () in
-  Array.iter
-    (fun node ->
-      if not t.dead.(node.id) then
-        Sf_stats.Summary.add_int summary (View.degree node.view))
-    t.nodes;
+  for u = 0 to node_count t - 1 do
+    if not t.dead.(u) then Sf_stats.Summary.add_int summary (View.Flat.degree t.store u)
+  done;
   summary
 
 let indegree_summary t =
-  let counts = Array.make (Array.length t.nodes) 0 in
-  Array.iter
-    (fun node ->
-      View.iter
-        (fun _ e ->
-          if e.View.id >= 0 && e.View.id < Array.length counts then
-            counts.(e.View.id) <- counts.(e.View.id) + 1)
-        node.view)
-    t.nodes;
+  let counts = Array.make (node_count t) 0 in
+  for u = 0 to node_count t - 1 do
+    for slot = 0 to View.Flat.view_size t.store - 1 do
+      let id = View.Flat.id_at t.store u slot in
+      if id >= 0 && id < node_count t then counts.(id) <- counts.(id) + 1
+    done
+  done;
   Sf_stats.Summary.of_int_array counts
 
-let independence_census t =
-  Census.of_views
-    (Array.to_seq t.nodes
-    |> Seq.filter (fun n -> not t.dead.(n.id))
-    |> Seq.map (fun n -> (n.id, n.view)))
+let independence_census t = Census.of_flat t.store
 
-let membership_graph t =
-  let g = Sf_graph.Digraph.create () in
-  Array.iter
-    (fun node ->
-      if not t.dead.(node.id) then begin
-        Sf_graph.Digraph.ensure_vertex g node.id;
-        View.iter (fun _ e -> Sf_graph.Digraph.add_edge g node.id e.View.id) node.view
-      end)
-    t.nodes;
-  g
-
-let is_weakly_connected t = Sf_graph.Digraph.is_weakly_connected (membership_graph t)
+let is_weakly_connected t =
+  Overlay.connected (Overlay.probe t.store ~live:(fun u -> not t.dead.(u)))

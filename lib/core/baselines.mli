@@ -37,7 +37,8 @@ val run_rounds : t -> int -> unit
 (** One round = n actions. *)
 
 val kill : t -> int -> unit
-(** Mark a node dead: it stops initiating and drops incoming traffic. *)
+(** Mark a node dead: it stops initiating, drops incoming traffic and
+    its view is emptied.  Other views keep its id until they purge it. *)
 
 val revive : t -> int -> bootstrap:int -> unit
 (** Bring a killed node back as a fresh incarnation, bootstrapped with up
@@ -57,5 +58,6 @@ val indegree_summary : t -> Sf_stats.Summary.t
 val independence_census : t -> Census.t
 (** Same dependence labelling as the S&F monitors. *)
 
-val membership_graph : t -> Sf_graph.Digraph.t
 val is_weakly_connected : t -> bool
+(** The live overlay is one weak component ({!Overlay.probe}): an id of
+    a killed node bridges nothing. *)

@@ -12,7 +12,8 @@ type t = {
 }
 
 val of_views : (int * View.t) Seq.t -> t
-(** [of_views views] takes (owner id, view) pairs. *)
+(** [of_views views] takes (owner id, view) pairs: the reported views of
+    the UDP driver and the cluster. *)
 
 val of_flat : View.Flat.t -> t
 (** Same labelling over a packed {!View.Flat} world (owner of row [u] is

@@ -1,7 +1,9 @@
 (** The section 5 health probe and repair pass of the engines that see
     the whole world as one {!View.Flat} store, row = node id: the
-    sequential and timed {!Runner} and {!Runner.Sharded}.  (A deployed
-    node sees only its own view, so the UDP driver keeps a local rule.)
+    sequential and timed {!Runner} and {!Runner.Sharded} probe and
+    repair; the {!Baselines} and {!Variants} simulators only probe.  (A
+    deployed node sees only its own view, so the UDP driver keeps a
+    local rule.)
 
     A probe is a union-find (union by size, path compression) over the
     live rows in increasing order, slots in order; an entry joins its

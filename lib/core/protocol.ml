@@ -33,6 +33,10 @@ let make_config ~view_size ~lower_threshold =
     invalid_arg "Protocol.make_config: dL must be even";
   { view_size; lower_threshold }
 
+let start_degree config ~n =
+  let d = min (n - 1) ((config.view_size + config.lower_threshold) / 2) in
+  max 2 (d land lnot 1)
+
 let clamped_config ~capacity ~degree (dl, s) =
   let even_up x = if x land 1 = 0 then x else x + 1 in
   let s = min capacity (max s (max 6 (even_up degree))) in

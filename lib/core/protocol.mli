@@ -17,6 +17,12 @@ val make_config : view_size:int -> lower_threshold:int -> config
 (** Validates the paper's constraints: s even, s >= 6, dL even,
     0 <= dL <= s - 6. *)
 
+val start_degree : config -> n:int -> int
+(** The even start outdegree of an [n]-node overlay, midway between dL
+    and s and below [n]: (s + dL) / 2, capped at [n - 1], rounded down
+    to even, and at least 2.  Every engine's default start topology
+    uses it. *)
+
 val clamped_config : capacity:int -> degree:int -> int * int -> config
 (** Clamp a controller target [(dL, s)] to one node: [s] never drops
     below the node's current outdegree [degree] (retuning evicts nothing;

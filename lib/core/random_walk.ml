@@ -22,16 +22,12 @@ let walk runner rng ~start ~length ~loss_rate =
     if remaining = 0 then Completed current
     else if not (Runner.is_live runner current) then Dead_end (length - remaining)
     else
-      let entries =
-        Array.of_list (View.ids (View.copy_row (Runner.store runner) current))
-      in
-      if Array.length entries = 0 then Dead_end (length - remaining)
-      else begin
-        let next = Sf_prng.Rng.choose rng entries in
-        if Sf_prng.Rng.bernoulli rng loss_rate then
-          Lost_at_hop (length - remaining + 1)
-        else hop next (remaining - 1)
-      end
+      let store = Runner.store runner in
+      let slot = View.Flat.random_occupied_slot store current rng ~except:(-1) in
+      if slot < 0 then Dead_end (length - remaining)
+      else if Sf_prng.Rng.bernoulli rng loss_rate then
+        Lost_at_hop (length - remaining + 1)
+      else hop (View.Flat.id_at store current slot) (remaining - 1)
   in
   hop start length
 

@@ -141,8 +141,6 @@ let set_audit t audit = t.audit <- audit
 
 let emit t event = match t.audit with Some f -> f t event | None -> ()
 
-let obs t = t.obs
-
 let store t = t.store
 
 let is_live t id = id >= 0 && id < Array.length t.alive && t.alive.(id)
@@ -296,7 +294,7 @@ let set_live t id live =
   t.alive.(id) <- live;
   Sf_obs.Metrics.set t.live_gauge (float_of_int (Array.length t.live))
 
-let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topology
+let create ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topology
     () =
   if loss_rate < 0. || loss_rate > 1. then
     invalid_arg "Runner.create: loss_rate must lie in [0,1]";
@@ -375,7 +373,7 @@ let create ?audit ?scenario ?obs ?resilience ~seed ~n ~loss_rate ~config ~topolo
       total_reconnections = Sf_obs.Metrics.counter metrics "runner_reconnections";
       total_rebootstraps = Sf_obs.Metrics.counter metrics "runner_rebootstraps";
       live_gauge = Sf_obs.Metrics.gauge metrics "runner_live_nodes";
-      audit;
+      audit = None;
     }
   in
   for u = 0 to n - 1 do
@@ -1084,12 +1082,7 @@ module Sharded = struct
             "Runner.Sharded.create: init_degree must be even, >= 2, <= view \
              size and < n";
         d
-      | None ->
-        (* Between dL and s, like the orchestrated runner's default start. *)
-        let d = (view_size + config.Protocol.lower_threshold) / 2 in
-        let d = min d (n - 1) in
-        let d = if d land 1 = 1 then d - 1 else d in
-        max 2 d
+      | None -> Protocol.start_degree config ~n
     in
     let chunk = (n + shards - 1) / shards in
     (* Headroom slots live at n + c*S + i (owned by shard i): strided like
@@ -1376,12 +1369,6 @@ module Sharded = struct
   let live_count t = Array.fold_left (fun acc sh -> acc + sh.live) 0 t.shards
 
   let minted t = Array.map (fun sh -> sh.minted) t.shards
-
-  let conservation t =
-    Array.fold_left
-      (fun (dup, dropped) sh ->
-        (dup + sh.sh_accepted_dup, dropped + sh.sh_dropped_nondup))
-      (0, 0) t.shards
 
   let ledger t =
     Array.fold_left

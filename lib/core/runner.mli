@@ -50,7 +50,6 @@ val set_audit : t -> (t -> audit_event -> unit) option -> unit
     reported transition has fully taken effect. *)
 
 val create :
-  ?audit:(t -> audit_event -> unit) ->
   ?scenario:Sf_faults.Scenario.t ->
   ?obs:Sf_obs.Obs.t ->
   ?resilience:Sf_resil.Policy.t ->
@@ -101,10 +100,6 @@ val create :
     stream, so omitting the option — or passing
     {!Sf_resil.Policy.observe_only} — replays the unadorned runner
     byte-for-byte. *)
-
-val obs : t -> Sf_obs.Obs.t
-(** The runner's observability bundle (the one passed to {!create}, or
-    the private default). *)
 
 val config : t -> Protocol.config
 (** The base configuration every node starts from. *)
@@ -457,11 +452,6 @@ module Sharded : sig
   (** Per-shard mint positions: shard [i] has handed out serials
       [i, i + S, ..., (minted.(i) - 1) * S + i] where [S] is the shard
       count — every serial stored anywhere is one of these. *)
-
-  val conservation : t -> int * int
-  (** [(accepted_duplications, dropped_non_duplicated)] since creation —
-      the first two ledger components (see {!ledger} for the churn
-      terms). *)
 
   val ledger : t -> ledger
   (** The full extended edge ledger since creation. *)

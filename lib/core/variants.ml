@@ -18,8 +18,9 @@
 
    With all options off and batch = 1, the dynamics coincide with the
    standard S&F of {!Protocol} (a qcheck test enforces this).  The
-   simulator is self-contained and sequential-action, mirroring
-   {!Baselines}. *)
+   simulator is sequential-action and holds its world as rows of a view
+   store, row = node id, mirroring {!Baselines}; the census and the
+   overlay probe read that store directly. *)
 
 type options = {
   mark_and_undelete : bool;
@@ -29,27 +30,24 @@ type options = {
 
 let standard = { mark_and_undelete = false; replace_when_full = false; batch = 1 }
 
-type slot = { entry : View.entry; marked : bool }
-
-type node = {
-  id : int;
-  slots : slot option array;
-  mutable duplications : int;
-  mutable undeletions : int;
-  mutable deletions : int;
-}
-
+(* Unmarked instances live in [store], so its cached degree is the
+   outdegree; marked ones move to [marked], a second store of the same
+   shape, in the slot they were sent from.  A slot is occupied in at most
+   one of the two. *)
 type t = {
   options : options;
-  view_size : int;
   lower_threshold : int;
   loss_rate : float;
   rng : Sf_prng.Rng.t;
-  nodes : node array;
+  store : View.Flat.t;   (* row u: node u's unmarked instances *)
+  marked : View.Flat.t;  (* row u: node u's marked instances *)
   mutable next_serial : int;
   mutable actions : int;
   mutable sends : int;
   mutable losses : int;
+  mutable duplications : int;
+  mutable undeletions : int;
+  mutable deletions : int;
 }
 
 let fresh_serial t =
@@ -57,154 +55,98 @@ let fresh_serial t =
   t.next_serial <- s + 1;
   s
 
-(* Outdegree: unmarked entries only. *)
-let degree node =
-  Array.fold_left
-    (fun acc slot -> match slot with Some { marked = false; _ } -> acc + 1 | _ -> acc)
-    0 node.slots
-
 let create ~seed ~n ~view_size ~lower_threshold ~loss_rate ~options ~topology =
   if options.batch < 1 then invalid_arg "Variants.create: batch must be >= 1";
   let rng = Sf_prng.Rng.create seed in
   let t =
     {
       options;
-      view_size;
       lower_threshold;
       loss_rate;
       rng;
-      nodes =
-        Array.init n (fun id ->
-            {
-              id;
-              slots = Array.make view_size None;
-              duplications = 0;
-              undeletions = 0;
-              deletions = 0;
-            });
+      store = View.create_rows ~nodes:n view_size;
+      marked = View.create_rows ~nodes:n view_size;
       next_serial = 0;
       actions = 0;
       sends = 0;
       losses = 0;
+      duplications = 0;
+      undeletions = 0;
+      deletions = 0;
     }
   in
-  Array.iter
-    (fun node ->
-      List.iteri
-        (fun i v ->
-          if i >= view_size then invalid_arg "Variants.create: topology exceeds view";
-          node.slots.(i) <-
-            Some
-              {
-                entry = { View.id = v; serial = fresh_serial t; anchor = None; born = 0 };
-                marked = false;
-              })
-        (topology node.id))
-    t.nodes;
+  for u = 0 to n - 1 do
+    Protocol.install_ids t.store u (Array.of_list (topology u)) ~born:0
+      ~mint:(fun () -> fresh_serial t)
+  done;
   t
 
-(* Slots holding unmarked entries. *)
-let occupied_slots node =
-  let acc = ref [] in
-  Array.iteri
-    (fun i slot ->
-      match slot with Some { marked = false; _ } -> acc := i :: !acc | _ -> ())
-    node.slots;
-  Array.of_list !acc
+let node_count t = View.Flat.node_count t.store
+let view_size t = View.Flat.view_size t.store
+let degree t u = View.Flat.degree t.store u
 
-(* Slots a received id may land in: empty ones, plus marked ones (a marked
-   entry is logically deleted and may be overwritten). *)
-let writable_slots node =
-  let acc = ref [] in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | None | Some { marked = true; _ } -> acc := i :: !acc
-      | Some { marked = false; _ } -> ())
-    node.slots;
-  Array.of_list !acc
+(* The [k]-th slot of row [u], highest slot first, that a received id
+   may land in: an empty one or a marked one (a marked entry is logically
+   deleted and may be overwritten). *)
+let writable_slot t u k =
+  let slot = ref (view_size t - 1) and remaining = ref k in
+  while View.Flat.id_at t.store u !slot >= 0 || !remaining > 0 do
+    if View.Flat.id_at t.store u !slot < 0 then decr remaining;
+    decr slot
+  done;
+  !slot
 
-let marked_slots node =
-  let acc = ref [] in
-  Array.iteri
-    (fun i slot ->
-      match slot with Some { marked = true; _ } -> acc := i :: !acc | _ -> ())
-    node.slots;
-  Array.of_list !acc
+let write t u slot entry =
+  View.Flat.clear t.marked u slot;
+  View.set_entry t.store u slot entry
 
 (* Install one entry at the receiver, honoring the replace-when-full
-   option. Returns false when the id was deleted. *)
-let install t node entry =
-  let writable = writable_slots node in
-  if Array.length writable > 0 then begin
-    node.slots.(Sf_prng.Rng.choose t.rng writable) <- Some { entry; marked = false };
-    true
-  end
-  else if t.options.replace_when_full then begin
-    let slot = Sf_prng.Rng.int t.rng t.view_size in
-    node.slots.(slot) <- Some { entry; marked = false };
-    true
-  end
-  else begin
-    node.deletions <- node.deletions + 1;
-    false
-  end
+   option, or delete it. *)
+let install t u entry =
+  let writable = view_size t - degree t u in
+  if writable > 0 then write t u (writable_slot t u (Sf_prng.Rng.int t.rng writable)) entry
+  else if t.options.replace_when_full then
+    write t u (Sf_prng.Rng.int t.rng (view_size t)) entry
+  else t.deletions <- t.deletions + 1
 
-let receive t node entries = List.iter (fun e -> ignore (install t node e)) entries
-
-let initiate t node =
-  let occupied = occupied_slots node in
+let initiate t u =
   let needed = t.options.batch + 1 in
   (* The action needs a target plus [batch] payload ids; drawing any empty
      slot aborts the action, which for batch = 1 reproduces the standard
      two-slot selection (slot pairs are drawn without replacement, so
      drawing "needed" distinct slots and requiring all non-empty matches
      S&F when needed = 2). *)
-  let slots = Array.init t.view_size (fun i -> i) in
+  let slots = Array.init (view_size t) (fun i -> i) in
   Sf_prng.Rng.shuffle t.rng slots;
-  let chosen = Array.sub slots 0 (min needed t.view_size) in
-  let all_occupied =
-    Array.for_all
-      (fun i ->
-        match node.slots.(i) with Some { marked = false; _ } -> true | _ -> false)
-      chosen
-  in
-  if (not all_occupied) || Array.length occupied < needed then ()
+  let chosen = Array.sub slots 0 (min needed (view_size t)) in
+  let all_occupied = Array.for_all (fun i -> View.Flat.id_at t.store u i >= 0) chosen in
+  if (not all_occupied) || degree t u < needed then ()
   else begin
-    let entry_at i =
-      match node.slots.(i) with
-      | Some { entry; marked = false } -> entry
-      | _ -> assert false
-    in
-    let target = entry_at chosen.(0) in
-    let payload = List.init t.options.batch (fun k -> entry_at chosen.(k + 1)) in
-    let d = degree node in
-    let at_threshold = d <= t.lower_threshold in
+    let target = View.Flat.id_at t.store u chosen.(0) in
+    let payload = List.init t.options.batch (fun k -> View.entry_at t.store u chosen.(k + 1)) in
+    let at_threshold = degree t u <= t.lower_threshold in
     let compensated =
       if at_threshold && t.options.mark_and_undelete then begin
         (* Undelete: recover marked originals instead of duplicating. *)
-        let marked = marked_slots node in
-        Array.iter
-          (fun i ->
-            match node.slots.(i) with
-            | Some { entry; marked = true } ->
-              node.slots.(i) <- Some { entry; marked = false };
-              node.undeletions <- node.undeletions + 1
-            | _ -> ())
-          marked;
+        for slot = 0 to view_size t - 1 do
+          if View.Flat.id_at t.marked u slot >= 0 then begin
+            View.set_entry t.store u slot (View.entry_at t.marked u slot);
+            View.Flat.clear t.marked u slot;
+            t.undeletions <- t.undeletions + 1
+          end
+        done;
         (* After undeletion the entries are still sent; clear or keep per
            the refreshed degree. *)
-        degree node <= t.lower_threshold
+        degree t u <= t.lower_threshold
       end
       else at_threshold
     in
     let sent_payload =
       if compensated then begin
-        node.duplications <- node.duplications + 1;
+        t.duplications <- t.duplications + 1;
         (* Duplication: the receiver gets anchored copies. *)
         List.map
-          (fun (e : View.entry) ->
-            { e with View.serial = fresh_serial t; anchor = Some node.id })
+          (fun (e : View.entry) -> { e with View.serial = fresh_serial t; anchor = Some u })
           payload
       end
       else begin
@@ -212,53 +154,42 @@ let initiate t node =
         Array.iter
           (fun i ->
             if t.options.mark_and_undelete then
-              match node.slots.(i) with
-              | Some { entry; _ } -> node.slots.(i) <- Some { entry; marked = true }
-              | None -> ()
-            else node.slots.(i) <- None)
+              View.set_entry t.marked u i (View.entry_at t.store u i);
+            View.Flat.clear t.store u i)
           chosen;
         List.map (fun (e : View.entry) -> { e with View.anchor = None }) payload
       end
     in
     let reinforcement =
-      let anchor = if compensated then Some node.id else None in
-      { View.id = node.id; serial = fresh_serial t; anchor; born = t.actions }
+      let anchor = if compensated then Some u else None in
+      { View.id = u; serial = fresh_serial t; anchor; born = t.actions }
     in
     t.sends <- t.sends + 1;
     if Sf_prng.Rng.bernoulli t.rng t.loss_rate then t.losses <- t.losses + 1
-    else receive t t.nodes.(target.View.id) (reinforcement :: sent_payload)
+    else List.iter (install t target) (reinforcement :: sent_payload)
   end
 
 let step t =
   t.actions <- t.actions + 1;
-  initiate t (Sf_prng.Rng.choose t.rng t.nodes)
+  initiate t (Sf_prng.Rng.int t.rng (node_count t))
 
 let run_rounds t rounds =
   for _ = 1 to rounds do
-    for _ = 1 to Array.length t.nodes do
+    for _ = 1 to node_count t do
       step t
     done
   done
 
-(* --- Measurement --- *)
-
-let view_of node =
-  let v = View.create (Array.length node.slots) in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some { entry; marked = false } -> View.set v i entry
-      | _ -> ())
-    node.slots;
-  v
+(* --- Measurement: the main store holds exactly the unmarked entries --- *)
 
 let outdegree_summary t =
   let summary = Sf_stats.Summary.create () in
-  Array.iter (fun node -> Sf_stats.Summary.add_int summary (degree node)) t.nodes;
+  for u = 0 to node_count t - 1 do
+    Sf_stats.Summary.add_int summary (degree t u)
+  done;
   summary
 
-let independence_census t =
-  Census.of_views (Array.to_seq t.nodes |> Seq.map (fun n -> (n.id, view_of n)))
+let independence_census t = Census.of_flat t.store
 
 type counters = {
   actions : int;
@@ -269,30 +200,14 @@ type counters = {
   deletions : int;
 }
 
-let counters t =
-  let dup = Array.fold_left (fun a (n : node) -> a + n.duplications) 0 t.nodes in
-  let und = Array.fold_left (fun a (n : node) -> a + n.undeletions) 0 t.nodes in
-  let del = Array.fold_left (fun a (n : node) -> a + n.deletions) 0 t.nodes in
+let counters (t : t) =
   {
     actions = t.actions;
     sends = t.sends;
     losses = t.losses;
-    duplications = dup;
-    undeletions = und;
-    deletions = del;
+    duplications = t.duplications;
+    undeletions = t.undeletions;
+    deletions = t.deletions;
   }
 
-let is_weakly_connected t =
-  let g = Sf_graph.Digraph.create () in
-  Array.iter
-    (fun node ->
-      Sf_graph.Digraph.ensure_vertex g node.id;
-      Array.iter
-        (fun slot ->
-          match slot with
-          | Some { entry; marked = false } ->
-            Sf_graph.Digraph.add_edge g node.id entry.View.id
-          | _ -> ())
-        node.slots)
-    t.nodes;
-  Sf_graph.Digraph.is_weakly_connected g
+let is_weakly_connected t = Overlay.connected (Overlay.probe t.store ~live:(fun _ -> true))

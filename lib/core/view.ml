@@ -159,6 +159,31 @@ module Flat = struct
       !slot
     end
 
+  (* Uniformly random occupied slot of node [u] whose id is not
+     [except], counted in ascending slot order; -1 when there is none.
+     Two passes, count then pick: one [Rng.int] on success, none on
+     failure, and no allocation. *)
+  let random_occupied_slot t u rng ~except =
+    let base = u * t.view_size in
+    let count = ref 0 in
+    for k = 0 to t.view_size - 1 do
+      let id = lane_get t.f_ids (base + k) in
+      if id >= 0 && id <> except then incr count
+    done;
+    if !count = 0 then -1
+    else begin
+      (* As in [random_empty_slot]: a loop allocates no closure. *)
+      let remaining = ref (Sf_prng.Rng.int rng !count) and found = ref (-1) in
+      let slot = ref 0 in
+      while !found < 0 do
+        let id = lane_get t.f_ids (base + !slot) in
+        if id >= 0 && id <> except then
+          if !remaining = 0 then found := !slot else decr remaining;
+        incr slot
+      done;
+      !found
+    end
+
   (* Recount of the occupied slots — the audit cross-check for the cached
      degree array. *)
   let recount_degree t u =
@@ -222,36 +247,36 @@ let size = Flat.view_size
 (* d(u): the node's outdegree. *)
 let degree t = Flat.degree t 0
 
-let free_slots t = size t - degree t
-
-let is_full t = free_slots t = 0
+let is_full t = degree t = size t
 
 let id_at t i = Flat.id_at t 0 i
 
-let get t i =
-  let id = id_at t i in
-  if id < 0 then None
-  else
-    Some
-      {
-        id;
-        serial = Flat.serial_at t 0 i;
-        anchor = (let a = Flat.anchor_at t 0 i in if a < 0 then None else Some a);
-        born = Flat.born_at t 0 i;
-      }
-
 let anchor_int = function None -> -1 | Some a -> a
 
-let fits t entry = Flat.fits t ~id:entry.id ~anchor:(anchor_int entry.anchor) ~born:entry.born
+let entry_at store u slot =
+  {
+    id = Flat.id_at store u slot;
+    serial = Flat.serial_at store u slot;
+    anchor = (let a = Flat.anchor_at store u slot in if a < 0 then None else Some a);
+    born = Flat.born_at store u slot;
+  }
 
-let set t i entry =
-  Flat.set t 0 i ~id:entry.id ~serial:entry.serial ~anchor:(anchor_int entry.anchor)
-    ~born:entry.born
+let set_entry store u slot entry =
+  Flat.set store u slot ~id:entry.id ~serial:entry.serial
+    ~anchor:(anchor_int entry.anchor) ~born:entry.born
+
+let row_entries store u =
+  let acc = ref [] in
+  for slot = Flat.view_size store - 1 downto 0 do
+    if Flat.id_at store u slot >= 0 then acc := entry_at store u slot :: !acc
+  done;
+  !acc
+
+let get t i = if id_at t i < 0 then None else Some (entry_at t 0 i)
+
+let set t i entry = set_entry t 0 i entry
 
 let clear t i = Flat.clear t 0 i
-
-let random_empty_slot t rng =
-  match Flat.random_empty_slot t 0 rng with -1 -> None | slot -> Some slot
 
 let iter f t =
   for i = 0 to size t - 1 do
@@ -267,16 +292,6 @@ let ids t = List.rev (fold (fun acc e -> e.id :: acc) [] t)
 
 let mem t id = fold (fun acc e -> acc || e.id = id) false t
 
-let count_id t id = fold (fun acc e -> if e.id = id then acc + 1 else acc) 0 t
-
-let entries t = List.rev (fold (fun acc e -> e :: acc) [] t)
+let entries t = row_entries t 0
 
 let clear_all t = ignore (Flat.clear_row t 0)
-
-let pp ppf t =
-  Fmt.pf ppf "[";
-  for i = 0 to size t - 1 do
-    if i > 0 then Fmt.pf ppf " ";
-    if id_at t i < 0 then Fmt.pf ppf "." else Fmt.pf ppf "%d" (id_at t i)
-  done;
-  Fmt.pf ppf "]"

@@ -9,10 +9,11 @@
 
     Every view lives in the one flat layout, {!Flat}: a single view is
     row 0 of a one-node store, so no per-entry heap objects exist and the
-    slot encoding, the cached degree and the empty-slot scan are written
-    once.  {!entry} values are materialized on demand by
-    {!get}/{!iter}/{!fold}; hot paths that only need ids can use the
-    allocation-free {!id_at}. *)
+    slot encoding, the cached degree, the empty-slot scan and the
+    occupied-slot draw are written once.  {!entry} values are
+    materialized on demand by {!entry_at}/{!row_entries}, and on a
+    single view by {!get}/{!iter}/{!fold}; hot paths that only need ids
+    can use the allocation-free {!Flat.id_at}. *)
 
 type entry = {
   id : int;
@@ -30,9 +31,11 @@ type entry = {
     [int array] instead.  A
     slot is empty when its id is [-1]; an anchor of [-1] encodes "none".
     This is the state layout of every engine: the sharded runner
-    ({!Sf_core.Runner.Sharded}) keeps its world in one store, the UDP
-    driver its owned nodes in one {!create_rows} store, and a single
-    view ({!t}) is a one-node store.  No per-node or per-entry heap
+    ({!Sf_core.Runner.Sharded}) keeps its world in one store; the
+    sequential runner, the baselines and the variants keep theirs, and
+    the UDP driver its owned nodes, in {!create_rows} stores; and a
+    single view ({!t}), the report and transfer type, is a one-node
+    store.  No per-node or per-entry heap
     objects, so a million-node world is a handful of flat arrays the GC
     never walks.
     Every accessor takes and returns [int]. *)
@@ -82,6 +85,13 @@ module Flat : sig
   (** Uniformly random empty slot of node [u], [-1] when full.
       Allocation-free. *)
 
+  val random_occupied_slot : t -> int -> Sf_prng.Rng.t -> except:int -> int
+  (** [random_occupied_slot t u rng ~except]: a uniformly random slot of
+      node [u] holding an id other than [except] ([-1] excludes
+      nothing), or [-1] when there is none.  The draw is
+      [Rng.choose] over those slots in ascending order: one [Rng.int]
+      on success, none on failure.  Allocation-free. *)
+
   val recount_degree : t -> int -> int
   (** Occupied-slot recount for node [u] — the audit cross-check for the
       cached degree array. *)
@@ -118,6 +128,21 @@ val copy_row : Flat.t -> int -> t
 (** [copy_row store u]: a single view holding row [u]'s instances in
     their slots. *)
 
+val entry_at : Flat.t -> int -> int -> entry
+(** [entry_at store u slot]: the instance in an occupied slot of row
+    [u], materialized. *)
+
+val set_entry : Flat.t -> int -> int -> entry -> unit
+(** [set_entry store u slot entry] installs [entry], like {!Flat.set}
+    (which raises [Invalid_argument], leaving the store untouched, on
+    an instance outside its lanes; any [born] fits a {!create_rows}
+    store). *)
+
+val row_entries : Flat.t -> int -> entry list
+(** Row [u]'s instances in slot order. *)
+
+(** {1 A single view} *)
+
 val size : t -> int
 
 val degree : t -> int
@@ -126,17 +151,9 @@ val degree : t -> int
 
 val is_full : t -> bool
 
-val free_slots : t -> int
-
 val get : t -> int -> entry option
 val set : t -> int -> entry -> unit
-(** Raises [Invalid_argument] like {!Flat.set}, leaving the view untouched,
-    unless {!fits} holds. *)
-
-val fits : t -> entry -> bool
-(** Whether {!set} accepts the entry: [id] in [[0, 2^31)] and an anchor
-    [Some a] with [a] in [[-1, 2^31)], both stored in 32-bit lanes.  Any
-    [born] fits a single view. *)
+(** [set_entry] on row 0. *)
 
 val clear : t -> int -> unit
 val clear_all : t -> unit
@@ -144,9 +161,6 @@ val clear_all : t -> unit
 val id_at : t -> int -> int
 (** [id_at t i] is the id in slot [i], or [-1] when the slot is empty.
     Allocation-free. *)
-
-val random_empty_slot : t -> Sf_prng.Rng.t -> int option
-(** Uniformly random empty slot, [None] when full. *)
 
 val iter : (int -> entry -> unit) -> t -> unit
 (** Iterate non-empty slots as [f slot entry]. *)
@@ -157,8 +171,4 @@ val ids : t -> int list
 (** Ids of all instances, in slot order (with duplicates). *)
 
 val mem : t -> int -> bool
-val count_id : t -> int -> int
 val entries : t -> entry list
-
-val pp : Format.formatter -> t -> unit
-

@@ -35,7 +35,6 @@
 
 module Sharded = Sf_core.Runner.Sharded
 module VFlat = Sf_core.View.Flat
-module Protocol = Sf_core.Protocol
 module Rng = Sf_prng.Rng
 module Loss = Sf_faults.Loss
 
@@ -96,7 +95,6 @@ type t = {
   fanout : int;
   coverage_target : float;
   chance : float;
-  view_size : int;
   shard_count : int;
   sshards : sshard array;
   pos : int array;  (* slot -> index within its owner's [sp_owned] *)
@@ -189,7 +187,6 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
     fanout;
     coverage_target;
     chance = Sharded.loss_rate world;
-    view_size = (Sharded.config world).Protocol.view_size;
     shard_count = shards;
     sshards;
     pos;
@@ -201,31 +198,12 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   }
 
 (* One uniformly random non-self id from [u]'s current view, or [-1]:
-   the allocation-free two-pass scan of [Sampling.sample], applied to the
-   packed store.  A successful draw consumes exactly one [Rng.int]; a
-   [-1] result consumes none. *)
-let sample_view t rng u =
+   the store's row draw, so a successful draw consumes exactly one
+   [Rng.int] and a [-1] result consumes none. *)
+let random_peer t rng u =
   let store = Sharded.store t.world in
-  let candidates = ref 0 in
-  for k = 0 to t.view_size - 1 do
-    let id = VFlat.id_at store u k in
-    if id >= 0 && id <> u then incr candidates
-  done;
-  if !candidates = 0 then -1
-  else begin
-    let pick = Rng.int rng !candidates in
-    let seen = ref 0 and found = ref (-1) in
-    for k = 0 to t.view_size - 1 do
-      if !found < 0 then begin
-        let id = VFlat.id_at store u k in
-        if id >= 0 && id <> u then begin
-          if !seen = pick then found := id;
-          incr seen
-        end
-      end
-    done;
-    !found
-  end
+  let slot = VFlat.random_occupied_slot store u rng ~except:u in
+  if slot < 0 then -1 else VFlat.id_at store u slot
 
 (* The per-message verdict, judged at send time with the sending shard's
    RNG against the world's round-stable windows (safe from any domain). *)
@@ -303,7 +281,7 @@ let lead_reset sh p =
 
 let emit_push t sh u =
   for _ = 1 to t.fanout do
-    let dst = sample_view t sh.sp_rng u in
+    let dst = random_peer t sh.sp_rng u in
     if dst >= 0 then begin
       sh.sp_pushes <- sh.sp_pushes + 1;
       if judge t sh ~src:u ~dst then
@@ -313,7 +291,7 @@ let emit_push t sh u =
 
 let emit_requests t sh u =
   for _ = 1 to t.fanout do
-    let dst = sample_view t sh.sp_rng u in
+    let dst = random_peer t sh.sp_rng u in
     if dst >= 0 then begin
       sh.sp_requests <- sh.sp_requests + 1;
       if judge t sh ~src:u ~dst then
@@ -324,7 +302,7 @@ let emit_requests t sh u =
 let direct_send t sh u dst =
   (* Rumor messages carry one freshly sampled view address; receivers
      absorb it as a lead, letting the frontier outrun the views. *)
-  let c = sample_view t sh.sp_rng u in
+  let c = random_peer t sh.sp_rng u in
   let carried = if c >= 0 && c <> dst then c else -1 in
   sh.sp_pushes <- sh.sp_pushes + 1;
   if judge t sh ~src:u ~dst then
@@ -347,7 +325,7 @@ let emit_direct t sh u p =
   (* Fill the remainder from the live view; an attempt landing on a
      recently contacted peer is throttled (consumes the attempt). *)
   for _ = 1 to !budget do
-    let v = sample_view t sh.sp_rng u in
+    let v = random_peer t sh.sp_rng u in
     if v >= 0 && not (recent_mem sh p v) then begin
       recent_add sh p v;
       direct_send t sh u v

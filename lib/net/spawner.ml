@@ -181,8 +181,9 @@ let make_config ?binary ?(view_size = 12) ?(lower_threshold = 4)
   let out_degree =
     if out_degree > 0 then out_degree
     else
-      let d = min (n - 1) ((view_size + lower_threshold) / 2) in
-      if d mod 2 = 0 then d else d - 1
+      Sf_core.Protocol.start_degree
+        (Sf_core.Protocol.make_config ~view_size ~lower_threshold)
+        ~n
   in
   List.iter
     (fun (w : Sf_faults.Scenario.window) ->

@@ -49,7 +49,7 @@ val make_config :
                                 ../bin/sf_nodehost.exe *)
   ?view_size:int ->
   ?lower_threshold:int ->
-  ?out_degree:int ->         (* 0 (default) derives the even sfg-gate degree *)
+  ?out_degree:int ->         (* 0 (default): [Protocol.start_degree] *)
   ?loss_rate:float ->
   ?period:float ->
   ?resilience:bool ->        (* default true *)

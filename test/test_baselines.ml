@@ -70,12 +70,18 @@ let test_indegree_summary_counts () =
   (* Regular topology: all indegrees 6 initially. *)
   Alcotest.(check bool) "initial variance 0" true (Sf_stats.Summary.variance s < 1e-9)
 
-let test_membership_graph_matches_instances () =
-  let b = make (Baselines.Shuffle { exchange_size = 2 }) in
-  Baselines.run_rounds b 20;
-  let g = Baselines.membership_graph b in
-  Alcotest.(check int) "graph edges = instances" (Baselines.total_instances b)
-    (Sf_graph.Digraph.edge_count g)
+(* Two live halves, {0, 1} and {3, 4}, joined only through node 2.  Once
+   2 is killed its id still sits in every view, and must bridge
+   nothing. *)
+let test_killed_id_does_not_bridge () =
+  let views = [| [ 1; 2 ]; [ 0; 2 ]; [ 0; 3 ]; [ 4; 2 ]; [ 3; 2 ] |] in
+  let b =
+    Baselines.create ~seed:1 ~n:5 ~view_size:8 ~loss_rate:0. ~kind:Baselines.Push_only
+      ~topology:(Array.get views)
+  in
+  Alcotest.(check bool) "connected through node 2" true (Baselines.is_weakly_connected b);
+  Baselines.kill b 2;
+  Alcotest.(check bool) "split once 2 is dead" false (Baselines.is_weakly_connected b)
 
 let suite =
   [
@@ -86,5 +92,6 @@ let suite =
     Alcotest.test_case "push-pull dependence" `Quick test_push_pull_accumulates_dependence;
     Alcotest.test_case "push-only reinforcement" `Quick test_push_only_is_reinforcement_only;
     Alcotest.test_case "indegree summary" `Quick test_indegree_summary_counts;
-    Alcotest.test_case "graph matches instances" `Quick test_membership_graph_matches_instances;
+    Alcotest.test_case "a killed id does not bridge two live halves" `Quick
+      test_killed_id_does_not_bridge;
   ]

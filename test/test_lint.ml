@@ -338,11 +338,16 @@ let test_one_overlay_probe_fires () =
   check_fires "sessions too" ~rule:"one-overlay-probe" ~path:"lib/core/sessions.ml"
     "let ok = Digraph.is_weakly_connected g";
   check_fires "properties too" ~rule:"one-overlay-probe" ~path:"lib/core/properties.ml"
-    "let cs = Sf_graph.Digraph.weakly_connected_components g"
+    "let cs = Sf_graph.Digraph.weakly_connected_components g";
+  check_fires "baselines too" ~rule:"one-overlay-probe" ~path:"lib/core/baselines.ml"
+    "let c = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
+  check_fires "variants too" ~rule:"one-overlay-probe" ~path:"lib/core/variants.ml"
+    "let c = Digraph.is_weakly_connected g"
 
 let test_one_overlay_probe_quiet () =
-  (* Baselines and the graph quality metrics have no shared store. *)
-  check_quiet "baselines" ~path:"lib/core/baselines.ml"
+  (* The UDP driver's reports and the graph quality metrics have no
+     shared store. *)
+  check_quiet "driver reports" ~path:"lib/net/driver.ml"
     "let c = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
   check_quiet "quality" ~path:"lib/graph/quality.ml"
     "let cs = Digraph.weakly_connected_components survivor";
@@ -351,7 +356,7 @@ let test_one_overlay_probe_quiet () =
   List.iter
     (fun path -> check_quiet path ~path (read ("../" ^ path)))
     [ "lib/core/runner.ml"; "lib/core/churn.ml"; "lib/core/sessions.ml";
-      "lib/core/properties.ml" ]
+      "lib/core/properties.ml"; "lib/core/baselines.ml"; "lib/core/variants.ml" ]
 
 (* --- driver-row-kernel --- *)
 

@@ -1493,6 +1493,14 @@ let test_nodehost_stdin_commands () =
          String.starts_with ~prefix:"stats " l && contains l " control_rejected=2 ")
        lines)
 
+(* Host i's control port is the spawner's to assign (base - 2 - i, next
+   to the heartbeat sink at base - 1), so the host derives none: without
+   --control-port it exits 2 before binding anything. *)
+let test_nodehost_requires_control_port () =
+  let text, status = run_nodehost [| "--per-host"; "4"; "--base-port"; "49730" |] in
+  Alcotest.(check bool) ("exit 2:\n" ^ text) true (status = Unix.WEXITED 2);
+  Alcotest.(check bool) "says why" true (contains text "--control-port")
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -1564,4 +1572,6 @@ let suite =
       test_nodehost_stdin_commands;
     Alcotest.test_case "nodehost control line fuzz" `Quick test_nodehost_command_fuzz;
     QCheck_alcotest.to_alcotest prop_read_int;
+    Alcotest.test_case "nodehost requires --control-port" `Quick
+      test_nodehost_requires_control_port;
   ]

@@ -13,7 +13,6 @@ let test_view_create () =
   let v = View.create 6 in
   Alcotest.(check int) "size" 6 (View.size v);
   Alcotest.(check int) "degree 0" 0 (View.degree v);
-  Alcotest.(check int) "free" 6 (View.free_slots v);
   Alcotest.(check bool) "not full" false (View.is_full v)
 
 let test_view_set_get_clear () =
@@ -36,13 +35,12 @@ let test_view_random_empty_slot () =
   View.set v 0 (entry 1);
   View.set v 2 (entry 2);
   for _ = 1 to 100 do
-    match View.random_empty_slot v rng with
-    | Some i -> Alcotest.(check bool) "empty slot" true (i = 1 || i = 3)
-    | None -> Alcotest.fail "expected empty slot"
+    let i = View.Flat.random_empty_slot v 0 rng in
+    Alcotest.(check bool) "empty slot" true (i = 1 || i = 3)
   done;
   View.set v 1 (entry 3);
   View.set v 3 (entry 4);
-  Alcotest.(check bool) "full view" true (View.random_empty_slot v rng = None)
+  Alcotest.(check int) "full view" (-1) (View.Flat.random_empty_slot v 0 rng)
 
 let test_view_random_empty_slot_uniform () =
   let v = View.create 4 in
@@ -50,9 +48,8 @@ let test_view_random_empty_slot_uniform () =
   View.set v 1 (entry 9);
   let counts = Array.make 4 0 in
   for _ = 1 to 30_000 do
-    match View.random_empty_slot v rng with
-    | Some i -> counts.(i) <- counts.(i) + 1
-    | None -> ()
+    let i = View.Flat.random_empty_slot v 0 rng in
+    counts.(i) <- counts.(i) + 1
   done;
   Alcotest.(check int) "occupied never chosen" 0 counts.(1);
   List.iter
@@ -69,10 +66,61 @@ let test_view_queries () =
   Alcotest.(check (list int)) "ids in slot order" [ 5; 5; 9 ] (View.ids v);
   Alcotest.(check bool) "mem" true (View.mem v 5);
   Alcotest.(check bool) "not mem" false (View.mem v 6);
-  Alcotest.(check int) "count 5" 2 (View.count_id v 5);
   Alcotest.(check int) "entries" 3 (List.length (View.entries v));
   View.clear_all v;
   Alcotest.(check int) "clear_all" 0 (View.degree v)
+
+(* The row draw against the historical one: [Rng.choose] over the list
+   of the row's eligible (slot, id) pairs in ascending slot order.  Rows
+   are random mixes of empty slots, the owner's own id and other ids, so
+   some have no eligible slot; such a draw must return -1 and leave the
+   stream where it was. *)
+let reference_occupied_slot store u rng ~except =
+  let eligible =
+    List.filter
+      (fun slot ->
+        let id = View.Flat.id_at store u slot in
+        id >= 0 && id <> except)
+      (List.init (View.Flat.view_size store) Fun.id)
+  in
+  if eligible = [] then -1 else Sf_prng.Rng.choose rng (Array.of_list eligible)
+
+let test_view_random_occupied_slot () =
+  let s = 6 and rows = 400 in
+  let store = View.create_rows ~nodes:rows s in
+  let fill = Sf_prng.Rng.create 11 in
+  for u = 0 to rows - 1 do
+    for slot = 0 to s - 1 do
+      match Sf_prng.Rng.int fill 4 with
+      | 0 -> ()
+      | 1 -> View.Flat.set store u slot ~id:u ~serial:0 ~anchor:(-1) ~born:0
+      | _ -> View.Flat.set store u slot ~id:(Sf_prng.Rng.int fill 5) ~serial:0 ~anchor:(-1) ~born:0
+    done
+  done;
+  let drawn = Sf_prng.Rng.create 12 and reference = Sf_prng.Rng.create 12 in
+  let failures = ref 0 in
+  for u = 0 to rows - 1 do
+    List.iter
+      (fun except ->
+        let slot = View.Flat.random_occupied_slot store u drawn ~except in
+        let expected = reference_occupied_slot store u reference ~except in
+        if expected < 0 then incr failures;
+        Alcotest.(check int) (Printf.sprintf "row %d except %d" u except) expected slot;
+        Alcotest.(check bool) "same stream position" true (Sf_prng.Rng.equal drawn reference))
+      [ -1; u ]
+  done;
+  Alcotest.(check bool) "some draws fail" true (!failures > 0);
+  (* Native code boxes nothing here; bytecode may. *)
+  if Sys.backend_type = Sys.Native then begin
+    let w0 = Gc.minor_words () in
+    let sum = ref 0 in
+    for u = 0 to rows - 1 do
+      sum := !sum + View.Flat.random_occupied_slot store u drawn ~except:u
+    done;
+    let words = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity !sum);
+    if words > 0. then Alcotest.failf "%.0f minor words for %d draws" words rows
+  end
 
 (* --- Protocol config --- *)
 
@@ -331,9 +379,10 @@ let test_receive_refuses_unfit_atomically () =
   refused "negative mixing id" (message 9 (-3));
   refused "mixing anchor 2^40" (message ~m_anchor:(1 lsl 40) 9 7);
   refused "reinforcement anchor -2" (message ~r_anchor:(-2) 9 7);
-  Alcotest.(check bool) "View.fits agrees" false (View.fits view (entry (1 lsl 31)));
+  Alcotest.(check bool) "View.Flat.fits agrees" false
+    (View.Flat.fits view ~id:(1 lsl 31) ~anchor:(-1) ~born:0);
   Alcotest.(check bool) "any born fits a single view" true
-    (View.fits view (entry ~born:(1 lsl 40) 1));
+    (View.Flat.fits view ~id:1 ~anchor:(-1) ~born:(1 lsl 40));
   let store = View.Flat.create ~nodes:2 ~view_size:8 in
   View.Flat.set store 1 0 ~id:0 ~serial:1 ~anchor:(-1) ~born:0;
   View.Flat.set store 1 1 ~id:0 ~serial:2 ~anchor:(-1) ~born:0;
@@ -471,4 +520,5 @@ let suite =
     Alcotest.test_case "receive refuses an unfit message atomically" `Quick
       test_receive_refuses_unfit_atomically;
     QCheck_alcotest.to_alcotest prop_install_rule;
+    Alcotest.test_case "view random occupied slot" `Quick test_view_random_occupied_slot;
   ]

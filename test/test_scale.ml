@@ -255,9 +255,9 @@ let test_edge_ledger_totals () =
   let w = make_world () in
   let initial = Sharded.total_edges w in
   Sharded.run_rounds w ~domains:2 25;
-  let dup, dropped = Sharded.conservation w in
+  let l = Sharded.ledger w in
   Alcotest.(check int) "edges = initial + 2 dup - 2 dropped"
-    (initial + (2 * dup) - (2 * dropped))
+    (initial + (2 * l.Sharded.accepted_duplications) - (2 * l.Sharded.dropped_non_duplicated))
     (Sharded.total_edges w)
 
 (* --- Chaos at scale: scenario + churn + resilience on the sharded engine --- *)

@@ -298,12 +298,14 @@ let rules =
       doc =
         "overlay health is read from lib/core/overlay.ml's one probe: \
          Digraph.is_weakly_connected and Digraph.weakly_connected_components \
-         may not appear in lib/core/runner.ml, churn.ml, sessions.ml or \
-         properties.ml";
+         may not appear in lib/core/runner.ml, churn.ml, sessions.ml, \
+         properties.ml, baselines.ml or variants.ml";
       applies =
         (fun path ->
           List.mem path
-            (List.map (( ^ ) "lib/core/") [ "runner.ml"; "churn.ml"; "sessions.ml"; "properties.ml" ]));
+            (List.map (( ^ ) "lib/core/")
+               [ "runner.ml"; "churn.ml"; "sessions.ml"; "properties.ml"; "baselines.ml";
+                 "variants.ml" ]));
       tokens =
         List.concat_map
           (fun name ->
