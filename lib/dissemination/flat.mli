@@ -3,10 +3,13 @@
 
     The engine owns no membership state.  It reads the world through its
     public surface (packed store, liveness, round-stable crash/partition
-    windows) and partitions its own spread state — per-shard infection
-    bitmaps, counters, Direct rings, loss-chain instances — by the
-    world's own shard map, so the owner-only write discipline carries
-    over and any [domains] value replays the single-domain run
+    windows, each shard's owned slots) and keeps its spread state indexed
+    by node id, as the world's store is: an infection byte per node slot
+    and the Direct rings of every slot ({!Rings}).  Per shard it keeps an
+    RNG stream, a loss-chain instance and a counter array; messages
+    travel through {!Sf_engine.Mailbox} matrices.  A shard writes the
+    state only of slots it owns, so the owner-only write discipline
+    carries over and any [domains] value replays the single-domain run
     bit-for-bit ({!equal} is the oracle).  Its RNG streams split from its
     {e own} seed, so attaching a spread to a world leaves the membership
     replay bit-for-bit unchanged.
@@ -63,7 +66,7 @@ val infected_count : t -> int
 
 val equal : t -> t -> bool
 (** Bit-for-bit engine equality: {!Sf_core.Runner.Sharded.equal} on the
-    worlds plus every piece of spread state (infection bitmaps, counters,
+    worlds plus every piece of spread state (infection bytes, counters,
     Direct rings, loss-chain positions, RNG stream positions, coverage
     history).  The
     domain-count determinism oracle for spreading runs. *)
