@@ -358,6 +358,32 @@ let test_one_overlay_probe_quiet () =
     [ "lib/core/runner.ml"; "lib/core/churn.ml"; "lib/core/sessions.ml";
       "lib/core/properties.ml"; "lib/core/baselines.ml"; "lib/core/variants.ml" ]
 
+(* --- one-message-matrix --- *)
+
+let test_one_message_matrix_fires () =
+  let grow =
+    "let () = if need > Array.length a.buf then begin\n\
+    \  let grown = Array.make (2 * Array.length a.buf) 0 in\n\
+    \  Array.blit a.buf 0 grown 0 a.len; a.buf <- grown end"
+  in
+  check_fires "an arena in the runner" ~rule:"one-message-matrix"
+    ~path:"lib/core/runner.ml" grow;
+  check_fires "an arena in the spread engine" ~rule:"one-message-matrix"
+    ~path:"lib/dissemination/flat.ml" grow
+
+let test_one_message_matrix_quiet () =
+  (* The mailbox itself grows its boxes; other modules copy arrays for
+     their own reasons. *)
+  check_quiet "the mailbox" ~path:"lib/engine/mailbox.ml"
+    (read "../lib/engine/mailbox.ml");
+  check_quiet "the view store" ~path:"lib/core/view.ml"
+    "let () = Array.blit store.degrees 0 g.degrees 0 store.nodes";
+  check_quiet "pushes are allowed" ~path:"lib/core/runner.ml"
+    "let i = Sf_engine.Mailbox.push t.mail ~src ~dst";
+  List.iter
+    (fun path -> check_quiet path ~path (read ("../" ^ path)))
+    [ "lib/core/runner.ml"; "lib/dissemination/flat.ml" ]
+
 (* --- driver-row-kernel --- *)
 
 let test_driver_row_kernel_fires () =
@@ -441,4 +467,6 @@ let suite =
       test_one_install_rule_exempts_protocol;
     Alcotest.test_case "nodehost-control-in-place fires" `Quick
       test_nodehost_control_in_place_fires;
+    Alcotest.test_case "one-message-matrix fires" `Quick test_one_message_matrix_fires;
+    Alcotest.test_case "one-message-matrix quiet" `Quick test_one_message_matrix_quiet;
   ]

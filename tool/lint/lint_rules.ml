@@ -314,6 +314,21 @@ let rules =
           [ "Digraph.is_weakly_connected"; "Digraph.weakly_connected_components" ];
     };
     {
+      id = "one-message-matrix";
+      doc =
+        "the two bulk-synchronous engines move messages through one \
+         matrix, lib/engine/mailbox.ml: lib/core/runner.ml and \
+         lib/dissemination/flat.ml grow no private message buffer \
+         (Array.blit)";
+      applies =
+        (fun path -> List.mem path [ "lib/core/runner.ml"; "lib/dissemination/flat.ml" ]);
+      tokens =
+        [
+          ( "Array.blit",
+            "a private growable message buffer — push through Sf_engine.Mailbox" );
+        ];
+    };
+    {
       id = "driver-row-kernel";
       doc =
         "lib/net/driver.ml moves messages as row messages: it runs \
