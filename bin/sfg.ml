@@ -1500,11 +1500,11 @@ let scale seed n view_size lower_threshold loss rounds domains shards audit
   if churn <> None then begin
     let cs = Runner.Sharded.churn_statistics w in
     Fmt.pr
-      "churn:       %d joins, %d leaves, %d donor-starved skips, %d deliveries \
-       to dead slots; %d live@."
+      "churn:       %d joins, %d leaves, %d donor-starved skips, %d waiting \
+       for a slot, %d deliveries to dead slots; %d live@."
       cs.Runner.Sharded.joins cs.Runner.Sharded.leaves
-      cs.Runner.Sharded.join_skips cs.Runner.Sharded.deliveries_to_dead
-      (Runner.Sharded.live_count w);
+      cs.Runner.Sharded.join_skips cs.Runner.Sharded.joins_waiting
+      cs.Runner.Sharded.deliveries_to_dead (Runner.Sharded.live_count w);
     if cs.Runner.Sharded.joins = 0 then
       Verdict.dead v "churn declared but no node turned over"
   end;

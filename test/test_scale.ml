@@ -354,7 +354,8 @@ let test_ge_stationary_mean () =
 
 (* Churn end-to-end: the extended ledger ties the final edge count back
    to the initial ring, and one join per leave keeps the population
-   stationary (up to donor-starved skips, which never fire at this n). *)
+   stationary, up to donor-starved skips (which never fire at this n) and
+   joins still waiting for a slot that was free at a round's start. *)
 let test_churn_ledger_totals () =
   let w =
     Sharded.create ~shards:8 ~seed:19 ~n:600 ~config:scale_config
@@ -373,11 +374,37 @@ let test_churn_ledger_totals () =
     (Sharded.total_edges w);
   let cs = Sharded.churn_statistics w in
   Alcotest.(check bool) "turnover happened" true (cs.Sharded.leaves > 50);
-  Alcotest.(check int) "one join per un-starved leave"
-    (cs.Sharded.leaves - cs.Sharded.join_skips)
+  Alcotest.(check int) "one join per un-starved, placed leave"
+    (cs.Sharded.leaves - cs.Sharded.join_skips - cs.Sharded.joins_waiting)
     cs.Sharded.joins;
   Alcotest.(check int) "population stationary"
-    (600 - cs.Sharded.join_skips)
+    (600 - cs.Sharded.join_skips - cs.Sharded.joins_waiting)
+    (Sharded.live_count w)
+
+(* A slot freed in a round is not reused in that round.  With no
+   headroom no slot is free when the first round begins, so none of that
+   round's leaves is rejoined: the population drops by the leaves, and
+   every join waits for the next round. *)
+let test_freed_slot_waits_a_round () =
+  let w =
+    Sharded.create ~shards:4 ~seed:23 ~n:400 ~config:scale_config
+      ~churn:{ Sharded.churn_rate = 0.3; headroom = 0 }
+      ()
+  in
+  Sharded.run_round w ~domains:1;
+  let cs = Sharded.churn_statistics w in
+  Alcotest.(check bool) "nodes left" true (cs.Sharded.leaves > 50);
+  Alcotest.(check int) "live = n - leaves" (400 - cs.Sharded.leaves)
+    (Sharded.live_count w);
+  Alcotest.(check int) "no join placed" 0 cs.Sharded.joins;
+  Alcotest.(check int) "every join waits" cs.Sharded.leaves cs.Sharded.joins_waiting;
+  (* The next round places the waiting joins first, into last round's
+     slots. *)
+  Sharded.run_round w ~domains:1;
+  let cs2 = Sharded.churn_statistics w in
+  Alcotest.(check int) "every freed slot rejoined" cs.Sharded.leaves cs2.Sharded.joins;
+  Alcotest.(check int) "live = n - leaves + joins placed"
+    (400 - cs2.Sharded.leaves + cs2.Sharded.joins)
     (Sharded.live_count w)
 
 (* Observe-only resilience consumes no randomness and never acts, so the
@@ -813,4 +840,6 @@ let suite =
     Alcotest.test_case "install rule allocation" `Quick test_install_allocation;
     Alcotest.test_case "sharded join integration (section 6.5)" `Quick
       test_sharded_join_integration;
+    Alcotest.test_case "a slot freed in a round waits a round" `Quick
+      test_freed_slot_waits_a_round;
   ]
