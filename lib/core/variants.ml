@@ -41,6 +41,8 @@ type t = {
   rng : Sf_prng.Rng.t;
   store : View.Flat.t;   (* row u: node u's unmarked instances *)
   marked : View.Flat.t;  (* row u: node u's marked instances *)
+  slots : int array;  (* a permutation of the slot indices; [initiate]
+                         draws its slots into the prefix *)
   mutable next_serial : int;
   mutable actions : int;
   mutable sends : int;
@@ -66,6 +68,7 @@ let create ~seed ~n ~view_size ~lower_threshold ~loss_rate ~options ~topology =
       rng;
       store = View.create_rows ~nodes:n view_size;
       marked = View.create_rows ~nodes:n view_size;
+      slots = Array.init view_size Fun.id;
       next_serial = 0;
       actions = 0;
       sends = 0;
@@ -85,17 +88,6 @@ let node_count t = View.Flat.node_count t.store
 let view_size t = View.Flat.view_size t.store
 let degree t u = View.Flat.degree t.store u
 
-(* The [k]-th slot of row [u], highest slot first, that a received id
-   may land in: an empty one or a marked one (a marked entry is logically
-   deleted and may be overwritten). *)
-let writable_slot t u k =
-  let slot = ref (view_size t - 1) and remaining = ref k in
-  while View.Flat.id_at t.store u !slot >= 0 || !remaining > 0 do
-    if View.Flat.id_at t.store u !slot < 0 then decr remaining;
-    decr slot
-  done;
-  !slot
-
 let write t u slot entry =
   View.Flat.clear t.marked u slot;
   View.set_entry t.store u slot entry
@@ -103,8 +95,10 @@ let write t u slot entry =
 (* Install one entry at the receiver, honoring the replace-when-full
    option, or delete it. *)
 let install t u entry =
-  let writable = view_size t - degree t u in
-  if writable > 0 then write t u (writable_slot t u (Sf_prng.Rng.int t.rng writable)) entry
+  (* A marked entry is logically deleted: its slot is empty in [store]
+     and may be overwritten. *)
+  let slot = View.Flat.random_empty_slot t.store u t.rng in
+  if slot >= 0 then write t u slot entry
   else if t.options.replace_when_full then
     write t u (Sf_prng.Rng.int t.rng (view_size t)) entry
   else t.deletions <- t.deletions + 1
@@ -116,14 +110,21 @@ let initiate t u =
      two-slot selection (slot pairs are drawn without replacement, so
      drawing "needed" distinct slots and requiring all non-empty matches
      S&F when needed = 2). *)
-  let slots = Array.init (view_size t) (fun i -> i) in
-  Sf_prng.Rng.shuffle t.rng slots;
-  let chosen = Array.sub slots 0 (min needed (view_size t)) in
-  let all_occupied = Array.for_all (fun i -> View.Flat.id_at t.store u i >= 0) chosen in
-  if (not all_occupied) || degree t u < needed then ()
+  let chosen = min needed (view_size t) and slots = t.slots in
+  (* A partial Fisher-Yates shuffle: [chosen] distinct uniform slots,
+     drawn into the prefix of the slot permutation. *)
+  let all_occupied = ref true in
+  for i = 0 to chosen - 1 do
+    let j = i + Sf_prng.Rng.int t.rng (view_size t - i) in
+    let slot = slots.(j) in
+    slots.(j) <- slots.(i);
+    slots.(i) <- slot;
+    if View.Flat.id_at t.store u slot < 0 then all_occupied := false
+  done;
+  if (not !all_occupied) || degree t u < needed then ()
   else begin
-    let target = View.Flat.id_at t.store u chosen.(0) in
-    let payload = List.init t.options.batch (fun k -> View.entry_at t.store u chosen.(k + 1)) in
+    let target = View.Flat.id_at t.store u slots.(0) in
+    let payload = List.init t.options.batch (fun k -> View.entry_at t.store u slots.(k + 1)) in
     let at_threshold = degree t u <= t.lower_threshold in
     let compensated =
       if at_threshold && t.options.mark_and_undelete then begin
@@ -151,12 +152,12 @@ let initiate t u =
       end
       else begin
         (* Clear (or mark) the sent entries. *)
-        Array.iter
-          (fun i ->
-            if t.options.mark_and_undelete then
-              View.set_entry t.marked u i (View.entry_at t.store u i);
-            View.Flat.clear t.store u i)
-          chosen;
+        for k = 0 to chosen - 1 do
+          let i = slots.(k) in
+          if t.options.mark_and_undelete then
+            View.set_entry t.marked u i (View.entry_at t.store u i);
+          View.Flat.clear t.store u i
+        done;
         List.map (fun (e : View.entry) -> { e with View.anchor = None }) payload
       end
     in
