@@ -16,6 +16,7 @@ let () =
       ("baselines", Test_baselines.suite);
       ("variants", Test_variants.suite);
       ("analysis", Test_analysis.suite);
+      ("degree-law", Test_degree_law.suite);
       ("global-mc", Test_global_mc.suite);
       ("random-walk", Test_random_walk.suite);
       ("extensions", Test_extensions.suite);
