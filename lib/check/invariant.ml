@@ -12,8 +12,8 @@
      (the balance behind Lemma 6.6);
    - the dL rule (section 6.3): an action duplicates iff the sender's
      outdegree was at or below dL when it initiated;
-   - view structural soundness: the cached degree matches the occupied
-     slots, serials are globally unique and below the mint bound, and no
+   - view structural soundness: a row of degree d fills exactly slots
+     [0, d), serials are globally unique and below the mint bound, and no
      entry claims a birth time in the future.
 
    Attachment goes through [Runner.set_audit] (per-action events) and
@@ -41,15 +41,28 @@ let violation invariant fmt = Fmt.kstr (fun detail -> { invariant; detail }) fmt
 
 (* --- Pure checks, usable without attaching an auditor --- *)
 
-(* The View API maintains the cached degree itself, so this can only fail
-   if the cache logic regresses — which is exactly what it guards. *)
-let check_view view =
-  let occupied = View.Flat.recount_degree view 0 in
-  if occupied <> View.degree view then
+(* The first slot of row [u] that breaks packing (empty below the
+   degree, or occupied at or above it), or -1.  The View API keeps rows
+   packed itself, so this can only fail if that logic regresses — which
+   is exactly what it guards. *)
+let unpacked_slot store u =
+  let d = View.Flat.degree store u and bad = ref (-1) and slot = ref 0 in
+  while !bad < 0 && !slot < View.Flat.view_size store do
+    if (View.Flat.id_at store u !slot >= 0) <> (!slot < d) then bad := !slot;
+    incr slot
+  done;
+  !bad
+
+let soundness store u =
+  let slot = unpacked_slot store u in
+  if slot < 0 then None
+  else
     Some
-      (violation "view-soundness" "cached degree %d but %d occupied slots"
-         (View.degree view) occupied)
-  else None
+      (violation "view-soundness" "node %d: degree %d but slot %d is %s" u
+         (View.Flat.degree store u) slot
+         (if View.Flat.id_at store u slot >= 0 then "occupied" else "empty"))
+
+let check_view view = soundness view 0
 
 let check_degree ~config id d =
   let s = config.Protocol.view_size in
@@ -69,14 +82,14 @@ module Flat = View.Flat
 (* The one structural scan, over any store whose row [u] is node [u]'s
    view.  A row that is not [live] must hold nothing: leaves clear the
    view.  A live row is checked for M1 bounds and parity against
-   [config u], its cached degree against a slot recount, and each entry
+   [config u], for slots [0, degree) occupied and the rest empty, and
+   each entry
    for an id inside the store (live views may hold departed ids, which
    decay through the protocol, but never ids of no row), global serial
    uniqueness, [serial_bound u serial] and a born stamp in [[0, clock]]
    ([stamp] names the clock's unit). *)
 let walk store ~live ~config ~serial_bound ~clock ~stamp =
   let cap = Flat.node_count store in
-  let s = Flat.view_size store in
   let seen = Hashtbl.create 4096 in
   let violations = ref [] in
   let record v = violations := v :: !violations in
@@ -88,11 +101,8 @@ let walk store ~live ~config ~serial_bound ~clock ~stamp =
     end
     else begin
       Option.iter record (check_degree ~config:(config u) u d);
-      if Flat.recount_degree store u <> d then
-        record
-          (violation "view-soundness" "node %d: cached degree %d but %d occupied slots"
-             u d (Flat.recount_degree store u));
-      for slot = 0 to s - 1 do
+      Option.iter record (soundness store u);
+      for slot = 0 to d - 1 do
         let id = Flat.id_at store u slot in
         if id >= 0 then begin
           if id >= cap then

@@ -60,9 +60,9 @@ let create ~seed ~n ~view_size ~loss_rate ~kind ~topology =
   for u = 0 to n - 1 do
     List.iter
       (fun v ->
-        let slot = View.Flat.random_empty_slot t.store u t.rng in
-        if slot < 0 then invalid_arg "Baselines.create: topology exceeds view size";
-        View.Flat.set t.store u slot ~id:v ~serial:(fresh_serial t) ~anchor:(-1) ~born:0)
+        if View.Flat.degree t.store u = view_size then
+          invalid_arg "Baselines.create: topology exceeds view size";
+        View.Flat.insert t.store u t.rng ~id:v ~serial:(fresh_serial t) ~anchor:(-1) ~born:0)
       (topology u)
   done;
   t
@@ -73,21 +73,14 @@ let node_count t = Array.length t.dead
    and only if the destination is alive. *)
 let transmit t ~dst = not (Sf_prng.Rng.bernoulli t.rng t.loss_rate || t.dead.(dst))
 
-(* Remove and return up to [k] uniformly chosen entries from row [u]: a
-   shuffle of its occupied slots, highest slot first. *)
+(* Remove and return up to [k] uniformly chosen entries from row [u],
+   one uniform draw over the remaining entries each. *)
 let extract_random_entries t u k =
-  let slots = Array.make (View.Flat.degree t.store u) 0 and filled = ref 0 in
-  for slot = View.Flat.view_size t.store - 1 downto 0 do
-    if View.Flat.id_at t.store u slot >= 0 then begin
-      slots.(!filled) <- slot;
-      incr filled
-    end
-  done;
-  Sf_prng.Rng.shuffle t.rng slots;
   let out = ref [] in
-  for i = 0 to min k (Array.length slots) - 1 do
-    out := View.entry_at t.store u slots.(i) :: !out;
-    View.Flat.clear t.store u slots.(i)
+  for _ = 1 to min k (View.Flat.degree t.store u) do
+    let slot = Sf_prng.Rng.int t.rng (View.Flat.degree t.store u) in
+    out := View.entry_at t.store u slot :: !out;
+    View.Flat.remove t.store u slot
   done;
   !out
 
@@ -102,8 +95,8 @@ let copy_random_entries t u k =
 let install_into_empty t u entries =
   List.iter
     (fun e ->
-      let slot = View.Flat.random_empty_slot t.store u t.rng in
-      if slot >= 0 then View.set_entry t.store u slot e)
+      if View.Flat.degree t.store u < View.Flat.view_size t.store then
+        View.insert_entry t.store u t.rng e)
     entries
 
 (* Install entries, overwriting uniformly random occupied slots when the
@@ -111,11 +104,9 @@ let install_into_empty t u entries =
 let install_with_replacement t u entries =
   List.iter
     (fun e ->
-      let slot = View.Flat.random_empty_slot t.store u t.rng in
-      let slot =
-        if slot >= 0 then slot else Sf_prng.Rng.int t.rng (View.Flat.view_size t.store)
-      in
-      View.set_entry t.store u slot e)
+      let s = View.Flat.view_size t.store in
+      if View.Flat.degree t.store u < s then View.insert_entry t.store u t.rng e
+      else View.set_entry t.store u (Sf_prng.Rng.int t.rng s) e)
     entries
 
 (* A uniformly random occupied slot of row [u], or -1. *)
@@ -133,10 +124,8 @@ let anchored_copy t sender entry =
    failure detector. *)
 let oldest_neighbor t u =
   let best = ref (-1) in
-  for slot = 0 to View.Flat.view_size t.store - 1 do
-    if
-      View.Flat.id_at t.store u slot >= 0
-      && (!best < 0 || View.Flat.born_at t.store u slot < View.Flat.born_at t.store u !best)
+  for slot = 0 to View.Flat.degree t.store u - 1 do
+    if !best < 0 || View.Flat.born_at t.store u slot < View.Flat.born_at t.store u !best
     then best := slot
   done;
   !best
@@ -148,7 +137,7 @@ let shuffle_action ?(oldest_first = false) t ~exchange_size initiator =
     if peer <> initiator then begin
       (* The initiator removes the target entry plus exchange_size - 1 other
          entries, and offers them together with its own id. *)
-      View.Flat.clear t.store initiator slot;
+      View.Flat.remove t.store initiator slot;
       let extras = extract_random_entries t initiator (exchange_size - 1) in
       let request = own_instance t initiator :: extras in
       if transmit t ~dst:peer then begin
@@ -236,12 +225,9 @@ let revive t id ~bootstrap =
     let donor = Sf_prng.Rng.choose t.rng (Array.of_list live) in
     List.iteri
       (fun i (e : View.entry) ->
-        if i < bootstrap then begin
-          let slot = View.Flat.random_empty_slot t.store id t.rng in
-          if slot >= 0 then
-            View.set_entry t.store id slot
-              { e with View.serial = fresh_serial t; born = t.actions }
-        end)
+        if i < bootstrap then
+          View.insert_entry t.store id t.rng
+            { e with View.serial = fresh_serial t; born = t.actions })
       (View.row_entries t.store donor)
 
 let is_dead t id = t.dead.(id)
@@ -251,12 +237,9 @@ let is_dead t id = t.dead.(id)
 let dead_entry_fraction t =
   let total = ref 0 and stale = ref 0 in
   for u = 0 to node_count t - 1 do
-    for slot = 0 to View.Flat.view_size t.store - 1 do
-      let id = View.Flat.id_at t.store u slot in
-      if id >= 0 then begin
-        incr total;
-        if t.dead.(id) then incr stale
-      end
+    for slot = 0 to View.Flat.degree t.store u - 1 do
+      incr total;
+      if t.dead.(View.Flat.id_at t.store u slot) then incr stale
     done
   done;
   if !total = 0 then 0. else float_of_int !stale /. float_of_int !total
@@ -275,9 +258,9 @@ let outdegree_summary t =
 let indegree_summary t =
   let counts = Array.make (node_count t) 0 in
   for u = 0 to node_count t - 1 do
-    for slot = 0 to View.Flat.view_size t.store - 1 do
+    for slot = 0 to View.Flat.degree t.store u - 1 do
       let id = View.Flat.id_at t.store u slot in
-      if id >= 0 && id < node_count t then counts.(id) <- counts.(id) + 1
+      if id < node_count t then counts.(id) <- counts.(id) + 1
     done
   done;
   Sf_stats.Summary.of_int_array counts

@@ -30,23 +30,21 @@ type tally = {
    id — a scan of at most s - 1 slots, cheaper than hashing at view
    sizes. *)
 let label_row tally store u ~owner =
-  for slot = 0 to View.Flat.view_size store - 1 do
+  for slot = 0 to View.Flat.degree store u - 1 do
     let id = View.Flat.id_at store u slot in
-    if id >= 0 then begin
-      tally.total <- tally.total + 1;
-      let is_self = id = owner in
-      let is_anchored = View.Flat.anchor_at store u slot >= 0 in
-      let earlier = ref 0 in
-      while !earlier < slot && View.Flat.id_at store u !earlier <> id do
-        incr earlier
-      done;
-      let is_parallel = !earlier < slot in
-      if is_self then tally.self <- tally.self + 1;
-      if is_anchored then tally.anchor <- tally.anchor + 1;
-      if is_parallel then tally.parallel <- tally.parallel + 1;
-      if is_self || is_anchored || is_parallel then
-        tally.dependent <- tally.dependent + 1
-    end
+    tally.total <- tally.total + 1;
+    let is_self = id = owner in
+    let is_anchored = View.Flat.anchor_at store u slot >= 0 in
+    let earlier = ref 0 in
+    while !earlier < slot && View.Flat.id_at store u !earlier <> id do
+      incr earlier
+    done;
+    let is_parallel = !earlier < slot in
+    if is_self then tally.self <- tally.self + 1;
+    if is_anchored then tally.anchor <- tally.anchor + 1;
+    if is_parallel then tally.parallel <- tally.parallel + 1;
+    if is_self || is_anchored || is_parallel then
+      tally.dependent <- tally.dependent + 1
   done
 
 let census label =

@@ -86,9 +86,8 @@ let feed_from_views fleet runner =
   Array.iter
     (fun u ->
       let l = layer fleet ~node_id:u in
-      for slot = 0 to View.Flat.view_size store - 1 do
-        let id = View.Flat.id_at store u slot in
-        if id >= 0 then observe l id
+      for slot = 0 to View.Flat.degree store u - 1 do
+        observe l (View.Flat.id_at store u slot)
       done)
     (Runner.live_ids runner)
 

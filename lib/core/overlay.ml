@@ -39,9 +39,9 @@ let probe store ~live =
   in
   for u = 0 to rows - 1 do
     if live u then
-      for k = 0 to View.Flat.view_size store - 1 do
+      for k = 0 to View.Flat.degree store u - 1 do
         let id = View.Flat.id_at store u k in
-        if id >= 0 && id <> u && id < rows && live id then union u id
+        if id <> u && id < rows && live id then union u id
       done
   done;
   let largest = ref (-1) in

@@ -21,9 +21,8 @@ let iter_entries runner f =
   let store = Runner.store runner in
   Array.iter
     (fun u ->
-      for slot = 0 to View.Flat.view_size store - 1 do
-        let id = View.Flat.id_at store u slot in
-        if id >= 0 then f u id (View.Flat.serial_at store u slot)
+      for slot = 0 to View.Flat.degree store u - 1 do
+        f u (View.Flat.id_at store u slot) (View.Flat.serial_at store u slot)
       done)
     (Runner.live_ids runner)
 

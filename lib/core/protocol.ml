@@ -9,7 +9,9 @@
      [dL], in which case the entries are *duplicated* (kept).
    - [receive] at v: place both received ids into uniformly chosen empty
      slots, unless they do not both fit within the view size s, in which
-     case both are *deleted*.
+     case both are *deleted*.  Rows are packed ([View.Flat.insert]): an
+     id takes a uniform position among the entries, which is the same
+     law, because initiate draws its slot pair uniformly.
 
    The sender never learns whether its message arrived: loss sits between
    the two steps, exactly as in the paper's non-atomic action model.
@@ -73,9 +75,9 @@ let row_message () =
 
 let initiate_row rng store u ~owner ~dl ~born ~mint msg =
   (* Slot selection ranges over the *allocated* view, not the configured
-     view size: the two coincide at creation, but adaptive retuning
-     (lib/resilience) can lower a node's effective s below its allocated
-     capacity, and entries parked in high slots must stay reachable. *)
+     view size: the two coincide at creation, and adaptive retuning
+     (lib/resilience) lowers a node's live s only as the receive step's
+     bound. *)
   let size = View.Flat.view_size store in
   let i = Sf_prng.Rng.int rng size in
   let j = Sf_prng.Rng.other rng size i in
@@ -91,8 +93,9 @@ let initiate_row rng store u ~owner ~dl ~born ~mint msg =
     msg.m_serial <- View.Flat.serial_at store u j;
     msg.m_born <- View.Flat.born_at store u j;
     if not duplicated then begin
-      View.Flat.clear store u i;
-      View.Flat.clear store u j
+      (* The higher slot first, so the lower one's entry does not move. *)
+      View.Flat.remove store u (max i j);
+      View.Flat.remove store u (min i j)
     end;
     (* Reinforcement instance: always a brand-new instance of the
        sender's own id. *)
@@ -128,18 +131,17 @@ let receive_row rng store u ~s msg =
     invalid_arg "Protocol.receive_row: instance outside the store's lanes";
   (* Both ids must fit within the live s. *)
   if s - View.Flat.degree store u >= 2 then begin
-    View.Flat.set store u
-      (View.Flat.random_empty_slot store u rng)
-      ~id:msg.r_id ~serial:msg.r_serial ~anchor:msg.r_anchor ~born:msg.r_born;
-    View.Flat.set store u
-      (View.Flat.random_empty_slot store u rng)
-      ~id:msg.m_id ~serial:msg.m_serial ~anchor:msg.m_anchor ~born:msg.m_born;
+    View.Flat.insert store u rng ~id:msg.r_id ~serial:msg.r_serial ~anchor:msg.r_anchor
+      ~born:msg.r_born;
+    View.Flat.insert store u rng ~id:msg.m_id ~serial:msg.m_serial ~anchor:msg.m_anchor
+      ~born:msg.m_born;
     true
   end
   else false
 
 (* --- The install rule: every view filled from ids rather than by a
-   receive (the interface says why slot order loses nothing) --- *)
+   receive, appended in order (the interface says why that loses
+   nothing) --- *)
 
 (* Not a local closure: joins are hot on the sharded engine. *)
 let put store u k ~id ~anchor ~born ~mint =

@@ -74,7 +74,8 @@ val initiate_row :
     (a self-loop) and changes nothing.  Otherwise it returns the target
     id and writes the message into [msg]: the reinforcement is [owner]
     with a fresh serial, born [born]; the mixing instance is the
-    forwarded entry.  When [degree > dl] both slots are cleared, the
+    forwarded entry.  When [degree > dl] both entries are removed
+    ({!View.Flat.remove}, the higher slot first), the
     forwarded instance keeps its serial and born stamp, and neither
     instance is anchored.  Otherwise the entries are duplicated (kept),
     the mixing instance is a fresh copy born [born], and both are
@@ -89,10 +90,10 @@ val row_fits : View.Flat.t -> row_message -> bool
 val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message -> bool
 (** [receive_row rng store u ~s msg] is the receive step at row [u]:
     accepts when both ids fit within the live view size [s]
-    ([s - degree >= 2]; [s] must not exceed the allocated row), placing
-    the reinforcement then the mixing instance in uniformly drawn empty
-    slots, and returns [true]; otherwise deletes both and returns
-    [false].  Reads every field of [msg] but [duplicated].  Raises
+    ([s - degree >= 2]; [s] must not exceed the allocated row),
+    inserting the reinforcement then the mixing instance at uniform
+    positions ({!View.Flat.insert}, one draw each), and returns [true];
+    otherwise deletes both and returns [false].  Reads every field of [msg] but [duplicated].  Raises
     [Invalid_argument], changing nothing, unless {!row_fits} holds.
     Allocation-free. *)
 
@@ -102,10 +103,10 @@ val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message ->
     topology, a join, a repair, a crash-restart rejoin) is filled here.
     Both functions clear row [u] first, mint fresh serials with [mint],
     born [born], and write slots 0, 1, 2, … in order.  That draws
-    nothing and loses nothing:
-    {!initiate_row} draws its slot pair uniformly and {!receive_row}
-    fills a uniform empty slot, so an entry's slot does not change the
-    protocol's behaviour. *)
+    nothing and loses nothing: {!initiate_row} draws its slot pair
+    uniformly, so an entry's slot does not change what it sends, and
+    every later {!View.Flat.insert} and {!View.Flat.remove} moves the
+    row towards a uniformly random order, the order a receive keeps. *)
 
 val install_ids :
   View.Flat.t -> int -> int array -> born:int -> mint:(unit -> int) -> unit

@@ -191,9 +191,7 @@ let remember_seen t u id =
   end
 
 (* The ids in row [u], in slot order. *)
-let row_ids store u =
-  List.filter (fun id -> id >= 0)
-    (List.init (View.Flat.view_size store) (View.Flat.id_at store u))
+let row_ids store u = List.init (View.Flat.degree store u) (View.Flat.id_at store u)
 
 (* --- Transport ---
 

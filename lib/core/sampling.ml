@@ -6,39 +6,17 @@
    i.i.d. uniform ids (Properties M3-M5). *)
 
 (* One random peer id from the node's view, excluding (by default) the node
-   itself: self-samples are useless to applications.
-
-   Allocation-free two-pass scan over the view slots: count the candidates,
-   draw one index, walk to it.  This replaces a list-then-array build per
-   draw — an allocation storm on the facade a traffic harness hammers with
-   millions of requests.  The scan walks slots from
-   the highest down and the single [Rng.int] draw has the same bound as
-   the old [Rng.choose] over the fold-reversed candidate list, so the RNG
-   stream and the returned ids are bit-for-bit those of the historical
-   implementation (asserted by an equal-seed test). *)
+   itself: self-samples are useless to applications.  The row draw
+   allocates nothing: one [Rng.int] over the candidates. *)
 let sample ?(allow_self = false) runner rng ~node_id =
   if not (Runner.is_live runner node_id) then None
   else begin
     let store = Runner.store runner in
-    let last = View.Flat.view_size store - 1 in
-    let candidates = ref 0 in
-    for i = 0 to last do
-      let id = View.Flat.id_at store node_id i in
-      if id >= 0 && (allow_self || id <> node_id) then incr candidates
-    done;
-    if !candidates = 0 then None
-    else begin
-      let skip = ref (Sf_prng.Rng.int rng !candidates) in
-      let result = ref (-1) in
-      let i = ref last in
-      while !result < 0 do
-        let id = View.Flat.id_at store node_id !i in
-        if id >= 0 && (allow_self || id <> node_id) then
-          if !skip = 0 then result := id else decr skip;
-        decr i
-      done;
-      Some !result
-    end
+    let slot =
+      View.Flat.random_occupied_slot store node_id rng
+        ~except:(if allow_self then -1 else node_id)
+    in
+    if slot < 0 then None else Some (View.Flat.id_at store node_id slot)
   end
 
 (* [k] samples with replacement: exactly [k] independent draws.  A [None]

@@ -7,9 +7,9 @@ val sample :
     unknown node or an effectively empty view). Self-ids are excluded unless
     [allow_self].
 
-    Allocation-free: a two-pass indexed scan over the view slots.  A
-    successful draw consumes exactly one [Rng.int] whose bound is the
-    candidate count; a [None] result consumes no randomness. *)
+    Allocation-free: {!View.Flat.random_occupied_slot}.  A successful
+    draw consumes exactly one [Rng.int] whose bound is the candidate
+    count; a [None] result consumes no randomness. *)
 
 val sample_many :
   ?allow_self:bool ->

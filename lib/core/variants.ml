@@ -30,10 +30,10 @@ type options = {
 
 let standard = { mark_and_undelete = false; replace_when_full = false; batch = 1 }
 
-(* Unmarked instances live in [store], so its cached degree is the
-   outdegree; marked ones move to [marked], a second store of the same
-   shape, in the slot they were sent from.  A slot is occupied in at most
-   one of the two. *)
+(* Unmarked instances live in [store], so its degree is the outdegree;
+   marked ones move to [marked], a second store of the same shape.  Both
+   are packed, and a row's unmarked and marked entries together fit its
+   [s] slots: the marked ones stand for the slots they were sent from. *)
 type t = {
   options : options;
   lower_threshold : int;
@@ -88,19 +88,21 @@ let node_count t = View.Flat.node_count t.store
 let view_size t = View.Flat.view_size t.store
 let degree t u = View.Flat.degree t.store u
 
-let write t u slot entry =
-  View.Flat.clear t.marked u slot;
-  View.set_entry t.store u slot entry
-
 (* Install one entry at the receiver, honoring the replace-when-full
    option, or delete it. *)
 let install t u entry =
-  (* A marked entry is logically deleted: its slot is empty in [store]
-     and may be overwritten. *)
-  let slot = View.Flat.random_empty_slot t.store u t.rng in
-  if slot >= 0 then write t u slot entry
+  let free = view_size t - degree t u in
+  if free > 0 then begin
+    (* A marked entry is logically deleted, and its slot may be
+       overwritten: the entry lands on one of the [free] slots not
+       holding an unmarked id, so it evicts a uniform marked entry when
+       that slot is one of the marked ones. *)
+    let k = Sf_prng.Rng.int t.rng free in
+    if k < View.Flat.degree t.marked u then View.Flat.remove t.marked u k;
+    View.insert_entry t.store u t.rng entry
+  end
   else if t.options.replace_when_full then
-    write t u (Sf_prng.Rng.int t.rng (view_size t)) entry
+    View.set_entry t.store u (Sf_prng.Rng.int t.rng (view_size t)) entry
   else t.deletions <- t.deletions + 1
 
 let initiate t u =
@@ -129,13 +131,10 @@ let initiate t u =
     let compensated =
       if at_threshold && t.options.mark_and_undelete then begin
         (* Undelete: recover marked originals instead of duplicating. *)
-        for slot = 0 to view_size t - 1 do
-          if View.Flat.id_at t.marked u slot >= 0 then begin
-            View.set_entry t.store u slot (View.entry_at t.marked u slot);
-            View.Flat.clear t.marked u slot;
-            t.undeletions <- t.undeletions + 1
-          end
+        for slot = 0 to View.Flat.degree t.marked u - 1 do
+          View.set_entry t.store u (degree t u) (View.entry_at t.marked u slot)
         done;
+        t.undeletions <- t.undeletions + View.Flat.clear_row t.marked u;
         (* After undeletion the entries are still sent; clear or keep per
            the refreshed degree. *)
         degree t u <= t.lower_threshold
@@ -151,13 +150,16 @@ let initiate t u =
           payload
       end
       else begin
-        (* Clear (or mark) the sent entries. *)
-        for k = 0 to chosen - 1 do
-          let i = slots.(k) in
-          if t.options.mark_and_undelete then
-            View.set_entry t.marked u i (View.entry_at t.store u i);
-          View.Flat.clear t.store u i
-        done;
+        (* Clear (or mark) the sent entries, the highest slot first. *)
+        let sent = Array.sub slots 0 chosen in
+        Array.sort (fun a b -> compare b a) sent;
+        Array.iter
+          (fun i ->
+            if t.options.mark_and_undelete then
+              View.set_entry t.marked u (View.Flat.degree t.marked u)
+                (View.entry_at t.store u i);
+            View.Flat.remove t.store u i)
+          sent;
         List.map (fun (e : View.entry) -> { e with View.anchor = None }) payload
       end
     in

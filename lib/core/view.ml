@@ -1,5 +1,7 @@
-(* A local view: a fixed array of [s] slots, each empty or holding one id
-   instance (section 2 of the paper).  Duplicate ids are allowed — the
+(* A local view: a fixed array of [s] slots holding id instances
+   (section 2 of the paper), packed: the [d] instances of a view of
+   degree [d] fill slots [0, d), in uniformly random order, and [d, s)
+   are empty.  Duplicate ids are allowed — the
    membership graph is a multigraph — and are accounted as dependencies.
 
    Each stored instance carries bookkeeping that realizes the paper's
@@ -16,10 +18,18 @@
      in a single view or an action-stamped store ([create_rows]), the
      round number in a world store ([Flat.create]).
 
+   The paper's receive step puts each id "in a uniformly chosen empty
+   entry".  Where the holes sit is not part of the protocol's law:
+   initiate draws a uniform pair of slots, so only the degree decides a
+   self-loop, and every pair of entries is equally likely to be sent.
+   What readers that take ids in slot order see (a donor's prefix, a
+   first-in-slot-order tie-break) is the order of a row's entries, and
+   [insert] keeps that order uniform, as the empty-slot draw did.
+
    Representation: one layout for every engine.  [Flat] packs the views
    of a whole world into contiguous columns; a single view is row 0 of a
    one-node [Flat] store, so the slot encoding (empty = id -1, anchor -1 =
-   none), the cached degree and the empty-slot scan exist once. *)
+   none), the cached degree, [insert] and [remove] exist once. *)
 
 type entry = {
   id : int;
@@ -33,8 +43,9 @@ type entry = {
    The million-node simulation path cannot afford one heap object per
    node, let alone per entry.  [Flat] packs every view of an n-node world
    into contiguous columns of length [n * view_size], indexed by
-   [node * view_size + slot], plus a per-node cached degree array.  A slot
-   is empty when its id is -1; an anchor of -1 encodes "no anchor".
+   [node * view_size + slot], plus a per-node degree array: row [u] holds
+   its instances in slots [0, degree u).  An empty slot's id is -1; an
+   anchor of -1 encodes "no anchor".
 
    Ids, anchors and born stamps are 32-bit lanes (int32 Bigarrays, 4 bytes
    a slot): ids and anchors are node slots below the store's capacity,
@@ -44,8 +55,8 @@ type entry = {
    view, or the UDP driver's owned nodes) keeps its born stamps, the
    unbounded action count of the sequential runner and the driver, in a
    63-bit [int array] too.  Every accessor takes and
-   returns [int]; [set] range-checks before it writes, so nothing is
-   truncated. *)
+   returns [int]; every write range-checks before it writes, so nothing
+   is truncated. *)
 
 module Flat = struct
   (* A fully known lane type is what lets ocamlopt compile the accesses
@@ -72,7 +83,7 @@ module Flat = struct
     f_anchors : lane;       (* -1 = no anchor *)
     f_born : lane;          (* round stamps; empty when action-stamped *)
     f_born_actions : int array;  (* action stamps *)
-    degrees : int array;    (* per-node cached occupied-slot counts *)
+    degrees : int array;    (* per-node degree: row u fills [0, degree) *)
     actions : bool;         (* born lives in [f_born_actions] *)
   }
 
@@ -116,83 +127,90 @@ module Flat = struct
     id >= 0 && id <= lane_max && anchor >= -1 && anchor <= lane_max
     && ((born >= 0 && born <= lane_max) || t.actions)
 
-  let set t u slot ~id ~serial ~anchor ~born =
-    if not (fits t ~id ~anchor ~born) then
-      invalid_arg "View.Flat.set: instance outside its 32-bit lanes";
-    let i = (u * t.view_size) + slot in
-    if lane_get t.f_ids i < 0 then t.degrees.(u) <- t.degrees.(u) + 1;
+  (* Write slot [i] of row [u] (absolute index [i]); the caller keeps the
+     degree. *)
+  let[@inline] write t i ~id ~serial ~anchor ~born =
     lane_set t.f_ids i id;
     t.f_serials.(i) <- serial;
     lane_set t.f_anchors i anchor;
     if t.actions then t.f_born_actions.(i) <- born else lane_set t.f_born i born
 
-  let clear t u slot =
-    let i = (u * t.view_size) + slot in
-    if lane_get t.f_ids i >= 0 then begin
-      lane_set t.f_ids i (-1);
-      t.degrees.(u) <- t.degrees.(u) - 1
-    end
+  (* Copy the entry at absolute index [src] to [dst]. *)
+  let[@inline] move t ~src ~dst =
+    lane_set t.f_ids dst (lane_get t.f_ids src);
+    t.f_serials.(dst) <- t.f_serials.(src);
+    lane_set t.f_anchors dst (lane_get t.f_anchors src);
+    if t.actions then t.f_born_actions.(dst) <- t.f_born_actions.(src)
+    else lane_set t.f_born dst (lane_get t.f_born src)
+
+  let check_fits t ~id ~anchor ~born =
+    if not (fits t ~id ~anchor ~born) then
+      invalid_arg "View.Flat: instance outside its 32-bit lanes"
+
+  let set t u slot ~id ~serial ~anchor ~born =
+    check_fits t ~id ~anchor ~born;
+    let d = t.degrees.(u) in
+    if slot < 0 || slot > d || slot >= t.view_size then
+      invalid_arg "View.Flat.set: slot beyond the row's degree";
+    if slot = d then t.degrees.(u) <- d + 1;
+    write t ((u * t.view_size) + slot) ~id ~serial ~anchor ~born
+
+  (* One inside-out Fisher-Yates step: the new entry takes a uniform slot
+     k of [0, d], and slot k's entry moves to the end.  A row that was a
+     uniformly random order of its entries stays one. *)
+  let insert t u rng ~id ~serial ~anchor ~born =
+    check_fits t ~id ~anchor ~born;
+    let d = t.degrees.(u) in
+    if d >= t.view_size then invalid_arg "View.Flat.insert: the row is full";
+    let base = u * t.view_size in
+    let k = Sf_prng.Rng.int rng (d + 1) in
+    if k < d then move t ~src:(base + k) ~dst:(base + d);
+    write t (base + k) ~id ~serial ~anchor ~born;
+    t.degrees.(u) <- d + 1
+
+  (* The last entry fills the freed slot. *)
+  let remove t u slot =
+    let d = t.degrees.(u) in
+    if slot < 0 || slot >= d then invalid_arg "View.Flat.remove: slot not occupied";
+    let base = u * t.view_size in
+    if slot < d - 1 then move t ~src:(base + d - 1) ~dst:(base + slot);
+    lane_set t.f_ids (base + d - 1) (-1);
+    t.degrees.(u) <- d - 1
 
   let clear_row t u =
-    let d = t.degrees.(u) in
-    if d > 0 then
-      for slot = 0 to t.view_size - 1 do
-        clear t u slot
-      done;
+    let d = t.degrees.(u) and base = u * t.view_size in
+    for slot = 0 to d - 1 do
+      lane_set t.f_ids (base + slot) (-1)
+    done;
+    t.degrees.(u) <- 0;
     d
 
-  (* Uniformly random empty slot of node [u]; -1 when the view is full.
-     The receive step of S&F places ids in uniformly chosen empty
-     entries. *)
-  let random_empty_slot t u rng =
-    let free = t.view_size - t.degrees.(u) in
-    if free = 0 then -1
+  (* A uniformly random slot of node [u] whose id is not [except], counted
+     in ascending slot order; -1 when there is none.  Without an
+     exclusion that is one draw over the degree; with one, two passes,
+     count then pick.  One [Rng.int] on success, none on failure, and no
+     allocation. *)
+  let random_occupied_slot t u rng ~except =
+    let d = t.degrees.(u) in
+    if except < 0 then (if d = 0 then -1 else Sf_prng.Rng.int rng d)
     else begin
       let base = u * t.view_size in
-      (* A loop, not a local recursive function: its closure would be
-         allocated on every receive. *)
-      let slot = ref 0 and remaining = ref (Sf_prng.Rng.int rng free) in
-      while lane_get t.f_ids (base + !slot) >= 0 || !remaining > 0 do
-        if lane_get t.f_ids (base + !slot) < 0 then decr remaining;
-        incr slot
+      let count = ref 0 in
+      for k = 0 to d - 1 do
+        if lane_get t.f_ids (base + k) <> except then incr count
       done;
-      !slot
+      if !count = 0 then -1
+      else begin
+        (* A loop, not a local recursive function: its closure would be
+           allocated on every draw. *)
+        let remaining = ref (Sf_prng.Rng.int rng !count) and slot = ref (-1) in
+        while !remaining >= 0 do
+          incr slot;
+          if lane_get t.f_ids (base + !slot) <> except then decr remaining
+        done;
+        !slot
+      end
     end
-
-  (* Uniformly random occupied slot of node [u] whose id is not
-     [except], counted in ascending slot order; -1 when there is none.
-     Two passes, count then pick: one [Rng.int] on success, none on
-     failure, and no allocation. *)
-  let random_occupied_slot t u rng ~except =
-    let base = u * t.view_size in
-    let count = ref 0 in
-    for k = 0 to t.view_size - 1 do
-      let id = lane_get t.f_ids (base + k) in
-      if id >= 0 && id <> except then incr count
-    done;
-    if !count = 0 then -1
-    else begin
-      (* As in [random_empty_slot]: a loop allocates no closure. *)
-      let remaining = ref (Sf_prng.Rng.int rng !count) and found = ref (-1) in
-      let slot = ref 0 in
-      while !found < 0 do
-        let id = lane_get t.f_ids (base + !slot) in
-        if id >= 0 && id <> except then
-          if !remaining = 0 then found := !slot else decr remaining;
-        incr slot
-      done;
-      !found
-    end
-
-  (* Recount of the occupied slots — the audit cross-check for the cached
-     degree array. *)
-  let recount_degree t u =
-    let base = u * t.view_size in
-    let occupied = ref 0 in
-    for slot = 0 to t.view_size - 1 do
-      if lane_get t.f_ids (base + slot) >= 0 then incr occupied
-    done;
-    !occupied
 
   let total_edges t = Array.fold_left ( + ) 0 t.degrees
 
@@ -234,11 +252,9 @@ let grow_rows store ~nodes =
 
 let copy_row store u =
   let v = create (Flat.view_size store) in
-  for slot = 0 to Flat.view_size store - 1 do
-    let id = Flat.id_at store u slot in
-    if id >= 0 then
-      Flat.set v 0 slot ~id ~serial:(Flat.serial_at store u slot)
-        ~anchor:(Flat.anchor_at store u slot) ~born:(Flat.born_at store u slot)
+  for slot = 0 to Flat.degree store u - 1 do
+    Flat.set v 0 slot ~id:(Flat.id_at store u slot) ~serial:(Flat.serial_at store u slot)
+      ~anchor:(Flat.anchor_at store u slot) ~born:(Flat.born_at store u slot)
   done;
   v
 
@@ -265,22 +281,19 @@ let set_entry store u slot entry =
   Flat.set store u slot ~id:entry.id ~serial:entry.serial
     ~anchor:(anchor_int entry.anchor) ~born:entry.born
 
-let row_entries store u =
-  let acc = ref [] in
-  for slot = Flat.view_size store - 1 downto 0 do
-    if Flat.id_at store u slot >= 0 then acc := entry_at store u slot :: !acc
-  done;
-  !acc
+let insert_entry store u rng entry =
+  Flat.insert store u rng ~id:entry.id ~serial:entry.serial
+    ~anchor:(anchor_int entry.anchor) ~born:entry.born
 
-let get t i = if id_at t i < 0 then None else Some (entry_at t 0 i)
+let row_entries store u = List.init (Flat.degree store u) (entry_at store u)
+
+let get t i = if i < degree t then Some (entry_at t 0 i) else None
 
 let set t i entry = set_entry t 0 i entry
 
-let clear t i = Flat.clear t 0 i
-
 let iter f t =
-  for i = 0 to size t - 1 do
-    match get t i with Some e -> f i e | None -> ()
+  for i = 0 to degree t - 1 do
+    f i (entry_at t 0 i)
   done
 
 let fold f init t =

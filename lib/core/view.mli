@@ -9,8 +9,13 @@
 
     Every view lives in the one flat layout, {!Flat}: a single view is
     row 0 of a one-node store, so no per-entry heap objects exist and the
-    slot encoding, the cached degree, the empty-slot scan and the
-    occupied-slot draw are written once.  {!entry} values are
+    slot encoding, the degree, {!Flat.insert}, {!Flat.remove} and the
+    occupied-slot draw are written once.  A view of degree [d] holds its
+    instances packed in slots [[0, d)], in uniformly random order: the
+    receive step's "uniformly chosen empty entry" becomes a uniform
+    position among the entries ({!Flat.insert}), which leaves the
+    protocol's law as it was, because initiate draws a uniform slot
+    pair.  {!entry} values are
     materialized on demand by {!entry_at}/{!row_entries}, and on a
     single view by {!get}/{!iter}/{!fold}; hot paths that only need ids
     can use the allocation-free {!Flat.id_at}. *)
@@ -23,8 +28,9 @@ type entry = {
 }
 
 (** Packed whole-world views: every view of an [n]-node world in four
-    contiguous columns indexed by [node * view_size + slot], plus a cached
-    per-node degree array.  Ids, anchors and born stamps are 32-bit lanes
+    contiguous columns indexed by [node * view_size + slot], plus a
+    per-node degree array; row [u] holds its instances in slots
+    [[0, degree u)] and every write keeps it so.  Ids, anchors and born stamps are 32-bit lanes
     (int32 Bigarrays); serials and degrees are unboxed [int array]s.  A
     store made by {!create_rows}, a single view ({!t}) included, keeps
     its born stamps, cumulative action counts with no bound, in a 63-bit
@@ -52,10 +58,12 @@ module Flat : sig
   val view_size : t -> int
 
   val degree : t -> int -> int
-  (** [degree t u]: cached outdegree of node [u]. *)
+  (** [degree t u]: outdegree of node [u]; its instances fill slots
+      [[0, degree t u)]. *)
 
   val id_at : t -> int -> int -> int
-  (** [id_at t u slot]: id in the slot, or [-1] when empty. *)
+  (** [id_at t u slot]: id in the slot, or [-1] when
+      [slot >= degree t u]. *)
 
   val serial_at : t -> int -> int -> int
   val anchor_at : t -> int -> int -> int
@@ -65,9 +73,28 @@ module Flat : sig
 
   val set :
     t -> int -> int -> id:int -> serial:int -> anchor:int -> born:int -> unit
-  (** [set t u slot ~id ~serial ~anchor ~born] installs an instance
-      ([anchor] is [-1] for none).  Raises [Invalid_argument], leaving the
-      store untouched, unless {!fits} holds. *)
+  (** [set t u slot ~id ~serial ~anchor ~born] overwrites the instance
+      at [slot < degree t u], or appends one at [slot = degree t u]
+      ([anchor] is [-1] for none).  Raises [Invalid_argument], leaving
+      the store untouched, unless {!fits} holds and
+      [0 <= slot <= degree t u], [slot < view_size t]. *)
+
+  val insert :
+    t -> int -> Sf_prng.Rng.t -> id:int -> serial:int -> anchor:int -> born:int -> unit
+  (** [insert t u rng ~id ~serial ~anchor ~born] adds an instance to row
+      [u] at a uniform slot [k] of [[0, degree]] (one [Rng.int]), moving
+      slot [k]'s instance to the end: an inside-out Fisher–Yates step,
+      so a row in uniformly random order stays so.  Raises
+      [Invalid_argument], drawing nothing and leaving the store
+      untouched, when the row is full or {!fits} fails.
+      Allocation-free. *)
+
+  val remove : t -> int -> int -> unit
+  (** [remove t u slot] deletes the instance at [slot < degree t u]; the
+      last instance moves into [slot].  A caller removing several slots
+      removes the highest first, so none of them moves before its turn.
+      Raises [Invalid_argument] on a slot outside [[0, degree t u)].
+      Allocation-free. *)
 
   val fits : t -> id:int -> anchor:int -> born:int -> bool
   (** Whether {!set} accepts the instance: [id] in [[0, 2^31)] and
@@ -75,15 +102,9 @@ module Flat : sig
       {!create} world store, not in a {!create_rows} one — [born] in
       [[0, 2^31)]. *)
 
-  val clear : t -> int -> int -> unit
-
   val clear_row : t -> int -> int
   (** [clear_row t u] empties every slot of node [u] and returns the
       degree it had.  Allocation-free. *)
-
-  val random_empty_slot : t -> int -> Sf_prng.Rng.t -> int
-  (** Uniformly random empty slot of node [u], [-1] when full.
-      Allocation-free. *)
 
   val random_occupied_slot : t -> int -> Sf_prng.Rng.t -> except:int -> int
   (** [random_occupied_slot t u rng ~except]: a uniformly random slot of
@@ -91,10 +112,6 @@ module Flat : sig
       nothing), or [-1] when there is none.  The draw is
       [Rng.choose] over those slots in ascending order: one [Rng.int]
       on success, none on failure.  Allocation-free. *)
-
-  val recount_degree : t -> int -> int
-  (** Occupied-slot recount for node [u] — the audit cross-check for the
-      cached degree array. *)
 
   val total_edges : t -> int
   (** Sum of all outdegrees (recomputed from the degree array). *)
@@ -133,10 +150,13 @@ val entry_at : Flat.t -> int -> int -> entry
     [u], materialized. *)
 
 val set_entry : Flat.t -> int -> int -> entry -> unit
-(** [set_entry store u slot entry] installs [entry], like {!Flat.set}
-    (which raises [Invalid_argument], leaving the store untouched, on
-    an instance outside its lanes; any [born] fits a {!create_rows}
-    store). *)
+(** [set_entry store u slot entry] overwrites or appends [entry], like
+    {!Flat.set} (which raises [Invalid_argument], leaving the store
+    untouched, on a slot beyond the degree or an instance outside its
+    lanes; any [born] fits a {!create_rows} store). *)
+
+val insert_entry : Flat.t -> int -> Sf_prng.Rng.t -> entry -> unit
+(** [insert_entry store u rng entry] is {!Flat.insert} of [entry]. *)
 
 val row_entries : Flat.t -> int -> entry list
 (** Row [u]'s instances in slot order. *)
@@ -146,16 +166,15 @@ val row_entries : Flat.t -> int -> entry list
 val size : t -> int
 
 val degree : t -> int
-(** d(u): number of non-empty slots (cached; audited against a recount by
-    [Sf_check]). *)
+(** d(u): the number of instances, in slots [[0, d)] (the layout is
+    audited by [Sf_check]). *)
 
 val is_full : t -> bool
 
 val get : t -> int -> entry option
 val set : t -> int -> entry -> unit
-(** [set_entry] on row 0. *)
+(** [set_entry] on row 0: overwrite below the degree, or append. *)
 
-val clear : t -> int -> unit
 val clear_all : t -> unit
 
 val id_at : t -> int -> int
@@ -163,7 +182,7 @@ val id_at : t -> int -> int
     Allocation-free. *)
 
 val iter : (int -> entry -> unit) -> t -> unit
-(** Iterate non-empty slots as [f slot entry]. *)
+(** Iterate the occupied slots [[0, d)] as [f slot entry]. *)
 
 val fold : ('a -> entry -> 'a) -> 'a -> t -> 'a
 

@@ -781,16 +781,7 @@ let rejoin t i =
   end
   else begin
     let keep = max 2 t.configs.(i).Sf_core.Protocol.lower_threshold in
-    let ids = Array.make (min keep degree) 0 in
-    let k = ref 0 and slot = ref 0 in
-    while !k < Array.length ids do
-      let id = Sf_core.View.Flat.id_at t.store i !slot in
-      if id >= 0 then begin
-        ids.(!k) <- id;
-        incr k
-      end;
-      incr slot
-    done;
+    let ids = Array.init (min keep degree) (Sf_core.View.Flat.id_at t.store i) in
     Sf_core.Protocol.install_ids t.store i ids ~born:t.actions ~mint:t.mint
   end;
   t.down.(i) <- false;
@@ -936,9 +927,8 @@ let is_weakly_connected t =
   for i = 0 to node_count t - 1 do
     let u = t.first + i in
     Sf_graph.Digraph.ensure_vertex g u;
-    for slot = 0 to Sf_core.View.Flat.view_size t.store - 1 do
-      let v = Sf_core.View.Flat.id_at t.store i slot in
-      if v >= 0 then Sf_graph.Digraph.add_edge g u v
+    for slot = 0 to Sf_core.View.Flat.degree t.store i - 1 do
+      Sf_graph.Digraph.add_edge g u (Sf_core.View.Flat.id_at t.store i slot)
     done
   done;
   Sf_graph.Digraph.is_weakly_connected g

@@ -95,22 +95,17 @@ let add_view_line buf id store row =
   Buffer.add_string buf "view ";
   add_int buf id;
   Buffer.add_char buf ' ';
-  let empty = ref true in
-  for slot = 0 to F.view_size store - 1 do
-    let entry = F.id_at store row slot in
-    if entry >= 0 then begin
-      if not !empty then Buffer.add_char buf ',';
-      empty := false;
-      add_int buf entry;
-      Buffer.add_char buf ':';
-      add_int buf (F.serial_at store row slot);
-      Buffer.add_char buf ':';
-      add_int buf (F.anchor_at store row slot);
-      Buffer.add_char buf ':';
-      add_int buf (F.born_at store row slot)
-    end
+  for slot = 0 to F.degree store row - 1 do
+    if slot > 0 then Buffer.add_char buf ',';
+    add_int buf (F.id_at store row slot);
+    Buffer.add_char buf ':';
+    add_int buf (F.serial_at store row slot);
+    Buffer.add_char buf ':';
+    add_int buf (F.anchor_at store row slot);
+    Buffer.add_char buf ':';
+    add_int buf (F.born_at store row slot)
   done;
-  if !empty then Buffer.add_char buf '-'
+  if F.degree store row = 0 then Buffer.add_char buf '-'
 
 let view_line id view =
   let buf = Buffer.create 256 in

@@ -22,17 +22,13 @@ let some_node r = Runner.random_live_id r
 module Flat = View.Flat
 
 (* The occupied slots of node [u]'s row, in order. *)
-let occupied r u =
-  let store = Runner.store r in
-  List.filter
-    (fun k -> Flat.id_at store u k >= 0)
-    (List.init (Flat.view_size store) Fun.id)
+let occupied r u = List.init (Flat.degree (Runner.store r) u) Fun.id
 
-(* Clears the first occupied slot of node [u]'s row behind the runner's
-   back; [false] when the row is empty. *)
+(* Removes the first entry of node [u]'s row behind the runner's back;
+   [false] when the row is empty. *)
 let clear_first r u =
   match occupied r u with
-  | k :: _ -> Flat.clear (Runner.store r) u k; true
+  | k :: _ -> Flat.remove (Runner.store r) u k; true
   | [] -> false
 
 let invariants vs = List.sort_uniq compare (List.map (fun v -> v.Invariant.invariant) vs)

@@ -227,9 +227,9 @@ let test_minwise_empty () =
 
 (* --- Cyclon and baseline churn --- *)
 
-let make_baseline ?(n = 80) ?(loss = 0.) kind =
-  let topology = Topology.regular (Sf_prng.Rng.create 10) ~n ~out_degree:6 in
-  Baselines.create ~seed:11 ~n ~view_size:12 ~loss_rate:loss ~kind ~topology
+let make_baseline ?(world = 0) ?(n = 80) ?(loss = 0.) kind =
+  let topology = Topology.regular (Sf_prng.Rng.create (10 + world)) ~n ~out_degree:6 in
+  Baselines.create ~seed:(11 + world) ~n ~view_size:12 ~loss_rate:loss ~kind ~topology
 
 let test_cyclon_lossless_conserves_ids () =
   let b = make_baseline (Baselines.Cyclon { exchange_size = 3 }) in
@@ -237,14 +237,24 @@ let test_cyclon_lossless_conserves_ids () =
   Baselines.run_rounds b 80;
   Alcotest.(check int) "edge count invariant" before (Baselines.total_instances b)
 
+(* Entries pointing at a killed node persist for push-pull (never purged
+   structurally, only overwritten at random), so 20 rounds after the kill
+   some worlds still measure a positive stale fraction: 13 of 30 fixed
+   worlds (world k built from seeds 10 + k and 11 + k). *)
 let test_kill_drops_traffic () =
-  let b = make_baseline (Baselines.Push_pull { gossip_size = 2 }) in
-  Baselines.kill b 0;
-  Alcotest.(check bool) "marked dead" true (Baselines.is_dead b 0);
-  Baselines.run_rounds b 20;
-  (* Entries pointing at the dead node persist for push-pull (never purged
-     structurally), so the stale fraction is positive. *)
-  Alcotest.(check bool) "stale entries measured" true (Baselines.dead_entry_fraction b > 0.)
+  let worlds = 30 in
+  let stale =
+    List.init worlds (fun world ->
+        let b = make_baseline ~world (Baselines.Push_pull { gossip_size = 2 }) in
+        Baselines.kill b 0;
+        Alcotest.(check bool) "marked dead" true (Baselines.is_dead b 0);
+        Baselines.run_rounds b 20;
+        Baselines.dead_entry_fraction b > 0.)
+    |> List.filter Fun.id |> List.length
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "stale entries measured in %d of %d worlds (>= 5)" stale worlds)
+    true (stale >= 5)
 
 let test_revive_rebootstraps () =
   let b = make_baseline (Baselines.Cyclon { exchange_size = 3 }) in

@@ -298,22 +298,24 @@ let test_one_resilience_loop_exempts_lib_resilience () =
 (* --- one-install-rule --- *)
 
 let test_one_install_rule_fires () =
-  check_fires "slot draw in the runner" ~rule:"one-install-rule"
+  check_fires "insert in the runner" ~rule:"one-install-rule"
     ~path:"lib/core/runner.ml"
-    "let slot = View.random_empty_slot node.Protocol.view rng";
+    "let () = View.Flat.insert store u rng ~id ~serial ~anchor:(-1) ~born:0";
+  check_fires "entry insert in the runner" ~rule:"one-install-rule"
+    ~path:"lib/core/runner.ml" "let () = View.insert_entry store u rng e";
   check_fires "flat write under a module alias" ~rule:"one-install-rule"
     ~path:"lib/core/runner.ml"
     "let () = Flat.set store u k ~id ~serial ~anchor:(-1) ~born:0";
   check_fires "qualified view write in the driver" ~rule:"one-install-rule"
     ~path:"lib/net/driver.ml" "let () = Sf_core.View.set view slot entry";
   check_fires "bench too" ~rule:"one-install-rule" ~path:"bench/bad.ml"
-    "let s = Sf_core.View.Flat.random_empty_slot store u rng";
+    "let () = Sf_core.View.Flat.insert store u rng ~id ~serial ~anchor ~born";
   check_fires "examples too" ~rule:"one-install-rule" ~path:"examples/bad.ml"
     "let () = View.set view 0 entry"
 
 let test_one_install_rule_exempts_protocol () =
-  (* The receive step really draws empty slots and the install rule
-     really writes views (the same source fires under any other path) —
+  (* The receive step really inserts and the install rule really writes
+     views (the same source fires under any other path) —
      and protocol.ml is out of scope. *)
   let protocol = read "../lib/core/protocol.ml" in
   check_fires "protocol.ml fills views" ~rule:"one-install-rule"
@@ -325,7 +327,9 @@ let test_one_install_rule_exempts_protocol () =
   check_quiet "install calls are allowed" ~path:"lib/core/runner.ml"
     "let n = Protocol.install_copy view 0 ~owner ~donor";
   check_quiet "id installs too" ~path:"lib/core/runner.ml"
-    "let () = Protocol.install_ids view 0 ids ~born:0 ~mint"
+    "let () = Protocol.install_ids view 0 ids ~born:0 ~mint";
+  check_quiet "a local insert is not the view's" ~path:"lib/core/sessions.ml"
+    "let rec insert = function [] -> [] | x :: rest -> x :: insert rest"
 
 (* --- one-overlay-probe --- *)
 

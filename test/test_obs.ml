@@ -395,7 +395,7 @@ let test_trace_known_answer () =
       ("delete", `Delete);
       ("fault transition", `Fault);
     ];
-  Alcotest.(check string) "JSONL digest" "c0e6515786a0c835b9d459d5b5503d8b"
+  Alcotest.(check string) "JSONL digest" "027d8246809966affcf50eff444b058f"
     (Digest.to_hex (Digest.string (Trace.to_jsonl tracer)))
 
 let suite =

@@ -17,46 +17,92 @@ let test_view_create () =
 
 let test_view_set_get_clear () =
   let v = View.create 4 in
-  View.set v 2 (entry 7);
-  Alcotest.(check int) "degree" 1 (View.degree v);
-  (match View.get v 2 with
+  View.set v 0 (entry 7);
+  Alcotest.(check int) "an append raises the degree" 1 (View.degree v);
+  (match View.get v 0 with
   | Some e -> Alcotest.(check int) "stored id" 7 e.View.id
   | None -> Alcotest.fail "expected entry");
-  View.set v 2 (entry 8);
+  View.set v 0 (entry 8);
   Alcotest.(check int) "overwrite keeps degree" 1 (View.degree v);
-  View.clear v 2;
-  Alcotest.(check int) "cleared" 0 (View.degree v);
-  View.clear v 2;
-  Alcotest.(check int) "double clear harmless" 0 (View.degree v)
+  (* A write above the degree would leave a hole: refused, row unchanged. *)
+  let before = View.entries v in
+  (match View.Flat.set v 0 2 ~id:9 ~serial:0 ~anchor:(-1) ~born:0 with
+  | () -> Alcotest.fail "a write above the degree was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "row unchanged" true (View.entries v = before && View.id_at v 2 = -1);
+  View.Flat.remove v 0 0;
+  Alcotest.(check int) "removed" 0 (View.degree v);
+  match View.Flat.remove v 0 0 with
+  | () -> Alcotest.fail "removed from an empty slot"
+  | exception Invalid_argument _ -> ()
 
-let test_view_random_empty_slot () =
+(* [insert] puts the new entry at a uniform slot k of [0, d] and moves
+   slot k's entry to the end; [remove] moves the last entry into the
+   freed slot.  Both keep the row packed, and a full row refuses an
+   insert without drawing. *)
+let test_view_insert_remove () =
   let v = View.create 4 in
   let rng = Sf_prng.Rng.create 1 in
-  View.set v 0 (entry 1);
-  View.set v 2 (entry 2);
-  for _ = 1 to 100 do
-    let i = View.Flat.random_empty_slot v 0 rng in
-    Alcotest.(check bool) "empty slot" true (i = 1 || i = 3)
-  done;
-  View.set v 1 (entry 3);
-  View.set v 3 (entry 4);
-  Alcotest.(check int) "full view" (-1) (View.Flat.random_empty_slot v 0 rng)
+  let insert id = View.Flat.insert v 0 rng ~id ~serial:id ~anchor:(-1) ~born:0 in
+  let sorted () = List.sort compare (View.ids v) in
+  List.iter insert [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "three entries, packed" [ 1; 2; 3 ] (sorted ());
+  let before = Array.of_list (View.ids v) in
+  insert 4;
+  let after = Array.of_list (View.ids v) in
+  let k = ref 0 in
+  while after.(!k) <> 4 do incr k done;
+  let expected = Array.append before [| 4 |] in
+  if !k < 3 then begin
+    expected.(3) <- before.(!k);
+    expected.(!k) <- 4
+  end;
+  Alcotest.(check (array int)) "slot k's entry moved to the end" expected after;
+  Alcotest.(check (list int)) "four entries" [ 1; 2; 3; 4 ] (sorted ());
+  let state = Sf_prng.Rng.copy rng in
+  (match insert 5 with
+  | () -> Alcotest.fail "a full row accepted an insert"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no draw on a full row" true (Sf_prng.Rng.equal state rng);
+  let ids = Array.of_list (View.ids v) in
+  View.Flat.remove v 0 1;
+  Alcotest.(check (list int)) "the last entry fills the hole"
+    [ ids.(0); ids.(3); ids.(2) ] (View.ids v);
+  View.Flat.remove v 0 2;
+  Alcotest.(check (list int)) "removing the last shortens the row"
+    [ ids.(0); ids.(3) ] (View.ids v);
+  Alcotest.(check int) "slot 2 empty again" (-1) (View.id_at v 2)
 
-let test_view_random_empty_slot_uniform () =
+(* Inserting ids 0, 1, 2 into an empty row leaves each of the six
+   orders with probability 1/6; one removal at a uniform slot leaves
+   each order of the two survivors with probability 1/2. *)
+let test_view_insert_uniform () =
   let v = View.create 4 in
   let rng = Sf_prng.Rng.create 2 in
-  View.set v 1 (entry 9);
-  let counts = Array.make 4 0 in
-  for _ = 1 to 30_000 do
-    let i = View.Flat.random_empty_slot v 0 rng in
-    counts.(i) <- counts.(i) + 1
+  let trials = 30_000 in
+  let orders = Hashtbl.create 6 and pairs = Hashtbl.create 6 in
+  let bump table key =
+    Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+  in
+  for _ = 1 to trials do
+    View.clear_all v;
+    List.iter (fun id -> View.Flat.insert v 0 rng ~id ~serial:id ~anchor:(-1) ~born:0) [ 0; 1; 2 ];
+    bump orders (View.ids v);
+    View.Flat.remove v 0 (Sf_prng.Rng.int rng 3);
+    bump pairs (View.ids v)
   done;
-  Alcotest.(check int) "occupied never chosen" 0 counts.(1);
-  List.iter
-    (fun i ->
-      let frac = float_of_int counts.(i) /. 30_000. in
-      Alcotest.(check bool) "near 1/3" true (Float.abs (frac -. (1. /. 3.)) < 0.02))
-    [ 0; 2; 3 ]
+  Alcotest.(check int) "every order occurs" 6 (Hashtbl.length orders);
+  Hashtbl.iter
+    (fun _ count ->
+      let frac = float_of_int count /. float_of_int trials in
+      Alcotest.(check bool) "order near 1/6" true (Float.abs (frac -. (1. /. 6.)) < 0.015))
+    orders;
+  Alcotest.(check int) "every ordered pair occurs" 6 (Hashtbl.length pairs);
+  Hashtbl.iter
+    (fun _ count ->
+      let frac = float_of_int count /. float_of_int trials in
+      Alcotest.(check bool) "pair near 1/6" true (Float.abs (frac -. (1. /. 6.)) < 0.015))
+    pairs
 
 let test_view_queries () =
   let v = View.create 6 in
@@ -70,11 +116,11 @@ let test_view_queries () =
   View.clear_all v;
   Alcotest.(check int) "clear_all" 0 (View.degree v)
 
-(* The row draw against the historical one: [Rng.choose] over the list
-   of the row's eligible (slot, id) pairs in ascending slot order.  Rows
-   are random mixes of empty slots, the owner's own id and other ids, so
-   some have no eligible slot; such a draw must return -1 and leave the
-   stream where it was. *)
+(* The row draw against [Rng.choose] over the list of the row's
+   eligible (slot, id) pairs in ascending slot order.  Rows have random
+   degrees and mix the owner's own id with other ids, so some have no
+   eligible slot; such a draw must return -1 and leave the stream where
+   it was. *)
 let reference_occupied_slot store u rng ~except =
   let eligible =
     List.filter
@@ -90,11 +136,9 @@ let test_view_random_occupied_slot () =
   let store = View.create_rows ~nodes:rows s in
   let fill = Sf_prng.Rng.create 11 in
   for u = 0 to rows - 1 do
-    for slot = 0 to s - 1 do
-      match Sf_prng.Rng.int fill 4 with
-      | 0 -> ()
-      | 1 -> View.Flat.set store u slot ~id:u ~serial:0 ~anchor:(-1) ~born:0
-      | _ -> View.Flat.set store u slot ~id:(Sf_prng.Rng.int fill 5) ~serial:0 ~anchor:(-1) ~born:0
+    for slot = 0 to Sf_prng.Rng.int fill (s + 1) - 1 do
+      let id = if Sf_prng.Rng.int fill 3 = 0 then u else Sf_prng.Rng.int fill 5 in
+      View.Flat.set store u slot ~id ~serial:0 ~anchor:(-1) ~born:0
     done
   done;
   let drawn = Sf_prng.Rng.create 12 and reference = Sf_prng.Rng.create 12 in
@@ -265,8 +309,9 @@ let test_receive_places_in_empty_slots () =
   if not (receive config rng receiver (message 50 51)) then
     Alcotest.fail "room available";
   Alcotest.(check int) "degree +2" 4 (View.degree receiver);
-  Alcotest.(check bool) "originals untouched" true
-    (View.mem receiver 1 && View.mem receiver 2)
+  Alcotest.(check (list int)) "the row stays packed" [ 1; 2; 50; 51 ]
+    (List.sort compare (View.ids receiver));
+  Alcotest.(check int) "slot 4 still empty" (-1) (View.id_at receiver 4)
 
 (* Observation 5.1: outdegree stays even through random protocol activity. *)
 let prop_degree_parity_invariant =
@@ -367,7 +412,7 @@ let test_receive_refuses_unfit_atomically () =
   let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
   let view = View.create 8 in
   View.set view 0 (entry 4);
-  View.set view 5 (entry 6);
+  View.set view 1 (entry 6);
   let before = View.entries view in
   let refused what msg =
     (match receive config (Sf_prng.Rng.create 3) view msg with
@@ -394,7 +439,8 @@ let test_receive_refuses_unfit_atomically () =
   | _ -> Alcotest.fail "world store: accepted born 2^31"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "world row keeps degree 2" 2 (View.Flat.degree store 1);
-  Alcotest.(check int) "and its slots" 2 (View.Flat.recount_degree store 1)
+  Alcotest.(check (list int)) "and its slots" [ 0; 0; -1 ]
+    (List.init 3 (View.Flat.id_at store 1))
 
 (* --- The install rule --- *)
 
@@ -423,10 +469,12 @@ let print_install_case (s, dl, owner, donor, row, stale, dead, world) =
   Printf.sprintf "s=%d dl=%d owner=%d donor=%d row=[%s] stale=[%s] dead=[%s] world=%b" s
     dl owner donor (ints (Array.to_list row)) (ints (Array.to_list stale)) (ints dead) world
 
-(* Writes [ids] (-1 = empty) into row [u] with serials below 1000. *)
+(* Writes the ids of [ids] that are not -1 into row [u], packed, with
+   serials below 1000. *)
 let fill store u ids =
-  Array.iteri
-    (fun k id ->
+  Array.iter
+    (fun id ->
+      let k = View.Flat.degree store u in
       if id >= 0 then View.Flat.set store u k ~id ~serial:k ~anchor:(-1) ~born:0)
     ids
 
@@ -484,10 +532,8 @@ let prop_install_rule =
       && List.sort_uniq compare serials = List.init installed (fun k -> 1001 + k)
       && List.for_all (fun (k, _, _, _) -> View.Flat.born_at store u k = 7) entries
       (* The donor's row is only read. *)
-      && List.map (fun (k, id, _, _) -> (k, id)) (row_entries from from_row)
-         = List.filter_map
-             (fun k -> if row.(k) >= 0 then Some (k, row.(k)) else None)
-             (List.init s Fun.id)
+      && List.map (fun (_, id, _, _) -> id) (row_entries from from_row)
+         = List.filter (fun id -> id >= 0) (Array.to_list row)
       (* An id install writes its ids unanchored, in slot order, and
          refuses one id more than the view has slots, changing nothing. *)
       && (let before = row_entries store u in
@@ -503,8 +549,8 @@ let suite =
   [
     Alcotest.test_case "view create" `Quick test_view_create;
     Alcotest.test_case "view set/get/clear" `Quick test_view_set_get_clear;
-    Alcotest.test_case "view random empty slot" `Quick test_view_random_empty_slot;
-    Alcotest.test_case "view empty slot uniformity" `Quick test_view_random_empty_slot_uniform;
+    Alcotest.test_case "view insert and remove" `Quick test_view_insert_remove;
+    Alcotest.test_case "view insert order uniformity" `Quick test_view_insert_uniform;
     Alcotest.test_case "view queries" `Quick test_view_queries;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "initiate on empty view" `Quick test_initiate_empty_view_is_self_loop;

@@ -105,28 +105,39 @@ let test_lifetime_sampling () =
     Alcotest.(check bool) "above minimum" true (Sessions.sample_lifetime rng par >= 30.)
   done
 
+(* Session churn over 30 fixed worlds (world k seeded 60 + k, its
+   sessions 7 + k).  Every world holds its population near equilibrium
+   with legal degrees.  The repair pass runs before each round, so a
+   node a join or a leave isolates in the last round is still alone at
+   the end: 27 of the 30 worlds end with none. *)
 let test_session_churn_keeps_population () =
-  let r = make_system ~n:150 ~loss:0.01 () in
-  Runner.run_rounds r 50;
-  let sessions =
-    Sessions.create ~runner:r ~seed:7 ~lifetime:(Sessions.Exponential 75.)
-      ~arrival_rate:2. ()
+  let worlds = 30 in
+  let connected =
+    List.init worlds (fun k ->
+        let r = make_system ~seed:(60 + k) ~n:150 ~loss:0.01 () in
+        Runner.run_rounds r 50;
+        let sessions =
+          Sessions.create ~runner:r ~seed:(7 + k) ~lifetime:(Sessions.Exponential 75.)
+            ~arrival_rate:2. ()
+        in
+        Sessions.run sessions ~rounds:150;
+        let stats = Sessions.statistics sessions in
+        (* Equilibrium population ~ arrival_rate * mean = 150. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "population %d near 150" stats.Sessions.population)
+          true
+          (stats.Sessions.population > 75 && stats.Sessions.population < 260);
+        Alcotest.(check bool) "joins happened" true (stats.Sessions.joins > 100);
+        Alcotest.(check bool) "leaves happened" true (stats.Sessions.leaves > 100);
+        Array.iter
+          (fun d -> Alcotest.(check bool) "legal degree" true (d mod 2 = 0 && d <= 12))
+          (Sf_core.Properties.outdegree_samples r);
+        Runner.isolated_nodes r = [])
+    |> List.filter Fun.id |> List.length
   in
-  Sessions.run sessions ~rounds:150;
-  let stats = Sessions.statistics sessions in
-  (* Equilibrium population ~ arrival_rate * mean = 150. *)
   Alcotest.(check bool)
-    (Printf.sprintf "population %d near 150" stats.Sessions.population)
-    true
-    (stats.Sessions.population > 75 && stats.Sessions.population < 260);
-  Alcotest.(check bool) "joins happened" true (stats.Sessions.joins > 100);
-  Alcotest.(check bool) "leaves happened" true (stats.Sessions.leaves > 100);
-  Alcotest.(check int) "no isolated nodes (recovery on)" 0
-    (List.length (Runner.isolated_nodes r));
-  (* Degrees stay legal. *)
-  Array.iter
-    (fun d -> Alcotest.(check bool) "legal degree" true (d mod 2 = 0 && d <= 12))
-    (Sf_core.Properties.outdegree_samples r)
+    (Printf.sprintf "no isolated node in %d of %d worlds (>= 20)" connected worlds)
+    true (connected >= 20)
 
 let test_session_zero_arrivals_drains () =
   let r = make_system ~n:60 () in

@@ -21,55 +21,58 @@ let make_system ?(seed = 21) ?(n = 60) ?(loss = 0.) ?(config = small_config)
   let topology = Topology.regular rng ~n ~out_degree in
   Runner.create ~seed ~n ~loss_rate:loss ~config ~topology ()
 
-(* --- Flat representation: cached degrees vs recount --- *)
+(* --- Flat representation: packed rows under every write --- *)
 
-(* Mirror a random op sequence onto a boxed view array and a Flat store and
-   require, after every op, that each representation's cached degree equals
-   a full occupied-slot recount and that the two representations agree. *)
+(* Apply a random op sequence (insert, overwrite or append, remove,
+   clear) to a store and to a multiset model of each row, and require
+   after every op that each row's degree equals a recount of its
+   occupied slots, that those are exactly slots [0, degree), and that
+   the row holds the model's ids. *)
 let prop_degrees_match_recount =
   let nodes = 5 and s = 8 in
   QCheck.Test.make ~name:"View/Flat cached degrees match recount under ops"
     ~count:200
     QCheck.(small_list (triple small_nat small_nat small_nat))
     (fun ops ->
-      let views = Array.init nodes (fun _ -> View.create s) in
       let store = View.Flat.create ~nodes ~view_size:s in
+      let model = Array.make nodes [] and rng = Rng.create 3 in
+      let drop id ids =
+        let rec go = function [] -> [] | x :: rest -> if x = id then rest else x :: go rest in
+        go ids
+      in
       let check_all () =
         for u = 0 to nodes - 1 do
-          let boxed = View.degree views.(u) in
-          let recount = ref 0 in
-          for slot = 0 to s - 1 do
-            if View.id_at views.(u) slot >= 0 then incr recount
-          done;
-          if boxed <> !recount then
-            QCheck.Test.fail_reportf "view %d: cached %d <> recount %d" u boxed
-              !recount;
-          let flat = View.Flat.degree store u in
-          if flat <> View.Flat.recount_degree store u then
-            QCheck.Test.fail_reportf "flat %d: cached %d <> recount %d" u flat
-              (View.Flat.recount_degree store u);
-          if flat <> boxed then
-            QCheck.Test.fail_reportf "node %d: flat %d <> boxed %d" u flat boxed
+          let d = View.Flat.degree store u in
+          let occupied = List.filter (fun k -> View.Flat.id_at store u k >= 0) (List.init s Fun.id) in
+          if occupied <> List.init d Fun.id then
+            QCheck.Test.fail_reportf "row %d: degree %d but occupied slots %s" u d
+              (String.concat "," (List.map string_of_int occupied));
+          if List.sort compare (List.init d (View.Flat.id_at store u)) <> List.sort compare model.(u)
+          then QCheck.Test.fail_reportf "row %d: ids differ from the model" u
         done;
         true
       in
       List.for_all
         (fun (kind, u, slot) ->
-          let u = u mod nodes and slot = slot mod s in
+          let u = u mod nodes and d = View.Flat.degree store (u mod nodes) in
+          let id = u + slot and serial = kind + (u * 100) + slot in
           (match kind mod 5 with
-          | 0 | 1 | 2 ->
-            let id = u + slot and serial = kind + (u * 100) + slot in
-            View.set views.(u) slot
-              { View.id; serial; anchor = None; born = 0 };
-            View.Flat.set store u slot ~id ~serial ~anchor:(-1) ~born:0
-          | 3 ->
-            View.clear views.(u) slot;
-            View.Flat.clear store u slot
-          | _ ->
-            View.clear_all views.(u);
-            for i = 0 to s - 1 do
-              View.Flat.clear store u i
-            done);
+          | 0 | 1 when d < s ->
+            View.Flat.insert store u rng ~id ~serial ~anchor:(-1) ~born:0;
+            model.(u) <- id :: model.(u)
+          | 2 when slot mod (d + 1) < s ->
+            let slot = slot mod (d + 1) in
+            if slot < d then model.(u) <- drop (View.Flat.id_at store u slot) model.(u);
+            View.Flat.set store u slot ~id ~serial ~anchor:(-1) ~born:0;
+            model.(u) <- id :: model.(u)
+          | 3 when d > 0 ->
+            let slot = slot mod d in
+            model.(u) <- drop (View.Flat.id_at store u slot) model.(u);
+            View.Flat.remove store u slot
+          | 4 ->
+            ignore (View.Flat.clear_row store u);
+            model.(u) <- []
+          | _ -> ());
           check_all ())
         ops)
 
@@ -110,8 +113,8 @@ let census_oracle views =
 (* The flat census labels exactly as the boxed one, and both as the
    hash-table oracle: random views (ids drawn from a small range so
    self-edges and parallel copies are common, anchors on about half the
-   entries) mirrored into [View.t]s and a [View.Flat] give equal
-   records. *)
+   entries; writes overwrite or append, and removals move the last entry)
+   mirrored into [View.t]s and a [View.Flat] give equal records. *)
 let prop_census_flat_matches_views =
   let nodes = 6 and s = 8 in
   QCheck.Test.make ~name:"Census.of_flat equals Census.of_views on mirrored views"
@@ -122,12 +125,16 @@ let prop_census_flat_matches_views =
       let store = View.Flat.create ~nodes ~view_size:s in
       List.iter
         (fun (u, slot, id, a) ->
-          let u = u mod nodes and slot = slot mod s and id = id mod (nodes + 2) in
+          let u = u mod nodes and id = id mod (nodes + 2) in
+          let d = View.Flat.degree store u in
           if a mod 5 = 4 then begin
-            View.clear views.(u) slot;
-            View.Flat.clear store u slot
+            if d > 0 then begin
+              View.Flat.remove views.(u) 0 (slot mod d);
+              View.Flat.remove store u (slot mod d)
+            end
           end
-          else begin
+          else if slot mod (d + 1) < s then begin
+            let slot = slot mod (d + 1) in
             let anchor = if a mod 2 = 0 then Some (a mod nodes) else None in
             View.set views.(u) slot { View.id; serial = a; anchor; born = 0 };
             View.Flat.set store u slot ~id ~serial:a
@@ -150,7 +157,7 @@ let prop_census_flat_matches_views =
 
 let test_lane_ranges () =
   let store = View.Flat.create ~nodes:2 ~view_size:4 in
-  View.Flat.set store 0 1 ~id:5 ~serial:9 ~anchor:1 ~born:3;
+  View.Flat.set store 0 0 ~id:5 ~serial:9 ~anchor:1 ~born:3;
   let snapshot () =
     ( View.Flat.degree store 0,
       List.init 4 (fun slot ->
@@ -166,8 +173,8 @@ let test_lane_ranges () =
     | exception Invalid_argument _ -> ());
     if snapshot () <> before then Alcotest.failf "%s: store changed" what
   in
-  (* Into an occupied slot and into an empty one: neither the lanes, the
-     serial nor the cached degree may move. *)
+  (* Over an occupied slot and as an append: neither the lanes, the
+     serial nor the degree may move. *)
   List.iter
     (fun slot ->
       rejects "id 2^31" slot ~id:(1 lsl 31) ~anchor:(-1) ~born:0;
@@ -176,16 +183,16 @@ let test_lane_ranges () =
       rejects "anchor 2^31" slot ~id:1 ~anchor:(1 lsl 31) ~born:0;
       rejects "born 2^31" slot ~id:1 ~anchor:(-1) ~born:(1 lsl 31);
       rejects "negative born" slot ~id:1 ~anchor:(-1) ~born:(-1))
-    [ 1; 2 ];
+    [ 0; 1 ];
   let top = (1 lsl 31) - 1 in
   View.Flat.set store 1 0 ~id:top ~serial:(1 lsl 40) ~anchor:top ~born:top;
-  View.Flat.set store 1 3 ~id:0 ~serial:(-7) ~anchor:(-1) ~born:0;
+  View.Flat.set store 1 1 ~id:0 ~serial:(-7) ~anchor:(-1) ~born:0;
   Alcotest.(check (list int)) "2^31 - 1 round-trips"
     [ top; 1 lsl 40; top; top ]
     View.Flat.[ id_at store 1 0; serial_at store 1 0; anchor_at store 1 0; born_at store 1 0 ];
   Alcotest.(check (list int)) "anchor -1 round-trips"
     [ 0; -7; -1; 0 ]
-    View.Flat.[ id_at store 1 3; serial_at store 1 3; anchor_at store 1 3; born_at store 1 3 ];
+    View.Flat.[ id_at store 1 1; serial_at store 1 1; anchor_at store 1 1; born_at store 1 1 ];
   Alcotest.(check int) "degree counts both" 2 (View.Flat.degree store 1);
   (* 2^31 nodes cannot be named by a lane; the check comes before the
      2^31 * s-slot allocation. *)
@@ -464,42 +471,27 @@ let test_live_ids_spliced () =
 
 (* --- Sampling: the allocation-free scan preserves the RNG stream --- *)
 
-(* The historical implementation: fold the candidates into a list (highest
-   slot first), then one [Rng.choose] over the materialized array. *)
-let reference_sample ?(allow_self = false) runner rng ~node_id =
-  if not (Runner.is_live runner node_id) then None
-  else
-    let candidates =
-      View.fold
-        (fun acc e ->
-          if allow_self || e.View.id <> node_id then e.View.id :: acc else acc)
-        [] (View.copy_row (Runner.store runner) node_id)
-    in
-    if candidates = [] then None
-    else Some (Rng.choose rng (Array.of_list candidates))
-
-let test_sample_matches_reference () =
+(* A sample is one row draw: the id in the slot
+   [View.Flat.random_occupied_slot] picks, self excluded unless allowed,
+   from the same stream position. *)
+let test_sample_is_row_draw () =
   let r = make_system ~seed:3 ~n:60 ~loss:0.05 () in
   Runner.run_rounds r 10;
-  let rng_new = Rng.create 123 and rng_ref = Rng.create 123 in
+  let store = Runner.store r in
+  let rng = Rng.create 123 and reference = Rng.create 123 in
   for node_id = 0 to 59 do
-    for _ = 1 to 5 do
-      Alcotest.(check (option int))
-        "same draw"
-        (reference_sample r rng_ref ~node_id)
-        (Sampling.sample r rng_new ~node_id)
-    done
+    List.iter
+      (fun allow_self ->
+        let slot =
+          View.Flat.random_occupied_slot store node_id reference
+            ~except:(if allow_self then -1 else node_id)
+        in
+        Alcotest.(check (option int)) "same draw"
+          (if slot < 0 then None else Some (View.Flat.id_at store node_id slot))
+          (Sampling.sample ~allow_self r rng ~node_id))
+      [ false; true ]
   done;
-  for node_id = 0 to 9 do
-    Alcotest.(check (option int))
-      "same draw (allow_self)"
-      (reference_sample ~allow_self:true r rng_ref ~node_id)
-      (Sampling.sample ~allow_self:true r rng_new ~node_id)
-  done;
-  (* Equal stream positions afterwards: the rewrite consumed exactly the
-     same randomness. *)
-  Alcotest.(check int) "streams still aligned" (Rng.int rng_ref 1_000_000)
-    (Rng.int rng_new 1_000_000)
+  Alcotest.(check bool) "streams still aligned" true (Rng.equal rng reference)
 
 let test_sample_many_contract () =
   let r = make_system ~n:40 () in
@@ -756,19 +748,19 @@ let test_chaos_known_answer () =
     | None -> Alcotest.fail "chaos world lost its fault statistics"
   in
   Alcotest.(check (list int)) "world counters"
-    [ 17787; 13518; 4269; 644; 3155; 16; 797 ]
+    [ 17778; 13499; 4279; 689; 3100; 10; 860 ]
     [ c.Runner.actions; c.Runner.self_loops; c.Runner.sends;
       c.Runner.duplications; c.Runner.receipts; c.Runner.deletions;
       c.Runner.messages_lost ];
-  Alcotest.(check (list int)) "ledger" [ 475; 961; 1480; 2222 ]
+  Alcotest.(check (list int)) "ledger" [ 479; 979; 1488; 2186 ]
     [ l.Sharded.accepted_duplications; l.Sharded.dropped_non_duplicated;
       l.Sharded.churn_edges_added; l.Sharded.churn_edges_removed ];
-  Alcotest.(check (list int)) "fault statistics" [ 4269; 797; 797; 32; 9; 0; 4 ]
+  Alcotest.(check (list int)) "fault statistics" [ 4279; 860; 860; 25; 8; 0; 4 ]
     [ f.Sf_faults.Injector.judged; f.Sf_faults.Injector.chance_drops;
       f.Sf_faults.Injector.burst_drops; f.Sf_faults.Injector.partition_drops;
       f.Sf_faults.Injector.crash_drops; f.Sf_faults.Injector.corruptions;
       f.Sf_faults.Injector.fault_transitions ];
-  Alcotest.(check int) "store lanes hash" 4211912234032738754
+  Alcotest.(check int) "store lanes hash" 2955527127046880194
     (lanes_hash (Sharded.store w));
   (* The paper's steady regime, no scenario: uniform loss over a Scatter
      start, every phase on the shard streams alone. *)
@@ -780,13 +772,13 @@ let test_chaos_known_answer () =
   let c = Sharded.world_counters w in
   let l = Sharded.ledger w in
   Alcotest.(check (list int)) "steady world counters"
-    [ 60000; 36695; 23305; 678; 22167; 515; 1138 ]
+    [ 60000; 36559; 23441; 688; 22221; 525; 1220 ]
     [ c.Runner.actions; c.Runner.self_loops; c.Runner.sends;
       c.Runner.duplications; c.Runner.receipts; c.Runner.deletions;
       c.Runner.messages_lost ];
-  Alcotest.(check (list int)) "steady ledger" [ 646; 1621 ]
+  Alcotest.(check (list int)) "steady ledger" [ 641; 1698 ]
     [ l.Sharded.accepted_duplications; l.Sharded.dropped_non_duplicated ];
-  Alcotest.(check int) "steady store lanes hash" 3781931262351171795 (lanes_hash (Sharded.store w))
+  Alcotest.(check int) "steady store lanes hash" 356717432204424227 (lanes_hash (Sharded.store w))
 
 (* Windows that are written but never act are worse than a loud error:
    the sharded engine rejects every window the injector rejects, with the
@@ -827,8 +819,7 @@ let suite =
       test_observe_only_resilience_identity;
     Alcotest.test_case "incremental live array" `Quick
       test_live_ids_spliced;
-    Alcotest.test_case "sample preserves RNG stream" `Quick
-      test_sample_matches_reference;
+    Alcotest.test_case "sample is the row draw" `Quick test_sample_is_row_draw;
     Alcotest.test_case "sample_many contract" `Quick test_sample_many_contract;
     Alcotest.test_case "sharded round allocation" `Quick test_sharded_round_allocation;
     Alcotest.test_case "chaos round allocation" `Quick test_chaos_round_allocation;

@@ -271,13 +271,13 @@ let test_flat_known_answer () =
         Strategy.all expected)
     [
       ( "ge:0.2:8;partition@9-13:2;crash@10-15:0-39", 0.,
-        [ [ 40; 11; -1; 44356; 44356; 0; 32242; 8561; 2575; 773 ];
-          [ 9; 6; 9; 15024; 5668; 9356; 3302; 5666; 644; 797 ];
-          [ 40; 11; -1; 25251; 25251; 0; 17804; 5019; 1455; 765 ] ] );
+        [ [ 40; 11; -1; 44348; 44348; 0; 32062; 8901; 2394; 775 ];
+          [ 9; 7; 9; 15031; 4717; 10314; 2840; 5472; 584; 794 ];
+          [ 40; 12; -1; 26205; 26205; 0; 18918; 4826; 1481; 771 ] ] );
       ( "partition@9-13:3;crash@10-15:100-139", 0.05,
-        [ [ 40; 10; -1; 45278; 45278; 0; 39055; 2333; 2871; 778 ];
-          [ 8; 7; 8; 13387; 3347; 10040; 2123; 4739; 541; 797 ];
-          [ 40; 13; -1; 31959; 31959; 0; 27220; 1643; 2103; 772 ] ] );
+        [ [ 40; -1; -1; 0; 0; 0; 0; 0; 0; 0 ];
+          [ 40; -1; -1; 63630; 0; 63630; 0; 7182; 3966; 0 ];
+          [ 40; -1; -1; 0; 0; 0; 0; 0; 0; 0 ] ] );
     ]
 
 (* The churn-free twin of the flat known answer on a 400-node world:
@@ -308,9 +308,9 @@ let test_churn_free_known_answer () =
             f.Sf_faults.Injector.partition_drops; f.Sf_faults.Injector.crash_drops;
             f.Sf_faults.Injector.fault_transitions ]))
     Strategy.all
-    [ [ 14; 8; 14; 4994; 4994; 0; 4326; 271; 0; 5400; 1169; 49; 1169; 49; 120; 31; 4 ];
-      [ 6; 5; 6; 4790; 1580; 3210; 913; 1527; 0; 2200; 482; 12; 482; 12; 120; 31; 3 ];
-      [ 12; 8; 12; 2628; 2628; 0; 2087; 146; 0; 4600; 993; 39; 993; 39; 120; 31; 4 ] ]
+    [ [ 12; 8; 12; 3104; 3104; 0; 2545; 163; 0; 4600; 951; 50; 951; 50; 108; 30; 4 ];
+      [ 6; 5; 6; 4776; 1344; 3432; 755; 1517; 0; 2200; 475; 22; 475; 22; 108; 30; 3 ];
+      [ 11; 8; 11; 2271; 2271; 0; 1719; 157; 0; 4200; 879; 46; 879; 46; 108; 30; 4 ] ]
 
 (* --- Churn: a joiner inherits nothing from its slot's last node --- *)
 

@@ -269,9 +269,9 @@ let rules =
       doc =
         "views are filled from ids only by lib/core/protocol.ml's install \
          rule (Protocol.install_ids, install_copy), in slot order, and by \
-         its receive step: random_empty_slot, View.set and View.Flat.set may \
-         not appear in lib/core/runner.ml, churn.ml, sessions.ml, lib/net/, \
-         bench/ or examples/";
+         its receive step: Flat.insert, View.insert_entry, View.set and \
+         View.Flat.set may not appear in lib/core/runner.ml, churn.ml, \
+         sessions.ml, lib/net/, bench/ or examples/";
       applies =
         (fun path ->
           is_source path
@@ -287,11 +287,10 @@ let rules =
          in
          List.map
            (fun token -> (token, message))
-           ([ "random_empty_slot"; "Flat.random_empty_slot"; "Flat.set" ]
+           ([ "Flat.insert"; "Flat.set" ]
            @ List.concat_map
                (fun name -> [ name; "Sf_core." ^ name ])
-               [ "View.random_empty_slot"; "View.Flat.random_empty_slot";
-                 "View.set"; "View.Flat.set" ]));
+               [ "View.insert_entry"; "View.Flat.insert"; "View.set"; "View.Flat.set" ]));
     };
     {
       id = "one-overlay-probe";
