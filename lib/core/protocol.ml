@@ -168,9 +168,10 @@ let install_copy store u ~owner ~donor ~from ~from_row ~dl ~live ~born ~mint =
     end;
     incr k
   done;
-  (* Observation 5.1: the outdegree stays even. *)
-  if !installed land 1 = 1 then begin
+  (* Section 6.5's joiner starts at outdegree dL: a thin donor is padded
+     with its own id, to an even count (Observation 5.1). *)
+  while !installed < target do
     put store u !installed ~id:donor ~anchor:donor ~born ~mint;
     incr installed
-  end;
+  done;
   !installed

@@ -132,9 +132,11 @@ val install_copy :
     ~mint] is the joining rule (section 6.5) for node [owner] at row [u]:
     [donor]'s id, then the ids of the donor's view (row [from_row] of
     [from]) in slot order, skipping [owner]'s own id and every id [live]
-    rejects, up to max(2, dL) entries; padded with the donor's id to an
-    even count (Observation 5.1).  Every entry is anchored at [donor]: a
-    copy the donor keeps, the dependence duplication creates.  The donor
-    row is read after row [u] is cleared, so a node that copies its own
-    row gets [[donor; donor]].
+    rejects, up to max(2, dL) entries; padded with the donor's id up to
+    max(2, dL) entries (capped at the row's even size), so the joiner
+    starts at outdegree dL as section 6.5 assumes, and even (Observation
+    5.1).  Every entry is anchored at [donor]: a copy the donor keeps,
+    the dependence duplication creates.  The donor row is read after row
+    [u] is cleared, so a node that copies its own row gets max(2, dL)
+    copies of [donor].
     Returns the number of entries installed.  Allocation-free. *)

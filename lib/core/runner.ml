@@ -506,7 +506,8 @@ let run_until t horizon =
    A joiner and a repaired node copy a live donor's view through
    [Protocol.install_copy] (the section 6.5 joining rule): the donor's id,
    then its live entries other than the node's own in slot order, up to
-   max(2, dL) of the dL the node runs under, padded to even, every entry
+   max(2, dL) of the dL the node runs under, padded with the donor's id
+   to that count, every entry
    anchored at the donor because the donor keeps its copy.  The runner's
    only policy is its choice of donor. *)
 

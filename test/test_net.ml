@@ -932,8 +932,8 @@ let test_driver_supervised_repair () =
         (Driver.views c))
 
 (* A repair whose donor's view holds nothing but the repaired node's own
-   id still installs the donor's id, padded to an even [donor; donor],
-   and never an empty view.  Node 0 starts isolated, node 1 holds only
+   id still installs the donor's id, padded up to dL = 4, and never an
+   empty view.  Node 0 starts isolated, node 1 holds only
    [0; 0], and a two-block filter drops every datagram between them, so
    only the supervisor's repair can give node 0 a view. *)
 let test_driver_repair_from_self_only_donor () =
@@ -959,8 +959,8 @@ let test_driver_repair_from_self_only_donor () =
         (fun (id, view) ->
           if id = 0 then
             Alcotest.(check (list (pair int (option int))))
-              "the donor's id twice, anchored at the donor"
-              [ (1, Some 1); (1, Some 1) ]
+              "the donor's id up to dL, anchored at the donor"
+              [ (1, Some 1); (1, Some 1); (1, Some 1); (1, Some 1) ]
               (List.map (fun e -> (e.View.id, e.View.anchor)) (View.entries view)))
         (Driver.views c))
 

@@ -518,13 +518,13 @@ let prop_install_rule =
       let copied = List.filteri (fun k _ -> k < target - 1) eligible in
       let expected =
         let ids = donor :: copied in
-        if List.length ids land 1 = 1 then ids @ [ donor ] else ids
+        ids @ List.init (target - List.length ids) (fun _ -> donor)
       in
       let serials = List.map (fun (_, _, serial, _) -> serial) entries in
       installed = List.length entries
       && installed land 1 = 0
       && installed <= s
-      && (1 + List.length eligible < target || installed = target)
+      && installed = target
       && List.map (fun (_, id, _, _) -> id) entries = expected
       && List.for_all (fun (_, id, _, anchor) -> id <> owner && anchor = donor) entries
       (* Slot order: the entries fill slots 0, 1, 2, ... *)
@@ -544,6 +544,23 @@ let prop_install_rule =
             && (Protocol.install_ids store u (Array.of_list expected) ~born:7 ~mint;
                 List.map (fun (_, id, _, anchor) -> (id, anchor)) (row_entries store u)
                 = List.map (fun id -> (id, -1)) expected)))
+
+(* A donor with fewer than dL - 1 eligible ids still gives the joiner
+   max(2, dL) entries: its own id pads the copy. *)
+let test_install_copy_pads_to_dl () =
+  let store = View.create_rows ~nodes:2 12 in
+  List.iteri
+    (fun k id -> View.Flat.set store 1 k ~id ~serial:k ~anchor:(-1) ~born:0)
+    [ 5; 0; 6 ];
+  let next = ref 100 in
+  let mint () = incr next; !next in
+  let installed =
+    Protocol.install_copy store 0 ~owner:0 ~donor:1 ~from:store ~from_row:1 ~dl:6
+      ~live:(fun _ -> true) ~born:0 ~mint
+  in
+  Alcotest.(check int) "max(2, dL) entries" 6 installed;
+  Alcotest.(check (list int)) "the donor, its ids, then the donor as padding"
+    [ 1; 5; 6; 1; 1; 1 ] (View.ids (View.copy_row store 0))
 
 let suite =
   [
@@ -566,5 +583,7 @@ let suite =
     Alcotest.test_case "receive refuses an unfit message atomically" `Quick
       test_receive_refuses_unfit_atomically;
     QCheck_alcotest.to_alcotest prop_install_rule;
+    Alcotest.test_case "install copy pads a thin donor to dL" `Quick
+      test_install_copy_pads_to_dl;
     Alcotest.test_case "view random occupied slot" `Quick test_view_random_occupied_slot;
   ]
