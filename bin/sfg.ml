@@ -88,16 +88,21 @@ let churn_arg default =
            every leave is matched by a join, keeping the population stationary \
            under RATE turnover.")
 
-let headroom_arg default =
+let headroom_arg =
   Arg.(
-    value & opt int default
+    value & opt (some int) None
     & info [ "headroom" ] ~docv:"SLOTS"
         ~doc:
           "Extra node slots for churn beyond n (depth of the id-reuse delay), \
-           rounded up to a multiple of the shard count.")
+           rounded up to a multiple of the shard count.  Default \
+           max(1024, 2 ceil(RATE n)): twice a round's expected leaves, since a \
+           slot freed in a round is reused only in the next.")
 
-let sharded_churn ~churn_rate ~headroom =
-  if churn_rate > 0. then Some { Runner.Sharded.churn_rate; headroom } else None
+let sharded_churn ~n ~churn_rate ~headroom =
+  let default = max 1024 (2 * int_of_float (Float.ceil (churn_rate *. float_of_int n))) in
+  if churn_rate > 0. then
+    Some { Runner.Sharded.churn_rate; headroom = Option.value headroom ~default }
+  else None
 
 let verify_domains_arg =
   Arg.(
@@ -1216,7 +1221,7 @@ let spread seed n view_size lower_threshold loss scenario churn_rate headroom
     shards domains verify_domains warmup strategy fanout target max_rounds =
   let v = Verdict.create () in
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let churn = sharded_churn ~churn_rate ~headroom in
+  let churn = sharded_churn ~n ~churn_rate ~headroom in
   let domains = resolve_domains ~shards domains in
   Fmt.pr "spread: %a fanout=%d n=%d target=%.2f loss=%g seed=%d shards=%d \
           domains=%d@."
@@ -1305,7 +1310,7 @@ let spread_cmd =
     Term.(
       const spread $ seed_arg $ n_arg 10_000 $ view_size_arg 16
       $ lower_threshold_arg 4 $ loss_arg $ scenario_arg $ churn_arg 0.
-      $ headroom_arg 1024 $ shards_arg 16 $ domains_arg $ verify_domains_arg
+      $ headroom_arg $ shards_arg 16 $ domains_arg $ verify_domains_arg
       $ warmup $ strategy $ fanout $ target $ max_rounds)
 
 (* --- top --- *)
@@ -1420,7 +1425,7 @@ let scale seed n view_size lower_threshold loss rounds domains shards audit
     verify_domains scenario churn_rate headroom resilience d_hat delta =
   let v = Verdict.create () in
   let config = Protocol.make_config ~view_size ~lower_threshold in
-  let churn = sharded_churn ~churn_rate ~headroom in
+  let churn = sharded_churn ~n ~churn_rate ~headroom in
   let make () =
     Verdict.world v "scale" (fun () ->
         Runner.Sharded.create ~shards ~loss_rate:loss ?scenario ?churn
@@ -1549,7 +1554,7 @@ let scale_cmd =
       const scale $ seed_arg $ n_arg 100_000 $ view_size_arg 16
       $ lower_threshold_arg 4 $ loss_arg $ rounds_arg 10 $ domains_arg
       $ shards_arg 16 $ audit $ verify_domains_arg $ scenario_arg $ churn_arg 0.
-      $ headroom_arg 1024 $ resilience_arg $ d_hat_arg $ delta_arg)
+      $ headroom_arg $ resilience_arg $ d_hat_arg $ delta_arg)
 
 (* --- main --- *)
 

@@ -1184,7 +1184,7 @@ module Sharded = struct
       store;
       alive;
       shards = shards_arr;
-      mail = Sf_engine.Mailbox.create ~shards ~fields;
+      mail = Sf_engine.Mailbox.create ~shards ~fields ~capacity:64;
       rounds = 0;
       windows;
       resil;

@@ -125,6 +125,9 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   let rings cap =
     Rings.create ~nodes:(if strategy = Strategy.Direct then capacity else 0) ~cap
   in
+  (* Only push-pull writes the pull matrices; the others leave them
+     empty, with no buffers. *)
+  let pulls = if strategy = Strategy.Push_pull then 64 else 0 in
   let inf = Bytes.make capacity '\000' in
   Bytes.set inf source '\001';
   sshards.(Sharded.shard_of world source).count.(c_infected) <- 1;
@@ -140,9 +143,9 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
     inf;
     leads = rings Strategy.lead_capacity;
     recent = rings Strategy.recent_capacity;
-    out = Mailbox.create ~shards ~fields;
-    req = Mailbox.create ~shards ~fields;
-    resp = Mailbox.create ~shards ~fields;
+    out = Mailbox.create ~shards ~fields ~capacity:64;
+    req = Mailbox.create ~shards ~fields ~capacity:pulls;
+    resp = Mailbox.create ~shards ~fields ~capacity:pulls;
     g_coverage = Sf_obs.Metrics.gauge m "spread_coverage";
     rounds = 0;
     cov_rev = [];

@@ -7,13 +7,15 @@ type box = { mutable buf : int array; mutable len : int }
 
 type t = { shards : int; fields : int; boxes : box array (* src * shards + dst *) }
 
-let create ~shards ~fields =
-  if shards < 1 || fields < 1 then invalid_arg "Mailbox.create: need positive sizes";
+let create ~shards ~fields ~capacity =
+  if shards < 1 || fields < 1 || capacity < 0 then
+    invalid_arg "Mailbox.create: need positive sizes";
   {
     shards;
     fields;
     boxes =
-      Array.init (shards * shards) (fun _ -> { buf = Array.make (fields * 64) 0; len = 0 });
+      Array.init (shards * shards) (fun _ ->
+          { buf = (if capacity = 0 then [||] else Array.make (fields * capacity) 0); len = 0 });
   }
 
 let clear t ~src =
@@ -26,7 +28,7 @@ let push t ~src ~dst =
   let i = b.len in
   let need = i + t.fields in
   if need > Array.length b.buf then begin
-    let grown = Array.make (2 * Array.length b.buf) 0 in
+    let grown = Array.make (max (t.fields * 64) (2 * Array.length b.buf)) 0 in
     Array.blit b.buf 0 grown 0 i;
     b.buf <- grown
   end;

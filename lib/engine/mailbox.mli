@@ -11,10 +11,12 @@
 
 type t
 
-val create : shards:int -> fields:int -> t
-(** An empty matrix; every box starts with room for 64 messages and
-    doubles when full.  Raises [Invalid_argument] unless both arguments
-    are positive. *)
+val create : shards:int -> fields:int -> capacity:int -> t
+(** An empty matrix whose boxes start with room for [capacity] messages
+    and double when full.  A box of capacity 0 allocates room for 64
+    messages at its first push, so a matrix nobody pushes into costs no
+    buffers.  Raises [Invalid_argument] unless [shards] and [fields] are
+    positive and [capacity] is not negative. *)
 
 val clear : t -> src:int -> unit
 (** Empty row [src], keeping its buffers: shard [src] calls it at the

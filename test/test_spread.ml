@@ -355,9 +355,12 @@ let minor_words_during f =
   Gc.minor_words () -. w0
 
 (* n = 10^4 on 16 shards, for each strategy: [Flat.create] allocates
-   little beyond its three 16 x 16 mailboxes of 64-message buffers
-   (152,650 minor words; 154,115 before the two engines shared one
-   mailbox type, the bound), and ten spread rounds allocate at most 0.05
+   little beyond its 16 x 16 mailboxes of 64-message buffers: three for
+   push-pull (152,651 minor words; 154,115 before the two engines shared
+   one mailbox type, the bound), one for push and direct, whose pull
+   mailboxes start empty (53,835; bound 55,000, where all three
+   strategies read 152,650 when every mailbox was built), and ten spread
+   rounds allocate at most 0.05
    minor words per spread message plus membership action — no tuple,
    closure or option per message or ring operation (Direct's ring tuples
    read 0.67). *)
@@ -386,9 +389,10 @@ let test_spread_allocation () =
           + (Sharded.world_counters w).Runner.actions - actions0
         in
         let per = words /. float_of_int work in
+        let bound = if strategy = Strategy.Push_pull then 154_115. else 55_000. in
         Alcotest.(check bool)
-          (Fmt.str "%s: Flat.create %.0f minor words <= 154115" name create_words)
-          true (create_words <= 154_115.);
+          (Fmt.str "%s: Flat.create %.0f minor words <= %.0f" name create_words bound)
+          true (create_words <= bound);
         Alcotest.(check bool)
           (Fmt.str "%s: %.4f minor words per message + action <= 0.05" name per)
           true (per <= 0.05))
