@@ -41,26 +41,20 @@ let violation invariant fmt = Fmt.kstr (fun detail -> { invariant; detail }) fmt
 
 (* --- Pure checks, usable without attaching an auditor --- *)
 
-(* The first slot of row [u] that breaks packing (empty below the
-   degree, or occupied at or above it), or -1.  The View API keeps rows
-   packed itself, so this can only fail if that logic regresses — which
-   is exactly what it guards. *)
-let unpacked_slot store u =
-  let d = View.Flat.degree store u and bad = ref (-1) and slot = ref 0 in
-  while !bad < 0 && !slot < View.Flat.view_size store do
-    if (View.Flat.id_at store u !slot >= 0) <> (!slot < d) then bad := !slot;
-    incr slot
-  done;
-  !bad
-
+(* Row [u] fills exactly slots [0, degree): the lowest slot that breaks
+   this, if any, is reported.  The View API keeps rows packed itself, so
+   this can only fail if that logic regresses — which is exactly what it
+   guards. *)
 let soundness store u =
-  let slot = unpacked_slot store u in
-  if slot < 0 then None
+  let d = View.Flat.degree store u and bad = ref (-1) in
+  for slot = View.Flat.view_size store - 1 downto 0 do
+    if (View.Flat.id_at store u slot >= 0) <> (slot < d) then bad := slot
+  done;
+  if !bad < 0 then None
   else
     Some
-      (violation "view-soundness" "node %d: degree %d but slot %d is %s" u
-         (View.Flat.degree store u) slot
-         (if View.Flat.id_at store u slot >= 0 then "occupied" else "empty"))
+      (violation "view-soundness" "node %d: degree %d but slot %d is %s" u d !bad
+         (if !bad < d then "empty" else "occupied"))
 
 let check_view view = soundness view 0
 

@@ -851,9 +851,9 @@ let resilience_statistics t =
      with a churn phase before phase I: every shard walks its own live
      nodes in id order, draws leaves at the configured rate (clearing the
      view and recycling the slot at the back of the free list), then
-     performs one join per leave — popping a slot, bootstrapping an even
-     number of entries from a donor drawn among the shard's own live
-     nodes.  A join takes only a slot that was free when the round
+     performs one join per leave — popping a slot, bootstrapping max(2,
+     dL) entries ([Protocol.install_copy]) from a donor drawn among the
+     shard's own live nodes.  A join takes only a slot that was free when the round
      began: a slot freed in a round is not reused in that round, so a
      message sent to its old node counts as to-dead and a layered engine
      sees it dead.  Joins left without a slot wait, counted, and are

@@ -178,8 +178,8 @@ val add_node : t -> int
     random live donor is drawn from the scheduler stream and its view
     copied through {!Protocol.install_copy} — the donor's id, then its
     live ids other than the joiner's in slot order, up to max(2, dL)
-    entries of the joiner's dL, padded with the donor's id to even, all
-    anchored at the donor.  Ids are minted in increasing order; a join
+    entries of the joiner's dL, padded with the donor's id to that
+    count, all anchored at the donor.  Ids are minted in increasing order; a join
     past the store's last row doubles the store, copying every earlier
     row as it is, so {!store} returns a new value afterwards.  Raises
     [Invalid_argument] when no node is live. *)

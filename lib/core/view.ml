@@ -24,7 +24,7 @@
    self-loop, and every pair of entries is equally likely to be sent.
    What readers that take ids in slot order see (a donor's prefix, a
    first-in-slot-order tie-break) is the order of a row's entries, and
-   [insert] keeps that order uniform, as the empty-slot draw did.
+   [insert] and [remove] keep that order uniformly random.
 
    Representation: one layout for every engine.  [Flat] packs the views
    of a whole world into contiguous columns; a single view is row 0 of a
@@ -127,7 +127,7 @@ module Flat = struct
     id >= 0 && id <= lane_max && anchor >= -1 && anchor <= lane_max
     && ((born >= 0 && born <= lane_max) || t.actions)
 
-  (* Write slot [i] of row [u] (absolute index [i]); the caller keeps the
+  (* Write the instance at absolute index [i]; the caller keeps the
      degree. *)
   let[@inline] write t i ~id ~serial ~anchor ~born =
     lane_set t.f_ids i id;

@@ -12,7 +12,8 @@
    so the membership replay is bit-for-bit unchanged), a loss-chain
    instance and a counter array.  Messages travel through three
    {!Sf_engine.Mailbox} matrices of 3-int rows (dst, src, carried
-   address): rumors, pull requests and pull responses.
+   address): rumors, pull requests and pull responses; the last two are
+   built without buffers unless the strategy is push-pull.
 
    One spreading round = one membership round of the world, then a
    bulk-synchronous spread schedule over the same logical shards:

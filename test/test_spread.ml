@@ -358,8 +358,7 @@ let minor_words_during f =
    little beyond its 16 x 16 mailboxes of 64-message buffers: three for
    push-pull (152,651 minor words; 154,115 before the two engines shared
    one mailbox type, the bound), one for push and direct, whose pull
-   mailboxes start empty (53,835; bound 55,000, where all three
-   strategies read 152,650 when every mailbox was built), and ten spread
+   mailboxes start empty (53,835; bound 55,000), and ten spread
    rounds allocate at most 0.05
    minor words per spread message plus membership action — no tuple,
    closure or option per message or ring operation (Direct's ring tuples
