@@ -853,8 +853,8 @@ let resilience_statistics t =
      view and recycling the slot at the back of the free list), then
      performs one join per leave — popping a slot, bootstrapping max(2,
      dL) entries ([Protocol.install_copy]) from a donor drawn among the
-     shard's own live nodes.  A join takes only a slot that was free when the round
-     began: a slot freed in a round is not reused in that round, so a
+     shard's own live nodes.  A join takes only a slot that was free when
+     the round began: a slot freed in a round is not reused in that round, so a
      message sent to its old node counts as to-dead and a layered engine
      sees it dead.  Joins left without a slot wait, counted, and are
      placed first in the next round.  All of it is shard-local, so phase

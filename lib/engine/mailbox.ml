@@ -9,13 +9,12 @@ type t = { shards : int; fields : int; boxes : box array (* src * shards + dst *
 
 let create ~shards ~fields ~capacity =
   if shards < 1 || fields < 1 || capacity < 0 then
-    invalid_arg "Mailbox.create: need positive sizes";
+    invalid_arg "Mailbox.create: need positive sizes and a capacity >= 0";
   {
     shards;
     fields;
     boxes =
-      Array.init (shards * shards) (fun _ ->
-          { buf = (if capacity = 0 then [||] else Array.make (fields * capacity) 0); len = 0 });
+      Array.init (shards * shards) (fun _ -> { buf = Array.make (fields * capacity) 0; len = 0 });
   }
 
 let clear t ~src =

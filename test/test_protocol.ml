@@ -74,8 +74,9 @@ let test_view_insert_remove () =
   Alcotest.(check int) "slot 2 empty again" (-1) (View.id_at v 2)
 
 (* Inserting ids 0, 1, 2 into an empty row leaves each of the six
-   orders with probability 1/6; one removal at a uniform slot leaves
-   each order of the two survivors with probability 1/2. *)
+   orders with probability 1/6; one removal at a uniform slot then
+   leaves each of the six ordered pairs of survivors with probability
+   1/6. *)
 let test_view_insert_uniform () =
   let v = View.create 4 in
   let rng = Sf_prng.Rng.create 2 in
