@@ -325,8 +325,7 @@ let partition_healing () =
     msg.m_id <- half + Sf_prng.Rng.int bridge_rng half;
     if Runner.is_live r a then
       ignore
-        (Protocol.receive_row bridge_rng (Runner.store r) a
-           ~s:config.Protocol.view_size msg)
+        (Protocol.receive_row bridge_rng (Runner.store r) a msg)
   done;
   let points = ref [ (0, cross_fraction ()) ] in
   List.iter

@@ -134,12 +134,14 @@ let resilience_arg =
     & info [ "resilience" ]
         ~doc:
           "Install the self-healing layer: online loss estimation, adaptive \
-           (dL, s) retuning toward --d-hat, supervised recovery.")
+           dL retuning toward --d-hat (s stays the allocated view size), \
+           supervised recovery.")
 
 (* The section 6.3 solver, re-solved online for the estimated loss.  The
    estimate is clamped below [select_lossy]'s 0.5 domain bound: past that
    the inversion is meaningless and the controller should just hold the
-   most defensive thresholds it already reached. *)
+   most defensive dL it already reached.  The policy keeps the rule's dL:
+   s is the allocated view size. *)
 let resilience_policy ~d_hat ~delta () =
   let solve ~loss =
     let t =
@@ -1044,7 +1046,7 @@ let soak_cmd =
   in
   let doc =
     "Resilience soak: run the self-healing layer (online loss estimation, \
-     adaptive (dL, s) retuning, supervised recovery) under a sustained chaos \
+     adaptive dL retuning, supervised recovery) under a sustained chaos \
      scenario, through the audited simulator and the real UDP cluster with true \
      crash-restarts.  The verdict requires zero invariant violations, a \
      connected (or healed) overlay, a loss estimate within --tolerance of the \

@@ -76,9 +76,9 @@ module Flat = View.Flat
 (* The one structural scan, over any store whose row [u] is node [u]'s
    view.  A row that is not [live] must hold nothing: leaves clear the
    view.  A live row is checked for M1 bounds and parity against
-   [config u], for slots [0, degree) occupied and the rest empty, and
-   each entry
-   for an id inside the store (live views may hold departed ids, which
+   [config], the one config every row runs, for slots [0, degree)
+   occupied and the rest empty, and each entry for an id inside the
+   store (live views may hold departed ids, which
    decay through the protocol, but never ids of no row), global serial
    uniqueness, [serial_bound u serial] and a born stamp in [[0, clock]]
    ([stamp] names the clock's unit). *)
@@ -94,7 +94,7 @@ let walk store ~live ~config ~serial_bound ~clock ~stamp =
         record (violation "dead-slot-empty" "dead slot %d still has outdegree %d" u d)
     end
     else begin
-      Option.iter record (check_degree ~config:(config u) u d);
+      Option.iter record (check_degree ~config u d);
       Option.iter record (soundness store u);
       for slot = 0 to d - 1 do
         let id = Flat.id_at store u slot in
@@ -120,12 +120,12 @@ let walk store ~live ~config ~serial_bound ~clock ~stamp =
   done;
   List.rev !violations
 
-(* The sequential runner: per-node configs (the resilience controller may
-   retune a node), serials below the mint counter, born at an action. *)
+(* The sequential runner: its live config, serials below the mint
+   counter, born at an action. *)
 let scan runner =
   let minted = Runner.minted_serials runner in
   walk (Runner.store runner) ~live:(Runner.is_live runner)
-    ~config:(Runner.node_config runner)
+    ~config:(Runner.config runner)
     ~serial_bound:(fun u serial ->
       if serial < 0 || serial >= minted then
         Some
@@ -202,10 +202,9 @@ let expected_delta = function
 
 let on_action a runner ~initiator ~degree_before ~degree_after ~outcome =
   a.stats.actions_checked <- a.stats.actions_checked + 1;
-  (* The initiator's *current* config: adaptive retuning makes s and dL
-     per-node quantities, and the dL rule must be judged against the
-     thresholds the node actually ran with. *)
-  let config = Runner.node_config runner initiator in
+  (* The live config: adaptive retuning moves dL, and the dL rule must be
+     judged against the threshold the node actually ran with. *)
+  let config = Runner.config runner in
   let s = config.Protocol.view_size in
   let dl = config.Protocol.lower_threshold in
   (* A frozen node must not act: the runner's scheduler is required to skip
@@ -292,9 +291,7 @@ let on_event a runner event =
            "node %d received a message inside an active crash window" receiver);
     if Runner.is_live runner receiver then
       Option.iter (report a)
-        (check_degree
-           ~config:(Runner.node_config runner receiver)
-           receiver
+        (check_degree ~config:(Runner.config runner) receiver
            (View.Flat.degree (Runner.store runner) receiver))
   | Runner.Structural reason ->
     ignore reason;
@@ -338,9 +335,7 @@ module Sharded = Runner.Sharded
 let scan_sharded w =
   let shard_count = Sharded.shard_count w in
   let minted = Sharded.minted w in
-  let config = Sharded.config w in
-  walk (Sharded.store w) ~live:(Sharded.is_live w)
-    ~config:(fun _ -> config)
+  walk (Sharded.store w) ~live:(Sharded.is_live w) ~config:(Sharded.config w)
     ~serial_bound:(fun u serial ->
       if serial < 0 || serial / shard_count >= minted.(serial mod shard_count) then
         Some

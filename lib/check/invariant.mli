@@ -49,7 +49,7 @@ val total_edges : Sf_core.Runner.t -> int
 
 val scan : Sf_core.Runner.t -> violation list
 (** Full structural scan of a system's store ({!Sf_core.Runner.store}):
-    M1 bounds and parity against each node's own config, cached degrees
+    M1 bounds and parity against the live config, cached degrees
     against slot recounts, id range, global serial uniqueness, serials
     below {!Sf_core.Runner.minted_serials}, birth stamps within the
     action clock, and emptiness of every row no live node owns.  The

@@ -39,13 +39,6 @@ let start_degree config ~n =
   let d = min (n - 1) ((config.view_size + config.lower_threshold) / 2) in
   max 2 (d land lnot 1)
 
-let clamped_config ~capacity ~degree (dl, s) =
-  let even_up x = if x land 1 = 0 then x else x + 1 in
-  let s = min capacity (max s (max 6 (even_up degree))) in
-  let dl = max 0 (min dl (s - 6)) in
-  let dl = if dl land 1 = 0 then dl else dl - 1 in
-  make_config ~view_size:s ~lower_threshold:dl
-
 type message = {
   reinforcement : View.entry;  (* the sender's own id, [u] in [u, w] *)
   mixing : View.entry;         (* the forwarded id, [w] in [u, w] *)
@@ -74,10 +67,6 @@ let row_message () =
     m_id = -1; m_serial = 0; m_anchor = -1; m_born = 0 }
 
 let initiate_row rng store u ~owner ~dl ~born ~mint msg =
-  (* Slot selection ranges over the *allocated* view, not the configured
-     view size: the two coincide at creation, and adaptive retuning
-     (lib/resilience) lowers a node's live s only as the receive step's
-     bound. *)
   let size = View.Flat.view_size store in
   let i = Sf_prng.Rng.int rng size in
   let j = Sf_prng.Rng.other rng size i in
@@ -125,12 +114,12 @@ let row_fits store msg =
   View.Flat.fits store ~id:msg.r_id ~anchor:msg.r_anchor ~born:msg.r_born
   && View.Flat.fits store ~id:msg.m_id ~anchor:msg.m_anchor ~born:msg.m_born
 
-let receive_row rng store u ~s msg =
+let receive_row rng store u msg =
   (* Check both before writing either, or a refusal could leave odd degree. *)
   if not (row_fits store msg) then
     invalid_arg "Protocol.receive_row: instance outside the store's lanes";
-  (* Both ids must fit within the live s. *)
-  if s - View.Flat.degree store u >= 2 then begin
+  (* Both ids must fit within s. *)
+  if View.Flat.view_size store - View.Flat.degree store u >= 2 then begin
     View.Flat.insert store u rng ~id:msg.r_id ~serial:msg.r_serial ~anchor:msg.r_anchor
       ~born:msg.r_born;
     View.Flat.insert store u rng ~id:msg.m_id ~serial:msg.m_serial ~anchor:msg.m_anchor

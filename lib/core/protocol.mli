@@ -23,13 +23,6 @@ val start_degree : config -> n:int -> int
     to even, and at least 2.  Every engine's default start topology
     uses it. *)
 
-val clamped_config : capacity:int -> degree:int -> int * int -> config
-(** Clamp a controller target [(dL, s)] to one node: [s] never drops
-    below the node's current outdegree [degree] (retuning evicts nothing;
-    the receive rule stops accepting until decay catches up) nor rises
-    above the allocated view [capacity], and [dL] stays a valid even
-    value in [[0, s - 6]]. *)
-
 type message = {
   reinforcement : View.entry;  (** the sender's own id ([u] in [u,w]) *)
   mixing : View.entry;         (** the forwarded id ([w] in [u,w]) *)
@@ -87,13 +80,13 @@ val row_fits : View.Flat.t -> row_message -> bool
 (** Both instances satisfy {!View.Flat.fits}: the precondition of
     {!receive_row}.  A caller fed by the network tests it first. *)
 
-val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> s:int -> row_message -> bool
-(** [receive_row rng store u ~s msg] is the receive step at row [u]:
-    accepts when both ids fit within the live view size [s]
-    ([s - degree >= 2]; [s] must not exceed the allocated row),
-    inserting the reinforcement then the mixing instance at uniform
-    positions ({!View.Flat.insert}, one draw each), and returns [true];
-    otherwise deletes both and returns [false].  Reads every field of [msg] but [duplicated].  Raises
+val receive_row : Sf_prng.Rng.t -> View.Flat.t -> int -> row_message -> bool
+(** [receive_row rng store u msg] is the receive step at row [u]:
+    accepts when both ids fit within the row's view size s
+    ([s - degree >= 2]), inserting the reinforcement then the mixing
+    instance at uniform positions ({!View.Flat.insert}, one draw each),
+    and returns [true]; otherwise deletes both and returns [false].
+    Reads every field of [msg] but [duplicated].  Raises
     [Invalid_argument], changing nothing, unless {!row_fits} holds.
     Allocation-free. *)
 

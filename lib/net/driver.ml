@@ -122,9 +122,9 @@ type t = {
   first : int;  (* the global id of row 0 *)
   (* The owned nodes' views: row i is node [first + i]. *)
   store : Sf_core.View.Flat.t;
-  (* Row i's current thresholds: the cluster config at first, diverging
-     under adaptive retuning. *)
-  configs : Sf_core.Protocol.config array;
+  (* Row i's live dL: the cluster config's at first, diverging under
+     adaptive retuning.  Every row runs the store's view size. *)
+  dl : int array;
   (* Resilience mode only: an active crash window holds a row down until
      it rejoins. *)
   down : bool array;
@@ -180,7 +180,7 @@ type t = {
   c_decode_errors : Sf_obs.Metrics.counter;
   c_send_errors : Sf_obs.Metrics.counter;
   c_rejoins : Sf_obs.Metrics.counter;  (* crash-restart rejoin recoveries *)
-  c_retunes : Sf_obs.Metrics.counter;  (* per-node threshold retunes *)
+  c_retunes : Sf_obs.Metrics.counter;  (* per-node dL retunes *)
   c_emitted : Sf_obs.Metrics.counter;  (* datagrams actually sent on the wire *)
   c_messages_received : Sf_obs.Metrics.counter;  (* decoded protocol messages *)
   c_batches : Sf_obs.Metrics.counter;
@@ -266,7 +266,7 @@ let copy_view t i donor =
   ignore
     (Sf_core.Protocol.install_copy t.store i ~owner:(t.first + i)
        ~donor:(t.first + donor) ~from:t.store ~from_row:donor
-       ~dl:t.configs.(i).Sf_core.Protocol.lower_threshold ~live:(fun _ -> true)
+       ~dl:t.dl.(i) ~live:(fun _ -> true)
        ~born:t.actions ~mint:t.mint)
 
 (* --- Supervised connectivity repair ---
@@ -393,7 +393,7 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
       supervisor;
       first;
       store;
-      configs = Array.make count config;
+      dl = Array.make count config.Sf_core.Protocol.lower_threshold;
       down = Array.make count false;
       tuners =
         (match resilience with
@@ -401,8 +401,8 @@ let create ?(period = 0.01) ?now ?scenario ?obs ?resilience
         | Some policy ->
           Array.init count (fun _ ->
               Sf_resil.Loop.tuner policy
-                ~initial:(config.Sf_core.Protocol.lower_threshold, s)
-                ~capacity:s ~edges:0));
+                ~initial:config.Sf_core.Protocol.lower_threshold ~view_size:s
+                ~edges:0));
       sends = Array.make count 0;
       duplications = Array.make count 0;
       deletions = Array.make count 0;
@@ -600,7 +600,7 @@ let enqueue_frame t ~src_index ~destination ~corrupt =
   if b.frames >= Codec.max_batch then send_batch t b
 
 (* Per-row resilience tick, run after each initiation: the row's tuner
-   reads the row's own counters, and a retune becomes the row's config.
+   reads the row's own counters, and a retune becomes the row's dL.
    The controller's cooldown is counted in these ticks, i.e. in
    firings. *)
 let resil_tick t i =
@@ -611,11 +611,8 @@ let resil_tick t i =
         ~edges_added:0 ~edges_removed:0 ~edges:0
     with
     | None -> ()
-    | Some pair ->
-      t.configs.(i) <-
-        Sf_core.Protocol.clamped_config
-          ~capacity:(Sf_core.View.Flat.view_size t.store)
-          ~degree:(Sf_core.View.Flat.degree t.store i) pair;
+    | Some dl ->
+      t.dl.(i) <- dl;
       Sf_obs.Metrics.incr t.c_retunes;
       if tracing t then trace t (Sf_obs.Trace.Mark { label = "retune" })
 
@@ -633,7 +630,7 @@ let fire t i =
   if tracing t then trace t (Sf_obs.Trace.Timer { node = src });
   let dst =
     Sf_core.Protocol.initiate_row t.rng t.store i ~owner:src
-      ~dl:t.configs.(i).Sf_core.Protocol.lower_threshold ~born:t.actions ~mint:t.mint
+      ~dl:t.dl.(i) ~born:t.actions ~mint:t.mint
       t.outbox
   in
   if dst >= 0 then begin
@@ -675,8 +672,7 @@ let flush_delayed t =
       (List.rev due)
 
 (* One received frame for row [i].  A CRC-clean frame no view can hold is
-   forged: undecodable.  A retune never lifts a row's s above the
-   store's, so the receive step's [s] is the row's config. *)
+   forged: undecodable. *)
 let deliver t i msg =
   let dst = t.first + i in
   if not (Sf_core.Protocol.row_fits t.store msg) then begin
@@ -688,8 +684,7 @@ let deliver t i msg =
     if tracing t then trace t (Sf_obs.Trace.Deliver { dst; accepted = true });
     if
       not
-        (Sf_core.Protocol.receive_row t.rng t.store i
-           ~s:t.configs.(i).Sf_core.Protocol.view_size msg)
+        (Sf_core.Protocol.receive_row t.rng t.store i msg)
     then t.deletions.(i) <- t.deletions.(i) + 1
   end
 
@@ -780,7 +775,7 @@ let rejoin t i =
     if donor >= 0 then copy_view t i donor
   end
   else begin
-    let keep = max 2 t.configs.(i).Sf_core.Protocol.lower_threshold in
+    let keep = max 2 t.dl.(i) in
     let ids = Array.init (min keep degree) (Sf_core.View.Flat.id_at t.store i) in
     Sf_core.Protocol.install_ids t.store i ids ~born:t.actions ~mint:t.mint
   end;

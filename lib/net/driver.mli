@@ -171,7 +171,7 @@ type statistics = {
           frames with an id or anchor that {!Sf_core.View.fits} refuses *)
   send_errors : int;
   rejoins : int;                  (** crash-restart recoveries (resilience mode) *)
-  retunes : int;                  (** per-node threshold retunes (resilience mode) *)
+  retunes : int;                  (** per-node dL retunes (resilience mode) *)
   datagrams_emitted : int;        (** datagrams actually sent (batches coalesce) *)
   messages_received : int;        (** decoded protocol messages (frames add up) *)
   batches_sent : int;             (** batch datagrams *)

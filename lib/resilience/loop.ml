@@ -3,8 +3,8 @@
    [Runner], [Runner.Sharded] and [Sf_net.Driver] tick a tuner with their
    cumulative protocol counters.  It feeds the deltas since its previous
    tick to the Lemma 6.6 estimator and, under a retuning policy, asks the
-   controller for a new (dL, s) once the estimate is confident; the
-   engine applies the pair its own way.  The other half of the loop,
+   controller for a new dL once the estimate is confident; the engine
+   makes it its live dL.  The other half of the loop,
    probe -> attempt -> confirm, is [Supervisor.step]. *)
 
 type tuner = {
@@ -21,18 +21,10 @@ type tuner = {
   mutable edges : int;
 }
 
-(* Views are fixed arrays, so s never exceeds the allocated [capacity];
-   shrinking s below its initial value is refused here (a per-node degree
-   floor is the engine's concern). *)
-let tuner (policy : Policy.t) ~initial ~capacity ~edges =
-  let limits =
-    {
-      Controller.min_lower = 0;
-      max_lower = capacity - 6;
-      min_view = snd initial;
-      max_view = capacity;
-    }
-  in
+(* s is the allocated view size and never moves, so dL ranges over the
+   protocol's whole [0, s - 6]. *)
+let tuner (policy : Policy.t) ~initial ~view_size ~edges =
+  let limits = { Controller.min_lower = 0; max_lower = view_size - 6 } in
   {
     retune = policy.retune;
     estimator =

@@ -4,10 +4,10 @@
 
 type tuner
 
-val tuner : Policy.t -> initial:int * int -> capacity:int -> edges:int -> tuner
-(** A tuner for an engine running at [initial] = (dL, s) with [capacity]
-    allocated view slots and [edges] overlay edges now.  Retune budget:
-    dL in [0, capacity - 6], s in [initial s, capacity]. *)
+val tuner : Policy.t -> initial:int -> view_size:int -> edges:int -> tuner
+(** A tuner for an engine running at dL = [initial] with [view_size]
+    allocated view slots and [edges] overlay edges now.  Retunes move dL
+    within [[0, view_size - 6]]; the view size never moves. *)
 
 val tick :
   tuner ->
@@ -18,10 +18,10 @@ val tick :
   edges_added:int ->
   edges_removed:int ->
   edges:int ->
-  (int * int) option
+  int option
 (** Feed cumulative totals: their deltas since the last tick go to
     {!Estimator.observe} (the last four are its churn correction, zeros
-    where an engine keeps no ledger).  Returns the pair the controller
+    where an engine keeps no ledger).  Returns the dL the controller
     directs once the estimate is confident, if the policy retunes.  A
     tick that folds no estimator window and makes the controller re-solve
     nothing (hysteresis, cooldown) allocates nothing. *)

@@ -4,9 +4,8 @@
    dependency order.  See policy.mli. *)
 
 type t = {
-  solve : loss:float -> int * int;
-      (* the section 6.3 rule against an estimated loss: loss -> (dL, s) *)
-  retune : bool;             (* let the controller move (dL, s) *)
+  solve : loss:float -> int;  (* the section 6.3 dL for an estimated loss *)
+  retune : bool;             (* let the controller move dL *)
   recover : bool;            (* let the supervisor drive repairs *)
   estimator_window : int;    (* sends per estimation window *)
   smoothing : float;         (* estimator EWMA weight *)
@@ -16,6 +15,8 @@ type t = {
 
 let make ?(retune = true) ?(recover = true) ?(estimator_window = 2000)
     ?(smoothing = 0.3) ?(hysteresis = 0.02) ?(cooldown = 10) ~solve () =
+  (* s is the allocated view size, so only the rule's dL is kept. *)
+  let solve ~loss = fst (solve ~loss) in
   { solve; retune; recover; estimator_window; smoothing; hysteresis; cooldown }
 
 (* An inert policy: observe (estimate) but never act.  Drivers given this

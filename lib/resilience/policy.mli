@@ -10,7 +10,7 @@
     replay-identical. *)
 
 type t = {
-  solve : loss:float -> int * int;
+  solve : loss:float -> int;  (** dL for an estimated loss *)
   retune : bool;
   recover : bool;
   estimator_window : int;
@@ -20,7 +20,7 @@ type t = {
 }
 
 val make :
-  ?retune:bool ->           (* adaptive (dL, s) retuning (default true) *)
+  ?retune:bool ->           (* adaptive dL retuning (default true) *)
   ?recover:bool ->          (* supervised connectivity repair (default true) *)
   ?estimator_window:int ->  (* sends per estimation window (default 2000) *)
   ?smoothing:float ->       (* estimator EWMA weight (default 0.3) *)
@@ -29,7 +29,10 @@ val make :
   solve:(loss:float -> int * int) ->
   unit ->
   t
-(** The controller moves at most 4 slots per retune; the supervisor's
+(** [solve] is the section 6.3 rule as the paper states it, loss ->
+    (dL, s); the policy keeps its dL, since an engine's s is the
+    allocated view size, which never moves.  The controller moves dL by
+    at most 4 per retune; the supervisor's
     backoff starts at 1 round, doubles per failure, is capped at 32
     rounds, and jitters the final half of each delay (the
     {!Controller.create} and {!Backoff.create} defaults). *)

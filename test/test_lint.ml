@@ -406,7 +406,7 @@ let test_driver_row_kernel_fires () =
   check_quiet "lib/net/driver.ml" ~path:"lib/net/driver.ml" (read "../lib/net/driver.ml");
   check_quiet "row kernel calls" ~path:"lib/net/driver.ml"
     "let d = Protocol.initiate_row rng store i ~owner ~dl ~born ~mint msg\n\
-     let a = Protocol.receive_row rng store i ~s msg\n\
+     let a = Protocol.receive_row rng store i msg\n\
      let () = Codec.write_frame buffer i msg\n\
      let u = float_of_int (Sf_prng.Rng.float_bits rng) *. 0x1p-53\n\
      let () = Sf_obs.Span.observe_ns span ns";

@@ -1107,7 +1107,7 @@ let test_driver_allocation () =
 (* Building a 128-node driver under resilience, the node-host's shape
    (s = 20, dL = 12), allocates per owned node the start topology's list
    and array, the node's tuner and its share of the view store and
-   bookkeeping arrays.  Measured 178 minor words per node; a node object
+   bookkeeping arrays.  Measured 173 minor words per node; a node object
    graph of its own (a one-row store, a node record and counters in a
    per-node record) took 287.  Native only, like the other allocation
    tests. *)

@@ -209,8 +209,7 @@ let run_initiate config view msg =
   initiate config (Sf_prng.Rng.create 5) ~mint:(serial_counter ()) view msg
 
 (* One receive step: [true] when both ids were accepted. *)
-let receive config rng view msg =
-  Protocol.receive_row rng view 0 ~s:config.Protocol.view_size msg
+let receive rng view msg = Protocol.receive_row rng view 0 msg
 
 (* A message carrying [r] and [m], unanchored unless given. *)
 let message ?(r_anchor = -1) ?(m_anchor = -1) ?(born = 0) r m =
@@ -267,7 +266,7 @@ let test_fig_5_2_normal_transformation () =
   (* Receiver with room accepts both (Fig 5.2(b) right side). *)
   let receiver = View.create config.Protocol.view_size in
   let rng = Sf_prng.Rng.create 7 in
-  if not (receive config rng receiver msg) then Alcotest.fail "receiver had room";
+  if not (receive rng receiver msg) then Alcotest.fail "receiver had room";
   Alcotest.(check int) "receiver gained two" 2 (View.degree receiver);
   Alcotest.(check bool) "receiver knows sender" true (View.mem receiver 100)
 
@@ -294,10 +293,10 @@ let test_fig_5_2_duplication () =
 
 (* Figure 5.2(d): deletion at a full receiver. *)
 let test_fig_5_2_deletion () =
-  let config, receiver = make_node [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
+  let _, receiver = make_node [ 1; 2; 3; 4; 5; 6; 7; 9 ] in
   Alcotest.(check bool) "receiver full" true (View.is_full receiver);
   let rng = Sf_prng.Rng.create 8 in
-  let accepted = receive config rng receiver (message 50 51) in
+  let accepted = receive rng receiver (message 50 51) in
   if accepted then Alcotest.fail "full receiver must delete";
   Alcotest.(check int) "degree unchanged" 8 (View.degree receiver);
   Alcotest.(check bool) "deletion counted" false accepted;
@@ -305,9 +304,9 @@ let test_fig_5_2_deletion () =
     ((not (View.mem receiver 50)) && not (View.mem receiver 51))
 
 let test_receive_places_in_empty_slots () =
-  let config, receiver = make_node [ 1; 2 ] in
+  let _, receiver = make_node [ 1; 2 ] in
   let rng = Sf_prng.Rng.create 9 in
-  if not (receive config rng receiver (message 50 51)) then
+  if not (receive rng receiver (message 50 51)) then
     Alcotest.fail "room available";
   Alcotest.(check int) "degree +2" 4 (View.degree receiver);
   Alcotest.(check (list int)) "the row stays packed" [ 1; 2; 50; 51 ]
@@ -337,7 +336,7 @@ let prop_degree_parity_invariant =
         let owner = Sf_prng.Rng.int rng 5 in
         let destination = initiate ~owner ~clock config rng ~mint views.(owner) msg in
         (* Deliver unconditionally (loss handled elsewhere). *)
-        if destination >= 0 then ignore (receive config rng views.(destination) msg);
+        if destination >= 0 then ignore (receive rng views.(destination) msg);
         Array.iter
           (fun view ->
             let d = View.degree view in
@@ -358,22 +357,17 @@ let test_instance_conservation_without_loss () =
   let msg = Protocol.row_message () in
   if run_initiate config sender msg < 0 then Alcotest.fail "expected send";
   Alcotest.(check bool) "no dup" false msg.duplicated;
-  ignore (receive config rng receiver msg);
+  ignore (receive rng receiver msg);
   Alcotest.(check int) "instances conserved" before (total ())
 
-(* M1 under a retune: a node with 5 ids in an 8-slot view, clamped to
-   s = 6.  Both received ids must fit within the live s, so the receive
-   deletes rather than end at outdegree 7 > s — the same rule the sharded
-   engine applies. *)
-let test_receive_bounded_by_live_s () =
-  let config = Protocol.clamped_config ~capacity:8 ~degree:5 (0, 6) in
-  Alcotest.(check int) "retuned s" 6 config.Protocol.view_size;
+(* Both received ids must fit: a receiver with one free slot deletes
+   rather than end at outdegree 9 > s = 8. *)
+let test_receive_needs_room_for_both () =
   let view = View.create 8 in
-  List.iteri (fun slot id -> View.set view slot (entry id)) [ 1; 2; 3; 4; 5 ];
-  let accepted = receive config (Sf_prng.Rng.create 11) view (message 50 51) in
-  if accepted then Alcotest.fail "accepted two ids with one slot left under s";
-  Alcotest.(check int) "outdegree stays within s" 5 (View.degree view);
-  Alcotest.(check bool) "deletion counted" false accepted
+  List.iteri (fun slot id -> View.set view slot (entry id)) [ 1; 2; 3; 4; 5; 6; 7 ];
+  let accepted = receive (Sf_prng.Rng.create 11) view (message 50 51) in
+  if accepted then Alcotest.fail "accepted two ids with one slot left";
+  Alcotest.(check int) "outdegree stays within s" 7 (View.degree view)
 
 (* The sequential runner and the UDP driver stamp born with their
    cumulative action count, which passes 2^31 on long runs (a million
@@ -401,7 +395,7 @@ let test_action_clock_past_2_31 () =
   in
   send ();
   let receiver = View.create 8 in
-  if not (receive config rng receiver msg) then Alcotest.fail "an empty view deleted";
+  if not (receive rng receiver msg) then Alcotest.fail "an empty view deleted";
   Alcotest.(check (list int)) "both stamped at the clock" [ clock; clock ]
     (List.map (fun e -> e.View.born) (View.entries receiver))
 
@@ -410,13 +404,12 @@ let test_action_clock_past_2_31 () =
    the view keeps its even degree.  The kernel refuses the same way on a
    world store, where born is a 32-bit round lane too. *)
 let test_receive_refuses_unfit_atomically () =
-  let config = Protocol.make_config ~view_size:8 ~lower_threshold:2 in
   let view = View.create 8 in
   View.set view 0 (entry 4);
   View.set view 1 (entry 6);
   let before = View.entries view in
   let refused what msg =
-    (match receive config (Sf_prng.Rng.create 3) view msg with
+    (match receive (Sf_prng.Rng.create 3) view msg with
     | _ -> Alcotest.failf "%s: accepted" what
     | exception Invalid_argument _ -> ());
     if View.entries view <> before then Alcotest.failf "%s: node changed" what
@@ -436,7 +429,7 @@ let test_receive_refuses_unfit_atomically () =
   msg.r_id <- 0;
   msg.m_id <- 0;
   msg.m_born <- 1 lsl 31;
-  (match Protocol.receive_row (Sf_prng.Rng.create 3) store 1 ~s:8 msg with
+  (match Protocol.receive_row (Sf_prng.Rng.create 3) store 1 msg with
   | _ -> Alcotest.fail "world store: accepted born 2^31"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "world row keeps degree 2" 2 (View.Flat.degree store 1);
@@ -579,7 +572,8 @@ let suite =
     Alcotest.test_case "receive into empty slots" `Quick test_receive_places_in_empty_slots;
     Alcotest.test_case "instance conservation" `Quick test_instance_conservation_without_loss;
     QCheck_alcotest.to_alcotest prop_degree_parity_invariant;
-    Alcotest.test_case "receive bounded by the live s" `Quick test_receive_bounded_by_live_s;
+    Alcotest.test_case "receive needs room for both ids" `Quick
+      test_receive_needs_room_for_both;
     Alcotest.test_case "action clock past 2^31" `Quick test_action_clock_past_2_31;
     Alcotest.test_case "receive refuses an unfit message atomically" `Quick
       test_receive_refuses_unfit_atomically;
