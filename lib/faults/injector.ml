@@ -81,8 +81,6 @@ let crash_active t =
   refresh t;
   Windows.crash_active t.windows
 
-let has_crash_windows t = Windows.has_crash_windows t.windows
-
 let delay_factor t =
   refresh t;
   Windows.delay_factor t.windows

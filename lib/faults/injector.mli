@@ -76,10 +76,6 @@ val is_crashed : t -> int -> bool
 val crash_active : t -> bool
 (** [true] iff some crash window is currently active. *)
 
-val has_crash_windows : t -> bool
-(** [true] iff the scenario contains any crash window at all (lets drivers
-    keep the exact pre-fault scheduler RNG stream otherwise). *)
-
 val delay_factor : t -> float
 (** Product of the factors of all active delay windows ([1.] when none). *)
 

@@ -104,8 +104,6 @@ let is_crash s =
 
 let crash_active t = Array.exists (fun s -> s.active && is_crash s) t.slots
 
-let has_crash_windows t = Array.exists is_crash t.slots
-
 let delay_factor t =
   Array.fold_left
     (fun acc s ->

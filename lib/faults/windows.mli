@@ -63,8 +63,5 @@ val corrupts : t -> Sf_prng.Rng.t -> bool
 val crash_active : t -> bool
 (** Some crash window is active. *)
 
-val has_crash_windows : t -> bool
-(** The scenario has a crash window at all. *)
-
 val delay_factor : t -> float
 (** Product of the active delay factors ([1.] when none). *)
