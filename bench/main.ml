@@ -2,7 +2,8 @@
    evaluation (see DESIGN.md for the experiment index), plus the
    observability, resilience, scale and dissemination sections.  Each
    section prints its tables and checks to stdout; only OBS writes a file,
-   BENCH_obs.json.
+   BENCH_obs.json.  A failed check fails the run: the harness lists the
+   failed labels last and exits 1.
 
    Run everything:          dune exec bench/main.exe
    Run selected sections:   dune exec bench/main.exe -- F6.1 F6.3
@@ -48,15 +49,25 @@ let experiments =
     ("SPREAD10", Exp_spread.run ~smoke:true);
   ]
 
-(* Run the sections in order, reporting each one's wall time.  The tree's
-   single wall clock lives in Sf_obs.Clock. *)
+(* Run the sections in order, reporting each one's wall time, then the
+   failed checks; exit 1 if there are any.  The tree's single wall clock
+   lives in Sf_obs.Clock. *)
 let run_sections sections =
-  List.iter
-    (fun (id, f) ->
-      let elapsed = Sf_obs.Clock.stopwatch ~clock:Sf_obs.Clock.wall in
-      f ();
-      Fmt.pr "  (%s finished in %.1fs)@." id (elapsed ()))
-    sections
+  let run () =
+    List.iter
+      (fun (id, f) ->
+        let elapsed = Sf_obs.Clock.stopwatch ~clock:Sf_obs.Clock.wall in
+        f ();
+        Fmt.pr "  (%s finished in %.1fs)@." id (elapsed ()))
+      sections
+  in
+  match Output.failures run with
+  | [] -> ()
+  | failed ->
+    Fmt.pr "@.%d failed check%s:@." (List.length failed)
+      (if List.length failed = 1 then "" else "s");
+    List.iter (Fmt.pr "  %s@.") failed;
+    exit 1
 
 let () =
   let args =

@@ -33,5 +33,28 @@ let f3 x = Fmt.str "%.3f" x
 let f4 x = Fmt.str "%.4f" x
 let i d = string_of_int d
 
+(* A failed check is an effect: the section runs on, and the handler in
+   [failures], not module-level state, collects the labels. *)
+type _ Effect.t += Failed : string -> unit Effect.t
+
 let check label ok =
-  Fmt.pr "  [%s] %s@." (if ok then "ok" else "MISMATCH") label
+  Fmt.pr "  [%s] %s@." (if ok then "ok" else "MISMATCH") label;
+  if not ok then Effect.perform (Failed label)
+
+(* Run [f ()] and return the labels of the checks that failed in it, in
+   order. *)
+let failures f =
+  let failed = ref [] in
+  Effect.Deep.try_with f ()
+    {
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Failed label ->
+            Some
+              (fun (k : (a, _) Effect.Deep.continuation) ->
+                failed := label :: !failed;
+                Effect.Deep.continue k ())
+          | _ -> None);
+    };
+  List.rev !failed
