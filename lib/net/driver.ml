@@ -478,6 +478,7 @@ let observe_since t span slot =
 let first t = t.first
 let store t = t.store
 let actions t = t.actions
+let live_dl t i = t.dl.(i)
 let request_stop t = t.stop_requested <- true
 
 let add_channel t fd callback =

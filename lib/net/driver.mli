@@ -106,6 +106,11 @@ val actions : t -> int
 (** Initiate actions so far: [statistics]'s [actions] without building
     the record (a heartbeat reads it). *)
 
+val live_dl : t -> int -> int
+(** [live_dl t i]: owned row [i]'s live dL, which its initiations and
+    rejoins read.  It starts at the config's and moves only when the
+    row's own tuner retunes. *)
+
 val run : t -> duration:float -> unit
 (** Drive the loop for [duration] seconds of the injected clock, or until
     {!request_stop}.  Each wake reads at most one datagram from each

@@ -1081,6 +1081,39 @@ let test_driver_crash_restart_replay () =
       Alcotest.(check string) "views and statistics digest"
         "008797d4d6038571c051c4108d8e30d5" (driver_digest d))
 
+(* Known answer for the retune path: 16 nodes for 40 virtual periods
+   under bursty loss, with a crash window that restarts six nodes late
+   in the run.  Short estimator windows, no dead band and a solver that
+   splits at loss 0.1 make the per-row tuners retune in both directions.
+   A retuned dL is read by the row's later initiations and by its
+   rejoin, so the digest pins both. *)
+let test_driver_retune_replay () =
+  let scenario =
+    match Sf_faults.Scenario.of_string "ge:0.2:4;crash@28-33:4-9" with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail ("scenario parse: " ^ e)
+  in
+  let resilience =
+    Sf_resil.Policy.make ~estimator_window:4 ~hysteresis:0. ~cooldown:2
+      ~solve:(fun ~loss -> ((if loss > 0.1 then 6 else 2), 12))
+      ()
+  in
+  let d =
+    virtual_driver ~scenario ~resilience ~steps:5 ~n:16 ~base_port:48700 ~seed:13 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Driver.shutdown d)
+    (fun () ->
+      run_periods d 40;
+      let s = Driver.statistics d in
+      let dls = List.init (Driver.node_count d) (Driver.live_dl d) in
+      Alcotest.(check bool) "the tuners retuned" true (s.Driver.retunes > 0);
+      Alcotest.(check bool) "some row's live dL left the base" true
+        (List.exists (fun dl -> dl <> config.Protocol.lower_threshold) dls);
+      Alcotest.(check bool) "a crashed row rejoined" true (s.Driver.rejoins > 0);
+      Alcotest.(check string) "views and statistics digest"
+        "3c08efa7b808f7c978c7dd90d84aacf1" (driver_digest d))
+
 (* After a warm-up, a 128-node driver's steady-state loop allocates
    only this test's own clock tick (a boxed float per iteration, read
    through the injected closure), nothing per message or per wait.
@@ -1545,6 +1578,7 @@ let suite =
     Alcotest.test_case "driver repair from a self-only donor" `Quick
       test_driver_repair_from_self_only_donor;
     Alcotest.test_case "driver known-answer replay" `Quick test_driver_replay;
+    Alcotest.test_case "driver retune replay" `Quick test_driver_retune_replay;
     Alcotest.test_case "driver crash-restart replay" `Quick
       test_driver_crash_restart_replay;
     Alcotest.test_case "driver steady-state allocation" `Quick test_driver_allocation;
