@@ -268,4 +268,5 @@ let indegree_summary t =
 let independence_census t = Census.of_flat t.store
 
 let is_weakly_connected t =
-  Overlay.connected (Overlay.probe t.store ~live:(fun u -> not t.dead.(u)))
+  let forest = Overlay.forest (View.Flat.node_count t.store) in
+  Overlay.connected (Overlay.probe forest t.store ~live:(fun u -> not t.dead.(u)))

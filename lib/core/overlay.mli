@@ -8,12 +8,24 @@
     A probe is a union-find (union by size, path compression) over the
     live rows in increasing order, slots in order; an entry joins its
     row's component only when it names another live node, so self-edges
-    and departed ids bridge nothing.  It allocates its two arrays and
-    the straggler list, nothing per entry. *)
+    and departed ids bridge nothing.  Its two arrays are a {!forest}
+    that the engine keeps and the probe re-initialises in place, so a
+    probe allocates only its result and the straggler list. *)
+
+type forest
+(** The union-find arrays of a probe. *)
+
+val forest : int -> forest
+(** Arrays for probes of stores of up to [rows] rows. *)
 
 type t
 
-val probe : View.Flat.t -> live:(int -> bool) -> t
+val probe : forest -> View.Flat.t -> live:(int -> bool) -> t
+(** The store's live components, computed in [forest].  The result reads
+    the forest's arrays, so it holds until the next probe through the
+    same forest.  Raises [Invalid_argument] when the store has more rows
+    than the forest. *)
+
 val connected : t -> bool
 
 val stragglers : t -> int list

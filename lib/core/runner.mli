@@ -213,7 +213,9 @@ val starved_nodes : t -> int list
 (** The starved live ids, in increasing order. *)
 
 val probe : t -> Overlay.t
-(** The live overlay's weak components ({!Overlay.probe} over {!store}). *)
+(** The live overlay's weak components ({!Overlay.probe} over {!store}),
+    computed in the runner's one {!Overlay.forest}, which grows with the
+    store: the result holds until the runner's next probe. *)
 
 val isolated_nodes : t -> int list
 (** The live nodes alone in their component ({!Overlay.alone}),
@@ -438,6 +440,16 @@ module Sharded : sig
   (** [owned t i]: every node slot shard [i] owns, ascending — the order
       its phases walk them.  The world's own array: read it, never write
       it. *)
+
+  val matrix : t -> int -> Sf_engine.Mailbox.t
+  (** [matrix t i], [i] in 0..2: the world's message matrices, kept for
+      its whole life so that no round, rumor or layered engine allocates
+      buffers once they have grown.  Matrix 0 carries the membership
+      phases.  Between rounds all three are lent to an engine layered on
+      the world, which may fill them after {!run_round} has drained
+      matrix 0.  Every phase clears its row before filling it and drains
+      it before the round ends, so a matrix holds nothing between rounds
+      and no message passes from one engine to another. *)
 
   val scenario : t -> Sf_faults.Scenario.t option
   (** The installed fault scenario, if any. *)

@@ -213,4 +213,6 @@ let counters (t : t) =
     deletions = t.deletions;
   }
 
-let is_weakly_connected t = Overlay.connected (Overlay.probe t.store ~live:(fun _ -> true))
+let is_weakly_connected t =
+  let forest = Overlay.forest (View.Flat.node_count t.store) in
+  Overlay.connected (Overlay.probe forest t.store ~live:(fun _ -> true))

@@ -10,10 +10,13 @@
    keeps only what a shard consumes: an RNG stream split from the
    engine's own seed in shard order (the world's streams are untouched,
    so the membership replay is bit-for-bit unchanged), a loss-chain
-   instance and a counter array.  Messages travel through three
-   {!Sf_engine.Mailbox} matrices of 3-int rows (dst, src, carried
-   address): rumors, pull requests and pull responses; the last two are
-   built without buffers unless the strategy is push-pull.
+   instance and a counter array.  Messages travel as 2-int rows
+   (dst | src << 31, carried address) through the world's three
+   {!Sf_engine.Mailbox} matrices ([Sharded.matrix]), borrowed for the
+   spread phases after the world's round has drained them: rumors, pull
+   requests and pull responses.  Only push-pull fills the last two.  The
+   matrices live as long as the world, so a rumor allocates no message
+   buffer once they have grown.
 
    One spreading round = one membership round of the world, then a
    bulk-synchronous spread schedule over the same logical shards:
@@ -47,8 +50,10 @@ module Mailbox = Sf_engine.Mailbox
 module Rng = Sf_prng.Rng
 module Loss = Sf_faults.Loss
 
-(* Message rows: destination, source, carried address (-1 when none). *)
-let fields = 3
+(* Message rows: destination | source << 31 (node slots are below 2^31),
+   carried address (-1 when none). *)
+let fields = 2
+let lane_mask = (1 lsl 31) - 1
 
 (* Per-shard counters: cells of one int array per shard, summed over
    shards by [totals] and compared whole by [equal]. *)
@@ -83,9 +88,9 @@ type t = {
   inf : Bytes.t;  (* infection byte per node slot *)
   leads : Rings.t;  (* Direct only (no nodes otherwise) *)
   recent : Rings.t;
-  out : Mailbox.t;  (* rumors *)
-  req : Mailbox.t;  (* pull requests (push-pull) *)
-  resp : Mailbox.t;  (* pull responses (push-pull) *)
+  out : Mailbox.t;  (* rumors: the world's matrix 0 *)
+  req : Mailbox.t;  (* pull requests (push-pull): matrix 1 *)
+  resp : Mailbox.t;  (* pull responses (push-pull): matrix 2 *)
   g_coverage : Sf_obs.Metrics.gauge;
   mutable rounds : int;
   mutable cov_rev : float list;
@@ -126,9 +131,6 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
   let rings cap =
     Rings.create ~nodes:(if strategy = Strategy.Direct then capacity else 0) ~cap
   in
-  (* Only push-pull writes the pull matrices; the others leave them
-     empty, with no buffers. *)
-  let pulls = if strategy = Strategy.Push_pull then 64 else 0 in
   let inf = Bytes.make capacity '\000' in
   Bytes.set inf source '\001';
   sshards.(Sharded.shard_of world source).count.(c_infected) <- 1;
@@ -144,9 +146,9 @@ let create ?(coverage_target = 0.99) ?(fanout = 2) ?metrics ~strategy ~source
     inf;
     leads = rings Strategy.lead_capacity;
     recent = rings Strategy.recent_capacity;
-    out = Mailbox.create ~shards ~fields ~capacity:64;
-    req = Mailbox.create ~shards ~fields ~capacity:pulls;
-    resp = Mailbox.create ~shards ~fields ~capacity:pulls;
+    out = Sharded.matrix world 0;
+    req = Sharded.matrix world 1;
+    resp = Sharded.matrix world 2;
     g_coverage = Sf_obs.Metrics.gauge m "spread_coverage";
     rounds = 0;
     cov_rev = [];
@@ -179,11 +181,10 @@ let judge t sh ~src ~dst =
 (* Append a message to [sh]'s row of mailbox [mb]. *)
 let post t mb sh ~dst ~src ~carried =
   let to_shard = Sharded.shard_of t.world dst in
-  let i = Mailbox.push mb ~src:sh.index ~dst:to_shard in
+  let i = Mailbox.push mb ~src:sh.index ~dst:to_shard ~width:fields in
   let b = Mailbox.ints mb ~src:sh.index ~dst:to_shard in
-  b.(i) <- dst;
-  b.(i + 1) <- src;
-  b.(i + 2) <- carried
+  b.(i) <- dst lor (src lsl 31);
+  b.(i + 1) <- carried
 
 let emit_push t sh u =
   for _ = 1 to t.fanout do
@@ -299,7 +300,8 @@ let deliver t sh =
     let len = Mailbox.length t.out ~src:src_shard ~dst:sh.index in
     let base = ref 0 in
     while !base < len do
-      let dst = b.(!base) and src = b.(!base + 1) and carried = b.(!base + 2) in
+      let head = b.(!base) and carried = b.(!base + 1) in
+      let dst = head land lane_mask and src = head lsr 31 in
       if receive t sh dst && t.strategy = Strategy.Direct then begin
         (* The sender is informed: never contact it back. *)
         if not (Rings.mem t.recent dst src) then Rings.add t.recent dst src;
@@ -318,7 +320,8 @@ let deliver t sh =
       let len = Mailbox.length t.req ~src:src_shard ~dst:sh.index in
       let base = ref 0 in
       while !base < len do
-        let responder = b.(!base) and requester = b.(!base + 1) in
+        let head = b.(!base) in
+        let responder = head land lane_mask and requester = head lsr 31 in
         if not (Sharded.is_live t.world responder) then bump sh c_to_dead
         else if infected t responder then begin
           bump sh c_pushes;
@@ -336,7 +339,7 @@ let deliver_responses t sh =
     let len = Mailbox.length t.resp ~src:src_shard ~dst:sh.index in
     let base = ref 0 in
     while !base < len do
-      ignore (receive t sh b.(!base));
+      ignore (receive t sh (b.(!base) land lane_mask));
       base := !base + fields
     done
   done

@@ -20,11 +20,14 @@ let store_of rows =
 
 let ints = Alcotest.(list int)
 
+(* A probe through arrays of its own. *)
+let fresh_probe store ~live = Overlay.probe (Overlay.forest (Flat.node_count store)) store ~live
+
 (* Row 3 is not live: its id bridges nothing, and neither do its own
    entries nor the self-edges of rows 0 and 2. *)
 let test_self_and_departed_join_nothing () =
   let store = store_of [| [ 0; 3 ]; [ 3; 3 ]; [ 2; 2 ]; [ 0; 1; 2 ] |] in
-  let p = Overlay.probe store ~live:(fun u -> u < 3) in
+  let p = fresh_probe store ~live:(fun u -> u < 3) in
   Alcotest.(check bool) "split" false (Overlay.connected p);
   Alcotest.check ints "every live row is a component" [ 1; 2 ] (Overlay.stragglers p);
   List.iter
@@ -37,7 +40,7 @@ let test_self_and_departed_join_nothing () =
    >= 2 in it, so it is every straggler's donor. *)
 let test_tie_goes_to_smallest_root () =
   let store = store_of [| []; []; [ 1; 1 ]; []; [ 5; 5 ]; [] |] in
-  let p = Overlay.probe store ~live:(fun _ -> true) in
+  let p = fresh_probe store ~live:(fun _ -> true) in
   Alcotest.check ints "stragglers" [ 0; 3; 4 ] (Overlay.stragglers p);
   Alcotest.(check bool) "4 shares its component" false (Overlay.alone p 4);
   let rng = Sf_prng.Rng.create 1 in
@@ -71,7 +74,7 @@ let test_stragglers_ascend () =
       if live u && live id && id <> u then Sf_graph.Digraph.add_edge g u id
     end
   done;
-  let p = Overlay.probe store ~live in
+  let p = fresh_probe store ~live in
   let s = Overlay.stragglers p in
   Alcotest.check ints "ascending" (List.sort_uniq compare s) s;
   Alcotest.(check int) "one per minority component"
@@ -81,14 +84,14 @@ let test_stragglers_ascend () =
 
 let test_degree_zero_row_is_a_straggler () =
   let store = store_of [| [ 1; 2 ]; [ 0; 0 ]; [ 1; 0 ]; [] |] in
-  let p = Overlay.probe store ~live:(fun _ -> true) in
+  let p = fresh_probe store ~live:(fun _ -> true) in
   Alcotest.check ints "stragglers" [ 3 ] (Overlay.stragglers p);
   Alcotest.(check bool) "alone" true (Overlay.alone p 3)
 
-(* The probe is an array walk: over a connected ring of 4000 rows and
-   16000 entries it allocates 7 minor words (its closures and result; the
-   two arrays go straight to the major heap), not one per entry.  Native
-   only: bytecode boxes differently. *)
+(* The probe is an array walk in a kept forest: over a connected ring of
+   4000 rows and 16000 entries it allocates 31 minor words (its closure,
+   references and result), not one per entry; its arrays are the
+   forest's.  Native only: bytecode boxes differently. *)
 let test_probe_allocates_nothing_per_entry () =
   if Sys.backend_type = Sys.Native then begin
     let rows = 4000 in
@@ -100,12 +103,62 @@ let test_probe_allocates_nothing_per_entry () =
       done
     done;
     let live _ = true in
+    let forest = Overlay.forest rows in
     let w0 = Gc.minor_words () in
-    let p = Overlay.probe store ~live in
+    let p = Overlay.probe forest store ~live in
     let words = Gc.minor_words () -. w0 in
     Alcotest.(check bool) "connected" true (Overlay.connected p);
-    Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 100" words) true (words <= 100.)
+    Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 40" words) true (words <= 40.)
   end
+
+(* A probe re-initialises its forest in place: probing each of this
+   file's stores through one forest, after a probe of a different store
+   (larger or smaller), answers as a probe through arrays of its own —
+   the same stragglers, the same lone nodes and the same donor draws. *)
+let test_reused_forest_equals_fresh () =
+  let random_store =
+    let rng = Sf_prng.Rng.create 9 in
+    let store = Flat.create ~nodes:60 ~view_size:4 in
+    for u = 0 to 59 do
+      if Sf_prng.Rng.bernoulli rng 0.6 then
+        Flat.set store u 0 ~id:(Sf_prng.Rng.int rng 60) ~serial:u ~anchor:(-1) ~born:0
+    done;
+    store
+  in
+  let cases =
+    [
+      (store_of [| [ 0; 3 ]; [ 3; 3 ]; [ 2; 2 ]; [ 0; 1; 2 ] |], fun u -> u < 3);
+      (store_of [| []; []; [ 1; 1 ]; []; [ 5; 5 ]; [] |], fun _ -> true);
+      (random_store, fun u -> u mod 7 <> 3);
+      (store_of [| [ 1; 2 ]; [ 0; 0 ]; [ 1; 0 ]; [] |], fun _ -> true);
+    ]
+  in
+  let forest = Overlay.forest 60 in
+  let answers p store =
+    let rows = Flat.node_count store in
+    let rng = Sf_prng.Rng.create 3 in
+    ( Overlay.connected p,
+      Overlay.stragglers p,
+      List.init rows (Overlay.alone p),
+      List.init rows (Overlay.donor p rng) )
+  in
+  List.iteri
+    (fun i (store, live) ->
+      List.iteri
+        (fun j (before, live_before) ->
+          if i <> j then begin
+            ignore (Overlay.probe forest before ~live:live_before);
+            let reused = answers (Overlay.probe forest store ~live) store in
+            let fresh = answers (fresh_probe store ~live) store in
+            Alcotest.(check bool)
+              (Printf.sprintf "store %d after store %d" i j)
+              true (reused = fresh)
+          end)
+        cases)
+    cases;
+  Alcotest.check_raises "a forest smaller than the store"
+    (Invalid_argument "Overlay.probe: the store has more rows than the forest")
+    (fun () -> ignore (Overlay.probe (Overlay.forest 3) random_store ~live:(fun _ -> true)))
 
 (* The sharded engine runs the same pass: a node whose row holds only a
    departed id, and whose id no live view holds, is re-knit from the
@@ -125,7 +178,7 @@ let test_sharded_reknits_a_cut_row () =
   Sharded.run_rounds w 7;
   let store = Sharded.store w in
   let live = Sharded.is_live w in
-  let probe () = Overlay.probe store ~live in
+  let probe () = fresh_probe store ~live in
   Alcotest.(check bool) "connected before the cut" true (Overlay.connected (probe ()));
   let rec first_where f u = if f u then u else first_where f (u + 1) in
   let departed = first_where (fun u -> not (live u)) 0 in
@@ -172,6 +225,8 @@ let suite =
       test_degree_zero_row_is_a_straggler;
     Alcotest.test_case "the probe allocates nothing per entry" `Quick
       test_probe_allocates_nothing_per_entry;
+    Alcotest.test_case "a probe through a reused forest equals a fresh one" `Quick
+      test_reused_forest_equals_fresh;
     Alcotest.test_case "sharded re-knits a cut row at the next due probe" `Quick
       test_sharded_reknits_a_cut_row;
   ]

@@ -12,6 +12,7 @@ module Strategy = Sf_spread.Strategy
 module Report = Sf_spread.Report
 module Flat = Sf_spread.Flat
 module Rng = Sf_prng.Rng
+module Mailbox = Sf_engine.Mailbox
 
 let config = Protocol.make_config ~view_size:16 ~lower_threshold:4
 
@@ -358,15 +359,17 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. w0
 
-(* n = 10^4 on 16 shards, for each strategy: [Flat.create] allocates
-   little beyond its 16 x 16 mailboxes of 64-message buffers: three for
-   push-pull (152,651 minor words; 154,115 before the two engines shared
-   one mailbox type, the bound), one for push and direct, whose pull
-   mailboxes start empty (53,835; bound 55,000), and ten spread
-   rounds allocate at most 0.05
-   minor words per spread message plus membership action — no tuple,
-   closure or option per message or ring operation (Direct's ring tuples
-   read 0.67). *)
+(* n = 10^4 on 16 shards, for each strategy, two rumors one after the
+   other on one world.  [Flat.create] builds no mailbox, since it borrows
+   the world's three matrices: it allocates 1,325 minor words (bound
+   1,500; it was 152,651 for push-pull and 53,835 for push and direct
+   while each rumor built its own matrices).  Ten spread rounds allocate
+   at most 0.05 minor words per spread message plus membership action —
+   no tuple, closure or option per message or ring operation (Direct's
+   ring tuples read 0.67).  The one exception is the first push-pull
+   rumor on a world: its rounds grow the two pull matrices from empty,
+   a cost the world pays once, so they may allocate 140,000 words more
+   (they read 133,297 in all); the second rumor's rounds read 1,971. *)
 let test_spread_allocation () =
   if Sys.backend_type = Sys.Native then
     List.iter
@@ -377,29 +380,113 @@ let test_spread_allocation () =
             ~init_degree:8 ~seed:42 ~n:10_000 ~config ()
         in
         Sharded.run_rounds w ~domains:1 3;
-        let w0 = Gc.minor_words () in
-        let sp = Flat.create ~strategy ~source:0 ~seed:7 w in
-        let create_words = Gc.minor_words () -. w0 in
-        let actions0 = (Sharded.world_counters w).Runner.actions in
-        let words =
-          minor_words_during (fun () ->
-              for _ = 1 to 10 do
-                Flat.run_round sp ~domains:1
-              done)
-        in
-        let work =
-          (Flat.report sp).Report.messages
-          + (Sharded.world_counters w).Runner.actions - actions0
-        in
-        let per = words /. float_of_int work in
-        let bound = if strategy = Strategy.Push_pull then 154_115. else 55_000. in
-        Alcotest.(check bool)
-          (Fmt.str "%s: Flat.create %.0f minor words <= %.0f" name create_words bound)
-          true (create_words <= bound);
-        Alcotest.(check bool)
-          (Fmt.str "%s: %.4f minor words per message + action <= 0.05" name per)
-          true (per <= 0.05))
+        List.iter
+          (fun (rumor, seed) ->
+            let w0 = Gc.minor_words () in
+            let sp = Flat.create ~strategy ~source:0 ~seed w in
+            let create_words = Gc.minor_words () -. w0 in
+            let actions0 = (Sharded.world_counters w).Runner.actions in
+            let words =
+              minor_words_during (fun () ->
+                  for _ = 1 to 10 do
+                    Flat.run_round sp ~domains:1
+                  done)
+            in
+            let work =
+              (Flat.report sp).Report.messages
+              + (Sharded.world_counters w).Runner.actions - actions0
+            in
+            let growth =
+              if rumor = "first" && strategy = Strategy.Push_pull then 140_000. else 0.
+            in
+            let bound = (0.05 *. float_of_int work) +. growth in
+            Alcotest.(check bool)
+              (Fmt.str "%s, %s rumor: Flat.create %.0f minor words <= 1500" name rumor
+                 create_words)
+              true (create_words <= 1500.);
+            Alcotest.(check bool)
+              (Fmt.str "%s, %s rumor: %.0f minor words over %d messages + actions <= %.0f"
+                 name rumor words work bound)
+              true (words <= bound))
+          [ ("first", 7); ("second", 8) ])
       Strategy.all
+
+(* --- The world's matrices outlive every engine layered on it --- *)
+
+let churn_world () =
+  Sharded.create ~shards:8 ~loss_rate:0.05 ~init:Sharded.Scatter ~init_degree:8
+    ~scenario:(scenario "ge:0.2:4;crash@2-6:0-49")
+    ~churn:{ Sharded.churn_rate = 0.02; headroom = 64 }
+    ~seed:31 ~n:400 ~config ()
+
+let boxes w =
+  List.concat_map
+    (fun i ->
+      let m = Sharded.matrix w i in
+      List.init (Sharded.shard_count w * Sharded.shard_count w) (fun k ->
+          let src = k / Sharded.shard_count w and dst = k mod Sharded.shard_count w in
+          (Mailbox.ints m ~src ~dst, Mailbox.length m ~src ~dst)))
+    [ 0; 1; 2 ]
+
+(* A second push-pull rumor on a world pushes into the very buffers the
+   first one grew: every box that holds a buffer after the first rumor
+   keeps that array ([==]) through the second, and in each of the three
+   matrices the second rumor writes into such a buffer.  (A box no
+   message of the first rumor crossed has no buffer yet.) *)
+let test_second_rumor_reuses_buffers () =
+  let w = churn_world () in
+  Sharded.run_rounds w 2;
+  ignore
+    (Flat.run ~domains:1
+       (Flat.create ~strategy:Strategy.Push_pull ~source:60 ~seed:7 w));
+  let first = boxes w in
+  let sp = Flat.create ~strategy:Strategy.Push_pull ~source:61 ~seed:8 w in
+  for _ = 1 to 3 do
+    Flat.run_round sp ~domains:1
+  done;
+  let pairs = List.combine first (boxes w) in
+  Alcotest.(check bool) "every grown box keeps its buffer" true
+    (List.for_all (fun ((a, _), (b, _)) -> Array.length a = 0 || a == b) pairs);
+  let per = Sharded.shard_count w * Sharded.shard_count w in
+  List.iteri
+    (fun i name ->
+      Alcotest.(check bool) (name ^ ": the second rumor writes a reused buffer") true
+        (List.exists
+           (fun ((a, _), (b, len)) -> len > 0 && Array.length a > 0 && a == b)
+           (List.filteri (fun k _ -> k / per = i) pairs)))
+    [ "rumors"; "pull requests"; "pull responses" ]
+
+(* Twin worlds: A runs k rounds under a spread engine, B runs the same k
+   membership rounds bare.  They are equal, and a second engine started
+   with one seed on each replays the same spread: whatever the first
+   engine left in A's matrices reaches no later engine. *)
+let test_no_message_leaks_between_engines () =
+  List.iter
+    (fun first ->
+      List.iter
+        (fun second ->
+          let label =
+            Printf.sprintf "%s then %s" (Strategy.to_string first)
+              (Strategy.to_string second)
+          in
+          let a = churn_world () and b = churn_world () in
+          let e1 = Flat.create ~strategy:first ~source:60 ~seed:7 a in
+          for _ = 1 to 6 do
+            Flat.run_round e1 ~domains:1
+          done;
+          Sharded.run_rounds b 6;
+          Alcotest.(check bool) (label ^ ": worlds equal") true (Sharded.equal a b);
+          let source =
+            let rec live u = if Sharded.is_live a u then u else live (u + 1) in
+            live 100
+          in
+          let ea = Flat.create ~strategy:second ~source ~seed:9 a
+          and eb = Flat.create ~strategy:second ~source ~seed:9 b in
+          let ra = Flat.run ~domains:1 ea and rb = Flat.run ~domains:1 eb in
+          Alcotest.(check bool) (label ^ ": engines equal") true (Flat.equal ea eb);
+          Alcotest.(check bool) (label ^ ": reports equal") true (ra = rb))
+        Strategy.all)
+    Strategy.all
 
 (* --- The sfg gates' exit-code precedence --- *)
 
@@ -487,4 +574,8 @@ let suite =
     Alcotest.test_case "spread allocation" `Quick test_spread_allocation;
     Alcotest.test_case "a joiner starts uninformed" `Quick
       test_joiner_starts_uninformed;
+    Alcotest.test_case "a second rumor reuses the world's buffers" `Quick
+      test_second_rumor_reuses_buffers;
+    Alcotest.test_case "no message leaks between engines on one world" `Quick
+      test_no_message_leaks_between_engines;
   ]
