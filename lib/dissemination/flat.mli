@@ -7,7 +7,9 @@
     by node id, as the world's store is: an infection byte per node slot
     and the Direct rings of every slot ({!Rings}).  Per shard it keeps an
     RNG stream, a loss-chain instance and a counter array; messages
-    travel through {!Sf_engine.Mailbox} matrices.  A shard writes the
+    travel through the world's {!Sf_engine.Mailbox} matrices
+    ({!Sf_core.Runner.Sharded.matrix}), so creating an engine builds no
+    message buffer.  A shard writes the
     state only of slots it owns, so the owner-only write discipline
     carries over and any [domains] value replays the single-domain run
     bit-for-bit ({!equal} is the oracle).  Its RNG streams split from its
