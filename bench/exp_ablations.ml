@@ -37,21 +37,25 @@ let ablation_scheduler () =
   Runner.start_timed timed (Runner.Poisson 1.0);
   Runner.run_until timed 500.;
   let line name r =
-    let o = Properties.outdegree_summary r and i = Properties.indegree_summary r in
-    let census = Properties.independence_census r in
+    let store = Runner.store r and live = Runner.is_live r in
+    let o = Properties.outdegree_summary store ~live in
+    let i = Properties.indegree_summary store ~live in
+    let census = Census.of_flat store in
     [
       name;
       Fmt.str "%.2f±%.2f" (Summary.mean o) (Summary.std o);
       Fmt.str "%.2f±%.2f" (Summary.mean i) (Summary.std i);
       Output.f3 census.Census.alpha;
-      string_of_bool (Properties.is_weakly_connected r);
+      string_of_bool (Properties.is_weakly_connected store ~live);
     ]
   in
   Output.table
     [ "scheduler"; "outdegree"; "indegree"; "alpha"; "connected" ]
     [ line "sequential (analysis model)" seq; line "timed (practical model)" timed ];
-  let seq_mean = Summary.mean (Properties.indegree_summary seq) in
-  let timed_mean = Summary.mean (Properties.indegree_summary timed) in
+  let mean_indegree r =
+    Summary.mean (Properties.indegree_summary (Runner.store r) ~live:(Runner.is_live r))
+  in
+  let seq_mean = mean_indegree seq and timed_mean = mean_indegree timed in
   Output.check
     (Fmt.str "degree behaviour transfers across schedulers (means %.1f vs %.1f)"
        seq_mean timed_mean)
@@ -74,8 +78,9 @@ let ablation_sender_weighting () =
   in
   let sim = make_system ~seed:41 ~n:1000 ~loss in
   Runner.run_rounds sim 600;
-  let sim_in = Properties.indegree_summary sim in
-  let sim_in_pmf = Sf_stats.Pmf.of_samples (Properties.indegree_samples sim) in
+  let store = Runner.store sim and live = Runner.is_live sim in
+  let sim_in = Properties.indegree_summary store ~live in
+  let sim_in_pmf = Sf_stats.Pmf.of_samples (Properties.indegree_samples store ~live) in
   let line name (mc : Degree_mc.result) =
     [
       name;
@@ -127,7 +132,9 @@ let ablation_duplication () =
           edges r)
         [ 200; 200; 400; 400 ]
     in
-    (initial, Array.of_list checkpoints, Properties.is_weakly_connected r)
+    ( initial,
+      Array.of_list checkpoints,
+      Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r) )
   in
   let i0, with_dup, conn_dup = run 18 51 in
   let j0, without_dup, conn_nodup = run 0 52 in
@@ -170,7 +177,7 @@ let ablation_reconnection () =
     in
     Runner.run_rounds r 10;
     (List.length (Runner.isolated_nodes r), repairs,
-     Properties.is_weakly_connected r)
+     Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r))
   in
   (* Whether a node isolates depends on the world, so the section runs
      30 worlds (world k seeded 121 + k) and counts them, as the churn
@@ -225,8 +232,9 @@ let ablation_variants () =
         ~topology:(topology seed)
     in
     Variants.run_rounds v 400;
-    let o = Variants.outdegree_summary v in
-    let census = Variants.independence_census v in
+    let store = Variants.store v and live _ = true in
+    let o = Properties.outdegree_summary store ~live in
+    let census = Census.of_flat store in
     let k = Variants.counters v in
     ( name,
       [
@@ -236,7 +244,7 @@ let ablation_variants () =
         Output.i k.Variants.duplications;
         Output.i k.Variants.undeletions;
         Output.i k.Variants.deletions;
-        string_of_bool (Variants.is_weakly_connected v);
+        string_of_bool (Properties.is_weakly_connected store ~live);
       ],
       census.Census.alpha )
   in

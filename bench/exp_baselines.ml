@@ -22,13 +22,18 @@ let table_baselines () =
   let sf = Runner.create ~seed:11 ~n ~loss_rate:loss ~config ~topology:(topology 1) () in
   Runner.run_rounds sf rounds;
   let sf_edges = Sf_graph.Digraph.edge_count (Runner.membership_graph sf) in
-  let sf_census = Properties.independence_census sf in
-  let sf_connected = Properties.is_weakly_connected sf in
+  let sf_census = Census.of_flat (Runner.store sf) in
+  let sf_connected =
+    Properties.is_weakly_connected (Runner.store sf) ~live:(Runner.is_live sf)
+  in
   (* Baselines *)
   let run kind seed =
     let b = Baselines.create ~seed ~n ~view_size ~loss_rate:loss ~kind ~topology:(topology seed) in
     Baselines.run_rounds b rounds;
-    (Baselines.total_instances b, Baselines.independence_census b, Baselines.is_weakly_connected b)
+    let store = Baselines.store b in
+    ( Baselines.total_instances b,
+      Census.of_flat store,
+      Properties.is_weakly_connected store ~live:(fun u -> not (Baselines.is_dead b u)) )
   in
   let sh_edges, sh_census, sh_conn = run (Baselines.Shuffle { exchange_size = 4 }) 2 in
   let pp_edges, pp_census, pp_conn = run (Baselines.Push_pull { gossip_size = 3 }) 3 in

@@ -104,7 +104,11 @@ let table_6_14 () =
      for small loss.  Measured: average over 10 joiners, loss=0.01.@.";
   let loss = 0.01 in
   let r = make_system ~seed:500 ~loss in
-  let din = Sf_stats.Summary.mean (Sf_core.Properties.indegree_summary r) in
+  let din =
+    Sf_stats.Summary.mean
+      (Sf_core.Properties.indegree_summary (Sf_core.Runner.store r)
+         ~live:(Sf_core.Runner.is_live r))
+  in
   let params = Decay.make_params ~loss ~delta:0.01 ~lower_threshold:18 ~view_size:40 in
   let window = Decay.joiner_integration_rounds params in
   let predicted = Decay.joiner_integration_instances params ~expected_indegree:din in

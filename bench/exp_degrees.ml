@@ -162,8 +162,9 @@ let fig_6_3 () =
         let mc = Degree_mc.solve params in
         let r = make_system ~loss () in
         Runner.run_rounds r 600;
-        let sim_in = Properties.indegree_summary r in
-        let sim_out = Properties.outdegree_summary r in
+        let store = Runner.store r and live = Runner.is_live r in
+        let sim_in = Properties.indegree_summary store ~live in
+        let sim_out = Properties.outdegree_summary store ~live in
         ((loss, paper_mean, paper_std), mc, sim_in, sim_out))
       paper_6_3
   in

@@ -343,4 +343,4 @@ let partition_healing () =
     (Fmt.str "views blend toward the uniform 0.5 cross fraction (%.3f)" final)
     (final > 0.4 && final < 0.6);
   Output.check "system is one weakly connected component"
-    (Properties.is_weakly_connected r)
+    (Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r))

@@ -47,13 +47,14 @@ let bursty_vs_iid () =
     Runner.run_rounds r rounds;
     let rates = Runner.rates_since r base in
     let observed_loss = rates.Runner.loss in
-    let outs = Properties.outdegree_summary r in
-    let connected = Properties.is_weakly_connected r in
+    let store = Runner.store r and live = Runner.is_live r in
+    let outs = Properties.outdegree_summary store ~live in
+    let connected = Properties.is_weakly_connected store ~live in
     let balance = rates.Runner.loss +. rates.Runner.deletion in
     let at_or_below_dl =
       Array.fold_left
         (fun acc d -> if d <= config.Protocol.lower_threshold then acc + 1 else acc)
-        0 (Properties.outdegree_samples r)
+        0 (Properties.outdegree_samples store ~live)
     in
     let row =
       [
@@ -91,7 +92,8 @@ let bursty_vs_iid () =
    one round at a time (cap [limit]). *)
 let rounds_to_reconnect r ~limit =
   let rec go k =
-    if Properties.is_weakly_connected r then Some k
+    if Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r) then
+      Some k
     else if k >= limit then None
     else begin
       Runner.run_rounds r 1;
@@ -172,7 +174,8 @@ let fault_recovery () =
           Runner.create ~scenario ~seed ~n ~loss_rate:0.05 ~config:small ~topology ()
         in
         Runner.run_rounds r 110;
-        if Properties.is_weakly_connected r then None
+        if Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r) then
+          None
         else Some (Sf_core.Churn.recover_connectivity ~max_rounds:50 r))
       (List.init worlds Fun.id)
   in

@@ -77,7 +77,7 @@ let fig_7_1 () =
         Runner.run_rounds r 300;
         let delta = (Runner.rates_since r base).Runner.duplication -. loss in
         let delta = Float.max 0. delta in
-        let census = Properties.independence_census r in
+        let census = Census.of_flat (Runner.store r) in
         let bound = Dependence.alpha_lower_bound ~loss ~delta in
         let exact = 1. -. Dependence.stationary_dependent_fraction ~loss ~delta in
         (loss, delta, bound, exact, census))

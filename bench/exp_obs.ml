@@ -90,7 +90,9 @@ let measure_overhead ~seeds =
 
 let empirical_outdegree span r =
   Sf_obs.Span.time span (fun () ->
-      Pmf.of_samples (Sf_core.Properties.outdegree_samples r))
+      Pmf.of_samples
+        (Sf_core.Properties.outdegree_samples (Sf_core.Runner.store r)
+           ~live:(Sf_core.Runner.is_live r)))
 
 let run () =
   Output.section "OBS" "Observability layer: overhead, balance, degree TVD";

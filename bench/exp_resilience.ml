@@ -55,7 +55,9 @@ let res1_arm ~resilience ~seed =
       (fun loss ->
         current_loss := loss;
         Runner.run_rounds r res1_rounds_per_segment;
-        (loss, Summary.mean (Properties.outdegree_summary r)))
+        ( loss,
+          Summary.mean
+            (Properties.outdegree_summary (Runner.store r) ~live:(Runner.is_live r)) ))
       res1_segments
   in
   (r, means)
@@ -119,7 +121,8 @@ let res2_runner ?resilience seed =
    round; [limit] caps the search. *)
 let rounds_to_reconnect r ~limit =
   let rec probe k =
-    if Properties.is_weakly_connected r then Some k
+    if Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r) then
+      Some k
     else if k >= limit then None
     else begin
       Runner.run_rounds r 1;
@@ -139,7 +142,10 @@ type res2_world = {
 let res2_world seed =
   let r_manual = res2_runner seed in
   Runner.run_rounds r_manual res2_window_end;
-  let split = not (Properties.is_weakly_connected r_manual) in
+  let split =
+    not (Properties.is_weakly_connected (Runner.store r_manual)
+           ~live:(Runner.is_live r_manual))
+  in
   let manual =
     if not split then Some 0
     else Option.map fst (Churn.recover_connectivity ~max_rounds:res2_after r_manual)

@@ -53,10 +53,11 @@ let nonuniform_loss () =
   let rates_u = Runner.rates_since uniform base_u in
   let rates_s = Runner.rates_since split base_s in
   (* Per-class degree statistics in the split system. *)
+  let split_store = Runner.store split and split_live = Runner.is_live split in
   let class_summary pred =
     let outs = Summary.create () and ins = Summary.create () in
-    let indegree = Properties.indegree_samples split in
-    let outdegree = Properties.outdegree_samples split in
+    let indegree = Properties.indegree_samples split_store ~live:split_live in
+    let outdegree = Properties.outdegree_samples split_store ~live:split_live in
     Array.iteri
       (fun i u ->
         if pred u then begin
@@ -68,7 +69,8 @@ let nonuniform_loss () =
   in
   let lossy_out, lossy_in = class_summary lossy_node in
   let clean_out, clean_in = class_summary (fun id -> not (lossy_node id)) in
-  let all_u_out = Properties.outdegree_summary uniform in
+  let uniform_store = Runner.store uniform and uniform_live = Runner.is_live uniform in
+  let all_u_out = Properties.outdegree_summary uniform_store ~live:uniform_live in
   Output.table
     [ "population"; "outdegree"; "indegree"; "dup rate"; "loss+del" ]
     [
@@ -101,19 +103,19 @@ let nonuniform_loss () =
         Output.f4 (rates_s.Runner.loss +. rates_s.Runner.deletion);
       ];
     ];
-  let census_u = Properties.independence_census uniform in
-  let census_s = Properties.independence_census split in
+  let census_u = Census.of_flat uniform_store in
+  let census_s = Census.of_flat split_store in
   Fmt.pr "  alpha: uniform %.3f, split %.3f;  connected: uniform %b, split %b@."
     census_u.Census.alpha census_s.Census.alpha
-    (Properties.is_weakly_connected uniform)
-    (Properties.is_weakly_connected split);
+    (Properties.is_weakly_connected uniform_store ~live:uniform_live)
+    (Properties.is_weakly_connected split_store ~live:split_live);
   Output.check "Lemma 6.6 balance holds globally under non-uniform loss"
     (Float.abs (rates_s.Runner.duplication -. rates_s.Runner.loss -. rates_s.Runner.deletion)
     < 0.01);
   Output.check "lossy nodes receive fewer messages, hence lower outdegree"
     (Summary.mean lossy_out < Summary.mean clean_out -. 1.);
   Output.check "the system stays connected despite the lossy half"
-    (Properties.is_weakly_connected split)
+    (Properties.is_weakly_connected split_store ~live:split_live)
 
 (* --- CH1: session churn --- *)
 
@@ -134,9 +136,14 @@ let session_churn () =
     in
     Sf_core.Sessions.run sessions ~rounds:400;
     let stats = Sf_core.Sessions.statistics sessions in
-    let outs = Properties.outdegree_summary r in
-    let census = Properties.independence_census r in
-    (stats, outs, census, Properties.is_weakly_connected r, List.length (Runner.isolated_nodes r))
+    let store = Runner.store r and live = Runner.is_live r in
+    let outs = Properties.outdegree_summary store ~live in
+    let census = Census.of_flat store in
+    ( stats,
+      outs,
+      census,
+      Properties.is_weakly_connected store ~live,
+      List.length (Runner.isolated_nodes r) )
   in
   let exp_stats, exp_out, exp_census, exp_conn, exp_iso =
     run (Sf_core.Sessions.Exponential 200.) 301
@@ -248,10 +255,15 @@ let udp_crosscheck () =
       let rounds = stats.Sf_net.Driver.actions / n in
       let sim = Runner.create ~seed:503 ~n ~loss_rate:0.05 ~config:small_config ~topology () in
       Runner.run_rounds sim rounds;
-      let udp_out = Sf_net.Driver.outdegree_summary cluster in
-      let sim_out = Properties.outdegree_summary sim in
-      let udp_census = Sf_net.Driver.independence_census cluster in
-      let sim_census = Properties.independence_census sim in
+      (* The cluster owns the whole id space: row u of its store is node
+         u, and every row is live. *)
+      assert (Sf_net.Driver.first cluster = 0);
+      let udp_store = Sf_net.Driver.store cluster and udp_live _ = true in
+      let sim_store = Runner.store sim and sim_live = Runner.is_live sim in
+      let udp_out = Properties.outdegree_summary udp_store ~live:udp_live in
+      let sim_out = Properties.outdegree_summary sim_store ~live:sim_live in
+      let udp_census = Census.of_flat udp_store in
+      let sim_census = Census.of_flat sim_store in
       Output.table
         [ "runtime"; "actions"; "outdegree"; "alpha"; "connected" ]
         [
@@ -260,14 +272,14 @@ let udp_crosscheck () =
             Output.i stats.Sf_net.Driver.actions;
             Fmt.str "%.2f±%.2f" (Summary.mean udp_out) (Summary.std udp_out);
             Output.f3 udp_census.Census.alpha;
-            string_of_bool (Sf_net.Driver.is_weakly_connected cluster);
+            string_of_bool (Properties.is_weakly_connected udp_store ~live:udp_live);
           ];
           [
             "simulator";
             Output.i (Runner.action_count sim);
             Fmt.str "%.2f±%.2f" (Summary.mean sim_out) (Summary.std sim_out);
             Output.f3 sim_census.Census.alpha;
-            string_of_bool (Properties.is_weakly_connected sim);
+            string_of_bool (Properties.is_weakly_connected sim_store ~live:sim_live);
           ];
         ];
       Fmt.pr "  UDP: %d messages sent, %d dropped (injected), %d received, %d codec errors@."

@@ -255,18 +255,15 @@ let injector_verdict v scenario = function
       expect "fault windows declared but zero window transitions"
         fs.Sf_faults.Injector.fault_transitions
 
-(* The stable invariants of a cluster view — soundness, the M1 bounds and
-   parity (every protocol transition moves ids in pairs).  The UDP
-   clusters have no per-action audit hook, so their final views are
-   checked with this. *)
-let check_cluster_view v ~view_size id view =
-  (match Sf_check.Invariant.check_view view with
-  | Some viol ->
-    Verdict.fail v "cluster node %d: %a" id Sf_check.Invariant.pp_violation viol
-  | None -> ());
-  let d = Sf_core.View.degree view in
-  if d < 0 || d > view_size || d mod 2 <> 0 then
-    Verdict.fail v "cluster node %d: outdegree %d violates M1 bounds or parity" id d
+(* A UDP cluster's final views have no per-action audit hook; their
+   stable invariants are checked once, at the end. *)
+let cluster_verdict v =
+  List.iter (Verdict.fail v "cluster: %a" Sf_check.Invariant.pp_violation)
+
+(* The monitors read row u of a store as node u: a whole-space driver's. *)
+let driver_store c =
+  assert (Sf_net.Driver.first c = 0);
+  Sf_net.Driver.store c
 
 (* The domain-count determinism contract: [run k] builds a fresh world and
    runs it on k domains; the runs on 2 and 4 domains must end bit-for-bit
@@ -285,7 +282,8 @@ let domain_oracle v ~what ~equal run =
 (* A split overlay gets one more chance, the rendezvous recovery rule; a
    split it cannot heal fails the gate. *)
 let heal_split v r =
-  if not (Properties.is_weakly_connected r) then begin
+  if not (Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r))
+  then begin
     Fmt.pr "overlay split by the fault plan; invoking rendezvous recovery...@.";
     match Sf_core.Churn.recover_connectivity r with
     | Some (recovery_rounds, repairs) ->
@@ -304,9 +302,10 @@ let print_fault_statistics fs =
     fs.Sf_faults.Injector.fault_transitions
 
 let print_system_state r =
-  let outs = Properties.outdegree_summary r in
-  let ins = Properties.indegree_summary r in
-  let census = Properties.independence_census r in
+  let store = Runner.store r and live = Runner.is_live r in
+  let outs = Properties.outdegree_summary store ~live in
+  let ins = Properties.indegree_summary store ~live in
+  let census = Census.of_flat store in
   Fmt.pr "nodes:       %d@." (Runner.live_count r);
   Fmt.pr "actions:     %d@." (Runner.action_count r);
   Fmt.pr "outdegree:   %.2f ± %.2f  (min %.0f, max %.0f)@." (Summary.mean outs)
@@ -316,7 +315,7 @@ let print_system_state r =
   Fmt.pr "alpha:       %.4f  (self %d, anchored %d, parallel %d of %d entries)@."
     census.Census.alpha census.Census.self_edges census.Census.anchored
     census.Census.parallel_surplus census.Census.total_entries;
-  Fmt.pr "connected:   %b@." (Properties.is_weakly_connected r);
+  Fmt.pr "connected:   %b@." (Properties.is_weakly_connected store ~live);
   let c = Runner.world_counters r in
   Fmt.pr "messages:    %d sent, %d delivered, %d lost, %d to dead nodes@."
     c.Runner.sends c.Runner.receipts c.Runner.messages_lost c.Runner.to_dead
@@ -545,18 +544,20 @@ let baselines seed n view_size loss rounds =
       Sf_core.Baselines.create ~seed ~n ~view_size ~loss_rate:loss ~kind ~topology
     in
     Sf_core.Baselines.run_rounds b rounds;
+    let store = Sf_core.Baselines.store b in
     report name
       (Sf_core.Baselines.total_instances b)
-      (Sf_core.Baselines.independence_census b)
-      (Sf_core.Baselines.is_weakly_connected b)
+      (Census.of_flat store)
+      (Properties.is_weakly_connected store ~live:(fun u ->
+           not (Sf_core.Baselines.is_dead b u)))
   in
   let config = Protocol.make_config ~view_size ~lower_threshold:(max 0 (view_size - 22)) in
   let r = Runner.create ~seed ~n ~loss_rate:loss ~config ~topology () in
   Runner.run_rounds r rounds;
   report "send-and-forget"
     (Sf_graph.Digraph.edge_count (Runner.membership_graph r))
-    (Properties.independence_census r)
-    (Properties.is_weakly_connected r);
+    (Census.of_flat (Runner.store r))
+    (Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r));
   run "shuffle" (Sf_core.Baselines.Shuffle { exchange_size = 4 });
   run "push-pull-keep" (Sf_core.Baselines.Push_pull { gossip_size = 3 });
   run "push-only" Sf_core.Baselines.Push_only
@@ -700,8 +701,9 @@ let udp seed n view_size lower_threshold loss duration base_port =
         (base_port + n - 1) duration;
       Sf_net.Driver.run c ~duration;
       let stats = Sf_net.Driver.statistics c in
-      let outs = Sf_net.Driver.outdegree_summary c in
-      let census = Sf_net.Driver.independence_census c in
+      let store = driver_store c and live _ = true in
+      let outs = Properties.outdegree_summary store ~live in
+      let census = Census.of_flat store in
       Fmt.pr "actions:     %d@." stats.Sf_net.Driver.actions;
       Fmt.pr "messages:    %d sent, %d dropped (injected), %d received@."
         stats.Sf_net.Driver.datagrams_sent stats.Sf_net.Driver.datagrams_dropped
@@ -710,7 +712,7 @@ let udp seed n view_size lower_threshold loss duration base_port =
         stats.Sf_net.Driver.send_errors;
       Fmt.pr "outdegree:   %.2f ± %.2f@." (Summary.mean outs) (Summary.std outs);
       Fmt.pr "alpha:       %.4f@." census.Census.alpha;
-      Fmt.pr "connected:   %b@." (Sf_net.Driver.is_weakly_connected c))
+      Fmt.pr "connected:   %b@." (Properties.is_weakly_connected store ~live))
 
 let udp_cmd =
   let duration =
@@ -813,9 +815,7 @@ let udp_leg v ?resilience ~seed ~view_size ~lower_threshold ~loss ~scenario
         stats.Sf_net.Driver.frames_crc_rejected stats.Sf_net.Driver.decode_errors
         stats.Sf_net.Driver.rejoins stats.Sf_net.Driver.retunes;
       Option.iter print_fault_statistics (Sf_net.Driver.fault_statistics c);
-      Seq.iter
-        (fun (id, view) -> check_cluster_view v ~view_size id view)
-        (Sf_net.Driver.views c);
+      cluster_verdict v (Sf_check.Invariant.check_rows ~config (driver_store c));
       stats)
 
 (* --- storm --- *)
@@ -896,36 +896,19 @@ let max_stat key (o : Sf_net.Spawner.outcome) =
         | None -> 0.))
     0. o.Sf_net.Spawner.hosts
 
-(* Every host completed the shutdown protocol, every node reported a
+(* Every host completed the shutdown protocol, every node reported once a
    sound view with M1-bounded even outdegree, and the merged overlay is
-   weakly connected.  A declared crash or partition that left no
-   process-level evidence (no kill, no respawn, no filtered datagram) is
-   a dead fault class. *)
-let spawner_verdict v ~scenario ~hosts ~n ~view_size (o : Sf_net.Spawner.outcome) =
+   weakly connected ({!Sf_check.Invariant.check_reports}).  A declared
+   crash or partition that left no process-level evidence (no kill, no
+   respawn, no filtered datagram) is a dead fault class. *)
+let spawner_verdict v ~scenario ~hosts ~n ~config (o : Sf_net.Spawner.outcome) =
   let byes =
     List.length (List.filter (fun h -> h.Sf_net.Spawner.bye) o.Sf_net.Spawner.hosts)
   in
   if byes <> hosts then
     Verdict.fail v "only %d/%d hosts completed the stop protocol" byes hosts;
-  let merged = o.Sf_net.Spawner.merged_views in
-  let reported = List.length merged in
-  if reported <> n then Verdict.fail v "%d/%d nodes reported a final view" reported n;
-  let graph = Sf_graph.Digraph.create () in
-  List.iter
-    (fun (id, entries) ->
-      Sf_graph.Digraph.ensure_vertex graph id;
-      let view = Sf_core.View.create view_size in
-      List.iteri
-        (fun slot e ->
-          if slot < view_size then begin
-            Sf_core.View.set view slot e;
-            Sf_graph.Digraph.add_edge graph id e.Sf_core.View.id
-          end)
-        entries;
-      check_cluster_view v ~view_size id view)
-    merged;
-  if reported = n && not (Sf_graph.Digraph.is_weakly_connected graph) then
-    Verdict.fail v "merged post-heal overlay is not weakly connected";
+  cluster_verdict v
+    (Sf_check.Invariant.check_reports ~config ~n o.Sf_net.Spawner.merged_views);
   if declares "crash" scenario then begin
     if o.Sf_net.Spawner.kills = 0 then
       Verdict.dead v "crash windows declared but no host was killed";
@@ -1024,7 +1007,8 @@ let soak seed n view_size lower_threshold d_hat delta loss rounds scenario toler
     Fmt.pr "processes:   %d kills, %d respawns, %d heartbeats, %.1fs wall@."
       o.Sf_net.Spawner.kills o.Sf_net.Spawner.respawns o.Sf_net.Spawner.heartbeats
       o.Sf_net.Spawner.wall_seconds;
-    spawner_verdict v ~scenario ~hosts ~n:(hosts * per_host) ~view_size o
+    spawner_verdict v ~scenario ~hosts ~n:(hosts * per_host)
+      ~config:(Protocol.make_config ~view_size ~lower_threshold) o
   end;
   Verdict.finish v "soak"
 
@@ -1110,7 +1094,8 @@ let cluster seed hosts per_host view_size lower_threshold loss scenario base_por
     batches frames fill;
   Fmt.pr "latency:     per-action p50 %.1fus, p99 %.1fus (worst host)@."
     (max_stat "p50_us" o) (max_stat "p99_us" o);
-  spawner_verdict v ~scenario ~hosts ~n ~view_size o;
+  spawner_verdict v ~scenario ~hosts ~n
+    ~config:(Protocol.make_config ~view_size ~lower_threshold) o;
   Verdict.finish v "cluster"
 
 let cluster_cmd =

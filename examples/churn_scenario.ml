@@ -11,13 +11,14 @@ module Protocol = Sf_core.Protocol
 module Summary = Sf_stats.Summary
 
 let report runner label =
-  let outs = Properties.outdegree_summary runner in
-  let ins = Properties.indegree_summary runner in
-  let census = Properties.independence_census runner in
+  let store = Runner.store runner and live = Runner.is_live runner in
+  let outs = Properties.outdegree_summary store ~live in
+  let ins = Properties.indegree_summary store ~live in
+  let census = Sf_core.Census.of_flat store in
   Fmt.pr "%-28s n=%-5d out=%.1f±%.1f in=%.1f±%.1f alpha=%.3f connected=%b@." label
     (Runner.live_count runner) (Summary.mean outs) (Summary.std outs) (Summary.mean ins)
     (Summary.std ins) census.Sf_core.Census.alpha
-    (Properties.is_weakly_connected runner)
+    (Properties.is_weakly_connected store ~live)
 
 let () =
   let config = Protocol.make_config ~view_size:40 ~lower_threshold:18 in

@@ -23,18 +23,20 @@ let sandf loss =
   let config = Protocol.make_config ~view_size ~lower_threshold:18 in
   let r = Runner.create ~seed:3 ~n ~loss_rate:loss ~config ~topology:(topology 1) () in
   Runner.run_rounds r rounds;
-  let census = Properties.independence_census r in
+  let census = Census.of_flat (Runner.store r) in
   let edges = Sf_graph.Digraph.edge_count (Runner.membership_graph r) in
-  (edges, census.Census.alpha, Properties.is_weakly_connected r)
+  (edges, census.Census.alpha,
+   Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r))
 
 let baseline kind loss =
   let b =
     Baselines.create ~seed:4 ~n ~view_size ~loss_rate:loss ~kind ~topology:(topology 2)
   in
   Baselines.run_rounds b rounds;
+  let store = Baselines.store b in
   ( Baselines.total_instances b,
-    (Baselines.independence_census b).Census.alpha,
-    Baselines.is_weakly_connected b )
+    (Census.of_flat store).Census.alpha,
+    Properties.is_weakly_connected store ~live:(fun u -> not (Baselines.is_dead b u)) )
 
 let () =
   Fmt.pr "loss sweep: n=%d, s=%d, %d rounds; cells are edges/alpha/connected@." n

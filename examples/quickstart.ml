@@ -26,16 +26,19 @@ let () =
   (* 3. Run 300 rounds (each node initiates ~300 actions). *)
   Runner.run_rounds runner 300;
 
-  (* 4. Inspect the membership service's properties. *)
-  let outs = Properties.outdegree_summary runner in
-  let ins = Properties.indegree_summary runner in
+  (* 4. Inspect the membership service's properties.  The monitors read
+        the world as its engine keeps it: one store, row u = node u's
+        view, and which rows are live. *)
+  let store = Runner.store runner and live = Runner.is_live runner in
+  let outs = Properties.outdegree_summary store ~live in
+  let ins = Properties.indegree_summary store ~live in
   Fmt.pr "outdegree: %.1f +- %.1f@." (Summary.mean outs) (Summary.std outs);
   Fmt.pr "indegree:  %.1f +- %.1f  (load balance, Property M2)@." (Summary.mean ins)
     (Summary.std ins);
-  let census = Properties.independence_census runner in
+  let census = Sf_core.Census.of_flat store in
   Fmt.pr "independent entries: %.1f%%  (spatial independence, Property M4)@."
     (100. *. census.Sf_core.Census.alpha);
-  Fmt.pr "weakly connected: %b@." (Properties.is_weakly_connected runner);
+  Fmt.pr "weakly connected: %b@." (Properties.is_weakly_connected store ~live);
 
   (* 5. Applications draw peer samples from their local views. *)
   let rng = Sf_prng.Rng.create 7 in

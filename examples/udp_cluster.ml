@@ -11,6 +11,7 @@
    Run with: dune exec examples/udp_cluster.exe *)
 
 module Driver = Sf_net.Driver
+module Properties = Sf_core.Properties
 module Summary = Sf_stats.Summary
 
 let () =
@@ -27,9 +28,13 @@ let () =
   in
   Fmt.pr "bound %d UDP sockets on 127.0.0.1:47000-%d; running 5 seconds...@." n
     (47000 + n - 1);
+  (* The cluster owns the whole id space (first = 0), so row u of its
+     store is node u's view, and every row is live. *)
+  assert (Driver.first cluster = 0);
   let report phase =
-    let outs = Driver.outdegree_summary cluster in
-    let census = Driver.independence_census cluster in
+    let store = Driver.store cluster and live _ = true in
+    let outs = Properties.outdegree_summary store ~live in
+    let census = Sf_core.Census.of_flat store in
     let stats = Driver.statistics cluster in
     Fmt.pr
       "%s: %d actions, %d messages (%d dropped by injected loss, %d received)@."
@@ -38,7 +43,7 @@ let () =
     Fmt.pr "  outdegree %.1f±%.1f (dL=%d), alpha %.3f, connected %b, codec errors %d@."
       (Summary.mean outs) (Summary.std outs) thresholds.lower_threshold
       census.Sf_core.Census.alpha
-      (Driver.is_weakly_connected cluster)
+      (Properties.is_weakly_connected store ~live)
       stats.Driver.decode_errors
   in
   Driver.run cluster ~duration:2.5;

@@ -24,6 +24,7 @@
 module Runner = Sf_core.Runner
 module Protocol = Sf_core.Protocol
 module View = Sf_core.View
+module Overlay = Sf_core.Overlay
 
 let src = Logs.Src.create "sf.check" ~doc:"Paper-invariant runtime audit"
 
@@ -56,6 +57,8 @@ let soundness store u =
       (violation "view-soundness" "node %d: degree %d but slot %d is %s" u d !bad
          (if !bad < d then "empty" else "occupied"))
 
+(* A single view is row 0 of a one-node store.  Only perfbench's cluster
+   workload still checks views one by one; the gates check rows. *)
 let check_view view = soundness view 0
 
 let check_degree ~config id d =
@@ -133,6 +136,53 @@ let scan runner =
              minted)
       else None)
     ~clock:(Runner.action_count runner) ~stamp:"at action"
+
+(* --- Final views of a UDP cluster: no per-action audit hook --- *)
+
+let check_rows ~config store =
+  List.concat_map
+    (fun u ->
+      Option.to_list (check_degree ~config u (Flat.degree store u))
+      @ Option.to_list (soundness store u))
+    (List.init (Flat.node_count store) Fun.id)
+
+(* The reports fill one store, row u = node u, in slot order; the
+   degree rule reads the reported count, a row keeps at most s. *)
+let check_reports ~config ~n reports =
+  let s = config.Protocol.view_size in
+  let store = View.create_rows ~nodes:n s in
+  let seen = Array.make n false and found = ref [] in
+  let record v = found := v :: !found in
+  List.iter
+    (fun (u, entries) ->
+      if u < 0 || u >= n then
+        record (violation "report-id" "node %d is outside [0, %d)" u n)
+      else if seen.(u) then
+        record (violation "report-repeated" "node %d reported twice" u)
+      else begin
+        seen.(u) <- true;
+        Option.iter record (check_degree ~config u (List.length entries));
+        List.iteri
+          (fun slot (e : View.entry) ->
+            let anchor = Option.value e.anchor ~default:(-1) in
+            if not (e.id >= 0 && Flat.fits store ~id:e.id ~anchor ~born:e.born) then
+              record (violation "view-soundness" "node %d: slot %d holds nothing" u slot)
+            else if e.id >= n then
+              record (violation "id-bound" "node %d holds id %d outside [0, %d)" u e.id n)
+            else if Flat.degree store u < s then
+              View.set_entry store u (Flat.degree store u) e)
+          entries
+      end)
+    reports;
+  (match List.find_opt (fun u -> not seen.(u)) (List.init n Fun.id) with
+  | Some u -> record (violation "report-missing" "node %d sent no final view" u)
+  | None ->
+    let probe = Overlay.probe (Overlay.forest n) store ~live:(fun _ -> true) in
+    List.iter
+      (fun u ->
+        record (violation "weak-connectivity" "node %d's component is split off" u))
+      (Overlay.stragglers probe));
+  List.rev !found
 
 (* --- The attached auditor --- *)
 

@@ -38,11 +38,25 @@ val pp_violation : violation Fmt.t
 (** {2 Pure checks} *)
 
 val check_view : Sf_core.View.t -> violation option
-(** Structural soundness of one view: cached degree = occupied slots. *)
+(** Structural soundness of one view: cached degree = occupied slots.
+    Kept for perfbench's cluster workload; the gates use {!check_rows}. *)
 
 val check_degree : config:Sf_core.Protocol.config -> int -> int -> violation option
 (** [check_degree ~config id degree]: M1 bounds and parity for node [id]
     with outdegree [degree]. *)
+
+val check_rows : config:Sf_core.Protocol.config -> Sf_core.View.Flat.t -> violation list
+(** {!check_degree} and the soundness of every row of a store, row [u] =
+    node [u]: a UDP cluster's final views. *)
+
+val check_reports :
+  config:Sf_core.Protocol.config -> n:int -> (int * Sf_core.View.entry list) list ->
+  violation list
+(** The final [(node, entries)] views an [n]-node cluster's hosts reported,
+    checked in one store; each violation names its node: a report outside
+    [[0, n)] or repeated, a count over s or odd, an entry id outside
+    [[0, n)], an entry no view can hold, a missing report, and (all
+    reported) each component cut off the largest ({!Sf_core.Overlay}). *)
 
 val total_edges : Sf_core.Runner.t -> int
 (** Global edge count: the sum of live outdegrees. *)

@@ -244,29 +244,7 @@ let dead_entry_fraction t =
   done;
   if !total = 0 then 0. else float_of_int !stale /. float_of_int !total
 
-(* --- Measurement (mirrors the S&F monitors) --- *)
+(* --- Measurement: {!Properties} reads the store, row u = node u --- *)
 
 let total_instances t = View.Flat.total_edges t.store
-
-let outdegree_summary t =
-  let summary = Sf_stats.Summary.create () in
-  for u = 0 to node_count t - 1 do
-    if not t.dead.(u) then Sf_stats.Summary.add_int summary (View.Flat.degree t.store u)
-  done;
-  summary
-
-let indegree_summary t =
-  let counts = Array.make (node_count t) 0 in
-  for u = 0 to node_count t - 1 do
-    for slot = 0 to View.Flat.degree t.store u - 1 do
-      let id = View.Flat.id_at t.store u slot in
-      if id < node_count t then counts.(id) <- counts.(id) + 1
-    done
-  done;
-  Sf_stats.Summary.of_int_array counts
-
-let independence_census t = Census.of_flat t.store
-
-let is_weakly_connected t =
-  let forest = Overlay.forest (View.Flat.node_count t.store) in
-  Overlay.connected (Overlay.probe forest t.store ~live:(fun u -> not t.dead.(u)))
+let store t = t.store

@@ -52,12 +52,6 @@ val dead_entry_fraction : t -> float
 val total_instances : t -> int
 (** Total non-empty view entries (edges) — decays under loss for Shuffle. *)
 
-val outdegree_summary : t -> Sf_stats.Summary.t
-val indegree_summary : t -> Sf_stats.Summary.t
-
-val independence_census : t -> Census.t
-(** Same dependence labelling as the S&F monitors. *)
-
-val is_weakly_connected : t -> bool
-(** The live overlay is one weak component ({!Overlay.probe}): an id of
-    a killed node bridges nothing. *)
+val store : t -> View.Flat.t
+(** The world: row [u] is node [u]'s view, empty while [u] is dead.
+    Read it with {!Properties} and {!Census.of_flat}. *)

@@ -1,16 +1,30 @@
 (** Monitors for the membership-service properties of the paper's
     section 2 (M2 load balance, M3 uniformity, M4 spatial independence,
-    M5 temporal independence). *)
+    M5 temporal independence) and for weak connectivity.
 
-val indegree_summary : Runner.t -> Sf_stats.Summary.t
+    The snapshot monitors read any engine's world as it is kept: a
+    {!View.Flat} store whose row [u] is node [u]'s view, with [live]
+    naming the rows that are members (the runner's {!Runner.is_live},
+    a baseline's not-dead, every row of a variant or of a whole-space
+    UDP driver).  Rows that are not live, and ids that name no live row,
+    count for nothing.  M4 is {!Census.of_flat} over the same store. *)
+
+val outdegree_summary : View.Flat.t -> live:(int -> bool) -> Sf_stats.Summary.t
+
+val indegree_summary : View.Flat.t -> live:(int -> bool) -> Sf_stats.Summary.t
 (** Summary of live-node indegrees (M2: its variance must stay bounded). *)
 
-val outdegree_summary : Runner.t -> Sf_stats.Summary.t
+val outdegree_samples : View.Flat.t -> live:(int -> bool) -> int array
+(** Outdegree of each live row, in row order. *)
 
-val outdegree_samples : Runner.t -> int array
+val indegree_samples : View.Flat.t -> live:(int -> bool) -> int array
+(** Indegree of each live row, in row order, counting only entries in
+    live rows. *)
 
-val indegree_samples : Runner.t -> int array
-(** Indegree of each live node, counting only entries in live views. *)
+val is_weakly_connected : View.Flat.t -> live:(int -> bool) -> bool
+(** The live rows form one weak component: {!Overlay.probe} through a
+    fresh forest, so self-edges, entries naming a row that is not live
+    and ids at or above the row count bridge nothing. *)
 
 val uniformity_test :
   Runner.t ->
@@ -21,15 +35,8 @@ val uniformity_test :
     self-appearances) over spaced snapshots; chi-square them against
     uniformity. Advances the runner. *)
 
-val independence_census : Runner.t -> Census.t
-(** M4: census of dependent entries; [alpha] compares against the paper's
-    bound 1 - 2(loss + delta). *)
-
 val overlap_decay :
   Runner.t -> blocks:int -> rounds_per_block:int -> (int * float) list
 (** M5: fraction of instances surviving from a reference snapshot after each
     block of rounds ((rounds, fraction) points, starting at (0, 1)).
     Advances the runner. *)
-
-val is_weakly_connected : Runner.t -> bool
-(** Weak connectivity of the live membership graph. *)

@@ -185,14 +185,7 @@ let run_rounds t rounds =
 
 (* --- Measurement: the main store holds exactly the unmarked entries --- *)
 
-let outdegree_summary t =
-  let summary = Sf_stats.Summary.create () in
-  for u = 0 to node_count t - 1 do
-    Sf_stats.Summary.add_int summary (degree t u)
-  done;
-  summary
-
-let independence_census t = Census.of_flat t.store
+let store t = t.store
 
 type counters = {
   actions : int;
@@ -212,7 +205,3 @@ let counters (t : t) =
     undeletions = t.undeletions;
     deletions = t.deletions;
   }
-
-let is_weakly_connected t =
-  let forest = Overlay.forest (View.Flat.node_count t.store) in
-  Overlay.connected (Overlay.probe forest t.store ~live:(fun _ -> true))

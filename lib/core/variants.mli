@@ -29,9 +29,9 @@ val create :
 val step : t -> unit
 val run_rounds : t -> int -> unit
 
-val outdegree_summary : t -> Sf_stats.Summary.t
-val independence_census : t -> Census.t
-val is_weakly_connected : t -> bool
+val store : t -> View.Flat.t
+(** The world: row [u] is node [u]'s view, unmarked entries only.  Every
+    row is live; read it with {!Properties} and {!Census.of_flat}. *)
 
 type counters = {
   actions : int;

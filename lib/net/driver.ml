@@ -904,31 +904,6 @@ let run t ~duration =
   in
   loop ()
 
-(* --- Measurement (mirrors the simulator's monitors) --- *)
-
-let views t =
-  Seq.init (node_count t) (fun i -> (t.first + i, Sf_core.View.copy_row t.store i))
-
-let outdegree_summary t =
-  let summary = Sf_stats.Summary.create () in
-  for i = 0 to node_count t - 1 do
-    Sf_stats.Summary.add_int summary (Sf_core.View.Flat.degree t.store i)
-  done;
-  summary
-
-let independence_census t = Sf_core.Census.of_views (views t)
-
-let is_weakly_connected t =
-  let g = Sf_graph.Digraph.create () in
-  for i = 0 to node_count t - 1 do
-    let u = t.first + i in
-    Sf_graph.Digraph.ensure_vertex g u;
-    for slot = 0 to Sf_core.View.Flat.degree t.store i - 1 do
-      Sf_graph.Digraph.add_edge g u (Sf_core.View.Flat.id_at t.store i slot)
-    done
-  done;
-  Sf_graph.Digraph.is_weakly_connected g
-
 let fault_statistics t =
   if t.faulted then Some (Sf_faults.Injector.statistics t.injector) else None
 

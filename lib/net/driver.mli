@@ -100,7 +100,10 @@ val first : t -> int
 
 val store : t -> Sf_core.View.Flat.t
 (** The live views of the owned nodes: row [i] is node [first t + i].
-    Reports read it in place; a test may edit it before a run. *)
+    Reports read it in place, and so do the {!Sf_core.Properties}
+    monitors and {!Sf_core.Census.of_flat}, which take row [u] as node
+    [u]: they read a driver of [first = 0].  A test may edit it before a
+    run. *)
 
 val actions : t -> int
 (** Initiate actions so far: [statistics]'s [actions] without building
@@ -145,17 +148,9 @@ val set_partition_filter : t -> parts:int option -> unit
 val shutdown : t -> unit
 (** Close every owned socket. *)
 
-val views : t -> (int * Sf_core.View.t) Seq.t
-(** Owned nodes' views, copied as each is read, for external invariant
-    checks. *)
-
 val is_crashed : t -> int -> bool
 (** [true] while the fault scenario holds the id inside an active crash
     window (always [false] without a scenario). *)
-
-val outdegree_summary : t -> Sf_stats.Summary.t
-val independence_census : t -> Sf_core.Census.t
-val is_weakly_connected : t -> bool
 
 val fault_statistics : t -> Sf_faults.Injector.stats option
 (** Fault-injection counters; [None] unless [scenario] was passed to

@@ -4,11 +4,17 @@
 module Baselines = Sf_core.Baselines
 module Topology = Sf_core.Topology
 module Census = Sf_core.Census
+module Properties = Sf_core.Properties
 
 let make ?(seed = 66) ?(n = 100) ?(loss = 0.) kind =
   let rng = Sf_prng.Rng.create (seed + 5) in
   let topology = Topology.regular rng ~n ~out_degree:6 in
   Baselines.create ~seed ~n ~view_size:12 ~loss_rate:loss ~kind ~topology
+
+(* The monitors read a baseline's store; a killed node's row is not live. *)
+let live b u = not (Baselines.is_dead b u)
+let connected b = Properties.is_weakly_connected (Baselines.store b) ~live:(live b)
+let census b = Census.of_flat (Baselines.store b)
 
 let test_shuffle_lossless_preserves_ids () =
   let b = make ~loss:0. (Baselines.Shuffle { exchange_size = 3 }) in
@@ -16,7 +22,7 @@ let test_shuffle_lossless_preserves_ids () =
   Baselines.run_rounds b 100;
   Alcotest.(check int) "edge count invariant without loss" before
     (Baselines.total_instances b);
-  Alcotest.(check bool) "still connected" true (Baselines.is_weakly_connected b)
+  Alcotest.(check bool) "still connected" true (connected b)
 
 let test_shuffle_bleeds_ids_under_loss () =
   let b = make ~loss:0.05 (Baselines.Shuffle { exchange_size = 3 }) in
@@ -31,7 +37,7 @@ let test_shuffle_bleeds_ids_under_loss () =
 let test_shuffle_creates_no_anchored_dependence () =
   let b = make ~loss:0.02 (Baselines.Shuffle { exchange_size = 3 }) in
   Baselines.run_rounds b 50;
-  let c = Baselines.independence_census b in
+  let c = census b in
   Alcotest.(check int) "no anchored entries" 0 c.Census.anchored
 
 let test_push_pull_never_loses_ids () =
@@ -40,12 +46,12 @@ let test_push_pull_never_loses_ids () =
   Baselines.run_rounds b 100;
   Alcotest.(check bool) "instances never shrink" true
     (Baselines.total_instances b >= before);
-  Alcotest.(check bool) "connected" true (Baselines.is_weakly_connected b)
+  Alcotest.(check bool) "connected" true (connected b)
 
 let test_push_pull_accumulates_dependence () =
   let b = make ~loss:0.01 (Baselines.Push_pull { gossip_size = 3 }) in
   Baselines.run_rounds b 100;
-  let c = Baselines.independence_census b in
+  let c = census b in
   Alcotest.(check bool)
     (Printf.sprintf "alpha %.3f collapses" c.Census.alpha)
     true
@@ -59,13 +65,13 @@ let test_push_only_is_reinforcement_only () =
      running and no ids are destroyed below the initial count. *)
   Alcotest.(check bool) "instances kept" true
     (Baselines.total_instances b >= 100 * 6);
-  let c = Baselines.independence_census b in
+  let c = census b in
   Alcotest.(check bool) "duplicates accumulate (no mixing)" true
     (c.Census.parallel_surplus > 0)
 
 let test_indegree_summary_counts () =
   let b = make (Baselines.Push_pull { gossip_size = 2 }) in
-  let s = Baselines.indegree_summary b in
+  let s = Properties.indegree_summary (Baselines.store b) ~live:(live b) in
   Alcotest.(check int) "one summary entry per node" 100 (Sf_stats.Summary.count s);
   (* Regular topology: all indegrees 6 initially. *)
   Alcotest.(check bool) "initial variance 0" true (Sf_stats.Summary.variance s < 1e-9)
@@ -79,9 +85,9 @@ let test_killed_id_does_not_bridge () =
     Baselines.create ~seed:1 ~n:5 ~view_size:8 ~loss_rate:0. ~kind:Baselines.Push_only
       ~topology:(Array.get views)
   in
-  Alcotest.(check bool) "connected through node 2" true (Baselines.is_weakly_connected b);
+  Alcotest.(check bool) "connected through node 2" true (connected b);
   Baselines.kill b 2;
-  Alcotest.(check bool) "split once 2 is dead" false (Baselines.is_weakly_connected b)
+  Alcotest.(check bool) "split once 2 is dead" false (connected b)
 
 let suite =
   [

@@ -189,6 +189,60 @@ let test_scan_catches_dead_row () =
   Alcotest.(check (list string)) "dead row caught" [ "dead-slot-empty" ]
     (invariants (Invariant.scan r))
 
+(* --- A cluster's reported final views --- *)
+
+let report_config = Protocol.make_config ~view_size:6 ~lower_threshold:0
+
+let reports views =
+  List.mapi
+    (fun u ids ->
+      (u, List.map (fun id -> { View.id; serial = 0; anchor = None; born = 0 }) ids))
+    views
+
+(* Four nodes, each naming both ring neighbours: sound, even, connected. *)
+let ring = [ [ 1; 3 ]; [ 2; 0 ]; [ 3; 1 ]; [ 0; 2 ] ]
+
+let with_row u ids = List.mapi (fun v row -> if v = u then ids else row) ring
+
+(* [reports] break exactly [invariant], in a violation naming [node]. *)
+let check_report_violation ~invariant ~node reports =
+  match Invariant.check_reports ~config:report_config ~n:4 reports with
+  | [ v ] ->
+    Alcotest.(check string) "invariant" invariant v.Invariant.invariant;
+    let prefix = Printf.sprintf "node %d" node in
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %s" v.Invariant.detail prefix)
+      true
+      (String.starts_with ~prefix v.Invariant.detail)
+  | vs ->
+    Alcotest.failf "expected one %s violation, got [%a]" invariant
+      Fmt.(list ~sep:semi Invariant.pp_violation)
+      vs
+
+let test_reports_clean () =
+  Alcotest.(check (list string)) "a clean cluster" []
+    (invariants (Invariant.check_reports ~config:report_config ~n:4 (reports ring)))
+
+let test_reports_violations () =
+  let entry id = { View.id; serial = 0; anchor = None; born = 0 } in
+  check_report_violation ~invariant:"M1-degree-bound" ~node:1
+    (reports (with_row 1 [ 2; 0; 2; 0; 2; 0; 2; 0 ]));
+  check_report_violation ~invariant:"M1-degree-bound" ~node:1
+    (reports (with_row 1 [ 2; 0; 2; 0; 2; 0; 2 ]));
+  check_report_violation ~invariant:"degree-parity" ~node:2
+    (reports (with_row 2 [ 3; 1; 1 ]));
+  check_report_violation ~invariant:"id-bound" ~node:0 (reports (with_row 0 [ 1; 7 ]));
+  check_report_violation ~invariant:"report-id" ~node:9
+    (reports ring @ [ (9, [ entry 0; entry 1 ]) ]);
+  check_report_violation ~invariant:"report-repeated" ~node:3
+    (reports ring @ [ (3, [ entry 0; entry 2 ]) ]);
+  check_report_violation ~invariant:"view-soundness" ~node:0
+    (reports (with_row 0 [ 1; -1 ]));
+  check_report_violation ~invariant:"report-missing" ~node:2
+    (List.filter (fun (u, _) -> u <> 2) (reports ring));
+  check_report_violation ~invariant:"weak-connectivity" ~node:2
+    (reports [ [ 1; 1 ]; [ 0; 0 ]; [ 3; 3 ]; [ 2; 2 ] ])
+
 let suite =
   [
     Alcotest.test_case "audited 1k nodes x 10k actions, loss 0" `Slow
@@ -209,4 +263,7 @@ let suite =
     Alcotest.test_case "reconnect resyncs" `Quick test_reconnect_resyncs;
     Alcotest.test_case "scan catches an entry in a departed row" `Quick
       test_scan_catches_dead_row;
+    Alcotest.test_case "cluster reports: a clean cluster passes" `Quick test_reports_clean;
+    Alcotest.test_case "cluster reports: each violation names its node" `Quick
+      test_reports_violations;
   ]

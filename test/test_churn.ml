@@ -7,6 +7,9 @@ module Churn = Sf_core.Churn
 module Properties = Sf_core.Properties
 module Flat = Sf_core.View.Flat
 
+(* Weak connectivity of a runner's live overlay. *)
+let is_connected r = Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r)
+
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
 let make_system ?(seed = 55) ?(n = 120) ?(loss = 0.) () =
@@ -74,7 +77,10 @@ let test_join_integration_bound () =
   let held =
     count_worlds (fun k ->
         let r = make_system ~seed:(55 + k) ~n:200 () in
-        indegree := !indegree +. Sf_stats.Summary.mean (Properties.indegree_summary r);
+        indegree :=
+          !indegree
+          +. Sf_stats.Summary.mean
+               (Properties.indegree_summary (Runner.store r) ~live:(Runner.is_live r));
         let trace = Churn.join_integration r ~rounds:window in
         instances := !instances + trace.Churn.instances.(window);
         trace.Churn.instances.(window) >= 1)
@@ -127,7 +133,7 @@ let test_sustained_churn_keeps_system_healthy () =
         Alcotest.(check int)
           (Printf.sprintf "seed %d: population stable" seed)
           150 (Runner.live_count r);
-        let outs = Properties.outdegree_summary r in
+        let outs = Properties.outdegree_summary (Runner.store r) ~live:(Runner.is_live r) in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: healthy degrees" seed)
           true
@@ -158,7 +164,7 @@ let test_reconnection_heals_starvation () =
           (Runner.isolated_nodes r);
         Runner.run_rounds r 10;
         if Runner.isolated_nodes r = [] then incr healed;
-        Properties.is_weakly_connected r)
+        is_connected r)
   in
   Alcotest.(check bool)
     (Printf.sprintf "no isolated node in %d of %d worlds (>= 24)" !healed worlds)
@@ -220,14 +226,14 @@ let split_by_a_departed_id () =
   in
   let r = Runner.create ~seed:5 ~n:5 ~loss_rate:0. ~config ~topology () in
   Alcotest.(check bool) "node 2 left" true (Runner.remove_node r 2);
-  Alcotest.(check bool) "split" false (Properties.is_weakly_connected r);
+  Alcotest.(check bool) "split" false (is_connected r);
   r
 
 let test_departed_id_does_not_bridge () =
   let r = split_by_a_departed_id () in
   Alcotest.(check bool) "repaired" true (Runner.repair r >= 1);
   Alcotest.(check bool) "connected after the repair" true
-    (Properties.is_weakly_connected r);
+    (is_connected r);
   match Churn.recover_connectivity (split_by_a_departed_id ()) with
   | Some (_, repairs) ->
     Alcotest.(check bool) (Printf.sprintf "%d repairs" repairs) true (repairs >= 1)

@@ -27,7 +27,6 @@
 
 module Runner = Sf_core.Runner
 module Sharded = Sf_core.Runner.Sharded
-module Flat = Sf_core.View.Flat
 module Pmf = Sf_stats.Pmf
 module Degree_mc = Sf_analysis.Degree_mc
 
@@ -56,34 +55,18 @@ let fixed_point =
       Hashtbl.add solved loss r;
       r
 
-(* Every live node's outdegree and indegree in [store], appended to the
-   pools. *)
-let pool store ~live outs ins =
-  let n = Flat.node_count store in
-  let indegree = Array.make n 0 in
-  for u = 0 to n - 1 do
-    if live u then
-      for slot = 0 to s - 1 do
-        let id = Flat.id_at store u slot in
-        if id >= 0 then indegree.(id) <- indegree.(id) + 1
-      done
-  done;
-  for u = 0 to n - 1 do
-    if live u then begin
-      outs := Flat.degree store u :: !outs;
-      ins := indegree.(u) :: !ins
-    end
-  done
-
 (* Pool [snapshots] snapshots [gap] rounds apart; returns the pooled
-   out- and indegree distributions. *)
+   out- and indegree distributions of the live nodes, read by the
+   monitors every engine shares. *)
 let snapshot_pools ~run ~store ~live =
   let outs = ref [] and ins = ref [] in
   for _ = 1 to snapshots do
     run gap;
-    pool (store ()) ~live outs ins
+    let store = store () in
+    outs := Sf_core.Properties.outdegree_samples store ~live :: !outs;
+    ins := Sf_core.Properties.indegree_samples store ~live :: !ins
   done;
-  (Pmf.of_samples (Array.of_list !outs), Pmf.of_samples (Array.of_list !ins))
+  (Pmf.of_samples (Array.concat !outs), Pmf.of_samples (Array.concat !ins))
 
 let at_most what bound x =
   Alcotest.(check bool) (Printf.sprintf "%s %.5f <= %.5f" what x bound) true (x <= bound)

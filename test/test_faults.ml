@@ -14,6 +14,9 @@ module Scenario = Sf_faults.Scenario
 module Injector = Sf_faults.Injector
 module Invariant = Sf_check.Invariant
 
+(* Weak connectivity of a runner's live overlay. *)
+let is_connected r = Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r)
+
 let scenario_of_string s =
   match Scenario.of_string s with
   | Ok sc -> sc
@@ -324,7 +327,7 @@ let split_worlds ?(worlds = worlds) ~scenario ~base ~rounds ~max_rounds () =
       let seed = base + k in
       let r = partition_world ~scenario ~seed in
       Runner.run_rounds r rounds;
-      let split = not (Properties.is_weakly_connected r) in
+      let split = not (is_connected r) in
       if split then begin
         match Churn.recover_connectivity ~max_rounds r with
         | Some (_, repairs) ->
@@ -334,7 +337,7 @@ let split_worlds ?(worlds = worlds) ~scenario ~base ~rounds ~max_rounds () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: weakly connected after recovery" seed)
             true
-            (Properties.is_weakly_connected r)
+            (is_connected r)
         | None ->
           Alcotest.fail
             (Printf.sprintf "seed %d: not re-knit within %d rounds" seed max_rounds)
@@ -369,7 +372,7 @@ let test_partition_heals_quickly () =
   Runner.run_rounds r 50;
   (* The window just closed; give the overlay at most 5 rounds. *)
   let rec reconnect k =
-    if Properties.is_weakly_connected r then k
+    if is_connected r then k
     else if k >= 5 then -1
     else begin
       Runner.run_rounds r 1;
@@ -406,21 +409,21 @@ let test_repeated_partitions_recovery () =
     Runner.create ~scenario ~seed:550 ~n ~loss_rate:0.05 ~config ~topology ()
   in
   Runner.run_rounds r 65;
-  if not (Properties.is_weakly_connected r) then
+  if not (is_connected r) then
     (match Churn.recover_connectivity ~max_rounds:60 r with
     | Some _ -> ()
     | None -> Alcotest.fail "recovery failed after the first partition");
   Alcotest.(check bool) "connected between the windows" true
-    (Properties.is_weakly_connected r);
+    (is_connected r);
   Runner.run_rounds r 90;
   Alcotest.(check bool) "second partition split the overlay again" false
-    (Properties.is_weakly_connected r);
+    (is_connected r);
   (match Churn.recover_connectivity ~max_rounds:60 r with
   | Some (_, repairs) ->
     Alcotest.(check bool) "second recovery repaired" true (repairs >= 1)
   | None -> Alcotest.fail "recovery failed after the repeated partition");
   Alcotest.(check bool) "weakly connected after the second recovery" true
-    (Properties.is_weakly_connected r)
+    (is_connected r)
 
 (* A partition overlapping a crash wave: a tenth of the nodes freeze in
    the middle of a long partition and resume after it ends.  Once both
@@ -437,13 +440,13 @@ let test_partition_overlapping_crash_recovery () =
   Runner.run_rounds r 120;
   Alcotest.(check bool) "nobody is crashed after both windows" true
     (not (Runner.is_crashed r 0));
-  if not (Properties.is_weakly_connected r) then
+  if not (is_connected r) then
     (match Churn.recover_connectivity ~max_rounds:60 r with
     | Some (_, repairs) ->
       Alcotest.(check bool) "recovery repaired" true (repairs >= 1)
     | None -> Alcotest.fail "recovery failed after partition + crash");
   Alcotest.(check bool) "weakly connected with resumed nodes" true
-    (Properties.is_weakly_connected r)
+    (is_connected r)
 
 (* Crash/restart under the strict audit: no invariant fires while a tenth
    of the system is frozen, boundary crossings resync the conservation

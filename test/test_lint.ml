@@ -346,21 +346,31 @@ let test_one_overlay_probe_fires () =
   check_fires "baselines too" ~rule:"one-overlay-probe" ~path:"lib/core/baselines.ml"
     "let c = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
   check_fires "variants too" ~rule:"one-overlay-probe" ~path:"lib/core/variants.ml"
-    "let c = Digraph.is_weakly_connected g"
+    "let c = Digraph.is_weakly_connected g";
+  check_fires "the UDP driver" ~rule:"one-overlay-probe" ~path:"lib/net/driver.ml"
+    "let c = Sf_graph.Digraph.is_weakly_connected g";
+  check_fires "any net module" ~rule:"one-overlay-probe" ~path:"lib/net/spawner.ml"
+    "let cs = Digraph.weakly_connected_components g";
+  check_fires "the CLI gates" ~rule:"one-overlay-probe" ~path:"bin/sfg.ml"
+    "let ok = Sf_graph.Digraph.is_weakly_connected graph"
 
 let test_one_overlay_probe_quiet () =
-  (* The UDP driver's reports and the graph quality metrics have no
-     shared store. *)
-  check_quiet "driver reports" ~path:"lib/net/driver.ml"
-    "let c = Sf_graph.Digraph.is_weakly_connected (membership_graph t)";
+  (* The graph quality metrics and the global chain analyse arbitrary
+     graphs, not an engine's store. *)
   check_quiet "quality" ~path:"lib/graph/quality.ml"
     "let cs = Digraph.weakly_connected_components survivor";
+  check_quiet "global chain" ~path:"lib/analysis/global_mc.ml"
+    "let ok = Sf_graph.Digraph.is_weakly_connected g";
+  check_quiet "other executables" ~path:"bin/sf_nodehost.ml"
+    "let ok = Digraph.is_weakly_connected g";
   check_quiet "the probe is allowed" ~path:"lib/core/properties.ml"
     "let c = Overlay.connected (Runner.probe runner)";
   List.iter
     (fun path -> check_quiet path ~path (read ("../" ^ path)))
     [ "lib/core/runner.ml"; "lib/core/churn.ml"; "lib/core/sessions.ml";
-      "lib/core/properties.ml"; "lib/core/baselines.ml"; "lib/core/variants.ml" ]
+      "lib/core/properties.ml"; "lib/core/baselines.ml"; "lib/core/variants.ml";
+      "lib/net/driver.ml"; "lib/net/spawner.ml"; "lib/net/nodehost.ml";
+      "lib/net/codec.ml"; "bin/sfg.ml" ]
 
 (* --- one-message-matrix --- *)
 

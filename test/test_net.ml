@@ -163,6 +163,21 @@ let prop_crc32_table =
 
 let config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
+(* A whole-space driver's store, for the monitors: row u is node u and
+   every row is live. *)
+let store_of d =
+  assert (Driver.first d = 0);
+  Driver.store d
+
+let all_live _ = true
+
+(* The instances of owned node [id]'s view, as (id, anchor) pairs in
+   slot order. *)
+let row_ids d id =
+  let store = Driver.store d and i = id - Driver.first d in
+  List.init (View.Flat.degree store i) (fun slot ->
+      (View.Flat.id_at store i slot, View.Flat.anchor_at store i slot))
+
 let make_cluster ?(n = 24) ?(loss = 0.) ~base_port () =
   let topology = Sf_core.Topology.regular (Sf_prng.Rng.create 5) ~n ~out_degree:4 in
   Driver.create ~period:0.002 ~base_port ~n ~config ~loss_rate:loss ~seed:6 ~topology ()
@@ -185,9 +200,10 @@ let test_cluster_runs_and_converges () =
         stats.Driver.messages_received;
       Alcotest.(check int) "datagram conservation" stats.Driver.datagrams_emitted
         stats.Driver.datagrams_received;
-      Alcotest.(check bool) "connected" true (Driver.is_weakly_connected c);
+      Alcotest.(check bool) "connected" true
+        (Sf_core.Properties.is_weakly_connected (store_of c) ~live:all_live);
       (* Observation 5.1 holds over the real transport too. *)
-      let outs = Driver.outdegree_summary c in
+      let outs = Sf_core.Properties.outdegree_summary (store_of c) ~live:all_live in
       Alcotest.(check bool) "degrees bounded" true
         (Sf_stats.Summary.min_value outs >= 0. && Sf_stats.Summary.max_value outs <= 12.))
 
@@ -207,7 +223,7 @@ let test_cluster_injected_loss_rate () =
         true
         (Float.abs (observed -. 0.2) < 0.05);
       (* Duplication compensates: degrees stay at/above dL. *)
-      let outs = Driver.outdegree_summary c in
+      let outs = Sf_core.Properties.outdegree_summary (store_of c) ~live:all_live in
       Alcotest.(check bool) "degrees survive loss" true
         (Sf_stats.Summary.mean outs >= 4.))
 
@@ -274,32 +290,20 @@ let test_cluster_crash_restart () =
         (Printf.sprintf "rejoins counted (%d)" stats.Driver.rejoins)
         true
         (stats.Driver.rejoins >= 1);
-      Alcotest.(check int) "nothing stayed crashed" 0
-        (Seq.fold_left
-           (fun acc (id, _) -> if Driver.is_crashed c id then acc + 1 else acc)
-           0 (Driver.views c));
+      Alcotest.(check (list int)) "nothing stayed crashed" []
+        (List.filter (Driver.is_crashed c) (List.init n Fun.id));
       (* Every view — including the rejoined victims' — is structurally
          sound, inside M1 bounds and even (Observation 5.1). *)
-      Seq.iter
-        (fun (id, view) ->
-          (match Sf_check.Invariant.check_view view with
-          | Some v ->
-            Alcotest.failf "node %d: %a" id Sf_check.Invariant.pp_violation v
-          | None -> ());
-          let d = View.degree view in
-          Alcotest.(check bool)
-            (Printf.sprintf "node %d outdegree %d within [0, 12] and even" id d)
-            true
-            (d >= 0 && d <= 12 && d mod 2 = 0))
-        (Driver.views c);
+      List.iter
+        (Alcotest.failf "%a" Sf_check.Invariant.pp_violation)
+        (Sf_check.Invariant.check_rows ~config (store_of c));
       (* The victims rejoined with usable views. *)
-      Seq.iter
-        (fun (id, view) ->
-          if id <= 3 then
-            Alcotest.(check bool)
-              (Printf.sprintf "victim %d has a non-empty view" id)
-              true (View.degree view > 0))
-        (Driver.views c))
+      for id = 0 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "victim %d has a non-empty view" id)
+          true
+          (View.Flat.degree (store_of c) id > 0)
+      done)
 
 (* --- Codec v2 --- *)
 
@@ -609,7 +613,9 @@ let reference_replies d line =
   | [ "" ] | [ "stop" ] | [ "filter"; "off" ] -> []
   | [ "snapshot" ] ->
     List.of_seq
-      (Seq.map (fun (id, view) -> Nodehost.view_line id view ^ "\n") (Driver.views d))
+      (Seq.init (Driver.node_count d) (fun i ->
+           Nodehost.view_line (Driver.first d + i) (View.copy_row (Driver.store d) i)
+           ^ "\n"))
     @ [ "end\n" ]
   | [ "filter"; k ] -> (
     match int_of_string_opt k with
@@ -924,12 +930,8 @@ let test_driver_supervised_repair () =
         (Printf.sprintf "recoveries confirmed (%d)" stats.Driver.recoveries)
         true
         (stats.Driver.recoveries >= 1);
-      Seq.iter
-        (fun (id, view) ->
-          if id = 0 then
-            Alcotest.(check bool) "the cleared node has a view again" true
-              (View.degree view > 0))
-        (Driver.views c))
+      Alcotest.(check bool) "the cleared node has a view again" true
+        (row_ids c 0 <> []))
 
 (* A repair whose donor's view holds nothing but the repaired node's own
    id still installs the donor's id, padded up to dL = 4, and never an
@@ -955,14 +957,10 @@ let test_driver_repair_from_self_only_donor () =
         (Printf.sprintf "repairs attempted (%d)" stats.Driver.repair_attempts)
         true
         (stats.Driver.repair_attempts >= 1);
-      Seq.iter
-        (fun (id, view) ->
-          if id = 0 then
-            Alcotest.(check (list (pair int (option int))))
-              "the donor's id up to dL, anchored at the donor"
-              [ (1, Some 1); (1, Some 1); (1, Some 1); (1, Some 1) ]
-              (List.map (fun e -> (e.View.id, e.View.anchor)) (View.entries view)))
-        (Driver.views c))
+      Alcotest.(check (list (pair int int)))
+        "the donor's id up to dL, anchored at the donor"
+        [ (1, 1); (1, 1); (1, 1); (1, 1) ]
+        (row_ids c 0))
 
 (* --- Virtual-clock driver runs ---
 
@@ -1000,17 +998,16 @@ let driver_digest d =
     Buffer.add_string b (string_of_int k);
     Buffer.add_char b ' '
   in
-  Seq.iter
-    (fun (id, view) ->
-      add_int id;
-      View.iter
-        (fun slot e ->
-          List.iter add_int
-            [ slot; e.View.id; e.View.serial;
-              Option.value ~default:(-1) e.View.anchor; e.View.born ])
-        view;
-      Buffer.add_char b '\n')
-    (Driver.views d);
+  let store = Driver.store d in
+  for i = 0 to Driver.node_count d - 1 do
+    add_int (Driver.first d + i);
+    for slot = 0 to View.Flat.degree store i - 1 do
+      List.iter add_int
+        [ slot; View.Flat.id_at store i slot; View.Flat.serial_at store i slot;
+          View.Flat.anchor_at store i slot; View.Flat.born_at store i slot ]
+    done;
+    Buffer.add_char b '\n'
+  done;
   let s = Driver.statistics d in
   List.iter add_int
     [ s.Driver.actions; s.Driver.datagrams_sent; s.Driver.datagrams_dropped;

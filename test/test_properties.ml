@@ -15,6 +15,10 @@ let make_system ?(seed = 33) ?(n = 120) ?(loss = 0.) () =
   let topology = Topology.regular rng ~n ~out_degree:4 in
   Runner.create ~seed ~n ~loss_rate:loss ~config ~topology ()
 
+(* The monitors over a runner's world: its store and its liveness. *)
+let indegrees r = Properties.indegree_summary (Runner.store r) ~live:(Runner.is_live r)
+let is_connected r = Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r)
+
 (* --- Census on crafted views --- *)
 
 let entry ?(serial = 0) ?(anchor = None) id = { View.id; serial; anchor; born = 0 }
@@ -53,7 +57,7 @@ let test_census_overlapping_labels_count_once () =
 let test_indegree_summary_matches_graph () =
   let r = make_system () in
   Runner.run_rounds r 20;
-  let summary = Properties.indegree_summary r in
+  let summary = indegrees r in
   let g = Runner.membership_graph r in
   let direct = Summary.create () in
   Array.iter
@@ -69,9 +73,9 @@ let test_load_balance_recovers_from_star () =
   let n = 150 in
   let topology = Topology.star_like ~n ~hubs:3 ~out_degree:4 in
   let r = Runner.create ~seed:44 ~n ~loss_rate:0. ~config ~topology () in
-  let var0 = Summary.variance_population (Properties.indegree_summary r) in
+  let var0 = Summary.variance_population (indegrees r) in
   Runner.run_rounds r 800;
-  let var1 = Summary.variance_population (Properties.indegree_summary r) in
+  let var1 = Summary.variance_population (indegrees r) in
   Alcotest.(check bool)
     (Printf.sprintf "variance %.1f -> %.1f" var0 var1)
     true
@@ -112,7 +116,7 @@ let test_alpha_bound_under_loss () =
   Runner.run_rounds r 200;
   let base = Runner.world_counters r in
   Runner.run_rounds r 200;
-  let census = Properties.independence_census r in
+  let census = Census.of_flat (Runner.store r) in
   (* The measured duplication rate gives the effective delta. *)
   let rates = Runner.rates_since r base in
   let bound =
@@ -130,7 +134,7 @@ let test_alpha_bound_under_loss () =
 let test_alpha_near_one_without_loss () =
   let r = make_system ~loss:0. () in
   Runner.run_rounds r 300;
-  let census = Properties.independence_census r in
+  let census = Census.of_flat (Runner.store r) in
   Alcotest.(check bool)
     (Printf.sprintf "alpha %.3f" census.Census.alpha)
     true (census.Census.alpha > 0.9)
@@ -158,9 +162,9 @@ let test_overlap_decay_is_monotone_and_fast () =
 
 let test_connectivity_monitor () =
   let r = make_system () in
-  Alcotest.(check bool) "connected initially" true (Properties.is_weakly_connected r);
+  Alcotest.(check bool) "connected initially" true (is_connected r);
   Runner.run_rounds r 100;
-  Alcotest.(check bool) "still connected" true (Properties.is_weakly_connected r)
+  Alcotest.(check bool) "still connected" true (is_connected r)
 
 (* --- Sampling facade --- *)
 
@@ -210,7 +214,114 @@ let test_census_over_store_after_churn () =
       |> Seq.map (fun u -> (u, View.copy_row (Runner.store r) u)))
   in
   Alcotest.(check bool) "census over the store = census over live views" true
-    (Properties.independence_census r = per_view)
+    (Census.of_flat (Runner.store r) = per_view)
+
+(* --- The monitors over any store, against naive per-row counts --- *)
+
+module Flat = View.Flat
+
+(* A store of [rows] rows of [s] slots; row [u] holds [views.(u)]. *)
+let store_of ~s views =
+  let store = View.create_rows ~nodes:(Array.length views) s in
+  Array.iteri
+    (fun u ids ->
+      List.iteri
+        (fun slot id -> Flat.set store u slot ~id ~serial:0 ~anchor:(-1) ~born:0)
+        ids)
+    views;
+  store
+
+(* Random stores of 1-12 rows and 4 slots, ids up to two past the last
+   row (so some name no row), and a random live mask. *)
+let gen_world =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun rows ->
+    pair
+      (array_size (return rows) (list_size (int_bound 4) (int_bound (rows + 1))))
+      (array_size (return rows) bool))
+
+let arb_world =
+  QCheck.make gen_world ~print:(fun (views, live) ->
+      String.concat "; "
+        (Array.to_list
+           (Array.mapi
+              (fun u ids ->
+                Printf.sprintf "%d%s:[%s]" u
+                  (if live.(u) then "" else "(dead)")
+                  (String.concat "," (List.map string_of_int ids)))
+              views)))
+
+let summary_equal a b =
+  Summary.count a = Summary.count b
+  && (Summary.count a = 0
+     || Summary.mean a = Summary.mean b
+        && Summary.variance_population a = Summary.variance_population b
+        && Summary.min_value a = Summary.min_value b
+        && Summary.max_value a = Summary.max_value b)
+
+let prop_monitors_match_naive =
+  QCheck.Test.make ~count:500 ~name:"monitors equal naive counts and a Digraph reference"
+    arb_world (fun (views, live_mask) ->
+      let rows = Array.length views in
+      let store = store_of ~s:4 views and live u = live_mask.(u) in
+      let live_rows = List.filter live (List.init rows Fun.id) in
+      let naive_out = Array.of_list (List.map (fun u -> List.length views.(u)) live_rows) in
+      let naive_in =
+        Array.of_list
+          (List.map
+             (fun v ->
+               List.fold_left
+                 (fun acc u -> acc + List.length (List.filter (( = ) v) views.(u)))
+                 0 live_rows)
+             live_rows)
+      in
+      (* The deleted UDP driver path's reference: a Digraph over the
+         live rows and the edges to live rows. *)
+      let g = Sf_graph.Digraph.create () in
+      List.iter
+        (fun u ->
+          Sf_graph.Digraph.ensure_vertex g u;
+          List.iter
+            (fun id -> if id < rows && live id then Sf_graph.Digraph.add_edge g u id)
+            views.(u))
+        live_rows;
+      Properties.outdegree_samples store ~live = naive_out
+      && Properties.indegree_samples store ~live = naive_in
+      && summary_equal (Properties.outdegree_summary store ~live)
+           (Summary.of_int_array naive_out)
+      && summary_equal (Properties.indegree_summary store ~live)
+           (Summary.of_int_array naive_in)
+      && Properties.is_weakly_connected store ~live
+         = Sf_graph.Digraph.is_weakly_connected g)
+
+(* Two live halves, {0, 1} and {3, 4}, joined only through node 2.  The
+   removed [Baselines.indegree_summary] summed every node's indegree, a
+   killed one's included; the monitor summarises live rows only. *)
+let test_killed_node_indegree_not_summarised () =
+  let views = [| [ 1; 2 ]; [ 0; 2 ]; [ 0; 3 ]; [ 4; 2 ]; [ 3; 2 ] |] in
+  let b =
+    Sf_core.Baselines.create ~seed:1 ~n:5 ~view_size:8 ~loss_rate:0.
+      ~kind:Sf_core.Baselines.Push_only ~topology:(Array.get views)
+  in
+  let store = Sf_core.Baselines.store b in
+  let live u = not (Sf_core.Baselines.is_dead b u) in
+  Alcotest.(check (array int)) "every node's indegree" [| 2; 1; 4; 2; 1 |]
+    (Properties.indegree_samples store ~live);
+  Sf_core.Baselines.kill b 2;
+  Alcotest.(check (array int)) "node 2 is no longer summarised" [| 1; 1; 1; 1 |]
+    (Properties.indegree_samples store ~live);
+  Alcotest.(check int) "four indegrees" 4
+    (Summary.count (Properties.indegree_summary store ~live))
+
+(* Two rows that name only id 5, a node of no row.  The removed driver
+   path built a Digraph, where 5 became a vertex joining both rows; in
+   the store it bridges nothing. *)
+let test_id_past_the_rows_bridges_nothing () =
+  let store = store_of ~s:4 [| [ 5; 5 ]; [ 5; 5 ] |] in
+  let live _ = true in
+  Alcotest.(check bool) "split" false (Properties.is_weakly_connected store ~live);
+  Alcotest.(check (array int)) "no indegree from id 5" [| 0; 0 |]
+    (Properties.indegree_samples store ~live)
 
 let suite =
   [
@@ -228,4 +339,9 @@ let suite =
     Alcotest.test_case "sampling census uniform" `Slow test_sampling_census_roughly_uniform;
     Alcotest.test_case "census over the store after churn" `Quick
       test_census_over_store_after_churn;
+    QCheck_alcotest.to_alcotest prop_monitors_match_naive;
+    Alcotest.test_case "a killed node's indegree is not summarised" `Quick
+      test_killed_node_indegree_not_summarised;
+    Alcotest.test_case "an id past the last row bridges nothing" `Quick
+      test_id_past_the_rows_bridges_nothing;
   ]

@@ -17,6 +17,9 @@ module Controller = Sf_resil.Controller
 module Backoff = Sf_resil.Backoff
 module Supervisor = Sf_resil.Supervisor
 
+(* Weak connectivity of a runner's live overlay. *)
+let is_connected r = Properties.is_weakly_connected (Runner.store r) ~live:(Runner.is_live r)
+
 let scenario_of_string s =
   match Scenario.of_string s with
   | Ok sc -> sc
@@ -339,7 +342,7 @@ let test_supervised_partition_recovery () =
         Alcotest.(check bool)
           (Fmt.str "seed %d: connected without manual recovery" seed)
           true
-          (Properties.is_weakly_connected r);
+          (is_connected r);
         match Runner.resilience_statistics r with
         | None -> Alcotest.fail "resilience statistics missing"
         | Some rs ->
@@ -431,7 +434,7 @@ let test_chaos_soak () =
   let stats = Invariant.audited_run ~mode:Invariant.Warn r ~rounds:200 in
   Alcotest.(check int) "no invariant violations" 0 stats.Invariant.violation_count;
   Alcotest.(check bool) "overlay connected after the chaos" true
-    (Properties.is_weakly_connected r);
+    (is_connected r);
   let truth =
     match Runner.fault_statistics r with
     | Some fs when fs.Sf_faults.Injector.judged > 0 ->

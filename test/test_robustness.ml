@@ -131,7 +131,8 @@ let test_session_churn_keeps_population () =
         Alcotest.(check bool) "leaves happened" true (stats.Sessions.leaves > 100);
         Array.iter
           (fun d -> Alcotest.(check bool) "legal degree" true (d mod 2 = 0 && d <= 12))
-          (Sf_core.Properties.outdegree_samples r);
+          (Sf_core.Properties.outdegree_samples (Sf_core.Runner.store r)
+             ~live:(Sf_core.Runner.is_live r));
         Runner.isolated_nodes r = [])
     |> List.filter Fun.id |> List.length
   in

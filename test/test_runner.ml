@@ -8,7 +8,10 @@ module Digraph = Sf_graph.Digraph
 
 let small_config = Protocol.make_config ~view_size:12 ~lower_threshold:4
 
-let degrees r = Array.to_list (Sf_core.Properties.outdegree_samples r)
+let degrees r =
+  Array.to_list
+    (Sf_core.Properties.outdegree_samples (Sf_core.Runner.store r)
+       ~live:(Sf_core.Runner.is_live r))
 
 (* Node [u]'s view as a single view. *)
 let view r u = Sf_core.View.copy_row (Runner.store r) u

@@ -3,6 +3,7 @@
 module Variants = Sf_core.Variants
 module Topology = Sf_core.Topology
 module Census = Sf_core.Census
+module Properties = Sf_core.Properties
 
 let make ?(seed = 77) ?(n = 150) ?(loss = 0.05) options =
   let rng = Sf_prng.Rng.create (seed + 3) in
@@ -10,10 +11,15 @@ let make ?(seed = 77) ?(n = 150) ?(loss = 0.05) options =
   Variants.create ~seed ~n ~view_size:16 ~lower_threshold:6 ~loss_rate:loss ~options
     ~topology
 
+(* Every row of a variant's store is live. *)
+let outdegrees v = Properties.outdegree_summary (Variants.store v) ~live:(fun _ -> true)
+let connected v = Properties.is_weakly_connected (Variants.store v) ~live:(fun _ -> true)
+let alpha v = (Census.of_flat (Variants.store v)).Census.alpha
+
 let test_standard_variant_behaves_like_sandf () =
   let v = make ~loss:0.05 Variants.standard in
   Variants.run_rounds v 150;
-  let outs = Variants.outdegree_summary v in
+  let outs = outdegrees v in
   let k = Variants.counters v in
   (* Duplication compensates loss (Lemma 6.6 regime). *)
   let dup_rate = float_of_int k.Variants.duplications /. float_of_int k.Variants.sends in
@@ -24,15 +30,15 @@ let test_standard_variant_behaves_like_sandf () =
     (Float.abs (dup_rate -. loss_rate) < 0.03);
   Alcotest.(check bool) "degrees above threshold" true (Sf_stats.Summary.mean outs > 6.);
   Alcotest.(check int) "no undeletions in standard mode" 0 k.Variants.undeletions;
-  Alcotest.(check bool) "connected" true (Variants.is_weakly_connected v)
+  Alcotest.(check bool) "connected" true (connected v)
 
 let test_mark_and_undelete_reduces_dependence () =
   let standard = make ~seed:78 Variants.standard in
   let marked = make ~seed:78 { Variants.standard with mark_and_undelete = true } in
   Variants.run_rounds standard 150;
   Variants.run_rounds marked 150;
-  let a = (Variants.independence_census standard).Census.alpha in
-  let b = (Variants.independence_census marked).Census.alpha in
+  let a = alpha standard in
+  let b = alpha marked in
   Alcotest.(check bool)
     (Printf.sprintf "alpha standard %.3f < mark-undelete %.3f" a b)
     true (b > a);
@@ -55,7 +61,7 @@ let test_batching_reduces_message_count () =
      more ids per message; the system must stay connected either way. *)
   Alcotest.(check bool) "batched sends fewer messages" true
     (k3.Variants.sends < k1.Variants.sends);
-  Alcotest.(check bool) "batched connected" true (Variants.is_weakly_connected batched)
+  Alcotest.(check bool) "batched connected" true (connected batched)
 
 let test_batch_validation () =
   Alcotest.check_raises "batch 0 rejected"
@@ -65,10 +71,10 @@ let test_batch_validation () =
 let test_mark_and_undelete_survives_heavy_loss () =
   let v = make ~loss:0.15 { Variants.standard with mark_and_undelete = true } in
   Variants.run_rounds v 200;
-  let outs = Variants.outdegree_summary v in
+  let outs = outdegrees v in
   Alcotest.(check bool) "degrees survive heavy loss" true
     (Sf_stats.Summary.mean outs >= 6.);
-  Alcotest.(check bool) "connected" true (Variants.is_weakly_connected v)
+  Alcotest.(check bool) "connected" true (connected v)
 
 let suite =
   [

@@ -298,17 +298,24 @@ let rules =
         "overlay health is read from lib/core/overlay.ml's one probe: \
          Digraph.is_weakly_connected and Digraph.weakly_connected_components \
          may not appear in lib/core/runner.ml, churn.ml, sessions.ml, \
-         properties.ml, baselines.ml or variants.ml";
+         properties.ml, baselines.ml, variants.ml, lib/net/*.ml or \
+         bin/sfg.ml (lib/graph/quality.ml and lib/analysis/global_mc.ml \
+         analyse arbitrary graphs)";
       applies =
         (fun path ->
           List.mem path
-            (List.map (( ^ ) "lib/core/")
-               [ "runner.ml"; "churn.ml"; "sessions.ml"; "properties.ml"; "baselines.ml";
-                 "variants.ml" ]));
+            ("bin/sfg.ml"
+            :: List.map (( ^ ) "lib/core/")
+                 [ "runner.ml"; "churn.ml"; "sessions.ml"; "properties.ml"; "baselines.ml";
+                   "variants.ml" ])
+          || (is_ml path && Filename.dirname path = "lib/net"));
       tokens =
         List.concat_map
           (fun name ->
-            let message = "a second overlay probe — read Runner.probe" in
+            let message =
+              "a second overlay probe — read Properties.is_weakly_connected or \
+               Overlay.probe"
+            in
             [ (name, message); ("Sf_graph." ^ name, message) ])
           [ "Digraph.is_weakly_connected"; "Digraph.weakly_connected_components" ];
     };
