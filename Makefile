@@ -11,13 +11,14 @@ lint:
 	dune build @lint
 
 # AST-grade passes (shared-mutable-state inventory, effect signatures,
-# AST-precise partiality) over lib/bin/bench/tool, ratcheted by
-# analyze.baseline; writes the machine-readable shared-state report CI
-# uploads.
+# AST-precise partiality, unused exports) over the six roots lib, bin,
+# bench, tool, perfbench and examples (the same list as the root dune
+# rule), ratcheted by analyze.baseline; writes the machine-readable
+# shared-state report CI uploads.
 analyze:
 	dune build @analyze
 	dune exec tool/analyze/sf_analyze.exe -- --baseline analyze.baseline \
-	  --report ANALYZE_report.json lib bin bench tool
+	  --report ANALYZE_report.json lib bin bench tool perfbench examples
 
 test:
 	dune runtest

@@ -177,7 +177,9 @@ let minwise_vs_views () =
   done;
   let reference = Minwise.raw_snapshot fleet in
   let view_reference = Hashtbl.create n in
-  let sorted_ids u = List.sort compare (View.ids (View.copy_row (Runner.store r) u)) in
+  let sorted_ids u =
+    List.sort compare (List.map (fun e -> e.View.id) (View.row_entries (Runner.store r) u))
+  in
   Array.iter
     (fun u -> Hashtbl.replace view_reference u (sorted_ids u))
     (Runner.live_ids r);
@@ -309,7 +311,7 @@ let partition_healing () =
           (fun id ->
             incr total;
             if (id < half) <> (u < half) then incr cross)
-          (View.ids (View.copy_row (Runner.store r) u)))
+          (List.map (fun e -> e.View.id) (View.row_entries (Runner.store r) u)))
       (Runner.live_ids r);
     float_of_int !cross /. float_of_int (max 1 !total)
   in

@@ -40,7 +40,7 @@ let table_7_6 () =
       (fun u ->
         List.iter
           (fun id -> if id <> u && id < n then counts.(id) <- counts.(id) +. 1.)
-          (View.ids (View.copy_row (Runner.store r) u)))
+          (List.map (fun e -> e.View.id) (View.row_entries (Runner.store r) u)))
       (Runner.live_ids r)
   done;
   let result = Sf_stats.Hypothesis.chi_square_uniform counts in
@@ -100,9 +100,15 @@ let fig_7_1 () =
        rows);
   List.iter
     (fun (loss, _, bound, _, census) ->
+      (* The slack covers the census, not the paper: it labels every
+         anchored copy and every parallel copy (census.ml's header), an
+         over-count of the paper's "all but one" rule. *)
       Output.check
-        (Fmt.str "loss %.2f: measured alpha %.3f respects the bound %.3f (margin 0.03)"
-           loss census.Census.alpha bound)
+        (Fmt.str
+           "loss %.2f: alpha %.3f, bound %.3f, alpha - bound %+.3f >= -0.030 \
+            (slack for a census that labels every anchored and every parallel \
+            copy)"
+           loss census.Census.alpha bound (census.Census.alpha -. bound))
         (census.Census.alpha >= bound -. 0.03))
     rows;
   let alphas = List.map (fun (_, _, _, _, c) -> c.Census.alpha) rows in

@@ -36,10 +36,6 @@ let indegree_distribution ~dm =
   Sf_stats.Pmf.iter (fun d p -> if (dm - d) mod 2 = 0 then mass.((dm - d) / 2) <- p) out;
   Sf_stats.Pmf.create ~offset:0 mass
 
-(* Lemma 6.3: with uniform sum degree dm, the average indegree and outdegree
-   are both dm / 3. *)
-let expected_degree ~dm = float_of_int dm /. 3.
-
 (* The binomial reference curves of Figure 6.1: same expectation dm/3 over
    dm trials (p = 1/3). *)
 let binomial_reference ~dm = Sf_stats.Binomial.to_pmf ~n:dm ~p:(1. /. 3.)

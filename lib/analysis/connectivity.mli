@@ -1,10 +1,6 @@
 (** Connectivity rule for the lower degree threshold (paper, end of
     section 7.4): enough independent out-neighbors for weak connectivity. *)
 
-val log_failure_probability : lower_threshold:int -> alpha:float -> float
-(** log Pr[ Binomial(dL, alpha) <= 2 ] — fewer than three independent
-    out-neighbors. *)
-
 val failure_probability : lower_threshold:int -> alpha:float -> float
 
 val minimal_lower_threshold :

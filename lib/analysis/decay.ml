@@ -54,19 +54,6 @@ let rounds_to_fraction p ~fraction =
   if factor >= 1. then max_int
   else int_of_float (Float.ceil (log fraction /. log factor))
 
-(* Expected creation rate of a veteran node, Lemma 6.11:
-   Delta >= (1 - loss - delta) dL Din / s^2 per round. *)
-let veteran_creation_rate p ~expected_indegree =
-  let s = float_of_int p.view_size in
-  (1. -. p.loss -. p.delta) *. float_of_int p.lower_threshold *. expected_indegree
-  /. (s *. s)
-
-(* A fresh joiner's creation rate is at least (dL / s)^2 times the veteran
-   rate (Lemma 6.12). *)
-let joiner_creation_rate p ~expected_indegree =
-  let ratio = float_of_int p.lower_threshold /. float_of_int p.view_size in
-  ratio *. ratio *. veteran_creation_rate p ~expected_indegree
-
 (* Lemma 6.13: within this many rounds a joiner is expected to create at
    least (dL / s)^2 * Din instances. *)
 let joiner_integration_rounds p =
@@ -77,10 +64,3 @@ let joiner_integration_rounds p =
 let joiner_integration_instances p ~expected_indegree =
   let ratio = float_of_int p.lower_threshold /. float_of_int p.view_size in
   ratio *. ratio *. expected_indegree
-
-(* Corollary 6.14 specialization: for s = 2 dL and small loss + delta, a
-   joiner creates at least Din / 4 instances within about 2 s rounds. *)
-let corollary_6_14 p ~expected_indegree =
-  let rounds = joiner_integration_rounds p in
-  let instances = joiner_integration_instances p ~expected_indegree in
-  (rounds, instances)

@@ -24,17 +24,8 @@ val rounds_to_fraction : params -> fraction:float -> int
 (** Rounds until the survival bound drops below [fraction] (the paper's
     "fewer than 50% after 70 rounds" observation uses fraction = 0.5). *)
 
-val veteran_creation_rate : params -> expected_indegree:float -> float
-(** Lemma 6.11 lower bound on new-instance creation per round. *)
-
-val joiner_creation_rate : params -> expected_indegree:float -> float
-(** Lemma 6.12: the veteran rate scaled by (dL/s)^2. *)
-
 val joiner_integration_rounds : params -> int
 (** Lemma 6.13 round bound s^2 / ((1 - loss - delta) dL). *)
 
 val joiner_integration_instances : params -> expected_indegree:float -> float
 (** Lemma 6.13 instance bound (dL/s)^2 * Din. *)
-
-val corollary_6_14 : params -> expected_indegree:float -> int * float
-(** (rounds, instances) — for s = 2 dL, about (2s, Din/4). *)

@@ -375,29 +375,6 @@ let solve ?(initial_state : (int * int) option) ?(outer_tolerance = 1e-10)
     converged;
   }
 
-(* Pearson correlation between outdegree and indegree under the joint
-   stationary distribution.  With no loss and conserved sum degree the two
-   are perfectly anti-correlated (d + 2 din constant); loss decouples them —
-   the reason the paper needs a two-dimensional chain at all. *)
-let degree_correlation result =
-  let ed = ref 0. and ein = ref 0. in
-  Array.iteri
-    (fun i (d, din) ->
-      let w = result.joint.(i) in
-      ed := !ed +. (w *. float_of_int d);
-      ein := !ein +. (w *. float_of_int din))
-    result.states;
-  let cov = ref 0. and vd = ref 0. and vin = ref 0. in
-  Array.iteri
-    (fun i (d, din) ->
-      let w = result.joint.(i) in
-      let xd = float_of_int d -. !ed and xin = float_of_int din -. !ein in
-      cov := !cov +. (w *. xd *. xin);
-      vd := !vd +. (w *. xd *. xd);
-      vin := !vin +. (w *. xin *. xin))
-    result.states;
-  if !vd <= 0. || !vin <= 0. then 0. else !cov /. sqrt (!vd *. !vin)
-
 (* Export the fixed-point chain as a generic [Sf_markov.Chain.t] so the
    mixing diagnostics can run on it. *)
 let to_chain result =

@@ -58,11 +58,6 @@ val solve :
     setting of Figure 6.1 (for loss = 0, dL = 0 the sum degree is conserved,
     so the initial state selects the analyzed invariant manifold). *)
 
-val degree_correlation : result -> float
-(** Pearson correlation of (outdegree, indegree) under the joint stationary
-    distribution — strongly negative with no loss (sum-degree conservation),
-    weakening as loss decouples the coordinates. *)
-
 val to_chain : result -> Sf_markov.Chain.t
 (** The fixed-point transition chain as a generic Markov chain (state order
     matches [states]), for mixing diagnostics. *)

@@ -31,15 +31,6 @@ let to_dependent_probability ~loss ~delta = 1.5 *. x_of ~loss ~delta
 let to_independent_probability ~loss ~delta =
   5. /. 6. *. (1. -. x_of ~loss ~delta)
 
-(* The two-state chain itself (state 0 = independent, 1 = dependent). *)
-let chain ~loss ~delta =
-  let p_id = to_dependent_probability ~loss ~delta in
-  let p_di = to_independent_probability ~loss ~delta in
-  Sf_markov.Chain.of_rows ~size:2 (function
-    | 0 -> [ (1, p_id); (0, 1. -. p_id) ]
-    | 1 -> [ (0, p_di); (1, 1. -. p_di) ]
-    | _ -> assert false)
-
 (* Exact stationary dependent fraction of the bounding chain — the paper's
    intermediate expression (loss+delta) / (5/9 + (4/9)(loss+delta)). *)
 let stationary_dependent_fraction ~loss ~delta =
@@ -49,9 +40,3 @@ let stationary_dependent_fraction ~loss ~delta =
 (* Lemma 7.9: alpha >= 1 - 2 (loss + delta). *)
 let alpha_lower_bound ~loss ~delta =
   Float.max 0. (1. -. (2. *. x_of ~loss ~delta))
-
-(* Lemma 7.8's return-probability bound: sum_{i>=1} (1 - alpha)^i =
-   1/alpha - 1, at most 1/2 under Assumption 7.7 (alpha >= 2/3). *)
-let return_probability_bound ~alpha =
-  if alpha <= 0. || alpha > 1. then invalid_arg "Dependence.return_probability_bound";
-  (1. /. alpha) -. 1.

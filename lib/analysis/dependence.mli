@@ -7,16 +7,9 @@ val to_dependent_probability : loss:float -> delta:float -> float
 val to_independent_probability : loss:float -> delta:float -> float
 (** Lower bound (5/6)(1 - (loss + delta)) on dependent -> independent. *)
 
-val chain : loss:float -> delta:float -> Sf_markov.Chain.t
-(** The bounding two-state chain (0 = independent, 1 = dependent). *)
-
 val stationary_dependent_fraction : loss:float -> delta:float -> float
 (** Exact stationary dependent mass of the bounding chain,
     (loss+delta) / (5/9 + (4/9)(loss+delta)). *)
 
 val alpha_lower_bound : loss:float -> delta:float -> float
 (** Lemma 7.9: expected independent fraction >= 1 - 2(loss + delta). *)
-
-val return_probability_bound : alpha:float -> float
-(** Lemma 7.8: probability a sent dependent entry returns, bounded by
-    1/alpha - 1 (at most 1/2 when alpha >= 2/3). *)

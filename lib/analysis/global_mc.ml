@@ -114,15 +114,22 @@ let transitions_with ~connected p (state : state) =
       (* Self-loop from selections touching an empty slot. *)
       add state (per_initiator *. (1. -. !nonempty_pair_mass)))
     state_array;
-  (* Redirect transitions into partitioned states to self-loops (paper,
-     section 7.1).  [connected] memoizes the connectivity predicate — BFS
+  (* Redirect transitions into partitioned states to the self-loop (paper,
+     section 7.1), summed into its one entry so no successor is listed
+     twice.  [connected] memoizes the connectivity predicate — BFS
      exploration reaches the same successor states many times. *)
-  Hashtbl.fold
-    (fun st prob acc ->
-      if st = state then (state, prob) :: acc
-      else if connected st then (st, prob) :: acc
-      else (state, prob) :: acc)
-    successors []
+  let self = ref 0. in
+  let moves =
+    Hashtbl.fold
+      (fun st prob acc ->
+        if st <> state && connected st then (st, prob) :: acc
+        else begin
+          self := !self +. prob;
+          acc
+        end)
+      successors []
+  in
+  if !self > 0. then (state, !self) :: moves else moves
 
 let transitions p state =
   transitions_with ~connected:(is_weakly_connected_state ~n:p.n) p state

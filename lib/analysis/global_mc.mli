@@ -12,8 +12,8 @@ type state = int list list
 (** Per node, the sorted multiset of ids in its view. *)
 
 val transitions : params -> state -> (state * float) list
-(** All successors with probabilities (summing to 1); transitions into
-    partitioned states are redirected to self-loops. *)
+(** All successors with probabilities (summing to 1), each listed once;
+    transitions into partitioned states are summed into the self-loop. *)
 
 val is_weakly_connected_state : n:int -> state -> bool
 

@@ -51,13 +51,3 @@ let actions_per_node p ~epsilon = tau_epsilon p ~epsilon /. float_of_int p.n
 
 (* The headline scaling itself, for table display: s log n. *)
 let headline_scaling p = float_of_int p.view_size *. log (float_of_int p.n)
-
-(* Geometric view-refresh model used to predict the empirical overlap-decay
-   measurements: every action touches a node's view entries at rate ~
-   dE(dE-1)/(s(s-1)) per initiation plus arrivals, so after each round a
-   fraction of old instances is replaced.  This complements the worst-case
-   tau_eps bound with the expected behaviour (it reuses the per-round
-   survival factor of Lemma 6.9 with delta folded in). *)
-let expected_overlap_after p ~survival_per_round ~rounds =
-  ignore p;
-  survival_per_round ** float_of_int rounds

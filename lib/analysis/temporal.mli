@@ -21,8 +21,3 @@ val actions_per_node : params -> epsilon:float -> float
 
 val headline_scaling : params -> float
 (** s ln n, for scaling tables. *)
-
-val expected_overlap_after :
-  params -> survival_per_round:float -> rounds:int -> float
-(** Geometric prediction of instance overlap after [rounds] rounds, for
-    comparison with measured overlap decay. *)

@@ -61,6 +61,7 @@ let soundness store u =
    workload still checks views one by one; the gates check rows. *)
 let check_view view = soundness view 0
 
+(* M1 bounds and parity for node [id] with outdegree [d]. *)
 let check_degree ~config id d =
   let s = config.Protocol.view_size in
   if d < 0 || d > s then

@@ -41,13 +41,9 @@ val check_view : Sf_core.View.t -> violation option
 (** Structural soundness of one view: cached degree = occupied slots.
     Kept for perfbench's cluster workload; the gates use {!check_rows}. *)
 
-val check_degree : config:Sf_core.Protocol.config -> int -> int -> violation option
-(** [check_degree ~config id degree]: M1 bounds and parity for node [id]
-    with outdegree [degree]. *)
-
 val check_rows : config:Sf_core.Protocol.config -> Sf_core.View.Flat.t -> violation list
-(** {!check_degree} and the soundness of every row of a store, row [u] =
-    node [u]: a UDP cluster's final views. *)
+(** The M1 degree bounds and parity, and the soundness, of every row of a
+    store, row [u] = node [u]: a UDP cluster's final views. *)
 
 val check_reports :
   config:Sf_core.Protocol.config -> n:int -> (int * Sf_core.View.entry list) list ->
@@ -57,9 +53,6 @@ val check_reports :
     [[0, n)] or repeated, a count over s or odd, an entry id outside
     [[0, n)], an entry no view can hold, a missing report, and (all
     reported) each component cut off the largest ({!Sf_core.Overlay}). *)
-
-val total_edges : Sf_core.Runner.t -> int
-(** Global edge count: the sum of live outdegrees. *)
 
 val scan : Sf_core.Runner.t -> violation list
 (** Full structural scan of a system's store ({!Sf_core.Runner.store}):

@@ -181,6 +181,7 @@ let push_only_action t initiator =
       install_with_replacement t peer [ own_instance t initiator ]
   end
 
+(* One sequential action by a uniformly random node. *)
 let step t =
   t.actions <- t.actions + 1;
   let initiator = Sf_prng.Rng.int t.rng (node_count t) in

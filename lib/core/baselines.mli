@@ -28,11 +28,6 @@ val create :
   topology:Topology.t ->
   t
 
-val node_count : t -> int
-
-val step : t -> unit
-(** One sequential action by a uniformly random node. *)
-
 val run_rounds : t -> int -> unit
 (** One round = n actions. *)
 

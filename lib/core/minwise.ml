@@ -16,7 +16,7 @@ type sampler = {
   mutable best_id : int;
 }
 
-type t = { samplers : sampler array; mutable observed : int }
+type t = { samplers : sampler array }
 
 (* A keyed 64-bit mix (SplitMix64 finalizer over key xor id): behaves as a
    family of min-wise independent hash functions for our purposes. *)
@@ -32,11 +32,9 @@ let create rng ~k =
     samplers =
       Array.init k (fun _ ->
           { key = Sf_prng.Rng.next_int64 rng; best_hash = Int64.minus_one; best_id = -1 });
-    observed = 0;
   }
 
 let observe t id =
-  t.observed <- t.observed + 1;
   Array.iter
     (fun s ->
       let h = keyed_hash s.key id in
@@ -45,10 +43,6 @@ let observe t id =
         s.best_id <- id
       end)
     t.samplers
-
-let observe_all t ids = List.iter (observe t) ids
-
-let observed_count t = t.observed
 
 (* Current outputs of the non-empty samplers. *)
 let samples t =

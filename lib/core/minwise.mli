@@ -9,10 +9,6 @@ val create : Sf_prng.Rng.t -> k:int -> t
 val observe : t -> int -> unit
 (** Feed one observed id through every sampler. *)
 
-val observe_all : t -> int list -> unit
-
-val observed_count : t -> int
-
 val samples : t -> int list
 (** Current outputs of the non-empty samplers. *)
 
@@ -23,7 +19,6 @@ val invalidate : t -> is_dead:(int -> bool) -> unit
 type fleet
 
 val create_fleet : Sf_prng.Rng.t -> k:int -> fleet
-val layer : fleet -> node_id:int -> t
 
 val feed_from_views : fleet -> Runner.t -> unit
 (** Feed each live node's layer with its current view contents. *)

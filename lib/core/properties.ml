@@ -53,24 +53,6 @@ let is_weakly_connected store ~live =
 let runner_entries runner =
   iter_entries (Runner.store runner) ~live:(Runner.is_live runner)
 
-(* M3: accumulate per-id appearance counts over [snapshots] spaced
-   [actions_between] global actions apart, then chi-square them against the
-   uniform expectation.  Self-appearances are excluded: Lemma 7.6 proves
-   uniformity only over v <> u.  Counts are indexed by position among the
-   ids live at the start. *)
-let uniformity_test runner ~snapshots ~actions_between =
-  let live = Runner.live_ids runner in
-  let index = Array.make (View.Flat.node_count (Runner.store runner)) (-1) in
-  Array.iteri (fun i u -> index.(u) <- i) live;
-  let counts = Array.make (Array.length live) 0. in
-  for _ = 1 to snapshots do
-    Runner.run_actions runner actions_between;
-    runner_entries runner (fun u id _ ->
-        if id <> u && id < Array.length index && index.(id) >= 0 then
-          counts.(index.(id)) <- counts.(index.(id)) +. 1.)
-  done;
-  (counts, Sf_stats.Hypothesis.chi_square_uniform counts)
-
 (* M5: snapshot the serial numbers of all current instances, then report the
    fraction still present after each block of rounds.  Under temporal
    independence this decays geometrically; Lemma 6.9 bounds the per-round

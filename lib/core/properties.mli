@@ -26,15 +26,6 @@ val is_weakly_connected : View.Flat.t -> live:(int -> bool) -> bool
     fresh forest, so self-edges, entries naming a row that is not live
     and ids at or above the row count bridge nothing. *)
 
-val uniformity_test :
-  Runner.t ->
-  snapshots:int ->
-  actions_between:int ->
-  float array * Sf_stats.Hypothesis.chi_square_result
-(** M3: run the system, accumulating per-id appearance counts (excluding
-    self-appearances) over spaced snapshots; chi-square them against
-    uniformity. Advances the runner. *)
-
 val overlap_decay :
   Runner.t -> blocks:int -> rounds_per_block:int -> (int * float) list
 (** M5: fraction of instances surviving from a reference snapshot after each

@@ -432,9 +432,10 @@ let initiate_at t ~synchronous u =
 
 (* --- Sequential-action mode --- *)
 
-(* Crashed nodes do not initiate.  Outside an active crash window a step
-   makes the single [Rng.choose]; only while one is active does the pick
-   rejection-sample. *)
+(* One global action: a random initiator, synchronous delivery unless
+   lost.  Crashed nodes do not initiate.  Outside an active crash window a
+   step makes the single [Rng.choose]; only while one is active does the
+   pick rejection-sample. *)
 let step t =
   poll_faults t;
   if Sf_faults.Injector.crash_active t.injector then begin
@@ -1349,7 +1350,6 @@ module Sharded = struct
 
   let config t =
     Protocol.make_config ~view_size:(Flat.view_size t.store) ~lower_threshold:t.dl
-  let node_count t = t.n
   let capacity t = t.capacity
   let shard_count t = t.shard_count
   let owned t i = t.shards.(i).owned

@@ -150,12 +150,6 @@ val fault_statistics : t -> Sf_faults.Injector.stats option
     and response messages of {!reconnect}'s probes, which
     {!world_counters} leaves out. *)
 
-val step : t -> unit
-(** Sequential mode: one global action (random initiator, synchronous
-    delivery unless lost).  Crashed nodes are skipped when picking the
-    initiator; if every live node is crashed the round clock advances with
-    no action. *)
-
 val run_actions : t -> int -> unit
 
 val run_rounds : t -> int -> unit
@@ -406,9 +400,6 @@ module Sharded : sig
   val config : t -> Protocol.config
   (** The configuration in force: the one given to {!create}, with the
       live dL (see {!live_thresholds}). *)
-
-  val node_count : t -> int
-  (** The initial population [n] (also the partition block base). *)
 
   val capacity : t -> int
   (** Node slots in the store: [n] plus the rounded churn headroom. *)

@@ -36,21 +36,3 @@ let sample_many ?allow_self runner rng ~node_id ~k =
       go (remaining - 1) acc
   in
   go k []
-
-(* Samples interleaved with protocol progress: draw one sample per node per
-   [rounds_between] rounds, accumulating per-id counts over the whole
-   system.  This is the workload of statistics-gathering applications, and
-   the distribution of the counts measures sampling uniformity end-to-end. *)
-let sampling_census runner rng ~samples_per_node ~rounds_between =
-  let counts = Hashtbl.create 1024 in
-  for _ = 1 to samples_per_node do
-    Runner.run_rounds runner rounds_between;
-    Array.iter
-      (fun node_id ->
-        match sample runner rng ~node_id with
-        | None -> ()
-        | Some id ->
-          Hashtbl.replace counts id (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-      (Runner.live_ids runner)
-  done;
-  counts

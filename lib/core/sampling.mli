@@ -26,13 +26,3 @@ val sample_many :
     shorter than [k] only by the number of failed draws — never silently
     truncated by one failure.  Fewer than [k] ids therefore means some
     attempts found no eligible peer, not that sampling stopped early. *)
-
-val sampling_census :
-  Runner.t ->
-  Sf_prng.Rng.t ->
-  samples_per_node:int ->
-  rounds_between:int ->
-  (int, int) Hashtbl.t
-(** Per-id counts of samples drawn across the whole system with protocol
-    rounds between draws — an end-to-end uniformity workload. Advances the
-    runner. *)

@@ -13,11 +13,6 @@ type lifetime =
   | Pareto of { shape : float; minimum : float }
       (* heavy-tailed; mean = shape * minimum / (shape - 1) for shape > 1 *)
 
-let mean_lifetime = function
-  | Exponential mean -> mean
-  | Pareto { shape; minimum } ->
-    if shape <= 1. then infinity else shape *. minimum /. (shape -. 1.)
-
 let sample_lifetime rng = function
   | Exponential mean ->
     if mean <= 0. then invalid_arg "Sessions: mean lifetime must be positive";

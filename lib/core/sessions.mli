@@ -6,8 +6,6 @@ type lifetime =
   | Pareto of { shape : float; minimum : float }
       (** heavy-tailed sessions; mean shape*minimum/(shape-1) for shape>1 *)
 
-val mean_lifetime : lifetime -> float
-
 val sample_lifetime : Sf_prng.Rng.t -> lifetime -> float
 
 type t
@@ -25,7 +23,6 @@ val create :
     arrival_rate * mean_lifetime. [recover] (default true) runs the
     section 5 repair pass ({!Runner.repair}) each round. *)
 
-val run_round : t -> unit
 val run : t -> rounds:int -> unit
 
 type statistics = {

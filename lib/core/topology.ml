@@ -36,22 +36,6 @@ let regular rng ~n ~out_degree =
   let perms = Array.init out_degree (fun _ -> derangement rng n) in
   fun u -> Array.to_list (Array.map (fun p -> p.(u)) perms)
 
-let uniform_random rng ~n ~out_degree =
-  if out_degree >= n then invalid_arg "Topology.uniform_random: out_degree >= n";
-  fun u ->
-    (* d distinct ids, none equal to u. *)
-    let picks = Sf_prng.Rng.sample_indices rng ~n:(n - 1) ~k:out_degree in
-    Array.to_list (Array.map (fun x -> if x >= u then x + 1 else x) picks)
-
 let ring ~n ~out_degree =
   if out_degree >= n then invalid_arg "Topology.ring: out_degree >= n";
   fun u -> List.init out_degree (fun k -> (u + k + 1) mod n)
-
-let star_like ~n ~hubs ~out_degree =
-  if hubs <= 0 || hubs >= n then invalid_arg "Topology.star_like: bad hub count";
-  fun u ->
-    if u < hubs then
-      (* Hubs point around the hub ring plus the first few non-hubs. *)
-      List.init out_degree (fun k ->
-          if k < hubs - 1 then (u + k + 1) mod hubs else hubs + ((u + k) mod (n - hubs)))
-    else List.init out_degree (fun k -> (u + k) mod hubs)

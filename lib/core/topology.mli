@@ -8,14 +8,6 @@ val regular : Sf_prng.Rng.t -> n:int -> out_degree:int -> t
     derangements, so no self-edges); the uniform-sum-degree initialization
     of the paper's section 6.1. *)
 
-val uniform_random : Sf_prng.Rng.t -> n:int -> out_degree:int -> t
-(** Each node picks [out_degree] distinct random out-neighbors (excluding
-    itself); indegrees are binomial. *)
-
 val ring : n:int -> out_degree:int -> t
 (** Node u points at u+1 .. u+out_degree (mod n); a structured, poorly-mixed
     starting state. *)
-
-val star_like : n:int -> hubs:int -> out_degree:int -> t
-(** All non-hub nodes point into a small hub set; a pathological
-    load-imbalanced starting state. *)

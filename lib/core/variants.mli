@@ -26,7 +26,6 @@ val create :
   topology:Topology.t ->
   t
 
-val step : t -> unit
 val run_rounds : t -> int -> unit
 
 val store : t -> View.Flat.t

@@ -17,7 +17,7 @@
     protocol's law as it was, because initiate draws a uniform slot
     pair.  {!entry} values are
     materialized on demand by {!entry_at}/{!row_entries}, and on a
-    single view by {!get}/{!iter}/{!fold}; hot paths that only need ids
+    single view by {!get}/{!iter}; hot paths that only need ids
     can use the allocation-free {!Flat.id_at}. *)
 
 type entry = {
@@ -183,8 +183,6 @@ val id_at : t -> int -> int
 
 val iter : (int -> entry -> unit) -> t -> unit
 (** Iterate the occupied slots [[0, d)] as [f slot entry]. *)
-
-val fold : ('a -> entry -> 'a) -> 'a -> t -> 'a
 
 val ids : t -> int list
 (** Ids of all instances, in slot order (with duplicates). *)

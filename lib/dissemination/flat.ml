@@ -400,7 +400,6 @@ let run ?(max_rounds = 200) ~domains t =
   report t
 
 let world t = t.world
-let rounds t = t.rounds
 let reached t = t.target_at <> None
 
 (* Bit-for-bit engine equality: the membership worlds (the sharded

@@ -56,9 +56,6 @@ val report : t -> Report.t
 
 val world : t -> Sf_core.Runner.Sharded.t
 
-val rounds : t -> int
-(** Spreading rounds executed so far. *)
-
 val reached : t -> bool
 (** The coverage target has been reached. *)
 

@@ -34,5 +34,3 @@ val reached : t -> bool
 
 val equal : t -> t -> bool
 
-val pp : t Fmt.t
-

@@ -4,8 +4,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> unit
 val peek : 'a t -> (float * 'a) option

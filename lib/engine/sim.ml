@@ -6,7 +6,6 @@ type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable now : float;
   mutable executed : int;
-  mutable stopped : bool;
   (* Post-event hook: runs after every executed event.  Used by the
      Sf_check audit layer to interleave invariant scans with timed runs. *)
   mutable monitor : (unit -> unit) option;
@@ -17,7 +16,6 @@ let create () =
     queue = Event_queue.create ();
     now = 0.;
     executed = 0;
-    stopped = false;
     monitor = None;
   }
 
@@ -25,27 +23,15 @@ let set_monitor t monitor = t.monitor <- monitor
 
 let now t = t.now
 
-let executed_events t = t.executed
-
 let schedule t ~delay f =
   if delay < 0. then invalid_arg "Sim.schedule: negative delay";
   Event_queue.push t.queue ~time:(t.now +. delay) f
 
-let schedule_at t ~time f =
-  if time < t.now then invalid_arg "Sim.schedule_at: time in the past";
-  Event_queue.push t.queue ~time f
-
-let stop t = t.stopped <- true
-
-let pending t = Event_queue.length t.queue
-
-type outcome = Drained | Reached_horizon | Budget_exhausted | Stopped
+type outcome = Drained | Reached_horizon | Budget_exhausted
 
 let run ?(horizon = infinity) ?(max_events = max_int) t =
-  t.stopped <- false;
   let rec loop () =
-    if t.stopped then Stopped
-    else if t.executed >= max_events then Budget_exhausted
+    if t.executed >= max_events then Budget_exhausted
     else
       match Event_queue.peek t.queue with
       | None -> Drained

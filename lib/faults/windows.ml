@@ -63,6 +63,9 @@ let crashed t id =
   done;
   !hit
 
+(* Some active partition window puts [src] and [dst] in different blocks.
+   A negative [src] (a sender outside the id space) is never
+   partitioned. *)
 let partitioned t ~src ~dst =
   let split = ref false in
   if src >= 0 then

@@ -42,11 +42,6 @@ val block : n:int -> parts:int -> int -> int
 val crashed : t -> int -> bool
 (** Some active crash window covers the id. *)
 
-val partitioned : t -> src:int -> dst:int -> bool
-(** Some active partition window puts [src] and [dst] in different
-    blocks.  A negative [src] (a sender outside the id space) is never
-    partitioned. *)
-
 type fate = Pass | Crashed | Partitioned | Lost
 
 val judge :

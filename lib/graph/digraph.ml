@@ -192,15 +192,3 @@ let equal a b =
     iter_edges (fun u v m -> if multiplicity b u v <> m then same := false) a;
     !same
   end
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>digraph: %d vertices, %d edges@," (vertex_count t) (edge_count t);
-  let vs = List.sort compare (vertices t) in
-  List.iter
-    (fun u ->
-      let targets = List.sort compare (out_neighbors t u) in
-      Fmt.pf ppf "  %d -> [%a]@," u
-        Fmt.(list ~sep:(any "; ") (fun ppf v -> pf ppf "%d(x%d)" v (multiplicity t u v)))
-        targets)
-    vs;
-  Fmt.pf ppf "@]"

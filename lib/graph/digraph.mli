@@ -69,5 +69,3 @@ val copy : t -> t
 
 val equal : t -> t -> bool
 (** Same vertices and edge multiplicities. *)
-
-val pp : Format.formatter -> t -> unit

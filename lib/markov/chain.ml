@@ -16,8 +16,6 @@ type t = {
 
 let size t = t.size
 
-let row t i = t.rows.(i)
-
 (* Build from possibly-duplicated weighted edges; rows are accumulated and
    normalized. Rows with no outgoing weight get a self-loop (absorbing). *)
 let of_weighted_edges ~size edges =
@@ -64,9 +62,6 @@ let of_rows ~size f =
   { size; rows }
 
 let successors t i = Array.to_list (Array.map fst t.rows.(i))
-
-let transition_probability t i j =
-  Array.fold_left (fun acc (j', p) -> if j' = j then acc +. p else acc) 0. t.rows.(i)
 
 let is_irreducible t =
   Scc.is_strongly_connected ~n:t.size ~successors:(successors t)
@@ -115,10 +110,6 @@ let step t p =
         Array.iter (fun (j, w) -> p'.(j) <- p'.(j) +. (pi *. w)) t.rows.(i))
     p;
   p'
-
-let step_n t p n =
-  let rec go p k = if k = 0 then p else go (step t p) (k - 1) in
-  go (Array.copy p) n
 
 let l1_distance a b =
   let acc = ref 0. in

@@ -8,19 +8,12 @@ type t
 
 val size : t -> int
 
-val row : t -> int -> (int * float) array
-(** Sparse successor row (column, probability), sorted by column. *)
-
 val of_weighted_edges : size:int -> (int * int * float) list -> t
 (** Build from weighted edges; duplicate edges accumulate, rows normalize.
     Weightless rows become absorbing self-loops. *)
 
 val of_rows : size:int -> (int -> (int * float) list) -> t
 (** Build from a per-row generator of (successor, weight) lists. *)
-
-val successors : t -> int -> int list
-
-val transition_probability : t -> int -> int -> float
 
 val is_irreducible : t -> bool
 (** The support digraph is strongly connected. *)
@@ -35,12 +28,8 @@ val is_ergodic : t -> bool
 val step : t -> float array -> float array
 (** One distribution step p -> pP. *)
 
-val step_n : t -> float array -> int -> float array
-
-val l1_distance : float array -> float array -> float
 val tv_distance : float array -> float array -> float
 
-val uniform_distribution : int -> float array
 val point_distribution : size:int -> int -> float array
 
 type stationary_result = {

@@ -90,8 +90,3 @@ let second_eigenvalue_estimate ?(iterations = 400) ?(tail = 50) chain ~stationar
       let log_sum = List.fold_left (fun acc r -> acc +. log (Float.max r 1e-300)) 0. rs in
       exp (log_sum /. float_of_int (List.length rs))
   end
-
-(* Relaxation time 1 / (1 - |lambda_2|). *)
-let relaxation_time ?iterations ?tail chain ~stationary ~uniform =
-  let lambda = second_eigenvalue_estimate ?iterations ?tail chain ~stationary ~uniform in
-  if lambda >= 1. then infinity else 1. /. (1. -. lambda)

@@ -42,12 +42,3 @@ val second_eigenvalue_estimate :
   float
 (** |lambda_2| by the deflated power method; [uniform] supplies random
     numbers in [0,1) for the starting vector. *)
-
-val relaxation_time :
-  ?iterations:int ->
-  ?tail:int ->
-  Chain.t ->
-  stationary:float array ->
-  uniform:(unit -> float) ->
-  float
-(** 1 / (1 - |lambda_2|). *)

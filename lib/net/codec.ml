@@ -24,8 +24,8 @@ let magic = '\xf5'
 let version = '\x02'
 let kind_batch = '\x01'
 let payload_size = 64
-let batch_header_size = 4
-let frame_size = payload_size + 4
+let batch_header_size = 4 (* magic, version, kind, count *)
+let frame_size = payload_size + 4 (* payload + CRC-32 *)
 let max_batch = 16
 let max_datagram_size = batch_header_size + (max_batch * frame_size)
 
@@ -43,14 +43,6 @@ type error =
   | Oversized of int
   | Bad_kind of char
   | Bad_count of int
-
-let pp_error ppf = function
-  | Too_short n -> Fmt.pf ppf "datagram too short (%d bytes)" n
-  | Bad_magic c -> Fmt.pf ppf "bad magic byte 0x%02x" (Char.code c)
-  | Unsupported_version c -> Fmt.pf ppf "unsupported version %d" (Char.code c)
-  | Oversized n -> Fmt.pf ppf "datagram longer than its count allows (%d bytes)" n
-  | Bad_kind c -> Fmt.pf ppf "unknown datagram kind %d" (Char.code c)
-  | Bad_count n -> Fmt.pf ppf "batch count %d outside [1, %d]" n max_batch
 
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), one table lookup
    per byte.  The table's 256 entries (entry k is the CRC register after

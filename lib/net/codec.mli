@@ -13,18 +13,12 @@
 val payload_size : int
 (** One encoded message (64 bytes: two 32-byte entries). *)
 
-val batch_header_size : int
-(** Batch header: magic, version, kind, count (4). *)
-
-val frame_size : int
-(** One batch frame: payload + CRC-32 (68). *)
-
 val max_batch : int
 (** Most messages per datagram (16). *)
 
 val max_datagram_size : int
-(** The largest datagram: a full batch
-    ([batch_header_size + max_batch * frame_size]). *)
+(** The largest datagram: a full batch, 4 header bytes plus [max_batch]
+    frames of 68 bytes (payload + CRC-32). *)
 
 val recv_buffer_size : int
 (** [max_datagram_size + 1]: the receive-buffer size that lets a receiver
@@ -42,8 +36,6 @@ type error =
   | Oversized of int             (** longer than its declared count allows *)
   | Bad_kind of char             (** kind byte other than batch *)
   | Bad_count of int             (** batch count outside [1, max_batch] *)
-
-val pp_error : Format.formatter -> error -> unit
 
 val crc32 : bytes -> pos:int -> len:int -> int
 (** CRC-32 (IEEE, reflected) of a byte range, as used by batch frames. *)

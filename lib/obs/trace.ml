@@ -41,8 +41,6 @@ let create ~capacity =
     next_seq = 0;
   }
 
-let capacity t = Array.length t.events
-
 let record t ~now event =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;

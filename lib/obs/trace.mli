@@ -24,8 +24,6 @@ val create : capacity:int -> t
 (** Fixed capacity, allocated once.  Raises [Invalid_argument] on a
     non-positive capacity. *)
 
-val capacity : t -> int
-
 val record : t -> now:float -> event -> unit
 (** Append a record stamped [now]; overwrites the oldest once full. *)
 

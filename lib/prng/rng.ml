@@ -19,6 +19,7 @@ let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_lo
 (* The ** scrambler: the output for a pre-step s1. *)
 let[@inline] scramble s1 = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
+(* A generator from a full 64-bit seed. *)
 let of_seed64 seed =
   let t = Bytes.create 32 in
   Array.iteri (fun k s -> Bytes.set_int64_ne t (8 * k) s) (Splitmix64.expand seed 4);

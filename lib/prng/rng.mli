@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from an integer seed. *)
 
-val of_seed64 : int64 -> t
-(** [of_seed64 seed] builds a generator from a full 64-bit seed. *)
-
 val split : t -> t
 (** [split t] derives an independent child generator, advancing [t]. *)
 

@@ -8,8 +8,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let of_int seed = create (Int64.of_int seed)
-
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   let z = t.state in

@@ -13,9 +13,6 @@ type t
 val create : int64 -> t
 (** A generator whose state starts at the given seed. *)
 
-val of_int : int -> t
-(** [create] over a native int seed. *)
-
 val next : t -> int64
 (** Advance the state by the golden gamma and return its mixed image.
     Every call yields a fresh value; the sequence has period 2{^64}. *)

@@ -14,30 +14,6 @@ let log_pmf ~n ~p k =
 
 let pmf ~n ~p k = exp (log_pmf ~n ~p k)
 
-(* P(X <= k), summed in the smaller tail for accuracy. *)
-let cdf ~n ~p k =
-  if k < 0 then 0.
-  else if k >= n then 1.
-  else begin
-    let acc = ref 0. in
-    for j = 0 to k do
-      acc := !acc +. pmf ~n ~p j
-    done;
-    Float.min 1. !acc
-  end
-
-(* P(X >= k). *)
-let ccdf ~n ~p k =
-  if k <= 0 then 1.
-  else if k > n then 0.
-  else begin
-    let acc = ref 0. in
-    for j = k to n do
-      acc := !acc +. pmf ~n ~p j
-    done;
-    Float.min 1. !acc
-  end
-
 (* log P(X <= k): needed for the 1e-30-scale tails of the section 7.4
    connectivity rule, where plain summation underflows long before the
    probabilities become comparable. *)
@@ -51,9 +27,6 @@ let log_cdf ~n ~p k =
     done;
     Float.min 0. !acc
   end
-
-let mean ~n ~p = float_of_int n *. p
-let variance ~n ~p = float_of_int n *. p *. (1. -. p)
 
 let to_pmf ~n ~p =
   Pmf.create ~offset:0 (Array.init (n + 1) (fun k -> pmf ~n ~p k))

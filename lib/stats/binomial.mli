@@ -1,19 +1,7 @@
 (** Binomial(n, p) distribution utilities. *)
 
-val log_pmf : n:int -> p:float -> int -> float
-val pmf : n:int -> p:float -> int -> float
-
-val cdf : n:int -> p:float -> int -> float
-(** P(X <= k). *)
-
-val ccdf : n:int -> p:float -> int -> float
-(** P(X >= k). *)
-
 val log_cdf : n:int -> p:float -> int -> float
 (** log P(X <= k), stable deep in the lower tail. *)
-
-val mean : n:int -> p:float -> float
-val variance : n:int -> p:float -> float
 
 val to_pmf : n:int -> p:float -> Pmf.t
 (** Materialize as a {!Pmf.t} on support 0..n. *)

@@ -13,7 +13,6 @@ let create ~offset mass =
   { offset; mass = Array.copy mass }
 
 let offset t = t.offset
-let length t = Array.length t.mass
 let max_support t = t.offset + Array.length t.mass - 1
 
 let prob t k =
@@ -86,8 +85,3 @@ let of_samples samples =
   let w = 1. /. float_of_int (Array.length samples) in
   Array.iter (fun k -> mass.(k - lo) <- mass.(k - lo) +. w) samples;
   { offset = lo; mass }
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>";
-  iter (fun k p -> if p > 1e-12 then Fmt.pf ppf "%4d  %.6f@," k p) t;
-  Fmt.pf ppf "@]"

@@ -7,7 +7,6 @@ val create : offset:int -> float array -> t
     [offset + i]. Mass must be non-negative; it is copied. *)
 
 val offset : t -> int
-val length : t -> int
 
 val max_support : t -> int
 (** Largest support point. *)
@@ -25,7 +24,6 @@ val iter : (int -> float -> unit) -> t -> unit
 val fold : ('a -> int -> float -> 'a) -> 'a -> t -> 'a
 
 val mean : t -> float
-val variance : t -> float
 val std : t -> float
 
 val mode : t -> int
@@ -48,5 +46,3 @@ val of_assoc : (int * float) list -> t
 
 val of_samples : int array -> t
 (** Empirical pmf of a non-empty integer sample. *)
-
-val pp : Format.formatter -> t -> unit

@@ -44,8 +44,6 @@ let log_choose n k =
   if k < 0 || k > n then neg_infinity
   else log_factorial n -. log_factorial k -. log_factorial (n - k)
 
-let choose n k = exp (log_choose n k)
-
 (* Regularized lower incomplete gamma P(a,x) by series expansion;
    valid for x < a+1. *)
 let gamma_p_series a x =

@@ -10,9 +10,6 @@ val log_factorial : int -> float
 val log_choose : int -> int -> float
 (** [log_choose n k] = ln(C(n,k)); [neg_infinity] outside [0 <= k <= n]. *)
 
-val choose : int -> int -> float
-(** Binomial coefficient as a float (via [log_choose]). *)
-
 val gamma_p : float -> float -> float
 (** Regularized lower incomplete gamma P(a,x). *)
 

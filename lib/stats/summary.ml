@@ -29,11 +29,6 @@ let mean t = if t.count = 0 then Float.nan else t.mean
 let variance t =
   if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
 
-(* Population variance (divide by n); matches moments of a full census such
-   as "variance of node indegrees" in Property M2. *)
-let variance_population t =
-  if t.count = 0 then 0. else t.m2 /. float_of_int t.count
-
 let std t = sqrt (variance t)
 let min_value t = t.min
 let max_value t = t.max
@@ -76,7 +71,3 @@ let percentile xs q =
     let frac = pos -. float_of_int lo in
     if lo + 1 >= n then sorted.(n - 1)
     else sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.3f std=%.3f min=%.1f max=%.1f"
-    t.count (mean t) (std t) t.min t.max

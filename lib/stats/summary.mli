@@ -3,7 +3,6 @@
 type t
 
 val create : unit -> t
-val add : t -> float -> unit
 val add_int : t -> int -> unit
 
 val count : t -> int
@@ -11,9 +10,6 @@ val mean : t -> float
 
 val variance : t -> float
 (** Sample variance (n-1 denominator); 0 for fewer than two points. *)
-
-val variance_population : t -> float
-(** Population variance (n denominator). *)
 
 val std : t -> float
 val min_value : t -> float
@@ -27,5 +23,3 @@ val of_int_array : int array -> t
 
 val percentile : float array -> float -> float
 (** [percentile xs q] with [q] in [0,1]; linear interpolation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -193,16 +193,11 @@ let test_decay_loss_slows_decay () =
 let test_joiner_bounds_corollary_6_14 () =
   (* s = 2 dL and small loss: about Din/4 instances within about 2s rounds. *)
   let p = Decay.make_params ~loss:0.01 ~delta:0.01 ~lower_threshold:20 ~view_size:40 in
-  let rounds, instances = Decay.corollary_6_14 p ~expected_indegree:28. in
+  let rounds = Decay.joiner_integration_rounds p in
+  let instances = Decay.joiner_integration_instances p ~expected_indegree:28. in
   Alcotest.(check bool) (Printf.sprintf "window %d ~ 2s" rounds) true
     (rounds >= 80 && rounds <= 84);
   close ~eps:1e-9 "instances = Din/4" 7. instances
-
-let test_veteran_vs_joiner_rates () =
-  let p = decay_params in
-  let veteran = Decay.veteran_creation_rate p ~expected_indegree:28. in
-  let joiner = Decay.joiner_creation_rate p ~expected_indegree:28. in
-  close ~eps:1e-9 "(dL/s)^2 scaling" (veteran *. (18. /. 40.) ** 2.) joiner
 
 (* --- Dependence (section 7.4) --- *)
 
@@ -217,7 +212,15 @@ let test_dependence_chain_stationary () =
   List.iter
     (fun (loss, delta) ->
       let x = loss +. delta in
-      let chain = Dependence.chain ~loss ~delta in
+      (* The bounding two-state chain of Figure 7.1 (0 = independent,
+         1 = dependent), built here as the oracle for the closed form. *)
+      let p_id = Dependence.to_dependent_probability ~loss ~delta in
+      let p_di = Dependence.to_independent_probability ~loss ~delta in
+      let chain =
+        Sf_markov.Chain.of_rows ~size:2 (function
+          | 0 -> [ (1, p_id); (0, 1. -. p_id) ]
+          | _ -> [ (0, p_di); (1, 1. -. p_di) ])
+      in
       let r = Sf_markov.Chain.stationary chain in
       let expected = Dependence.stationary_dependent_fraction ~loss ~delta in
       close ~eps:1e-6
@@ -225,10 +228,6 @@ let test_dependence_chain_stationary () =
         expected r.Sf_markov.Chain.distribution.(1);
       Alcotest.(check bool) "within Lemma 7.9 bound" true (expected <= 2. *. x +. 1e-12))
     [ (0.01, 0.01); (0.05, 0.01); (0.1, 0.02) ]
-
-let test_return_probability_bound () =
-  close "alpha = 2/3 gives 1/2" 0.5 (Dependence.return_probability_bound ~alpha:(2. /. 3.));
-  close "alpha = 1 gives 0" 0. (Dependence.return_probability_bound ~alpha:1.)
 
 (* --- Temporal (section 7.5) --- *)
 
@@ -336,10 +335,8 @@ let suite =
     Alcotest.test_case "decay: 50% within 70 rounds" `Quick test_decay_paper_50_percent_claim;
     Alcotest.test_case "decay: loss slows erosion" `Quick test_decay_loss_slows_decay;
     Alcotest.test_case "Corollary 6.14" `Quick test_joiner_bounds_corollary_6_14;
-    Alcotest.test_case "joiner rate scaling" `Quick test_veteran_vs_joiner_rates;
     Alcotest.test_case "alpha bound examples" `Quick test_alpha_bound_examples;
     Alcotest.test_case "dependence MC stationary" `Quick test_dependence_chain_stationary;
-    Alcotest.test_case "Lemma 7.8 return bound" `Quick test_return_probability_bound;
     Alcotest.test_case "Lemma 7.14 formula" `Quick test_conductance_bound_formula;
     Alcotest.test_case "tau_eps scaling" `Quick test_tau_epsilon_scaling;
     Alcotest.test_case "tau_eps vs alpha" `Quick test_tau_epsilon_decreasing_in_alpha;

@@ -173,6 +173,108 @@ let test_parse_error () =
   check_fires "syntax error" ~rule:"parse-error" ~path:"lib/core/f.ml"
     "let = ="
 
+(* --- unused exports (whole program) --- *)
+
+(* One library interface exporting [used] and [spare], its own .ml, and a
+   test that calls both: the fixture every case below extends with one
+   caller. *)
+let export_fixture callers =
+  [
+    ("lib/core/widget.mli", "val used : int -> int\nval spare : int -> int\n");
+    ("lib/core/widget.ml", "let used x = x + 1\nlet spare x = used x\n");
+    ("test/test_widget.ml", "let () = ignore (Widget.used 1, Widget.spare 2)\n");
+  ]
+  @ callers
+
+let unused_exports files =
+  (A.analyze_files files).findings
+  |> List.filter (fun (f : A.finding) -> f.rule = "unused-export")
+  |> List.map (fun (f : A.finding) -> f.ident)
+
+let test_unused_export_fires () =
+  (* Only a test and the module itself use either value: both fire, on
+     the interface's line. *)
+  let findings =
+    (A.analyze_files (export_fixture [])).findings
+    |> List.filter (fun (f : A.finding) -> f.rule = "unused-export")
+  in
+  Alcotest.(check (list string)) "both values fire" [ "Widget.used"; "Widget.spare" ]
+    (List.map (fun (f : A.finding) -> f.ident) findings);
+  Alcotest.(check (list string)) "reported on the .mli" [ "lib/core/widget.mli:1" ]
+    (List.filter_map
+       (fun (f : A.finding) ->
+         if f.ident = "Widget.used" then Some (Fmt.str "%s:%d" f.path f.line) else None)
+       findings);
+  (* A single-file run has no whole program to judge. *)
+  Alcotest.(check (list string)) "per-file analysis is silent" []
+    (rules_of (A.analyze_file ~path:"lib/core/widget.mli" "val spare : int -> int"));
+  (* An example calling one value leaves the other a finding. *)
+  Alcotest.(check (list string)) "examples are callers" [ "Widget.spare" ]
+    (unused_exports (export_fixture [ ("examples/demo.ml", "let () = ignore (Widget.used 0)") ]))
+
+let test_unused_export_quiet () =
+  let reached name caller =
+    Alcotest.(check (list string)) (name ^ ": only spare fires") [ "Widget.spare" ]
+      (unused_exports (export_fixture [ caller ]))
+  in
+  reached "qualified through the library" ("bin/main.ml", "let x = Sf_core.Widget.used 1");
+  reached "module alias"
+    ("bench/b.ml", "module W = Sf_core.Widget\nlet x = W.used 1");
+  reached "chained alias"
+    ("bench/b.ml", "module C = Sf_core\nmodule W = C.Widget\nlet x = W.used 1");
+  reached "open" ("perfbench/p.ml", "open Sf_core.Widget\nlet x = used 1");
+  reached "let open" ("bench/b.ml", "let x = let open Sf_core.Widget in used 1");
+  reached "local open" ("bench/b.ml", "let x = Sf_core.Widget.(used 1)");
+  reached "let module" ("bench/b.ml", "let x = let module W = Sf_core.Widget in W.used 1");
+  (* A value of a nested signature, reached through its parent. *)
+  let nested callers =
+    unused_exports
+      ([
+         ( "lib/core/outer.mli",
+           "module Sub : sig\n  val step : int -> int\n  val spare : int -> int\nend\n" );
+       ]
+      @ callers)
+  in
+  Alcotest.(check (list string)) "nested signature fires" [ "Outer.Sub.step"; "Outer.Sub.spare" ]
+    (nested []);
+  Alcotest.(check (list string)) "nested value through a parent alias" [ "Outer.Sub.spare" ]
+    (nested [ ("bin/m.ml", "module S = Sf_core.Outer.Sub\nlet x = S.step 0") ]);
+  (* [include] re-exports a module whole: every value counts as used. *)
+  Alcotest.(check (list string)) "include" []
+    (unused_exports (export_fixture [ ("bench/b.ml", "include Sf_core.Widget") ]));
+  (* A path resolution cannot place (an executable's own alias, as in
+     perfbench's [Sim.Sharded]) matches on its last module name: a caller,
+     not a finding. *)
+  reached "unplaceable path" ("perfbench/p.ml", "let x = Host.Inner.Widget.used 1")
+
+let test_unused_export_baseline () =
+  (* The stale-baseline contract holds for the new rule.  An entry names
+     one value ("interface:Module.value"): it suppresses that finding
+     only, an interface-wide entry suppresses none, and an entry goes
+     stale once its value has a caller. *)
+  let entry ident =
+    { A.allow_path = "lib/core/widget.mli:" ^ ident; allow_rule = "unused-export" }
+  in
+  let kept, stale =
+    A.apply_baseline [ entry "Widget.spare" ] (A.analyze_files (export_fixture []))
+  in
+  Alcotest.(check (list string)) "only the named value is suppressed" [ "Widget.used" ]
+    (List.map (fun (f : A.finding) -> f.ident) kept);
+  Alcotest.(check int) "entry used" 0 (List.length stale);
+  let whole = { A.allow_path = "lib/core/widget.mli"; allow_rule = "unused-export" } in
+  let kept, stale = A.apply_baseline [ whole ] (A.analyze_files (export_fixture [])) in
+  Alcotest.(check int) "an interface-wide entry suppresses nothing" 2 (List.length kept);
+  Alcotest.(check int) "and is stale" 1 (List.length stale);
+  let callers =
+    [ ("bin/main.ml", "let x = Sf_core.Widget.used 1\nlet y = Sf_core.Widget.spare 1") ]
+  in
+  let kept, stale =
+    A.apply_baseline [ entry "Widget.spare" ] (A.analyze_files (export_fixture callers))
+  in
+  Alcotest.(check int) "nothing left to suppress" 0 (List.length kept);
+  Alcotest.(check (list string)) "entry is stale" [ "lib/core/widget.mli:Widget.spare" ]
+    (List.map (fun e -> e.A.allow_path) stale)
+
 (* --- baseline --- *)
 
 let test_baseline_suppresses_and_classifies () =
@@ -216,6 +318,7 @@ let test_rule_docs_stable () =
       "refutable-let";
       "match-suppression";
       "parse-error";
+      "unused-export";
     ]
     (List.map fst A.rule_docs)
 
@@ -251,7 +354,8 @@ let repo_relative path =
 
 let test_tree_matches_baseline () =
   let files =
-    List.concat_map source_files [ "../lib"; "../bin"; "../bench"; "../tool" ]
+    List.concat_map source_files
+      [ "../lib"; "../bin"; "../bench"; "../tool"; "../perfbench"; "../examples" ]
     |> List.map (fun p -> (repo_relative p, read p))
   in
   Alcotest.(check bool) "tree is non-trivial" true (List.length files > 100);
@@ -295,6 +399,11 @@ let suite =
     Alcotest.test_case "refutable let" `Quick test_refutable_let;
     Alcotest.test_case "match suppression" `Quick test_match_suppression;
     Alcotest.test_case "parse error" `Quick test_parse_error;
+    Alcotest.test_case "unused export fires" `Quick test_unused_export_fires;
+    Alcotest.test_case "unused export quiet through aliases, open and include" `Quick
+      test_unused_export_quiet;
+    Alcotest.test_case "unused export baseline goes stale" `Quick
+      test_unused_export_baseline;
     Alcotest.test_case "baseline suppresses and classifies" `Quick
       test_baseline_suppresses_and_classifies;
     Alcotest.test_case "baseline reports stale entries" `Quick

@@ -14,6 +14,43 @@ let test_transitions_are_stochastic () =
   in
   Alcotest.(check bool) "sum to 1" true (Float.abs (total -. 1.) < 1e-12)
 
+(* [transitions] lists each successor once: a partitioned successor's
+   mass is folded into the state's one self-loop entry, not listed as a
+   second one.  Checked over every reachable state (a breadth-first walk
+   of [transitions] itself, which reaches what [explore] reaches), without
+   and with loss and duplication. *)
+let test_transitions_list_each_successor_once () =
+  List.iter
+    (fun p ->
+      let seen = Hashtbl.create 4096 and queue = Queue.create () in
+      let visit st =
+        if not (Hashtbl.mem seen st) then begin
+          Hashtbl.replace seen st ();
+          Queue.push st queue
+        end
+      in
+      visit triangle;
+      let rec walk () =
+        match Queue.take_opt queue with
+        | None -> ()
+        | Some st ->
+          let moves = Global_mc.transitions p st in
+          let successors = List.map fst moves in
+          Alcotest.(check int) "no successor listed twice"
+            (List.length successors)
+            (List.length (List.sort_uniq compare successors));
+          let total = List.fold_left (fun acc (_, q) -> acc +. q) 0. moves in
+          Alcotest.(check bool)
+            (Printf.sprintf "masses sum to 1 (%.17g)" total)
+            true
+            (Float.abs (total -. 1.) <= 1e-12);
+          List.iter visit successors;
+          walk ()
+      in
+      walk ();
+      Alcotest.(check bool) "walked past the initial state" true (Hashtbl.length seen > 1))
+    [ no_loss_params; { Global_mc.n = 3; view_size = 4; lower_threshold = 2; loss = 0.1 } ]
+
 let test_connectivity_predicate () =
   Alcotest.(check bool) "triangle connected" true
     (Global_mc.is_weakly_connected_state ~n:3 triangle);
@@ -88,6 +125,8 @@ let test_multiplicity_correction () =
 let suite =
   [
     Alcotest.test_case "transitions stochastic" `Quick test_transitions_are_stochastic;
+    Alcotest.test_case "transitions list each successor once" `Quick
+      test_transitions_list_each_successor_once;
     Alcotest.test_case "connectivity predicate" `Quick test_connectivity_predicate;
     Alcotest.test_case "Lemmas 7.5/7.6 (no loss, exact)" `Quick test_no_loss_chain_lemma_7_5;
     Alcotest.test_case "Lemma 6.2 on reachable states" `Quick test_no_loss_chain_preserves_sum_degrees;

@@ -87,7 +87,6 @@ let test_pmf_normalize () =
 let test_pmf_variance () =
   (* Fair coin on {0,1}: variance 1/4. *)
   let p = Pmf.create ~offset:0 [| 0.5; 0.5 |] in
-  close "variance" 0.25 (Pmf.variance p);
   close "std" 0.5 (Pmf.std p)
 
 let test_pmf_tv_distance () =
@@ -119,26 +118,21 @@ let test_pmf_of_samples () =
 (* --- Binomial --- *)
 
 let test_binomial_pmf_sums_to_one () =
-  let total = ref 0. in
-  for k = 0 to 30 do
-    total := !total +. Binomial.pmf ~n:30 ~p:0.4 k
-  done;
-  close ~eps:1e-10 "sum" 1. !total
+  close ~eps:1e-10 "sum" 1. (Pmf.total (Binomial.to_pmf ~n:30 ~p:0.4))
 
 let test_binomial_moments () =
-  close "mean" 12. (Binomial.mean ~n:30 ~p:0.4);
-  close "variance" 7.2 (Binomial.variance ~n:30 ~p:0.4);
   let pmf = Binomial.to_pmf ~n:30 ~p:0.4 in
-  close ~eps:1e-9 "pmf mean" 12. (Pmf.mean pmf);
-  close ~eps:1e-9 "pmf variance" 7.2 (Pmf.variance pmf)
+  close ~eps:1e-9 "pmf mean = np" 12. (Pmf.mean pmf);
+  close ~eps:1e-9 "pmf variance = np(1-p)" 7.2 (Pmf.std pmf ** 2.)
 
 let test_binomial_cdf_consistency () =
+  (* The log-space cdf agrees with the cumulative pmf. *)
+  let pmf = Binomial.to_pmf ~n:20 ~p:0.3 in
   for k = 0 to 20 do
     close ~eps:1e-9
-      (Printf.sprintf "cdf+ccdf-pmf at %d" k)
-      1.
-      (Binomial.cdf ~n:20 ~p:0.3 k +. Binomial.ccdf ~n:20 ~p:0.3 k
-      -. Binomial.pmf ~n:20 ~p:0.3 k)
+      (Printf.sprintf "exp log_cdf = cdf at %d" k)
+      (Pmf.cdf pmf k)
+      (exp (Binomial.log_cdf ~n:20 ~p:0.3 k))
   done
 
 let test_binomial_log_cdf_deep_tail () =
@@ -154,9 +148,9 @@ let test_binomial_log_cdf_deep_tail () =
   close ~eps:1e-9 "matches closed form" (log exact) log_p
 
 let test_binomial_degenerate () =
-  close "p=0 pmf(0)" 1. (Binomial.pmf ~n:10 ~p:0. 0);
-  close "p=1 pmf(n)" 1. (Binomial.pmf ~n:10 ~p:1. 10);
-  close "p=1 pmf(0)" 0. (Binomial.pmf ~n:10 ~p:1. 0)
+  close "p=0 pmf(0)" 1. (Pmf.prob (Binomial.to_pmf ~n:10 ~p:0.) 0);
+  close "p=1 pmf(n)" 1. (Pmf.prob (Binomial.to_pmf ~n:10 ~p:1.) 10);
+  close "p=1 pmf(0)" 0. (Pmf.prob (Binomial.to_pmf ~n:10 ~p:1.) 0)
 
 let test_binomial_sampling () =
   let rng = Sf_prng.Rng.create 42 in
@@ -174,7 +168,6 @@ let test_summary_against_direct () =
   let s = Summary.of_array xs in
   close "mean" 4. (Summary.mean s);
   close "variance" (28. /. 6.) (Summary.variance s);
-  close "population variance" 4. (Summary.variance_population s);
   close "min" 1. (Summary.min_value s);
   close "max" 7. (Summary.max_value s);
   Alcotest.(check int) "count" 7 (Summary.count s)
@@ -267,7 +260,7 @@ let prop_binomial_cdf_monotone =
     (fun (n, p) ->
       let ok = ref true in
       for k = 0 to n - 1 do
-        if Binomial.cdf ~n ~p k > Binomial.cdf ~n ~p (k + 1) +. 1e-12 then ok := false
+        if Binomial.log_cdf ~n ~p k > Binomial.log_cdf ~n ~p (k + 1) +. 1e-12 then ok := false
       done;
       !ok)
 

@@ -20,7 +20,10 @@
    - *AST-precise partiality*: partial stdlib calls found through `|>`
      pipelines, higher-order escapes, local module aliases and `open` —
      the lexical rule's blind spots — plus refutable `let` patterns and
-     `[@warning "-8"]` exhaustiveness suppressions.
+     `[@warning "-8"]` exhaustiveness suppressions;
+   - *unused exports*: a whole-program pass over every file at once,
+     flagging each `val` of a `lib/**/*.mli` that no `.ml` outside its
+     own module names (tests are not callers).
 
    Findings ratchet down through a baseline file sharing sf_lint's
    allowlist contract (one "path rule" pair per line, stale entries
@@ -135,6 +138,11 @@ let rule_docs =
        tree-wide, suppressing warning 8 is the only way a nonexhaustive \
        match survives compilation" );
     ("parse-error", "file does not parse with the 5.1.1 compiler frontend");
+    ( "unused-export",
+      "a val of a lib/**/*.mli (nested module signatures included) that no \
+       .ml outside its own module refers to, through aliases, open, local \
+       open and include; test/ is not a caller — delete it, or drop it from \
+       the .mli when its own module still uses it" );
   ]
 
 (* --- Longident helpers --- *)
@@ -288,8 +296,8 @@ let index_functions =
     ("Bytes.set", 3);
   ]
 
-(* Modules whose aliases we chase for the partiality sets and the mutator
-   names. *)
+(* Modules whose aliases the partiality sets and the mutator names
+   resolve through. *)
 let aliasable_modules =
   [ "List"; "Option"; "Array"; "Hashtbl"; "Queue"; "Stack"; "Bytes"; "String" ]
   @ List.map (fun m -> "Bigarray." ^ m) bigarray_modules
@@ -331,8 +339,10 @@ type context = {
   (* collected declarations *)
   mutable local_exceptions : string list;
   mutable mutable_fields : string list;
-  mutable aliases : (string * string) list;  (* local alias -> stdlib module *)
-  mutable opened : string list;  (* opened aliasable modules *)
+  mutable aliases : (string * string) list;  (* local alias -> module path *)
+  mutable opened : string list;  (* open, let open, M.(…) and include targets *)
+  mutable named : string list;  (* every value path the file refers to *)
+  mutable wholesale : string list;  (* modules used whole (include, functor arg) *)
   mutable binding : string;  (* nearest enclosing toplevel binding *)
   mutable guards : string list;  (* modules with a dominating emptiness test *)
 }
@@ -350,16 +360,20 @@ let resolve ctx name =
   | None -> name
   | Some i -> (
     let head = String.sub name 0 i in
-    match List.assoc_opt head ctx.aliases with
-    | Some target -> target ^ String.sub name i (String.length name - i)
+    match
+      List.find_opt
+        (fun (alias, target) -> alias = head && List.mem target aliasable_modules)
+        ctx.aliases
+    with
+    | Some (_, target) -> target ^ String.sub name i (String.length name - i)
     | None -> name)
 
 let ident_of e =
   match e.pexp_desc with Pexp_ident { txt; _ } -> Some (flatten txt) | _ -> None
 
-(* - Declaration collection (phase 1): exceptions, mutable record fields,
-   module aliases, opens.  Submodule structures are walked too — their
-   declarations share the compilation unit. *)
+(* - Declaration collection (phase 1): exceptions and mutable record
+   fields.  Submodule structures are walked too — their declarations share
+   the compilation unit. *)
 let rec collect_declarations ctx str =
   List.iter
     (fun item ->
@@ -378,21 +392,57 @@ let rec collect_declarations ctx str =
                 labels
             | _ -> ())
           decls
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-        match pmb_expr.pmod_desc with
-        | Pmod_ident { txt; _ } ->
-          let target = flatten txt in
-          if List.mem target aliasable_modules then
-            ctx.aliases <- (name, target) :: ctx.aliases
-        | Pmod_structure s -> collect_declarations ctx s
-        | _ -> ())
-      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }
-        ->
-        let target = flatten txt in
-        if List.mem target aliasable_modules then
-          ctx.opened <- target :: ctx.opened
+      | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
+        collect_declarations ctx s
       | _ -> ())
     str
+
+(* - Scope collection (phase 1): every module alias ([module R =
+   Sf_core.Runner], [let module]), every opened module ([open], [let
+   open], [M.(…)], [include]), every value path and every module used
+   whole (an [include] or a functor argument).  The table is file-wide,
+   not scoped: one resolver serves the partiality pass (through
+   [resolve]) and unused-export, and a name it cannot place counts
+   against every candidate. *)
+let collect_scope ctx str =
+  let default = Ast_iterator.default_iterator in
+  let module_path me =
+    match me.pmod_desc with Pmod_ident { txt; _ } -> Some (flatten txt) | _ -> None
+  in
+  let alias name me =
+    match (name, module_path me) with
+    | Some name, Some target ->
+      ctx.aliases <- (name, target) :: ctx.aliases;
+      true
+    | _ -> false
+  in
+  let opened me = Option.iter (fun m -> ctx.opened <- m :: ctx.opened) (module_path me) in
+  let module_binding it mb =
+    if not (alias mb.pmb_name.txt mb.pmb_expr) then default.module_binding it mb
+  in
+  let open_declaration it od =
+    match module_path od.popen_expr with
+    | Some _ -> opened od.popen_expr
+    | None -> default.open_declaration it od
+  in
+  let include_declaration it incl =
+    opened incl.pincl_mod;
+    default.include_declaration it incl
+  in
+  let module_expr it me =
+    Option.iter (fun m -> ctx.wholesale <- m :: ctx.wholesale) (module_path me);
+    default.module_expr it me
+  in
+  let expr (it : Ast_iterator.iterator) e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> ctx.named <- flatten txt :: ctx.named
+    | Pexp_letmodule ({ txt; _ }, me, body) when alias txt me -> it.expr it body
+    | _ -> default.expr it e
+  in
+  let it =
+    { default with module_binding; open_declaration; include_declaration; module_expr; expr }
+  in
+  it.structure it str
 
 (* - Shared-state walk: [init] mode evaluates at module initialisation;
    anything under a lambda (or functor body) is deferred to call time and
@@ -814,25 +864,168 @@ and walk_module_expr ctx ~prefix me =
 
 (* --- Parsing --- *)
 
+type parsed = Implementation of structure | Interface of signature
+
 let parse ~path source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf path;
-  if Filename.check_suffix path ".mli" then
-    match Parse.interface lexbuf with
-    | _ -> Ok None
-    | exception Syntaxerr.Error err ->
-      Error (line_of (Syntaxerr.location_of_error err), "syntax error")
-    | exception _ -> Error (lexbuf.lex_curr_p.pos_lnum, "lexical error")
-  else
-    match Parse.implementation lexbuf with
-    | str -> Ok (Some str)
-    | exception Syntaxerr.Error err ->
-      Error (line_of (Syntaxerr.location_of_error err), "syntax error")
-    | exception _ -> Error (lexbuf.lex_curr_p.pos_lnum, "lexical error")
+  match
+    if Filename.check_suffix path ".mli" then Interface (Parse.interface lexbuf)
+    else Implementation (Parse.implementation lexbuf)
+  with
+  | parsed -> Ok parsed
+  | exception Syntaxerr.Error err ->
+    Error (line_of (Syntaxerr.location_of_error err), "syntax error")
+  | exception _ -> Error (lexbuf.lex_curr_p.pos_lnum, "lexical error")
+
+(* --- Unused exports (whole program) --- *)
+
+(* A [val] of a lib interface; [x_module] is its module path from the
+   compilation unit down, e.g. ["Runner"; "Sharded"]. *)
+type export = {
+  x_path : string;
+  x_line : int;
+  x_module : string list;
+  x_name : string;
+}
+
+let rec signature_exports ~path ~modpath sg =
+  List.concat_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_value vd ->
+        [
+          {
+            x_path = path;
+            x_line = line_of vd.pval_loc;
+            x_module = modpath;
+            x_name = vd.pval_name.txt;
+          };
+        ]
+      | Psig_module
+          {
+            pmd_name = { txt = Some name; _ };
+            pmd_type = { pmty_desc = Pmty_signature sg; _ };
+            _;
+          } ->
+        signature_exports ~path ~modpath:(modpath @ [ name ]) sg
+      | _ -> [])
+    sg
+
+let components name = String.split_on_char '.' name
+
+let rec is_prefix p l =
+  match (p, l) with
+  | [], _ -> true
+  | a :: p, b :: l -> a = b && is_prefix p l
+  | _ :: _, [] -> false
+
+(* Every reading of a path through a file's aliases: the path as written
+   plus each expansion of its head, chased through chained aliases
+   ([module S = R.Sharded] after [module R = Sf_core.Runner]); the depth
+   bound stops a self-alias. *)
+let rec readings aliases ~depth path =
+  match path with
+  | head :: rest when depth > 0 ->
+    path
+    :: List.concat_map
+         (fun (alias, target) ->
+           if alias = head then readings aliases ~depth:(depth - 1) (components target @ rest)
+           else [])
+         aliases
+  | _ -> [ path ]
+
+(* An export is reached when a file other than its own module's .ml names
+   it.  A module path that is no exported module ([Sim.Sharded] through
+   an executable's alias) is matched on its last component, so a name
+   resolution cannot place counts as a caller of every candidate: a
+   missed finding costs less than a false one. *)
+let unused_exports exports (files : context list) =
+  let ident x = String.concat "." (x.x_module @ [ x.x_name ]) in
+  let units = Hashtbl.create 64 and modules = Hashtbl.create 64 in
+  let by_last = Hashtbl.create 64 in
+  List.iter
+    (fun x ->
+      let key = String.concat "." x.x_module in
+      if not (Hashtbl.mem modules key) then begin
+        Hashtbl.replace modules key ();
+        (match x.x_module with unit :: _ -> Hashtbl.replace units unit () | [] -> ());
+        match List.rev x.x_module with
+        | last :: _ -> Hashtbl.add by_last last x.x_module
+        | [] -> ()
+      end)
+    exports;
+  let targets m =
+    let m =
+      match m with
+      | wrapper :: (unit :: _ as rest)
+        when (not (Hashtbl.mem units wrapper)) && Hashtbl.mem units unit ->
+        rest (* a library wrapper: [Sf_core.Runner] *)
+      | _ -> m
+    in
+    if Hashtbl.mem modules (String.concat "." m) then [ m ]
+    else match List.rev m with last :: _ -> Hashtbl.find_all by_last last | [] -> []
+  in
+  let used = Hashtbl.create 1024 in
+  List.iter
+    (fun ctx ->
+      let stem = Filename.remove_extension ctx.path in
+      let read path =
+        List.concat_map
+          (fun p -> readings ctx.aliases ~depth:4 p)
+          (path :: List.map (fun o -> components o @ path) ctx.opened)
+      in
+      let value path =
+        match List.rev path with
+        | name :: (_ :: _ as rev_module) ->
+          List.iter
+            (fun m -> Hashtbl.add used (String.concat "." (m @ [ name ])) stem)
+            (targets (List.rev rev_module))
+        | _ -> ()
+      in
+      (* [include M] or a functor argument: every value under M. *)
+      let whole path =
+        List.iter
+          (fun m ->
+            List.iter
+              (fun x ->
+                if is_prefix m x.x_module then Hashtbl.add used (ident x) stem)
+              exports)
+          (targets path)
+      in
+      if not (has_prefix ~prefix:"test/" ctx.path) then begin
+        List.iter
+          (fun name -> List.iter value (read (components name)))
+          (List.sort_uniq compare ctx.named);
+        List.iter
+          (fun m -> List.iter whole (read (components m)))
+          (List.sort_uniq compare ctx.wholesale)
+      end)
+    files;
+  List.filter_map
+    (fun x ->
+      let own = Filename.remove_extension x.x_path in
+      if List.exists (fun stem -> stem <> own) (Hashtbl.find_all used (ident x)) then None
+      else
+        Some
+          {
+            rule = "unused-export";
+            path = x.x_path;
+            line = x.x_line;
+            ident = ident x;
+            message =
+              Fmt.str
+                "%s is exported but no module outside its own refers to it (tests \
+                 are not callers) — delete it, or drop it from the .mli"
+                (ident x);
+          })
+    (List.sort_uniq compare exports)
 
 (* --- Entry points --- *)
 
-let analyze_file ~path source =
+(* One file's analysis, plus what the whole-program pass needs from it:
+   an interface's exports, an implementation's scope table. *)
+let analyze_one ~path source =
   let ctx =
     {
       path;
@@ -845,27 +1038,44 @@ let analyze_file ~path source =
       mutable_fields = [];
       aliases = [];
       opened = [];
+      named = [];
+      wholesale = [];
       binding = "-";
       guards = [];
     }
   in
-  (match parse ~path source with
-  | Error (line, msg) ->
-    add_finding ctx ~rule:"parse-error" ~line ~ident:"-" msg
-  | Ok None -> (* interface: parse check only *) ()
-  | Ok (Some str) ->
-    collect_declarations ctx str;
-    walk_module_level ctx ~prefix:"" str;
-    let it = partiality_iterator ctx in
-    it.structure it str);
-  {
-    findings = List.rev ctx.out;
-    hazards = List.rev ctx.file_hazards;
-    effect_sigs = List.rev ctx.file_effects;
-    pure_functions = ctx.pure;
-    safe_sites = (if ctx.safe > 0 then [ (path, ctx.safe) ] else []);
-    parsed_files = 1;
-  }
+  let exports, scopes =
+    match parse ~path source with
+    | Error (line, msg) ->
+      add_finding ctx ~rule:"parse-error" ~line ~ident:"-" msg;
+      ([], [])
+    | Ok (Interface sg) ->
+      if has_prefix ~prefix:"lib/" path then
+        let unit = String.capitalize_ascii (Filename.(remove_extension (basename path))) in
+        (signature_exports ~path ~modpath:[ unit ] sg, [])
+      else ([], [])
+    | Ok (Implementation str) ->
+      collect_declarations ctx str;
+      collect_scope ctx str;
+      walk_module_level ctx ~prefix:"" str;
+      let it = partiality_iterator ctx in
+      it.structure it str;
+      ([], [ ctx ])
+  in
+  ( {
+      findings = List.rev ctx.out;
+      hazards = List.rev ctx.file_hazards;
+      effect_sigs = List.rev ctx.file_effects;
+      pure_functions = ctx.pure;
+      safe_sites = (if ctx.safe > 0 then [ (path, ctx.safe) ] else []);
+      parsed_files = 1;
+    },
+    exports,
+    scopes )
+
+let analyze_file ~path source =
+  let analysis, _, _ = analyze_one ~path source in
+  analysis
 
 let merge a b =
   {
@@ -878,11 +1088,16 @@ let merge a b =
   }
 
 let analyze_files files =
-  List.fold_left
-    (fun acc (path, source) -> merge acc (analyze_file ~path source))
-    empty_analysis files
+  let analysis, exports, scopes =
+    List.fold_left
+      (fun (acc, exports, scopes) (path, source) ->
+        let a, x, s = analyze_one ~path source in
+        (merge acc a, List.rev_append x exports, List.rev_append s scopes))
+      (empty_analysis, [], []) files
+  in
+  { analysis with findings = analysis.findings @ unused_exports exports scopes }
 
-(* --- Baseline: sf_lint's allowlist contract, verbatim ---
+(* --- Baseline: sf_lint's allowlist contract ---
 
    One "path rule" pair per line ('*' matches any rule), '#' comments,
    and entries that suppress nothing are reported as stale, so the
@@ -895,8 +1110,12 @@ type baseline_entry = Sf_lint_rules.Lint_rules.allow = {
 
 let parse_baseline = Sf_lint_rules.Lint_rules.parse_allowlist
 
+(* An unused-export entry names one value, "lib/x.mli:X.v": an entry for
+   the whole interface would also excuse every value exported later. *)
 let baseline_matches (e : baseline_entry) (f : finding) =
-  e.allow_path = f.path && (e.allow_rule = "*" || e.allow_rule = f.rule)
+  (if f.rule = "unused-export" then e.allow_path = f.path ^ ":" ^ f.ident
+   else e.allow_path = f.path)
+  && (e.allow_rule = "*" || e.allow_rule = f.rule)
 
 let apply_baseline entries analysis =
   let used = Array.make (List.length entries) false in

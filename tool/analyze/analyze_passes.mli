@@ -1,7 +1,7 @@
 (** The sf_analyze pass engine: compiler-libs (Parsetree/Ast_iterator)
     static analysis, pure so tests can drive it on in-memory fixtures.
 
-    Three pass families, each beyond what sf_lint's lexical rules can
+    Four pass families, each beyond what sf_lint's lexical rules can
     see:
 
     - {b shared-mutable-state inventory}: module-level bindings that
@@ -20,6 +20,10 @@
       [open]; indexing functions escaping as first-class values;
       refutable [let] patterns; and [\[@warning "-8"\]] exhaustiveness
       suppressions.
+    - {b unused exports}: whole-program, a [val] of a [lib/**/*.mli]
+      that no [.ml] outside its own module names, resolved through the
+      same alias and [open] table the partiality pass reads; [test/] is
+      not a caller.
 
     Findings ratchet down through a baseline sharing sf_lint's
     allowlist contract; the inventory serializes to a deterministic
@@ -82,14 +86,16 @@ val rule_docs : (string * string) list
     prints. *)
 
 val analyze_file : path:string -> string -> analysis
-(** Parse one [.ml] (all passes) or [.mli] (parse check only) and run
-    the passes.  Unparseable sources yield a [parse-error] finding
-    rather than an exception. *)
+(** Parse one [.ml] (every per-file pass) or [.mli] (parse check only)
+    and run the passes.  Unparseable sources yield a [parse-error]
+    finding rather than an exception. *)
 
 val analyze_files : (string * string) list -> analysis
-(** [analyze_file] over every (path, source) pair, merged. *)
+(** [analyze_file] over every (path, source) pair, merged, plus the
+    whole-program [unused-export] findings, which need every file at
+    once. *)
 
-(** {2 Baseline — sf_lint's allowlist contract, verbatim} *)
+(** {2 Baseline — sf_lint's allowlist contract} *)
 
 type baseline_entry = Sf_lint_rules.Lint_rules.allow = {
   allow_path : string;
@@ -98,7 +104,9 @@ type baseline_entry = Sf_lint_rules.Lint_rules.allow = {
 
 val parse_baseline : string -> (baseline_entry list, string) result
 (** One ["path rule"] pair per line (['*'] matches any rule), ['#']
-    comments — shared with sf_lint's parser. *)
+    comments — shared with sf_lint's parser.  An [unused-export] entry
+    names one value: its path is ["lib/x.mli:X.v"], the interface and
+    the finding's ident. *)
 
 val apply_baseline :
   baseline_entry list -> analysis -> finding list * baseline_entry list
